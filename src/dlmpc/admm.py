@@ -28,8 +28,8 @@ from enum import Enum
 import numpy as np
 
 from . import sls
-from .explicit_row import InfeasibleRowError, Region, RowProblem, RowSolution, solve_row_block
-from .qp import DenseQP, QpStatus, solve_qp
+from .explicit_row import InfeasibleRowError, check_rows, solve_rows
+from .qp import QpStatus, row_qp, solve_qp
 from .sls import FeasibilityOperator, project_column
 from .topology import LocalityIndex, NetworkModel
 
@@ -88,6 +88,9 @@ class AdmmState:
     Row partition matrices have shape (len(rows), len(row_cols)); column
     partition matrices have shape (len(col_rows), len(cols)).  After each
     exchange phase the two partitions agree on every shared entry.
+    ``x0_slices`` holds each subsystem's coupled slice of the measured state
+    the iteration runs for, and ``residual_history`` one (max primal, max
+    dual) pair per iteration.
     """
 
     phi_r: list
@@ -102,6 +105,7 @@ class AdmmState:
     dual: np.ndarray | None = None
     residual_history: list = field(default_factory=list)
     converged: bool = False
+    x0_slices: list = field(default_factory=list)
 
 
 @dataclass
@@ -134,6 +138,16 @@ class _PairPlan:
     dst_ix: tuple
     global_rows: np.ndarray
     global_cols: np.ndarray
+
+
+@dataclass(frozen=True)
+class _RowGroup:
+    """Positions, boxes and weights of rows that share one x0 slice."""
+
+    pos: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    weight: np.ndarray
 
 
 def row_profiles(
@@ -235,18 +249,14 @@ class DlmpcEngine:
         )
         self.row_weight, self.row_lo, self.row_hi = w, lo, hi
 
-        self._sub_weight = []
-        self._sub_lo = []
-        self._sub_hi = []
-        self._state_pos = []
-        self._input_pos = []
+        self._row_groups = []  # per subsystem: its state rows, then its input rows
         self._u0_pos = []
         for sub in index.subsystems:
-            self._sub_weight.append(w[sub.rows])
-            self._sub_lo.append(lo[sub.rows])
-            self._sub_hi.append(hi[sub.rows])
-            self._state_pos.append(np.where(sub.row_is_state)[0])
-            self._input_pos.append(np.where(~sub.row_is_state)[0])
+            groups = []
+            for pos in (np.flatnonzero(sub.row_is_state), np.flatnonzero(~sub.row_is_state)):
+                rows = sub.rows[pos]
+                groups.append(_RowGroup(pos, lo[rows], hi[rows], w[rows]))
+            self._row_groups.append(groups)
             self._u0_pos.append(
                 np.where(~sub.row_is_state & (sub.row_time == 0))[0]
             )
@@ -318,95 +328,43 @@ class DlmpcEngine:
 
     # -- per-subsystem updates ----------------------------------------------
 
-    def row_step(self, state: AdmmState, i: int, x0_slice=None, row_solver=None):
-        """Proximal row update for subsystem i (both row groups).
+    def row_step(self, state: AdmmState, i: int):
+        """Proximal row update for subsystem i: its state rows, then its input rows.
 
-        ``x0_slice`` is the subsystem's coupled initial-state slice; it
-        defaults to the slice cached by the current :meth:`solve_step` call.
+        State rows see only the d-hop state columns, input rows the whole
+        coupled slice, so each group shares one x0 slice.
         """
         sub = self.index.subsystems[i - 1]
-        x0_slice = self._x0_slices[i - 1] if x0_slice is None else np.asarray(x0_slice, float)
-        solver = self.row_solver if row_solver is None else row_solver
+        x0 = state.x0_slices[i - 1]
         a = state.psi_r[i - 1] - state.lam_r[i - 1]
-        lo, hi, w = self._sub_lo[i - 1], self._sub_hi[i - 1], self._sub_weight[i - 1]
         out = state.phi_r[i - 1]
+        states, inputs = self._row_groups[i - 1]
+        scp = sub.state_col_positions
+        ix = np.ix_(states.pos, scp)
+        out[ix] = self._solve_group(i, states, a[ix], x0[scp])
+        out[inputs.pos] = self._solve_group(i, inputs, a[inputs.pos], x0)
 
-        x0_state = x0_slice[sub.state_col_positions]
-        spos = self._state_pos[i - 1]
-        problems = [
-            RowProblem(
-                target=a[r, sub.state_col_positions],
-                x0=x0_state,
-                rho=self.rho,
-                lo=lo[r],
-                hi=hi[r],
-                weight=w[r],
-            )
-            for r in spos
-        ]
-        sols = self._solve_rows(problems, solver, i, spos)
-        for r, sol in zip(spos, sols):
-            out[r, sub.state_col_positions] = sol.phi
-
-        ipos = self._input_pos[i - 1]
-        if ipos.size:
-            problems = [
-                RowProblem(
-                    target=a[r, :],
-                    x0=x0_slice,
-                    rho=self.rho,
-                    lo=lo[r],
-                    hi=hi[r],
-                    weight=w[r],
-                )
-                for r in ipos
-            ]
-            sols = self._solve_rows(problems, solver, i, ipos)
-            for r, sol in zip(ipos, sols):
-                out[r, :] = sol.phi
-
-    def _solve_rows(self, problems, solver, i, positions):
+    def _solve_group(self, i: int, group: _RowGroup, targets, x0) -> np.ndarray:
+        lo, hi, w = group.lo, group.hi, group.weight
         try:
-            if solver is RowSolverKind.EXPLICIT:
-                return solve_row_block(problems)
-            return [self._solve_row_qp(p) for p in problems]
+            if self.row_solver is RowSolverKind.EXPLICIT:
+                return solve_rows(targets, x0, self.rho, lo, hi, w)[0]
+            if check_rows(x0, lo, hi):
+                return targets.copy()
+            phi = np.empty_like(targets)
+            for r, target in enumerate(targets):
+                qp = row_qp(target, x0, self.rho, lo[r], hi[r], w[r])
+                res = solve_qp(qp, tol=self.qp_tol)
+                if res.status is QpStatus.INFEASIBLE:
+                    raise InfeasibleRowError(f"row {r}: QP infeasible, box [{lo[r]}, {hi[r]}]")
+                phi[r] = res.x[:-1]
+            return phi
         except InfeasibleRowError as err:
             sub = self.index.subsystems[i - 1]
             raise InfeasibleRowError(
                 f"subsystem {i}: infeasible row among global rows "
-                f"{sub.rows[positions].tolist()}: {err}"
+                f"{sub.rows[group.pos].tolist()}: {err}"
             ) from err
-
-    def _solve_row_qp(self, p: RowProblem) -> RowSolution:
-        if p.lo > p.hi:
-            raise InfeasibleRowError(f"empty box: lo={p.lo} > hi={p.hi}")
-        if not np.any(p.x0):
-            if p.lo <= 0.0 <= p.hi:
-                return RowSolution(p.target.copy(), 0.0, 0.0, Region.INTERIOR)
-            raise InfeasibleRowError(
-                f"x0 slice is zero but the box [{p.lo}, {p.hi}] excludes 0"
-            )
-        m = p.target.size
-        h = np.zeros((m + 1, m + 1))
-        h[np.arange(m), np.arange(m)] = p.rho
-        h[m, m] = 2.0 * p.weight * p.weight
-        g = np.concatenate([-p.rho * p.target, [0.0]])
-        a_eq = np.concatenate([p.x0, [-1.0]])[None, :]
-        lb = np.full(m + 1, -np.inf)
-        ub = np.full(m + 1, np.inf)
-        lb[m], ub[m] = p.lo, p.hi
-        res = solve_qp(DenseQP(h, g, a_eq, np.zeros(1), lb, ub), tol=self.qp_tol)
-        if res.status is QpStatus.INFEASIBLE:
-            raise InfeasibleRowError(f"row subproblem infeasible: box [{p.lo}, {p.hi}]")
-        lam_up, lam_lo = float(res.mu_hi[m]), float(res.mu_lo[m])
-        tol = 10 * self.qp_tol
-        if lam_up > max(tol, lam_lo):
-            region = Region.UPPER_ACTIVE
-        elif lam_lo > max(tol, lam_up):
-            region = Region.LOWER_ACTIVE
-        else:
-            region = Region.INTERIOR
-        return RowSolution(res.x[:m], lam_up, lam_lo, region)
 
     def column_step(self, state: AdmmState, i: int):
         """Project subsystem i's column slice onto the dynamics constraint."""
@@ -420,14 +378,14 @@ class DlmpcEngine:
         state.primal[i - 1] = np.linalg.norm(state.phi_r[i - 1] - state.psi_r[i - 1])
         state.dual[i - 1] = np.linalg.norm(state.psi_r[i - 1] - state.psi_r_prev[i - 1])
 
-    def check_convergence(self, state: AdmmState, eps_primal=None, eps_dual=None) -> bool:
+    def check_convergence(self, state: AdmmState) -> bool:
         """All subsystems within both residual tolerances (boundary passes)."""
-        eps_p = self.eps_primal if eps_primal is None else eps_primal
-        eps_d = self.eps_dual if eps_dual is None else eps_dual
         state.residual_history.append(
             (float(np.max(state.primal)), float(np.max(state.dual)))
         )
-        return bool(np.all(state.primal <= eps_p) and np.all(state.dual <= eps_d))
+        return bool(
+            np.all(state.primal <= self.eps_primal) and np.all(state.dual <= self.eps_dual)
+        )
 
     # -- exchanges ------------------------------------------------------------
 
@@ -513,7 +471,7 @@ class DlmpcEngine:
                 "extract_control called before the iteration converged"
             )
         rows = state.phi_r[i - 1][self._u0_pos[i - 1], :]
-        return sls.extract_control(rows, self._x0_slices[i - 1])
+        return sls.extract_control(rows, state.x0_slices[i - 1])
 
     # -- full step --------------------------------------------------------------
 
@@ -532,11 +490,11 @@ class DlmpcEngine:
         packets = [] if self.record_packets else None
 
         # measurement phase: each subsystem gathers its coupled x0 slice
-        self._x0_slices = [None] * n_sub
+        x0_slices = [None] * n_sub
         for i in self.order:
             sub = index.subsystems[i - 1]
             t0 = time.perf_counter()
-            self._x0_slices[i - 1] = x0[sub.row_cols]
+            x0_slices[i - 1] = x0[sub.row_cols]
             self._times[i - 1] += time.perf_counter() - t0
         if packets is not None:
             for sub in index.subsystems:
@@ -555,10 +513,10 @@ class DlmpcEngine:
                     )
 
         state = self.init_state(warm_state)
+        state.x0_slices = x0_slices
         state.primal = np.full(n_sub, np.inf)
         state.dual = np.full(n_sub, np.inf)
 
-        primal_hist, dual_hist = [], []
         converged = False
         for k in range(1, self.max_iterations + 1):
             for i in self.order:
@@ -579,14 +537,13 @@ class DlmpcEngine:
             if self.mask_check_interval and k % self.mask_check_interval == 0:
                 self.verify_masks(state)
             converged = self.check_convergence(state)
-            primal_hist.append(float(np.max(state.primal)))
-            dual_hist.append(float(np.max(state.dual)))
             if converged:
                 break
         if not converged:
+            primal, dual = state.residual_history[-1]
             raise ConvergenceError(
                 f"no convergence within {self.max_iterations} iterations "
-                f"(last primal {primal_hist[-1]:.3e}, dual {dual_hist[-1]:.3e})",
+                f"(last primal {primal:.3e}, dual {dual:.3e})",
                 residual_history=state.residual_history,
             )
         state.converged = True
@@ -597,11 +554,12 @@ class DlmpcEngine:
             u[model.input_indices(i)] = self.extract_control(state, i)
             self._times[i - 1] += time.perf_counter() - t0
 
+        primal_history, dual_history = np.array(state.residual_history).reshape(-1, 2).T
         return StepResult(
             u=u,
             iterations=state.iteration,
-            primal_history=np.asarray(primal_hist),
-            dual_history=np.asarray(dual_hist),
+            primal_history=primal_history,
+            dual_history=dual_history,
             per_sub_seconds=self._times.copy(),
             state=state,
             x0=x0,

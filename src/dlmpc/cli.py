@@ -22,7 +22,7 @@ from .bench import (
     run_scaling_sweep,
 )
 from .explicit_row import InfeasibleRowError, RowProblem, kkt_residuals, solve_row
-from .qp import DenseQP, solve_qp
+from .qp import row_qp, solve_qp
 from .sls import (
     assemble_feasibility_operator,
     project_column,
@@ -186,15 +186,7 @@ def _cmd_validate(args) -> int:
         sol = solve_row(p)
         stat, prim, comp = kkt_residuals(p, sol)
         worst_kkt = max(worst_kkt, stat, prim, comp)
-        h = np.zeros((m + 1, m + 1))
-        h[np.arange(m), np.arange(m)] = rho
-        h[m, m] = 2 * weight**2
-        g = np.concatenate([-rho * target, [0.0]])
-        a_eq = np.concatenate([x0, [-1.0]])[None, :]
-        lb = np.full(m + 1, -np.inf)
-        ub = np.full(m + 1, np.inf)
-        lb[m], ub[m] = lo, hi
-        ref = solve_qp(DenseQP(h, g, a_eq, np.zeros(1), lb, ub), tol=1e-11)
+        ref = solve_qp(row_qp(target, x0, rho, lo, hi, weight), tol=1e-11)
         worst_gap = max(worst_gap, float(np.max(np.abs(sol.phi - ref.x[:m]))))
     check("row solutions vs QP solver", worst_gap, 1e-6)
     check("row KKT residuals", worst_kkt, 1e-8)

@@ -16,9 +16,19 @@ closed form with exactly three cases:
                            below lo             ->  lower bound active,
                            otherwise            ->  interior, lam = 0.
 
-M is a rank-one update of a scaled identity, so it is never formed densely;
-``sherman_morrison_apply`` evaluates ``v @ M`` in O(len(v)).  Boundary ties
-classify as INTERIOR (the multiplier is zero there, so the solutions agree).
+M is a rank-one update of a scaled identity (Sherman-Morrison), so it is
+never formed: ``v M = (v - (2 w^2 (v.x0) / (rho + 2 w^2 ||x0||^2)) x0) / rho``.
+Boundary ties classify as INTERIOR (the multiplier is zero there, so the
+solutions agree).
+
+A row depends on its own target, box and weight and on an ``x0`` and ``rho``
+shared by every row of a subsystem's row group, so :func:`solve_rows` solves
+a whole group in one array expression; :func:`solve_row` is its one-row
+case.  The dot products are row-wise sums (``np.sum(targets * x0, axis=1)``)
+rather than a matrix-vector product: the product's BLAS kernel may reorder
+the additions by the block's shape, while the row-wise sum does the same
+additions for a row whether it is solved alone or in a block, so both give
+bitwise identical rows.
 """
 from __future__ import annotations
 
@@ -85,94 +95,79 @@ class RowSolution:
         return self.lam_upper - self.lam_lower
 
 
-def sherman_morrison_apply(
-    v: np.ndarray, x0: np.ndarray, rho: float, weight: float
-) -> np.ndarray:
-    """Evaluate ``v @ inv(2*weight^2*x0*x0' + rho*I)`` without forming it.
+_REGIONS = (Region.INTERIOR, Region.UPPER_ACTIVE, Region.LOWER_ACTIVE)
 
-    Rank-one inverse update:
-    ``v @ M = (v - (2 w^2 (v.x0) / (rho + 2 w^2 ||x0||^2)) x0) / rho``.
+
+def check_rows(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Raise :class:`InfeasibleRowError` naming the first row no phi satisfies.
+
+    A row is infeasible when its box is empty, or when ``x0`` is zero (so
+    ``phi . x0 = 0`` for every phi) and its box excludes 0.  Returns whether
+    ``x0`` is zero; the proximal term alone then decides every row, whose
+    solution is its target.
     """
-    v = np.asarray(v, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    if v.shape[-1] != x0.shape[0]:
-        raise ValueError("v and x0 disagree on length")
-    c2 = 2.0 * weight * weight
-    denom = rho + c2 * float(x0 @ x0)
-    return (v - (c2 * (v @ x0) / denom) * x0) / rho
-
-
-def _solve_row(p: RowProblem, denom: float) -> RowSolution:
-    if p.lo > p.hi:
-        raise InfeasibleRowError(f"empty box: lo={p.lo} > hi={p.hi}")
-    x0 = p.x0
-    a = p.target
-    x0_sq = denom - p.rho  # = 2 w^2 ||x0||^2
-    if x0_sq == 0.0 and not np.any(x0):
-        # x0 = 0: the product phi . x0 vanishes, so the box either admits 0
-        # or nothing at all, and the proximal term alone decides the row.
-        if p.lo <= 0.0 <= p.hi:
-            return RowSolution(a.copy(), 0.0, 0.0, Region.INTERIOR)
+    empty = np.flatnonzero(lo > hi)
+    if empty.size:
+        k = empty[0]
+        raise InfeasibleRowError(f"row {k}: empty box: lo={lo[k]} > hi={hi[k]}")
+    if np.any(x0):
+        return False
+    excluded = np.flatnonzero((lo > 0.0) | (hi < 0.0))
+    if excluded.size:
+        k = excluded[0]
         raise InfeasibleRowError(
-            f"x0 slice is zero but the box [{p.lo}, {p.hi}] excludes 0"
+            f"row {k}: x0 slice is zero but the box [{lo[k]}, {hi[k]}] excludes 0"
         )
+    return True
 
+
+def solve_rows(targets, x0, rho: float, lo, hi, weight) -> tuple:
+    """Closed-form minimizers of a group of rows that share ``x0`` and ``rho``.
+
+    ``targets`` has one row per problem; ``lo``, ``hi`` and ``weight`` are
+    per-row arrays or scalars.  Returns ``(phi, lam_upper, lam_lower,
+    region)`` with int8 region codes 0 interior, 1 upper-active and 2
+    lower-active.  An infeasible row raises :class:`InfeasibleRowError`
+    naming its position in the group.
+    """
+    targets = np.asarray(targets, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    if targets.ndim != 2 or x0.shape != targets.shape[1:]:
+        raise ValueError(f"targets of shape {targets.shape} do not match x0 of shape {x0.shape}")
+    k = targets.shape[0]
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), (k,))
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (k,))
+    weight = np.broadcast_to(np.asarray(weight, dtype=float), (k,))
+    lam_upper = np.zeros(k)
+    lam_lower = np.zeros(k)
+    region = np.zeros(k, dtype=np.int8)
+    if check_rows(x0, lo, hi):
+        return targets.copy(), lam_upper, lam_lower, region
+
+    x0_sq = float(x0 @ x0)
+    c2 = 2.0 * weight * weight
+    denom = rho + c2 * x0_sq
     # M x0 = x0 / denom, so the scalars below avoid any matrix work.
-    a_x0 = float(a @ x0)
-    unconstrained = p.rho * a_x0 / denom  # rho * a M x0
-    x_m_x = float(x0 @ x0) / denom        # x0' M x0
+    unconstrained = rho * np.sum(targets * x0, axis=1) / denom  # rho * a M x0
+    x_m_x = x0_sq / denom  # x0' M x0
+    upper = unconstrained > hi
+    lower = unconstrained < lo
+    lam_upper[upper] = (unconstrained[upper] - hi[upper]) / x_m_x[upper]
+    lam_lower[lower] = (lo[lower] - unconstrained[lower]) / x_m_x[lower]
+    region[upper] = 1
+    region[lower] = 2
 
-    lam_upper = lam_lower = 0.0
-    region = Region.INTERIOR
-    if unconstrained > p.hi:
-        lam_upper = (unconstrained - p.hi) / x_m_x
-        region = Region.UPPER_ACTIVE
-    elif unconstrained < p.lo:
-        lam_lower = (p.lo - unconstrained) / x_m_x
-        region = Region.LOWER_ACTIVE
-
-    lam = lam_upper - lam_lower
-    c2 = 2.0 * p.weight * p.weight
-    v = p.rho * a - lam * x0
-    phi = (v - (c2 * (float(v @ x0)) / denom) * x0) / p.rho
-    return RowSolution(phi, lam_upper, lam_lower, region)
+    v = rho * targets - (lam_upper - lam_lower)[:, None] * x0
+    phi = (v - (c2 * np.sum(v * x0, axis=1) / denom)[:, None] * x0) / rho
+    return phi, lam_upper, lam_lower, region
 
 
 def solve_row(p: RowProblem) -> RowSolution:
     """Closed-form minimizer of one row subproblem with its multipliers."""
-    denom = p.rho + 2.0 * p.weight * p.weight * float(p.x0 @ p.x0)
-    return _solve_row(p, denom)
-
-
-def solve_row_block(problems: list) -> list:
-    """Solve rows that share one (x0, rho) pair, reusing the shared factor.
-
-    The Sherman-Morrison denominator depends only on (x0, rho, weight), so it
-    is computed once per weight class and reused across the block.  Results
-    are identical to mapping ``solve_row`` row by row.  An infeasible row
-    raises with its position in the block attached.
-    """
-    if not problems:
-        return []
-    first = problems[0]
-    for k, p in enumerate(problems[1:], start=1):
-        if p.rho != first.rho:
-            raise ValueError(f"row {k} has rho={p.rho}, block expects {first.rho}")
-        if p.x0 is not first.x0 and not np.array_equal(p.x0, first.x0):
-            raise ValueError(f"row {k} does not share the block's x0 slice")
-    x0_sq = float(first.x0 @ first.x0)
-    denoms = {}
-    out = []
-    for k, p in enumerate(problems):
-        denom = denoms.get(p.weight)
-        if denom is None:
-            denom = p.rho + 2.0 * p.weight * p.weight * x0_sq
-            denoms[p.weight] = denom
-        try:
-            out.append(_solve_row(p, denom))
-        except InfeasibleRowError as err:
-            raise InfeasibleRowError(f"row {k} of block: {err}") from None
-    return out
+    phi, lam_upper, lam_lower, region = solve_rows(
+        p.target[None, :], p.x0, p.rho, p.lo, p.hi, p.weight
+    )
+    return RowSolution(phi[0], float(lam_upper[0]), float(lam_lower[0]), _REGIONS[region[0]])
 
 
 def kkt_residuals(p: RowProblem, sol: RowSolution) -> tuple:

@@ -9,8 +9,10 @@ conditions), for problems of the form
 
 It exists as an independent verification route: nothing here shares a code
 path with the closed-form row solver, so agreement between the two is
-evidence, not tautology.  ``centralized_mpc`` condenses the full MPC problem
-into the inputs and solves one QP, giving the global cost baseline;
+evidence, not tautology.  ``row_qp`` states one row subproblem for it (the
+solver-based row step and the ``validate`` cross-check both use it).
+``centralized_mpc`` condenses the full MPC problem into the inputs and
+solves one QP, giving the global cost baseline;
 ``centralized_local_mpc`` solves the sparsity-constrained synthesis problem
 centrally, for use as a diagnostic second baseline at desk scale.
 """
@@ -329,6 +331,25 @@ def _fold_pinned(result: QpResult, pinned: np.ndarray, n_user_eq: int, nv: int) 
     elif result.nu.size > n_user_eq:
         result.nu = result.nu[:n_user_eq]
     return result
+
+
+def row_qp(target, x0, rho: float, lo: float, hi: float, weight: float) -> DenseQP:
+    """One row's proximal subproblem in slack form, variables ``(phi, s)``.
+
+    minimize ``(rho/2) ||phi - target||^2 + weight^2 s^2`` subject to
+    ``x0 . phi - s = 0`` and ``lo <= s <= hi``; the last variable's bound
+    multipliers are the row's (lower, upper) box multipliers.
+    """
+    m = target.size
+    h = np.zeros((m + 1, m + 1))
+    h[np.arange(m), np.arange(m)] = rho
+    h[m, m] = 2.0 * weight * weight
+    g = np.concatenate([-rho * target, [0.0]])
+    a_eq = np.concatenate([x0, [-1.0]])[None, :]
+    lb = np.full(m + 1, -np.inf)
+    ub = np.full(m + 1, np.inf)
+    lb[m], ub[m] = lo, hi
+    return DenseQP(h, g, a_eq, np.zeros(1), lb, ub)
 
 
 # ---------------------------------------------------------------------------

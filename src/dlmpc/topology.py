@@ -230,7 +230,6 @@ class SubsystemIndex:
                     rows for t = 0..T, then its input rows for t = 0..T-1)
     row_is_state    per-row flag (True for state rows)
     row_time        per-row time index
-    row_component   per-row global state/input component index
     cols            global columns owned (its initial-state components)
     row_cols        coupled column set for the row partition (state columns of
                     the (d+1)-hop incoming set, ascending)
@@ -247,7 +246,6 @@ class SubsystemIndex:
     rows: np.ndarray
     row_is_state: np.ndarray
     row_time: np.ndarray
-    row_component: np.ndarray
     cols: np.ndarray
     row_cols: np.ndarray
     col_rows: np.ndarray
@@ -285,15 +283,6 @@ class LocalityIndex:
 
     def subsystem(self, i: int) -> SubsystemIndex:
         return self.subsystems[i - 1]
-
-
-def x_row_index(t: int, component: int, n: int) -> int:
-    """Global row of state component ``component`` at time ``t``."""
-    return t * n + component
-
-def u_row_index(t: int, component: int, n: int, p: int, horizon: int) -> int:
-    """Global row of input component ``component`` at time ``t``."""
-    return n * (horizon + 1) + t * p + component
 
 
 def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int) -> LocalityIndex:
@@ -354,7 +343,6 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
             [np.repeat(np.arange(t_hor + 1), len(xi)),
              np.repeat(np.arange(t_hor), len(ui))]
         )
-        row_component = np.concatenate([np.tile(xi, t_hor + 1), np.tile(ui, t_hor)])
 
         cols = xi.copy()
         row_cols = np.sort(np.concatenate([model.state_indices(j) for j in sorted(in_ext[i - 1])]))
@@ -380,7 +368,6 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
                 rows=rows,
                 row_is_state=row_is_state,
                 row_time=row_time,
-                row_component=row_component,
                 cols=cols,
                 row_cols=row_cols,
                 col_rows=col_rows,

@@ -9,12 +9,15 @@ from dlmpc import (
     InfeasibleRowError,
     Phase,
     QpStatus,
+    Region,
+    RowProblem,
     RowSolverKind,
     ScenarioConfig,
     StalenessError,
     build_scenario,
     centralized_local_mpc,
     packet_within_locality,
+    solve_row,
 )
 from dlmpc.admm import row_profiles
 
@@ -151,11 +154,22 @@ class TestConvergenceControl:
         state = engine.init_state()
         state.primal = np.full(4, np.inf)
         state.dual = np.full(4, np.inf)
-        engine._x0_slices = [
-            sc.initial_state()[sub.row_cols] for sub in sc.index.subsystems
-        ]
         with pytest.raises(StalenessError):
             engine.extract_control(state, 1)
+
+    def test_extraction_uses_the_states_own_x0(self):
+        # a later step at another measured state must not leak into an
+        # earlier step's state
+        sc = small_scenario()
+        engine = sc.make_engine()
+        xa = sc.initial_state()
+        xb = np.random.default_rng(1).uniform(0.0, 1.0, xa.size)
+        ra = engine.solve_step(xa)
+        engine.solve_step(xb)
+        u = np.zeros(sc.model.n_inputs)
+        for i in range(1, sc.model.n_subsystems + 1):
+            u[sc.model.input_indices(i)] = engine.extract_control(ra.state, i)
+        np.testing.assert_array_equal(u, ra.u)
 
     def test_warm_start_reduces_iterations(self):
         sc = small_scenario()
@@ -180,6 +194,68 @@ class TestConvergenceControl:
         # zero measured state puts 0 outside the box for every bounded row
         with pytest.raises(InfeasibleRowError, match="subsystem"):
             engine.solve_step(np.zeros(sc.model.n_states))
+
+
+class TestRowStep:
+    """One row step against a row-by-row loop of ``solve_row``."""
+
+    @staticmethod
+    def boxed_state(sc, engine, x0):
+        # tight boxes on states and inputs and random targets reach all three regions
+        rng = np.random.default_rng(7)
+        state = engine.init_state()
+        state.x0_slices = [x0[sub.row_cols] for sub in sc.index.subsystems]
+        for sub, psi, lam in zip(sc.index.subsystems, state.psi_r, state.lam_r):
+            psi[:] = rng.normal(size=psi.shape) * sub.row_mask
+            lam[:] = rng.normal(scale=0.5, size=lam.shape) * sub.row_mask
+        return state
+
+    @staticmethod
+    def reference_rows(sc, state, x0, rho):
+        weight, lo, hi = row_profiles(
+            sc.index, sc.q_diag, sc.r_diag, sc.qt_diag,
+            sc.state_lb, sc.state_ub, sc.input_lb, sc.input_ub,
+        )
+        out, regions = [], []
+        for sub, psi, lam in zip(sc.index.subsystems, state.psi_r, state.lam_r):
+            phi = np.zeros_like(psi)
+            for r, g in enumerate(sub.rows):
+                cols = np.flatnonzero(sub.row_mask[r])
+                p = RowProblem(
+                    target=(psi - lam)[r, cols], x0=x0[sub.row_cols][cols], rho=rho,
+                    lo=lo[g], hi=hi[g], weight=weight[g],
+                )
+                sol = solve_row(p)
+                phi[r, cols] = sol.phi
+                regions.append(sol.region)
+            out.append(phi)
+        return out, regions
+
+    def scenario(self):
+        return small_scenario(
+            state_lower=-0.1, state_upper=0.1, input_lower=-0.05, input_upper=0.05
+        )
+
+    def test_explicit_row_step_equals_per_row_loop_bitwise(self):
+        sc = self.scenario()
+        x0 = sc.initial_state()
+        engine = sc.make_engine()
+        state = self.boxed_state(sc, engine, x0)
+        expected, regions = self.reference_rows(sc, state, x0, engine.rho)
+        assert set(regions) == {Region.INTERIOR, Region.UPPER_ACTIVE, Region.LOWER_ACTIVE}
+        for i in range(1, sc.model.n_subsystems + 1):
+            engine.row_step(state, i)
+            np.testing.assert_array_equal(state.phi_r[i - 1], expected[i - 1])
+
+    def test_qp_row_step_matches_per_row_loop(self):
+        sc = self.scenario()
+        x0 = sc.initial_state()
+        engine = sc.make_engine(row_solver=RowSolverKind.QP)
+        state = self.boxed_state(sc, engine, x0)
+        expected, _ = self.reference_rows(sc, state, x0, engine.rho)
+        for i in range(1, sc.model.n_subsystems + 1):
+            engine.row_step(state, i)
+            np.testing.assert_allclose(state.phi_r[i - 1], expected[i - 1], rtol=0, atol=1e-7)
 
 
 class TestSolutionQuality:

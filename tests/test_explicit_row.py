@@ -13,10 +13,9 @@ from dlmpc import (
     RowProblem,
     RowSolution,
     kkt_residuals,
-    sherman_morrison_apply,
     solve_qp,
     solve_row,
-    solve_row_block,
+    solve_rows,
 )
 
 
@@ -93,24 +92,31 @@ def region_oracle(p: RowProblem) -> Region:
 
 
 class TestShermanMorrison:
+    """Interior rows are ``inv(2 w^2 x0 x0' + rho I) @ (rho a)``."""
+
     def test_scalar_frozen_value(self):
-        got = sherman_morrison_apply(
-            np.array([1.0]), np.array([1.0]), rho=2.0, weight=1.0
+        # rho * a = 1 and inv(2 + 2) = 0.25
+        phi, _, _, region = solve_rows(
+            np.array([[0.5]]), np.array([1.0]), 2.0, -np.inf, np.inf, 1.0
         )
-        np.testing.assert_allclose(got, [0.25], atol=1e-15)
+        np.testing.assert_allclose(phi, [[0.25]], atol=1e-15)
+        assert region[0] == 0
 
     def test_matches_dense_inverse(self):
         rng = np.random.default_rng(12)
         for _ in range(30):
             m = int(rng.integers(1, 10))
             x0 = rng.normal(size=m)
-            v = rng.normal(size=m)
+            targets = rng.normal(size=(4, m))
             rho = float(rng.uniform(0.2, 5.0))
-            w = float(rng.uniform(0.0, 3.0))
-            dense = np.linalg.inv(2 * w * w * np.outer(x0, x0) + rho * np.eye(m))
-            np.testing.assert_allclose(
-                sherman_morrison_apply(v, x0, rho, w), dense @ v, atol=1e-11
+            w = rng.uniform(0.0, 3.0, size=4)
+            phi, lam_upper, lam_lower, region = solve_rows(
+                targets, x0, rho, -np.inf, np.inf, w
             )
+            assert not region.any() and not lam_upper.any() and not lam_lower.any()
+            for k in range(4):
+                dense = np.linalg.inv(2 * w[k] ** 2 * np.outer(x0, x0) + rho * np.eye(m))
+                np.testing.assert_allclose(phi[k], dense @ (rho * targets[k]), atol=1e-11)
 
 
 class TestFrozenRowSolutions:
@@ -253,37 +259,27 @@ class TestRowBlocks:
     def test_block_equals_per_row_bitwise(self):
         rng = np.random.default_rng(26)
         x0 = rng.normal(size=6)
-        problems = [
-            RowProblem(
-                target=rng.normal(size=6), x0=x0, rho=2.0,
-                lo=-0.4, hi=0.9, weight=float(rng.uniform(0.5, 2.0)),
+        targets = rng.normal(scale=2.0, size=(12, 6))
+        weights = rng.uniform(0.5, 2.0, size=12)
+        phi, lam_upper, lam_lower, region = solve_rows(targets, x0, 2.0, -0.4, 0.9, weights)
+        codes = {Region.INTERIOR: 0, Region.UPPER_ACTIVE: 1, Region.LOWER_ACTIVE: 2}
+        for k in range(12):
+            single = solve_row(
+                RowProblem(target=targets[k], x0=x0, rho=2.0, lo=-0.4, hi=0.9, weight=weights[k])
             )
-            for _ in range(12)
-        ]
-        block = solve_row_block(problems)
-        for sol, p in zip(block, problems):
-            single = solve_row(p)
-            np.testing.assert_array_equal(sol.phi, single.phi)
-            assert sol.lam_upper == single.lam_upper
-            assert sol.region is single.region
+            np.testing.assert_array_equal(phi[k], single.phi)
+            assert lam_upper[k] == single.lam_upper
+            assert lam_lower[k] == single.lam_lower
+            assert region[k] == codes[single.region]
+        assert set(region.tolist()) == {0, 1, 2}
 
-    def test_block_rejects_mixed_rho(self):
-        x0 = np.ones(2)
-        problems = [
-            RowProblem(target=np.ones(2), x0=x0, rho=1.0),
-            RowProblem(target=np.ones(2), x0=x0, rho=2.0),
-        ]
+    def test_block_rejects_width_mismatch(self):
         with pytest.raises(ValueError):
-            solve_row_block(problems)
+            solve_rows(np.ones((2, 3)), np.ones(2), 1.0, -np.inf, np.inf, 1.0)
 
     def test_block_error_names_offending_row(self):
-        x0 = np.zeros(2)
-        problems = [
-            RowProblem(target=np.ones(2), x0=x0, rho=1.0, lo=-1.0, hi=1.0),
-            RowProblem(target=np.ones(2), x0=x0, rho=1.0, lo=0.5, hi=1.0),
-        ]
         with pytest.raises(InfeasibleRowError, match="row 1"):
-            solve_row_block(problems)
+            solve_rows(np.ones((2, 2)), np.zeros(2), 1.0, [-1.0, 0.5], [1.0, 1.0], 1.0)
 
     def test_solution_lam_property(self):
         sol = RowSolution(np.zeros(1), lam_upper=0.3, lam_lower=0.0, region=Region.UPPER_ACTIVE)
