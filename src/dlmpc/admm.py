@@ -89,8 +89,9 @@ class AdmmState:
     partition matrices have shape (len(col_rows), len(cols)).  After each
     exchange phase the two partitions agree on every shared entry.
     ``x0_slices`` holds each subsystem's coupled slice of the measured state
-    the iteration runs for, and ``residual_history`` one (max primal, max
-    dual) pair per iteration.
+    the iteration runs for, ``residual_history`` one (max primal, max dual)
+    pair per iteration, and ``per_sub_seconds`` each subsystem's wall time
+    spent on this state.
     """
 
     phi_r: list
@@ -106,6 +107,7 @@ class AdmmState:
     residual_history: list = field(default_factory=list)
     converged: bool = False
     x0_slices: list = field(default_factory=list)
+    per_sub_seconds: np.ndarray | None = None
 
 
 @dataclass
@@ -302,8 +304,12 @@ class DlmpcEngine:
     # -- state management ---------------------------------------------------
 
     def init_state(self, warm: AdmmState | None = None) -> AdmmState:
-        """Fresh all-zeros state, or a copy seeded from a converged one."""
+        """Fresh all-zeros state, or a copy seeded from a converged one.
+
+        Either way the per-subsystem timers start at zero.
+        """
         index = self.index
+        times = np.zeros(len(index.subsystems))
         if warm is None:
             zr = lambda sub: np.zeros((sub.rows.size, sub.row_cols.size))
             zc = lambda sub: np.zeros((sub.col_rows.size, sub.cols.size))
@@ -315,6 +321,7 @@ class DlmpcEngine:
                 psi_c=[zc(s) for s in index.subsystems],
                 lam_c=[zc(s) for s in index.subsystems],
                 psi_r_prev=[zr(s) for s in index.subsystems],
+                per_sub_seconds=times,
             )
         return AdmmState(
             phi_r=[m.copy() for m in warm.phi_r],
@@ -324,6 +331,7 @@ class DlmpcEngine:
             psi_c=[m.copy() for m in warm.psi_c],
             lam_c=[m.copy() for m in warm.lam_c],
             psi_r_prev=[m.copy() for m in warm.psi_r],
+            per_sub_seconds=times,
         )
 
     # -- per-subsystem updates ----------------------------------------------
@@ -407,7 +415,7 @@ class DlmpcEngine:
                             payload=block.copy(),
                         )
                     )
-            self._times[i - 1] += time.perf_counter() - t0
+            state.per_sub_seconds[i - 1] += time.perf_counter() - t0
 
     def exchange_columns(self, state: AdmmState, packets=None):
         """Column owners send projected blocks back to row owners."""
@@ -431,7 +439,7 @@ class DlmpcEngine:
                             payload=block.copy(),
                         )
                     )
-            self._times[k - 1] += time.perf_counter() - t0
+            state.per_sub_seconds[k - 1] += time.perf_counter() - t0
 
     # -- instrumentation ------------------------------------------------------
 
@@ -486,16 +494,17 @@ class DlmpcEngine:
         if x0.shape != (model.n_states,):
             raise ValueError(f"x0 must have {model.n_states} entries")
         n_sub = model.n_subsystems
-        self._times = np.zeros(n_sub)
         packets = [] if self.record_packets else None
+        state = self.init_state(warm_state)
+        times = state.per_sub_seconds
 
         # measurement phase: each subsystem gathers its coupled x0 slice
-        x0_slices = [None] * n_sub
+        state.x0_slices = [None] * n_sub
         for i in self.order:
             sub = index.subsystems[i - 1]
             t0 = time.perf_counter()
-            x0_slices[i - 1] = x0[sub.row_cols]
-            self._times[i - 1] += time.perf_counter() - t0
+            state.x0_slices[i - 1] = x0[sub.row_cols]
+            times[i - 1] += time.perf_counter() - t0
         if packets is not None:
             for sub in index.subsystems:
                 i = sub.sub_id
@@ -512,8 +521,6 @@ class DlmpcEngine:
                         )
                     )
 
-        state = self.init_state(warm_state)
-        state.x0_slices = x0_slices
         state.primal = np.full(n_sub, np.inf)
         state.dual = np.full(n_sub, np.inf)
 
@@ -522,17 +529,17 @@ class DlmpcEngine:
             for i in self.order:
                 t0 = time.perf_counter()
                 self.row_step(state, i)
-                self._times[i - 1] += time.perf_counter() - t0
+                times[i - 1] += time.perf_counter() - t0
             self.exchange_rows(state, packets)
             for i in self.order:
                 t0 = time.perf_counter()
                 self.column_step(state, i)
-                self._times[i - 1] += time.perf_counter() - t0
+                times[i - 1] += time.perf_counter() - t0
             self.exchange_columns(state, packets)
             for i in self.order:
                 t0 = time.perf_counter()
                 self.multiplier_step(state, i)
-                self._times[i - 1] += time.perf_counter() - t0
+                times[i - 1] += time.perf_counter() - t0
             state.iteration = k
             if self.mask_check_interval and k % self.mask_check_interval == 0:
                 self.verify_masks(state)
@@ -552,7 +559,7 @@ class DlmpcEngine:
         for i in self.order:
             t0 = time.perf_counter()
             u[model.input_indices(i)] = self.extract_control(state, i)
-            self._times[i - 1] += time.perf_counter() - t0
+            times[i - 1] += time.perf_counter() - t0
 
         primal_history, dual_history = np.array(state.residual_history).reshape(-1, 2).T
         return StepResult(
@@ -560,7 +567,7 @@ class DlmpcEngine:
             iterations=state.iteration,
             primal_history=primal_history,
             dual_history=dual_history,
-            per_sub_seconds=self._times.copy(),
+            per_sub_seconds=times.copy(),
             state=state,
             x0=x0,
             packets=packets,

@@ -214,9 +214,6 @@ class RunReport:
     def iterations(self) -> np.ndarray:
         return np.array([s.iterations for s in self.steps])
 
-    def per_subsystem_seconds(self, step: int) -> np.ndarray:
-        return self.steps[step].per_sub_seconds
-
 
 def run_mpc_step(
     scenario: Scenario,

@@ -199,6 +199,7 @@ def _cmd_validate(args) -> int:
     op_index = build_locality_index(build_graph(model), model, 2, horizon)
     op = assemble_feasibility_operator(model, op_index)
     zab = op.to_dense()
+    rhs = np.eye(zab.shape[0], n)
     for _ in range(20):
         k = np.zeros((pdim * horizon, n * (horizon + 1)))
         for t in range(horizon):
@@ -206,7 +207,7 @@ def _cmd_validate(args) -> int:
                 size=(pdim, (t + 1) * n)
             )
         col = response_from_controller(model, k, horizon)
-        worst_feas = max(worst_feas, float(np.max(np.abs(zab @ col.stacked - op.rhs))))
+        worst_feas = max(worst_feas, float(np.max(np.abs(zab @ col.stacked - rhs))))
     check("response feasibility residual", worst_feas, 1e-10)
 
     # projection idempotence

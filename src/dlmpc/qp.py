@@ -479,8 +479,10 @@ def centralized_local_mpc(
     """
     n = model.n_states
     x0 = np.asarray(x0, dtype=float).ravel()
-    mask = index.phi_mask
-    n_rows = mask.shape[0]
+    n_rows = index.n_rows
+    mask = np.zeros((n_rows, n), dtype=bool)
+    for sub in index.subsystems:
+        mask[np.ix_(sub.rows, sub.row_cols)] = sub.row_mask
     var_of = -np.ones(mask.shape, dtype=int)
     var_of[mask] = np.arange(int(mask.sum()))
     nv = int(mask.sum())

@@ -15,7 +15,9 @@ and every later block obeys the dynamics,
 Stacked, that reads ``z_ab @ [phi_x; phi_u] = rhs`` with ``rhs`` the identity
 embedded in the first n rows.  The constraint decomposes column-block by
 column-block, so each subsystem can project its own column slice using a
-precomputed pseudo-inverse of its slice of ``z_ab``.
+precomputed pseudo-inverse of its slice of ``z_ab``.  Only those slices of
+``rhs`` are stored, one per subsystem; the global right-hand side is never
+formed.
 """
 from __future__ import annotations
 
@@ -52,7 +54,8 @@ class ColumnProjector:
     ``constraint_rows`` are the rows of the stacked constraint that touch the
     subsystem's coupled row set; ``z_slice`` is the dense sub-block,
     ``z_pinv`` its Moore-Penrose pseudo-inverse (rank-revealing SVD), and
-    ``rhs`` the matching slice of the right-hand side.
+    ``rhs`` the matching slice of the right-hand side: the identity
+    restricted to ``constraint_rows`` and the subsystem's own columns.
     """
 
     constraint_rows: np.ndarray
@@ -63,10 +66,13 @@ class ColumnProjector:
 
 @dataclass(frozen=True)
 class FeasibilityOperator:
-    """Stacked achievability constraint plus per-subsystem projectors."""
+    """Stacked achievability constraint plus per-subsystem projectors.
+
+    The right-hand side lives in the projectors only; the global one is
+    ``np.eye(z_ab.shape[0], n)``.
+    """
 
     z_ab: sp.csr_matrix
-    rhs: np.ndarray
     horizon: int
     projectors: tuple
 
@@ -77,16 +83,23 @@ class FeasibilityOperator:
 def _stacked_z_ab(model: NetworkModel, horizon: int) -> sp.csr_matrix:
     n, p, t_hor = model.n_states, model.n_inputs, horizon
     n_rows = n * (t_hor + 1)
-    n_cols = n_rows + p * t_hor
-    mat = sp.lil_matrix((n_rows, n_cols))
-    mat[:n_rows, :n_rows] = sp.eye(n_rows)
-    a, b = model.full_a(), model.full_b()
-    for t in range(t_hor):
-        r = (t + 1) * n
-        mat[r : r + n, t * n : (t + 1) * n] = -a
-        if p:
-            mat[r : r + n, n_rows + t * p : n_rows + (t + 1) * p] = -b
-    return mat.tocsr()
+    eye = np.arange(n_rows)
+    rows, cols, vals = [eye], [eye], [np.ones(n_rows)]
+    t = np.arange(t_hor)[:, None]
+    # -A and -B blocks of every time step, as COO triplets of their nonzeros
+    for blocks, col_offsets, col0, width in (
+        (model.a_blocks, model.state_offsets, 0, n),
+        (model.b_blocks, model.input_offsets, n_rows, p),
+    ):
+        for (i, j), blk in blocks.items():
+            r, c = np.nonzero(blk)
+            rows.append(((t + 1) * n + model.state_offsets[i - 1] + r).ravel())
+            cols.append((col0 + t * width + col_offsets[j - 1] + c).ravel())
+            vals.append(np.tile(-blk[r, c], t_hor))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_rows, n_rows + p * t_hor),
+    )
 
 
 def assemble_feasibility_operator(
@@ -96,21 +109,19 @@ def assemble_feasibility_operator(
 
     A constraint row enters a subsystem's slice iff it has structural support
     on that subsystem's coupled row set; excluded rows read 0 = 0 for those
-    columns (asserted for the right-hand side at build time).
+    columns.  The right-hand side is nonzero only on the time-0 state row of
+    each own column, so at build time every such row must be in the slice.
     """
     t_hor = index.horizon
-    n = model.n_states
     z_ab = _stacked_z_ab(model, t_hor)
-    rhs = np.zeros((n * (t_hor + 1), n))
-    rhs[:n, :n] = np.eye(n)
 
     csc = z_ab.tocsc()
     projectors = []
     for sub in index.subsystems:
         touched = np.unique(csc[:, sub.col_rows].nonzero()[0])
         z_slice = csc[np.ix_(touched, sub.col_rows)].toarray()
-        excluded = np.setdiff1d(np.arange(rhs.shape[0]), touched, assume_unique=False)
-        if excluded.size and np.any(rhs[np.ix_(excluded, sub.cols)] != 0.0):
+        rhs = (touched[:, None] == sub.cols).astype(float)
+        if not rhs.any(axis=0).all():
             raise ValueError(
                 f"subsystem {sub.sub_id}: constraint rows with nonzero rhs "
                 "fell outside the coupled row set"
@@ -120,12 +131,10 @@ def assemble_feasibility_operator(
                 constraint_rows=touched,
                 z_slice=z_slice,
                 z_pinv=np.linalg.pinv(z_slice),
-                rhs=rhs[np.ix_(touched, sub.cols)],
+                rhs=rhs,
             )
         )
-    return FeasibilityOperator(
-        z_ab=z_ab, rhs=rhs, horizon=t_hor, projectors=tuple(projectors)
-    )
+    return FeasibilityOperator(z_ab=z_ab, horizon=t_hor, projectors=tuple(projectors))
 
 
 def project_column(op: FeasibilityOperator, i: int, v: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ graph carries an arrow ``j -> i`` whenever block ``(i, j)`` of A or B is
 nonzero, i.e. whenever subsystem j influences subsystem i.  Bounded-hop
 incoming/outgoing sets of that graph decide which entries of the closed-loop
 response maps may be nonzero, and therefore which rows, columns and coupled
-slices of those maps each subsystem owns or needs.
+slices of those maps each subsystem owns or needs.  The locality index
+stores those sets per subsystem only: no global mask of the response map is
+kept, and a model's offsets are computed once, when it is built.
 
 Conventions used throughout the package:
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,7 +32,7 @@ class ModelValidationError(ValueError):
     """Inconsistent block dimensions or malformed model data."""
 
 
-def _as_block_dict(blocks, name):
+def _as_block_dict(blocks):
     out = {}
     for key, val in blocks.items():
         i, j = key
@@ -44,19 +47,25 @@ class NetworkModel:
     ``a_blocks`` and ``b_blocks`` map 1-based ``(i, j)`` pairs to dense
     blocks; absent blocks are exactly zero.  ``a_blocks[(i, j)]`` must have
     shape ``(state_dims[i-1], state_dims[j-1])`` and ``b_blocks[(i, j)]``
-    shape ``(state_dims[i-1], input_dims[j-1])``.
+    shape ``(state_dims[i-1], input_dims[j-1])``.  The totals ``n_states``/
+    ``n_inputs`` and the per-subsystem offsets ``state_offsets``/
+    ``input_offsets`` are fixed at construction.
     """
 
     state_dims: tuple
     input_dims: tuple
     a_blocks: dict = field(default_factory=dict)
     b_blocks: dict = field(default_factory=dict)
+    n_states: int = field(init=False, repr=False, compare=False)
+    n_inputs: int = field(init=False, repr=False, compare=False)
+    state_offsets: tuple = field(init=False, repr=False, compare=False)
+    input_offsets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "state_dims", tuple(int(m) for m in self.state_dims))
         object.__setattr__(self, "input_dims", tuple(int(m) for m in self.input_dims))
-        object.__setattr__(self, "a_blocks", _as_block_dict(self.a_blocks, "a_blocks"))
-        object.__setattr__(self, "b_blocks", _as_block_dict(self.b_blocks, "b_blocks"))
+        object.__setattr__(self, "a_blocks", _as_block_dict(self.a_blocks))
+        object.__setattr__(self, "b_blocks", _as_block_dict(self.b_blocks))
         n_sub = len(self.state_dims)
         if len(self.input_dims) != n_sub:
             raise ModelValidationError(
@@ -81,6 +90,12 @@ class NetworkModel:
                 raise ModelValidationError(
                     f"b_blocks[({i},{j})] has shape {blk.shape}, expected {want}"
                 )
+        x_offs = tuple(accumulate(self.state_dims, initial=0))
+        u_offs = tuple(accumulate(self.input_dims, initial=0))
+        object.__setattr__(self, "n_states", x_offs[-1])
+        object.__setattr__(self, "n_inputs", u_offs[-1])
+        object.__setattr__(self, "state_offsets", x_offs[:-1])
+        object.__setattr__(self, "input_offsets", u_offs[:-1])
 
     def _check_ids(self, i, j):
         n_sub = len(self.state_dims)
@@ -92,30 +107,6 @@ class NetworkModel:
     @property
     def n_subsystems(self) -> int:
         return len(self.state_dims)
-
-    @property
-    def n_states(self) -> int:
-        return sum(self.state_dims)
-
-    @property
-    def n_inputs(self) -> int:
-        return sum(self.input_dims)
-
-    @property
-    def state_offsets(self) -> tuple:
-        offs, acc = [], 0
-        for m in self.state_dims:
-            offs.append(acc)
-            acc += m
-        return tuple(offs)
-
-    @property
-    def input_offsets(self) -> tuple:
-        offs, acc = [], 0
-        for m in self.input_dims:
-            offs.append(acc)
-            acc += m
-        return tuple(offs)
 
     def state_indices(self, i: int) -> np.ndarray:
         """Global state-component indices owned by subsystem ``i``."""
@@ -255,13 +246,13 @@ class SubsystemIndex:
 
 @dataclass(frozen=True)
 class LocalityIndex:
-    """Locality sets, ownership partitions and sparsity masks for one (d, T).
+    """Locality sets and ownership partitions for one (d, T).
 
     ``in_sets``/``out_sets`` hold the d-hop sets, ``in_sets_ext``/
     ``out_sets_ext`` the (d+1)-hop sets used by input rows and by the
-    exchange footprint.  ``mask_x`` (n x n) and ``mask_u`` (p x n) are the
-    per-component sparsity masks of a single time block; ``phi_mask`` is the
-    full stacked mask of the response map (same mask at every time block).
+    exchange footprint.  Everything else is per subsystem: there is no
+    global mask, and each :class:`SubsystemIndex` carries the sparsity
+    pattern of its own rows (``row_mask``), the only copy of it.
     """
 
     d: int
@@ -273,9 +264,6 @@ class LocalityIndex:
     in_sets_ext: tuple
     out_sets_ext: tuple
     subsystems: tuple
-    mask_x: np.ndarray
-    mask_u: np.ndarray
-    phi_mask: np.ndarray
 
     @property
     def n_rows(self) -> int:
@@ -286,7 +274,7 @@ class LocalityIndex:
 
 
 def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int) -> LocalityIndex:
-    """Derive ownership partitions, coupled slices and masks for locality d.
+    """Derive ownership partitions, coupled slices and row masks for locality d.
 
     State rows are d-localized and input rows (d+1)-localized, so the coupled
     column set of a row partition is the state-column footprint of the
@@ -306,23 +294,6 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
     out_sets = tuple(d_out_set(graph, i, d) for i in range(1, n_sub + 1))
     in_ext = tuple(d_in_set(graph, i, d + 1) for i in range(1, n_sub + 1))
     out_ext = tuple(d_out_set(graph, i, d + 1) for i in range(1, n_sub + 1))
-
-    mask_x = np.zeros((n, n), dtype=bool)
-    mask_u = np.zeros((p, n), dtype=bool)
-    for i in range(1, n_sub + 1):
-        xi = model.state_indices(i)
-        ui = model.input_indices(i)
-        for j in in_sets[i - 1]:
-            mask_x[np.ix_(xi, model.state_indices(j))] = True
-        for j in in_ext[i - 1]:
-            if len(ui):
-                mask_u[np.ix_(ui, model.state_indices(j))] = True
-
-    phi_mask = np.vstack(
-        [np.tile(mask_x, (t_hor + 1, 1)), np.tile(mask_u, (t_hor, 1))]
-        if p
-        else [np.tile(mask_x, (t_hor + 1, 1))]
-    )
 
     subsystems = []
     for i in range(1, n_sub + 1):
@@ -386,7 +357,4 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
         in_sets_ext=in_ext,
         out_sets_ext=out_ext,
         subsystems=tuple(subsystems),
-        mask_x=mask_x,
-        mask_u=mask_u,
-        phi_mask=phi_mask,
     )

@@ -87,7 +87,7 @@ class TestDeterminismAndOrder:
 
 
 class TestExchanges:
-    def test_partitions_agree_after_exchange(self):
+    def test_partitions_agree_after_exchange(self, reference_mask):
         sc = small_scenario()
         engine = sc.make_engine()
         res = engine.solve_step(sc.initial_state())
@@ -95,7 +95,7 @@ class TestExchanges:
         # after a converged step the two views describe one global matrix
         phi_rows = engine.assemble_from_rows(state, "phi")
         phi_cols = engine.assemble_from_cols(state, "phi")
-        mask = sc.index.phi_mask
+        mask = reference_mask(sc.model, sc.graph, sc.config.locality, sc.config.horizon)
         np.testing.assert_array_equal(phi_rows[mask], phi_cols[mask])
         assert not phi_rows[~mask].any()
         assert not phi_cols[~mask].any()
@@ -316,3 +316,18 @@ class TestSolutionQuality:
         res = sc.make_engine().solve_step(sc.initial_state())
         assert res.per_sub_seconds.shape == (4,)
         assert np.all(res.per_sub_seconds > 0)
+
+    def test_timers_live_on_the_state(self):
+        sc = small_scenario()
+        engine = sc.make_engine()
+        # phase methods work on an engine that has never solved a step
+        state = engine.init_state()
+        engine.exchange_rows(state)
+        engine.exchange_columns(state)
+        assert np.all(state.per_sub_seconds > 0)
+        res = engine.solve_step(sc.initial_state())
+        np.testing.assert_array_equal(res.per_sub_seconds, res.state.per_sub_seconds)
+        # a warm start copies the blocks but not the timers
+        warm = engine.init_state(res.state)
+        np.testing.assert_array_equal(warm.per_sub_seconds, np.zeros(4))
+        assert np.all(res.state.per_sub_seconds > 0)

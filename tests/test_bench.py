@@ -1,9 +1,11 @@
 """Scenario builders, closed-loop runs, reports, loaders and the CLI."""
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dlmpc import (
     Case,
@@ -70,6 +72,33 @@ class TestChainBuilder:
             build_scenario(
                 ScenarioConfig(n_subsystems=4), model=build_chain_model(3)
             )
+
+
+def array_bytes(obj, seen=None) -> int:
+    """Bytes held in the numpy and scipy.sparse arrays reachable from obj."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if sp.issparse(obj):
+        return sum(array_bytes(getattr(obj, a), seen) for a in ("data", "indices", "indptr"))
+    if dataclasses.is_dataclass(obj):
+        return sum(array_bytes(getattr(obj, f.name), seen) for f in dataclasses.fields(obj))
+    if isinstance(obj, (list, tuple)):
+        return sum(array_bytes(v, seen) for v in obj)
+    return 0
+
+
+class TestSetupMemory:
+    def test_setup_memory_grows_linearly(self):
+        small = build_scenario(ScenarioConfig(n_subsystems=50))
+        large = build_scenario(ScenarioConfig(n_subsystems=100))
+        for part in ("index", "op"):
+            ratio = array_bytes(getattr(large, part)) / array_bytes(getattr(small, part))
+            # twice the subsystems, twice the bytes (plus boundary effects)
+            assert ratio <= 2.1, f"{part}: {ratio:.3f}x the bytes for 2x the subsystems"
 
 
 class TestClosedLoop:

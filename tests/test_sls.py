@@ -78,10 +78,13 @@ class TestConstraintMatrix:
 
     def test_operator_rhs_embeds_identity(self):
         model = build_chain_model(3)
-        _, op = build_operator(model, d=1, horizon=3)
-        n = model.n_states
-        np.testing.assert_array_equal(op.rhs[:n, :], np.eye(n))
-        assert not op.rhs[n:, :].any()
+        index, op = build_operator(model, d=1, horizon=3)
+        identity = np.eye(op.z_ab.shape[0], model.n_states)
+        for sub, proj in zip(index.subsystems, op.projectors):
+            want = identity[np.ix_(proj.constraint_rows, sub.cols)]
+            np.testing.assert_array_equal(proj.rhs, want)
+            # every own column keeps its unit entry, on its time-0 state row
+            np.testing.assert_array_equal(proj.rhs.sum(axis=0), np.ones(sub.cols.size))
 
 
 class TestResponseFromController:

@@ -142,35 +142,48 @@ class TestLocalityIndex:
         assert sub.rows[sub.row_is_state].tolist() == expected_state_rows
         assert sub.rows[~sub.row_is_state].tolist() == expected_input_rows
 
-    def test_masks_follow_reach_sets(self, six_node_model, six_node_graph):
+    def test_masks_follow_reach_sets(self, six_node_model, six_node_graph, reference_mask):
         idx = build_locality_index(six_node_graph, six_node_model, d=1, horizon=2)
-        # state row of node 5 may touch columns of its 1-hop incoming set
-        assert set(np.where(idx.mask_x[4])[0]) == {2, 3, 4}
-        # input row of node 5 may touch columns of its 2-hop incoming set
-        assert set(np.where(idx.mask_u[4])[0]) == {1, 2, 3, 4}
-        assert idx.phi_mask.shape == (idx.n_rows, 6)
+        sub = idx.subsystem(5)
+        ref = reference_mask(six_node_model, six_node_graph, d=1, horizon=2)
+        assert ref.shape == (idx.n_rows, 6)
+        for r, row in enumerate(sub.rows):
+            allowed = set(sub.row_cols[sub.row_mask[r]].tolist())
+            assert allowed == set(np.flatnonzero(ref[row]).tolist())
+            if sub.row_is_state[r]:
+                # state row of node 5 may touch columns of its 1-hop incoming set
+                assert allowed == {2, 3, 4}
+            else:
+                # input row of node 5 may touch columns of its 2-hop incoming set
+                assert allowed == {1, 2, 3, 4}
 
     def test_row_partition_covers_rows_once(self, six_node_index):
         idx = six_node_index
         seen = np.concatenate([s.rows for s in idx.subsystems])
         assert sorted(seen.tolist()) == list(range(idx.n_rows))
 
-    def test_row_mask_matches_global_mask(self, six_node_index):
+    def test_row_mask_matches_global_mask(
+        self, six_node_model, six_node_graph, six_node_index, reference_mask
+    ):
         idx = six_node_index
         rebuilt = np.zeros((idx.n_rows, idx.n_states), dtype=bool)
         for sub in idx.subsystems:
             rebuilt[np.ix_(sub.rows, sub.row_cols)] = sub.row_mask
-        np.testing.assert_array_equal(rebuilt, idx.phi_mask)
+        ref = reference_mask(six_node_model, six_node_graph, idx.d, idx.horizon)
+        np.testing.assert_array_equal(rebuilt, ref)
 
-    def test_column_partition_covers_allowed_entries(self, six_node_index):
+    def test_column_partition_covers_allowed_entries(
+        self, six_node_model, six_node_graph, six_node_index, reference_mask
+    ):
         idx = six_node_index
         covered = np.zeros((idx.n_rows, idx.n_states), dtype=int)
         for sub in idx.subsystems:
             covered[np.ix_(sub.col_rows, sub.cols)] += 1
+        mask = reference_mask(six_node_model, six_node_graph, idx.d, idx.horizon)
         # each allowed entry is owned by exactly one column partition
-        assert np.all(covered[idx.phi_mask] == 1)
+        assert np.all(covered[mask] == 1)
         # column partitions never extend beyond the allowed pattern
-        assert np.all(covered[~idx.phi_mask] == 0)
+        assert np.all(covered[~mask] == 0)
 
     def test_chain_index_consistency(self):
         model = build_chain_model(5)
@@ -189,9 +202,13 @@ class TestLocalityIndex:
             # input rows use the full extended footprint
             assert np.all(sub.row_mask[~sub.row_is_state])
 
-    def test_locality_zero_restricts_to_self(self, six_node_model, six_node_graph):
+    def test_locality_zero_restricts_to_self(self, six_node_model, six_node_graph, reference_mask):
         idx = build_locality_index(six_node_graph, six_node_model, d=0, horizon=2)
-        assert set(np.where(idx.mask_x[0])[0]) == {0}
+        sub = idx.subsystem(1)
+        state_rows = sub.row_mask[sub.row_is_state]
+        assert all(set(sub.row_cols[m].tolist()) == {0} for m in state_rows)
+        ref = reference_mask(six_node_model, six_node_graph, d=0, horizon=2)
+        assert set(np.flatnonzero(ref[0]).tolist()) == {0}
 
     def test_package_version(self):
         assert dlmpc.__version__
