@@ -7,7 +7,7 @@ response map:
                    per-row boxes, solved in closed form (or by the QP solver
                    for the solver-based variant);
 * column step   -- projection of its column slice onto the dynamics
-                   constraint, using the precomputed pseudo-inverse;
+                   constraint, one precomputed affine map per subsystem;
 * multiplier    -- scaled dual ascent on the row/column disagreement.
 
 Between the row and column steps the subsystems trade blocks so that every
@@ -306,23 +306,39 @@ class DlmpcEngine:
     def init_state(self, warm: AdmmState | None = None) -> AdmmState:
         """Fresh all-zeros state, or a copy seeded from a converged one.
 
-        Either way the per-subsystem timers start at zero.
+        Either way the per-subsystem timers start at zero.  A warm state
+        whose partitions do not fit this engine's index raises ValueError.
         """
         index = self.index
-        times = np.zeros(len(index.subsystems))
+        n_sub = len(index.subsystems)
+        times = np.zeros(n_sub)
+        shapes = {
+            "r": [(s.rows.size, s.row_cols.size) for s in index.subsystems],
+            "c": [(s.col_rows.size, s.cols.size) for s in index.subsystems],
+        }
         if warm is None:
-            zr = lambda sub: np.zeros((sub.rows.size, sub.row_cols.size))
-            zc = lambda sub: np.zeros((sub.col_rows.size, sub.cols.size))
+            zeros = lambda k: [np.zeros(shape) for shape in shapes[k]]
             return AdmmState(
-                phi_r=[zr(s) for s in index.subsystems],
-                psi_r=[zr(s) for s in index.subsystems],
-                lam_r=[zr(s) for s in index.subsystems],
-                phi_c=[zc(s) for s in index.subsystems],
-                psi_c=[zc(s) for s in index.subsystems],
-                lam_c=[zc(s) for s in index.subsystems],
-                psi_r_prev=[zr(s) for s in index.subsystems],
+                phi_r=zeros("r"),
+                psi_r=zeros("r"),
+                lam_r=zeros("r"),
+                phi_c=zeros("c"),
+                psi_c=zeros("c"),
+                lam_c=zeros("c"),
+                psi_r_prev=zeros("r"),
                 per_sub_seconds=times,
             )
+        names = [f"{m}_{k}" for k in "rc" for m in ("phi", "psi", "lam")]
+        for i in range(max(n_sub, *(len(getattr(warm, f)) for f in names))):
+            for name in names:
+                blocks = getattr(warm, name)
+                want = shapes[name[-1]][i] if i < n_sub else "no block"
+                got = np.shape(blocks[i]) if i < len(blocks) else "no block"
+                if got != want:
+                    raise ValueError(
+                        f"warm_state does not fit this engine: subsystem {i + 1} "
+                        f"{name} has {got}, expected {want}"
+                    )
         return AdmmState(
             phi_r=[m.copy() for m in warm.phi_r],
             psi_r=[m.copy() for m in warm.psi_r],

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import AdmmState, ConvergenceError, DlmpcEngine, RowSolverKind, StepResult
+from .admm import ConvergenceError, DlmpcEngine, RowSolverKind
 from .explicit_row import InfeasibleRowError
 from .qp import QpStatus, centralized_mpc
 from .sls import FeasibilityOperator, assemble_feasibility_operator
@@ -213,17 +213,6 @@ class RunReport:
     @property
     def iterations(self) -> np.ndarray:
         return np.array([s.iterations for s in self.steps])
-
-
-def run_mpc_step(
-    scenario: Scenario,
-    x_t: np.ndarray,
-    engine: DlmpcEngine | None = None,
-    warm_state: AdmmState | None = None,
-) -> StepResult:
-    """Solve a single MPC step for a measured state (engine built on demand)."""
-    engine = scenario.make_engine() if engine is None else engine
-    return engine.solve_step(x_t, warm_state=warm_state)
 
 
 def run_closed_loop(

@@ -27,6 +27,7 @@ from .sls import (
     assemble_feasibility_operator,
     project_column,
     response_from_controller,
+    stacked_constraint,
 )
 from .topology import ModelValidationError, build_graph, build_locality_index
 
@@ -198,7 +199,7 @@ def _cmd_validate(args) -> int:
     worst_feas = 0.0
     op_index = build_locality_index(build_graph(model), model, 2, horizon)
     op = assemble_feasibility_operator(model, op_index)
-    zab = op.to_dense()
+    zab = stacked_constraint(model, horizon).toarray()
     rhs = np.eye(zab.shape[0], n)
     for _ in range(20):
         k = np.zeros((pdim * horizon, n * (horizon + 1)))
@@ -206,8 +207,8 @@ def _cmd_validate(args) -> int:
             k[t * pdim : (t + 1) * pdim, : (t + 1) * n] = 0.2 * rng.normal(
                 size=(pdim, (t + 1) * n)
             )
-        col = response_from_controller(model, k, horizon)
-        worst_feas = max(worst_feas, float(np.max(np.abs(zab @ col.stacked - rhs))))
+        phi = np.vstack(response_from_controller(model, k, horizon))
+        worst_feas = max(worst_feas, float(np.max(np.abs(zab @ phi - rhs))))
     check("response feasibility residual", worst_feas, 1e-10)
 
     # projection idempotence

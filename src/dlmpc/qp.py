@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .sls import FeasibilityOperator
+from .sls import stacked_constraint
 from .topology import LocalityIndex, NetworkModel
 
 
@@ -463,7 +463,6 @@ def centralized_mpc(
 def centralized_local_mpc(
     model: NetworkModel,
     index: LocalityIndex,
-    op: FeasibilityOperator,
     x0: np.ndarray,
     row_weight: np.ndarray,
     row_lb: np.ndarray,
@@ -504,19 +503,20 @@ def centralized_local_mpc(
     # from the true objective below, so the perturbation does not leak)
     h[np.arange(nv), np.arange(nv)] += 1e-10
 
+    # feasibility: for each column, the constraint rows touching its masked
+    # entries, with the identity as the right-hand side
     eq_rows = []
     eq_rhs = []
-    z_dense = op.z_ab.toarray()
-    for sub in index.subsystems:
-        proj = op.projectors[sub.sub_id - 1]
-        for ci, c in enumerate(sub.cols):
-            for ri, r in enumerate(proj.constraint_rows):
-                row = np.zeros(nz)
-                coeffs = z_dense[r, sub.col_rows]
-                ids = var_of[sub.col_rows, c]
-                row[ids] = coeffs
-                eq_rows.append(row)
-                eq_rhs.append(proj.rhs[ri, ci])
+    csc = stacked_constraint(model, index.horizon).tocsc()
+    for c in range(n):
+        rows_c = np.flatnonzero(mask[:, c])
+        touched = np.unique(csc[:, rows_c].nonzero()[0])
+        coeffs = csc[np.ix_(touched, rows_c)].toarray()
+        for r, coeff in zip(touched, coeffs):
+            row = np.zeros(nz)
+            row[var_of[rows_c, c]] = coeff
+            eq_rows.append(row)
+            eq_rhs.append(float(r == c))
     for k, r in enumerate(bounded):
         row = np.zeros(nz)
         cols = np.where(mask[r])[0]

@@ -12,12 +12,16 @@ and every later block obeys the dynamics,
 
     phi_x[t+1] - A phi_x[t] - B phi_u[t] = 0 .
 
-Stacked, that reads ``z_ab @ [phi_x; phi_u] = rhs`` with ``rhs`` the identity
-embedded in the first n rows.  The constraint decomposes column-block by
-column-block, so each subsystem can project its own column slice using a
-precomputed pseudo-inverse of its slice of ``z_ab``.  Only those slices of
-``rhs`` are stored, one per subsystem; the global right-hand side is never
-formed.
+Stacked, that reads ``Z @ [phi_x; phi_u] = E`` with ``E`` the identity
+embedded in the first n rows (``stacked_constraint`` builds Z on demand).
+The constraint decomposes column-block by column-block, so the column step
+of each subsystem i has an explicit solution: with ``Z_i`` the constraint
+rows touching its coupled row set and ``E_i`` the matching slice of E,
+
+    psi_i = (I - pinv(Z_i) Z_i) v + pinv(Z_i) E_i ,
+
+one affine map per subsystem whose gain and offset are computed once at
+set-up.  Neither Z nor E is kept afterwards.
 """
 from __future__ import annotations
 
@@ -30,57 +34,31 @@ from .topology import LocalityIndex, NetworkModel
 
 
 @dataclass(frozen=True)
-class ResponseColumn:
-    """First block column of a closed-loop response map."""
-
-    phi_x: np.ndarray
-    phi_u: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi_x", np.asarray(self.phi_x, dtype=float))
-        object.__setattr__(self, "phi_u", np.asarray(self.phi_u, dtype=float))
-        if self.phi_x.shape[1] != self.phi_u.shape[1] and self.phi_u.size:
-            raise ValueError("phi_x and phi_u must share a column count")
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.vstack([self.phi_x, self.phi_u])
-
-
-@dataclass(frozen=True)
 class ColumnProjector:
-    """Per-subsystem slice of the feasibility constraint.
+    """Explicit column step of one subsystem: ``psi = gain @ v + offset``.
 
-    ``constraint_rows`` are the rows of the stacked constraint that touch the
-    subsystem's coupled row set; ``z_slice`` is the dense sub-block,
-    ``z_pinv`` its Moore-Penrose pseudo-inverse (rank-revealing SVD), and
-    ``rhs`` the matching slice of the right-hand side: the identity
-    restricted to ``constraint_rows`` and the subsystem's own columns.
+    ``gain = I - pinv(Z) @ Z`` (square, one row per coupled row) and
+    ``offset = pinv(Z) @ rhs`` (one column per own column), where Z is the
+    subsystem's slice of the stacked constraint and ``rhs`` the identity on
+    its own columns' time-0 rows; the pseudo-inverse is the SVD one.
     """
 
-    constraint_rows: np.ndarray
-    z_slice: np.ndarray
-    z_pinv: np.ndarray
-    rhs: np.ndarray
+    gain: np.ndarray
+    offset: np.ndarray
 
 
 @dataclass(frozen=True)
 class FeasibilityOperator:
-    """Stacked achievability constraint plus per-subsystem projectors.
+    """One column projector per subsystem, in subsystem order."""
 
-    The right-hand side lives in the projectors only; the global one is
-    ``np.eye(z_ab.shape[0], n)``.
-    """
-
-    z_ab: sp.csr_matrix
-    horizon: int
     projectors: tuple
 
-    def to_dense(self) -> np.ndarray:
-        return self.z_ab.toarray()
 
+def stacked_constraint(model: NetworkModel, horizon: int) -> sp.csr_matrix:
+    """Stacked dynamics constraint Z over the horizon, as a CSR matrix.
 
-def _stacked_z_ab(model: NetworkModel, horizon: int) -> sp.csr_matrix:
+    Its right-hand side is ``np.eye(Z.shape[0], n)``.
+    """
     n, p, t_hor = model.n_states, model.n_inputs, horizon
     n_rows = n * (t_hor + 1)
     eye = np.arange(n_rows)
@@ -105,52 +83,46 @@ def _stacked_z_ab(model: NetworkModel, horizon: int) -> sp.csr_matrix:
 def assemble_feasibility_operator(
     model: NetworkModel, index: LocalityIndex
 ) -> FeasibilityOperator:
-    """Build the stacked constraint and each subsystem's column projector.
+    """Build each subsystem's column projector from the stacked constraint.
 
     A constraint row enters a subsystem's slice iff it has structural support
     on that subsystem's coupled row set; excluded rows read 0 = 0 for those
     columns.  The right-hand side is nonzero only on the time-0 state row of
     each own column, so at build time every such row must be in the slice.
+    The stacked constraint itself is dropped once the projectors are built.
     """
-    t_hor = index.horizon
-    z_ab = _stacked_z_ab(model, t_hor)
-
-    csc = z_ab.tocsc()
+    csc = stacked_constraint(model, index.horizon).tocsc()
     projectors = []
     for sub in index.subsystems:
         touched = np.unique(csc[:, sub.col_rows].nonzero()[0])
-        z_slice = csc[np.ix_(touched, sub.col_rows)].toarray()
+        z = csc[np.ix_(touched, sub.col_rows)].toarray()
         rhs = (touched[:, None] == sub.cols).astype(float)
         if not rhs.any(axis=0).all():
             raise ValueError(
                 f"subsystem {sub.sub_id}: constraint rows with nonzero rhs "
                 "fell outside the coupled row set"
             )
+        z_plus = np.linalg.pinv(z)
         projectors.append(
-            ColumnProjector(
-                constraint_rows=touched,
-                z_slice=z_slice,
-                z_pinv=np.linalg.pinv(z_slice),
-                rhs=rhs,
-            )
+            ColumnProjector(gain=np.eye(z.shape[1]) - z_plus @ z, offset=z_plus @ rhs)
         )
-    return FeasibilityOperator(z_ab=z_ab, horizon=t_hor, projectors=tuple(projectors))
+    return FeasibilityOperator(projectors=tuple(projectors))
 
 
 def project_column(op: FeasibilityOperator, i: int, v: np.ndarray) -> np.ndarray:
     """Euclidean projection of a column slice onto the feasible affine set.
 
-    Returns ``v + pinv(Z) @ (rhs - Z @ v)`` for subsystem i's slice Z: the
-    minimum-norm correction that restores ``Z @ result = rhs``.  Idempotent.
+    Returns ``gain @ v + offset`` for subsystem i: the nearest point to v
+    that satisfies the subsystem's constraint rows.  Idempotent.
     """
     proj = op.projectors[i - 1]
     v = np.asarray(v, dtype=float)
-    if v.shape[0] != proj.z_slice.shape[1]:
+    if v.shape != proj.offset.shape:
         raise ValueError(
-            f"column slice for subsystem {i} must have "
-            f"{proj.z_slice.shape[1]} rows, got {v.shape[0]}"
+            f"column slice for subsystem {i} must have shape "
+            f"{proj.offset.shape}, got {v.shape}"
         )
-    return v + proj.z_pinv @ (proj.rhs - proj.z_slice @ v)
+    return proj.gain @ v + proj.offset
 
 
 def _check_controller_shape(model: NetworkModel, k: np.ndarray, horizon: int):
@@ -170,30 +142,18 @@ def _check_controller_shape(model: NetworkModel, k: np.ndarray, horizon: int):
 
 def response_from_controller(
     model: NetworkModel, k: np.ndarray, horizon: int
-) -> ResponseColumn:
-    """First response block column realized by a causal time-varying gain.
+) -> tuple:
+    """First response block column ``(phi_x, phi_u)`` realized by a causal gain.
 
     ``k`` maps the stacked state trajectory to the stacked input trajectory,
-    block lower-triangular (input at t may read states 0..t).  The response
-    follows by rolling the closed loop forward from an identity at t=0, so it
-    satisfies the feasibility constraint by construction.
+    block lower-triangular (input at t may read states 0..t).  The result is
+    the response to the initial state, the first block column of
+    :func:`full_response_from_controller`, so it satisfies the feasibility
+    constraint by construction.
     """
-    k = np.asarray(k, dtype=float)
-    _check_controller_shape(model, k, horizon)
-    n, p = model.n_states, model.n_inputs
-    a, b = model.full_a(), model.full_b()
-    x_blocks = [np.eye(n)]
-    u_blocks = []
-    for t in range(horizon):
-        u_t = np.zeros((p, n))
-        for s in range(t + 1):
-            u_t += k[t * p : (t + 1) * p, s * n : (s + 1) * n] @ x_blocks[s]
-        u_blocks.append(u_t)
-        x_blocks.append(a @ x_blocks[t] + b @ u_t)
-    return ResponseColumn(
-        phi_x=np.vstack(x_blocks),
-        phi_u=np.vstack(u_blocks) if u_blocks else np.zeros((0, n)),
-    )
+    n = model.n_states
+    phi_x, phi_u = full_response_from_controller(model, k, horizon)
+    return phi_x[:, :n], phi_u[:, :n]
 
 
 def full_response_from_controller(

@@ -46,6 +46,16 @@ class TestEngineBasics:
         with pytest.raises(ValueError):
             engine.solve_step(np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "other, first",
+        [(dict(n_subsystems=10, locality=1), 1), (dict(n_subsystems=12, locality=2), 8)],
+    )
+    def test_mismatched_warm_state_is_named(self, other, first):
+        sc = build_scenario(ScenarioConfig(n_subsystems=10, locality=2))
+        warm = build_scenario(ScenarioConfig(**other)).make_engine().init_state()
+        with pytest.raises(ValueError, match=f"warm_state .* subsystem {first} "):
+            sc.make_engine().solve_step(sc.initial_state(), warm_state=warm)
+
     def test_row_profiles_layout(self):
         sc = small_scenario()
         weight, lo, hi = row_profiles(
@@ -270,7 +280,7 @@ class TestSolutionQuality:
             sc.index, sc.q_diag, sc.r_diag, sc.qt_diag,
             sc.state_lb, sc.state_ub, sc.input_lb, sc.input_ub,
         )
-        ref = centralized_local_mpc(sc.model, sc.index, sc.op, x0, weight, lo, hi)
+        ref = centralized_local_mpc(sc.model, sc.index, x0, weight, lo, hi)
         assert ref["status"] is QpStatus.OPTIMAL
         phi = engine.assemble_from_rows(res.state, "phi")
         admm_cost = float(np.sum(weight**2 * (phi @ x0) ** 2))

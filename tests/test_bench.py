@@ -23,7 +23,6 @@ from dlmpc import (
     load_report,
     realized_cost,
     run_closed_loop,
-    run_mpc_step,
     run_scaling_sweep,
     save_model_file,
 )
@@ -149,7 +148,7 @@ class TestClosedLoop:
     def test_run_mpc_step_matches_loop_start(self):
         sc = build_scenario(ScenarioConfig(n_subsystems=3, horizon=3, sim_steps=1))
         x0 = sc.initial_state()
-        res = run_mpc_step(sc, x0)
+        res = sc.make_engine().solve_step(x0)
         rep = run_closed_loop(sc, x0=x0)
         np.testing.assert_array_equal(res.u, rep.inputs[0])
 

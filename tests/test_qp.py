@@ -15,7 +15,6 @@ from dlmpc import (
     build_chain_model,
     build_graph,
     build_locality_index,
-    assemble_feasibility_operator,
     centralized_local_mpc,
     centralized_mpc,
     solve_qp,
@@ -302,7 +301,6 @@ class TestCentralizedLocalMpc:
         horizon = 3
         graph = build_graph(model)
         index = build_locality_index(graph, model, d=3, horizon=horizon)
-        op = assemble_feasibility_operator(model, index)
         rng = np.random.default_rng(8)
         x0 = rng.uniform(0, 1, model.n_states)
         weight, lo, hi = row_profiles(
@@ -311,7 +309,7 @@ class TestCentralizedLocalMpc:
             np.full(model.n_states, -np.inf), np.full(model.n_states, np.inf),
             np.full(model.n_inputs, -np.inf), np.full(model.n_inputs, np.inf),
         )
-        local = centralized_local_mpc(model, index, op, x0, weight, lo, hi)
+        local = centralized_local_mpc(model, index, x0, weight, lo, hi)
         assert local["status"] is QpStatus.OPTIMAL
         plain = centralized_mpc(
             model, horizon, x0, np.ones(model.n_states),

@@ -17,8 +17,8 @@ from dlmpc import (
     full_response_from_controller,
     project_column,
     response_from_controller,
+    stacked_constraint,
 )
-from dlmpc.sls import _stacked_z_ab
 
 
 def scalar_model(a=0.5, b=2.0):
@@ -31,7 +31,11 @@ def scalar_model(a=0.5, b=2.0):
 
 
 def dense_constraint(model, horizon):
-    """Independent dense construction of the dynamics constraint matrix."""
+    """Independent dense construction of the dynamics constraint matrix.
+
+    Its right-hand side is the identity in the first n rows:
+    ``np.eye(rows, n)``.
+    """
     n, p = model.n_states, model.n_inputs
     a, b = model.full_a(), model.full_b()
     rows = n * (horizon + 1)
@@ -64,27 +68,30 @@ def random_causal_gain(model, horizon, rng, scale=0.3):
 
 class TestConstraintMatrix:
     def test_scalar_single_step(self):
-        z = _stacked_z_ab(scalar_model(a=0.5, b=2.0), horizon=1).toarray()
+        z = stacked_constraint(scalar_model(a=0.5, b=2.0), horizon=1).toarray()
         np.testing.assert_array_equal(z, [[1.0, 0.0, 0.0], [-0.5, 1.0, -2.0]])
 
     def test_scalar_two_step_shape(self):
-        z = _stacked_z_ab(scalar_model(), horizon=2)
+        z = stacked_constraint(scalar_model(), horizon=2)
         assert z.shape == (3, 5)
 
     def test_matches_dense_reference(self):
         model = build_chain_model(3)
-        z = _stacked_z_ab(model, horizon=4).toarray()
+        z = stacked_constraint(model, horizon=4).toarray()
         np.testing.assert_allclose(z, dense_constraint(model, 4), atol=0)
 
     def test_operator_rhs_embeds_identity(self):
+        # projecting zero gives the minimum-norm solution of the subsystem's
+        # columns of the dense system, whose right-hand side is the identity
         model = build_chain_model(3)
-        index, op = build_operator(model, d=1, horizon=3)
-        identity = np.eye(op.z_ab.shape[0], model.n_states)
-        for sub, proj in zip(index.subsystems, op.projectors):
-            want = identity[np.ix_(proj.constraint_rows, sub.cols)]
-            np.testing.assert_array_equal(proj.rhs, want)
-            # every own column keeps its unit entry, on its time-0 state row
-            np.testing.assert_array_equal(proj.rhs.sum(axis=0), np.ones(sub.cols.size))
+        horizon = 3
+        index, op = build_operator(model, d=1, horizon=horizon)
+        z = dense_constraint(model, horizon)
+        identity = np.eye(z.shape[0], model.n_states)
+        for sub in index.subsystems:
+            want = np.linalg.lstsq(z[:, sub.col_rows], identity[:, sub.cols], rcond=None)[0]
+            got = project_column(op, sub.sub_id, np.zeros(want.shape))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestResponseFromController:
@@ -92,10 +99,10 @@ class TestResponseFromController:
         model = build_chain_model(2)
         a = model.full_a()
         horizon = 3
-        col = response_from_controller(model, np.zeros((3 * 2, 4 * 4)), horizon)
+        phi_x, phi_u = response_from_controller(model, np.zeros((3 * 2, 4 * 4)), horizon)
         expect = np.vstack([np.linalg.matrix_power(a, t) for t in range(horizon + 1)])
-        np.testing.assert_allclose(col.phi_x, expect, atol=1e-14)
-        assert not col.phi_u.any()
+        np.testing.assert_allclose(phi_x, expect, atol=1e-14)
+        assert not phi_u.any()
 
     def test_random_gains_satisfy_constraint(self):
         rng = np.random.default_rng(7)
@@ -106,8 +113,8 @@ class TestResponseFromController:
         rhs[: model.n_states] = np.eye(model.n_states)
         for _ in range(10):
             k = random_causal_gain(model, horizon, rng)
-            col = response_from_controller(model, k, horizon)
-            np.testing.assert_allclose(z @ col.stacked, rhs, atol=1e-12)
+            phi = np.vstack(response_from_controller(model, k, horizon))
+            np.testing.assert_allclose(z @ phi, rhs, atol=1e-12)
 
     def test_gain_recovery_round_trip(self):
         rng = np.random.default_rng(11)
@@ -133,10 +140,15 @@ class TestResponseFromController:
 
 
 class TestColumnProjection:
-    def kkt_reference(self, op, index, i, v):
-        """Equality-constrained least squares solved through its KKT system."""
-        proj = op.projectors[i - 1]
-        m = proj.z_slice
+    def kkt_reference(self, model, horizon, sub, v):
+        """Equality-constrained least squares solved through its KKT system.
+
+        The constraint is the subsystem's columns of the dense system, all
+        rows kept (rows that miss them read 0 = 0).
+        """
+        z = dense_constraint(model, horizon)
+        m = z[:, sub.col_rows]
+        rhs = np.eye(z.shape[0], model.n_states)[:, sub.cols]
         rows, cols = m.shape
         kkt = np.zeros((cols + rows, cols + rows))
         kkt[:cols, :cols] = np.eye(cols)
@@ -144,7 +156,7 @@ class TestColumnProjection:
         kkt[cols:, :cols] = m
         out = np.empty_like(v)
         for c in range(v.shape[1]):
-            full_rhs = np.concatenate([v[:, c], proj.rhs[:, c]])
+            full_rhs = np.concatenate([v[:, c], rhs[:, c]])
             sol = np.linalg.lstsq(kkt, full_rhs, rcond=None)[0]
             out[:, c] = sol[:cols]
         return out
@@ -158,7 +170,7 @@ class TestColumnProjection:
             sub = index.subsystem(i)
             v = rng.normal(size=(sub.col_rows.size, sub.cols.size))
             got = project_column(op, i, v)
-            want = self.kkt_reference(op, index, i, v)
+            want = self.kkt_reference(model, horizon, sub, v)
             np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_idempotent(self, six_node_model):
@@ -175,18 +187,29 @@ class TestColumnProjection:
         rng = np.random.default_rng(9)
         model = build_chain_model(3)
         index, op = build_operator(model, d=1, horizon=3)
+        z = dense_constraint(model, 3)
+        identity = np.eye(z.shape[0], model.n_states)
         for i in range(1, 4):
             sub = index.subsystem(i)
             v = rng.normal(size=(sub.col_rows.size, sub.cols.size))
             psi = project_column(op, i, v)
-            proj = op.projectors[i - 1]
-            np.testing.assert_allclose(proj.z_slice @ psi, proj.rhs, atol=1e-10)
+            np.testing.assert_allclose(z[:, sub.col_rows] @ psi, identity[:, sub.cols], atol=1e-10)
 
     def test_rejects_bad_shape(self):
         model = build_chain_model(3)
         _, op = build_operator(model, d=1, horizon=3)
         with pytest.raises(ValueError):
             project_column(op, 1, np.zeros((2, 2)))
+
+    def test_rejects_wrong_column_count(self):
+        # right row count, one column for a two-column subsystem: broadcasting
+        # must not stretch it to two columns
+        model = build_chain_model(4)
+        index, op = build_operator(model, d=1, horizon=3)
+        sub = index.subsystem(2)
+        assert sub.cols.size == 2
+        with pytest.raises(ValueError, match="shape"):
+            project_column(op, 2, np.zeros((sub.col_rows.size, 1)))
 
 
 class TestExtractControl:
