@@ -12,6 +12,12 @@ response map:
 
 Between the row and column steps the subsystems trade blocks so that every
 working matrix is a consistent view of one global (phi, psi, lambda) triple.
+The state lives in two flat buffers, one for the row partitions and one for
+the column partitions, each subsystem's blocks contiguous in subsystem-id
+order; the per-subsystem matrices are views into them, written in place.
+Since the entries two partitions share are fixed by the locality sets, each
+exchange is one gather of precomputed flat positions, and the multiplier
+step is one array update per buffer.
 All exchanges stay inside bounded graph neighborhoods: measurements and
 column blocks travel to at most (d+1)-hop outgoing neighbors, row blocks to
 at most (d+1)-hop incoming neighbors (input rows couple columns d+1 hops
@@ -85,22 +91,27 @@ def packet_within_locality(packet: ExchangePacket, index: LocalityIndex) -> bool
 class AdmmState:
     """Per-subsystem row and column partitions of (phi, psi, lambda).
 
-    Row partition matrices have shape (len(rows), len(row_cols)); column
-    partition matrices have shape (len(col_rows), len(cols)).  After each
-    exchange phase the two partitions agree on every shared entry.
-    ``x0_slices`` holds each subsystem's coupled slice of the measured state
-    the iteration runs for, ``residual_history`` one (max primal, max dual)
-    pair per iteration, and ``per_sub_seconds`` each subsystem's wall time
-    spent on this state.
+    ``rows`` (shape ``(4, R)``) holds phi, psi, lambda and the previous psi
+    of the row partitions, ``cols`` (shape ``(3, C)``) phi, psi and lambda of
+    the column partitions; each subsystem's block sits contiguously, in C
+    order and subsystem-id order.  ``phi_r`` ... ``lam_c`` are tuples of
+    reshaped views into those buffers, so blocks are written in place and
+    cannot be rebound.  Row blocks have shape (len(rows), len(row_cols)),
+    column blocks (len(col_rows), len(cols)).  After each exchange phase the
+    two partitions agree on every shared entry.  ``x0_slices`` holds each
+    subsystem's coupled slice of the measured state the iteration runs for,
+    ``residual_history`` one (max primal, max dual) pair per iteration, and
+    ``per_sub_seconds`` each subsystem's wall time spent on this state.
     """
 
-    phi_r: list
-    psi_r: list
-    lam_r: list
-    phi_c: list
-    psi_c: list
-    lam_c: list
-    psi_r_prev: list
+    rows: np.ndarray
+    cols: np.ndarray
+    phi_r: tuple
+    psi_r: tuple
+    lam_r: tuple
+    phi_c: tuple
+    psi_c: tuple
+    lam_c: tuple
     iteration: int = 0
     primal: np.ndarray | None = None
     dual: np.ndarray | None = None
@@ -125,24 +136,6 @@ class StepResult:
 
 
 @dataclass(frozen=True)
-class _PairPlan:
-    """Precomputed index maps for one (sender, receiver) block transfer.
-
-    The same maps serve both directions: row blocks copy
-    ``phi_r[sender][src_ix] -> phi_c[receiver][dst_ix]`` and column blocks
-    copy ``psi_c[receiver][dst_ix] -> psi_r[sender][src_ix]`` (the receiver
-    of the row phase owns the columns; the sender owns the rows).
-    """
-
-    row_owner: int
-    col_owner: int
-    src_ix: tuple
-    dst_ix: tuple
-    global_rows: np.ndarray
-    global_cols: np.ndarray
-
-
-@dataclass(frozen=True)
 class _RowGroup:
     """Positions, boxes and weights of rows that share one x0 slice."""
 
@@ -150,6 +143,11 @@ class _RowGroup:
     lo: np.ndarray
     hi: np.ndarray
     weight: np.ndarray
+
+
+def _share(state: AdmmState, t0: float):
+    """Charge the wall time since ``t0`` to every subsystem in equal parts."""
+    state.per_sub_seconds += (time.perf_counter() - t0) / state.per_sub_seconds.size
 
 
 def row_profiles(
@@ -238,16 +236,23 @@ class DlmpcEngine:
         if sorted(self.order) != list(range(1, n_sub + 1)):
             raise ValueError("order must be a permutation of 1..N")
 
+        def profile(name, value, size, default):
+            value = np.full(size, default) if value is None else np.asarray(value, float)
+            if value.shape != (size,):
+                raise ValueError(f"{name} must have {size} entries, got {value.size}")
+            return value
+
         n, p = model.n_states, model.n_inputs
-        q_diag = np.ones(n) if q_diag is None else np.asarray(q_diag, float)
-        r_diag = np.ones(p) if r_diag is None else np.asarray(r_diag, float)
-        qt_diag = q_diag.copy() if qt_diag is None else np.asarray(qt_diag, float)
-        state_lb = np.full(n, -np.inf) if state_lb is None else np.asarray(state_lb, float)
-        state_ub = np.full(n, np.inf) if state_ub is None else np.asarray(state_ub, float)
-        input_lb = np.full(p, -np.inf) if input_lb is None else np.asarray(input_lb, float)
-        input_ub = np.full(p, np.inf) if input_ub is None else np.asarray(input_ub, float)
+        q_diag = profile("q_diag", q_diag, n, 1.0)
         w, lo, hi = row_profiles(
-            index, q_diag, r_diag, qt_diag, state_lb, state_ub, input_lb, input_ub
+            index,
+            q_diag,
+            profile("r_diag", r_diag, p, 1.0),
+            q_diag if qt_diag is None else profile("qt_diag", qt_diag, n, 1.0),
+            profile("state_lb", state_lb, n, -np.inf),
+            profile("state_ub", state_ub, n, np.inf),
+            profile("input_lb", input_lb, p, -np.inf),
+            profile("input_ub", input_ub, p, np.inf),
         )
         self.row_weight, self.row_lo, self.row_hi = w, lo, hi
 
@@ -263,43 +268,52 @@ class DlmpcEngine:
                 np.where(~sub.row_is_state & (sub.row_time == 0))[0]
             )
 
-        self._pair_plans = self._build_exchange_plan()
-        self._row_plan_by_receiver = {i: [] for i in range(1, n_sub + 1)}
-        self._col_plan_by_receiver = {i: [] for i in range(1, n_sub + 1)}
-        for plan in self._pair_plans:
-            self._row_plan_by_receiver[plan.col_owner].append(plan)
-            self._col_plan_by_receiver[plan.row_owner].append(plan)
+        # block shapes and flat offsets of the row and column buffers
+        self._shapes = {
+            "r": [(s.rows.size, s.row_cols.size) for s in index.subsystems],
+            "c": [(s.col_rows.size, s.cols.size) for s in index.subsystems],
+        }
+        self._offsets = {
+            k: np.concatenate(([0], np.cumsum([a * b for a, b in v]))) for k, v in self._shapes.items()
+        }
+        self._off_mask = np.concatenate(
+            [off + np.flatnonzero(~s.row_mask) for s, off in zip(index.subsystems, self._offsets["r"])]
+        )
+        self._src, self._dst, pairs = self._build_exchange_plan()
+        rank = {s: r for r, s in enumerate(self.order)}  # packets go out receiver by receiver
+        self._pairs = {
+            Phase.ROW_BLOCKS: sorted(pairs, key=lambda pair: rank[pair[1]]),
+            Phase.COLUMN_BLOCKS: sorted(pairs, key=lambda pair: rank[pair[0]]),
+        }
 
     def _build_exchange_plan(self):
-        index, model = self.index, self.model
-        plans = []
+        """Flat positions of the entries the row and column buffers share.
+
+        For every column owner i and row owner k in its (d+1)-hop out-set,
+        k's input rows and, if k is within d hops, its state rows meet i's
+        columns.  Returns ``src`` into the row buffer, ``dst`` into the
+        column buffer and one ``(k, i, start, stop, global rows, global
+        cols)`` record per pair, naming its segment of ``src`` and ``dst``.
+        """
+        index, off_r, off_c = self.index, self._offsets["r"], self._offsets["c"]
+        src, dst, pairs, start = [], [], [], 0
         for sub_i in index.subsystems:  # column owner
             i = sub_i.sub_id
             for k in sorted(index.out_sets_ext[i - 1]):
                 sub_k = index.subsystems[k - 1]
-                send_x = k in index.out_sets[i - 1]
-                parts = []
-                if send_x:
-                    parts.append(np.where(sub_k.row_is_state)[0])
-                if sub_k.rows.size and np.any(~sub_k.row_is_state):
-                    parts.append(np.where(~sub_k.row_is_state)[0])
-                if not parts:
+                # state rows come first in every row partition
+                src_rows = np.flatnonzero(~sub_k.row_is_state | (k in index.out_sets[i - 1]))
+                if not src_rows.size:
                     continue
-                src_rows = np.concatenate(parts)
                 global_rows = sub_k.rows[src_rows]
                 src_cols = np.searchsorted(sub_k.row_cols, sub_i.cols)
                 dst_rows = np.searchsorted(sub_i.col_rows, global_rows)
-                plans.append(
-                    _PairPlan(
-                        row_owner=k,
-                        col_owner=i,
-                        src_ix=np.ix_(src_rows, src_cols),
-                        dst_ix=np.ix_(dst_rows, np.arange(sub_i.cols.size)),
-                        global_rows=global_rows,
-                        global_cols=sub_i.cols,
-                    )
-                )
-        return plans
+                width_k, width_i = sub_k.row_cols.size, sub_i.cols.size
+                src.append((off_r[k - 1] + src_rows[:, None] * width_k + src_cols).ravel())
+                dst.append((off_c[i - 1] + dst_rows[:, None] * width_i + np.arange(width_i)).ravel())
+                pairs.append((k, i, start, start + src[-1].size, global_rows, sub_i.cols))
+                start += src[-1].size
+        return np.concatenate(src), np.concatenate(dst), pairs
 
     # -- state management ---------------------------------------------------
 
@@ -309,45 +323,31 @@ class DlmpcEngine:
         Either way the per-subsystem timers start at zero.  A warm state
         whose partitions do not fit this engine's index raises ValueError.
         """
-        index = self.index
-        n_sub = len(index.subsystems)
-        times = np.zeros(n_sub)
-        shapes = {
-            "r": [(s.rows.size, s.row_cols.size) for s in index.subsystems],
-            "c": [(s.col_rows.size, s.cols.size) for s in index.subsystems],
-        }
+        shapes, offsets = self._shapes, self._offsets
+        n_sub = len(self.index.subsystems)
         if warm is None:
-            zeros = lambda k: [np.zeros(shape) for shape in shapes[k]]
-            return AdmmState(
-                phi_r=zeros("r"),
-                psi_r=zeros("r"),
-                lam_r=zeros("r"),
-                phi_c=zeros("c"),
-                psi_c=zeros("c"),
-                lam_c=zeros("c"),
-                psi_r_prev=zeros("r"),
-                per_sub_seconds=times,
-            )
-        names = [f"{m}_{k}" for k in "rc" for m in ("phi", "psi", "lam")]
-        for i in range(max(n_sub, *(len(getattr(warm, f)) for f in names))):
-            for name in names:
-                blocks = getattr(warm, name)
-                want = shapes[name[-1]][i] if i < n_sub else "no block"
-                got = np.shape(blocks[i]) if i < len(blocks) else "no block"
-                if got != want:
-                    raise ValueError(
-                        f"warm_state does not fit this engine: subsystem {i + 1} "
-                        f"{name} has {got}, expected {want}"
-                    )
+            rows, cols = np.zeros((4, offsets["r"][-1])), np.zeros((3, offsets["c"][-1]))
+        else:
+            names = [f"{m}_{k}" for k in "rc" for m in ("phi", "psi", "lam")]
+            for i in range(max(n_sub, *(len(getattr(warm, f)) for f in names))):
+                for name in names:
+                    blocks = getattr(warm, name)
+                    want = shapes[name[-1]][i] if i < n_sub else "no block"
+                    got = np.shape(blocks[i]) if i < len(blocks) else "no block"
+                    if got != want:
+                        raise ValueError(
+                            f"warm_state does not fit this engine: subsystem {i + 1} "
+                            f"{name} has {got}, expected {want}"
+                        )
+            rows, cols = warm.rows.copy(), warm.cols.copy()
+
+        def views(flat, k):
+            off = offsets[k]
+            return tuple(flat[a:b].reshape(s) for a, b, s in zip(off, off[1:], shapes[k]))
+
         return AdmmState(
-            phi_r=[m.copy() for m in warm.phi_r],
-            psi_r=[m.copy() for m in warm.psi_r],
-            lam_r=[m.copy() for m in warm.lam_r],
-            phi_c=[m.copy() for m in warm.phi_c],
-            psi_c=[m.copy() for m in warm.psi_c],
-            lam_c=[m.copy() for m in warm.lam_c],
-            psi_r_prev=[m.copy() for m in warm.psi_r],
-            per_sub_seconds=times,
+            rows, cols, *(views(m, "r") for m in rows[:3]), *(views(m, "c") for m in cols),
+            per_sub_seconds=np.zeros(n_sub),
         )
 
     # -- per-subsystem updates ----------------------------------------------
@@ -393,14 +393,19 @@ class DlmpcEngine:
     def column_step(self, state: AdmmState, i: int):
         """Project subsystem i's column slice onto the dynamics constraint."""
         v = state.phi_c[i - 1] + state.lam_c[i - 1]
-        state.psi_c[i - 1] = project_column(self.op, i, v)
+        state.psi_c[i - 1][...] = project_column(self.op, i, v)
 
-    def multiplier_step(self, state: AdmmState, i: int):
-        """Scaled dual update on both partitions plus residual bookkeeping."""
-        state.lam_r[i - 1] += state.phi_r[i - 1] - state.psi_r[i - 1]
-        state.lam_c[i - 1] += state.phi_c[i - 1] - state.psi_c[i - 1]
-        state.primal[i - 1] = np.linalg.norm(state.phi_r[i - 1] - state.psi_r[i - 1])
-        state.dual[i - 1] = np.linalg.norm(state.psi_r[i - 1] - state.psi_r_prev[i - 1])
+    def multiplier_step(self, state: AdmmState):
+        """Scaled dual update on both buffers plus per-subsystem residuals."""
+        t0 = time.perf_counter()
+        rows, cols = state.rows, state.cols
+        primal = rows[0] - rows[1]
+        rows[2] += primal
+        cols[2] += cols[0] - cols[1]
+        off = self._offsets["r"]
+        norms = lambda diff: np.array([np.linalg.norm(diff[a:b]) for a, b in zip(off, off[1:])])
+        state.primal, state.dual = norms(primal), norms(rows[1] - rows[3])
+        _share(state, t0)
 
     def check_convergence(self, state: AdmmState) -> bool:
         """All subsystems within both residual tolerances (boundary passes)."""
@@ -415,62 +420,41 @@ class DlmpcEngine:
 
     def exchange_rows(self, state: AdmmState, packets=None):
         """Row owners send their freshly solved blocks to column owners."""
-        for i in self.order:
-            t0 = time.perf_counter()
-            for plan in self._row_plan_by_receiver[i]:
-                block = state.phi_r[plan.row_owner - 1][plan.src_ix]
-                state.phi_c[i - 1][plan.dst_ix] = block
-                if packets is not None:
-                    packets.append(
-                        ExchangePacket(
-                            sender=plan.row_owner,
-                            receiver=i,
-                            phase=Phase.ROW_BLOCKS,
-                            rows=plan.global_rows,
-                            cols=plan.global_cols,
-                            payload=block.copy(),
-                        )
-                    )
-            state.per_sub_seconds[i - 1] += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        sent = state.rows[0][self._src]
+        state.cols[0][self._dst] = sent
+        _share(state, t0)
+        if packets is not None:
+            self._record(packets, Phase.ROW_BLOCKS, sent)
 
     def exchange_columns(self, state: AdmmState, packets=None):
         """Column owners send projected blocks back to row owners."""
-        for k in self.order:
-            t0 = time.perf_counter()
-            state.psi_r_prev[k - 1], state.psi_r[k - 1] = (
-                state.psi_r[k - 1],
-                state.psi_r_prev[k - 1],
-            )
-            for plan in self._col_plan_by_receiver[k]:
-                block = state.psi_c[plan.col_owner - 1][plan.dst_ix]
-                state.psi_r[k - 1][plan.src_ix] = block
-                if packets is not None:
-                    packets.append(
-                        ExchangePacket(
-                            sender=plan.col_owner,
-                            receiver=k,
-                            phase=Phase.COLUMN_BLOCKS,
-                            rows=plan.global_rows,
-                            cols=plan.global_cols,
-                            payload=block.copy(),
-                        )
-                    )
-            state.per_sub_seconds[k - 1] += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        state.rows[3] = state.rows[1]
+        sent = state.cols[1][self._dst]
+        state.rows[1][self._src] = sent
+        _share(state, t0)
+        if packets is not None:
+            self._record(packets, Phase.COLUMN_BLOCKS, sent)
+
+    def _record(self, packets: list, phase: Phase, sent: np.ndarray):
+        for k, i, a, b, rows, cols in self._pairs[phase]:
+            sender, receiver = (k, i) if phase is Phase.ROW_BLOCKS else (i, k)
+            payload = sent[a:b].reshape(rows.size, cols.size)
+            packets.append(ExchangePacket(sender, receiver, phase, rows, cols, payload))
 
     # -- instrumentation ------------------------------------------------------
 
     def verify_masks(self, state: AdmmState):
         """Assert exact zeros outside the allowed sparsity, or raise."""
-        for sub in self.index.subsystems:
-            i = sub.sub_id
-            inv = ~sub.row_mask
-            for name, mats in (("phi", state.phi_r), ("psi", state.psi_r), ("lambda", state.lam_r)):
-                bad = mats[i - 1][inv]
-                if bad.size and np.any(bad != 0.0):
-                    raise AssertionError(
-                        f"subsystem {i}: {name} row partition has nonzeros outside the mask "
-                        f"at iteration {state.iteration}"
-                    )
+        bad = np.argwhere(state.rows[:3, self._off_mask].T != 0.0)
+        if bad.size:
+            pos, m = bad[0]
+            i = int(np.searchsorted(self._offsets["r"], self._off_mask[pos], side="right"))
+            raise AssertionError(
+                f"subsystem {i}: {('phi', 'psi', 'lambda')[m]} row partition has nonzeros "
+                f"outside the mask at iteration {state.iteration}"
+            )
 
     def assemble_from_rows(self, state: AdmmState, which: str = "phi") -> np.ndarray:
         """Global stacked matrix gathered from the row partitions."""
@@ -523,22 +507,11 @@ class DlmpcEngine:
             times[i - 1] += time.perf_counter() - t0
         if packets is not None:
             for sub in index.subsystems:
-                i = sub.sub_id
-                for j in sorted(index.in_sets_ext[i - 1]):
+                for j in sorted(index.in_sets_ext[sub.sub_id - 1]):
                     cols = model.state_indices(j)
                     packets.append(
-                        ExchangePacket(
-                            sender=j,
-                            receiver=i,
-                            phase=Phase.MEASUREMENT,
-                            rows=None,
-                            cols=cols,
-                            payload=x0[cols].copy(),
-                        )
+                        ExchangePacket(j, sub.sub_id, Phase.MEASUREMENT, None, cols, x0[cols].copy())
                     )
-
-        state.primal = np.full(n_sub, np.inf)
-        state.dual = np.full(n_sub, np.inf)
 
         converged = False
         for k in range(1, self.max_iterations + 1):
@@ -552,10 +525,7 @@ class DlmpcEngine:
                 self.column_step(state, i)
                 times[i - 1] += time.perf_counter() - t0
             self.exchange_columns(state, packets)
-            for i in self.order:
-                t0 = time.perf_counter()
-                self.multiplier_step(state, i)
-                times[i - 1] += time.perf_counter() - t0
+            self.multiplier_step(state)
             state.iteration = k
             if self.mask_check_interval and k % self.mask_check_interval == 0:
                 self.verify_masks(state)

@@ -515,6 +515,17 @@ def emit_sweep(rows, directory, stem: str = "sweep") -> Path:
 # -- file loaders --------------------------------------------------------------
 
 
+_CONFIG_KEYS = {
+    "scenario": {"subsystems": "int", "horizon": "int", "locality": "int", "case": "case",
+                 "seed": "int", "sim_steps": "int", "warm_start": "boolean"},
+    "cost": {"state_weight": "float", "input_weight": "float", "terminal_weight": "float"},
+    "bounds": {"state_lower": "float", "state_upper": "float", "bound_component": "int",
+               "input_lower": "float", "input_upper": "float"},
+    "solver": {"rho": "float", "eps_primal": "float", "eps_dual": "float",
+               "max_iterations": "int", "qp_tol": "float"},
+}
+
+
 def load_config(path) -> ScenarioConfig:
     """Read a scenario from an INI file.
 
@@ -523,48 +534,29 @@ def load_config(path) -> ScenarioConfig:
     terminal_weight), ``[bounds]`` (state_lower/upper, bound_component,
     input_lower/upper) and ``[solver]`` (rho, eps_primal, eps_dual,
     max_iterations, qp_tol).  Every key is optional except
-    ``scenario.subsystems``.
+    ``scenario.subsystems``; an unknown section or key raises ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(path)
-    if not parser.has_option("scenario", "subsystems"):
+    kwargs = {}
+    for name in parser.sections():
+        if name not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config section [{name}]")
+        section = parser[name]
+        for key in section:
+            kind = _CONFIG_KEYS[name].get(key)
+            if kind is None:
+                raise ValueError(f"unknown config key {name}.{key}")
+            if kind == "case":
+                raw = section[key].strip()
+                kwargs[key] = Case(int(raw)) if raw.isdigit() else Case[raw.upper()]
+            else:
+                kwargs[key] = getattr(section, "get" + kind)(key)
+    if "subsystems" not in kwargs:
         raise ValueError("config needs [scenario] subsystems")
-    sc = parser["scenario"]
-    kwargs = {"n_subsystems": sc.getint("subsystems")}
-    if "horizon" in sc:
-        kwargs["horizon"] = sc.getint("horizon")
-    if "locality" in sc:
-        kwargs["locality"] = sc.getint("locality")
-    if "case" in sc:
-        raw = sc.get("case").strip()
-        kwargs["case"] = Case(int(raw)) if raw.isdigit() else Case[raw.upper()]
-    if "seed" in sc:
-        kwargs["seed"] = sc.getint("seed")
-    if "sim_steps" in sc:
-        kwargs["sim_steps"] = sc.getint("sim_steps")
-    if "warm_start" in sc:
-        kwargs["warm_start"] = sc.getboolean("warm_start")
-    if parser.has_section("cost"):
-        co = parser["cost"]
-        for key in ("state_weight", "input_weight", "terminal_weight"):
-            if key in co:
-                kwargs[key] = co.getfloat(key)
-    if parser.has_section("bounds"):
-        bo = parser["bounds"]
-        for key in ("state_lower", "state_upper", "input_lower", "input_upper"):
-            if key in bo:
-                kwargs[key] = float(bo.get(key))
-        if "bound_component" in bo:
-            kwargs["bound_component"] = bo.getint("bound_component")
-    if parser.has_section("solver"):
-        so = parser["solver"]
-        for key in ("rho", "eps_primal", "eps_dual", "qp_tol"):
-            if key in so:
-                kwargs[key] = so.getfloat(key)
-        if "max_iterations" in so:
-            kwargs["max_iterations"] = so.getint("max_iterations")
+    kwargs["n_subsystems"] = kwargs.pop("subsystems")
     return ScenarioConfig(**kwargs)
 
 

@@ -56,6 +56,15 @@ class TestEngineBasics:
         with pytest.raises(ValueError, match=f"warm_state .* subsystem {first} "):
             sc.make_engine().solve_step(sc.initial_state(), warm_state=warm)
 
+    @pytest.mark.parametrize(
+        "profiles, name",
+        [(dict(state_lb=[-0.2], state_ub=[1.2]), "state_lb"), (dict(q_diag=np.ones(3)), "q_diag")],
+    )
+    def test_rejects_profiles_of_wrong_length(self, profiles, name):
+        sc = small_scenario()
+        with pytest.raises(ValueError, match=f"{name} must have 8 entries, got [13]"):
+            DlmpcEngine(sc.model, sc.index, sc.op, **profiles)
+
     def test_row_profiles_layout(self):
         sc = small_scenario()
         weight, lo, hi = row_profiles(
@@ -132,6 +141,37 @@ class TestExchanges:
         )
         # nodes 1 and 4 sit three hops apart on the chain
         assert not packet_within_locality(forged, sc.index)
+
+    def test_packet_payloads_carry_the_right_entries(self, reference_mask):
+        sc = small_scenario()
+        x0 = sc.initial_state()
+        # a warm start makes the first row step's blocks nonzero
+        warm = sc.make_engine().solve_step(x0).state
+        engine = sc.make_engine(record_packets=True, eps_primal=1e300, eps_dual=1e300)
+        res = engine.solve_step(x0, warm_state=warm)
+        assert res.iterations == 1
+        mask = reference_mask(sc.model, sc.graph, sc.config.locality, sc.config.horizon)
+        for phase, want in (
+            (Phase.ROW_BLOCKS, engine.assemble_from_rows(res.state, "phi")),
+            (Phase.COLUMN_BLOCKS, engine.assemble_from_cols(res.state, "psi")),
+        ):
+            got = np.full(want.shape, np.nan)  # an entry no packet carries stays nan
+            for packet in res.packets:
+                if packet.phase is phase:
+                    got[np.ix_(packet.rows, packet.cols)] = packet.payload
+            assert np.any(want[mask])
+            np.testing.assert_array_equal(got[mask], want[mask])
+
+    def test_warm_state_is_a_copy(self):
+        sc = small_scenario()
+        engine = sc.make_engine()
+        res = engine.solve_step(sc.initial_state())
+        before = res.state.phi_r[0].copy()
+        new = engine.init_state(res.state)
+        new.phi_r[0][...] = 7.0
+        np.testing.assert_array_equal(res.state.phi_r[0], before)
+        with pytest.raises(TypeError):
+            new.phi_r[0] = np.zeros_like(before)
 
     def test_masks_hold_at_every_iteration(self):
         sc = small_scenario()

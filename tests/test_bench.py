@@ -315,6 +315,21 @@ qp_tol = 1e-8
         with pytest.raises(ValueError):
             load_config(ini)
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ("horizn = 7\n", "scenario.horizn"),
+            ("[solver]\nrh0 = 3\n", "solver.rh0"),
+            ("[solvr]\nrho = 3\n", r"\[solvr\]"),
+        ],
+        ids=["scenario-key", "solver-key", "section"],
+    )
+    def test_config_rejects_unknown_names(self, tmp_path, extra, named):
+        ini = tmp_path / "s.ini"
+        ini.write_text("[scenario]\nsubsystems = 2\n" + extra)
+        with pytest.raises(ValueError, match=f"unknown config .*{named}"):
+            load_config(ini)
+
     def test_config_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "absent.ini")

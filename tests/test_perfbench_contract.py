@@ -1,0 +1,37 @@
+"""The benchmark harness in ``perfbench/`` runs against the package as it is.
+
+``perfbench`` hooks the engine's phase methods and reads its state from
+outside, so a change to the package can break the harness without breaking
+any unit test.  These tests run it end to end, untraced and traced.
+"""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_perfbench(trace: int) -> str:
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", "chain-active-box",
+        "--seed", "1", "--seconds", "1", "--trace", str(trace),
+    ]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True, proc.stdout
+    assert summary["failed"] == 0, proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.slow
+def test_untraced_run_passes():
+    run_perfbench(0)
+
+
+@pytest.mark.slow
+def test_traced_run_finds_every_layer():
+    assert "absent layers:" not in run_perfbench(1)
