@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from . import sls
-from .explicit_row import InfeasibleRowError, check_rows, solve_rows
+from .explicit_row import InfeasibleRowError, check_rows, empty_boxes, solve_rows
 from .qp import QpStatus, row_qp, solve_qp
 from .sls import FeasibilityOperator, project_column
 from .topology import LocalityIndex, NetworkModel
@@ -137,9 +137,11 @@ class StepResult:
 
 @dataclass(frozen=True)
 class _RowGroup:
-    """Positions, boxes and weights of rows that share one x0 slice."""
+    """Rows that share one x0 slice: their global rows, block and x0 indices, boxes and weights."""
 
-    pos: np.ndarray
+    rows: np.ndarray
+    at: tuple | np.ndarray
+    x0_at: np.ndarray | slice
     lo: np.ndarray
     hi: np.ndarray
     weight: np.ndarray
@@ -216,10 +218,11 @@ class DlmpcEngine:
         mask_check_interval: int = 0,
         order=None,
     ):
-        if rho <= 0:
-            raise ValueError("rho must be positive")
-        if eps_primal <= 0 or eps_dual <= 0:
-            raise ValueError("tolerances must be positive")
+        for name, value in (("rho", rho), ("eps_primal", eps_primal), ("eps_dual", eps_dual)):
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
         self.model = model
         self.index = index
         self.op = op
@@ -240,29 +243,41 @@ class DlmpcEngine:
             value = np.full(size, default) if value is None else np.asarray(value, float)
             if value.shape != (size,):
                 raise ValueError(f"{name} must have {size} entries, got {value.size}")
+            is_weight = name.endswith("_diag")
+            bad = ~(np.isfinite(value) & (value >= 0)) if is_weight else np.isnan(value)
+            for k in np.flatnonzero(bad)[:1]:
+                need = "finite and nonnegative" if is_weight else "a number"
+                raise ValueError(f"{name}[{k}] is {value[k]}, must be {need}")
             return value
 
         n, p = model.n_states, model.n_inputs
         q_diag = profile("q_diag", q_diag, n, 1.0)
+        boxes = {
+            kind: (profile(f"{kind}_lb", lb, size, -np.inf), profile(f"{kind}_ub", ub, size, np.inf))
+            for kind, lb, ub, size in (("state", state_lb, state_ub, n), ("input", input_lb, input_ub, p))
+        }
+        for kind, (lb, ub) in boxes.items():
+            for k in np.flatnonzero(empty_boxes(lb, ub))[:1]:
+                raise ValueError(f"{kind}_lb/{kind}_ub component {k}: empty box [{lb[k]}, {ub[k]}]")
         w, lo, hi = row_profiles(
             index,
             q_diag,
             profile("r_diag", r_diag, p, 1.0),
             q_diag if qt_diag is None else profile("qt_diag", qt_diag, n, 1.0),
-            profile("state_lb", state_lb, n, -np.inf),
-            profile("state_ub", state_ub, n, np.inf),
-            profile("input_lb", input_lb, p, -np.inf),
-            profile("input_ub", input_ub, p, np.inf),
+            *boxes["state"],
+            *boxes["input"],
         )
         self.row_weight, self.row_lo, self.row_hi = w, lo, hi
 
         self._row_groups = []  # per subsystem: its state rows, then its input rows
         self._u0_pos = []
         for sub in index.subsystems:
+            states, inputs = np.flatnonzero(sub.row_is_state), np.flatnonzero(~sub.row_is_state)
+            scp = sub.state_col_positions
             groups = []
-            for pos in (np.flatnonzero(sub.row_is_state), np.flatnonzero(~sub.row_is_state)):
+            for pos, at, x0_at in ((states, np.ix_(states, scp), scp), (inputs, inputs, slice(None))):
                 rows = sub.rows[pos]
-                groups.append(_RowGroup(pos, lo[rows], hi[rows], w[rows]))
+                groups.append(_RowGroup(rows, at, x0_at, lo[rows], hi[rows], w[rows]))
             self._row_groups.append(groups)
             self._u0_pos.append(
                 np.where(~sub.row_is_state & (sub.row_time == 0))[0]
@@ -358,22 +373,19 @@ class DlmpcEngine:
         State rows see only the d-hop state columns, input rows the whole
         coupled slice, so each group shares one x0 slice.
         """
-        sub = self.index.subsystems[i - 1]
         x0 = state.x0_slices[i - 1]
         a = state.psi_r[i - 1] - state.lam_r[i - 1]
         out = state.phi_r[i - 1]
-        states, inputs = self._row_groups[i - 1]
-        scp = sub.state_col_positions
-        ix = np.ix_(states.pos, scp)
-        out[ix] = self._solve_group(i, states, a[ix], x0[scp])
-        out[inputs.pos] = self._solve_group(i, inputs, a[inputs.pos], x0)
+        for group in self._row_groups[i - 1]:
+            out[group.at] = self._solve_group(i, group, a[group.at], x0[group.x0_at])
 
     def _solve_group(self, i: int, group: _RowGroup, targets, x0) -> np.ndarray:
         lo, hi, w = group.lo, group.hi, group.weight
         try:
             if self.row_solver is RowSolverKind.EXPLICIT:
                 return solve_rows(targets, x0, self.rho, lo, hi, w)[0]
-            if check_rows(x0, lo, hi):
+            if not np.any(x0):
+                check_rows(lo, hi)
                 return targets.copy()
             phi = np.empty_like(targets)
             for r, target in enumerate(targets):
@@ -384,10 +396,9 @@ class DlmpcEngine:
                 phi[r] = res.x[:-1]
             return phi
         except InfeasibleRowError as err:
-            sub = self.index.subsystems[i - 1]
             raise InfeasibleRowError(
                 f"subsystem {i}: infeasible row among global rows "
-                f"{sub.rows[group.pos].tolist()}: {err}"
+                f"{group.rows.tolist()}: {err}"
             ) from err
 
     def column_step(self, state: AdmmState, i: int):
@@ -486,6 +497,7 @@ class DlmpcEngine:
     def solve_step(self, x0: np.ndarray, warm_state: AdmmState | None = None) -> StepResult:
         """Run the consensus iteration for measured state ``x0`` to tolerance.
 
+        A non-finite ``x0`` raises ValueError naming its first bad component.
         Raises :class:`ConvergenceError` with the residual trace if the
         iteration cap is hit first.
         """
@@ -493,6 +505,8 @@ class DlmpcEngine:
         x0 = np.asarray(x0, dtype=float).ravel()
         if x0.shape != (model.n_states,):
             raise ValueError(f"x0 must have {model.n_states} entries")
+        for k in np.flatnonzero(~np.isfinite(x0))[:1]:
+            raise ValueError(f"x0[{k}] is {x0[k]}, must be finite")
         n_sub = model.n_subsystems
         packets = [] if self.record_packets else None
         state = self.init_state(warm_state)

@@ -33,6 +33,22 @@ class Case(Enum):
     EXPLICIT = 3
 
 
+def parse_case(raw) -> Case:
+    """The case named by ``raw``: a Case, its name in any letter case, or its number.
+
+    Anything else raises ValueError naming the valid cases.
+    """
+    if isinstance(raw, Case):
+        return raw
+    text = str(raw).strip()
+    for case in Case:
+        if text.upper() == case.name or text == str(case.value):
+            return case
+    raise ValueError(
+        f"unknown case {raw!r}; pick one of " + ", ".join(c.name.lower() for c in Case)
+    )
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one benchmark run (model + cost + solver knobs)."""
@@ -146,7 +162,7 @@ def build_scenario(config: ScenarioConfig, model: NetworkModel | None = None) ->
         for i in range(1, config.n_subsystems + 1):
             idx = model.state_indices(i)
             comp = config.bound_component
-            if comp >= idx.size:
+            if not 0 <= comp < idx.size:
                 raise ValueError(
                     f"bound_component {comp} out of range for subsystem {i}"
                 )
@@ -407,11 +423,7 @@ def _config_to_dict(cfg: ScenarioConfig) -> dict:
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     data = dict(data)
-    case = data.get("case", Case.EXPLICIT)
-    if isinstance(case, str):
-        data["case"] = Case[case.upper()]
-    elif isinstance(case, int):
-        data["case"] = Case(case)
+    data["case"] = parse_case(data.get("case", Case.EXPLICIT))
     return ScenarioConfig(**data)
 
 
@@ -550,8 +562,7 @@ def load_config(path) -> ScenarioConfig:
             if kind is None:
                 raise ValueError(f"unknown config key {name}.{key}")
             if kind == "case":
-                raw = section[key].strip()
-                kwargs[key] = Case(int(raw)) if raw.isdigit() else Case[raw.upper()]
+                kwargs[key] = parse_case(section[key])
             else:
                 kwargs[key] = getattr(section, "get" + kind)(key)
     if "subsystems" not in kwargs:

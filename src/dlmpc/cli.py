@@ -18,6 +18,7 @@ from .bench import (
     emit_sweep,
     load_config,
     load_model_file,
+    parse_case,
     run_closed_loop,
     run_scaling_sweep,
 )
@@ -33,16 +34,10 @@ from .topology import ModelValidationError, build_graph, build_locality_index
 
 
 def _parse_case(raw: str) -> Case:
-    raw = raw.strip()
-    if raw.isdigit():
-        return Case(int(raw))
     try:
-        return Case[raw.upper()]
-    except KeyError:
-        raise argparse.ArgumentTypeError(
-            f"unknown case {raw!r}; pick one of "
-            + ", ".join(c.name.lower() for c in Case)
-        )
+        return parse_case(raw)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from err
 
 
 def _add_scenario_args(sub):

@@ -29,6 +29,10 @@ rather than a matrix-vector product: the product's BLAS kernel may reorder
 the additions by the block's shape, while the row-wise sum does the same
 additions for a row whether it is solved alone or in a block, so both give
 bitwise identical rows.
+
+The kernel assumes that no bound is NaN and no box is empty (see
+:func:`empty_boxes`), and does not check it: boxes are checked where they
+enter, by ``DlmpcEngine`` once when it is built and by :func:`solve_row`.
 """
 from __future__ import annotations
 
@@ -98,27 +102,19 @@ class RowSolution:
 _REGIONS = (Region.INTERIOR, Region.UPPER_ACTIVE, Region.LOWER_ACTIVE)
 
 
-def check_rows(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Raise :class:`InfeasibleRowError` naming the first row no phi satisfies.
+def empty_boxes(lo, hi) -> np.ndarray:
+    """Mask of boxes no finite value satisfies: ``lo > hi``, ``lo = +inf`` or ``hi = -inf``."""
+    return (lo > hi) | (lo == np.inf) | (hi == -np.inf)
 
-    A row is infeasible when its box is empty, or when ``x0`` is zero (so
-    ``phi . x0 = 0`` for every phi) and its box excludes 0.  Returns whether
-    ``x0`` is zero; the proximal term alone then decides every row, whose
-    solution is its target.
-    """
-    empty = np.flatnonzero(lo > hi)
-    if empty.size:
-        k = empty[0]
-        raise InfeasibleRowError(f"row {k}: empty box: lo={lo[k]} > hi={hi[k]}")
-    if np.any(x0):
-        return False
+
+def check_rows(lo: np.ndarray, hi: np.ndarray):
+    """Raise InfeasibleRowError naming the first row whose box excludes 0 (for a zero x0)."""
     excluded = np.flatnonzero((lo > 0.0) | (hi < 0.0))
     if excluded.size:
         k = excluded[0]
         raise InfeasibleRowError(
             f"row {k}: x0 slice is zero but the box [{lo[k]}, {hi[k]}] excludes 0"
         )
-    return True
 
 
 def solve_rows(targets, x0, rho: float, lo, hi, weight) -> tuple:
@@ -127,35 +123,29 @@ def solve_rows(targets, x0, rho: float, lo, hi, weight) -> tuple:
     ``targets`` has one row per problem; ``lo``, ``hi`` and ``weight`` are
     per-row arrays or scalars.  Returns ``(phi, lam_upper, lam_lower,
     region)`` with int8 region codes 0 interior, 1 upper-active and 2
-    lower-active.  An infeasible row raises :class:`InfeasibleRowError`
+    lower-active.  Precondition, left to the caller: no bound is NaN and no
+    box is empty.  A zero ``x0`` (``x0 . x0 == 0``) leaves every row at its
+    target; a box that then excludes 0 raises :class:`InfeasibleRowError`
     naming its position in the group.
     """
     targets = np.asarray(targets, dtype=float)
     x0 = np.asarray(x0, dtype=float)
+    lo, hi, weight = np.asarray(lo, float), np.asarray(hi, float), np.asarray(weight, float)
     if targets.ndim != 2 or x0.shape != targets.shape[1:]:
         raise ValueError(f"targets of shape {targets.shape} do not match x0 of shape {x0.shape}")
-    k = targets.shape[0]
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (k,))
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (k,))
-    weight = np.broadcast_to(np.asarray(weight, dtype=float), (k,))
-    lam_upper = np.zeros(k)
-    lam_lower = np.zeros(k)
-    region = np.zeros(k, dtype=np.int8)
-    if check_rows(x0, lo, hi):
-        return targets.copy(), lam_upper, lam_lower, region
-
     x0_sq = float(x0 @ x0)
+    if not x0_sq:  # x0 is zero, or so small that its square underflows
+        k = targets.shape[0]
+        check_rows(np.broadcast_to(lo, (k,)), np.broadcast_to(hi, (k,)))
+        return targets.copy(), np.zeros(k), np.zeros(k), np.zeros(k, dtype=np.int8)
     c2 = 2.0 * weight * weight
     denom = rho + c2 * x0_sq
     # M x0 = x0 / denom, so the scalars below avoid any matrix work.
     unconstrained = rho * np.sum(targets * x0, axis=1) / denom  # rho * a M x0
     x_m_x = x0_sq / denom  # x0' M x0
-    upper = unconstrained > hi
-    lower = unconstrained < lo
-    lam_upper[upper] = (unconstrained[upper] - hi[upper]) / x_m_x[upper]
-    lam_lower[lower] = (lo[lower] - unconstrained[lower]) / x_m_x[lower]
-    region[upper] = 1
-    region[lower] = 2
+    lam_upper = np.maximum(unconstrained - hi, 0.0) / x_m_x
+    lam_lower = np.maximum(lo - unconstrained, 0.0) / x_m_x
+    region = np.int8(1) * (unconstrained > hi) + np.int8(2) * (unconstrained < lo)
 
     v = rho * targets - (lam_upper - lam_lower)[:, None] * x0
     phi = (v - (c2 * np.sum(v * x0, axis=1) / denom)[:, None] * x0) / rho
@@ -163,7 +153,9 @@ def solve_rows(targets, x0, rho: float, lo, hi, weight) -> tuple:
 
 
 def solve_row(p: RowProblem) -> RowSolution:
-    """Closed-form minimizer of one row subproblem with its multipliers."""
+    """Closed-form minimizer of one row subproblem; an empty box raises InfeasibleRowError."""
+    if empty_boxes(p.lo, p.hi):
+        raise InfeasibleRowError(f"empty box: [{p.lo}, {p.hi}]")
     phi, lam_upper, lam_lower, region = solve_rows(
         p.target[None, :], p.x0, p.rho, p.lo, p.hi, p.weight
     )

@@ -65,6 +65,51 @@ class TestEngineBasics:
         with pytest.raises(ValueError, match=f"{name} must have 8 entries, got [13]"):
             DlmpcEngine(sc.model, sc.index, sc.op, **profiles)
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (dict(rho=np.nan), "rho"),
+            (dict(eps_primal=np.inf), "eps_primal"),
+            (dict(eps_dual=-1e-4), "eps_dual"),
+            (dict(max_iterations=0), "max_iterations"),
+            (dict(state_lb=np.where(np.arange(8) == 2, np.nan, -0.2)), r"state_lb\[2\]"),
+            (dict(q_diag=np.where(np.arange(8) == 3, -1.0, 1.0)), r"q_diag\[3\]"),
+            (dict(r_diag=np.full(4, np.inf)), r"r_diag\[0\]"),
+        ],
+        ids=["rho-nan", "eps-primal-inf", "eps-dual-negative", "max-iterations-zero",
+             "nan-bound", "negative-weight", "infinite-weight"],
+    )
+    def test_rejects_misuse_at_construction(self, overrides, named):
+        sc = small_scenario()
+        with pytest.raises(ValueError, match=named):
+            sc.make_engine(**{"max_iterations": 5, **overrides}).solve_step(sc.initial_state())
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [(np.nan, r"x0\[5\] is nan"), (-np.inf, r"x0\[5\] is -inf")],
+        ids=["nan", "minus-inf"],
+    )
+    def test_rejects_non_finite_x0(self, bad, named):
+        sc = small_scenario()
+        x0 = sc.initial_state()
+        x0[5] = bad
+        with pytest.raises(ValueError, match=named):
+            sc.make_engine(max_iterations=5).solve_step(x0)
+
+    @pytest.mark.parametrize(
+        "boxes, named",
+        [
+            (dict(state_lb=np.full(8, 0.5), state_ub=np.full(8, 0.2)), "state_lb/state_ub component 0"),
+            (dict(input_lb=[0.0, 0.0, 1.0, 0.0], input_ub=np.zeros(4)), "input_lb/input_ub component 2"),
+            (dict(state_lb=np.where(np.arange(8) == 4, np.inf, -1.0)), "state_lb/state_ub component 4"),
+        ],
+        ids=["state", "input", "lower-bound-plus-inf"],
+    )
+    def test_rejects_empty_box_at_construction(self, boxes, named):
+        sc = small_scenario()
+        with pytest.raises(ValueError, match=f"{named}: empty box"):
+            DlmpcEngine(sc.model, sc.index, sc.op, **boxes)
+
     def test_row_profiles_layout(self):
         sc = small_scenario()
         weight, lo, hi = row_profiles(

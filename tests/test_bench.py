@@ -66,6 +66,10 @@ class TestChainBuilder:
         assert np.all(np.isinf(sc.state_ub))
         assert np.all(np.isinf(sc.state_lb))
 
+    def test_rejects_negative_bound_component(self):
+        with pytest.raises(ValueError, match="bound_component -1 out of range"):
+            build_scenario(ScenarioConfig(n_subsystems=3, bound_component=-1))
+
     def test_rejects_mismatched_model(self):
         with pytest.raises(ValueError):
             build_scenario(
@@ -434,6 +438,12 @@ class TestCli:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_unknown_case_in_config_is_an_error(self, tmp_path, capsys):
+        ini = tmp_path / "s.ini"
+        ini.write_text("[scenario]\nsubsystems = 2\ncase = bogus\n")
+        assert cli_main(["run", "--config", str(ini)]) == 1
+        assert "unknown case 'bogus'" in capsys.readouterr().err
 
     def test_usage_error_exits_nonzero(self):
         with pytest.raises(SystemExit):

@@ -261,17 +261,21 @@ class TestRowBlocks:
         x0 = rng.normal(size=6)
         targets = rng.normal(scale=2.0, size=(12, 6))
         weights = rng.uniform(0.5, 2.0, size=12)
-        phi, lam_upper, lam_lower, region = solve_rows(targets, x0, 2.0, -0.4, 0.9, weights)
+        lows, highs = rng.uniform(-1.0, 0.0, size=12), rng.uniform(0.0, 1.0, size=12)
         codes = {Region.INTERIOR: 0, Region.UPPER_ACTIVE: 1, Region.LOWER_ACTIVE: 2}
-        for k in range(12):
-            single = solve_row(
-                RowProblem(target=targets[k], x0=x0, rho=2.0, lo=-0.4, hi=0.9, weight=weights[k])
-            )
-            np.testing.assert_array_equal(phi[k], single.phi)
-            assert lam_upper[k] == single.lam_upper
-            assert lam_lower[k] == single.lam_lower
-            assert region[k] == codes[single.region]
-        assert set(region.tolist()) == {0, 1, 2}
+        # scalar boxes with per-row weights, then per-row boxes with a scalar weight
+        for lo, hi, weight in ((-0.4, 0.9, weights), (lows, highs, 1.0)):
+            phi, lam_upper, lam_lower, region = solve_rows(targets, x0, 2.0, lo, hi, weight)
+            lo, hi, weight = (np.broadcast_to(v, (12,)) for v in (lo, hi, weight))
+            for k in range(12):
+                single = solve_row(
+                    RowProblem(target=targets[k], x0=x0, rho=2.0, lo=lo[k], hi=hi[k], weight=weight[k])
+                )
+                np.testing.assert_array_equal(phi[k], single.phi)
+                assert lam_upper[k] == single.lam_upper
+                assert lam_lower[k] == single.lam_lower
+                assert region[k] == codes[single.region]
+            assert set(region.tolist()) == {0, 1, 2}
 
     def test_block_rejects_width_mismatch(self):
         with pytest.raises(ValueError):
