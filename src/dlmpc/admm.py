@@ -135,18 +135,6 @@ class StepResult:
     packets: list | None = None
 
 
-@dataclass(frozen=True)
-class _RowGroup:
-    """Rows that share one x0 slice: their global rows, block and x0 indices, boxes and weights."""
-
-    rows: np.ndarray
-    at: tuple | np.ndarray
-    x0_at: np.ndarray | slice
-    lo: np.ndarray
-    hi: np.ndarray
-    weight: np.ndarray
-
-
 def _share(state: AdmmState, t0: float):
     """Charge the wall time since ``t0`` to every subsystem in equal parts."""
     state.per_sub_seconds += (time.perf_counter() - t0) / state.per_sub_seconds.size
@@ -269,19 +257,11 @@ class DlmpcEngine:
         )
         self.row_weight, self.row_lo, self.row_hi = w, lo, hi
 
-        self._row_groups = []  # per subsystem: its state rows, then its input rows
+        self._row_boxes = []  # per subsystem: lo, hi and weight of its rows
         self._u0_pos = []
         for sub in index.subsystems:
-            states, inputs = np.flatnonzero(sub.row_is_state), np.flatnonzero(~sub.row_is_state)
-            scp = sub.state_col_positions
-            groups = []
-            for pos, at, x0_at in ((states, np.ix_(states, scp), scp), (inputs, inputs, slice(None))):
-                rows = sub.rows[pos]
-                groups.append(_RowGroup(rows, at, x0_at, lo[rows], hi[rows], w[rows]))
-            self._row_groups.append(groups)
-            self._u0_pos.append(
-                np.where(~sub.row_is_state & (sub.row_time == 0))[0]
-            )
+            self._row_boxes.append((lo[sub.rows], hi[sub.rows], w[sub.rows]))
+            self._u0_pos.append(np.flatnonzero(~sub.row_is_state & (sub.row_time == 0)))
 
         # block shapes and flat offsets of the row and column buffers
         self._shapes = {
@@ -368,38 +348,33 @@ class DlmpcEngine:
     # -- per-subsystem updates ----------------------------------------------
 
     def row_step(self, state: AdmmState, i: int):
-        """Proximal row update for subsystem i: its state rows, then its input rows.
+        """Proximal row update for subsystem i, each row over its ``row_mask`` row.
 
-        State rows see only the d-hop state columns, input rows the whole
-        coupled slice, so each group shares one x0 slice.
+        The explicit route solves the block in one call, with the x0 slice
+        zeroed off each row's support; the QP route solves row by row.
         """
-        x0 = state.x0_slices[i - 1]
+        sub = self.index.subsystems[i - 1]
+        x0, mask = state.x0_slices[i - 1], sub.row_mask
         a = state.psi_r[i - 1] - state.lam_r[i - 1]
-        out = state.phi_r[i - 1]
-        for group in self._row_groups[i - 1]:
-            out[group.at] = self._solve_group(i, group, a[group.at], x0[group.x0_at])
-
-    def _solve_group(self, i: int, group: _RowGroup, targets, x0) -> np.ndarray:
-        lo, hi, w = group.lo, group.hi, group.weight
+        lo, hi, w = self._row_boxes[i - 1]
         try:
             if self.row_solver is RowSolverKind.EXPLICIT:
-                return solve_rows(targets, x0, self.rho, lo, hi, w)[0]
-            if not np.any(x0):
-                check_rows(lo, hi)
-                return targets.copy()
-            phi = np.empty_like(targets)
-            for r, target in enumerate(targets):
-                qp = row_qp(target, x0, self.rho, lo[r], hi[r], w[r])
-                res = solve_qp(qp, tol=self.qp_tol)
-                if res.status is QpStatus.INFEASIBLE:
-                    raise InfeasibleRowError(f"row {r}: QP infeasible, box [{lo[r]}, {hi[r]}]")
-                phi[r] = res.x[:-1]
-            return phi
+                phi = solve_rows(a, np.where(mask, x0, 0.0), self.rho, lo, hi, w)[0]
+            else:
+                phi = a.copy()  # rows with a zero x0 stay at their targets
+                zero = ~np.any(mask & (x0 != 0.0), axis=1)
+                check_rows(lo, hi, zero)
+                for r in np.flatnonzero(~zero):
+                    cols = mask[r]
+                    qp = row_qp(a[r, cols], x0[cols], self.rho, lo[r], hi[r], w[r])
+                    res = solve_qp(qp, tol=self.qp_tol)
+                    if res.status is QpStatus.INFEASIBLE:
+                        raise InfeasibleRowError(f"QP infeasible, box [{lo[r]}, {hi[r]}]", row=r)
+                    phi[r, cols] = res.x[:-1]
         except InfeasibleRowError as err:
-            raise InfeasibleRowError(
-                f"subsystem {i}: infeasible row among global rows "
-                f"{group.rows.tolist()}: {err}"
-            ) from err
+            g = sub.rows[err.row]
+            raise InfeasibleRowError(f"subsystem {i}: global row {g}: {err.detail}") from err
+        state.phi_r[i - 1][...] = phi
 
     def column_step(self, state: AdmmState, i: int):
         """Project subsystem i's column slice onto the dynamics constraint."""
@@ -413,8 +388,10 @@ class DlmpcEngine:
         primal = rows[0] - rows[1]
         rows[2] += primal
         cols[2] += cols[0] - cols[1]
-        off = self._offsets["r"]
-        norms = lambda diff: np.array([np.linalg.norm(diff[a:b]) for a, b in zip(off, off[1:])])
+        # one segment per subsystem; reduceat misreads empty segments, but no
+        # row block is empty (every subsystem has a state and its T+1 rows)
+        starts = self._offsets["r"][:-1]
+        norms = lambda diff: np.sqrt(np.add.reduceat(diff * diff, starts))
         state.primal, state.dual = norms(primal), norms(rows[1] - rows[3])
         _share(state, t0)
 

@@ -21,14 +21,13 @@ never formed: ``v M = (v - (2 w^2 (v.x0) / (rho + 2 w^2 ||x0||^2)) x0) / rho``.
 Boundary ties classify as INTERIOR (the multiplier is zero there, so the
 solutions agree).
 
-A row depends on its own target, box and weight and on an ``x0`` and ``rho``
-shared by every row of a subsystem's row group, so :func:`solve_rows` solves
-a whole group in one array expression; :func:`solve_row` is its one-row
-case.  The dot products are row-wise sums (``np.sum(targets * x0, axis=1)``)
-rather than a matrix-vector product: the product's BLAS kernel may reorder
-the additions by the block's shape, while the row-wise sum does the same
-additions for a row whether it is solved alone or in a block, so both give
-bitwise identical rows.
+A row depends on its own target, box, weight and ``x0``, and on a ``rho``
+shared by every row, so :func:`solve_rows` solves a block of rows in one
+array expression; :func:`solve_row` is its one-row case.  The rows may share
+one ``x0`` or each carry their own, zero off the row's support.  The dot
+products are sequential left-to-right sums (``np.add.accumulate``), not BLAS
+or pairwise sums: zeros padded around a row's support leave such a sum
+unchanged, so a padded row in a block is bitwise the row solved alone.
 
 The kernel assumes that no bound is NaN and no box is empty (see
 :func:`empty_boxes`), and does not check it: boxes are checked where they
@@ -43,7 +42,14 @@ import numpy as np
 
 
 class InfeasibleRowError(ValueError):
-    """The row's box constraint cannot be satisfied."""
+    """The row's box constraint cannot be satisfied.
+
+    ``row`` is its position in its block, if known; ``detail`` omits it.
+    """
+
+    def __init__(self, detail: str, row: int | None = None):
+        super().__init__(detail if row is None else f"row {row}: {detail}")
+        self.row, self.detail = row, detail
 
 
 class Region(Enum):
@@ -77,10 +83,10 @@ class RowProblem:
             raise ValueError(
                 f"target has length {self.target.shape[0]} but x0 has {self.x0.shape[0]}"
             )
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if self.weight < 0:
-            raise ValueError("weight must be nonnegative")
+        if not (np.isfinite(self.rho) and self.rho > 0):
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if not (np.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError(f"weight must be finite and nonnegative, got {self.weight}")
         if np.isnan(self.lo) or np.isnan(self.hi):
             raise ValueError("bounds must not be NaN")
 
@@ -107,48 +113,59 @@ def empty_boxes(lo, hi) -> np.ndarray:
     return (lo > hi) | (lo == np.inf) | (hi == -np.inf)
 
 
-def check_rows(lo: np.ndarray, hi: np.ndarray):
-    """Raise InfeasibleRowError naming the first row whose box excludes 0 (for a zero x0)."""
-    excluded = np.flatnonzero((lo > 0.0) | (hi < 0.0))
+def check_rows(lo, hi, zero):
+    """Raise InfeasibleRowError naming the first row with a zero x0 whose box excludes 0."""
+    excluded = np.flatnonzero(zero & ((lo > 0.0) | (hi < 0.0)))
     if excluded.size:
         k = excluded[0]
-        raise InfeasibleRowError(
-            f"row {k}: x0 slice is zero but the box [{lo[k]}, {hi[k]}] excludes 0"
-        )
+        lo, hi = np.broadcast_to(lo, zero.shape), np.broadcast_to(hi, zero.shape)
+        raise InfeasibleRowError(f"x0 slice is zero but the box [{lo[k]}, {hi[k]}] excludes 0", row=k)
+
+
+def _dot(a, b) -> np.ndarray:
+    """Row-wise dot products as sequential left-to-right sums (zeros for zero width)."""
+    return np.add.accumulate(a * b, axis=1)[:, -1] if a.shape[1] else np.zeros(a.shape[0])
 
 
 def solve_rows(targets, x0, rho: float, lo, hi, weight) -> tuple:
-    """Closed-form minimizers of a group of rows that share ``x0`` and ``rho``.
+    """Closed-form minimizers of a block of rows that share ``rho``.
 
-    ``targets`` has one row per problem; ``lo``, ``hi`` and ``weight`` are
-    per-row arrays or scalars.  Returns ``(phi, lam_upper, lam_lower,
-    region)`` with int8 region codes 0 interior, 1 upper-active and 2
-    lower-active.  Precondition, left to the caller: no bound is NaN and no
-    box is empty.  A zero ``x0`` (``x0 . x0 == 0``) leaves every row at its
-    target; a box that then excludes 0 raises :class:`InfeasibleRowError`
-    naming its position in the group.
+    ``targets`` has one row per problem; ``x0`` is one slice shared by all
+    rows or one per row, zero off the row's support (where the target is zero
+    too, the row is bitwise the row solved alone over its support); ``lo``,
+    ``hi`` and ``weight`` are per-row arrays or scalars.  Returns ``(phi,
+    lam_upper, lam_lower, region)`` with int8 region codes 0 interior, 1
+    upper-active and 2 lower-active.  Precondition, left to the caller: no
+    bound is NaN and no box is empty.  A row with a zero ``x0`` (``x0 . x0 ==
+    0``) stays at its target; if its box excludes 0,
+    :class:`InfeasibleRowError` names its position in the block.
     """
     targets = np.asarray(targets, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     lo, hi, weight = np.asarray(lo, float), np.asarray(hi, float), np.asarray(weight, float)
-    if targets.ndim != 2 or x0.shape != targets.shape[1:]:
+    if targets.ndim != 2 or x0.shape not in (targets.shape[1:], targets.shape):
         raise ValueError(f"targets of shape {targets.shape} do not match x0 of shape {x0.shape}")
-    x0_sq = float(x0 @ x0)
-    if not x0_sq:  # x0 is zero, or so small that its square underflows
-        k = targets.shape[0]
-        check_rows(np.broadcast_to(lo, (k,)), np.broadcast_to(hi, (k,)))
-        return targets.copy(), np.zeros(k), np.zeros(k), np.zeros(k, dtype=np.int8)
+    if x0.ndim == 1:  # one slice shared by every row
+        x0 = np.broadcast_to(x0, targets.shape)
+    x0_sq = _dot(x0, x0)
+    zero = x0_sq == 0.0  # x0 is zero, or so small that its square underflows
+    if zero.any():
+        check_rows(lo, hi, zero)
+        # the box holds 0, so a zeroed x0 gives zero multipliers; phi is reset below
+        x0, x0_sq = x0 * ~zero[:, None], np.where(zero, 1.0, x0_sq)
     c2 = 2.0 * weight * weight
     denom = rho + c2 * x0_sq
     # M x0 = x0 / denom, so the scalars below avoid any matrix work.
-    unconstrained = rho * np.sum(targets * x0, axis=1) / denom  # rho * a M x0
+    unconstrained = rho * _dot(targets, x0) / denom  # rho * a M x0
     x_m_x = x0_sq / denom  # x0' M x0
     lam_upper = np.maximum(unconstrained - hi, 0.0) / x_m_x
     lam_lower = np.maximum(lo - unconstrained, 0.0) / x_m_x
     region = np.int8(1) * (unconstrained > hi) + np.int8(2) * (unconstrained < lo)
 
     v = rho * targets - (lam_upper - lam_lower)[:, None] * x0
-    phi = (v - (c2 * np.sum(v * x0, axis=1) / denom)[:, None] * x0) / rho
+    phi = (v - (c2 * _dot(v, x0) / denom)[:, None] * x0) / rho
+    if zero.any():
+        phi[zero] = targets[zero]
     return phi, lam_upper, lam_lower, region
 
 

@@ -230,7 +230,6 @@ class SubsystemIndex:
     row_mask        boolean (len(rows), len(row_cols)); True where the entry
                     may be nonzero.  State rows only reach columns of the
                     d-hop incoming set, so some of their entries are masked.
-    state_col_positions  positions within row_cols that state rows may touch
     """
 
     sub_id: int
@@ -241,7 +240,6 @@ class SubsystemIndex:
     row_cols: np.ndarray
     col_rows: np.ndarray
     row_mask: np.ndarray
-    state_col_positions: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -343,7 +341,6 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
                 row_cols=row_cols,
                 col_rows=col_rows,
                 row_mask=row_mask,
-                state_col_positions=state_col_positions,
             )
         )
 

@@ -287,7 +287,7 @@ class TestConvergenceControl:
         )
         engine = sc.make_engine()
         # zero measured state puts 0 outside the box for every bounded row
-        with pytest.raises(InfeasibleRowError, match="subsystem"):
+        with pytest.raises(InfeasibleRowError, match=r"^subsystem 1: global row 6: "):
             engine.solve_step(np.zeros(sc.model.n_states))
 
 

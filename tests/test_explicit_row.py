@@ -196,6 +196,15 @@ class TestDegenerateRows:
         with pytest.raises(ValueError):
             RowProblem(target=np.ones(1), x0=np.ones(1), rho=1.0, lo=np.nan)
 
+    @pytest.mark.parametrize(
+        "field, value", [("weight", np.nan), ("weight", np.inf), ("rho", np.inf)]
+    )
+    def test_rejects_non_finite_rho_and_weight(self, field, value):
+        kwargs = dict(target=np.ones(2), x0=np.ones(2), rho=1.0, weight=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            RowProblem(**kwargs)
+
 
 class TestAgainstQpSolver:
     def test_random_sweep_matches(self):
@@ -284,6 +293,67 @@ class TestRowBlocks:
     def test_block_error_names_offending_row(self):
         with pytest.raises(InfeasibleRowError, match="row 1"):
             solve_rows(np.ones((2, 2)), np.zeros(2), 1.0, [-1.0, 0.5], [1.0, 1.0], 1.0)
+
+    @staticmethod
+    def alone(targets, x0, masks, rho, lo, hi, weight):
+        """Each row solved by ``solve_row`` over its own support only."""
+        out = []
+        for k, m in enumerate(masks):
+            out.append(solve_row(RowProblem(
+                target=targets[k, m], x0=x0[m], rho=rho, lo=lo[k], hi=hi[k], weight=weight[k]
+            )))
+        return out
+
+    def test_padded_rows_equal_rows_solved_alone_bitwise(self):
+        rng = np.random.default_rng(27)
+        codes = {Region.INTERIOR: 0, Region.UPPER_ACTIVE: 1, Region.LOWER_ACTIVE: 2}
+        # supports long enough that a pairwise sum would group the additions differently
+        masks = rng.random((40, 24)) < 0.7
+        x0 = rng.normal(size=24)
+        targets = rng.normal(scale=2.0, size=masks.shape) * masks
+        lo, hi = rng.uniform(-1.0, 0.0, size=40), rng.uniform(0.0, 1.0, size=40)
+        weight = rng.uniform(0.0, 2.0, size=40)
+        phi, lam_upper, lam_lower, region = solve_rows(
+            targets, np.where(masks, x0, 0.0), 1.5, lo, hi, weight
+        )
+        for k, single in enumerate(self.alone(targets, x0, masks, 1.5, lo, hi, weight)):
+            np.testing.assert_array_equal(phi[k, masks[k]], single.phi)
+            assert not phi[k, ~masks[k]].any()
+            assert lam_upper[k] == single.lam_upper
+            assert lam_lower[k] == single.lam_lower
+            assert region[k] == codes[single.region]
+        assert set(region.tolist()) == {0, 1, 2}
+
+    def test_zero_rows_keep_their_targets(self):
+        rng = np.random.default_rng(28)
+        x0 = rng.normal(size=(5, 4))
+        x0[1] = 0.0
+        x0[3] = 1e-200  # its square underflows to 0
+        targets = rng.normal(scale=2.0, size=(5, 4))
+        lo, hi = np.full(5, -0.1), np.full(5, 0.1)
+        phi, lam_upper, lam_lower, region = solve_rows(targets, x0, 3.0, lo, hi, 1.0)
+        np.testing.assert_array_equal(phi[[1, 3]], targets[[1, 3]])
+        assert not lam_upper[[1, 3]].any() and not lam_lower[[1, 3]].any()
+        assert not region[[1, 3]].any()
+        for k in (0, 2, 4):
+            single = solve_row(RowProblem(target=targets[k], x0=x0[k], rho=3.0, lo=-0.1, hi=0.1))
+            np.testing.assert_array_equal(phi[k], single.phi)
+            assert lam_upper[k] == single.lam_upper and lam_lower[k] == single.lam_lower
+
+    def test_zero_row_error_names_its_position(self):
+        x0 = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
+        # row 0 excludes 0 but has a non-zero x0; row 1 is zero and holds 0
+        with pytest.raises(InfeasibleRowError, match="row 2") as err:
+            solve_rows(np.ones((3, 2)), x0, 1.0, [0.5, -1.0, 0.5], [1.0, 1.0, 1.0], 1.0)
+        assert err.value.row == 2
+
+    @pytest.mark.parametrize("x0", [np.zeros(0), np.zeros((2, 0))], ids=["shared", "per-row"])
+    def test_zero_width_block(self, x0):
+        phi, lam_upper, lam_lower, region = solve_rows(np.ones((2, 0)), x0, 1.0, -1.0, 1.0, 1.0)
+        assert phi.shape == (2, 0)
+        assert not lam_upper.any() and not lam_lower.any() and not region.any()
+        with pytest.raises(InfeasibleRowError, match="row 1"):
+            solve_rows(np.ones((2, 0)), x0, 1.0, [-1.0, 0.5], 1.0, 1.0)
 
     def test_solution_lam_property(self):
         sol = RowSolution(np.zeros(1), lam_upper=0.3, lam_lower=0.0, region=Region.UPPER_ACTIVE)

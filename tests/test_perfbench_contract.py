@@ -2,9 +2,12 @@
 
 ``perfbench`` hooks the engine's phase methods and reads its state from
 outside, so a change to the package can break the harness without breaking
-any unit test.  These tests run it end to end, untraced and traced.
+any unit test.  These tests run it end to end, untraced and traced, and
+read the last stdout line, the result a benchmark run is judged by, as strict
+JSON (no NaN or Infinity) whose metric values are all finite.
 """
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +17,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def reject_constant(name: str):
+    """The last stdout line must be strict JSON: no NaN, Infinity or -Infinity."""
+    raise ValueError(f"{name} in the result line")
+
+
 def run_perfbench(trace: int) -> str:
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", "chain-active-box",
@@ -21,9 +29,11 @@ def run_perfbench(trace: int) -> str:
     ]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    summary = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=reject_constant)
     assert summary["correct"] is True, proc.stdout
     assert summary["failed"] == 0, proc.stdout
+    for name, metric in summary["metrics"].items():
+        assert math.isfinite(metric["value"]), f"{name} is {metric['value']}"
     return proc.stdout
 
 
