@@ -123,13 +123,13 @@ class AdmmState:
 
 @dataclass
 class StepResult:
-    """Converged MPC step: applied input plus iteration diagnostics."""
+    """Converged MPC step: the applied input and the state it came from.
+
+    The residual history and per-subsystem times live on ``state``.
+    """
 
     u: np.ndarray
     iterations: int
-    primal_history: np.ndarray
-    dual_history: np.ndarray
-    per_sub_seconds: np.ndarray
     state: AdmmState
     x0: np.ndarray
     packets: list | None = None
@@ -538,14 +538,4 @@ class DlmpcEngine:
             u[model.input_indices(i)] = self.extract_control(state, i)
             times[i - 1] += time.perf_counter() - t0
 
-        primal_history, dual_history = np.array(state.residual_history).reshape(-1, 2).T
-        return StepResult(
-            u=u,
-            iterations=state.iteration,
-            primal_history=primal_history,
-            dual_history=dual_history,
-            per_sub_seconds=times.copy(),
-            state=state,
-            x0=x0,
-            packets=packets,
-        )
+        return StepResult(u=u, iterations=state.iteration, state=state, x0=x0, packets=packets)

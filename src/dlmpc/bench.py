@@ -11,8 +11,9 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -149,7 +150,10 @@ def build_scenario(config: ScenarioConfig, model: NetworkModel | None = None) ->
     """Assemble index sets, constraint operator and cost/bound vectors."""
     model = build_chain_model(config.n_subsystems) if model is None else model
     if model.n_subsystems != config.n_subsystems:
-        raise ValueError("model size does not match the configuration")
+        raise ValueError(
+            f"the model has {model.n_subsystems} subsystems, "
+            f"the configuration {config.n_subsystems}"
+        )
     graph = build_graph(model)
     index = build_locality_index(graph, model, config.locality, config.horizon)
     op = assemble_feasibility_operator(model, index)
@@ -231,6 +235,30 @@ class RunReport:
         return np.array([s.iterations for s in self.steps])
 
 
+def _simulate(scenario: Scenario, policy, sim_steps: int | None, x0: np.ndarray | None) -> tuple:
+    """Drive the exact plant with ``u = policy(s, x)`` for ``sim_steps`` steps.
+
+    Starts from ``x0`` (default: the scenario's initial state) and returns
+    the states, the inputs and the realized cost.
+    """
+    sim_steps = scenario.config.sim_steps if sim_steps is None else int(sim_steps)
+    if sim_steps < 0:
+        raise ValueError(f"sim_steps must be at least 0, got {sim_steps}")
+    model = scenario.model
+    a_full, b_full = model.full_a(), model.full_b()
+    x = scenario.initial_state() if x0 is None else np.asarray(x0, float).copy()
+    states = [x.copy()]
+    inputs = []
+    for s in range(sim_steps):
+        u = policy(s, x)
+        inputs.append(u.copy())
+        x = a_full @ x + b_full @ u
+        states.append(x.copy())
+    states = np.asarray(states)
+    inputs = np.asarray(inputs).reshape(sim_steps, model.n_inputs)
+    return states, inputs, realized_cost(states, inputs, scenario.q_diag, scenario.r_diag)
+
+
 def run_closed_loop(
     scenario: Scenario,
     sim_steps: int | None = None,
@@ -245,17 +273,12 @@ def run_closed_loop(
     same initial state for a cost comparison.
     """
     cfg = scenario.config
-    sim_steps = cfg.sim_steps if sim_steps is None else int(sim_steps)
-    model = scenario.model
-    a_full, b_full = model.full_a(), model.full_b()
     engine = scenario.make_engine() if engine is None else engine
-
-    x = scenario.initial_state() if x0 is None else np.asarray(x0, float).copy()
-    states = [x.copy()]
-    inputs = []
     steps = []
     warm = None
-    for s in range(sim_steps):
+
+    def policy(s, x):
+        nonlocal warm
         try:
             result = engine.solve_step(x, warm_state=warm)
         except ConvergenceError as err:
@@ -264,36 +287,19 @@ def run_closed_loop(
             ) from err
         except InfeasibleRowError as err:
             raise InfeasibleRowError(f"MPC step {s}: {err}") from err
+        state = result.state
         if cfg.warm_start:
-            warm = result.state
-        inputs.append(result.u.copy())
-        steps.append(
-            StepRecord(
-                step=s,
-                iterations=result.iterations,
-                primal_residual=float(result.primal_history[-1]),
-                dual_residual=float(result.dual_history[-1]),
-                per_sub_seconds=result.per_sub_seconds,
-            )
-        )
-        x = a_full @ x + b_full @ result.u
-        states.append(x.copy())
-    states = np.asarray(states)
-    inputs = np.asarray(inputs).reshape(sim_steps, model.n_inputs)
-    report = RunReport(
-        config=cfg,
-        states=states,
-        inputs=inputs,
-        steps=steps,
-        cost=realized_cost(states, inputs, scenario.q_diag, scenario.r_diag),
-    )
+            warm = state
+        primal, dual = state.residual_history[-1]
+        steps.append(StepRecord(s, result.iterations, primal, dual, state.per_sub_seconds.copy()))
+        return result.u
+
+    states, inputs, cost = _simulate(scenario, policy, sim_steps, x0)
+    report = RunReport(config=cfg, states=states, inputs=inputs, steps=steps, cost=cost)
     if with_baseline:
-        b_states, b_inputs, b_cost = centralized_closed_loop(
-            scenario, sim_steps=sim_steps, x0=states[0], tol=baseline_tol
+        report.baseline_states, report.baseline_inputs, report.baseline_cost = (
+            centralized_closed_loop(scenario, sim_steps=sim_steps, x0=states[0], tol=baseline_tol)
         )
-        report.baseline_states = b_states
-        report.baseline_inputs = b_inputs
-        report.baseline_cost = b_cost
     return report
 
 
@@ -304,17 +310,11 @@ def centralized_closed_loop(
     tol: float = 1e-10,
 ) -> tuple:
     """Receding-horizon loop driven by the monolithic constrained solver."""
-    cfg = scenario.config
-    sim_steps = cfg.sim_steps if sim_steps is None else int(sim_steps)
-    model = scenario.model
-    a_full, b_full = model.full_a(), model.full_b()
-    x = scenario.initial_state() if x0 is None else np.asarray(x0, float).copy()
-    states = [x.copy()]
-    inputs = []
-    for _ in range(sim_steps):
+
+    def policy(s, x):
         sol = centralized_mpc(
-            model,
-            cfg.horizon,
+            scenario.model,
+            scenario.config.horizon,
             x,
             q_diag=scenario.q_diag,
             r_diag=scenario.r_diag,
@@ -327,13 +327,9 @@ def centralized_closed_loop(
         )
         if sol.status is not QpStatus.OPTIMAL:
             raise RuntimeError(f"baseline solver returned {sol.status.value}")
-        u = sol.u_sequence[0]
-        inputs.append(u.copy())
-        x = a_full @ x + b_full @ u
-        states.append(x.copy())
-    states = np.asarray(states)
-    inputs = np.asarray(inputs).reshape(sim_steps, model.n_inputs)
-    return states, inputs, realized_cost(states, inputs, scenario.q_diag, scenario.r_diag)
+        return sol.u_sequence[0]
+
+    return _simulate(scenario, policy, sim_steps, x0)
 
 
 def box_violation(report: RunReport, scenario: Scenario) -> float:
@@ -415,16 +411,33 @@ def run_scaling_sweep(
 # -- reports -----------------------------------------------------------------
 
 
-def _config_to_dict(cfg: ScenarioConfig) -> dict:
-    data = asdict(cfg)
-    data["case"] = cfg.case.name.lower()
-    return data
+def _plain(obj):
+    """JSON-ready form of a report: dataclasses as dicts, arrays as lists.
+
+    A Case becomes its lower-case name and a non-finite float its repr
+    (``"inf"``, ``"-inf"``, ``"nan"``), so the file is strict JSON.
+    """
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Case):
+        return obj.name.lower()
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _plain(obj.tolist())
+    if isinstance(obj, list):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
 
 
-def config_from_dict(data: dict) -> ScenarioConfig:
-    data = dict(data)
-    data["case"] = parse_case(data.get("case", Case.EXPLICIT))
-    return ScenarioConfig(**data)
+def _write_csv(path: Path, header, rows) -> Path:
+    """One CSV file; floats are written by repr, so they read back exactly."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    return path
 
 
 def emit_report(report: RunReport, directory, stem: str = "run") -> dict:
@@ -435,93 +448,52 @@ def emit_report(report: RunReport, directory, stem: str = "run") -> dict:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "config": _config_to_dict(report.config),
-        "states": report.states.tolist(),
-        "inputs": report.inputs.tolist(),
-        "cost": report.cost,
-        "baseline_cost": report.baseline_cost,
-        "baseline_states": None
-        if report.baseline_states is None
-        else report.baseline_states.tolist(),
-        "baseline_inputs": None
-        if report.baseline_inputs is None
-        else report.baseline_inputs.tolist(),
-        "steps": [
-            {
-                "step": s.step,
-                "iterations": s.iterations,
-                "primal_residual": s.primal_residual,
-                "dual_residual": s.dual_residual,
-                "per_sub_seconds": s.per_sub_seconds.tolist(),
-            }
-            for s in report.steps
-        ],
-    }
     json_path = directory / f"{stem}.json"
-    json_path.write_text(json.dumps(payload, indent=2))
-    csv_path = directory / f"{stem}.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["step", "iterations", "primal_residual", "dual_residual", "mean_sub_seconds"]
-        )
-        for s in report.steps:
-            writer.writerow(
-                [
-                    s.step,
-                    s.iterations,
-                    repr(s.primal_residual),
-                    repr(s.dual_residual),
-                    repr(float(np.mean(s.per_sub_seconds))),
-                ]
-            )
+    json_path.write_text(json.dumps(_plain(report), indent=2, allow_nan=False))
+    csv_path = _write_csv(
+        directory / f"{stem}.csv",
+        ["step", "iterations", "primal_residual", "dual_residual", "mean_sub_seconds"],
+        (
+            [s.step, s.iterations, s.primal_residual, s.dual_residual,
+             float(np.mean(s.per_sub_seconds))]
+            for s in report.steps
+        ),
+    )
     return {"json": json_path, "csv": csv_path}
 
 
-def load_report(json_path) -> dict:
-    """Read back an emitted JSON report (arrays as numpy, config rebuilt)."""
+def load_report(json_path) -> RunReport:
+    """Read back the RunReport that :func:`emit_report` wrote.
+
+    Arrays come back as numpy and non-finite floats from their strings; the
+    bare ``Infinity``/``NaN`` of reports written before that still load.
+    """
+
+    def decode(raw: dict) -> dict:
+        # a list is an array, a string a non-finite float ("inf", "-inf", "nan")
+        return {
+            k: np.asarray(v, dtype=float) if isinstance(v, list)
+            else float(v) if isinstance(v, str) else v
+            for k, v in raw.items()
+        }
+
     data = json.loads(Path(json_path).read_text())
-    data["config"] = config_from_dict(data["config"])
-    for key in ("states", "inputs", "baseline_states", "baseline_inputs"):
-        if data.get(key) is not None:
-            data[key] = np.asarray(data[key])
-    for step in data["steps"]:
-        step["per_sub_seconds"] = np.asarray(step["per_sub_seconds"])
-    return data
+    config = data.pop("config")
+    case = parse_case(config.pop("case"))
+    steps = [StepRecord(**decode(s)) for s in data.pop("steps")]
+    return RunReport(
+        config=ScenarioConfig(case=case, **decode(config)), steps=steps, **decode(data)
+    )
 
 
 def emit_sweep(rows, directory, stem: str = "sweep") -> Path:
     """Write scaling-sweep rows as CSV; floats keep full precision."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{stem}.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "n_subsystems",
-                "case",
-                "cold_seconds",
-                "warm_seconds",
-                "cold_iterations",
-                "warm_iterations",
-                "total_seconds",
-            ]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.n_subsystems,
-                    r.case,
-                    repr(r.cold_seconds),
-                    repr(r.warm_seconds),
-                    r.cold_iterations,
-                    repr(r.warm_iterations),
-                    repr(r.total_seconds),
-                ]
-            )
-    return path
+    names = [f.name for f in fields(SweepRow)]
+    return _write_csv(
+        directory / f"{stem}.csv", names, ([getattr(r, n) for n in names] for r in rows)
+    )
 
 
 # -- file loaders --------------------------------------------------------------

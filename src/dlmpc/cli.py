@@ -43,7 +43,7 @@ def _parse_case(raw: str) -> Case:
 def _add_scenario_args(sub):
     sub.add_argument("--config", help="INI scenario file")
     sub.add_argument("--model", help="external model block file")
-    sub.add_argument("--subsystems", type=int, help="chain length (if no config/model)")
+    sub.add_argument("--subsystems", type=int, help="chain length (overrides the config)")
     sub.add_argument(
         "--case",
         type=_parse_case,
@@ -65,17 +65,15 @@ def _scenario_from_args(args):
     model = load_model_file(args.model) if args.model else None
     if args.config:
         cfg = load_config(args.config)
+    elif model is not None:
+        cfg = ScenarioConfig(n_subsystems=model.n_subsystems)
+    elif args.subsystems is not None:
+        cfg = ScenarioConfig(n_subsystems=args.subsystems)
     else:
-        n_sub = args.subsystems if args.subsystems is not None else (
-            model.n_subsystems if model is not None else None
-        )
-        if n_sub is None:
-            raise SystemExit("need --config, --model or --subsystems")
-        cfg = ScenarioConfig(n_subsystems=n_sub)
+        raise SystemExit("need --config, --model or --subsystems")
     overrides = {}
-    if model is not None:
-        overrides["n_subsystems"] = model.n_subsystems
     for field_name, arg_name in (
+        ("n_subsystems", "subsystems"),
         ("case", "case"),
         ("horizon", "horizon"),
         ("locality", "locality"),
@@ -105,7 +103,8 @@ def _cmd_run(args) -> int:
         f"(case {cfg.case.name.lower()}, locality {cfg.locality})"
     )
     iters = report.iterations
-    print(f"iterations per step: min {iters.min()} max {iters.max()}")
+    if iters.size:
+        print(f"iterations per step: min {iters.min()} max {iters.max()}")
     print(f"realized cost: {report.cost:.6f}")
     if report.baseline_cost is not None:
         gap = abs(report.cost - report.baseline_cost) / max(abs(report.baseline_cost), 1e-12)

@@ -178,6 +178,12 @@ class TestClosedLoop:
         assert capped.max() > 0.7 - 1e-3  # trajectory rides the bound
         assert rep_t.cost > rep_l.cost
 
+    @pytest.mark.parametrize("loop", [run_closed_loop, centralized_closed_loop])
+    def test_negative_sim_steps_rejected(self, loop):
+        sc = build_scenario(ScenarioConfig(n_subsystems=2, horizon=2))
+        with pytest.raises(ValueError, match="sim_steps must be at least 0, got -2"):
+            loop(sc, sim_steps=-2)
+
     def test_baseline_loop_matches_distributed_closely(self):
         sc = build_scenario(ScenarioConfig(n_subsystems=3, horizon=3, sim_steps=3))
         rep = run_closed_loop(sc, with_baseline=True)
@@ -209,13 +215,47 @@ class TestReports:
         rep = run_closed_loop(sc, with_baseline=True)
         paths = emit_report(rep, tmp_path)
         back = load_report(paths["json"])
-        np.testing.assert_array_equal(back["states"], rep.states)
-        np.testing.assert_array_equal(back["inputs"], rep.inputs)
-        assert back["cost"] == rep.cost
-        assert back["baseline_cost"] == rep.baseline_cost
-        assert back["config"] == rep.config
-        assert len(back["steps"]) == 2
-        assert back["steps"][0]["iterations"] == rep.steps[0].iterations
+        assert isinstance(back, RunReport)
+        assert back.config == rep.config
+        for name in ("states", "inputs", "baseline_states", "baseline_inputs"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(rep, name))
+        assert back.cost == rep.cost
+        assert back.baseline_cost == rep.baseline_cost
+        assert len(back.steps) == len(rep.steps) == 2
+        for got, want in zip(back.steps, rep.steps):
+            assert got.step == want.step
+            assert got.iterations == want.iterations
+            assert got.primal_residual == want.primal_residual
+            assert got.dual_residual == want.dual_residual
+            np.testing.assert_array_equal(got.per_sub_seconds, want.per_sub_seconds)
+
+    def test_json_is_strict_and_keeps_infinite_bounds(self, tmp_path):
+        # the stock input box is unbounded: input_lower = -inf, input_upper = inf
+        sc = build_scenario(ScenarioConfig(n_subsystems=2, horizon=2, sim_steps=1))
+        rep = run_closed_loop(sc)
+        paths = emit_report(rep, tmp_path)
+
+        def reject_constant(name):
+            raise ValueError(f"{name} in the report")
+
+        data = json.loads(paths["json"].read_text(), parse_constant=reject_constant)
+        assert data["config"]["input_lower"] == "-inf"
+        assert data["config"]["input_upper"] == "inf"
+        back = load_report(paths["json"]).config
+        assert back.input_lower == -np.inf and back.input_upper == np.inf
+        assert back == rep.config
+
+    def test_loads_report_with_bare_non_finite_constants(self, tmp_path):
+        sc = build_scenario(ScenarioConfig(n_subsystems=2, horizon=2, sim_steps=1))
+        rep = run_closed_loop(sc)
+        path = emit_report(rep, tmp_path)["json"]
+        # older reports were written with json's Infinity / -Infinity
+        text = path.read_text().replace('"-inf"', "-Infinity").replace('"inf"', "Infinity")
+        assert "-Infinity" in text
+        path.write_text(text)
+        back = load_report(path)
+        assert back.config == rep.config
+        np.testing.assert_array_equal(back.states, rep.states)
 
     def test_csv_step_rows_parse_exactly(self, tmp_path):
         sc = build_scenario(ScenarioConfig(n_subsystems=3, horizon=3, sim_steps=2))
@@ -237,7 +277,7 @@ class TestReports:
         lines = paths["csv"].read_text().strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("step,")
         back = load_report(paths["json"])
-        assert back["steps"] == []
+        assert back.steps == []
 
     def test_sweep_csv_round_trip(self, tmp_path):
         rows = [
@@ -415,6 +455,32 @@ class TestCli:
     def test_run_with_model_file(self, tmp_path, capsys):
         path = save_model_file(build_chain_model(2), tmp_path / "m.txt")
         assert cli_main(["run", "--model", str(path), "--steps", "1", "--horizon", "2"]) == 0
+
+    def test_subsystems_overrides_config(self, tmp_path, capsys):
+        ini = tmp_path / "s.ini"
+        ini.write_text("[scenario]\nsubsystems = 3\nhorizon = 2\nsim_steps = 1\n")
+        assert cli_main(["run", "--config", str(ini), "--subsystems", "2"]) == 0
+        assert "ran 1 steps on 2 subsystems" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("source", ["--subsystems", "config"])
+    def test_subsystem_count_must_match_model(self, tmp_path, capsys, source):
+        path = save_model_file(build_chain_model(2), tmp_path / "m.txt")
+        args = ["run", "--model", str(path), "--steps", "1", "--horizon", "2"]
+        if source == "config":
+            ini = tmp_path / "s.ini"
+            ini.write_text("[scenario]\nsubsystems = 3\n")
+            args += ["--config", str(ini)]
+        else:
+            args += ["--subsystems", "3"]
+        assert cli_main(args) == 1
+        assert "the model has 2 subsystems, the configuration 3" in capsys.readouterr().err
+
+    def test_run_zero_steps(self, capsys):
+        assert cli_main(["run", "--subsystems", "3", "--steps", "0", "--horizon", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "ran 0 steps on 3 subsystems" in out
+        assert "iterations per step" not in out
+        assert "realized cost: 0.000000" in out
 
     def test_compare_verb(self, capsys):
         assert cli_main(
