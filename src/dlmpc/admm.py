@@ -201,7 +201,6 @@ class DlmpcEngine:
         eps_dual: float = 1e-4,
         max_iterations: int = 10000,
         row_solver: RowSolverKind = RowSolverKind.EXPLICIT,
-        qp_tol: float = 1e-9,
         record_packets: bool = False,
         mask_check_interval: int = 0,
         order=None,
@@ -219,7 +218,6 @@ class DlmpcEngine:
         self.eps_dual = float(eps_dual)
         self.max_iterations = int(max_iterations)
         self.row_solver = row_solver
-        self.qp_tol = float(qp_tol)
         self.record_packets = record_packets
         self.mask_check_interval = int(mask_check_interval)
         n_sub = model.n_subsystems
@@ -367,7 +365,7 @@ class DlmpcEngine:
                 for r in np.flatnonzero(~zero):
                     cols = mask[r]
                     qp = row_qp(a[r, cols], x0[cols], self.rho, lo[r], hi[r], w[r])
-                    res = solve_qp(qp, tol=self.qp_tol)
+                    res = solve_qp(qp)
                     if res.status is QpStatus.INFEASIBLE:
                         raise InfeasibleRowError(f"QP infeasible, box [{lo[r]}, {hi[r]}]", row=r)
                     phi[r, cols] = res.x[:-1]

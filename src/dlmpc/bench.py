@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -73,7 +73,6 @@ class ScenarioConfig:
     seed: int = 0
     sim_steps: int = 20
     warm_start: bool = True
-    qp_tol: float = 1e-9
 
 
 def build_chain_model(n_subsystems: int) -> NetworkModel:
@@ -140,7 +139,6 @@ class Scenario:
             eps_dual=cfg.eps_dual,
             max_iterations=cfg.max_iterations,
             row_solver=RowSolverKind.QP if cfg.case is Case.SOLVER else RowSolverKind.EXPLICIT,
-            qp_tol=cfg.qp_tol,
         )
         kwargs.update(overrides)
         return DlmpcEngine(self.model, self.index, self.op, **kwargs)
@@ -265,7 +263,6 @@ def run_closed_loop(
     x0: np.ndarray | None = None,
     with_baseline: bool = False,
     engine: DlmpcEngine | None = None,
-    baseline_tol: float = 1e-10,
 ) -> RunReport:
     """Simulate the receding-horizon loop under exact dynamics.
 
@@ -298,7 +295,7 @@ def run_closed_loop(
     report = RunReport(config=cfg, states=states, inputs=inputs, steps=steps, cost=cost)
     if with_baseline:
         report.baseline_states, report.baseline_inputs, report.baseline_cost = (
-            centralized_closed_loop(scenario, sim_steps=sim_steps, x0=states[0], tol=baseline_tol)
+            centralized_closed_loop(scenario, sim_steps=sim_steps, x0=states[0])
         )
     return report
 
@@ -307,7 +304,6 @@ def centralized_closed_loop(
     scenario: Scenario,
     sim_steps: int | None = None,
     x0: np.ndarray | None = None,
-    tol: float = 1e-10,
 ) -> tuple:
     """Receding-horizon loop driven by the monolithic constrained solver."""
 
@@ -323,7 +319,7 @@ def centralized_closed_loop(
             state_ub=scenario.state_ub,
             input_lb=scenario.input_lb,
             input_ub=scenario.input_ub,
-            tol=tol,
+            tol=1e-10,
         )
         if sol.status is not QpStatus.OPTIMAL:
             raise RuntimeError(f"baseline solver returned {sol.status.value}")
@@ -366,22 +362,20 @@ def run_scaling_sweep(
     sizes=(10, 50, 100, 200),
     case: Case = Case.EXPLICIT,
     sim_steps: int = 2,
-    base_config: ScenarioConfig | None = None,
     engine_overrides: dict | None = None,
 ) -> list:
     """Per-subsystem runtime versus network size, cold and warm starts apart.
 
     The first MPC step starts from zeros (cold); later steps reuse the
     previous solution (warm).  Reported times are means over subsystems, and
-    over steps for the warm figure.
+    over steps for the warm figure.  A sweep needs its cold step, so
+    ``sim_steps`` must be at least 1.
     """
+    if sim_steps < 1:
+        raise ValueError(f"sim_steps must be at least 1, got {sim_steps}")
     rows = []
     for n_sub in sizes:
-        if base_config is None:
-            cfg = ScenarioConfig(n_subsystems=n_sub, case=case, sim_steps=sim_steps)
-        else:
-            cfg = replace(base_config, n_subsystems=n_sub, case=case, sim_steps=sim_steps)
-        scenario = build_scenario(cfg)
+        scenario = build_scenario(ScenarioConfig(n_subsystems=n_sub, case=case, sim_steps=sim_steps))
         engine = scenario.make_engine(**(engine_overrides or {}))
         t0 = time.perf_counter()
         report = run_closed_loop(scenario, engine=engine)
@@ -480,6 +474,8 @@ def load_report(json_path) -> RunReport:
     data = json.loads(Path(json_path).read_text())
     config = data.pop("config")
     case = parse_case(config.pop("case"))
+    # reports written while the QP row tolerance was a setting still carry it
+    config.pop("qp_tol", None)
     steps = [StepRecord(**decode(s)) for s in data.pop("steps")]
     return RunReport(
         config=ScenarioConfig(case=case, **decode(config)), steps=steps, **decode(data)
@@ -506,7 +502,7 @@ _CONFIG_KEYS = {
     "bounds": {"state_lower": "float", "state_upper": "float", "bound_component": "int",
                "input_lower": "float", "input_upper": "float"},
     "solver": {"rho": "float", "eps_primal": "float", "eps_dual": "float",
-               "max_iterations": "int", "qp_tol": "float"},
+               "max_iterations": "int"},
 }
 
 
@@ -517,7 +513,7 @@ def load_config(path) -> ScenarioConfig:
     sim_steps, warm_start), ``[cost]`` (state_weight, input_weight,
     terminal_weight), ``[bounds]`` (state_lower/upper, bound_component,
     input_lower/upper) and ``[solver]`` (rho, eps_primal, eps_dual,
-    max_iterations, qp_tol).  Every key is optional except
+    max_iterations).  Every key is optional except
     ``scenario.subsystems``; an unknown section or key raises ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))

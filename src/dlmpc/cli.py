@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .bench import (
     run_closed_loop,
     run_scaling_sweep,
 )
-from .explicit_row import InfeasibleRowError, RowProblem, kkt_residuals, solve_row
+from .explicit_row import RowProblem, kkt_residuals, solve_row
 from .qp import row_qp, solve_qp
 from .sls import (
     assemble_feasibility_operator,
@@ -30,7 +30,7 @@ from .sls import (
     response_from_controller,
     stacked_constraint,
 )
-from .topology import ModelValidationError, build_graph, build_locality_index
+from .topology import build_graph, build_locality_index
 
 
 def _parse_case(raw: str) -> Case:
@@ -41,56 +41,47 @@ def _parse_case(raw: str) -> Case:
 
 
 def _add_scenario_args(sub):
+    """Scenario flags; each stores into the ScenarioConfig field it overrides."""
     sub.add_argument("--config", help="INI scenario file")
     sub.add_argument("--model", help="external model block file")
-    sub.add_argument("--subsystems", type=int, help="chain length (overrides the config)")
+    sub.add_argument(
+        "--subsystems", dest="n_subsystems", metavar="SUBSYSTEMS", type=int,
+        help="chain length (overrides the config)",
+    )
     sub.add_argument(
         "--case",
         type=_parse_case,
-        default=None,
         help="unconstrained, solver or explicit (default: explicit)",
     )
-    sub.add_argument("--horizon", type=int, default=None)
-    sub.add_argument("--locality", type=int, default=None)
-    sub.add_argument("--steps", type=int, default=None, help="closed-loop steps")
-    sub.add_argument("--seed", type=int, default=None, help="initial-state seed")
-    sub.add_argument("--rho", type=float, default=None)
-    sub.add_argument("--eps-primal", type=float, default=None)
-    sub.add_argument("--eps-dual", type=float, default=None)
-    sub.add_argument("--max-iterations", type=int, default=None)
-    sub.add_argument("--cold-start", action="store_true", help="disable warm starts")
+    sub.add_argument("--horizon", type=int)
+    sub.add_argument("--locality", type=int)
+    sub.add_argument(
+        "--steps", dest="sim_steps", metavar="STEPS", type=int, help="closed-loop steps"
+    )
+    sub.add_argument("--seed", type=int, help="initial-state seed")
+    sub.add_argument("--rho", type=float)
+    sub.add_argument("--eps-primal", type=float)
+    sub.add_argument("--eps-dual", type=float)
+    sub.add_argument("--max-iterations", type=int)
+    sub.add_argument(
+        "--cold-start", dest="warm_start", action="store_false", default=None,
+        help="disable warm starts",
+    )
 
 
 def _scenario_from_args(args):
+    """The scenario: flags over the config file over the model's defaults."""
     model = load_model_file(args.model) if args.model else None
     if args.config:
         cfg = load_config(args.config)
     elif model is not None:
         cfg = ScenarioConfig(n_subsystems=model.n_subsystems)
-    elif args.subsystems is not None:
-        cfg = ScenarioConfig(n_subsystems=args.subsystems)
+    elif args.n_subsystems is not None:
+        cfg = ScenarioConfig(n_subsystems=args.n_subsystems)
     else:
         raise SystemExit("need --config, --model or --subsystems")
-    overrides = {}
-    for field_name, arg_name in (
-        ("n_subsystems", "subsystems"),
-        ("case", "case"),
-        ("horizon", "horizon"),
-        ("locality", "locality"),
-        ("sim_steps", "steps"),
-        ("seed", "seed"),
-        ("rho", "rho"),
-        ("eps_primal", "eps_primal"),
-        ("eps_dual", "eps_dual"),
-        ("max_iterations", "max_iterations"),
-    ):
-        value = getattr(args, arg_name)
-        if value is not None:
-            overrides[field_name] = value
-    if args.cold_start:
-        overrides["warm_start"] = False
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    flags = {f.name: getattr(args, f.name, None) for f in fields(ScenarioConfig)}
+    cfg = replace(cfg, **{name: v for name, v in flags.items() if v is not None})
     return build_scenario(cfg, model=model)
 
 
@@ -119,7 +110,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    rows = run_scaling_sweep(sizes=sizes, case=args.case or Case.EXPLICIT, sim_steps=args.steps or 2)
+    rows = run_scaling_sweep(sizes=sizes, case=args.case, sim_steps=args.steps)
     print(f"{'N':>6} {'cold s/sub':>12} {'warm s/sub':>12} {'cold it':>8} {'warm it':>8}")
     for r in rows:
         print(
@@ -135,6 +126,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare(args) -> int:
     """Solver-based versus closed-form row steps on identical scenarios."""
     base = _scenario_from_args(args)
+    if base.config.sim_steps < 1:
+        raise ValueError(
+            f"compare needs at least one step (--steps / sim_steps), got {base.config.sim_steps}"
+        )
     results = {}
     for case in (Case.SOLVER, Case.EXPLICIT):
         scenario = build_scenario(replace(base.config, case=case), model=base.model)
@@ -270,10 +265,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (InfeasibleRowError, ModelValidationError, ValueError, FileNotFoundError) as err:
+    # InfeasibleRowError and ModelValidationError are ValueErrors
+    except (ConvergenceError, ValueError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

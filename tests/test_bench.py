@@ -257,6 +257,22 @@ class TestReports:
         assert back.config == rep.config
         np.testing.assert_array_equal(back.states, rep.states)
 
+    def test_loads_report_with_qp_tol(self, tmp_path):
+        # reports written while the QP row tolerance was a setting carry "qp_tol"
+        sc = build_scenario(ScenarioConfig(n_subsystems=2, horizon=2, sim_steps=2))
+        rep = run_closed_loop(sc)
+        path = emit_report(rep, tmp_path)["json"]
+        data = json.loads(path.read_text())
+        data["config"]["qp_tol"] = 1e-9
+        path.write_text(json.dumps(data))
+        back = load_report(path)
+        assert isinstance(back, RunReport)
+        assert back.config == rep.config
+        np.testing.assert_array_equal(back.states, rep.states)
+        np.testing.assert_array_equal(back.inputs, rep.inputs)
+        assert back.cost == rep.cost
+        assert [s.iterations for s in back.steps] == [s.iterations for s in rep.steps]
+
     def test_csv_step_rows_parse_exactly(self, tmp_path):
         sc = build_scenario(ScenarioConfig(n_subsystems=3, horizon=3, sim_steps=2))
         rep = run_closed_loop(sc)
@@ -323,7 +339,6 @@ rho = 2.0
 eps_primal = 1e-5
 eps_dual = 1e-6
 max_iterations = 500
-qp_tol = 1e-8
 """
         )
         cfg = load_config(ini)
@@ -346,7 +361,6 @@ qp_tol = 1e-8
         assert cfg.eps_primal == 1e-5
         assert cfg.eps_dual == 1e-6
         assert cfg.max_iterations == 500
-        assert cfg.qp_tol == 1e-8
 
     def test_config_numeric_case(self, tmp_path):
         ini = tmp_path / "s.ini"
@@ -431,6 +445,10 @@ class TestSweep:
         rows = run_scaling_sweep(sizes=(2,), sim_steps=1)
         assert np.isnan(rows[0].warm_seconds)
 
+    def test_zero_steps_rejected(self):
+        with pytest.raises(ValueError, match="sim_steps must be at least 1, got 0"):
+            run_scaling_sweep(sizes=(2,), sim_steps=0)
+
 
 class TestCli:
     def test_run_verb(self, capsys):
@@ -475,6 +493,32 @@ class TestCli:
         assert cli_main(args) == 1
         assert "the model has 2 subsystems, the configuration 3" in capsys.readouterr().err
 
+    def test_every_scenario_flag_reaches_its_field(self, tmp_path):
+        code = cli_main(
+            ["run", "--subsystems", "3", "--case", "unconstrained", "--horizon", "2",
+             "--locality", "0", "--steps", "1", "--seed", "4", "--rho", "2",
+             "--eps-primal", "1e-3", "--eps-dual", "1e-3", "--max-iterations", "500",
+             "--cold-start", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert load_report(tmp_path / "run.json").config == ScenarioConfig(
+            n_subsystems=3, case=Case.UNCONSTRAINED, horizon=2, locality=0, sim_steps=1,
+            seed=4, rho=2.0, eps_primal=1e-3, eps_dual=1e-3, max_iterations=500,
+            warm_start=False,
+        )
+
+    def test_flag_overrides_only_its_config_field(self, tmp_path):
+        ini = tmp_path / "s.ini"
+        ini.write_text(
+            "[scenario]\nsubsystems = 2\nhorizon = 2\nlocality = 2\nseed = 3\n"
+            "sim_steps = 1\nwarm_start = false\n[cost]\nstate_weight = 2.0\n"
+            "[bounds]\nstate_upper = 1.5\n[solver]\nrho = 3.0\neps_primal = 1e-5\n"
+        )
+        code = cli_main(["run", "--config", str(ini), "--seed", "9", "--out", str(tmp_path)])
+        assert code == 0
+        got = load_report(tmp_path / "run.json").config
+        assert got == dataclasses.replace(load_config(ini), seed=9)
+
     def test_run_zero_steps(self, capsys):
         assert cli_main(["run", "--subsystems", "3", "--steps", "0", "--horizon", "2"]) == 0
         out = capsys.readouterr().out
@@ -489,8 +533,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "trajectory agreement" in out
 
+    def test_compare_zero_steps(self, capsys):
+        args = ["compare", "--subsystems", "2", "--steps", "0", "--horizon", "2"]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert "--steps" in err and "sim_steps" in err
+
     def test_sweep_verb(self, capsys):
         assert cli_main(["sweep", "--sizes", "2,3", "--steps", "1"]) == 0
+
+    def test_sweep_zero_steps(self, capsys):
+        assert cli_main(["sweep", "--sizes", "2", "--steps", "0"]) == 1
+        assert "error: sim_steps must be at least 1, got 0" in capsys.readouterr().err
 
     def test_validate_verb(self, capsys):
         assert cli_main(["validate", "--instances", "40"]) == 0
