@@ -253,8 +253,6 @@ class DlmpcEngine:
             *boxes["state"],
             *boxes["input"],
         )
-        self.row_weight, self.row_lo, self.row_hi = w, lo, hi
-
         self._row_boxes = []  # per subsystem: lo, hi and weight of its rows
         self._u0_pos = []
         for sub in index.subsystems:
@@ -283,10 +281,10 @@ class DlmpcEngine:
         """Flat positions of the entries the row and column buffers share.
 
         For every column owner i and row owner k in its (d+1)-hop out-set,
-        k's input rows and, if k is within d hops, its state rows meet i's
-        columns.  Returns ``src`` into the row buffer, ``dst`` into the
-        column buffer and one ``(k, i, start, stop, global rows, global
-        cols)`` record per pair, naming its segment of ``src`` and ``dst``.
+        k shares the rows whose ``row_mask`` reaches i's columns.  Returns
+        ``src`` into the row buffer, ``dst`` into the column buffer and one
+        ``(k, i, start, stop, global rows, global cols)`` record per pair,
+        naming its segment of ``src`` and ``dst``.
         """
         index, off_r, off_c = self.index, self._offsets["r"], self._offsets["c"]
         src, dst, pairs, start = [], [], [], 0
@@ -294,12 +292,11 @@ class DlmpcEngine:
             i = sub_i.sub_id
             for k in sorted(index.out_sets_ext[i - 1]):
                 sub_k = index.subsystems[k - 1]
-                # state rows come first in every row partition
-                src_rows = np.flatnonzero(~sub_k.row_is_state | (k in index.out_sets[i - 1]))
+                src_cols = np.searchsorted(sub_k.row_cols, sub_i.cols)
+                src_rows = np.flatnonzero(sub_k.row_mask[:, src_cols].any(axis=1))
                 if not src_rows.size:
                     continue
                 global_rows = sub_k.rows[src_rows]
-                src_cols = np.searchsorted(sub_k.row_cols, sub_i.cols)
                 dst_rows = np.searchsorted(sub_i.col_rows, global_rows)
                 width_k, width_i = sub_k.row_cols.size, sub_i.cols.size
                 src.append((off_r[k - 1] + src_rows[:, None] * width_k + src_cols).ravel())
@@ -469,6 +466,16 @@ class DlmpcEngine:
 
     # -- full step --------------------------------------------------------------
 
+    def _each(self, state: AdmmState, phase) -> list:
+        """Run ``phase(state, i)`` for each subsystem in ``order``, charging each
+        call's wall time to subsystem i; the results come in subsystem-id order."""
+        out = [None] * len(self.order)
+        for i in self.order:
+            t0 = time.perf_counter()
+            out[i - 1] = phase(state, i)
+            state.per_sub_seconds[i - 1] += time.perf_counter() - t0
+        return out
+
     def solve_step(self, x0: np.ndarray, warm_state: AdmmState | None = None) -> StepResult:
         """Run the consensus iteration for measured state ``x0`` to tolerance.
 
@@ -482,18 +489,11 @@ class DlmpcEngine:
             raise ValueError(f"x0 must have {model.n_states} entries")
         for k in np.flatnonzero(~np.isfinite(x0))[:1]:
             raise ValueError(f"x0[{k}] is {x0[k]}, must be finite")
-        n_sub = model.n_subsystems
         packets = [] if self.record_packets else None
         state = self.init_state(warm_state)
-        times = state.per_sub_seconds
 
         # measurement phase: each subsystem gathers its coupled x0 slice
-        state.x0_slices = [None] * n_sub
-        for i in self.order:
-            sub = index.subsystems[i - 1]
-            t0 = time.perf_counter()
-            state.x0_slices[i - 1] = x0[sub.row_cols]
-            times[i - 1] += time.perf_counter() - t0
+        state.x0_slices = self._each(state, lambda s, i: x0[index.subsystems[i - 1].row_cols])
         if packets is not None:
             for sub in index.subsystems:
                 for j in sorted(index.in_sets_ext[sub.sub_id - 1]):
@@ -504,15 +504,9 @@ class DlmpcEngine:
 
         converged = False
         for k in range(1, self.max_iterations + 1):
-            for i in self.order:
-                t0 = time.perf_counter()
-                self.row_step(state, i)
-                times[i - 1] += time.perf_counter() - t0
+            self._each(state, self.row_step)
             self.exchange_rows(state, packets)
-            for i in self.order:
-                t0 = time.perf_counter()
-                self.column_step(state, i)
-                times[i - 1] += time.perf_counter() - t0
+            self._each(state, self.column_step)
             self.exchange_columns(state, packets)
             self.multiplier_step(state)
             state.iteration = k
@@ -530,10 +524,6 @@ class DlmpcEngine:
             )
         state.converged = True
 
-        u = np.zeros(model.n_inputs)
-        for i in self.order:
-            t0 = time.perf_counter()
-            u[model.input_indices(i)] = self.extract_control(state, i)
-            times[i - 1] += time.perf_counter() - t0
-
+        # inputs are numbered contiguously in subsystem-id order
+        u = np.concatenate(self._each(state, self.extract_control))
         return StepResult(u=u, iterations=state.iteration, state=state, x0=x0, packets=packets)

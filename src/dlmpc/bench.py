@@ -124,16 +124,15 @@ class Scenario:
         rng = np.random.default_rng(self.config.seed)
         return rng.uniform(0.0, 1.0, self.model.n_states)
 
+    def profiles(self) -> dict:
+        """The cost and box profiles, keyed by their engine argument names."""
+        names = ("q_diag", "r_diag", "qt_diag", "state_lb", "state_ub", "input_lb", "input_ub")
+        return {name: getattr(self, name) for name in names}
+
     def make_engine(self, **overrides) -> DlmpcEngine:
         cfg = self.config
         kwargs = dict(
-            q_diag=self.q_diag,
-            r_diag=self.r_diag,
-            qt_diag=self.qt_diag,
-            state_lb=self.state_lb,
-            state_ub=self.state_ub,
-            input_lb=self.input_lb,
-            input_ub=self.input_ub,
+            self.profiles(),
             rho=cfg.rho,
             eps_primal=cfg.eps_primal,
             eps_dual=cfg.eps_dual,
@@ -312,14 +311,8 @@ def centralized_closed_loop(
             scenario.model,
             scenario.config.horizon,
             x,
-            q_diag=scenario.q_diag,
-            r_diag=scenario.r_diag,
-            qt_diag=scenario.qt_diag,
-            state_lb=scenario.state_lb,
-            state_ub=scenario.state_ub,
-            input_lb=scenario.input_lb,
-            input_ub=scenario.input_ub,
             tol=1e-10,
+            **scenario.profiles(),
         )
         if sol.status is not QpStatus.OPTIMAL:
             raise RuntimeError(f"baseline solver returned {sol.status.value}")
@@ -620,14 +613,11 @@ def save_model_file(model: NetworkModel, path) -> Path:
     out = [f"subsystems {model.n_subsystems}"]
     out.append("state_dims " + " ".join(str(d) for d in model.state_dims))
     out.append("input_dims " + " ".join(str(d) for d in model.input_dims))
-    for (i, j), block in sorted(model.a_blocks.items()):
-        out.append(f"A {i} {j}")
-        for row in np.atleast_2d(block):
-            out.append(" ".join(repr(float(v)) for v in row))
-    for (i, j), block in sorted(model.b_blocks.items()):
-        out.append(f"B {i} {j}")
-        for row in np.atleast_2d(block):
-            out.append(" ".join(repr(float(v)) for v in row))
+    for kind, blocks in (("A", model.a_blocks), ("B", model.b_blocks)):
+        for (i, j), block in sorted(blocks.items()):
+            out.append(f"{kind} {i} {j}")
+            for row in np.atleast_2d(block):
+                out.append(" ".join(repr(float(v)) for v in row))
     path = Path(path)
     path.write_text("\n".join(out) + "\n")
     return path

@@ -150,7 +150,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_validate(args) -> int:
     """Cross-check the closed-form pieces against independent solvers."""
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(args.seed)
     failures = []
 
     def check(name, value, bound):

@@ -94,8 +94,9 @@ def assemble_feasibility_operator(
     csc = stacked_constraint(model, index.horizon).tocsc()
     projectors = []
     for sub in index.subsystems:
-        touched = np.unique(csc[:, sub.col_rows].nonzero()[0])
-        z = csc[np.ix_(touched, sub.col_rows)].toarray()
+        block = csc[:, sub.col_rows]
+        touched = np.flatnonzero(block.getnnz(axis=1))
+        z = block[touched].toarray()
         rhs = (touched[:, None] == sub.cols).astype(float)
         if not rhs.any(axis=0).all():
             raise ValueError(

@@ -246,19 +246,18 @@ class SubsystemIndex:
 class LocalityIndex:
     """Locality sets and ownership partitions for one (d, T).
 
-    ``in_sets``/``out_sets`` hold the d-hop sets, ``in_sets_ext``/
-    ``out_sets_ext`` the (d+1)-hop sets used by input rows and by the
+    ``in_sets_ext``/``out_sets_ext`` hold the (d+1)-hop sets that bound the
     exchange footprint.  Everything else is per subsystem: there is no
     global mask, and each :class:`SubsystemIndex` carries the sparsity
-    pattern of its own rows (``row_mask``), the only copy of it.
+    pattern of its own rows (``row_mask``).  That pattern is the only copy
+    of the locality rule (state rows reach d hops, input rows d+1), and the
+    engine's exchange plan reads it from there.
     """
 
     d: int
     horizon: int
     n_states: int
     n_inputs: int
-    in_sets: tuple
-    out_sets: tuple
     in_sets_ext: tuple
     out_sets_ext: tuple
     subsystems: tuple
@@ -349,8 +348,6 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
         horizon=t_hor,
         n_states=n,
         n_inputs=p,
-        in_sets=in_sets,
-        out_sets=out_sets,
         in_sets_ext=in_ext,
         out_sets_ext=out_ext,
         subsystems=tuple(subsystems),

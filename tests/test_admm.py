@@ -1,4 +1,6 @@
 """Engine behavior: determinism, exchanges, masks, convergence, extraction."""
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from dlmpc import (
     ConvergenceError,
     DlmpcEngine,
     InfeasibleRowError,
+    NetworkModel,
     Phase,
     QpStatus,
     Region,
@@ -14,6 +17,7 @@ from dlmpc import (
     RowSolverKind,
     ScenarioConfig,
     StalenessError,
+    build_chain_model,
     build_scenario,
     centralized_local_mpc,
     packet_within_locality,
@@ -173,6 +177,25 @@ class TestExchanges:
         assert phases == {Phase.MEASUREMENT, Phase.ROW_BLOCKS, Phase.COLUMN_BLOCKS}
         for packet in res.packets:
             assert packet_within_locality(packet, sc.index)
+
+    @pytest.mark.parametrize("row_solver", list(RowSolverKind))
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_input_free_subsystem(self, d, row_solver):
+        chain = build_chain_model(4)
+        model = NetworkModel(
+            state_dims=chain.state_dims,
+            input_dims=(1, 0, 1, 1),
+            a_blocks=chain.a_blocks,
+            b_blocks={k: b for k, b in chain.b_blocks.items() if k != (2, 2)},
+        )
+        sc = build_scenario(ScenarioConfig(n_subsystems=4, horizon=3, locality=d, seed=3), model=model)
+        res = sc.make_engine(row_solver=row_solver, record_packets=True).solve_step(sc.initial_state())
+        assert res.state.converged
+        assert res.u.shape == (3,)
+        # at d=1, subsystem 2 shares no row with column owner 4 (two hops
+        # away, beyond its state rows' reach) and has no input rows
+        assert all(packet.payload.size for packet in res.packets)
+        assert all(packet_within_locality(packet, sc.index) for packet in res.packets)
 
     def test_forged_far_packet_rejected(self):
         sc = small_scenario()
@@ -411,6 +434,22 @@ class TestSolutionQuality:
         res = sc.make_engine().solve_step(sc.initial_state())
         assert res.state.per_sub_seconds.shape == (4,)
         assert np.all(res.state.per_sub_seconds > 0)
+
+    def test_each_subsystem_is_charged_its_own_time(self):
+        sc = small_scenario()
+        engine = sc.make_engine(eps_primal=1e300, eps_dual=1e300)
+        row_step = engine.row_step
+
+        def slow_second(state, i):
+            if i == 2:
+                time.sleep(0.06)
+            row_step(state, i)
+
+        engine.row_step = slow_second
+        res = engine.solve_step(sc.initial_state())
+        assert res.iterations == 1
+        seconds = res.state.per_sub_seconds
+        assert np.all(seconds[1] >= np.delete(seconds, 1) + 0.05)
 
     def test_timers_live_on_the_state(self):
         sc = small_scenario()

@@ -195,7 +195,7 @@ class TestLocalityIndex:
             allowed = set(sub.row_cols[np.where(srows[0])[0]].tolist())
             expected = set(
                 np.concatenate(
-                    [model.state_indices(j) for j in idx.in_sets[sub.sub_id - 1]]
+                    [model.state_indices(j) for j in d_in_set(graph, sub.sub_id, idx.d)]
                 ).tolist()
             )
             assert allowed == expected
