@@ -98,8 +98,9 @@ class AdmmState:
     reshaped views into those buffers, so blocks are written in place and
     cannot be rebound.  Row blocks have shape (len(rows), len(row_cols)),
     column blocks (len(col_rows), len(cols)).  After each exchange phase the
-    two partitions agree on every shared entry.  ``x0_slices`` holds each
+    two partitions agree on every shared entry.  ``x0_blocks`` holds each
     subsystem's coupled slice of the measured state the iteration runs for,
+    repeated per row and zeroed off the row's ``row_mask`` support,
     ``residual_history`` one (max primal, max dual) pair per iteration, and
     ``per_sub_seconds`` each subsystem's wall time spent on this state.
     """
@@ -117,7 +118,7 @@ class AdmmState:
     dual: np.ndarray | None = None
     residual_history: list = field(default_factory=list)
     converged: bool = False
-    x0_slices: list = field(default_factory=list)
+    x0_blocks: list = field(default_factory=list)
     per_sub_seconds: np.ndarray | None = None
 
 
@@ -253,11 +254,8 @@ class DlmpcEngine:
             *boxes["state"],
             *boxes["input"],
         )
-        self._row_boxes = []  # per subsystem: lo, hi and weight of its rows
-        self._u0_pos = []
-        for sub in index.subsystems:
-            self._row_boxes.append((lo[sub.rows], hi[sub.rows], w[sub.rows]))
-            self._u0_pos.append(np.flatnonzero(~sub.row_is_state & (sub.row_time == 0)))
+        # per subsystem: lo, hi and weight of its rows
+        self._row_boxes = [(lo[sub.rows], hi[sub.rows], w[sub.rows]) for sub in index.subsystems]
 
         # block shapes and flat offsets of the row and column buffers
         self._shapes = {
@@ -345,26 +343,30 @@ class DlmpcEngine:
     def row_step(self, state: AdmmState, i: int):
         """Proximal row update for subsystem i, each row over its ``row_mask`` row.
 
-        The explicit route solves the block in one call, with the x0 slice
-        zeroed off each row's support; the QP route solves row by row.
+        Both routes read the state's per-row x0 blocks.  The explicit route
+        solves the block in one call; the QP route solves row by row and
+        raises :class:`ConvergenceError` if a row's solve is not optimal.
         """
         sub = self.index.subsystems[i - 1]
-        x0, mask = state.x0_slices[i - 1], sub.row_mask
+        x0, mask = state.x0_blocks[i - 1], sub.row_mask
         a = state.psi_r[i - 1] - state.lam_r[i - 1]
         lo, hi, w = self._row_boxes[i - 1]
         try:
             if self.row_solver is RowSolverKind.EXPLICIT:
-                phi = solve_rows(a, np.where(mask, x0, 0.0), self.rho, lo, hi, w)[0]
+                phi = solve_rows(a, x0, self.rho, lo, hi, w)[0]
             else:
                 phi = a.copy()  # rows with a zero x0 stay at their targets
-                zero = ~np.any(mask & (x0 != 0.0), axis=1)
+                zero = ~np.any(x0 != 0.0, axis=1)
                 check_rows(lo, hi, zero)
                 for r in np.flatnonzero(~zero):
                     cols = mask[r]
-                    qp = row_qp(a[r, cols], x0[cols], self.rho, lo[r], hi[r], w[r])
-                    res = solve_qp(qp)
+                    res = solve_qp(row_qp(a[r, cols], x0[r, cols], self.rho, lo[r], hi[r], w[r]))
                     if res.status is QpStatus.INFEASIBLE:
                         raise InfeasibleRowError(f"QP infeasible, box [{lo[r]}, {hi[r]}]", row=r)
+                    if res.status is not QpStatus.OPTIMAL:
+                        raise ConvergenceError(
+                            f"subsystem {i}: global row {sub.rows[r]}: row QP ended {res.status.value}"
+                        )
                     phi[r, cols] = res.x[:-1]
         except InfeasibleRowError as err:
             g = sub.rows[err.row]
@@ -461,8 +463,12 @@ class DlmpcEngine:
             raise StalenessError(
                 "extract_control called before the iteration converged"
             )
-        rows = state.phi_r[i - 1][self._u0_pos[i - 1], :]
-        return sls.extract_control(rows, state.x0_slices[i - 1])
+        # input rows follow the state rows, time-major, so the time-0 ones come
+        # first; they span the whole coupled slice, so the last row's x0 block
+        # is the bare slice (an input-free subsystem has no rows to multiply)
+        u0 = np.count_nonzero(self.index.subsystems[i - 1].row_is_state)
+        rows = state.phi_r[i - 1][u0 : u0 + self.model.input_dims[i - 1]]
+        return sls.extract_control(rows, state.x0_blocks[i - 1][-1])
 
     # -- full step --------------------------------------------------------------
 
@@ -492,8 +498,13 @@ class DlmpcEngine:
         packets = [] if self.record_packets else None
         state = self.init_state(warm_state)
 
-        # measurement phase: each subsystem gathers its coupled x0 slice
-        state.x0_slices = self._each(state, lambda s, i: x0[index.subsystems[i - 1].row_cols])
+        # measurement phase: each subsystem gathers its coupled x0 slice and
+        # zeroes it off each row's support, once for the whole step
+        def measure(state, i):
+            sub = index.subsystems[i - 1]
+            return np.where(sub.row_mask, x0[sub.row_cols], 0.0)
+
+        state.x0_blocks = self._each(state, measure)
         if packets is not None:
             for sub in index.subsystems:
                 for j in sorted(index.in_sets_ext[sub.sub_id - 1]):

@@ -436,7 +436,9 @@ def emit_report(report: RunReport, directory, stem: str = "run") -> dict:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     json_path = directory / f"{stem}.json"
-    json_path.write_text(json.dumps(_plain(report), indent=2, allow_nan=False))
+    data = _plain(report)
+    data["n_inputs"] = report.inputs.shape[1]  # an empty list of inputs does not give it
+    json_path.write_text(json.dumps(data, indent=2, allow_nan=False))
     csv_path = _write_csv(
         directory / f"{stem}.csv",
         ["step", "iterations", "primal_residual", "dual_residual", "mean_sub_seconds"],
@@ -465,14 +467,20 @@ def load_report(json_path) -> RunReport:
         }
 
     data = json.loads(Path(json_path).read_text())
+    n_inputs = data.pop("n_inputs", None)  # reports written before it was kept lack it
     config = data.pop("config")
     case = parse_case(config.pop("case"))
     # reports written while the QP row tolerance was a setting still carry it
     config.pop("qp_tol", None)
     steps = [StepRecord(**decode(s)) for s in data.pop("steps")]
-    return RunReport(
+    report = RunReport(
         config=ScenarioConfig(case=case, **decode(config)), steps=steps, **decode(data)
     )
+    for name in ("inputs", "baseline_inputs"):
+        inputs = getattr(report, name)
+        if n_inputs is not None and inputs is not None and inputs.ndim == 1:  # a zero-step run
+            setattr(report, name, inputs.reshape(0, n_inputs))
+    return report
 
 
 def emit_sweep(rows, directory, stem: str = "sweep") -> Path:

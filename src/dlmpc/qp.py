@@ -90,8 +90,6 @@ class QpResult:
     mu_lo: np.ndarray
     mu_hi: np.ndarray
     iterations: int
-    kkt_residual: float
-    comp_gap: float
 
 
 def _check_psd(h: np.ndarray):
@@ -102,23 +100,15 @@ def _check_psd(h: np.ndarray):
         raise QpStructureError("hessian is not positive semidefinite") from None
 
 
-def _kkt_residual(qp, x, nu, mu_lo, mu_hi) -> tuple:
+def _kkt_residual(qp, x, nu) -> float:
+    """Largest stationarity or equality residual of a QP without bounds."""
     r_d = qp.h @ x + qp.g
     if qp.a_eq is not None:
         r_d = r_d + qp.a_eq.T @ nu
-    r_d = r_d - mu_lo + mu_hi
     r_p = qp.a_eq @ x - qp.b_eq if qp.a_eq is not None else np.zeros(0)
-    lo_viol = np.where(np.isfinite(qp.lb), np.maximum(qp.lb - x, 0.0), 0.0)
-    hi_viol = np.where(np.isfinite(qp.ub), np.maximum(x - qp.ub, 0.0), 0.0)
-    comp = 0.0
-    if np.any(np.isfinite(qp.lb)):
-        comp = max(comp, float(np.max(np.abs(mu_lo * np.where(np.isfinite(qp.lb), x - qp.lb, 0.0)))))
-    if np.any(np.isfinite(qp.ub)):
-        comp = max(comp, float(np.max(np.abs(mu_hi * np.where(np.isfinite(qp.ub), qp.ub - x, 0.0)))))
     stat = float(np.max(np.abs(r_d))) if r_d.size else 0.0
     prim = float(np.max(np.abs(r_p))) if r_p.size else 0.0
-    bnd = float(max(lo_viol.max(initial=0.0), hi_viol.max(initial=0.0)))
-    return stat, prim, bnd, comp
+    return max(stat, prim)
 
 
 def _solve_equality_qp(qp, tol):
@@ -132,12 +122,9 @@ def _solve_equality_qp(qp, tol):
         rhs = np.concatenate([-qp.g, qp.b_eq])
         sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
         x, nu = sol[:nv], sol[nv:]
-    mu = np.zeros(nv)
-    stat, prim, bnd, comp = _kkt_residual(qp, x, nu, mu, mu)
-    res = max(stat, prim, bnd, comp)
     scale = max(1.0, float(np.abs(qp.g).max(initial=0.0)))
-    status = QpStatus.OPTIMAL if res <= tol * scale * 100 else QpStatus.MAX_ITER
-    return QpResult(x, status, nu, mu, mu.copy(), 1, res, 0.0)
+    ok = _kkt_residual(qp, x, nu) <= tol * scale * 100
+    return QpResult(x, QpStatus.OPTIMAL if ok else QpStatus.MAX_ITER, nu, np.zeros(nv), np.zeros(nv), 1)
 
 
 def solve_qp(qp: DenseQP, tol: float = 1e-9, max_iter: int = 100) -> QpResult:
@@ -152,8 +139,7 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9, max_iter: int = 100) -> QpResult:
     lb, ub = qp.lb.copy(), qp.ub.copy()
     if np.any(lb > ub):
         return QpResult(
-            np.zeros(nv), QpStatus.INFEASIBLE, np.zeros(0), np.zeros(nv),
-            np.zeros(nv), 0, np.inf, np.inf,
+            np.zeros(nv), QpStatus.INFEASIBLE, np.zeros(0), np.zeros(nv), np.zeros(nv), 0
         )
 
     a_eq = qp.a_eq
@@ -172,8 +158,7 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9, max_iter: int = 100) -> QpResult:
         eq_scale = max(1.0, float(np.abs(b_eq).max(initial=0.0)))
         if np.max(np.abs(a_eq @ x_ls - b_eq)) > 1e-8 * eq_scale:
             return QpResult(
-                np.zeros(nv), QpStatus.INFEASIBLE, np.zeros(n_user_eq),
-                np.zeros(nv), np.zeros(nv), 0, np.inf, np.inf,
+                np.zeros(nv), QpStatus.INFEASIBLE, np.zeros(n_user_eq), np.zeros(nv), np.zeros(nv), 0
             )
     else:
         x_ls = np.zeros(nv)
@@ -184,7 +169,7 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9, max_iter: int = 100) -> QpResult:
     work = DenseQP(qp.h, qp.g, a_eq, b_eq, lb, ub)
     if low.size == 0 and upp.size == 0:
         res = _solve_equality_qp(work, tol)
-        return _fold_pinned(res, pinned, n_user_eq, nv)
+        return _fold_pinned(res, pinned, n_user_eq)
 
     # strictly interior start
     x = x_ls.copy()
@@ -309,18 +294,11 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9, max_iter: int = 100) -> QpResult:
     mu_hi_full = np.zeros(nv)
     mu_lo_full[low] = z_lo
     mu_hi_full[upp] = z_hi
-    stat, prim, bnd, comp = _kkt_residual(work, x, nu, mu_lo_full, mu_hi_full)
-    s_lo = x[low] - lb[low]
-    s_hi = ub[upp] - x[upp]
-    gap = float((s_lo @ z_lo + s_hi @ z_hi) / n_ineq) if n_ineq else 0.0
-    result = QpResult(
-        x=x, status=status, nu=nu, mu_lo=mu_lo_full, mu_hi=mu_hi_full,
-        iterations=it, kkt_residual=max(stat, prim, bnd, comp), comp_gap=gap,
-    )
-    return _fold_pinned(result, pinned, n_user_eq, nv)
+    result = QpResult(x=x, status=status, nu=nu, mu_lo=mu_lo_full, mu_hi=mu_hi_full, iterations=it)
+    return _fold_pinned(result, pinned, n_user_eq)
 
 
-def _fold_pinned(result: QpResult, pinned: np.ndarray, n_user_eq: int, nv: int) -> QpResult:
+def _fold_pinned(result: QpResult, pinned: np.ndarray, n_user_eq: int) -> QpResult:
     """Map duals of internal pin rows back onto bound multipliers."""
     if pinned.size:
         extra = result.nu[n_user_eq:]
@@ -328,8 +306,6 @@ def _fold_pinned(result: QpResult, pinned: np.ndarray, n_user_eq: int, nv: int) 
         for k, i in enumerate(pinned):
             result.mu_lo[i] += max(-extra[k], 0.0)
             result.mu_hi[i] += max(extra[k], 0.0)
-    elif result.nu.size > n_user_eq:
-        result.nu = result.nu[:n_user_eq]
     return result
 
 
@@ -430,21 +406,17 @@ def centralized_mpc(
     lb_u = np.full(nu_vars, -np.inf) if input_lb is None else np.tile(np.asarray(input_lb, float), horizon)
     ub_u = np.full(nu_vars, np.inf) if input_ub is None else np.tile(np.asarray(input_ub, float), horizon)
 
-    if sel.size:
-        nz = nu_vars + sel.size
-        h_full = np.zeros((nz, nz))
-        h_full[:nu_vars, :nu_vars] = h_u
-        g_full = np.concatenate([g_u, np.zeros(sel.size)])
-        a_eq = np.zeros((sel.size, nz))
-        a_eq[:, :nu_vars] = -h_mat[sel]
-        a_eq[np.arange(sel.size), nu_vars + np.arange(sel.size)] = 1.0
-        b_eq = free_response[sel]
-        lb_z = np.concatenate([lb_u, stacked_lb[sel]])
-        ub_z = np.concatenate([ub_u, stacked_ub[sel]])
-        qp = DenseQP(h_full, g_full, a_eq, b_eq, lb_z, ub_z)
-    else:
-        qp = DenseQP(h_u, g_u, None, None, lb_u, ub_u)
-
+    # without a state box there are no auxiliary variables and no equality rows
+    nz = nu_vars + sel.size
+    h_full = np.zeros((nz, nz))
+    h_full[:nu_vars, :nu_vars] = h_u
+    a_eq = np.zeros((sel.size, nz))
+    a_eq[:, :nu_vars] = -h_mat[sel]
+    a_eq[np.arange(sel.size), nu_vars + np.arange(sel.size)] = 1.0
+    qp = DenseQP(
+        h_full, np.concatenate([g_u, np.zeros(sel.size)]), a_eq, free_response[sel],
+        np.concatenate([lb_u, stacked_lb[sel]]), np.concatenate([ub_u, stacked_ub[sel]]),
+    )
     res = solve_qp(qp, tol=tol)
     u = res.x[:nu_vars]
     states = (free_response + h_mat @ u).reshape(horizon + 1, n)

@@ -21,7 +21,6 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -181,36 +180,27 @@ def build_graph(model: NetworkModel) -> Graph:
     return Graph(n_vertices=model.n_subsystems, edges=frozenset(edges))
 
 
-def _bfs(adj: dict, start: int, depth: int) -> frozenset:
-    seen = {start}
-    frontier = deque([(start, 0)])
-    while frontier:
-        v, dist = frontier.popleft()
-        if dist == depth:
-            continue
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append((w, dist + 1))
-    return frozenset(seen)
+def _hops(graph: Graph, adj: dict, i: int, d: int) -> dict:
+    """Hop count from ``i`` of every subsystem within ``d`` hops along ``adj``."""
+    if not 1 <= i <= graph.n_vertices:
+        raise IndexError(f"subsystem id {i} outside 1..{graph.n_vertices}")
+    if d < 0:
+        raise ValueError("hop count must be nonnegative")
+    hops, frontier = {i: 0}, [i]
+    for h in range(1, d + 1):
+        frontier = dict.fromkeys(w for v in frontier for w in adj[v] if w not in hops)
+        hops.update(dict.fromkeys(frontier, h))
+    return hops
 
 
 def d_in_set(graph: Graph, i: int, d: int) -> frozenset:
     """Subsystems whose influence reaches ``i`` within ``d`` hops (incl. i)."""
-    if not 1 <= i <= graph.n_vertices:
-        raise IndexError(f"subsystem id {i} outside 1..{graph.n_vertices}")
-    if d < 0:
-        raise ValueError("hop count must be nonnegative")
-    return _bfs(graph._pred, i, d)
+    return frozenset(_hops(graph, graph._pred, i, d))
 
 
 def d_out_set(graph: Graph, i: int, d: int) -> frozenset:
     """Subsystems that ``i``'s influence reaches within ``d`` hops (incl. i)."""
-    if not 1 <= i <= graph.n_vertices:
-        raise IndexError(f"subsystem id {i} outside 1..{graph.n_vertices}")
-    if d < 0:
-        raise ValueError("hop count must be nonnegative")
-    return _bfs(graph._succ, i, d)
+    return frozenset(_hops(graph, graph._succ, i, d))
 
 
 @dataclass(frozen=True)
@@ -220,7 +210,6 @@ class SubsystemIndex:
     rows            global response-map rows owned by the subsystem (its state
                     rows for t = 0..T, then its input rows for t = 0..T-1)
     row_is_state    per-row flag (True for state rows)
-    row_time        per-row time index
     cols            global columns owned (its initial-state components)
     row_cols        coupled column set for the row partition (state columns of
                     the (d+1)-hop incoming set, ascending)
@@ -235,7 +224,6 @@ class SubsystemIndex:
     sub_id: int
     rows: np.ndarray
     row_is_state: np.ndarray
-    row_time: np.ndarray
     cols: np.ndarray
     row_cols: np.ndarray
     col_rows: np.ndarray
@@ -287,10 +275,11 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
     n_sub = model.n_subsystems
     n, p, t_hor = model.n_states, model.n_inputs, horizon
 
-    in_sets = tuple(d_in_set(graph, i, d) for i in range(1, n_sub + 1))
-    out_sets = tuple(d_out_set(graph, i, d) for i in range(1, n_sub + 1))
-    in_ext = tuple(d_in_set(graph, i, d + 1) for i in range(1, n_sub + 1))
-    out_ext = tuple(d_out_set(graph, i, d + 1) for i in range(1, n_sub + 1))
+    # one search per subsystem and direction to d+1 hops; the d-hop sets are
+    # the subsystems it reached within d
+    in_hops = [_hops(graph, graph._pred, i, d + 1) for i in range(1, n_sub + 1)]
+    out_hops = [_hops(graph, graph._succ, i, d + 1) for i in range(1, n_sub + 1)]
+    within_d = lambda hops: sorted(j for j, h in hops.items() if h <= d)
 
     subsystems = []
     for i in range(1, n_sub + 1):
@@ -307,25 +296,21 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
         row_is_state = np.concatenate(
             [np.ones(len(x_rows), dtype=bool), np.zeros(len(u_rows), dtype=bool)]
         )
-        row_time = np.concatenate(
-            [np.repeat(np.arange(t_hor + 1), len(xi)),
-             np.repeat(np.arange(t_hor), len(ui))]
-        )
 
         cols = xi.copy()
-        row_cols = np.sort(np.concatenate([model.state_indices(j) for j in sorted(in_ext[i - 1])]))
-        state_cols = np.sort(np.concatenate([model.state_indices(j) for j in sorted(in_sets[i - 1])]))
+        row_cols = np.sort(np.concatenate([model.state_indices(j) for j in sorted(in_hops[i - 1])]))
+        state_cols = np.sort(np.concatenate([model.state_indices(j) for j in within_d(in_hops[i - 1])]))
         state_col_positions = np.searchsorted(row_cols, state_cols)
 
         row_mask = np.zeros((len(rows), len(row_cols)), dtype=bool)
         row_mask[~row_is_state, :] = True
         row_mask[np.ix_(row_is_state, state_col_positions)] = True
 
-        cx = [t * n + model.state_indices(j) for t in range(t_hor + 1) for j in sorted(out_sets[i - 1])]
+        cx = [t * n + model.state_indices(j) for t in range(t_hor + 1) for j in within_d(out_hops[i - 1])]
         cu = [
             n * (t_hor + 1) + t * p + model.input_indices(j)
             for t in range(t_hor)
-            for j in sorted(out_ext[i - 1])
+            for j in sorted(out_hops[i - 1])
             if model.input_dims[j - 1]
         ]
         col_rows = np.sort(np.concatenate(cx + cu)) if (cx or cu) else np.array([], dtype=int)
@@ -335,7 +320,6 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
                 sub_id=i,
                 rows=rows,
                 row_is_state=row_is_state,
-                row_time=row_time,
                 cols=cols,
                 row_cols=row_cols,
                 col_rows=col_rows,
@@ -348,7 +332,7 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
         horizon=t_hor,
         n_states=n,
         n_inputs=p,
-        in_sets_ext=in_ext,
-        out_sets_ext=out_ext,
+        in_sets_ext=tuple(frozenset(hops) for hops in in_hops),
+        out_sets_ext=tuple(frozenset(hops) for hops in out_hops),
         subsystems=tuple(subsystems),
     )

@@ -23,6 +23,7 @@ from dlmpc import (
     packet_within_locality,
     solve_row,
 )
+from dlmpc import admm
 from dlmpc.admm import row_profiles
 
 
@@ -313,6 +314,20 @@ class TestConvergenceControl:
         with pytest.raises(InfeasibleRowError, match=r"^subsystem 1: global row 6: "):
             engine.solve_step(np.zeros(sc.model.n_states))
 
+    def test_non_optimal_row_qp_raises(self, monkeypatch):
+        solve_qp = admm.solve_qp
+
+        def capped(qp):
+            res = solve_qp(qp)
+            res.status = QpStatus.MAX_ITER
+            return res
+
+        monkeypatch.setattr(admm, "solve_qp", capped)
+        sc = small_scenario()
+        engine = sc.make_engine(row_solver=RowSolverKind.QP)
+        with pytest.raises(ConvergenceError, match=r"^subsystem 1: global row 0: row QP ended max-iter"):
+            engine.solve_step(sc.initial_state())
+
 
 class TestRowStep:
     """One row step against a row-by-row loop of ``solve_row``."""
@@ -322,7 +337,7 @@ class TestRowStep:
         # tight boxes on states and inputs and random targets reach all three regions
         rng = np.random.default_rng(7)
         state = engine.init_state()
-        state.x0_slices = [x0[sub.row_cols] for sub in sc.index.subsystems]
+        state.x0_blocks = [np.where(sub.row_mask, x0[sub.row_cols], 0.0) for sub in sc.index.subsystems]
         for sub, psi, lam in zip(sc.index.subsystems, state.psi_r, state.lam_r):
             psi[:] = rng.normal(size=psi.shape) * sub.row_mask
             lam[:] = rng.normal(scale=0.5, size=lam.shape) * sub.row_mask
@@ -418,6 +433,24 @@ class TestSolutionQuality:
         x1_planned = phi[n : 2 * n, :] @ x0
         x1_real = sc.model.full_a() @ x0 + sc.model.full_b() @ res.u
         np.testing.assert_allclose(x1_real, x1_planned, atol=1e-7)
+
+    def test_two_input_subsystem_applies_its_time0_rows(self):
+        # subsystem 2 has two inputs: its first two input rows are its time-0 ones
+        chain = build_chain_model(4)
+        model = NetworkModel(
+            state_dims=chain.state_dims,
+            input_dims=(1, 2, 1, 1),
+            a_blocks=chain.a_blocks,
+            b_blocks={**chain.b_blocks, (2, 2): np.array([[0.1, 0.0], [0.0, 0.1]])},
+        )
+        sc = build_scenario(ScenarioConfig(n_subsystems=4, horizon=3, seed=3), model=model)
+        x0 = sc.initial_state()
+        engine = sc.make_engine(eps_primal=1e-9, eps_dual=1e-9)
+        res = engine.solve_step(x0)
+        phi = engine.assemble_from_rows(res.state, "phi")
+        n, p, t_hor = model.n_states, model.n_inputs, sc.config.horizon
+        assert res.u.shape == (5,)
+        np.testing.assert_allclose(res.u, phi[n * (t_hor + 1) : n * (t_hor + 1) + p, :] @ x0, rtol=0, atol=1e-12)
 
     def test_qp_row_path_matches_explicit(self):
         sc = small_scenario()

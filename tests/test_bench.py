@@ -295,6 +295,18 @@ class TestReports:
         back = load_report(paths["json"])
         assert back.steps == []
 
+    def test_zero_step_run_round_trips(self, tmp_path):
+        sc = build_scenario(ScenarioConfig(n_subsystems=2, horizon=2, sim_steps=0))
+        rep = run_closed_loop(sc, with_baseline=True)
+        path = emit_report(rep, tmp_path)["json"]
+        back = load_report(path)
+        assert back.inputs.shape == back.baseline_inputs.shape == rep.inputs.shape == (0, 2)
+        # reports written before the input count was kept still load
+        data = json.loads(path.read_text())
+        del data["n_inputs"]
+        path.write_text(json.dumps(data))
+        assert load_report(path).inputs.size == 0
+
     def test_sweep_csv_round_trip(self, tmp_path):
         rows = [
             SweepRow(10, "explicit", 0.001234, 0.000987, 71, 49.5, 0.5),

@@ -185,7 +185,18 @@ class TestLocalityIndex:
         # column partitions never extend beyond the allowed pattern
         assert np.all(covered[~mask] == 0)
 
-    def test_chain_index_consistency(self):
+    @staticmethod
+    def reach(model, d):
+        """Boolean (I + M)^d, with M[i-1, j-1] set where block (i, j) of A or B is nonzero."""
+        step = np.eye(model.n_subsystems, dtype=int)
+        for (i, j), blk in [*model.a_blocks.items(), *model.b_blocks.items()]:
+            step[i - 1, j - 1] |= int(np.any(blk != 0.0))
+        out = np.eye(model.n_subsystems, dtype=int)
+        for _ in range(d):
+            out = np.minimum(out @ step, 1)
+        return out.astype(bool)
+
+    def test_chain_index_consistency(self, six_node_model):
         model = build_chain_model(5)
         graph = build_graph(model)
         idx = build_locality_index(graph, model, d=1, horizon=4)
@@ -201,6 +212,33 @@ class TestLocalityIndex:
             assert allowed == expected
             # input rows use the full extended footprint
             assert np.all(sub.row_mask[~sub.row_is_state])
+
+        # hop sets and coupled slices against adjacency powers, also on the
+        # directed six-node graph, where in-sets and out-sets differ
+        horizon = 2
+        for model in (model, six_node_model):
+            graph = build_graph(model)
+            for d in range(4):
+                near, far = self.reach(model, d), self.reach(model, d + 1)
+                # state rows of i reach the columns of j iff j is within d hops
+                # upstream of i, input rows iff within d+1 hops
+                state_part = np.zeros((model.n_states, model.n_states), dtype=bool)
+                input_part = np.zeros((model.n_inputs, model.n_states), dtype=bool)
+                for i in range(1, model.n_subsystems + 1):
+                    for j in range(1, model.n_subsystems + 1):
+                        state_part[np.ix_(model.state_indices(i), model.state_indices(j))] = near[i - 1, j - 1]
+                        input_part[np.ix_(model.input_indices(i), model.state_indices(j))] = far[i - 1, j - 1]
+                mask = np.vstack([np.tile(state_part, (horizon + 1, 1)), np.tile(input_part, (horizon, 1))])
+                idx = build_locality_index(graph, model, d, horizon)
+                for sub in idx.subsystems:
+                    i = sub.sub_id
+                    assert d_in_set(graph, i, d) == set(np.flatnonzero(near[i - 1]) + 1)
+                    assert d_out_set(graph, i, d) == set(np.flatnonzero(near[:, i - 1]) + 1)
+                    assert idx.in_sets_ext[i - 1] == set(np.flatnonzero(far[i - 1]) + 1)
+                    assert idx.out_sets_ext[i - 1] == set(np.flatnonzero(far[:, i - 1]) + 1)
+                    np.testing.assert_array_equal(sub.row_cols, np.flatnonzero(mask[sub.rows].any(axis=0)))
+                    np.testing.assert_array_equal(sub.col_rows, np.flatnonzero(mask[:, sub.cols].any(axis=1)))
+                    np.testing.assert_array_equal(sub.row_mask, mask[np.ix_(sub.rows, sub.row_cols)])
 
     def test_locality_zero_restricts_to_self(self, six_node_model, six_node_graph, reference_mask):
         idx = build_locality_index(six_node_graph, six_node_model, d=0, horizon=2)
