@@ -42,7 +42,10 @@ class QpStatus(Enum):
 class DenseQP:
     """min 0.5 x'Hx + g'x  s.t.  a_eq x = b_eq,  lb <= x <= ub.
 
-    H is symmetrized on ingestion.  Missing bounds default to +-inf.
+    H is symmetrized on ingestion.  Missing bounds default to +-inf; missing
+    equalities (``a_eq`` and ``b_eq`` are given together or not at all) are
+    stored as a zero-row block, ``a_eq`` of shape ``(0, n)`` and ``b_eq`` of
+    shape ``(0,)``.
     """
 
     h: np.ndarray
@@ -61,13 +64,12 @@ class DenseQP:
         self.h = 0.5 * (self.h + self.h.T)
         if (self.a_eq is None) != (self.b_eq is None):
             raise QpStructureError("a_eq and b_eq must be given together")
-        if self.a_eq is not None:
-            self.a_eq = np.asarray(self.a_eq, dtype=float)
-            self.b_eq = np.asarray(self.b_eq, dtype=float).ravel()
-            if self.a_eq.ndim != 2 or self.a_eq.shape[1] != nv:
-                raise QpStructureError("a_eq must have one column per variable")
-            if self.a_eq.shape[0] != self.b_eq.shape[0]:
-                raise QpStructureError("a_eq and b_eq row counts differ")
+        self.a_eq = np.zeros((0, nv)) if self.a_eq is None else np.asarray(self.a_eq, dtype=float)
+        self.b_eq = np.zeros(0) if self.b_eq is None else np.asarray(self.b_eq, dtype=float).ravel()
+        if self.a_eq.ndim != 2 or self.a_eq.shape[1] != nv:
+            raise QpStructureError("a_eq must have one column per variable")
+        if self.a_eq.shape[0] != self.b_eq.shape[0]:
+            raise QpStructureError("a_eq and b_eq row counts differ")
         self.lb = (
             np.full(nv, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=float).ravel()
         )
@@ -100,113 +102,88 @@ def _check_psd(h: np.ndarray):
         raise QpStructureError("hessian is not positive semidefinite") from None
 
 
-def _kkt_residual(qp, x, nu) -> float:
-    """Largest stationarity or equality residual of a QP without bounds."""
-    r_d = qp.h @ x + qp.g
-    if qp.a_eq is not None:
-        r_d = r_d + qp.a_eq.T @ nu
-    r_p = qp.a_eq @ x - qp.b_eq if qp.a_eq is not None else np.zeros(0)
-    stat = float(np.max(np.abs(r_d))) if r_d.size else 0.0
-    prim = float(np.max(np.abs(r_p))) if r_p.size else 0.0
-    return max(stat, prim)
-
-
 def _solve_equality_qp(qp, tol):
-    nv = qp.n_vars
-    if qp.a_eq is None or qp.a_eq.shape[0] == 0:
-        x = np.linalg.lstsq(qp.h, -qp.g, rcond=None)[0]
-        nu = np.zeros(0)
-    else:
-        ne = qp.a_eq.shape[0]
-        kkt = np.block([[qp.h, qp.a_eq.T], [qp.a_eq, np.zeros((ne, ne))]])
-        rhs = np.concatenate([-qp.g, qp.b_eq])
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        x, nu = sol[:nv], sol[nv:]
-    scale = max(1.0, float(np.abs(qp.g).max(initial=0.0)))
-    ok = _kkt_residual(qp, x, nu) <= tol * scale * 100
+    """One least-squares solve of the KKT system of a QP without finite bounds."""
+    nv, ne = qp.n_vars, qp.a_eq.shape[0]
+    kkt = np.block([[qp.h, qp.a_eq.T], [qp.a_eq, np.zeros((ne, ne))]])
+    sol = np.linalg.lstsq(kkt, np.concatenate([-qp.g, qp.b_eq]), rcond=None)[0]
+    x, nu = sol[:nv], sol[nv:]
+    resid = max(
+        np.max(np.abs(qp.h @ x + qp.g + qp.a_eq.T @ nu), initial=0.0),
+        np.max(np.abs(qp.a_eq @ x - qp.b_eq), initial=0.0),
+    )
+    ok = resid <= tol * max(1.0, float(np.abs(qp.g).max(initial=0.0))) * 100
     return QpResult(x, QpStatus.OPTIMAL if ok else QpStatus.MAX_ITER, nu, np.zeros(nv), np.zeros(nv), 1)
+
+
+def _max_step(v, dv):
+    """Largest step in (0, 1] that keeps ``v + step * dv`` nonnegative."""
+    neg = dv < 0
+    if not np.any(neg):
+        return 1.0
+    return min(1.0, float(np.min(-v[neg] / dv[neg])))
 
 
 def solve_qp(qp: DenseQP, tol: float = 1e-9, max_iter: int = 100) -> QpResult:
     """Solve a dense convex QP to the requested KKT tolerance.
 
-    Pinned variables (lb == ub) are folded into the equality block.  Returns
-    duals for both bound families; ``status`` is OPTIMAL only if all KKT
-    residuals and the complementarity gap meet the tolerance.
+    Pinned variables (lb == ub) are folded into the equality block, which
+    may have zero rows.  Every other finite bound becomes one inequality
+    ``sgn * x[idx] >= bnd`` (lower bounds with ``sgn = +1``, then upper
+    bounds with ``sgn = -1`` and ``bnd = -ub``) with one slack and one
+    multiplier, split back into ``mu_lo`` and ``mu_hi`` at the end.
+    ``status`` is OPTIMAL only if all KKT residuals and the complementarity
+    gap meet the tolerance; a numerical breakdown (a singular or non-finite
+    KKT matrix) ends the iteration with MAX_ITER.
     """
     _check_psd(qp.h)
-    nv = qp.n_vars
+    nv, n_user_eq = qp.n_vars, qp.a_eq.shape[0]
     lb, ub = qp.lb.copy(), qp.ub.copy()
-    if np.any(lb > ub):
+    pinned = np.flatnonzero(np.isfinite(lb) & (lb == ub))
+    a_eq = np.vstack([qp.a_eq, (pinned[:, None] == np.arange(nv)).astype(float)])
+    b_eq = np.concatenate([qp.b_eq, lb[pinned]])
+    lb[pinned], ub[pinned] = -np.inf, np.inf
+
+    x_ls = np.linalg.lstsq(a_eq, b_eq, rcond=None)[0]
+    eq_scale = max(1.0, float(np.abs(b_eq).max(initial=0.0)))
+    if np.any(qp.lb > qp.ub) or np.max(np.abs(a_eq @ x_ls - b_eq), initial=0.0) > 1e-8 * eq_scale:
         return QpResult(
-            np.zeros(nv), QpStatus.INFEASIBLE, np.zeros(0), np.zeros(nv), np.zeros(nv), 0
+            np.zeros(nv), QpStatus.INFEASIBLE, np.zeros(n_user_eq), np.zeros(nv), np.zeros(nv), 0
         )
 
-    a_eq = qp.a_eq
-    b_eq = qp.b_eq
-    n_user_eq = 0 if a_eq is None else a_eq.shape[0]
-    pinned = np.where(np.isfinite(lb) & (lb == ub))[0]
-    if pinned.size:
-        rows = np.zeros((pinned.size, nv))
-        rows[np.arange(pinned.size), pinned] = 1.0
-        a_eq = rows if a_eq is None else np.vstack([a_eq, rows])
-        b_eq = lb[pinned] if b_eq is None else np.concatenate([b_eq, lb[pinned]])
-        lb[pinned], ub[pinned] = -np.inf, np.inf
-
-    if a_eq is not None and a_eq.shape[0]:
-        x_ls, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
-        eq_scale = max(1.0, float(np.abs(b_eq).max(initial=0.0)))
-        if np.max(np.abs(a_eq @ x_ls - b_eq)) > 1e-8 * eq_scale:
-            return QpResult(
-                np.zeros(nv), QpStatus.INFEASIBLE, np.zeros(n_user_eq), np.zeros(nv), np.zeros(nv), 0
-            )
-    else:
-        x_ls = np.zeros(nv)
-
-    low = np.where(np.isfinite(lb))[0]
-    upp = np.where(np.isfinite(ub))[0]
-
-    work = DenseQP(qp.h, qp.g, a_eq, b_eq, lb, ub)
+    low = np.flatnonzero(np.isfinite(lb))
+    upp = np.flatnonzero(np.isfinite(ub))
     if low.size == 0 and upp.size == 0:
-        res = _solve_equality_qp(work, tol)
+        res = _solve_equality_qp(DenseQP(qp.h, qp.g, a_eq, b_eq), tol)
         return _fold_pinned(res, pinned, n_user_eq)
+    idx = np.concatenate([low, upp])
+    sgn = np.concatenate([np.ones(low.size), -np.ones(upp.size)])
+    bnd = sgn * np.concatenate([lb[low], ub[upp]])
 
     # strictly interior start
-    x = x_ls.copy()
     both = np.isfinite(lb) & np.isfinite(ub)
     width = np.where(both, ub - lb, np.inf)
     margin = np.where(both, np.minimum(1.0, width / 4.0), 1.0)
-    x = np.where(np.isfinite(lb), np.maximum(x, lb + margin), x)
+    x = np.where(np.isfinite(lb), np.maximum(x_ls, lb + margin), x_ls)
     x = np.where(np.isfinite(ub), np.minimum(x, ub - margin), x)
 
-    ne = 0 if a_eq is None else a_eq.shape[0]
+    ne, n_ineq = a_eq.shape[0], idx.size
     nu = np.zeros(ne)
-    z_lo = np.ones(low.size)
-    z_hi = np.ones(upp.size)
-    n_ineq = low.size + upp.size
+    z = np.ones(n_ineq)
     tau = 0.995
-    scale = max(
-        1.0,
-        float(np.abs(qp.g).max(initial=0.0)),
-        float(np.abs(b_eq).max(initial=0.0)) if ne else 0.0,
-    )
+    scale = max(eq_scale, float(np.abs(qp.g).max(initial=0.0)))
 
     status = QpStatus.MAX_ITER
     it = 0
     for it in range(1, max_iter + 1):
-        s_lo = np.maximum(x[low] - lb[low], 1e-300)
-        s_hi = np.maximum(ub[upp] - x[upp], 1e-300)
-        r_d = work.h @ x + qp.g
-        if ne:
-            r_d += a_eq.T @ nu
-        np.subtract.at(r_d, low, z_lo)
-        np.add.at(r_d, upp, z_hi)
-        r_p = (a_eq @ x - b_eq) if ne else np.zeros(0)
-        mu = (s_lo @ z_lo + s_hi @ z_hi) / n_ineq
+        s = np.maximum(sgn * x[idx] - bnd, 1e-300)
+        r_d = qp.h @ x + qp.g + a_eq.T @ nu - np.bincount(idx, sgn * z, nv)
+        r_p = a_eq @ x - b_eq
+        mu = s @ z / n_ineq
 
         if (
             np.max(np.abs(r_d)) <= tol * scale
-            and (not ne or np.max(np.abs(r_p)) <= tol * scale)
+            and np.max(np.abs(r_p), initial=0.0) <= tol * scale
             and mu <= tol * scale
         ):
             status = QpStatus.OPTIMAL
@@ -218,94 +195,57 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9, max_iter: int = 100) -> QpResult:
         # is positive along every unbounded direction for these QPs), so
         # smoothly diverging iterates certify an empty feasible set
         blowup = max(
-            float(np.max(np.abs(x))),
-            float(np.max(z_lo, initial=0.0)),
-            float(np.max(z_hi, initial=0.0)),
-            float(np.max(np.abs(nu), initial=0.0)),
+            float(np.max(np.abs(x))), float(np.max(z)), float(np.max(np.abs(nu), initial=0.0))
         )
         if blowup > 1e13 * scale:
             status = QpStatus.INFEASIBLE
             break
 
-        diag = np.zeros(nv)
-        np.add.at(diag, low, z_lo / s_lo)
-        np.add.at(diag, upp, z_hi / s_hi)
         kkt = np.zeros((nv + ne, nv + ne))
-        kkt[:nv, :nv] = work.h
-        kkt[np.arange(nv), np.arange(nv)] += diag
-        if ne:
-            kkt[:nv, nv:] = a_eq.T
-            kkt[nv:, :nv] = a_eq
-        try:
-            lu = scipy.linalg.lu_factor(kkt)
-        except (ValueError, scipy.linalg.LinAlgError):
-            break
+        kkt[:nv, :nv] = qp.h
+        kkt[np.arange(nv), np.arange(nv)] += np.bincount(idx, z / s, nv)
+        kkt[:nv, nv:] = a_eq.T
+        kkt[nv:, :nv] = a_eq
+        lu, piv, info = scipy.linalg.lapack.dgetrf(kkt)
+        if info or not np.all(np.isfinite(lu)):
+            break  # singular or non-finite KKT matrix, leave status at MAX_ITER
 
-        def newton(comp_lo, comp_hi):
-            rhs1 = -r_d.copy()
-            np.add.at(rhs1, low, (comp_lo - s_lo * z_lo) / s_lo)
-            np.subtract.at(rhs1, upp, (comp_hi - s_hi * z_hi) / s_hi)
-            rhs = np.concatenate([rhs1, -r_p]) if ne else rhs1
-            sol = scipy.linalg.lu_solve(lu, rhs)
-            dx = sol[:nv]
-            dnu = sol[nv:] if ne else np.zeros(0)
-            dz_lo = (comp_lo - s_lo * z_lo) / s_lo - (z_lo / s_lo) * dx[low]
-            dz_hi = (comp_hi - s_hi * z_hi) / s_hi + (z_hi / s_hi) * dx[upp]
-            return dx, dnu, dz_lo, dz_hi
+        def newton(comp):
+            """Newton step for slack-times-multiplier target ``comp``."""
+            w = (comp - s * z) / s
+            rhs = np.concatenate([np.bincount(idx, sgn * w, nv) - r_d, -r_p])
+            sol = scipy.linalg.lapack.dgetrs(lu, piv, rhs)[0]
+            ds = sgn * sol[idx]
+            return sol[:nv], sol[nv:], ds, w - (z / s) * ds
 
-        def max_step(v, dv):
-            neg = dv < 0
-            if not np.any(neg):
-                return 1.0
-            return min(1.0, float(np.min(-v[neg] / dv[neg])))
-
-        zero_lo = np.zeros(low.size)
-        zero_hi = np.zeros(upp.size)
-        dx_a, dnu_a, dzl_a, dzh_a = newton(zero_lo, zero_hi)
-        ds_lo_a, ds_hi_a = dx_a[low], -dx_a[upp]
-        alpha_p = min(max_step(s_lo, ds_lo_a), max_step(s_hi, ds_hi_a))
-        alpha_d = min(max_step(z_lo, dzl_a), max_step(z_hi, dzh_a))
-        mu_aff = (
-            (s_lo + alpha_p * ds_lo_a) @ (z_lo + alpha_d * dzl_a)
-            + (s_hi + alpha_p * ds_hi_a) @ (z_hi + alpha_d * dzh_a)
-        ) / n_ineq
+        _, _, ds_a, dz_a = newton(np.zeros(n_ineq))
+        alpha_p, alpha_d = _max_step(s, ds_a), _max_step(z, dz_a)
+        mu_aff = (s + alpha_p * ds_a) @ (z + alpha_d * dz_a) / n_ineq
         sigma = min(0.99, max((mu_aff / mu) ** 3, 1e-10))
 
-        comp_lo = sigma * mu - ds_lo_a * dzl_a
-        comp_hi = sigma * mu - ds_hi_a * dzh_a
-        dx, dnu, dz_lo, dz_hi = newton(comp_lo, comp_hi)
-        ds_lo, ds_hi = dx[low], -dx[upp]
-        alpha_p = tau * min(max_step(s_lo, ds_lo), max_step(s_hi, ds_hi))
-        alpha_d = tau * min(max_step(z_lo, dz_lo), max_step(z_hi, dz_hi))
-        alpha_p, alpha_d = min(1.0, alpha_p), min(1.0, alpha_d)
-
+        dx, dnu, ds, dz = newton(sigma * mu - ds_a * dz_a)
+        alpha_p, alpha_d = tau * _max_step(s, ds), tau * _max_step(z, dz)
         x = x + alpha_p * dx
         nu = nu + alpha_d * dnu
-        z_lo = z_lo + alpha_d * dz_lo
-        z_hi = z_hi + alpha_d * dz_hi
+        z = z + alpha_d * dz
 
-    if status is QpStatus.MAX_ITER and ne:
-        # a stalled equality residual with interior-held bounds means the
-        # equalities and the box cannot both be met
-        if np.max(np.abs(a_eq @ x - b_eq)) > 1e-6 * scale:
-            status = QpStatus.INFEASIBLE
+    # a stalled equality residual with interior-held bounds means the
+    # equalities and the box cannot both be met
+    if status is QpStatus.MAX_ITER and np.max(np.abs(a_eq @ x - b_eq), initial=0.0) > 1e-6 * scale:
+        status = QpStatus.INFEASIBLE
 
-    mu_lo_full = np.zeros(nv)
-    mu_hi_full = np.zeros(nv)
-    mu_lo_full[low] = z_lo
-    mu_hi_full[upp] = z_hi
-    result = QpResult(x=x, status=status, nu=nu, mu_lo=mu_lo_full, mu_hi=mu_hi_full, iterations=it)
-    return _fold_pinned(result, pinned, n_user_eq)
+    mu_lo, mu_hi = np.zeros(nv), np.zeros(nv)
+    mu_lo[low], mu_hi[upp] = z[: low.size], z[low.size :]
+    return _fold_pinned(QpResult(x, status, nu, mu_lo, mu_hi, it), pinned, n_user_eq)
 
 
 def _fold_pinned(result: QpResult, pinned: np.ndarray, n_user_eq: int) -> QpResult:
     """Map duals of internal pin rows back onto bound multipliers."""
-    if pinned.size:
-        extra = result.nu[n_user_eq:]
-        result.nu = result.nu[:n_user_eq]
-        for k, i in enumerate(pinned):
-            result.mu_lo[i] += max(-extra[k], 0.0)
-            result.mu_hi[i] += max(extra[k], 0.0)
+    extra = result.nu[n_user_eq:]
+    result.nu = result.nu[:n_user_eq]
+    for k, i in enumerate(pinned):
+        result.mu_lo[i] += max(-extra[k], 0.0)
+        result.mu_hi[i] += max(extra[k], 0.0)
     return result
 
 

@@ -89,7 +89,10 @@ def assemble_feasibility_operator(
     on that subsystem's coupled row set; excluded rows read 0 = 0 for those
     columns.  The right-hand side is nonzero only on the time-0 state row of
     each own column, so at build time every such row must be in the slice.
-    The stacked constraint itself is dropped once the projectors are built.
+    A slice whose projection cannot meet its constraint (``Z @ offset`` off
+    ``rhs`` beyond rounding: no response map within the locality obeys the
+    dynamics) raises ``ValueError``.  The stacked constraint itself is
+    dropped once the projectors are built.
     """
     csc = stacked_constraint(model, index.horizon).tocsc()
     projectors = []
@@ -104,9 +107,15 @@ def assemble_feasibility_operator(
                 "fell outside the coupled row set"
             )
         z_plus = np.linalg.pinv(z)
-        projectors.append(
-            ColumnProjector(gain=np.eye(z.shape[1]) - z_plus @ z, offset=z_plus @ rhs)
-        )
+        offset = z_plus @ rhs
+        resid = float(np.max(np.abs(z @ offset - rhs)))
+        if resid > 1e-8 * max(1.0, float(np.abs(z).max())):
+            raise ValueError(
+                f"subsystem {sub.sub_id}: no response map within locality d={index.d} "
+                f"meets the dynamics over horizon T={index.horizon} "
+                f"(constraint residual {resid:.2e})"
+            )
+        projectors.append(ColumnProjector(gain=np.eye(z.shape[1]) - z_plus @ z, offset=offset))
     return FeasibilityOperator(projectors=tuple(projectors))
 
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from dlmpc import NetworkModel, build_graph, build_locality_index, d_out_set
+from dlmpc import NetworkModel, build_chain_model, build_graph, build_locality_index, d_out_set
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +23,25 @@ def six_node_model():
         input_dims=(1,) * 6,
         a_blocks=a_blocks,
         b_blocks=b_blocks,
+    )
+
+
+@pytest.fixture(scope="session")
+def cross_fed_chain_model():
+    """Six-node chain whose neighbours feed the unactuated first state.
+
+    The neighbour coupling enters the first state component, which a node's
+    own input reaches only one step later, so a disturbance spreads a hop
+    before it can be stopped: a locality of d=0 meets the dynamics at no
+    horizon, d=1 only at T=1, and d=2 at every horizon tested (1, 3, 5).
+    """
+    chain = build_chain_model(6)
+    neighbor = np.array([[0.1, 0.0], [0.0, 0.0]])
+    return NetworkModel(
+        state_dims=chain.state_dims,
+        input_dims=chain.input_dims,
+        a_blocks={k: blk if k[0] == k[1] else neighbor for k, blk in chain.a_blocks.items()},
+        b_blocks=chain.b_blocks,
     )
 
 

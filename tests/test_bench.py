@@ -486,6 +486,12 @@ class TestCli:
         path = save_model_file(build_chain_model(2), tmp_path / "m.txt")
         assert cli_main(["run", "--model", str(path), "--steps", "1", "--horizon", "2"]) == 0
 
+    def test_run_rejects_a_locality_the_model_cannot_meet(self, tmp_path, capsys, cross_fed_chain_model):
+        path = save_model_file(cross_fed_chain_model, tmp_path / "m.txt")
+        assert cli_main(["run", "--model", str(path), "--locality", "1", "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "no response map within locality d=1 meets the dynamics over horizon T=5" in err
+
     def test_subsystems_overrides_config(self, tmp_path, capsys):
         ini = tmp_path / "s.ini"
         ini.write_text("[scenario]\nsubsystems = 3\nhorizon = 2\nsim_steps = 1\n")

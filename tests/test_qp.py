@@ -194,6 +194,74 @@ class TestSolveQp:
             assert np.max(np.abs(comp_lo)) < 1e-6
             assert np.max(np.abs(comp_hi)) < 1e-6
 
+    @pytest.mark.parametrize("n_eq", [None, 0, 1, 2])
+    def test_mixed_bound_patterns_match_brute_force(self, n_eq):
+        # per variable: free, lower-only, upper-only, two-sided or pinned
+        rng = np.random.default_rng(10 + [None, 0, 1, 2].index(n_eq))
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            h = random_psd(rng, n)
+            g = rng.normal(size=n, scale=2.0)
+            lb = np.full(n, -np.inf)
+            ub = np.full(n, np.inf)
+            x_feas = rng.uniform(-1.0, 1.0, size=n)
+            for i, pattern in enumerate(rng.integers(0, 5, size=n)):
+                if pattern in (1, 3):
+                    lb[i] = x_feas[i] - rng.uniform(0.1, 1.0)
+                if pattern in (2, 3):
+                    ub[i] = x_feas[i] + rng.uniform(0.1, 1.0)
+                if pattern == 4:
+                    lb[i] = ub[i] = x_feas[i]
+            if n_eq is None:
+                a = b = None
+                qp = DenseQP(h, g, lb=lb, ub=ub)
+            else:
+                a = rng.normal(size=(n_eq, n))
+                b = a @ x_feas  # x_feas meets every bound, so the QP is feasible
+                qp = DenseQP(h, g, a, b, lb, ub)
+            res = solve_qp(qp, tol=1e-10)
+            ref_x, ref_val = brute_force_box_qp(qp)
+            assert res.status is QpStatus.OPTIMAL
+            np.testing.assert_allclose(res.x, ref_x, atol=1e-5)
+            assert res.nu.shape == (0 if n_eq is None else n_eq,)
+            # both multipliers: nonnegative, zero on a missing bound,
+            # complementary to their bound, and stationary together with nu
+            assert np.all(res.mu_lo >= -1e-8) and np.all(res.mu_hi >= -1e-8)
+            assert np.all(res.mu_lo[np.isinf(lb)] == 0) and np.all(res.mu_hi[np.isinf(ub)] == 0)
+            fin_lo, fin_hi = np.isfinite(lb), np.isfinite(ub)
+            assert np.max(np.abs(res.mu_lo[fin_lo] * (res.x - lb)[fin_lo]), initial=0.0) < 1e-6
+            assert np.max(np.abs(res.mu_hi[fin_hi] * (ub - res.x)[fin_hi]), initial=0.0) < 1e-6
+            grad = h @ res.x + g - res.mu_lo + res.mu_hi
+            if a is not None:
+                grad = grad + a.T @ res.nu
+            np.testing.assert_allclose(grad, 0, atol=1e-6)
+
+    def test_missing_equalities_are_a_zero_row_block(self):
+        qp = DenseQP(np.eye(3), np.zeros(3))
+        assert qp.a_eq.shape == (0, 3)
+        assert qp.b_eq.shape == (0,)
+        with pytest.raises(QpStructureError):
+            DenseQP(np.eye(3), np.zeros(3), a_eq=np.ones((1, 3)))
+        with pytest.raises(QpStructureError):
+            DenseQP(np.eye(3), np.zeros(3), b_eq=np.ones(1))
+
+    def test_infeasible_results_have_one_nu_per_equality_row(self):
+        a, b = np.ones((1, 2)), np.ones(1)
+        crossed = solve_qp(DenseQP(np.eye(2), np.zeros(2), a, b, [1, -1], [0, 1]))
+        assert crossed.status is QpStatus.INFEASIBLE
+        assert crossed.nu.shape == (1,)
+        inconsistent = solve_qp(DenseQP(np.eye(2), np.zeros(2), np.vstack([a, a]), [1.0, 2.0]))
+        assert inconsistent.status is QpStatus.INFEASIBLE
+        assert inconsistent.nu.shape == (2,)
+
+    def test_unbounded_linear_objective_ends_as_max_iter(self):
+        # x[1] is free with zero curvature and a nonzero gradient: the KKT
+        # matrix is exactly singular, a numerical breakdown and not a crash
+        qp = DenseQP(np.zeros((2, 2)), np.array([1.4, 1.0]), ub=np.array([1.0, np.inf]))
+        res = solve_qp(qp)
+        assert res.status is QpStatus.MAX_ITER
+        assert np.all(np.isfinite(res.x))
+
     def test_rejects_indefinite_hessian(self):
         with pytest.raises(QpStructureError):
             solve_qp(DenseQP(np.array([[-1.0]]), np.zeros(1)))

@@ -195,6 +195,19 @@ class TestColumnProjection:
             psi = project_column(op, i, v)
             np.testing.assert_allclose(z[:, sub.col_rows] @ psi, identity[:, sub.cols], atol=1e-10)
 
+    @pytest.mark.parametrize("d,horizon", [(0, 1), (0, 3), (0, 5), (1, 3), (1, 5)])
+    def test_rejects_locality_the_dynamics_cannot_meet(self, cross_fed_chain_model, d, horizon):
+        with pytest.raises(ValueError, match=rf"subsystem \d+: .* d={d} .* T={horizon} \(constraint residual"):
+            build_operator(cross_fed_chain_model, d, horizon)
+
+    @pytest.mark.parametrize("d,horizon", [(1, 1), (2, 1), (2, 3), (2, 5)])
+    def test_builds_where_the_locality_meets_the_dynamics(self, cross_fed_chain_model, d, horizon):
+        index, op = build_operator(cross_fed_chain_model, d, horizon)
+        z = dense_constraint(cross_fed_chain_model, horizon)
+        identity = np.eye(z.shape[0], cross_fed_chain_model.n_states)
+        for sub, proj in zip(index.subsystems, op.projectors):
+            np.testing.assert_allclose(z[:, sub.col_rows] @ proj.offset, identity[:, sub.cols], atol=1e-10)
+
     def test_rejects_bad_shape(self):
         model = build_chain_model(3)
         _, op = build_operator(model, d=1, horizon=3)
