@@ -343,9 +343,12 @@ class DlmpcEngine:
     def row_step(self, state: AdmmState, i: int):
         """Proximal row update for subsystem i, each row over its ``row_mask`` row.
 
-        Both routes read the state's per-row x0 blocks.  The explicit route
-        solves the block in one call; the QP route solves row by row and
-        raises :class:`ConvergenceError` if a row's solve is not optimal.
+        Both routes read the state's per-row x0 blocks and solve the block in
+        one call.  The QP route stacks the rows with a nonzero x0 at the block
+        width (off the mask the target and x0 are zero, so the padded
+        variables decouple at 0), writes phi back on the mask only, and
+        raises :class:`ConvergenceError` naming the first row whose solve is
+        not optimal.
         """
         sub = self.index.subsystems[i - 1]
         x0, mask = state.x0_blocks[i - 1], sub.row_mask
@@ -358,16 +361,16 @@ class DlmpcEngine:
                 phi = a.copy()  # rows with a zero x0 stay at their targets
                 zero = ~np.any(x0 != 0.0, axis=1)
                 check_rows(lo, hi, zero)
-                for r in np.flatnonzero(~zero):
-                    cols = mask[r]
-                    res = solve_qp(row_qp(a[r, cols], x0[r, cols], self.rho, lo[r], hi[r], w[r]))
-                    if res.status is QpStatus.INFEASIBLE:
+                live = np.flatnonzero(~zero)
+                res = solve_qp(row_qp(a[live], x0[live], self.rho, lo[live], hi[live], w[live]))
+                for r, status in zip(live, res.statuses):
+                    if status is QpStatus.INFEASIBLE:
                         raise InfeasibleRowError(f"QP infeasible, box [{lo[r]}, {hi[r]}]", row=r)
-                    if res.status is not QpStatus.OPTIMAL:
+                    if status is not QpStatus.OPTIMAL:
                         raise ConvergenceError(
-                            f"subsystem {i}: global row {sub.rows[r]}: row QP ended {res.status.value}"
+                            f"subsystem {i}: global row {sub.rows[r]}: row QP ended {status.value}"
                         )
-                    phi[r, cols] = res.x[:-1]
+                phi[mask & ~zero[:, None]] = res.x[:, :-1][mask[live]]
         except InfeasibleRowError as err:
             g = sub.rows[err.row]
             raise InfeasibleRowError(f"subsystem {i}: global row {g}: {err.detail}") from err

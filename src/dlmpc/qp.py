@@ -9,8 +9,9 @@ conditions), for problems of the form
 
 It exists as an independent verification route: nothing here shares a code
 path with the closed-form row solver, so agreement between the two is
-evidence, not tautology.  ``row_qp`` states one row subproblem for it (the
-solver-based row step and the ``validate`` cross-check both use it).
+evidence, not tautology.  ``row_qp`` states one row subproblem for it, or a
+stack of them: the solver-based row step solves each subsystem's rows as
+one stack, and the ``validate`` cross-check solves rows one at a time.
 ``centralized_mpc`` condenses the full MPC problem into the inputs and
 solves one QP, giving the global cost baseline;
 ``centralized_local_mpc`` solves the sparsity-constrained synthesis problem
@@ -40,12 +41,15 @@ class QpStatus(Enum):
 
 @dataclass
 class DenseQP:
-    """min 0.5 x'Hx + g'x  s.t.  a_eq x = b_eq,  lb <= x <= ub.
+    """min 0.5 x'Hx + g'x  s.t.  a_eq x = b_eq,  lb <= x <= ub, or a stack of them.
 
-    H is symmetrized on ingestion.  Missing bounds default to +-inf; missing
-    equalities (``a_eq`` and ``b_eq`` are given together or not at all) are
-    stored as a zero-row block, ``a_eq`` of shape ``(0, n)`` and ``b_eq`` of
-    shape ``(0,)``.
+    A stack puts a leading member axis on every array (``h`` of shape
+    ``(S, n, n)``, ``g`` of shape ``(S, n)`` and so on); its members share
+    ``n`` and the number of equality rows.  H is symmetrized on ingestion.
+    Missing bounds default to +-inf; missing equalities (``a_eq`` and
+    ``b_eq`` are given together or not at all) are stored as a zero-row
+    block, ``a_eq`` of shape ``(0, n)`` and ``b_eq`` of shape ``(0,)`` per
+    member.
     """
 
     h: np.ndarray
@@ -57,215 +61,282 @@ class DenseQP:
 
     def __post_init__(self):
         self.h = np.asarray(self.h, dtype=float)
-        self.g = np.asarray(self.g, dtype=float).ravel()
-        nv = self.g.shape[0]
-        if self.h.shape != (nv, nv):
+        lead = self.h.shape[:1] if self.h.ndim == 3 else ()
+        per_member = lambda v: np.asarray(v, dtype=float) if lead else np.asarray(v, dtype=float).ravel()
+        self.g = per_member(self.g)
+        nv = self.g.shape[-1]
+        if self.h.shape != lead + (nv, nv):
             raise QpStructureError(f"H must be {nv}x{nv}, got {self.h.shape}")
-        self.h = 0.5 * (self.h + self.h.T)
+        self.h = 0.5 * (self.h + np.swapaxes(self.h, -1, -2))
         if (self.a_eq is None) != (self.b_eq is None):
             raise QpStructureError("a_eq and b_eq must be given together")
-        self.a_eq = np.zeros((0, nv)) if self.a_eq is None else np.asarray(self.a_eq, dtype=float)
-        self.b_eq = np.zeros(0) if self.b_eq is None else np.asarray(self.b_eq, dtype=float).ravel()
-        if self.a_eq.ndim != 2 or self.a_eq.shape[1] != nv:
+        self.a_eq = np.zeros(lead + (0, nv)) if self.a_eq is None else np.asarray(self.a_eq, dtype=float)
+        self.b_eq = np.zeros(lead + (0,)) if self.b_eq is None else per_member(self.b_eq)
+        if self.a_eq.shape[:-2] != lead or self.a_eq.ndim != len(lead) + 2 or self.a_eq.shape[-1] != nv:
             raise QpStructureError("a_eq must have one column per variable")
-        if self.a_eq.shape[0] != self.b_eq.shape[0]:
+        if self.a_eq.shape[-2] != self.b_eq.shape[-1]:
             raise QpStructureError("a_eq and b_eq row counts differ")
-        self.lb = (
-            np.full(nv, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=float).ravel()
-        )
-        self.ub = (
-            np.full(nv, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float).ravel()
-        )
-        if self.lb.shape != (nv,) or self.ub.shape != (nv,):
+        self.lb = np.full(lead + (nv,), -np.inf) if self.lb is None else per_member(self.lb)
+        self.ub = np.full(lead + (nv,), np.inf) if self.ub is None else per_member(self.ub)
+        if self.lb.shape != lead + (nv,) or self.ub.shape != lead + (nv,):
             raise QpStructureError("bounds must have one entry per variable")
 
     @property
     def n_vars(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
 
 @dataclass
 class QpResult:
+    """A QP's solution, or a stack's with a leading member axis on every array.
+
+    ``statuses`` holds one status per member, and ``iterations`` is the most
+    interior-point iterations any member took.
+    """
+
     x: np.ndarray
-    status: QpStatus
+    statuses: list
     nu: np.ndarray
     mu_lo: np.ndarray
     mu_hi: np.ndarray
     iterations: int
 
+    @property
+    def status(self) -> QpStatus:
+        """OPTIMAL when every member is, else the first other member status."""
+        return next((s for s in self.statuses if s is not QpStatus.OPTIMAL), QpStatus.OPTIMAL)
+
+
+# status codes inside solve_qp index this tuple
+_STATUSES = (QpStatus.OPTIMAL, QpStatus.INFEASIBLE, QpStatus.MAX_ITER)
+_OPTIMAL, _INFEASIBLE, _MAX_ITER = range(3)
+
 
 def _check_psd(h: np.ndarray):
-    scale = max(1.0, float(np.trace(h)) / max(1, h.shape[0]))
+    n = h.shape[-1]
+    scale = np.maximum(1.0, np.einsum("...ii->...", h) / max(1, n))
     try:
-        np.linalg.cholesky(h + 1e-10 * scale * np.eye(h.shape[0]))
+        np.linalg.cholesky(h + 1e-10 * scale[..., None, None] * np.eye(n))
     except np.linalg.LinAlgError:
         raise QpStructureError("hessian is not positive semidefinite") from None
 
 
-def _solve_equality_qp(qp, tol):
-    """One least-squares solve of the KKT system of a QP without finite bounds."""
-    nv, ne = qp.n_vars, qp.a_eq.shape[0]
-    kkt = np.block([[qp.h, qp.a_eq.T], [qp.a_eq, np.zeros((ne, ne))]])
-    sol = np.linalg.lstsq(kkt, np.concatenate([-qp.g, qp.b_eq]), rcond=None)[0]
-    x, nu = sol[:nv], sol[nv:]
-    resid = max(
-        np.max(np.abs(qp.h @ x + qp.g + qp.a_eq.T @ nu), initial=0.0),
-        np.max(np.abs(qp.a_eq @ x - qp.b_eq), initial=0.0),
-    )
-    ok = resid <= tol * max(1.0, float(np.abs(qp.g).max(initial=0.0))) * 100
-    return QpResult(x, QpStatus.OPTIMAL if ok else QpStatus.MAX_ITER, nu, np.zeros(nv), np.zeros(nv), 1)
+def _mv(m, v):
+    """Matrix-vector product of each member of a stack."""
+    return (m @ v[..., None])[..., 0]
 
 
 def _max_step(v, dv):
-    """Largest step in (0, 1] that keeps ``v + step * dv`` nonnegative."""
-    neg = dv < 0
-    if not np.any(neg):
-        return 1.0
-    return min(1.0, float(np.min(-v[neg] / dv[neg])))
+    """Per member, the largest step in (0, 1] that keeps ``v + step * dv`` nonnegative."""
+    ratio = np.divide(-v, dv, out=np.full_like(v, np.inf), where=dv < 0)
+    return ratio.min(axis=1, initial=1.0)
 
 
 def solve_qp(qp: DenseQP, tol: float = 1e-9, max_iter: int = 100) -> QpResult:
-    """Solve a dense convex QP to the requested KKT tolerance.
+    """Solve a dense convex QP, or each member of a stack, to the requested KKT tolerance.
 
     Pinned variables (lb == ub) are folded into the equality block, which
-    may have zero rows.  Every other finite bound becomes one inequality
+    may have zero rows; a consistent row that the other rows span is set
+    aside with a zero multiplier, so that the KKT matrix stays nonsingular.
+    Every other finite bound becomes one inequality
     ``sgn * x[idx] >= bnd`` (lower bounds with ``sgn = +1``, then upper
     bounds with ``sgn = -1`` and ``bnd = -ub``) with one slack and one
-    multiplier, split back into ``mu_lo`` and ``mu_hi`` at the end.
-    ``status`` is OPTIMAL only if all KKT residuals and the complementarity
-    gap meet the tolerance; a numerical breakdown (a singular or non-finite
-    KKT matrix) ends the iteration with MAX_ITER.
+    multiplier, split back into ``mu_lo`` and ``mu_hi`` at the end.  A
+    stack's members share one iteration: its bound slots and pinned rows
+    are those of any member, masked off in a member that lacks them, each
+    member's KKT matrix is factored once per iteration for both Newton
+    solves, and a member leaves the iteration when it ends.  A member
+    without a finite bound takes full Newton steps, so it ends at its
+    second check.  A status is OPTIMAL only if all KKT residuals and the
+    complementarity gap meet the tolerance; a numerical breakdown (a
+    singular or non-finite KKT matrix) ends the member with MAX_ITER.
     """
-    _check_psd(qp.h)
-    nv, n_user_eq = qp.n_vars, qp.a_eq.shape[0]
-    lb, ub = qp.lb.copy(), qp.ub.copy()
-    pinned = np.flatnonzero(np.isfinite(lb) & (lb == ub))
-    a_eq = np.vstack([qp.a_eq, (pinned[:, None] == np.arange(nv)).astype(float)])
-    b_eq = np.concatenate([qp.b_eq, lb[pinned]])
-    lb[pinned], ub[pinned] = -np.inf, np.inf
+    stack = qp.h.ndim == 3
+    h, g, a_eq, b_eq, lb, ub = (
+        v if stack else v[None] for v in (qp.h, qp.g, qp.a_eq, qp.b_eq, qp.lb, qp.ub)
+    )
+    _check_psd(h)
+    n_qp, nv = g.shape
+    n_user_eq = a_eq.shape[1]
+    crossed = (lb > ub).any(axis=1)
 
-    x_ls = np.linalg.lstsq(a_eq, b_eq, rcond=None)[0]
-    eq_scale = max(1.0, float(np.abs(b_eq).max(initial=0.0)))
-    if np.any(qp.lb > qp.ub) or np.max(np.abs(a_eq @ x_ls - b_eq), initial=0.0) > 1e-8 * eq_scale:
-        return QpResult(
-            np.zeros(nv), QpStatus.INFEASIBLE, np.zeros(n_user_eq), np.zeros(nv), np.zeros(nv), 0
-        )
+    # a variable pinned in any member gets an equality row; in a member that
+    # leaves it free the row is zero and a -1 on the KKT diagonal (``idle``)
+    # holds the row's multiplier at 0
+    pin = np.isfinite(lb) & (lb == ub)
+    pinned = np.flatnonzero(pin.any(axis=0))
+    pin_rows = pin[:, pinned]
+    a_eq = np.concatenate([a_eq, pin_rows[:, :, None] * (pinned[:, None] == np.arange(nv))], axis=1)
+    b_eq = np.concatenate([b_eq, np.where(pin_rows, lb[:, pinned], 0.0)], axis=1)
+    idle = np.concatenate([np.zeros((n_qp, n_user_eq)), ~pin_rows], axis=1)
+    lb, ub = np.where(pin, -np.inf, lb), np.where(pin, np.inf, ub)
 
-    low = np.flatnonzero(np.isfinite(lb))
-    upp = np.flatnonzero(np.isfinite(ub))
-    if low.size == 0 and upp.size == 0:
-        res = _solve_equality_qp(DenseQP(qp.h, qp.g, a_eq, b_eq), tol)
-        return _fold_pinned(res, pinned, n_user_eq)
+    # least-squares start, with the rank cut of np.linalg.lstsq
+    u, sv, vt = np.linalg.svd(a_eq, full_matrices=False)
+    kept = sv > max(a_eq.shape[1:]) * np.finfo(float).eps * sv[:, :1]
+    coef = np.divide(_mv(np.swapaxes(u, 1, 2), b_eq), sv, out=np.zeros_like(sv), where=kept)
+    x_ls = _mv(np.swapaxes(vt, 1, 2), coef)
+    eq_scale = np.maximum(1.0, np.abs(b_eq).max(axis=1, initial=0.0))
+    eq_gap = np.abs(_mv(a_eq, x_ls) - b_eq).max(axis=1, initial=0.0)
+    infeasible = crossed | (eq_gap > 1e-8 * eq_scale)
+    # consistent rows that the others span are idled too, so that the KKT
+    # matrix stays nonsingular; their multipliers stay 0
+    for k in np.flatnonzero(~infeasible & (kept.sum(axis=1) < (idle == 0).sum(axis=1))):
+        order = scipy.linalg.qr(a_eq[k].T, mode="r", pivoting=True)[1]
+        drop = order[np.count_nonzero(kept[k]) :]
+        a_eq[k, drop], b_eq[k, drop], idle[k, drop] = 0.0, 0.0, 1.0
+
+    # one slot per bound of any member; a member's own slots (``sgn_on`` is
+    # their sign, 0 elsewhere) carry its bounds, the others idle at s = 1 and
+    # z = 0 and limit no step
+    low = np.flatnonzero(np.isfinite(lb).any(axis=0))
+    upp = np.flatnonzero(np.isfinite(ub).any(axis=0))
     idx = np.concatenate([low, upp])
     sgn = np.concatenate([np.ones(low.size), -np.ones(upp.size)])
-    bnd = sgn * np.concatenate([lb[low], ub[upp]])
+    bnd = np.concatenate([lb[:, low], -ub[:, upp]], axis=1)
+    on = np.isfinite(bnd)
+    sgn_on = sgn * on
+    bnd = np.where(on, bnd, -1.0)
+    # ``w @ sel`` sums the slot values ``w`` of each variable, ``w @ ssel`` with their signs
+    sel = (idx[:, None] == np.arange(nv)).astype(float)
+    ssel = sgn[:, None] * sel
 
-    # strictly interior start
+    # strictly interior start; primal and equality duals live in one vector
     both = np.isfinite(lb) & np.isfinite(ub)
     width = np.where(both, ub - lb, np.inf)
     margin = np.where(both, np.minimum(1.0, width / 4.0), 1.0)
     x = np.where(np.isfinite(lb), np.maximum(x_ls, lb + margin), x_ls)
     x = np.where(np.isfinite(ub), np.minimum(x, ub - margin), x)
+    ne = a_eq.shape[1]
+    xn = np.concatenate([x, np.zeros((n_qp, ne))], axis=1)
+    z = on.astype(float)
+    n_on = np.maximum(on.sum(axis=1), 1)
+    tau = np.where(on.any(axis=1), 0.995, 1.0)
+    scale = np.maximum(eq_scale, np.abs(g).max(axis=1, initial=0.0))
 
-    ne, n_ineq = a_eq.shape[0], idx.size
-    nu = np.zeros(ne)
-    z = np.ones(n_ineq)
-    tau = 0.995
-    scale = max(eq_scale, float(np.abs(qp.g).max(initial=0.0)))
+    # the KKT matrix without its barrier diagonal, and the residual offset:
+    # ``kkt0 @ xn + c`` is the dual residual over the primal residual
+    diag = np.arange(nv + ne)
+    kkt0 = np.zeros((n_qp, nv + ne, nv + ne))
+    kkt0[:, :nv, :nv] = h
+    kkt0[:, :nv, nv:] = np.swapaxes(a_eq, 1, 2)
+    kkt0[:, nv:, :nv] = a_eq
+    kkt0[:, diag[nv:], diag[nv:]] = -idle
+    c = np.concatenate([g, -b_eq], axis=1)
+    kkt_all, c_all, scale_all = kkt0, c, scale
 
-    status = QpStatus.MAX_ITER
-    it = 0
+    status = np.where(infeasible, _INFEASIBLE, _MAX_ITER)
+    iters = np.zeros(n_qp, dtype=int)
+    out_xn, out_z = np.zeros_like(xn), np.zeros_like(z)
+    live = np.flatnonzero(~infeasible)
+    kkt0, c, bnd, sgn_on, n_on, tau, scale, xn, z = (
+        v[live] for v in (kkt0, c, bnd, sgn_on, n_on, tau, scale, xn, z)
+    )
     for it in range(1, max_iter + 1):
-        s = np.maximum(sgn * x[idx] - bnd, 1e-300)
-        r_d = qp.h @ x + qp.g + a_eq.T @ nu - np.bincount(idx, sgn * z, nv)
-        r_p = a_eq @ x - b_eq
-        mu = s @ z / n_ineq
-
-        if (
-            np.max(np.abs(r_d)) <= tol * scale
-            and np.max(np.abs(r_p), initial=0.0) <= tol * scale
-            and mu <= tol * scale
-        ):
-            status = QpStatus.OPTIMAL
+        if not live.size:
             break
+        s = np.maximum(sgn_on * xn[:, idx] - bnd, 1e-300)
+        r = _mv(kkt0, xn) + c
+        r[:, :nv] -= z @ ssel
+        mu = np.einsum("ij,ij->i", s, z) / n_on
 
-        if not (np.all(np.isfinite(x)) and np.isfinite(mu)):
-            break  # numerical breakdown, leave status at MAX_ITER
+        tol_s = tol * scale
+        ok = (np.abs(r).max(axis=1) <= tol_s) & (mu <= tol_s)
+        # a numerical breakdown leaves the member at MAX_ITER
+        finite = np.isfinite(xn[:, :nv]).all(axis=1) & np.isfinite(mu)
         # the central path of a feasible problem stays bounded here (curvature
         # is positive along every unbounded direction for these QPs), so
         # smoothly diverging iterates certify an empty feasible set
-        blowup = max(
-            float(np.max(np.abs(x))), float(np.max(z)), float(np.max(np.abs(nu), initial=0.0))
-        )
-        if blowup > 1e13 * scale:
-            status = QpStatus.INFEASIBLE
-            break
+        blowup = np.maximum(np.abs(xn).max(axis=1), z.max(axis=1, initial=0.0))
+        blown = ~ok & finite & (blowup > 1e13 * scale)
+        done = ok | ~finite | blown
 
-        kkt = np.zeros((nv + ne, nv + ne))
-        kkt[:nv, :nv] = qp.h
-        kkt[np.arange(nv), np.arange(nv)] += np.bincount(idx, z / s, nv)
-        kkt[:nv, nv:] = a_eq.T
-        kkt[nv:, :nv] = a_eq
-        lu, piv, info = scipy.linalg.lapack.dgetrf(kkt)
-        if info or not np.all(np.isfinite(lu)):
-            break  # singular or non-finite KKT matrix, leave status at MAX_ITER
+        # the KKT matrix is symmetric, so its transpose is the matrix itself in
+        # the column-major order in which LAPACK factors it in place; a
+        # singular or non-finite factor also leaves the member at MAX_ITER
+        d = np.divide(z, s, out=np.zeros_like(z), where=~done[:, None])
+        kkt = kkt0.copy()
+        kkt[:, diag[:nv], diag[:nv]] += d @ sel
+        todo = np.flatnonzero(~done)
+        pivots, singular = [], np.zeros(todo.size, dtype=bool)
+        for j, k in enumerate(todo):
+            _, piv, singular[j] = scipy.linalg.lapack.dgetrf(kkt[k].T, overwrite_a=True)
+            pivots.append(piv)
+        failed = singular | ~np.isfinite(kkt[todo]).all(axis=(1, 2))
+        if failed.any():
+            done[todo[failed]] = True
+            pivots = [piv for piv, f in zip(pivots, failed) if not f]
+        if done.any():
+            status[live[ok]] = _OPTIMAL
+            status[live[blown]] = _INFEASIBLE
+            iters[live[done]], out_xn[live[done]], out_z[live[done]] = it, xn[done], z[done]
+            keep = ~done
+            live, kkt0, kkt, c, bnd, sgn_on, n_on, tau, scale, xn, z, s, r, mu, d = (
+                v[keep] for v in (live, kkt0, kkt, c, bnd, sgn_on, n_on, tau, scale, xn, z, s, r, mu, d)
+            )
+            if not live.size:
+                break
 
-        def newton(comp):
-            """Newton step for slack-times-multiplier target ``comp``."""
-            w = (comp - s * z) / s
-            rhs = np.concatenate([np.bincount(idx, sgn * w, nv) - r_d, -r_p])
-            sol = scipy.linalg.lapack.dgetrs(lu, piv, rhs)[0]
-            ds = sgn * sol[idx]
-            return sol[:nv], sol[nv:], ds, w - (z / s) * ds
+        def newton(w):
+            """Newton step for the complementarity target ``w * s + s * z``."""
+            rhs = -r
+            rhs[:, :nv] += w @ ssel
+            sol = np.stack([scipy.linalg.lapack.dgetrs(lu.T, piv, b)[0] for lu, piv, b in zip(kkt, pivots, rhs)])
+            ds = sgn_on * sol[:, idx]
+            return sol, ds, w - d * ds
 
-        _, _, ds_a, dz_a = newton(np.zeros(n_ineq))
+        _, ds_a, dz_a = newton(-z)
         alpha_p, alpha_d = _max_step(s, ds_a), _max_step(z, dz_a)
-        mu_aff = (s + alpha_p * ds_a) @ (z + alpha_d * dz_a) / n_ineq
-        sigma = min(0.99, max((mu_aff / mu) ** 3, 1e-10))
+        mu_aff = np.einsum("ij,ij->i", s + alpha_p[:, None] * ds_a, z + alpha_d[:, None] * dz_a) / n_on
+        ratio = np.divide(mu_aff, mu, out=np.zeros_like(mu), where=mu > 0)
+        sigma = np.minimum(0.99, np.maximum(ratio**3, 1e-10))
 
-        dx, dnu, ds, dz = newton(sigma * mu - ds_a * dz_a)
+        dxn, ds, dz = newton((np.where(sgn_on != 0, (sigma * mu)[:, None], 0.0) - ds_a * dz_a) / s - z)
         alpha_p, alpha_d = tau * _max_step(s, ds), tau * _max_step(z, dz)
-        x = x + alpha_p * dx
-        nu = nu + alpha_d * dnu
-        z = z + alpha_d * dz
+        xn[:, :nv] += alpha_p[:, None] * dxn[:, :nv]
+        xn[:, nv:] += alpha_d[:, None] * dxn[:, nv:]
+        z += alpha_d[:, None] * dz
+    iters[live], out_xn[live], out_z[live] = max_iter, xn, z
 
     # a stalled equality residual with interior-held bounds means the
     # equalities and the box cannot both be met
-    if status is QpStatus.MAX_ITER and np.max(np.abs(a_eq @ x - b_eq), initial=0.0) > 1e-6 * scale:
-        status = QpStatus.INFEASIBLE
+    r_p = (_mv(kkt_all, out_xn) + c_all)[:, nv:]
+    stalled = np.abs(r_p).max(axis=1, initial=0.0) > 1e-6 * scale_all
+    status[(status == _MAX_ITER) & stalled] = _INFEASIBLE
 
-    mu_lo, mu_hi = np.zeros(nv), np.zeros(nv)
-    mu_lo[low], mu_hi[upp] = z[: low.size], z[low.size :]
-    return _fold_pinned(QpResult(x, status, nu, mu_lo, mu_hi, it), pinned, n_user_eq)
+    # bound multipliers from the slots, and from the signs of the pin rows' duals
+    mu_lo, mu_hi = np.zeros((n_qp, nv)), np.zeros((n_qp, nv))
+    mu_lo[:, low], mu_hi[:, upp] = out_z[:, : low.size], out_z[:, low.size :]
+    pin_nu = out_xn[:, nv + n_user_eq :]
+    mu_lo[:, pinned] += np.maximum(-pin_nu, 0.0)
+    mu_hi[:, pinned] += np.maximum(pin_nu, 0.0)
+    x, nu = out_xn[:, :nv], out_xn[:, nv : nv + n_user_eq]
+    statuses = [_STATUSES[k] for k in status.tolist()]
+    if stack:
+        return QpResult(x, statuses, nu, mu_lo, mu_hi, int(iters.max(initial=0)))
+    return QpResult(x[0], statuses, nu[0], mu_lo[0], mu_hi[0], int(iters[0]))
 
 
-def _fold_pinned(result: QpResult, pinned: np.ndarray, n_user_eq: int) -> QpResult:
-    """Map duals of internal pin rows back onto bound multipliers."""
-    extra = result.nu[n_user_eq:]
-    result.nu = result.nu[:n_user_eq]
-    for k, i in enumerate(pinned):
-        result.mu_lo[i] += max(-extra[k], 0.0)
-        result.mu_hi[i] += max(extra[k], 0.0)
-    return result
-
-
-def row_qp(target, x0, rho: float, lo: float, hi: float, weight: float) -> DenseQP:
+def row_qp(target, x0, rho: float, lo, hi, weight) -> DenseQP:
     """One row's proximal subproblem in slack form, variables ``(phi, s)``.
 
     minimize ``(rho/2) ||phi - target||^2 + weight^2 s^2`` subject to
     ``x0 . phi - s = 0`` and ``lo <= s <= hi``; the last variable's bound
-    multipliers are the row's (lower, upper) box multipliers.
+    multipliers are the row's (lower, upper) box multipliers.  Rows given
+    as ``(S, m)`` arrays with per-row ``lo``, ``hi`` and ``weight`` build a
+    stack of ``S`` such problems.
     """
-    m = target.size
-    h = np.zeros((m + 1, m + 1))
-    h[np.arange(m), np.arange(m)] = rho
-    h[m, m] = 2.0 * weight * weight
-    g = np.concatenate([-rho * target, [0.0]])
-    a_eq = np.concatenate([x0, [-1.0]])[None, :]
-    lb = np.full(m + 1, -np.inf)
-    ub = np.full(m + 1, np.inf)
-    lb[m], ub[m] = lo, hi
-    return DenseQP(h, g, a_eq, np.zeros(1), lb, ub)
+    target, x0 = np.asarray(target, dtype=float), np.asarray(x0, dtype=float)
+    lead, m = target.shape[:-1], target.shape[-1]
+    h = np.zeros(lead + (m + 1, m + 1))
+    h[..., np.arange(m), np.arange(m)] = rho
+    h[..., m, m] = 2.0 * np.square(weight)
+    g = np.concatenate([-rho * target, np.zeros(lead + (1,))], axis=-1)
+    a_eq = np.concatenate([x0, np.full(lead + (1,), -1.0)], axis=-1)[..., None, :]
+    lb = np.full(lead + (m + 1,), -np.inf)
+    ub = np.full(lead + (m + 1,), np.inf)
+    lb[..., m], ub[..., m] = lo, hi
+    return DenseQP(h, g, a_eq, np.zeros(lead + (1,)), lb, ub)
 
 
 # ---------------------------------------------------------------------------

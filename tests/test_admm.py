@@ -319,7 +319,7 @@ class TestConvergenceControl:
 
         def capped(qp):
             res = solve_qp(qp)
-            res.status = QpStatus.MAX_ITER
+            res.statuses = [QpStatus.MAX_ITER] * len(res.statuses)
             return res
 
         monkeypatch.setattr(admm, "solve_qp", capped)
@@ -327,6 +327,27 @@ class TestConvergenceControl:
         engine = sc.make_engine(row_solver=RowSolverKind.QP)
         with pytest.raises(ConvergenceError, match=r"^subsystem 1: global row 0: row QP ended max-iter"):
             engine.solve_step(sc.initial_state())
+
+    def test_non_optimal_middle_member_names_its_own_row(self, monkeypatch):
+        # the QP route solves a subsystem's live rows as one stack; a member
+        # that is not optimal is named by its own global row
+        solve_qp = admm.solve_qp
+
+        def capped(qp):
+            res = solve_qp(qp)
+            res.statuses[len(res.statuses) // 2] = QpStatus.MAX_ITER
+            return res
+
+        monkeypatch.setattr(admm, "solve_qp", capped)
+        sc = small_scenario()
+        x0 = sc.initial_state()
+        sub = sc.index.subsystems[0]
+        live = np.flatnonzero(np.any(np.where(sub.row_mask, x0[sub.row_cols], 0.0) != 0.0, axis=1))
+        assert live.size >= 3
+        row = sub.rows[live[live.size // 2]]
+        engine = sc.make_engine(row_solver=RowSolverKind.QP)
+        with pytest.raises(ConvergenceError, match=rf"^subsystem 1: global row {row}: row QP ended max-iter"):
+            engine.solve_step(x0)
 
 
 class TestRowStep:
@@ -379,6 +400,37 @@ class TestRowStep:
         for i in range(1, sc.model.n_subsystems + 1):
             engine.row_step(state, i)
             np.testing.assert_array_equal(state.phi_r[i - 1], expected[i - 1])
+
+    def test_qp_route_solves_each_subsystem_in_one_call(self, monkeypatch):
+        # one solve_qp call per subsystem and row step, on a stack of its
+        # rows with a nonzero x0, each padded to the block width
+        stacks = []
+        solve_qp = admm.solve_qp
+
+        def counted(qp, *args, **kwargs):
+            stacks.append(qp.g.shape)
+            return solve_qp(qp, *args, **kwargs)
+
+        monkeypatch.setattr(admm, "solve_qp", counted)
+        sc = self.scenario()
+        x0 = sc.initial_state()
+        engine = sc.make_engine(row_solver=RowSolverKind.QP)
+        state = self.boxed_state(sc, engine, x0)
+        for i, (sub, x0_block) in enumerate(zip(sc.index.subsystems, state.x0_blocks), start=1):
+            del stacks[:]
+            engine.row_step(state, i)
+            live = np.count_nonzero(np.any(x0_block != 0.0, axis=1))
+            assert stacks == [(live, sub.row_cols.size + 1)]
+        # and over a whole step of the stock box
+        sc = small_scenario()
+        del stacks[:]
+        res = sc.make_engine(row_solver=RowSolverKind.QP).solve_step(sc.initial_state())
+        assert len(stacks) == res.iterations * sc.model.n_subsystems
+        # a zero measurement leaves every row at its target: empty stacks
+        del stacks[:]
+        res = sc.make_engine(row_solver=RowSolverKind.QP).solve_step(np.zeros(sc.model.n_states))
+        assert len(stacks) == res.iterations * sc.model.n_subsystems
+        assert {shape[0] for shape in stacks} == {0} and np.all(res.u == 0.0)
 
     def test_qp_row_step_matches_per_row_loop(self):
         sc = self.scenario()

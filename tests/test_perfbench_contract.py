@@ -22,14 +22,18 @@ def reject_constant(name: str):
     raise ValueError(f"{name} in the result line")
 
 
-def run_perfbench(trace: int) -> str:
+def result_line(stdout: str) -> dict:
+    return json.loads(stdout.strip().splitlines()[-1], parse_constant=reject_constant)
+
+
+def run_perfbench(trace: int, workload: str = "chain-active-box") -> str:
     cmd = [
-        sys.executable, "perfbench/run.py", "--workload", "chain-active-box",
+        sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", "1", "--seconds", "1", "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
-    summary = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=reject_constant)
+    summary = result_line(proc.stdout)
     assert summary["correct"] is True, proc.stdout
     assert summary["failed"] == 0, proc.stdout
     for name, metric in summary["metrics"].items():
@@ -45,3 +49,14 @@ def test_untraced_run_passes():
 @pytest.mark.slow
 def test_traced_run_finds_every_layer():
     assert "absent layers:" not in run_perfbench(1)
+
+
+@pytest.mark.slow
+def test_traced_solver_run_counts_optimal_qp_solves():
+    # the only workload whose rows go through solve_qp: its hook reads a
+    # number of iterations and one status from each stacked call
+    out = run_perfbench(1, "chain-solver")
+    assert "absent layers:" not in out
+    metrics = result_line(out)["metrics"]
+    assert metrics["qp.solve_calls"]["value"] > 0
+    assert metrics["qp.non_optimal"]["value"] == 0

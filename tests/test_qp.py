@@ -262,6 +262,64 @@ class TestSolveQp:
         assert res.status is QpStatus.MAX_ITER
         assert np.all(np.isfinite(res.x))
 
+    def test_stack_members_match_their_solves_as_stacks_of_one(self):
+        # one stack of equal-size QPs (three variables, one equality row)
+        # whose members differ in their bounds; each must come out as it does
+        # alone, so a failing member (crossed bounds, or out of iterations)
+        # changes nothing for the others
+        inf = np.inf
+        x_feas = np.array([0.25, 0.0, 0.15])
+        members = [  # name, lb, ub, gradient scale, status
+            ("free", [-inf] * 3, [inf] * 3, 1.0, QpStatus.OPTIMAL),
+            ("lower-only", [0.0, -inf, 0.1], [inf] * 3, 1.0, QpStatus.OPTIMAL),
+            ("upper-only", [-inf] * 3, [0.5, inf, 0.2], 1.0, QpStatus.OPTIMAL),
+            ("two-sided", [0.2, -0.3, -inf], [0.3, 0.3, inf], 1.0, QpStatus.OPTIMAL),
+            ("pinned", [0.25, -inf, -1.0], [0.25, inf, 1.0], 1.0, QpStatus.OPTIMAL),
+            ("crossed", [1.0, -inf, -inf], [0.0, inf, inf], 1.0, QpStatus.INFEASIBLE),
+            ("capped", [0.0, -inf, 0.1], [inf] * 3, 1e6, QpStatus.MAX_ITER),
+        ]
+        rng = np.random.default_rng(20)
+        h = np.stack([random_psd(rng, 3) for _ in members])
+        g = np.stack([rng.normal(size=3) * m[3] for m in members])
+        a = rng.normal(size=(len(members), 1, 3))
+        b = a @ x_feas
+        lb = np.array([m[1] for m in members])
+        ub = np.array([m[2] for m in members])
+        max_iter = 12
+        stacked = solve_qp(DenseQP(h, g, a, b, lb, ub), tol=1e-10, max_iter=max_iter)
+        assert stacked.x.shape == (len(members), 3) and stacked.nu.shape == (len(members), 1)
+        assert stacked.status is QpStatus.INFEASIBLE  # the first member that is not optimal
+        assert stacked.iterations == max_iter
+        for k, (name, *_, status) in enumerate(members):
+            one = slice(k, k + 1)
+            alone = solve_qp(DenseQP(h[one], g[one], a[one], b[one], lb[one], ub[one]), tol=1e-10, max_iter=max_iter)
+            assert alone.statuses == [status], name
+            assert stacked.statuses[k] is status, name
+            for field in ("x", "nu", "mu_lo", "mu_hi"):
+                np.testing.assert_allclose(
+                    getattr(stacked, field)[k], getattr(alone, field)[0], rtol=1e-9, atol=1e-8,
+                    err_msg=f"{name}: {field}",
+                )
+            if status is QpStatus.OPTIMAL:
+                ref_x, _ = brute_force_box_qp(DenseQP(h[k], g[k], a[k], b[k], lb[k], ub[k]))
+                np.testing.assert_allclose(stacked.x[k], ref_x, atol=1e-5, err_msg=name)
+
+    @pytest.mark.parametrize(
+        "lb, ub",
+        [(None, None), ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), ([0.0, -np.inf, 0.0], None)],
+    )
+    def test_redundant_equality_rows_are_set_aside(self, lb, ub):
+        # the second row is twice the first: the multipliers are not unique
+        # and the KKT matrix with both rows is singular, yet the QP is fine
+        h, g = np.eye(3), np.array([1.0, -1.0, 0.5])
+        a, b = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]), np.array([1.0, 2.0])
+        qp = DenseQP(h, g, a, b, lb, ub)
+        res = solve_qp(qp, tol=1e-10)
+        assert res.status is QpStatus.OPTIMAL
+        np.testing.assert_allclose(res.x, brute_force_box_qp(qp)[0], atol=1e-5)
+        grad = h @ res.x + g + a.T @ res.nu - res.mu_lo + res.mu_hi
+        np.testing.assert_allclose(grad, 0, atol=1e-6)
+
     def test_rejects_indefinite_hessian(self):
         with pytest.raises(QpStructureError):
             solve_qp(DenseQP(np.array([[-1.0]]), np.zeros(1)))
