@@ -1,4 +1,4 @@
-"""Command-line front end: run, sweep, compare and validate verbs."""
+"""Command-line front end: run, sweep and compare verbs."""
 from __future__ import annotations
 
 import argparse
@@ -12,7 +12,6 @@ from .bench import (
     Case,
     ScenarioConfig,
     box_violation,
-    build_chain_model,
     build_scenario,
     emit_report,
     emit_sweep,
@@ -22,15 +21,6 @@ from .bench import (
     run_closed_loop,
     run_scaling_sweep,
 )
-from .explicit_row import RowProblem, kkt_residuals, solve_row
-from .qp import row_qp, solve_qp
-from .sls import (
-    assemble_feasibility_operator,
-    project_column,
-    response_from_controller,
-    stacked_constraint,
-)
-from .topology import build_graph, build_locality_index
 
 
 def _parse_case(raw: str) -> Case:
@@ -148,88 +138,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    """Cross-check the closed-form pieces against independent solvers."""
-    rng = np.random.default_rng(args.seed)
-    failures = []
-
-    def check(name, value, bound):
-        ok = value <= bound
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {value:.3e} (bound {bound:.0e})")
-        if not ok:
-            failures.append(name)
-
-    # closed-form row solutions vs the iterative QP solver
-    worst_gap, worst_kkt = 0.0, 0.0
-    for _ in range(args.instances):
-        m = int(rng.integers(1, 9))
-        x0 = rng.normal(size=m)
-        target = rng.normal(size=m)
-        rho = float(rng.choice([0.5, 1.0, 10.0]))
-        weight = float(rng.uniform(0.1, 3.0))
-        lo, hi = sorted(rng.normal(scale=2.0, size=2))
-        if rng.random() < 0.3:
-            lo = -np.inf
-        if rng.random() < 0.3:
-            hi = np.inf
-        p = RowProblem(target=target, x0=x0, rho=rho, lo=lo, hi=hi, weight=weight)
-        sol = solve_row(p)
-        stat, prim, comp = kkt_residuals(p, sol)
-        worst_kkt = max(worst_kkt, stat, prim, comp)
-        ref = solve_qp(row_qp(target, x0, rho, lo, hi, weight), tol=1e-11)
-        worst_gap = max(worst_gap, float(np.max(np.abs(sol.phi - ref.x[:m]))))
-    check("row solutions vs QP solver", worst_gap, 1e-6)
-    check("row KKT residuals", worst_kkt, 1e-8)
-
-    # dynamics feasibility of responses built from random causal gains
-    model = build_chain_model(4)
-    horizon = 3
-    n, pdim = model.n_states, model.n_inputs
-    worst_feas = 0.0
-    op_index = build_locality_index(build_graph(model), model, 2, horizon)
-    op = assemble_feasibility_operator(model, op_index)
-    zab = stacked_constraint(model, horizon).toarray()
-    rhs = np.eye(zab.shape[0], n)
-    for _ in range(20):
-        k = np.zeros((pdim * horizon, n * (horizon + 1)))
-        for t in range(horizon):
-            k[t * pdim : (t + 1) * pdim, : (t + 1) * n] = 0.2 * rng.normal(
-                size=(pdim, (t + 1) * n)
-            )
-        phi = np.vstack(response_from_controller(model, k, horizon))
-        worst_feas = max(worst_feas, float(np.max(np.abs(zab @ phi - rhs))))
-    check("response feasibility residual", worst_feas, 1e-10)
-
-    # projection idempotence
-    worst_idem = 0.0
-    for i in range(1, model.n_subsystems + 1):
-        sub = op_index.subsystem(i)
-        v = rng.normal(size=(sub.col_rows.size, sub.cols.size))
-        once = project_column(op, i, v)
-        twice = project_column(op, i, once)
-        worst_idem = max(worst_idem, float(np.max(np.abs(twice - once))))
-    check("projection idempotence", worst_idem, 1e-9)
-
-    # distributed vs centralized on a small closed loop
-    cfg = ScenarioConfig(n_subsystems=4, horizon=3, sim_steps=3, seed=1)
-    scenario = build_scenario(cfg)
-    report = run_closed_loop(scenario, with_baseline=True)
-    gap = abs(report.cost - report.baseline_cost) / max(report.baseline_cost, 1e-12)
-    check("closed-loop cost gap vs centralized", gap, 1e-2)
-
-    if args.model:
-        ext = load_model_file(args.model)
-        print(
-            f"model file ok: {ext.n_subsystems} subsystems, "
-            f"{ext.n_states} states, {ext.n_inputs} inputs"
-        )
-    if failures:
-        print(f"{len(failures)} check(s) failed")
-        return 1
-    print("all checks passed")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dlmpc",
@@ -255,12 +163,6 @@ def main(argv=None) -> int:
     )
     _add_scenario_args(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare)
-
-    p_val = commands.add_parser("validate", help="oracle cross-checks of the solvers")
-    p_val.add_argument("--instances", type=int, default=200, help="random row instances")
-    p_val.add_argument("--seed", type=int, default=0)
-    p_val.add_argument("--model", help="also parse and report an external model file")
-    p_val.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
     try:

@@ -177,31 +177,3 @@ def solve_row(p: RowProblem) -> RowSolution:
         p.target[None, :], p.x0, p.rho, p.lo, p.hi, p.weight
     )
     return RowSolution(phi[0], float(lam_upper[0]), float(lam_lower[0]), _REGIONS[region[0]])
-
-
-def kkt_residuals(p: RowProblem, sol: RowSolution) -> tuple:
-    """(stationarity, primal violation, complementarity) of a row solution.
-
-    Stationarity is the max-norm of
-    ``2 weight^2 (phi.x0) x0 + rho (phi - a) + (lam_upper - lam_lower) x0``;
-    primal violation measures the box; complementarity multiplies each
-    multiplier with its slack.
-    """
-    prod = float(sol.phi @ p.x0)
-    grad = (
-        2.0 * p.weight * p.weight * prod * p.x0
-        + p.rho * (sol.phi - p.target)
-        + (sol.lam_upper - sol.lam_lower) * p.x0
-    )
-    stationarity = float(np.max(np.abs(grad))) if grad.size else 0.0
-    viol = 0.0
-    if np.isfinite(p.hi):
-        viol = max(viol, prod - p.hi)
-    if np.isfinite(p.lo):
-        viol = max(viol, p.lo - prod)
-    comp = 0.0
-    if np.isfinite(p.hi):
-        comp = max(comp, abs(sol.lam_upper * (p.hi - prod)))
-    if np.isfinite(p.lo):
-        comp = max(comp, abs(sol.lam_lower * (prod - p.lo)))
-    return stationarity, max(viol, 0.0), comp

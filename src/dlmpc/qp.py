@@ -1,4 +1,4 @@
-"""Dense convex QP solver and centralized MPC baselines.
+"""Dense convex QP solver and the centralized MPC baseline.
 
 The solver is a standard infeasible-start primal-dual interior-point method
 with Mehrotra predictor-corrector steps (path-following on the perturbed KKT
@@ -11,11 +11,8 @@ It exists as an independent verification route: nothing here shares a code
 path with the closed-form row solver, so agreement between the two is
 evidence, not tautology.  ``row_qp`` states one row subproblem for it, or a
 stack of them: the solver-based row step solves each subsystem's rows as
-one stack, and the ``validate`` cross-check solves rows one at a time.
-``centralized_mpc`` condenses the full MPC problem into the inputs and
-solves one QP, giving the global cost baseline;
-``centralized_local_mpc`` solves the sparsity-constrained synthesis problem
-centrally, for use as a diagnostic second baseline at desk scale.
+one stack.  ``centralized_mpc`` condenses the full MPC problem into the
+inputs and solves one QP, giving the global cost baseline.
 """
 from __future__ import annotations
 
@@ -25,8 +22,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .sls import stacked_constraint
-from .topology import LocalityIndex, NetworkModel
+from .topology import NetworkModel
 
 
 class QpStructureError(ValueError):
@@ -80,10 +76,6 @@ class DenseQP:
         self.ub = np.full(lead + (nv,), np.inf) if self.ub is None else per_member(self.ub)
         if self.lb.shape != lead + (nv,) or self.ub.shape != lead + (nv,):
             raise QpStructureError("bounds must have one entry per variable")
-
-    @property
-    def n_vars(self) -> int:
-        return self.g.shape[-1]
 
 
 @dataclass
@@ -150,6 +142,10 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9, max_iter: int = 100) -> QpResult:
     second check.  A status is OPTIMAL only if all KKT residuals and the
     complementarity gap meet the tolerance; a numerical breakdown (a
     singular or non-finite KKT matrix) ends the member with MAX_ITER.
+    No status says "unbounded": a QP that is unbounded below ends
+    INFEASIBLE when its iterates pass the blow-up threshold, or MAX_ITER
+    when a direction without curvature or bound makes the KKT matrix
+    singular.
     """
     stack = qp.h.ndim == 3
     h, g, a_eq, b_eq, lb, ub = (
@@ -244,9 +240,10 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9, max_iter: int = 100) -> QpResult:
         ok = (np.abs(r).max(axis=1) <= tol_s) & (mu <= tol_s)
         # a numerical breakdown leaves the member at MAX_ITER
         finite = np.isfinite(xn[:, :nv]).all(axis=1) & np.isfinite(mu)
-        # the central path of a feasible problem stays bounded here (curvature
-        # is positive along every unbounded direction for these QPs), so
-        # smoothly diverging iterates certify an empty feasible set
+        # smoothly diverging iterates end the member INFEASIBLE; they certify
+        # an empty feasible set only where curvature is positive along every
+        # unbounded direction, as for the row QPs: a QP that is unbounded
+        # below diverges too, and this test cannot tell the two apart
         blowup = np.maximum(np.abs(xn).max(axis=1), z.max(axis=1, initial=0.0))
         blown = ~ok & finite & (blowup > 1e13 * scale)
         done = ok | ~finite | blown
@@ -340,7 +337,7 @@ def row_qp(target, x0, rho: float, lo, hi, weight) -> DenseQP:
 
 
 # ---------------------------------------------------------------------------
-# centralized MPC baselines
+# centralized MPC baseline
 
 
 @dataclass
@@ -441,81 +438,3 @@ def centralized_mpc(
         status=res.status,
         iterations=res.iterations,
     )
-
-
-def centralized_local_mpc(
-    model: NetworkModel,
-    index: LocalityIndex,
-    x0: np.ndarray,
-    row_weight: np.ndarray,
-    row_lb: np.ndarray,
-    row_ub: np.ndarray,
-    tol: float = 1e-9,
-) -> dict:
-    """Sparsity-constrained synthesis solved centrally (diagnostic baseline).
-
-    Optimizes over the masked entries of the stacked response map subject to
-    the feasibility constraint and per-row boxes on ``row . x0``.  Desk-scale
-    only: the variable count grows with the mask support.  ``row_weight``,
-    ``row_lb`` and ``row_ub`` are per-global-row profiles.
-    """
-    n = model.n_states
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n_rows = index.n_rows
-    mask = np.zeros((n_rows, n), dtype=bool)
-    for sub in index.subsystems:
-        mask[np.ix_(sub.rows, sub.row_cols)] = sub.row_mask
-    var_of = -np.ones(mask.shape, dtype=int)
-    var_of[mask] = np.arange(int(mask.sum()))
-    nv = int(mask.sum())
-
-    bounded = np.where(np.isfinite(row_lb) | np.isfinite(row_ub))[0]
-    nz = nv + bounded.size
-    h = np.zeros((nz, nz))
-    g = np.zeros(nz)
-    for r in range(n_rows):
-        w = row_weight[r]
-        if w == 0.0:
-            continue
-        cols = np.where(mask[r])[0]
-        ids = var_of[r, cols]
-        xs = x0[cols]
-        h[np.ix_(ids, ids)] += 2.0 * w * w * np.outer(xs, xs)
-    # each row is charged only along x0, so directions orthogonal to it carry
-    # no curvature; a tiny ridge pins them (the reported cost is recomputed
-    # from the true objective below, so the perturbation does not leak)
-    h[np.arange(nv), np.arange(nv)] += 1e-10
-
-    # feasibility: for each column, the constraint rows touching its masked
-    # entries, with the identity as the right-hand side
-    eq_rows = []
-    eq_rhs = []
-    csc = stacked_constraint(model, index.horizon).tocsc()
-    for c in range(n):
-        rows_c = np.flatnonzero(mask[:, c])
-        touched = np.unique(csc[:, rows_c].nonzero()[0])
-        coeffs = csc[np.ix_(touched, rows_c)].toarray()
-        for r, coeff in zip(touched, coeffs):
-            row = np.zeros(nz)
-            row[var_of[rows_c, c]] = coeff
-            eq_rows.append(row)
-            eq_rhs.append(float(r == c))
-    for k, r in enumerate(bounded):
-        row = np.zeros(nz)
-        cols = np.where(mask[r])[0]
-        row[var_of[r, cols]] = x0[cols]
-        row[nv + k] = -1.0
-        eq_rows.append(row)
-        eq_rhs.append(0.0)
-
-    lb = np.full(nz, -np.inf)
-    ub = np.full(nz, np.inf)
-    lb[nv:] = row_lb[bounded]
-    ub[nv:] = row_ub[bounded]
-    qp = DenseQP(h, g, np.vstack(eq_rows), np.asarray(eq_rhs), lb, ub)
-    res = solve_qp(qp, tol=tol)
-
-    phi = np.zeros(mask.shape)
-    phi[mask] = res.x[:nv]
-    cost = float(np.sum(row_weight**2 * (phi @ x0) ** 2))
-    return {"phi": phi, "cost": cost, "status": res.status, "iterations": res.iterations}

@@ -25,13 +25,13 @@ from dlmpc import (
     d_in_set,
     d_out_set,
     full_response_from_controller,
-    kkt_residuals,
     project_column,
     run_closed_loop,
     run_scaling_sweep,
     solve_qp,
     solve_row,
 )
+from oracles import kkt_residuals
 
 
 def _verdict(num: int, ok: bool, detail: str) -> bool:

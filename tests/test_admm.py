@@ -19,19 +19,17 @@ from dlmpc import (
     StalenessError,
     build_chain_model,
     build_scenario,
-    centralized_local_mpc,
     packet_within_locality,
     solve_row,
 )
 from dlmpc import admm
 from dlmpc.admm import row_profiles
+from oracles import centralized_local_mpc
 
 
 def small_scenario(**overrides):
-    cfg = ScenarioConfig(
-        n_subsystems=4, horizon=3, locality=1, case=Case.EXPLICIT, seed=3, **overrides
-    )
-    return build_scenario(cfg)
+    defaults = dict(n_subsystems=4, horizon=3, locality=1, case=Case.EXPLICIT, seed=3)
+    return build_scenario(ScenarioConfig(**{**defaults, **overrides}))
 
 
 class TestEngineBasics:
@@ -444,10 +442,12 @@ class TestRowStep:
 
 
 class TestSolutionQuality:
-    def test_matches_masked_monolithic_solution(self):
+    @pytest.mark.parametrize("locality,horizon", [(1, 3), (3, 3), (1, 10)])
+    def test_matches_masked_monolithic_solution(self, locality, horizon):
         # the response entries themselves are not unique (rows are charged
-        # only along x0), but the planned cost and the applied input are
-        sc = small_scenario()
+        # only along x0), but the planned cost and the applied input are;
+        # d=3 reaches every node of the four-node chain, T=10 is a long horizon
+        sc = small_scenario(locality=locality, horizon=horizon)
         x0 = sc.initial_state()
         engine = sc.make_engine(eps_primal=1e-9, eps_dual=1e-9)
         res = engine.solve_step(x0)

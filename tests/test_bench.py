@@ -564,11 +564,6 @@ class TestCli:
         assert cli_main(["sweep", "--sizes", "2", "--steps", "0"]) == 1
         assert "error: sim_steps must be at least 1, got 0" in capsys.readouterr().err
 
-    def test_validate_verb(self, capsys):
-        assert cli_main(["validate", "--instances", "40"]) == 0
-        out = capsys.readouterr().out
-        assert "all checks passed" in out
-
     def test_nonconvergence_exit_code(self, capsys):
         code = cli_main(
             ["run", "--subsystems", "2", "--steps", "1", "--horizon", "2",

@@ -12,11 +12,11 @@ from dlmpc import (
     Region,
     RowProblem,
     RowSolution,
-    kkt_residuals,
     solve_qp,
     solve_row,
     solve_rows,
 )
+from oracles import kkt_residuals
 
 
 def qp_reference(p: RowProblem, tol=1e-11):

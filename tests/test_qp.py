@@ -15,11 +15,11 @@ from dlmpc import (
     build_chain_model,
     build_graph,
     build_locality_index,
-    centralized_local_mpc,
     centralized_mpc,
     solve_qp,
 )
 from dlmpc.admm import row_profiles
+from oracles import centralized_local_mpc
 
 
 def brute_force_box_qp(qp, grid=None):
@@ -29,7 +29,7 @@ def brute_force_box_qp(qp, grid=None):
     upper bound; for each combination the equality-constrained problem in
     the free variables is solved and feasibility checked.
     """
-    n = qp.n_vars
+    n = qp.g.shape[-1]
     lb = qp.lb if qp.lb is not None else np.full(n, -np.inf)
     ub = qp.ub if qp.ub is not None else np.full(n, np.inf)
     best_x, best_val = None, np.inf
