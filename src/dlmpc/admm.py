@@ -8,7 +8,14 @@ response map:
                    for the solver-based variant);
 * column step   -- projection of its column slice onto the dynamics
                    constraint, one precomputed affine map per subsystem;
-* multiplier    -- scaled dual ascent on the row/column disagreement.
+* multiplier    -- scaled dual ascent on the disagreement between the
+                   relaxed row iterate alpha*phi + (1-alpha)*psi_prev and psi.
+
+The column step projects the same relaxed iterate (over-relaxation, Boyd et
+al. 2011, section 3.4.3), and the network-wide residual check rebalances rho
+by powers of two, rescaling lambda with it (section 3.4.1).  Every step
+starts at the engine's rho; the stopping test is ||phi - psi|| <= eps_primal
+and ||psi - psi_prev|| <= eps_dual whatever rho has become.
 
 Between the row and column steps the subsystems trade blocks so that every
 working matrix is a consistent view of one global (phi, psi, lambda) triple.
@@ -38,6 +45,10 @@ from .explicit_row import InfeasibleRowError, check_rows, empty_boxes, solve_row
 from .qp import QpStatus, row_qp, solve_qp
 from .sls import FeasibilityOperator, project_column
 from .topology import LocalityIndex, NetworkModel
+
+ALPHA = 1.5  # relaxation weight on the fresh phi
+BALANCE = 10.0  # residual ratio beyond which rho moves
+RHO_FACTOR = 2.0  # a power of two, so rescaling lambda is exact
 
 
 class ConvergenceError(RuntimeError):
@@ -92,12 +103,14 @@ class AdmmState:
     """Per-subsystem row and column partitions of (phi, psi, lambda).
 
     ``rows`` (shape ``(4, R)``) holds phi, psi, lambda and the previous psi
-    of the row partitions, ``cols`` (shape ``(3, C)``) phi, psi and lambda of
-    the column partitions; each subsystem's block sits contiguously, in C
-    order and subsystem-id order.  ``phi_r`` ... ``lam_c`` are tuples of
-    reshaped views into those buffers, so blocks are written in place and
-    cannot be rebound.  Row blocks have shape (len(rows), len(row_cols)),
-    column blocks (len(col_rows), len(cols)).  After each exchange phase the
+    of the row partitions, ``cols`` (shape ``(4, C)``) phi, psi, lambda and
+    the relaxed phi (``ALPHA * phi + (1 - ALPHA) * psi_prev``, the column
+    step's input) of the column partitions; each subsystem's block sits
+    contiguously, in C order and subsystem-id order.  ``phi_r`` ...
+    ``lam_c`` and ``hat_c`` are tuples of reshaped views into those buffers,
+    so blocks are written in place and cannot be rebound.  ``rho`` is the
+    current penalty, by which lambda is scaled.  Row blocks have shape
+    (len(rows), len(row_cols)), column blocks (len(col_rows), len(cols)).  After each exchange phase the
     two partitions agree on every shared entry.  ``x0_blocks`` holds each
     subsystem's coupled slice of the measured state the iteration runs for,
     repeated per row and zeroed off the row's ``row_mask`` support,
@@ -113,6 +126,8 @@ class AdmmState:
     phi_c: tuple
     psi_c: tuple
     lam_c: tuple
+    hat_c: tuple
+    rho: float
     iteration: int = 0
     primal: np.ndarray | None = None
     dual: np.ndarray | None = None
@@ -134,6 +149,11 @@ class StepResult:
     state: AdmmState
     x0: np.ndarray
     packets: list | None = None
+
+
+def _relaxed(phi: np.ndarray, psi_prev: np.ndarray) -> np.ndarray:
+    """The over-relaxed row iterate; both buffers evaluate this one expression."""
+    return ALPHA * phi + (1.0 - ALPHA) * psi_prev
 
 
 def _share(state: AdmmState, t0: float):
@@ -308,13 +328,15 @@ class DlmpcEngine:
     def init_state(self, warm: AdmmState | None = None) -> AdmmState:
         """Fresh all-zeros state, or a copy seeded from a converged one.
 
-        Either way the per-subsystem timers start at zero.  A warm state
-        whose partitions do not fit this engine's index raises ValueError.
+        Either way the per-subsystem timers start at zero and rho at the
+        engine's; a warm state's lambda is rescaled to that rho.  A warm
+        state whose partitions do not fit this engine's index raises
+        ValueError.
         """
         shapes, offsets = self._shapes, self._offsets
         n_sub = len(self.index.subsystems)
         if warm is None:
-            rows, cols = np.zeros((4, offsets["r"][-1])), np.zeros((3, offsets["c"][-1]))
+            rows, cols = np.zeros((4, offsets["r"][-1])), np.zeros((4, offsets["c"][-1]))
         else:
             names = [f"{m}_{k}" for k in "rc" for m in ("phi", "psi", "lam")]
             for i in range(max(n_sub, *(len(getattr(warm, f)) for f in names))):
@@ -328,6 +350,10 @@ class DlmpcEngine:
                             f"{name} has {got}, expected {want}"
                         )
             rows, cols = warm.rows.copy(), warm.cols.copy()
+            # exact for a state of this engine: rho moves by powers of two
+            scale = warm.rho / self.rho
+            rows[2] *= scale
+            cols[2] *= scale
 
         def views(flat, k):
             off = offsets[k]
@@ -335,7 +361,7 @@ class DlmpcEngine:
 
         return AdmmState(
             rows, cols, *(views(m, "r") for m in rows[:3]), *(views(m, "c") for m in cols),
-            per_sub_seconds=np.zeros(n_sub),
+            rho=self.rho, per_sub_seconds=np.zeros(n_sub),
         )
 
     # -- per-subsystem updates ----------------------------------------------
@@ -356,13 +382,13 @@ class DlmpcEngine:
         lo, hi, w = self._row_boxes[i - 1]
         try:
             if self.row_solver is RowSolverKind.EXPLICIT:
-                phi = solve_rows(a, x0, self.rho, lo, hi, w)[0]
+                phi = solve_rows(a, x0, state.rho, lo, hi, w)[0]
             else:
                 phi = a.copy()  # rows with a zero x0 stay at their targets
                 zero = ~np.any(x0 != 0.0, axis=1)
                 check_rows(lo, hi, zero)
                 live = np.flatnonzero(~zero)
-                res = solve_qp(row_qp(a[live], x0[live], self.rho, lo[live], hi[live], w[live]))
+                res = solve_qp(row_qp(a[live], x0[live], state.rho, lo[live], hi[live], w[live]))
                 for r, status in zip(live, res.statuses):
                     if status is QpStatus.INFEASIBLE:
                         raise InfeasibleRowError(f"QP infeasible, box [{lo[r]}, {hi[r]}]", row=r)
@@ -377,8 +403,8 @@ class DlmpcEngine:
         state.phi_r[i - 1][...] = phi
 
     def column_step(self, state: AdmmState, i: int):
-        """Project subsystem i's column slice onto the dynamics constraint."""
-        v = state.phi_c[i - 1] + state.lam_c[i - 1]
+        """Project subsystem i's relaxed column slice onto the dynamics constraint."""
+        v = state.hat_c[i - 1] + state.lam_c[i - 1]
         state.psi_c[i - 1][...] = project_column(self.op, i, v)
 
     def multiplier_step(self, state: AdmmState):
@@ -386,8 +412,8 @@ class DlmpcEngine:
         t0 = time.perf_counter()
         rows, cols = state.rows, state.cols
         primal = rows[0] - rows[1]
-        rows[2] += primal
-        cols[2] += cols[0] - cols[1]
+        rows[2] += _relaxed(rows[0], rows[3]) - rows[1]
+        cols[2] += cols[3] - cols[1]
         # one segment per subsystem; reduceat misreads empty segments, but no
         # row block is empty (every subsystem has a state and its T+1 rows)
         starts = self._offsets["r"][:-1]
@@ -396,13 +422,29 @@ class DlmpcEngine:
         _share(state, t0)
 
     def check_convergence(self, state: AdmmState) -> bool:
-        """All subsystems within both residual tolerances (boundary passes)."""
-        state.residual_history.append(
-            (float(np.max(state.primal)), float(np.max(state.dual)))
-        )
-        return bool(
+        """All subsystems within both residual tolerances (boundary passes).
+
+        Short of that, rho doubles (lambda halves) while the max primal
+        residual exceeds ``BALANCE`` times rho times the max dual one, and
+        halves in the reverse case.
+        """
+        primal, dual = float(np.max(state.primal)), float(np.max(state.dual))
+        state.residual_history.append((primal, dual))
+        converged = bool(
             np.all(state.primal <= self.eps_primal) and np.all(state.dual <= self.eps_dual)
         )
+        if converged:
+            return True
+        if primal > BALANCE * state.rho * dual:
+            factor = RHO_FACTOR
+        elif state.rho * dual > BALANCE * primal:
+            factor = 1.0 / RHO_FACTOR
+        else:
+            return False
+        state.rho *= factor
+        state.rows[2] /= factor
+        state.cols[2] /= factor
+        return False
 
     # -- exchanges ------------------------------------------------------------
 
@@ -410,7 +452,9 @@ class DlmpcEngine:
         """Row owners send their freshly solved blocks to column owners."""
         t0 = time.perf_counter()
         sent = state.rows[0][self._src]
-        state.cols[0][self._dst] = sent
+        cols = state.cols
+        cols[0][self._dst] = sent
+        cols[3] = _relaxed(cols[0], cols[1])  # psi is still the previous one
         _share(state, t0)
         if packets is not None:
             self._record(packets, Phase.ROW_BLOCKS, sent)

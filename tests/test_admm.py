@@ -1,4 +1,5 @@
 """Engine behavior: determinism, exchanges, masks, convergence, extraction."""
+import re
 import time
 
 import numpy as np
@@ -155,17 +156,24 @@ class TestDeterminismAndOrder:
 
 class TestExchanges:
     def test_partitions_agree_after_exchange(self, reference_mask):
-        sc = small_scenario()
-        engine = sc.make_engine()
-        res = engine.solve_step(sc.initial_state())
-        state = res.state
-        # after a converged step the two views describe one global matrix
-        phi_rows = engine.assemble_from_rows(state, "phi")
-        phi_cols = engine.assemble_from_cols(state, "phi")
-        mask = reference_mask(sc.model, sc.graph, sc.config.locality, sc.config.horizon)
-        np.testing.assert_array_equal(phi_rows[mask], phi_cols[mask])
-        assert not phi_rows[~mask].any()
-        assert not phi_cols[~mask].any()
+        active_box = ScenarioConfig(n_subsystems=10, bound_component=1, state_lower=-0.3)
+        for sc in (small_scenario(), build_scenario(active_box)):
+            engine = sc.make_engine()
+            state = engine.solve_step(sc.initial_state()).state
+            # after a converged step the two views describe one global matrix
+            phi_rows = engine.assemble_from_rows(state, "phi")
+            phi_cols = engine.assemble_from_cols(state, "phi")
+            mask = reference_mask(sc.model, sc.graph, sc.config.locality, sc.config.horizon)
+            np.testing.assert_array_equal(phi_rows[mask], phi_cols[mask])
+            assert not phi_rows[~mask].any()
+            assert not phi_cols[~mask].any()
+            # both buffers update psi and the multipliers by one expression
+            # in one order, so they agree bit for bit on every shared entry
+            for which in ("psi", "lambda"):
+                got_rows = engine.assemble_from_rows(state, which)
+                got_cols = engine.assemble_from_cols(state, which)
+                assert np.any(got_rows[mask])
+                np.testing.assert_array_equal(got_rows[mask], got_cols[mask])
 
     def test_packets_respect_locality(self):
         sc = small_scenario()
@@ -299,6 +307,31 @@ class TestConvergenceControl:
         fresh = engine.solve_step(x1)
         assert warm.iterations < fresh.iterations
         np.testing.assert_allclose(warm.u, fresh.u, atol=1e-3)
+
+    def test_warm_restart_rescales_multipliers_to_the_starting_rho(self):
+        sc = small_scenario()
+        engine = sc.make_engine()
+        warm = engine.solve_step(sc.initial_state()).state
+        assert warm.rho != engine.rho  # residual balancing moved rho
+        state = engine.init_state(warm)
+        assert state.rho == engine.rho
+        # rho moves by powers of two, so the rescale is exact
+        for got, was in ((state.rows, warm.rows), (state.cols, warm.cols)):
+            assert np.any(was[2])
+            np.testing.assert_array_equal(state.rho * got[2], warm.rho * was[2])
+
+    def test_infeasible_box_ends_with_finite_residuals(self):
+        # time 0's successor fixes state 0 at 0.99, above the box at 0.6; rho
+        # balancing must not run away while the primal residual stays put
+        sc = build_scenario(ScenarioConfig(n_subsystems=4, horizon=3, state_upper=0.6))
+        engine = sc.make_engine(max_iterations=2000)
+        with pytest.raises(ConvergenceError) as err:
+            engine.solve_step(np.full(sc.model.n_states, 0.9))
+        found = re.search(r"last primal (\S+), dual (\S+)\)$", str(err.value))
+        primal, dual = (float(v) for v in found.groups())
+        assert np.isfinite(primal) and np.isfinite(dual) and primal > 1e-2
+        assert len(err.value.residual_history) == 2000
+        assert np.all(np.isfinite(err.value.residual_history))
 
     def test_infeasible_row_names_subsystem(self):
         sc = build_scenario(
