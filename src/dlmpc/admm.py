@@ -41,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from . import sls
-from .explicit_row import InfeasibleRowError, check_rows, empty_boxes, solve_rows
+from .explicit_row import InfeasibleRowError, check_rows, empty_boxes, row_terms, solve_terms
 from .qp import QpStatus, row_qp, solve_qp
 from .sls import FeasibilityOperator, project_column
 from .topology import LocalityIndex, NetworkModel
@@ -111,10 +111,11 @@ class AdmmState:
     so blocks are written in place and cannot be rebound.  ``rho`` is the
     current penalty, by which lambda is scaled.  Row blocks have shape
     (len(rows), len(row_cols)), column blocks (len(col_rows), len(cols)).  After each exchange phase the
-    two partitions agree on every shared entry.  ``x0_blocks`` holds each
-    subsystem's coupled slice of the measured state the iteration runs for,
-    repeated per row and zeroed off the row's ``row_mask`` support,
-    ``residual_history`` one (max primal, max dual) pair per iteration, and
+    two partitions agree on every shared entry.  ``step_rows`` holds, per
+    subsystem and built by :meth:`DlmpcEngine.measure` once per MPC step, its
+    x0 block (the coupled slice of the measured state, repeated per row and
+    zeroed off the row's ``row_mask`` support) and the row step's terms fixed
+    by it, ``residual_history`` one (max primal, max dual) pair per iteration, and
     ``per_sub_seconds`` each subsystem's wall time spent on this state.
     """
 
@@ -133,7 +134,7 @@ class AdmmState:
     dual: np.ndarray | None = None
     residual_history: list = field(default_factory=list)
     converged: bool = False
-    x0_blocks: list = field(default_factory=list)
+    step_rows: list = field(default_factory=list)
     per_sub_seconds: np.ndarray | None = None
 
 
@@ -366,41 +367,46 @@ class DlmpcEngine:
 
     # -- per-subsystem updates ----------------------------------------------
 
+    def measure(self, x0: np.ndarray, i: int) -> tuple:
+        """Subsystem i's ``step_rows`` entry for the measured state ``x0``."""
+        sub = self.index.subsystems[i - 1]
+        x0_block = np.where(sub.row_mask, x0[sub.row_cols], 0.0)
+        lo, hi, w = self._row_boxes[i - 1]
+        try:
+            if self.row_solver is RowSolverKind.EXPLICIT:
+                return x0_block, row_terms(x0_block, lo, hi, w)
+            zero = ~np.any(x0_block != 0.0, axis=1)
+            check_rows(lo, hi, zero)
+        except InfeasibleRowError as err:
+            raise InfeasibleRowError(f"subsystem {i}: global row {sub.rows[err.row]}: {err.detail}") from err
+        live = np.flatnonzero(~zero)
+        return x0_block, (live, x0_block[live], lo[live], hi[live], w[live], sub.row_mask[live])
+
     def row_step(self, state: AdmmState, i: int):
         """Proximal row update for subsystem i, each row over its ``row_mask`` row.
 
-        Both routes read the state's per-row x0 blocks and solve the block in
+        Both routes read the subsystem's per-step terms and solve the block in
         one call.  The QP route stacks the rows with a nonzero x0 at the block
         width (off the mask the target and x0 are zero, so the padded
         variables decouple at 0), writes phi back on the mask only, and
         raises :class:`ConvergenceError` naming the first row whose solve is
         not optimal.
         """
-        sub = self.index.subsystems[i - 1]
-        x0, mask = state.x0_blocks[i - 1], sub.row_mask
+        terms = state.step_rows[i - 1][1]
         a = state.psi_r[i - 1] - state.lam_r[i - 1]
-        lo, hi, w = self._row_boxes[i - 1]
-        try:
-            if self.row_solver is RowSolverKind.EXPLICIT:
-                phi = solve_rows(a, x0, state.rho, lo, hi, w)[0]
-            else:
-                phi = a.copy()  # rows with a zero x0 stay at their targets
-                zero = ~np.any(x0 != 0.0, axis=1)
-                check_rows(lo, hi, zero)
-                live = np.flatnonzero(~zero)
-                res = solve_qp(row_qp(a[live], x0[live], state.rho, lo[live], hi[live], w[live]))
-                for r, status in zip(live, res.statuses):
-                    if status is QpStatus.INFEASIBLE:
-                        raise InfeasibleRowError(f"QP infeasible, box [{lo[r]}, {hi[r]}]", row=r)
-                    if status is not QpStatus.OPTIMAL:
-                        raise ConvergenceError(
-                            f"subsystem {i}: global row {sub.rows[r]}: row QP ended {status.value}"
-                        )
-                phi[mask & ~zero[:, None]] = res.x[:, :-1][mask[live]]
-        except InfeasibleRowError as err:
-            g = sub.rows[err.row]
-            raise InfeasibleRowError(f"subsystem {i}: global row {g}: {err.detail}") from err
-        state.phi_r[i - 1][...] = phi
+        if self.row_solver is RowSolverKind.EXPLICIT:
+            state.phi_r[i - 1][...] = solve_terms(terms, a, state.rho)[0]
+            return
+        live, x0, lo, hi, w, mask = terms  # the rows with a nonzero x0
+        res = solve_qp(row_qp(a[live], x0, state.rho, lo, hi, w))
+        for j, status in enumerate(res.statuses):
+            if status is not QpStatus.OPTIMAL:
+                at = f"subsystem {i}: global row {self.index.subsystems[i - 1].rows[live[j]]}"
+                if status is QpStatus.INFEASIBLE:
+                    raise InfeasibleRowError(f"{at}: QP infeasible, box [{lo[j]}, {hi[j]}]")
+                raise ConvergenceError(f"{at}: row QP ended {status.value}")
+        a[live] = np.where(mask, res.x[:, :-1], a[live])  # the other rows stay at their targets
+        state.phi_r[i - 1][...] = a
 
     def column_step(self, state: AdmmState, i: int):
         """Project subsystem i's relaxed column slice onto the dynamics constraint."""
@@ -515,7 +521,7 @@ class DlmpcEngine:
         # is the bare slice (an input-free subsystem has no rows to multiply)
         u0 = np.count_nonzero(self.index.subsystems[i - 1].row_is_state)
         rows = state.phi_r[i - 1][u0 : u0 + self.model.input_dims[i - 1]]
-        return sls.extract_control(rows, state.x0_blocks[i - 1][-1])
+        return sls.extract_control(rows, state.step_rows[i - 1][0][-1])
 
     # -- full step --------------------------------------------------------------
 
@@ -545,13 +551,7 @@ class DlmpcEngine:
         packets = [] if self.record_packets else None
         state = self.init_state(warm_state)
 
-        # measurement phase: each subsystem gathers its coupled x0 slice and
-        # zeroes it off each row's support, once for the whole step
-        def measure(state, i):
-            sub = index.subsystems[i - 1]
-            return np.where(sub.row_mask, x0[sub.row_cols], 0.0)
-
-        state.x0_blocks = self._each(state, measure)
+        state.step_rows = self._each(state, lambda state, i: self.measure(x0, i))
         if packets is not None:
             for sub in index.subsystems:
                 for j in sorted(index.in_sets_ext[sub.sub_id - 1]):

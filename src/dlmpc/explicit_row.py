@@ -23,11 +23,15 @@ solutions agree).
 
 A row depends on its own target, box, weight and ``x0``, and on a ``rho``
 shared by every row, so :func:`solve_rows` solves a block of rows in one
-array expression; :func:`solve_row` is its one-row case.  The rows may share
-one ``x0`` or each carry their own, zero off the row's support.  The dot
-products are sequential left-to-right sums (``np.add.accumulate``), not BLAS
-or pairwise sums: zeros padded around a row's support leave such a sum
-unchanged, so a padded row in a block is bitwise the row solved alone.
+array expression; :func:`solve_row` is its one-row case.  It runs in two
+halves, for callers that solve many targets for one ``x0`` (an MPC step):
+:func:`row_terms` computes what ``x0``, the boxes and the weights fix, once,
+and :func:`solve_terms` the point location and the affine map per target
+and ``rho``.  The rows may share one ``x0`` or each carry their own, zero
+off the row's support.  The dot products are sequential left-to-right sums
+(``np.add.accumulate``), not BLAS or pairwise sums: zeros padded around a
+row's support leave such a sum unchanged, so a padded row in a block is
+bitwise the row solved alone.
 
 The kernel assumes that no bound is NaN and no box is empty (see
 :func:`empty_boxes`), and does not check it: boxes are checked where they
@@ -127,6 +131,41 @@ def _dot(a, b) -> np.ndarray:
     return np.add.accumulate(a * b, axis=1)[:, -1] if a.shape[1] else np.zeros(a.shape[0])
 
 
+def row_terms(x0, lo, hi, weight) -> tuple:
+    """``(x0, x0 . x0, zero, c2, c2 x0 . x0, lo, hi)`` for one x0 slice per row, ``c2 = 2 weight^2``.
+
+    A ``zero`` row (``x0 . x0 == 0``; None if none) gets a zero x0 and a square of 1;
+    if its box excludes 0, :class:`InfeasibleRowError` names its position in the block.
+    """
+    x0_sq = _dot(x0, x0)
+    zero = x0_sq == 0.0  # x0 is zero, or so small that its square underflows
+    if zero.any():
+        check_rows(lo, hi, zero)
+        # the box holds 0, so a zeroed x0 gives a zero multiplier
+        x0, x0_sq = x0 * ~zero[:, None], np.where(zero, 1.0, x0_sq)
+    c2 = 2.0 * weight * weight
+    return x0, x0_sq, zero if zero.any() else None, c2, c2 * x0_sq, lo, hi
+
+
+def solve_terms(terms: tuple, targets, rho: float) -> tuple:
+    """``(phi, lam, rho a M x0)`` for :func:`row_terms`' terms, with ``lam = lam_upper - lam_lower``.
+
+    At most one of ``lam_upper`` and ``lam_lower`` is nonzero, so ``lam`` has the bits of both.
+    """
+    x0, x0_sq, zero, c2, c2_x0_sq, lo, hi = terms
+    denom = rho + c2_x0_sq
+    # M x0 = x0 / denom, so the scalars below avoid any matrix work.
+    unconstrained = rho * _dot(targets, x0) / denom  # rho * a M x0
+    x_m_x = x0_sq / denom  # x0' M x0
+    # the distance past the violated bound, negative below lo, locates the region
+    lam = (unconstrained - np.minimum(np.maximum(unconstrained, lo), hi)) / x_m_x
+    v = rho * targets - lam[:, None] * x0
+    phi = (v - (c2 * _dot(v, x0) / denom)[:, None] * x0) / rho
+    if zero is not None:
+        phi[zero] = targets[zero]
+    return phi, lam, unconstrained
+
+
 def solve_rows(targets, x0, rho: float, lo, hi, weight) -> tuple:
     """Closed-form minimizers of a block of rows that share ``rho``.
 
@@ -136,37 +175,18 @@ def solve_rows(targets, x0, rho: float, lo, hi, weight) -> tuple:
     ``hi`` and ``weight`` are per-row arrays or scalars.  Returns ``(phi,
     lam_upper, lam_lower, region)`` with int8 region codes 0 interior, 1
     upper-active and 2 lower-active.  Precondition, left to the caller: no
-    bound is NaN and no box is empty.  A row with a zero ``x0`` (``x0 . x0 ==
-    0``) stays at its target; if its box excludes 0,
-    :class:`InfeasibleRowError` names its position in the block.
+    bound is NaN and no box is empty.  A zero row (see :func:`row_terms`)
+    stays at its target.
     """
     targets = np.asarray(targets, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     lo, hi, weight = np.asarray(lo, float), np.asarray(hi, float), np.asarray(weight, float)
     if targets.ndim != 2 or x0.shape not in (targets.shape[1:], targets.shape):
         raise ValueError(f"targets of shape {targets.shape} do not match x0 of shape {x0.shape}")
-    if x0.ndim == 1:  # one slice shared by every row
-        x0 = np.broadcast_to(x0, targets.shape)
-    x0_sq = _dot(x0, x0)
-    zero = x0_sq == 0.0  # x0 is zero, or so small that its square underflows
-    if zero.any():
-        check_rows(lo, hi, zero)
-        # the box holds 0, so a zeroed x0 gives zero multipliers; phi is reset below
-        x0, x0_sq = x0 * ~zero[:, None], np.where(zero, 1.0, x0_sq)
-    c2 = 2.0 * weight * weight
-    denom = rho + c2 * x0_sq
-    # M x0 = x0 / denom, so the scalars below avoid any matrix work.
-    unconstrained = rho * _dot(targets, x0) / denom  # rho * a M x0
-    x_m_x = x0_sq / denom  # x0' M x0
-    lam_upper = np.maximum(unconstrained - hi, 0.0) / x_m_x
-    lam_lower = np.maximum(lo - unconstrained, 0.0) / x_m_x
+    terms = row_terms(np.broadcast_to(x0, targets.shape), lo, hi, weight)
+    phi, lam, unconstrained = solve_terms(terms, targets, rho)
     region = np.int8(1) * (unconstrained > hi) + np.int8(2) * (unconstrained < lo)
-
-    v = rho * targets - (lam_upper - lam_lower)[:, None] * x0
-    phi = (v - (c2 * _dot(v, x0) / denom)[:, None] * x0) / rho
-    if zero.any():
-        phi[zero] = targets[zero]
-    return phi, lam_upper, lam_lower, region
+    return phi, np.maximum(lam, 0.0), np.maximum(-lam, 0.0), region
 
 
 def solve_row(p: RowProblem) -> RowSolution:

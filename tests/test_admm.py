@@ -21,7 +21,9 @@ from dlmpc import (
     build_chain_model,
     build_scenario,
     packet_within_locality,
+    run_closed_loop,
     solve_row,
+    solve_rows,
 )
 from dlmpc import admm
 from dlmpc.admm import row_profiles
@@ -296,6 +298,55 @@ class TestConvergenceControl:
             u[sc.model.input_indices(i)] = engine.extract_control(ra.state, i)
         np.testing.assert_array_equal(u, ra.u)
 
+    def test_per_step_row_terms_follow_rho_and_the_measured_state(self):
+        # residual balancing moves rho inside a step; the row step must see
+        # it, as a solve of the whole closed form per subsystem does
+        sc = build_scenario(ScenarioConfig(n_subsystems=10, bound_component=1, state_lower=-0.3))
+        cfg = sc.config
+
+        class WholeClosedForm(DlmpcEngine):
+            def row_step(self, state, i):
+                lo, hi, w = self._row_boxes[i - 1]
+                a = state.psi_r[i - 1] - state.lam_r[i - 1]
+                state.phi_r[i - 1][...] = solve_rows(a, state.step_rows[i - 1][0], state.rho, lo, hi, w)[0]
+
+        reference = WholeClosedForm(
+            sc.model, sc.index, sc.op, **sc.profiles(), rho=cfg.rho, eps_primal=cfg.eps_primal,
+            eps_dual=cfg.eps_dual, max_iterations=cfg.max_iterations,
+        )
+        runs = []
+        for engine in (sc.make_engine(), reference):
+            states, solve = [], engine.solve_step
+
+            def solve_step(x0, warm_state=None, solve=solve, states=states):
+                res = solve(x0, warm_state=warm_state)
+                states.append(res.state)
+                return res
+
+            engine.solve_step = solve_step
+            runs.append((run_closed_loop(sc, sim_steps=3, engine=engine), states))
+        (got, got_states), (want, want_states) = runs
+        # every step starts at cfg.rho, so another end value means balancing moved it
+        assert any(state.rho != cfg.rho for state in got_states)
+        np.testing.assert_array_equal(got.states, want.states)
+        np.testing.assert_array_equal(got.inputs, want.inputs)
+        np.testing.assert_array_equal(got.iterations, want.iterations)
+        for got_state, want_state in zip(got_states, want_states, strict=True):
+            assert got_state.residual_history == want_state.residual_history
+            np.testing.assert_array_equal(got_state.rows, want_state.rows)
+
+        # a warm step measures its own x0, not its warm state's
+        engine = sc.make_engine()
+        xa, xb = sc.initial_state(), np.linspace(-0.5, 0.5, sc.model.n_states)
+        state_a = engine.solve_step(xa).state
+        state_b = engine.solve_step(xb, warm_state=state_a).state
+        for i, ((x0_a, _), (x0_b, terms_b)) in enumerate(zip(state_a.step_rows, state_b.step_rows), start=1):
+            x0_block, terms = engine.measure(xb, i)
+            assert not np.array_equal(x0_block, x0_a)
+            np.testing.assert_array_equal(x0_b, x0_block)
+            for got_term, want_term in zip(terms_b, terms, strict=True):
+                np.testing.assert_array_equal(got_term, want_term)
+
     def test_warm_start_reduces_iterations(self):
         sc = small_scenario()
         engine = sc.make_engine()
@@ -389,7 +440,7 @@ class TestRowStep:
         # tight boxes on states and inputs and random targets reach all three regions
         rng = np.random.default_rng(7)
         state = engine.init_state()
-        state.x0_blocks = [np.where(sub.row_mask, x0[sub.row_cols], 0.0) for sub in sc.index.subsystems]
+        state.step_rows = [engine.measure(x0, i) for i in range(1, sc.model.n_subsystems + 1)]
         for sub, psi, lam in zip(sc.index.subsystems, state.psi_r, state.lam_r):
             psi[:] = rng.normal(size=psi.shape) * sub.row_mask
             lam[:] = rng.normal(scale=0.5, size=lam.shape) * sub.row_mask
@@ -447,7 +498,7 @@ class TestRowStep:
         x0 = sc.initial_state()
         engine = sc.make_engine(row_solver=RowSolverKind.QP)
         state = self.boxed_state(sc, engine, x0)
-        for i, (sub, x0_block) in enumerate(zip(sc.index.subsystems, state.x0_blocks), start=1):
+        for i, (sub, (x0_block, _)) in enumerate(zip(sc.index.subsystems, state.step_rows), start=1):
             del stacks[:]
             engine.row_step(state, i)
             live = np.count_nonzero(np.any(x0_block != 0.0, axis=1))
