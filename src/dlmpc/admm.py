@@ -40,8 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import sls
-from .explicit_row import InfeasibleRowError, check_rows, empty_boxes, row_terms, solve_terms
+from .explicit_row import InfeasibleRowError, empty_boxes, row_terms, solve_terms
 from .qp import QpStatus, row_qp, solve_qp
 from .sls import FeasibilityOperator, project_column
 from .topology import LocalityIndex, NetworkModel
@@ -110,13 +109,13 @@ class AdmmState:
     ``lam_c`` and ``hat_c`` are tuples of reshaped views into those buffers,
     so blocks are written in place and cannot be rebound.  ``rho`` is the
     current penalty, by which lambda is scaled.  Row blocks have shape
-    (len(rows), len(row_cols)), column blocks (len(col_rows), len(cols)).  After each exchange phase the
-    two partitions agree on every shared entry.  ``step_rows`` holds, per
-    subsystem and built by :meth:`DlmpcEngine.measure` once per MPC step, its
-    x0 block (the coupled slice of the measured state, repeated per row and
-    zeroed off the row's ``row_mask`` support) and the row step's terms fixed
-    by it, ``residual_history`` one (max primal, max dual) pair per iteration, and
-    ``per_sub_seconds`` each subsystem's wall time spent on this state.
+    (len(rows), len(row_cols)), column blocks (len(col_rows), len(cols)).
+    After each exchange phase the two partitions agree on every shared entry.
+    ``step_rows`` holds, per subsystem and built by :meth:`DlmpcEngine.measure`
+    once per MPC step, its x0 block (the measured state's coupled slice per
+    row, zero off ``row_mask``) and that block's :func:`row_terms`, which both
+    row routes read; ``residual_history`` holds one (max primal, max dual) pair
+    per iteration, and ``per_sub_seconds`` each subsystem's time on this state.
     """
 
     rows: np.ndarray
@@ -224,7 +223,6 @@ class DlmpcEngine:
         max_iterations: int = 10000,
         row_solver: RowSolverKind = RowSolverKind.EXPLICIT,
         record_packets: bool = False,
-        mask_check_interval: int = 0,
         order=None,
     ):
         for name, value in (("rho", rho), ("eps_primal", eps_primal), ("eps_dual", eps_dual)):
@@ -241,7 +239,6 @@ class DlmpcEngine:
         self.max_iterations = int(max_iterations)
         self.row_solver = row_solver
         self.record_packets = record_packets
-        self.mask_check_interval = int(mask_check_interval)
         n_sub = model.n_subsystems
         self.order = list(range(1, n_sub + 1)) if order is None else [int(i) for i in order]
         if sorted(self.order) != list(range(1, n_sub + 1)):
@@ -286,15 +283,7 @@ class DlmpcEngine:
         self._offsets = {
             k: np.concatenate(([0], np.cumsum([a * b for a, b in v]))) for k, v in self._shapes.items()
         }
-        self._off_mask = np.concatenate(
-            [off + np.flatnonzero(~s.row_mask) for s, off in zip(index.subsystems, self._offsets["r"])]
-        )
-        self._src, self._dst, pairs = self._build_exchange_plan()
-        rank = {s: r for r, s in enumerate(self.order)}  # packets go out receiver by receiver
-        self._pairs = {
-            Phase.ROW_BLOCKS: sorted(pairs, key=lambda pair: rank[pair[1]]),
-            Phase.COLUMN_BLOCKS: sorted(pairs, key=lambda pair: rank[pair[0]]),
-        }
+        self._src, self._dst, self._pairs = self._build_exchange_plan()
 
     def _build_exchange_plan(self):
         """Flat positions of the entries the row and column buffers share.
@@ -339,12 +328,12 @@ class DlmpcEngine:
         if warm is None:
             rows, cols = np.zeros((4, offsets["r"][-1])), np.zeros((4, offsets["c"][-1]))
         else:
-            names = [f"{m}_{k}" for k in "rc" for m in ("phi", "psi", "lam")]
-            for i in range(max(n_sub, *(len(getattr(warm, f)) for f in names))):
-                for name in names:
-                    blocks = getattr(warm, name)
+            # the other blocks are views of the same two buffers, in these shapes
+            blocks = {"phi_r": warm.phi_r, "phi_c": warm.phi_c}
+            for i in range(max(n_sub, len(warm.phi_r), len(warm.phi_c))):
+                for name, mats in blocks.items():
                     want = shapes[name[-1]][i] if i < n_sub else "no block"
-                    got = np.shape(blocks[i]) if i < len(blocks) else "no block"
+                    got = np.shape(mats[i]) if i < len(mats) else "no block"
                     if got != want:
                         raise ValueError(
                             f"warm_state does not fit this engine: subsystem {i + 1} "
@@ -371,41 +360,37 @@ class DlmpcEngine:
         """Subsystem i's ``step_rows`` entry for the measured state ``x0``."""
         sub = self.index.subsystems[i - 1]
         x0_block = np.where(sub.row_mask, x0[sub.row_cols], 0.0)
-        lo, hi, w = self._row_boxes[i - 1]
         try:
-            if self.row_solver is RowSolverKind.EXPLICIT:
-                return x0_block, row_terms(x0_block, lo, hi, w)
-            zero = ~np.any(x0_block != 0.0, axis=1)
-            check_rows(lo, hi, zero)
+            return x0_block, row_terms(x0_block, *self._row_boxes[i - 1])
         except InfeasibleRowError as err:
             raise InfeasibleRowError(f"subsystem {i}: global row {sub.rows[err.row]}: {err.detail}") from err
-        live = np.flatnonzero(~zero)
-        return x0_block, (live, x0_block[live], lo[live], hi[live], w[live], sub.row_mask[live])
 
     def row_step(self, state: AdmmState, i: int):
         """Proximal row update for subsystem i, each row over its ``row_mask`` row.
 
-        Both routes read the subsystem's per-step terms and solve the block in
-        one call.  The QP route stacks the rows with a nonzero x0 at the block
-        width (off the mask the target and x0 are zero, so the padded
-        variables decouple at 0), writes phi back on the mask only, and
-        raises :class:`ConvergenceError` naming the first row whose solve is
-        not optimal.
+        Both routes read the subsystem's ``step_rows`` record and solve the
+        block in one call.  The QP route stacks the rows its terms do not mark
+        zero (zero rows stay at their targets) at the block width: off the
+        mask the target and x0 are zero, so the padded variables decouple at
+        0.  It writes phi back on the mask only and raises
+        :class:`ConvergenceError` naming the first row not solved optimally.
         """
-        terms = state.step_rows[i - 1][1]
+        x0_block, terms = state.step_rows[i - 1]
         a = state.psi_r[i - 1] - state.lam_r[i - 1]
         if self.row_solver is RowSolverKind.EXPLICIT:
             state.phi_r[i - 1][...] = solve_terms(terms, a, state.rho)[0]
             return
-        live, x0, lo, hi, w, mask = terms  # the rows with a nonzero x0
-        res = solve_qp(row_qp(a[live], x0, state.rho, lo, hi, w))
+        sub, (_, _, zero, _, _, lo, hi) = self.index.subsystems[i - 1], terms
+        live = np.arange(a.shape[0]) if zero is None else np.flatnonzero(~zero)
+        lo, hi, w = lo[live], hi[live], self._row_boxes[i - 1][2][live]
+        res = solve_qp(row_qp(a[live], x0_block[live], state.rho, lo, hi, w))
         for j, status in enumerate(res.statuses):
             if status is not QpStatus.OPTIMAL:
-                at = f"subsystem {i}: global row {self.index.subsystems[i - 1].rows[live[j]]}"
+                at = f"subsystem {i}: global row {sub.rows[live[j]]}"
                 if status is QpStatus.INFEASIBLE:
                     raise InfeasibleRowError(f"{at}: QP infeasible, box [{lo[j]}, {hi[j]}]")
                 raise ConvergenceError(f"{at}: row QP ended {status.value}")
-        a[live] = np.where(mask, res.x[:, :-1], a[live])  # the other rows stay at their targets
+        a[live] = np.where(sub.row_mask[live], res.x[:, :-1], a[live])  # off the mask a keeps its entries
         state.phi_r[i - 1][...] = a
 
     def column_step(self, state: AdmmState, i: int):
@@ -476,23 +461,12 @@ class DlmpcEngine:
             self._record(packets, Phase.COLUMN_BLOCKS, sent)
 
     def _record(self, packets: list, phase: Phase, sent: np.ndarray):
-        for k, i, a, b, rows, cols in self._pairs[phase]:
+        for k, i, a, b, rows, cols in self._pairs:
             sender, receiver = (k, i) if phase is Phase.ROW_BLOCKS else (i, k)
             payload = sent[a:b].reshape(rows.size, cols.size)
             packets.append(ExchangePacket(sender, receiver, phase, rows, cols, payload))
 
     # -- instrumentation ------------------------------------------------------
-
-    def verify_masks(self, state: AdmmState):
-        """Assert exact zeros outside the allowed sparsity, or raise."""
-        bad = np.argwhere(state.rows[:3, self._off_mask].T != 0.0)
-        if bad.size:
-            pos, m = bad[0]
-            i = int(np.searchsorted(self._offsets["r"], self._off_mask[pos], side="right"))
-            raise AssertionError(
-                f"subsystem {i}: {('phi', 'psi', 'lambda')[m]} row partition has nonzeros "
-                f"outside the mask at iteration {state.iteration}"
-            )
 
     def assemble_from_rows(self, state: AdmmState, which: str = "phi") -> np.ndarray:
         """Global stacked matrix gathered from the row partitions."""
@@ -521,7 +495,7 @@ class DlmpcEngine:
         # is the bare slice (an input-free subsystem has no rows to multiply)
         u0 = np.count_nonzero(self.index.subsystems[i - 1].row_is_state)
         rows = state.phi_r[i - 1][u0 : u0 + self.model.input_dims[i - 1]]
-        return sls.extract_control(rows, state.step_rows[i - 1][0][-1])
+        return rows @ state.step_rows[i - 1][0][-1]
 
     # -- full step --------------------------------------------------------------
 
@@ -568,8 +542,6 @@ class DlmpcEngine:
             self.exchange_columns(state, packets)
             self.multiplier_step(state)
             state.iteration = k
-            if self.mask_check_interval and k % self.mask_check_interval == 0:
-                self.verify_masks(state)
             converged = self.check_convergence(state)
             if converged:
                 break

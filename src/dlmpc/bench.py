@@ -355,7 +355,6 @@ def run_scaling_sweep(
     sizes=(10, 50, 100, 200),
     case: Case = Case.EXPLICIT,
     sim_steps: int = 2,
-    engine_overrides: dict | None = None,
 ) -> list:
     """Per-subsystem runtime versus network size, cold and warm starts apart.
 
@@ -369,7 +368,7 @@ def run_scaling_sweep(
     rows = []
     for n_sub in sizes:
         scenario = build_scenario(ScenarioConfig(n_subsystems=n_sub, case=case, sim_steps=sim_steps))
-        engine = scenario.make_engine(**(engine_overrides or {}))
+        engine = scenario.make_engine()
         t0 = time.perf_counter()
         report = run_closed_loop(scenario, engine=engine)
         total = time.perf_counter() - t0
@@ -515,25 +514,28 @@ def load_config(path) -> ScenarioConfig:
     terminal_weight), ``[bounds]`` (state_lower/upper, bound_component,
     input_lower/upper) and ``[solver]`` (rho, eps_primal, eps_dual,
     max_iterations).  Every key is optional except
-    ``scenario.subsystems``; an unknown section or key raises ValueError.
+    ``scenario.subsystems``; an unknown section or key, or a file
+    ``configparser`` cannot parse, raises ValueError.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(path)
     kwargs = {}
-    for name in parser.sections():
-        if name not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config section [{name}]")
-        section = parser[name]
-        for key in section:
-            kind = _CONFIG_KEYS[name].get(key)
-            if kind is None:
-                raise ValueError(f"unknown config key {name}.{key}")
-            if kind == "case":
-                kwargs[key] = parse_case(section[key])
-            else:
-                kwargs[key] = getattr(section, "get" + kind)(key)
+    try:
+        if not parser.read(path):
+            raise FileNotFoundError(path)
+        for name in parser.sections():
+            if name not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config section [{name}]")
+            section = parser[name]
+            for key in section:
+                kind = _CONFIG_KEYS[name].get(key)
+                if kind is None:
+                    raise ValueError(f"unknown config key {name}.{key}")
+                if kind == "case":
+                    kwargs[key] = parse_case(section[key])
+                else:
+                    kwargs[key] = getattr(section, "get" + kind)(key)
+    except configparser.Error as err:  # malformed file: duplicate key, no section header ...
+        raise ValueError(f"config file {path}: {err}") from err
     if "subsystems" not in kwargs:
         raise ValueError("config needs [scenario] subsystems")
     kwargs["n_subsystems"] = kwargs.pop("subsystems")

@@ -206,12 +206,3 @@ def controller_from_response(phi_x: np.ndarray, phi_u: np.ndarray) -> np.ndarray
     if phi_x.shape[0] != phi_x.shape[1]:
         raise ValueError("phi_x must be the full square response map")
     return phi_u @ np.linalg.inv(phi_x)
-
-
-def extract_control(u0_rows: np.ndarray, x0_slice: np.ndarray) -> np.ndarray:
-    """Local input from the time-0 input rows: ``u0_rows @ x0_slice``."""
-    u0_rows = np.asarray(u0_rows, dtype=float)
-    x0_slice = np.asarray(x0_slice, dtype=float)
-    if u0_rows.shape[1] != x0_slice.shape[0]:
-        raise ValueError("row slice and x0 slice disagree on width")
-    return u0_rows @ x0_slice

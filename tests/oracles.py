@@ -7,7 +7,10 @@ path depends on them:
   conditions (stationarity, box violation, complementarity);
 * ``centralized_local_mpc`` solves the sparsity-constrained synthesis
   problem centrally with the interior-point QP solver, the diagnostic
-  baseline the distributed engine is compared against at desk scale.
+  baseline the distributed engine is compared against at desk scale;
+* ``check_masks`` asserts exact zeros off a global locality mask built
+  outside the engine, and ``sample_masks`` runs it inside the consensus
+  loop at every k-th iteration.
 """
 from __future__ import annotations
 
@@ -128,3 +131,46 @@ def centralized_local_mpc(
     phi[mask] = res.x[:nv]
     cost = float(np.sum(row_weight**2 * (phi @ x0) ** 2))
     return {"phi": phi, "cost": cost, "status": res.status, "iterations": res.iterations}
+
+
+def check_masks(engine, state, mask: np.ndarray):
+    """Raise AssertionError if phi, psi or lambda is nonzero off ``mask``.
+
+    ``mask`` is the global ``(n_rows, n)`` locality pattern; each block of
+    both partitions is compared with its slice of it.
+    """
+    for sub in engine.index.subsystems:
+        for side, rows, cols, blocks in (
+            ("row", sub.rows, sub.row_cols, (state.phi_r, state.psi_r, state.lam_r)),
+            ("column", sub.col_rows, sub.cols, (state.phi_c, state.psi_c, state.lam_c)),
+        ):
+            off = ~mask[np.ix_(rows, cols)]
+            for which, mats in zip(("phi", "psi", "lambda"), blocks):
+                bad = np.argwhere((mats[sub.sub_id - 1] != 0.0) & off)
+                if bad.size:
+                    r, c = bad[0]
+                    raise AssertionError(
+                        f"{which} {side} partition: entry ({rows[r]}, {cols[c]}) of subsystem "
+                        f"{sub.sub_id} is {mats[sub.sub_id - 1][r, c]} outside the locality "
+                        f"mask at iteration {state.iteration}"
+                    )
+
+
+def sample_masks(engine, mask: np.ndarray, every: int = 1) -> list:
+    """Make ``engine`` run :func:`check_masks` at every ``every``-th iteration.
+
+    Wraps ``engine.check_convergence``, which the loop calls once per
+    iteration right after the multiplier step.  Returns the list that each
+    checked iteration number is appended to.
+    """
+    checked = []
+    converged = engine.check_convergence
+
+    def check_convergence(state):
+        if state.iteration % every == 0:
+            check_masks(engine, state, mask)
+            checked.append(state.iteration)
+        return converged(state)
+
+    engine.check_convergence = check_convergence
+    return checked

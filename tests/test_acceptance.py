@@ -2,11 +2,14 @@
 
 Each test prints a single ``[PASS]``/``[FAIL]`` line with the measured
 quantity and its tolerance, then asserts.  Heavy runs are shared through
-module-scoped fixtures.  Every closed-loop fixture runs with sampled
-mask instrumentation switched on, so the sparsity criterion is exercised
-by the same runs that produce the performance numbers.
+module-scoped fixtures.  Every closed-loop fixture checks exact zeros off
+the independently built locality mask at sampled iterations (the
+``sample_masks`` hook on ``check_convergence``, outside the per-subsystem
+timers), so the sparsity criterion is exercised by the same runs that
+produce the performance numbers.
 """
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from dlmpc import (
     DenseQP,
     Region,
     RowProblem,
+    Scenario,
     ScenarioConfig,
     build_chain_model,
     build_scenario,
@@ -31,7 +35,7 @@ from dlmpc import (
     solve_qp,
     solve_row,
 )
-from oracles import kkt_residuals
+from oracles import check_masks, kkt_residuals, sample_masks
 
 
 def _verdict(num: int, ok: bool, detail: str) -> bool:
@@ -99,7 +103,32 @@ def _dense_constraint(model, horizon):
     return z
 
 
+def _sampled(engine, sc, reference_mask, every, samples):
+    """``engine``, made to check ``sc``'s locality mask every ``every``-th iteration."""
+    mask = reference_mask(sc.model, sc.graph, sc.config.locality, sc.config.horizon)
+    samples.append(sample_masks(engine, mask, every))
+    return engine
+
+
+@contextmanager
+def _sampled_sweeps(reference_mask, every, samples):
+    """Make every engine that a scaling sweep builds check the mask as above."""
+    make_engine = Scenario.make_engine
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            Scenario, "make_engine",
+            lambda sc, **kw: _sampled(make_engine(sc, **kw), sc, reference_mask, every, samples),
+        )
+        yield
+
+
 # -- shared heavy fixtures -----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def mask_samples():
+    """Per instrumented fixture, one list of checked iterations per engine."""
+    return {}
 
 
 @pytest.fixture(scope="module")
@@ -129,31 +158,33 @@ def row_batch():
 
 
 @pytest.fixture(scope="module")
-def tracking_runs():
+def tracking_runs(reference_mask, mask_samples):
     """Matched solver-row and explicit-row closed loops on the stock chain."""
     out = {}
+    samples = mask_samples["tracking_runs"] = []
     for case in (Case.SOLVER, Case.EXPLICIT):
         cfg = ScenarioConfig(
             n_subsystems=10, horizon=5, locality=1, case=case,
             sim_steps=10, seed=0, eps_primal=1e-6, eps_dual=1e-6,
         )
         sc = build_scenario(cfg)
-        engine = sc.make_engine(mask_check_interval=5)
+        engine = _sampled(sc.make_engine(), sc, reference_mask, 5, samples)
         out[case] = (run_closed_loop(sc, engine=engine), sc)
     return out
 
 
 @pytest.fixture(scope="module")
-def gap_runs():
+def gap_runs(reference_mask, mask_samples):
     """Distributed vs centralized receding-horizon runs, instrumented."""
     out = []
+    samples = mask_samples["gap_runs"] = []
     for n in (10, 50):
         cfg = ScenarioConfig(
             n_subsystems=n, horizon=5, locality=1, case=Case.EXPLICIT,
             sim_steps=20, seed=0,
         )
         sc = build_scenario(cfg)
-        engine = sc.make_engine(mask_check_interval=5)
+        engine = _sampled(sc.make_engine(), sc, reference_mask, 5, samples)
         t0 = time.perf_counter()
         rep = run_closed_loop(sc, engine=engine, with_baseline=True)
         out.append((n, rep, time.perf_counter() - t0))
@@ -161,23 +192,20 @@ def gap_runs():
 
 
 @pytest.fixture(scope="module")
-def explicit_sweep():
+def explicit_sweep(reference_mask, mask_samples):
     """Cold and warm per-subsystem times across network sizes."""
-    return run_scaling_sweep(
-        sizes=(10, 50, 100, 200), case=Case.EXPLICIT, sim_steps=2,
-        engine_overrides={"mask_check_interval": 25},
-    )
+    samples = mask_samples["explicit_sweep"] = []
+    with _sampled_sweeps(reference_mask, 25, samples):
+        return run_scaling_sweep(sizes=(10, 50, 100, 200), case=Case.EXPLICIT, sim_steps=2)
 
 
 @pytest.fixture(scope="module")
-def case_sweeps():
+def case_sweeps(reference_mask):
     """Cold per-subsystem times for all three cases across network sizes."""
     out = {}
-    for case in (Case.UNCONSTRAINED, Case.SOLVER, Case.EXPLICIT):
-        out[case] = run_scaling_sweep(
-            sizes=(10, 50, 100, 200), case=case, sim_steps=1,
-            engine_overrides={"mask_check_interval": 25},
-        )
+    with _sampled_sweeps(reference_mask, 25, []):
+        for case in (Case.UNCONSTRAINED, Case.SOLVER, Case.EXPLICIT):
+            out[case] = run_scaling_sweep(sizes=(10, 50, 100, 200), case=case, sim_steps=1)
     return out
 
 
@@ -365,18 +393,23 @@ def test_information_sets_on_reference_network(six_node_graph):
     )
 
 
-def test_masks_hold_exactly_during_iterations(tracking_runs, gap_runs, explicit_sweep):
-    # the fixtures above already ran with sampled in-loop mask assertions;
-    # finish with a dense every-iteration run plus a direct final check
+def test_masks_hold_exactly_during_iterations(
+    reference_mask, mask_samples, tracking_runs, gap_runs, explicit_sweep
+):
+    # the fixtures above already checked the mask at sampled iterations;
+    # finish with an every-iteration run plus a direct final check
     cfg = ScenarioConfig(n_subsystems=4, horizon=3, sim_steps=2, seed=1)
     sc = build_scenario(cfg)
-    engine = sc.make_engine(mask_check_interval=1)
-    x = sc.initial_state()
-    result = engine.solve_step(x)
-    engine.verify_masks(result.state)
-    checked = len(tracking_runs) + len(gap_runs) + len(explicit_sweep)
+    dense = []
+    engine = _sampled(sc.make_engine(), sc, reference_mask, 1, dense)
+    result = engine.solve_step(sc.initial_state())
+    check_masks(engine, result.state, reference_mask(sc.model, sc.graph, cfg.locality, cfg.horizon))
+    fixtures = {name: mask_samples[name] for name in ("tracking_runs", "gap_runs", "explicit_sweep")}
+    sampled = {name: sum(map(len, runs)) for name, runs in fixtures.items()}
+    ok = dense == [list(range(1, result.iterations + 1))] and all(sampled.values())
     assert _verdict(
-        11, True,
-        f"off-mask entries exactly zero at every sampled iteration across "
-        f"{checked} instrumented runs and one every-iteration run",
+        11, ok,
+        f"off-mask entries exactly zero at {sum(sampled.values())} sampled iterations "
+        f"across {sum(map(len, fixtures.values()))} instrumented runs ({sampled}) and at "
+        f"all {result.iterations} iterations of one every-iteration run",
     )

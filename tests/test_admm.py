@@ -27,7 +27,7 @@ from dlmpc import (
 )
 from dlmpc import admm
 from dlmpc.admm import row_profiles
-from oracles import centralized_local_mpc
+from oracles import centralized_local_mpc, check_masks, sample_masks
 
 
 def small_scenario(**overrides):
@@ -250,21 +250,26 @@ class TestExchanges:
         with pytest.raises(TypeError):
             new.phi_r[0] = np.zeros_like(before)
 
-    def test_masks_hold_at_every_iteration(self):
+    def test_masks_hold_at_every_iteration(self, reference_mask):
         sc = small_scenario()
-        engine = sc.make_engine(mask_check_interval=1)
-        engine.solve_step(sc.initial_state())  # raises on any violation
+        engine = sc.make_engine()
+        mask = reference_mask(sc.model, sc.graph, sc.config.locality, sc.config.horizon)
+        checked = sample_masks(engine, mask)
+        res = engine.solve_step(sc.initial_state())  # raises on any violation
+        assert checked == list(range(1, res.iterations + 1))
 
-    def test_mask_corruption_is_caught(self):
+    def test_mask_corruption_is_caught(self, reference_mask):
         sc = small_scenario()
         engine = sc.make_engine()
         res = engine.solve_step(sc.initial_state())
         state = res.state
+        mask = reference_mask(sc.model, sc.graph, sc.config.locality, sc.config.horizon)
+        check_masks(engine, state, mask)
         sub = sc.index.subsystem(1)
         banned = np.argwhere(~sub.row_mask)
         state.phi_r[0][banned[0][0], banned[0][1]] = 1e-9
-        with pytest.raises(AssertionError):
-            engine.verify_masks(state)
+        with pytest.raises(AssertionError, match=r"phi row partition: .* subsystem 1 is 1e-09 outside"):
+            check_masks(engine, state, mask)
 
 
 class TestConvergenceControl:
@@ -395,6 +400,16 @@ class TestConvergenceControl:
         # zero measured state puts 0 outside the box for every bounded row
         with pytest.raises(InfeasibleRowError, match=r"^subsystem 1: global row 6: "):
             engine.solve_step(np.zeros(sc.model.n_states))
+
+    @pytest.mark.parametrize("row_solver", list(RowSolverKind))
+    def test_underflowing_measurement_is_a_zero_row_on_both_routes(self, row_solver):
+        # x0 . x0 underflows to 0 although x0 != 0: both routes read the one
+        # zero-row rule of the measurement phase, before any row step runs
+        sc = small_scenario(state_lower=0.1)
+        engine = sc.make_engine(row_solver=row_solver)
+        engine.row_step = lambda state, i: pytest.fail(f"row step of subsystem {i} ran")
+        with pytest.raises(InfeasibleRowError, match=r"^subsystem 1: global row \d+: x0 slice is zero"):
+            engine.solve_step(np.full(sc.model.n_states, 1e-170))
 
     def test_non_optimal_row_qp_raises(self, monkeypatch):
         solve_qp = admm.solve_qp

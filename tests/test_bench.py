@@ -482,6 +482,17 @@ class TestCli:
         ini.write_text("[scenario]\nsubsystems = 2\nhorizon = 2\nsim_steps = 1\n")
         assert cli_main(["run", "--config", str(ini)]) == 0
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[scenario]\nsubsystems = 2\nsubsystems = 3\n", "subsystems = 2\n"],
+        ids=["duplicate-key", "no-section-header"],
+    )
+    def test_malformed_config_is_an_error(self, tmp_path, capsys, text):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        assert cli_main(["run", "--config", str(ini)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config file {ini}: ")
+
     def test_run_with_model_file(self, tmp_path, capsys):
         path = save_model_file(build_chain_model(2), tmp_path / "m.txt")
         assert cli_main(["run", "--model", str(path), "--steps", "1", "--horizon", "2"]) == 0

@@ -13,7 +13,6 @@ from dlmpc import (
     build_graph,
     build_locality_index,
     controller_from_response,
-    extract_control,
     full_response_from_controller,
     project_column,
     response_from_controller,
@@ -223,10 +222,3 @@ class TestColumnProjection:
         assert sub.cols.size == 2
         with pytest.raises(ValueError, match="shape"):
             project_column(op, 2, np.zeros((sub.col_rows.size, 1)))
-
-
-class TestExtractControl:
-    def test_pure_matvec(self):
-        rows = np.array([[1.0, 2.0], [0.5, -1.0]])
-        x0 = np.array([3.0, 1.0])
-        np.testing.assert_array_equal(extract_control(rows, x0), [5.0, 0.5])
