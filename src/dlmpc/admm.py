@@ -41,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from .explicit_row import InfeasibleRowError, empty_boxes, row_terms, solve_terms
-from .qp import QpStatus, row_qp, solve_qp
+from .qp import QpStatus, check_profile, row_qp, solve_qp
 from .sls import FeasibilityOperator, project_column
 from .topology import LocalityIndex, NetworkModel
 
@@ -244,21 +244,13 @@ class DlmpcEngine:
         if sorted(self.order) != list(range(1, n_sub + 1)):
             raise ValueError("order must be a permutation of 1..N")
 
-        def profile(name, value, size, default):
-            value = np.full(size, default) if value is None else np.asarray(value, float)
-            if value.shape != (size,):
-                raise ValueError(f"{name} must have {size} entries, got {value.size}")
-            is_weight = name.endswith("_diag")
-            bad = ~(np.isfinite(value) & (value >= 0)) if is_weight else np.isnan(value)
-            for k in np.flatnonzero(bad)[:1]:
-                need = "finite and nonnegative" if is_weight else "a number"
-                raise ValueError(f"{name}[{k}] is {value[k]}, must be {need}")
-            return value
-
         n, p = model.n_states, model.n_inputs
-        q_diag = profile("q_diag", q_diag, n, 1.0)
+        q_diag = check_profile("q_diag", q_diag, n, 1.0)
         boxes = {
-            kind: (profile(f"{kind}_lb", lb, size, -np.inf), profile(f"{kind}_ub", ub, size, np.inf))
+            kind: (
+                check_profile(f"{kind}_lb", lb, size, -np.inf),
+                check_profile(f"{kind}_ub", ub, size, np.inf),
+            )
             for kind, lb, ub, size in (("state", state_lb, state_ub, n), ("input", input_lb, input_ub, p))
         }
         for kind, (lb, ub) in boxes.items():
@@ -267,8 +259,8 @@ class DlmpcEngine:
         w, lo, hi = row_profiles(
             index,
             q_diag,
-            profile("r_diag", r_diag, p, 1.0),
-            q_diag if qt_diag is None else profile("qt_diag", qt_diag, n, 1.0),
+            check_profile("r_diag", r_diag, p, 1.0),
+            q_diag if qt_diag is None else check_profile("qt_diag", qt_diag, n, 1.0),
             *boxes["state"],
             *boxes["input"],
         )

@@ -81,8 +81,6 @@ def build_chain_model(n_subsystems: int) -> NetworkModel:
     Each node has lightly damped local dynamics; each neighbor feeds the
     second state component.  Actuation enters the second component only.
     """
-    if n_subsystems < 1:
-        raise ValueError("need at least one subsystem")
     a_self = np.array([[1.0, 0.1], [-0.3, 0.7]])
     a_neighbor = np.array([[0.0, 0.0], [0.1, 0.1]])
     b_self = np.array([[0.0], [0.1]])

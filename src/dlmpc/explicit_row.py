@@ -18,29 +18,26 @@ closed form with exactly three cases:
 
 M is a rank-one update of a scaled identity (Sherman-Morrison), so it is
 never formed: ``v M = (v - (2 w^2 (v.x0) / (rho + 2 w^2 ||x0||^2)) x0) / rho``.
-Boundary ties classify as INTERIOR (the multiplier is zero there, so the
+Boundary ties are interior (the multiplier is zero there, so the
 solutions agree).
 
 A row depends on its own target, box, weight and ``x0``, and on a ``rho``
-shared by every row, so :func:`solve_rows` solves a block of rows in one
-array expression; :func:`solve_row` is its one-row case.  It runs in two
-halves, for callers that solve many targets for one ``x0`` (an MPC step):
-:func:`row_terms` computes what ``x0``, the boxes and the weights fix, once,
-and :func:`solve_terms` the point location and the affine map per target
-and ``rho``.  The rows may share one ``x0`` or each carry their own, zero
-off the row's support.  The dot products are sequential left-to-right sums
-(``np.add.accumulate``), not BLAS or pairwise sums: zeros padded around a
-row's support leave such a sum unchanged, so a padded row in a block is
-bitwise the row solved alone.
+shared by every row, so a block of rows is solved in one array expression,
+in two halves: :func:`row_terms` computes what ``x0``, the boxes and the
+weights fix, once per MPC step, and :func:`solve_terms` the point location
+and the affine map per target and ``rho``.  The rows may share one ``x0``
+or each carry their own, zero off the row's support.  The dot products are
+sequential left-to-right sums (``np.add.accumulate``), not BLAS or pairwise
+sums: zeros padded around a row's support leave such a sum unchanged, so a
+padded row in a block is bitwise the row solved alone.  A row's region is
+the sign of its signed multiplier ``lam``: positive upper-active, negative
+lower-active, zero interior.
 
 The kernel assumes that no bound is NaN and no box is empty (see
-:func:`empty_boxes`), and does not check it: boxes are checked where they
-enter, by ``DlmpcEngine`` once when it is built and by :func:`solve_row`.
+:func:`empty_boxes`), and does not check it: ``DlmpcEngine`` checks the
+boxes once, when it is built.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -54,62 +51,6 @@ class InfeasibleRowError(ValueError):
     def __init__(self, detail: str, row: int | None = None):
         super().__init__(detail if row is None else f"row {row}: {detail}")
         self.row, self.detail = row, detail
-
-
-class Region(Enum):
-    INTERIOR = "interior"
-    UPPER_ACTIVE = "upper-active"
-    LOWER_ACTIVE = "lower-active"
-
-
-@dataclass(frozen=True)
-class RowProblem:
-    """One row's proximal subproblem over its allowed support.
-
-    target  proximal target row ``a`` (current consensus minus multiplier)
-    x0      initial-state slice seen by this row (same length as target)
-    rho     proximal weight, > 0
-    lo, hi  box on the scalar ``phi . x0``; either may be infinite
-    weight  square root of the row's cost weight (0 for costless rows)
-    """
-
-    target: np.ndarray
-    x0: np.ndarray
-    rho: float
-    lo: float = -np.inf
-    hi: float = np.inf
-    weight: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=float).ravel())
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).ravel())
-        if self.target.shape != self.x0.shape:
-            raise ValueError(
-                f"target has length {self.target.shape[0]} but x0 has {self.x0.shape[0]}"
-            )
-        if not (np.isfinite(self.rho) and self.rho > 0):
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
-        if not (np.isfinite(self.weight) and self.weight >= 0):
-            raise ValueError(f"weight must be finite and nonnegative, got {self.weight}")
-        if np.isnan(self.lo) or np.isnan(self.hi):
-            raise ValueError("bounds must not be NaN")
-
-
-@dataclass(frozen=True)
-class RowSolution:
-    """Optimal row, its bound multipliers and the active region."""
-
-    phi: np.ndarray
-    lam_upper: float
-    lam_lower: float
-    region: Region
-
-    @property
-    def lam(self) -> float:
-        return self.lam_upper - self.lam_lower
-
-
-_REGIONS = (Region.INTERIOR, Region.UPPER_ACTIVE, Region.LOWER_ACTIVE)
 
 
 def empty_boxes(lo, hi) -> np.ndarray:
@@ -148,7 +89,7 @@ def row_terms(x0, lo, hi, weight) -> tuple:
 
 
 def solve_terms(terms: tuple, targets, rho: float) -> tuple:
-    """``(phi, lam, rho a M x0)`` for :func:`row_terms`' terms, with ``lam = lam_upper - lam_lower``.
+    """``(phi, lam)`` for :func:`row_terms`' terms, with ``lam = lam_upper - lam_lower``.
 
     At most one of ``lam_upper`` and ``lam_lower`` is nonzero, so ``lam`` has the bits of both.
     """
@@ -163,37 +104,4 @@ def solve_terms(terms: tuple, targets, rho: float) -> tuple:
     phi = (v - (c2 * _dot(v, x0) / denom)[:, None] * x0) / rho
     if zero is not None:
         phi[zero] = targets[zero]
-    return phi, lam, unconstrained
-
-
-def solve_rows(targets, x0, rho: float, lo, hi, weight) -> tuple:
-    """Closed-form minimizers of a block of rows that share ``rho``.
-
-    ``targets`` has one row per problem; ``x0`` is one slice shared by all
-    rows or one per row, zero off the row's support (where the target is zero
-    too, the row is bitwise the row solved alone over its support); ``lo``,
-    ``hi`` and ``weight`` are per-row arrays or scalars.  Returns ``(phi,
-    lam_upper, lam_lower, region)`` with int8 region codes 0 interior, 1
-    upper-active and 2 lower-active.  Precondition, left to the caller: no
-    bound is NaN and no box is empty.  A zero row (see :func:`row_terms`)
-    stays at its target.
-    """
-    targets = np.asarray(targets, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    lo, hi, weight = np.asarray(lo, float), np.asarray(hi, float), np.asarray(weight, float)
-    if targets.ndim != 2 or x0.shape not in (targets.shape[1:], targets.shape):
-        raise ValueError(f"targets of shape {targets.shape} do not match x0 of shape {x0.shape}")
-    terms = row_terms(np.broadcast_to(x0, targets.shape), lo, hi, weight)
-    phi, lam, unconstrained = solve_terms(terms, targets, rho)
-    region = np.int8(1) * (unconstrained > hi) + np.int8(2) * (unconstrained < lo)
-    return phi, np.maximum(lam, 0.0), np.maximum(-lam, 0.0), region
-
-
-def solve_row(p: RowProblem) -> RowSolution:
-    """Closed-form minimizer of one row subproblem; an empty box raises InfeasibleRowError."""
-    if empty_boxes(p.lo, p.hi):
-        raise InfeasibleRowError(f"empty box: [{p.lo}, {p.hi}]")
-    phi, lam_upper, lam_lower, region = solve_rows(
-        p.target[None, :], p.x0, p.rho, p.lo, p.hi, p.weight
-    )
-    return RowSolution(phi[0], float(lam_upper[0]), float(lam_lower[0]), _REGIONS[region[0]])
+    return phi, lam

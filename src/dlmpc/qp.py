@@ -362,6 +362,23 @@ def _prediction_matrices(model: NetworkModel, horizon: int) -> tuple:
     return g, h
 
 
+def check_profile(name: str, value, size: int, default: float) -> np.ndarray:
+    """``value`` as a float array of ``size`` entries (``default`` if None), else ValueError.
+
+    A name ending in ``_diag`` is a cost weight, which must be finite and
+    nonnegative; any other profile is a bound, which must not be NaN.
+    """
+    value = np.full(size, default) if value is None else np.asarray(value, float)
+    if value.shape != (size,):
+        raise ValueError(f"{name} must have {size} entries, got {value.size}")
+    is_weight = name.endswith("_diag")
+    bad = ~(np.isfinite(value) & (value >= 0)) if is_weight else np.isnan(value)
+    for k in np.flatnonzero(bad)[:1]:
+        need = "finite and nonnegative" if is_weight else "a number"
+        raise ValueError(f"{name}[{k}] is {value[k]}, must be {need}")
+    return value
+
+
 def _stage_weight_stack(q_diag, qt_diag, horizon, n) -> np.ndarray:
     w = np.zeros((horizon + 1) * n)
     for t in range(1, horizon):
@@ -396,23 +413,24 @@ def centralized_mpc(
     if x0.shape != (n,):
         raise ValueError(f"x0 must have {n} entries")
     g_mat, h_mat = _prediction_matrices(model, horizon)
-    w_stack = _stage_weight_stack(np.asarray(q_diag, float), np.asarray(qt_diag, float), horizon, n)
-    r_stack = np.tile(np.asarray(r_diag, float), horizon)
+    q, qt = check_profile("q_diag", q_diag, n, 1.0), check_profile("qt_diag", qt_diag, n, 1.0)
+    w_stack = _stage_weight_stack(q, qt, horizon, n)
+    r_stack = np.tile(check_profile("r_diag", r_diag, p, 1.0), horizon)
 
     free_response = g_mat @ x0
     h_u = 2.0 * (h_mat.T * w_stack) @ h_mat
     h_u[np.arange(horizon * p), np.arange(horizon * p)] += 2.0 * r_stack
     g_u = 2.0 * h_mat.T @ (w_stack * free_response)
 
-    s_lb = np.full(n, -np.inf) if state_lb is None else np.asarray(state_lb, float)
-    s_ub = np.full(n, np.inf) if state_ub is None else np.asarray(state_ub, float)
+    s_lb = check_profile("state_lb", state_lb, n, -np.inf)
+    s_ub = check_profile("state_ub", state_ub, n, np.inf)
     stacked_lb = np.concatenate([np.full(n, -np.inf)] + [s_lb] * horizon)
     stacked_ub = np.concatenate([np.full(n, np.inf)] + [s_ub] * horizon)
     sel = np.where(np.isfinite(stacked_lb) | np.isfinite(stacked_ub))[0]
 
     nu_vars = horizon * p
-    lb_u = np.full(nu_vars, -np.inf) if input_lb is None else np.tile(np.asarray(input_lb, float), horizon)
-    ub_u = np.full(nu_vars, np.inf) if input_ub is None else np.tile(np.asarray(input_ub, float), horizon)
+    lb_u = np.tile(check_profile("input_lb", input_lb, p, -np.inf), horizon)
+    ub_u = np.tile(check_profile("input_ub", input_ub, p, np.inf), horizon)
 
     # without a state box there are no auxiliary variables and no equality rows
     nz = nu_vars + sel.size

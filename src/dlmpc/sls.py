@@ -133,76 +133,3 @@ def project_column(op: FeasibilityOperator, i: int, v: np.ndarray) -> np.ndarray
             f"{proj.offset.shape}, got {v.shape}"
         )
     return proj.gain @ v + proj.offset
-
-
-def _check_controller_shape(model: NetworkModel, k: np.ndarray, horizon: int):
-    n, p = model.n_states, model.n_inputs
-    if k.shape != (p * horizon, n * (horizon + 1)):
-        raise ValueError(
-            f"controller must have shape {(p * horizon, n * (horizon + 1))}, got {k.shape}"
-        )
-    for t in range(horizon):
-        for s in range(t + 1, horizon + 1):
-            blk = k[t * p : (t + 1) * p, s * n : (s + 1) * n]
-            if np.any(blk != 0.0):
-                raise ValueError(
-                    f"controller is not causal: input block t={t} reads state block s={s}"
-                )
-
-
-def response_from_controller(
-    model: NetworkModel, k: np.ndarray, horizon: int
-) -> tuple:
-    """First response block column ``(phi_x, phi_u)`` realized by a causal gain.
-
-    ``k`` maps the stacked state trajectory to the stacked input trajectory,
-    block lower-triangular (input at t may read states 0..t).  The result is
-    the response to the initial state, the first block column of
-    :func:`full_response_from_controller`, so it satisfies the feasibility
-    constraint by construction.
-    """
-    n = model.n_states
-    phi_x, phi_u = full_response_from_controller(model, k, horizon)
-    return phi_x[:, :n], phi_u[:, :n]
-
-
-def full_response_from_controller(
-    model: NetworkModel, k: np.ndarray, horizon: int
-) -> tuple:
-    """Full square response maps realized by a causal gain.
-
-    Column block s is the response to a unit disturbance entering the state
-    at time s; stacking all s gives ``phi_x`` of shape
-    ``(n*(T+1), n*(T+1))`` (block lower-triangular, identity diagonal) and
-    ``phi_u`` of shape ``(p*T, n*(T+1))``.
-    """
-    k = np.asarray(k, dtype=float)
-    _check_controller_shape(model, k, horizon)
-    n, p = model.n_states, model.n_inputs
-    a, b = model.full_a(), model.full_b()
-    phi_x = np.zeros((n * (horizon + 1), n * (horizon + 1)))
-    phi_u = np.zeros((p * horizon, n * (horizon + 1)))
-    for s in range(horizon + 1):
-        x_blocks = {s: np.eye(n)}
-        for t in range(s, horizon):
-            u_t = np.zeros((p, n))
-            for r in range(s, t + 1):
-                u_t += k[t * p : (t + 1) * p, r * n : (r + 1) * n] @ x_blocks[r]
-            phi_u[t * p : (t + 1) * p, s * n : (s + 1) * n] = u_t
-            x_blocks[t + 1] = a @ x_blocks[t] + b @ u_t
-        for t, blk in x_blocks.items():
-            phi_x[t * n : (t + 1) * n, s * n : (s + 1) * n] = blk
-    return phi_x, phi_u
-
-
-def controller_from_response(phi_x: np.ndarray, phi_u: np.ndarray) -> np.ndarray:
-    """Recover the realizing gain ``k = phi_u @ inv(phi_x)``.
-
-    ``phi_x`` must be the full square response (block lower-triangular with
-    identity diagonal blocks), which is always invertible.
-    """
-    phi_x = np.asarray(phi_x, dtype=float)
-    phi_u = np.asarray(phi_u, dtype=float)
-    if phi_x.shape[0] != phi_x.shape[1]:
-        raise ValueError("phi_x must be the full square response map")
-    return phi_u @ np.linalg.inv(phi_x)

@@ -66,6 +66,8 @@ class NetworkModel:
         object.__setattr__(self, "a_blocks", _as_block_dict(self.a_blocks))
         object.__setattr__(self, "b_blocks", _as_block_dict(self.b_blocks))
         n_sub = len(self.state_dims)
+        if n_sub == 0:
+            raise ModelValidationError("need at least one subsystem")
         if len(self.input_dims) != n_sub:
             raise ModelValidationError(
                 f"state_dims has {n_sub} subsystems but input_dims has "

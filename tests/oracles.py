@@ -1,10 +1,19 @@
-"""Independent references that the tests compare the package against.
+"""Independent references and thin adapters that the tests read.
 
 They live beside the tests, not in the package, so that no controller code
 path depends on them:
 
+* ``RowProblem``, ``solve_rows`` and ``solve_row`` state one row, or a
+  block of rows, and solve it with the engine's own kernel
+  (``row_terms``, then ``solve_terms``), reading each row's region from the
+  sign of the signed multiplier;
 * ``kkt_residuals`` certifies a closed-form row solution by its KKT
   conditions (stationarity, box violation, complementarity);
+* ``response_from_controller``, ``full_response_from_controller`` and
+  ``controller_from_response`` realize the response maps of a causal gain
+  and recover the gain, the gain-response correspondence of System Level
+  Synthesis (Anderson, Doyle, Low and Matni, Annual Reviews in Control,
+  2019), which the controller never needs since it runs on the responses;
 * ``centralized_local_mpc`` solves the sparsity-constrained synthesis
   problem centrally with the interior-point QP solver, the diagnostic
   baseline the distributed engine is compared against at desk scale;
@@ -14,32 +23,69 @@ path depends on them:
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from dlmpc import (
-    DenseQP,
-    LocalityIndex,
-    NetworkModel,
-    RowProblem,
-    RowSolution,
-    solve_qp,
-    stacked_constraint,
-)
+from dlmpc import DenseQP, LocalityIndex, NetworkModel, solve_qp, stacked_constraint
+from dlmpc.explicit_row import row_terms, solve_terms
+
+INTERIOR, UPPER_ACTIVE, LOWER_ACTIVE = 0, 1, 2  # the region codes of solve_rows
 
 
-def kkt_residuals(p: RowProblem, sol: RowSolution) -> tuple:
-    """(stationarity, primal violation, complementarity) of a row solution.
+class RowProblem(NamedTuple):
+    """One row's proximal subproblem over its allowed support (see ``dlmpc.explicit_row``).
+
+    target  proximal target row ``a``
+    x0      initial-state slice seen by this row (same length as target)
+    rho     proximal weight
+    lo, hi  box on the scalar ``phi . x0``; either may be infinite
+    weight  square root of the row's cost weight
+    """
+
+    target: np.ndarray
+    x0: np.ndarray
+    rho: float
+    lo: float = -np.inf
+    hi: float = np.inf
+    weight: float = 1.0
+
+
+def solve_rows(targets, x0, rho: float, lo, hi, weight) -> tuple:
+    """``(phi, lam_upper, lam_lower, region)`` of a block of rows, by the engine's kernel.
+
+    ``x0`` is one slice for every row or one per row; ``lo``, ``hi`` and
+    ``weight`` are per-row arrays or scalars.  The int8 region code is 0
+    interior, 1 upper-active (``lam > 0``) and 2 lower-active (``lam < 0``).
+    """
+    targets = np.asarray(targets, dtype=float)
+    lo, hi, weight = np.asarray(lo, float), np.asarray(hi, float), np.asarray(weight, float)
+    terms = row_terms(np.broadcast_to(np.asarray(x0, dtype=float), targets.shape), lo, hi, weight)
+    phi, lam = solve_terms(terms, targets, rho)
+    region = np.int8(UPPER_ACTIVE) * (lam > 0.0) + np.int8(LOWER_ACTIVE) * (lam < 0.0)
+    return phi, np.maximum(lam, 0.0), np.maximum(-lam, 0.0), region
+
+
+def solve_row(p: RowProblem) -> tuple:
+    """``(phi, lam_upper, lam_lower, region)`` of one row: :func:`solve_rows` on a block of one."""
+    phi, lam_upper, lam_lower, region = solve_rows([p.target], p.x0, p.rho, p.lo, p.hi, p.weight)
+    return phi[0], float(lam_upper[0]), float(lam_lower[0]), int(region[0])
+
+
+def kkt_residuals(p: RowProblem, sol: tuple) -> tuple:
+    """(stationarity, primal violation, complementarity) of a :func:`solve_row` result.
 
     Stationarity is the max-norm of
     ``2 weight^2 (phi.x0) x0 + rho (phi - a) + (lam_upper - lam_lower) x0``;
     primal violation measures the box; complementarity multiplies each
     multiplier with its slack.
     """
-    prod = float(sol.phi @ p.x0)
+    phi, lam_upper, lam_lower, _ = sol
+    prod = float(phi @ p.x0)
     grad = (
         2.0 * p.weight * p.weight * prod * p.x0
-        + p.rho * (sol.phi - p.target)
-        + (sol.lam_upper - sol.lam_lower) * p.x0
+        + p.rho * (phi - p.target)
+        + (lam_upper - lam_lower) * p.x0
     )
     stationarity = float(np.max(np.abs(grad))) if grad.size else 0.0
     viol = 0.0
@@ -49,10 +95,83 @@ def kkt_residuals(p: RowProblem, sol: RowSolution) -> tuple:
         viol = max(viol, p.lo - prod)
     comp = 0.0
     if np.isfinite(p.hi):
-        comp = max(comp, abs(sol.lam_upper * (p.hi - prod)))
+        comp = max(comp, abs(lam_upper * (p.hi - prod)))
     if np.isfinite(p.lo):
-        comp = max(comp, abs(sol.lam_lower * (prod - p.lo)))
+        comp = max(comp, abs(lam_lower * (prod - p.lo)))
     return stationarity, max(viol, 0.0), comp
+
+
+def _check_controller_shape(model: NetworkModel, k: np.ndarray, horizon: int):
+    n, p = model.n_states, model.n_inputs
+    if k.shape != (p * horizon, n * (horizon + 1)):
+        raise ValueError(
+            f"controller must have shape {(p * horizon, n * (horizon + 1))}, got {k.shape}"
+        )
+    for t in range(horizon):
+        for s in range(t + 1, horizon + 1):
+            blk = k[t * p : (t + 1) * p, s * n : (s + 1) * n]
+            if np.any(blk != 0.0):
+                raise ValueError(
+                    f"controller is not causal: input block t={t} reads state block s={s}"
+                )
+
+
+def response_from_controller(
+    model: NetworkModel, k: np.ndarray, horizon: int
+) -> tuple:
+    """First response block column ``(phi_x, phi_u)`` realized by a causal gain.
+
+    ``k`` maps the stacked state trajectory to the stacked input trajectory,
+    block lower-triangular (input at t may read states 0..t).  The result is
+    the response to the initial state, the first block column of
+    :func:`full_response_from_controller`, so it satisfies the feasibility
+    constraint by construction.
+    """
+    n = model.n_states
+    phi_x, phi_u = full_response_from_controller(model, k, horizon)
+    return phi_x[:, :n], phi_u[:, :n]
+
+
+def full_response_from_controller(
+    model: NetworkModel, k: np.ndarray, horizon: int
+) -> tuple:
+    """Full square response maps realized by a causal gain.
+
+    Column block s is the response to a unit disturbance entering the state
+    at time s; stacking all s gives ``phi_x`` of shape
+    ``(n*(T+1), n*(T+1))`` (block lower-triangular, identity diagonal) and
+    ``phi_u`` of shape ``(p*T, n*(T+1))``.
+    """
+    k = np.asarray(k, dtype=float)
+    _check_controller_shape(model, k, horizon)
+    n, p = model.n_states, model.n_inputs
+    a, b = model.full_a(), model.full_b()
+    phi_x = np.zeros((n * (horizon + 1), n * (horizon + 1)))
+    phi_u = np.zeros((p * horizon, n * (horizon + 1)))
+    for s in range(horizon + 1):
+        x_blocks = {s: np.eye(n)}
+        for t in range(s, horizon):
+            u_t = np.zeros((p, n))
+            for r in range(s, t + 1):
+                u_t += k[t * p : (t + 1) * p, r * n : (r + 1) * n] @ x_blocks[r]
+            phi_u[t * p : (t + 1) * p, s * n : (s + 1) * n] = u_t
+            x_blocks[t + 1] = a @ x_blocks[t] + b @ u_t
+        for t, blk in x_blocks.items():
+            phi_x[t * n : (t + 1) * n, s * n : (s + 1) * n] = blk
+    return phi_x, phi_u
+
+
+def controller_from_response(phi_x: np.ndarray, phi_u: np.ndarray) -> np.ndarray:
+    """Recover the realizing gain ``k = phi_u @ inv(phi_x)``.
+
+    ``phi_x`` must be the full square response (block lower-triangular with
+    identity diagonal blocks), which is always invertible.
+    """
+    phi_x = np.asarray(phi_x, dtype=float)
+    phi_u = np.asarray(phi_u, dtype=float)
+    if phi_x.shape[0] != phi_x.shape[1]:
+        raise ValueError("phi_x must be the full square response map")
+    return phi_u @ np.linalg.inv(phi_x)
 
 
 def centralized_local_mpc(

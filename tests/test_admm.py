@@ -13,8 +13,6 @@ from dlmpc import (
     NetworkModel,
     Phase,
     QpStatus,
-    Region,
-    RowProblem,
     RowSolverKind,
     ScenarioConfig,
     StalenessError,
@@ -22,12 +20,20 @@ from dlmpc import (
     build_scenario,
     packet_within_locality,
     run_closed_loop,
-    solve_row,
-    solve_rows,
 )
 from dlmpc import admm
 from dlmpc.admm import row_profiles
-from oracles import centralized_local_mpc, check_masks, sample_masks
+from oracles import (
+    INTERIOR,
+    LOWER_ACTIVE,
+    UPPER_ACTIVE,
+    RowProblem,
+    centralized_local_mpc,
+    check_masks,
+    sample_masks,
+    solve_row,
+    solve_rows,
+)
 
 
 def small_scenario(**overrides):
@@ -476,9 +482,8 @@ class TestRowStep:
                     target=(psi - lam)[r, cols], x0=x0[sub.row_cols][cols], rho=rho,
                     lo=lo[g], hi=hi[g], weight=weight[g],
                 )
-                sol = solve_row(p)
-                phi[r, cols] = sol.phi
-                regions.append(sol.region)
+                phi[r, cols], _, _, region = solve_row(p)
+                regions.append(region)
             out.append(phi)
         return out, regions
 
@@ -493,7 +498,7 @@ class TestRowStep:
         engine = sc.make_engine()
         state = self.boxed_state(sc, engine, x0)
         expected, regions = self.reference_rows(sc, state, x0, engine.rho)
-        assert set(regions) == {Region.INTERIOR, Region.UPPER_ACTIVE, Region.LOWER_ACTIVE}
+        assert set(regions) == {INTERIOR, UPPER_ACTIVE, LOWER_ACTIVE}
         for i in range(1, sc.model.n_subsystems + 1):
             engine.row_step(state, i)
             np.testing.assert_array_equal(state.phi_r[i - 1], expected[i - 1])

@@ -497,6 +497,12 @@ class TestCli:
         path = save_model_file(build_chain_model(2), tmp_path / "m.txt")
         assert cli_main(["run", "--model", str(path), "--steps", "1", "--horizon", "2"]) == 0
 
+    def test_model_without_subsystems_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("subsystems 0\nstate_dims\ninput_dims\n")
+        assert cli_main(["run", "--model", str(path)]) == 1
+        assert capsys.readouterr().err == "error: need at least one subsystem\n"
+
     def test_run_rejects_a_locality_the_model_cannot_meet(self, tmp_path, capsys, cross_fed_chain_model):
         path = save_model_file(cross_fed_chain_model, tmp_path / "m.txt")
         assert cli_main(["run", "--model", str(path), "--locality", "1", "--steps", "1"]) == 1

@@ -420,6 +420,16 @@ class TestCentralizedMpc:
         )
         assert sol.status is QpStatus.INFEASIBLE
 
+    @pytest.mark.parametrize(
+        "profiles, name",
+        [(dict(state_lb=[-np.inf], state_ub=[0.6]), "state_lb"), (dict(q_diag=[1.0]), "q_diag")],
+    )
+    def test_rejects_profiles_of_wrong_length(self, profiles, name):
+        # the engine's check: a short profile must not bound or weight the wrong rows
+        kwargs = dict(q_diag=np.ones(4), r_diag=np.ones(2), qt_diag=np.ones(4)) | profiles
+        with pytest.raises(ValueError, match=f"{name} must have 4 entries, got 1"):
+            centralized_mpc(build_chain_model(2), 3, np.array([0.5, 0.9, 0.5, 0.9]), **kwargs)
+
 
 class TestCentralizedLocalMpc:
     def test_wide_locality_matches_unrestricted(self):

@@ -1,5 +1,8 @@
 """Feasibility operator, response construction and column projection.
 
+The responses of causal gains come from ``oracles``: the controller runs
+on the response maps and never forms a gain.
+
 The projection oracle here is built from scratch (block KKT system solved
 densely) so it shares no code with the package's pseudo-inverse route.
 """
@@ -12,11 +15,13 @@ from dlmpc import (
     build_chain_model,
     build_graph,
     build_locality_index,
+    project_column,
+    stacked_constraint,
+)
+from oracles import (
     controller_from_response,
     full_response_from_controller,
-    project_column,
     response_from_controller,
-    stacked_constraint,
 )
 
 
