@@ -17,6 +17,14 @@ by powers of two, rescaling lambda with it (section 3.4.1).  Every step
 starts at the engine's rho; the stopping test is ||phi - psi|| <= eps_primal
 and ||psi - psi_prev|| <= eps_dual whatever rho has become.
 
+Once rho has held for ``SETTLE`` iterations, psi and lambda take Nesterov
+momentum (fast ADMM, Goldstein et al. 2014, Alg. 8): the next row step reads
+psi_hat = psi + beta (psi - psi_prev) and lambda_hat likewise, both buffers
+by one expression.  The momentum restarts (O'Donoghue and Candes 2015) when
+the network-wide max of ||lambda - lambda_hat||^2 + ||psi - psi_hat||^2
+fails to shrink by ``ETA``; it keeps the fresh iterate.  A rho change or a
+new step disarms it, and the stopping test reads the true psi_prev.
+
 Between the row and column steps the subsystems trade blocks so that every
 working matrix is a consistent view of one global (phi, psi, lambda) triple.
 The state lives in two flat buffers, one for the row partitions and one for
@@ -48,6 +56,8 @@ from .topology import LocalityIndex, NetworkModel
 ALPHA = 1.5  # relaxation weight on the fresh phi
 BALANCE = 10.0  # residual ratio beyond which rho moves
 RHO_FACTOR = 2.0  # a power of two, so rescaling lambda is exact
+SETTLE = 25  # iterations rho must hold before momentum arms
+ETA = 0.999  # momentum restarts unless the restart quantity shrinks by this
 
 
 class ConvergenceError(RuntimeError):
@@ -116,6 +126,10 @@ class AdmmState:
     row, zero off ``row_mask``) and that block's :func:`row_terms`, which both
     row routes read; ``residual_history`` holds one (max primal, max dual) pair
     per iteration, and ``per_sub_seconds`` each subsystem's time on this state.
+    ``held`` counts the iterations since rho last moved.  Once momentum arms,
+    ``prev`` holds the last true (psi, lambda) of both buffers, ``nesterov``
+    the momentum weight a, ``gap`` and ``new_gap`` the last two restart
+    quantities; ``extrapolated`` and ``restarts`` count its steps.
     """
 
     rows: np.ndarray
@@ -135,6 +149,13 @@ class AdmmState:
     converged: bool = False
     step_rows: list = field(default_factory=list)
     per_sub_seconds: np.ndarray | None = None
+    held: int = 0
+    prev: tuple | None = None
+    nesterov: float = 1.0
+    gap: float = np.inf
+    new_gap: float = np.inf
+    extrapolated: int = 0
+    restarts: int = 0
 
 
 @dataclass
@@ -395,13 +416,20 @@ class DlmpcEngine:
         t0 = time.perf_counter()
         rows, cols = state.rows, state.cols
         primal = rows[0] - rows[1]
-        rows[2] += _relaxed(rows[0], rows[3]) - rows[1]
+        step = _relaxed(rows[0], rows[3]) - rows[1]  # lambda - lambda_hat
+        rows[2] += step
         cols[2] += cols[3] - cols[1]
         # one segment per subsystem; reduceat misreads empty segments, but no
         # row block is empty (every subsystem has a state and its T+1 rows)
         starts = self._offsets["r"][:-1]
         norms = lambda diff: np.sqrt(np.add.reduceat(diff * diff, starts))
-        state.primal, state.dual = norms(primal), norms(rows[1] - rows[3])
+        moved = rows[1] - rows[3]  # psi - psi_hat
+        state.primal = norms(primal)
+        if state.prev is None:
+            state.dual = norms(moved)
+        else:  # rows[3] is psi_hat; the dual residual reads the true psi_prev
+            state.dual = norms(rows[1] - state.prev[0][0])
+            state.new_gap = float(np.add.reduceat(step * step + moved * moved, starts).max())
         _share(state, t0)
 
     def check_convergence(self, state: AdmmState) -> bool:
@@ -409,7 +437,8 @@ class DlmpcEngine:
 
         Short of that, rho doubles (lambda halves) while the max primal
         residual exceeds ``BALANCE`` times rho times the max dual one, and
-        halves in the reverse case.
+        halves in the reverse case, which disarms the momentum; otherwise
+        :meth:`momentum_step` runs.
         """
         primal, dual = float(np.max(state.primal)), float(np.max(state.dual))
         state.residual_history.append((primal, dual))
@@ -423,11 +452,45 @@ class DlmpcEngine:
         elif state.rho * dual > BALANCE * primal:
             factor = 1.0 / RHO_FACTOR
         else:
+            self.momentum_step(state)
             return False
         state.rho *= factor
         state.rows[2] /= factor
         state.cols[2] /= factor
+        state.held, state.prev = 0, None
         return False
+
+    def momentum_step(self, state: AdmmState):
+        """Extrapolate psi and lambda once rho has held ``SETTLE`` iterations.
+
+        Arming copies the fresh iterate (a = 1, c = inf).  Armed, the step
+        takes Nesterov's beta while the restart quantity shrinks by ``ETA``
+        and restarts (a = 1) keeping the fresh iterate when it does not.
+        """
+        state.held += 1
+        if state.held < SETTLE:
+            return
+        t0 = time.perf_counter()
+        fresh = state.rows[1:3], state.cols[1:3]
+        if state.prev is None:
+            state.prev = tuple(m.copy() for m in fresh)
+            state.nesterov, state.gap = 1.0, np.inf
+        else:
+            beta, a = 0.0, state.nesterov
+            if state.new_gap < ETA * state.gap:
+                state.nesterov = (1.0 + (1.0 + 4.0 * a * a) ** 0.5) / 2.0
+                beta = (a - 1.0) / state.nesterov
+            else:
+                state.nesterov = 1.0
+                state.restarts += 1
+            state.gap = state.new_gap
+            state.extrapolated += beta > 0.0
+            # one expression in one order on both buffers keeps them bitwise equal
+            for cur, old in zip(fresh, state.prev):
+                diff = cur - old
+                old[...] = cur
+                cur += beta * diff
+        _share(state, t0)
 
     # -- exchanges ------------------------------------------------------------
 
@@ -505,8 +568,8 @@ class DlmpcEngine:
         """Run the consensus iteration for measured state ``x0`` to tolerance.
 
         A non-finite ``x0`` raises ValueError naming its first bad component.
-        Raises :class:`ConvergenceError` with the residual trace if the
-        iteration cap is hit first.
+        Raises :class:`ConvergenceError` with the residual trace, the final
+        rho and the straggling subsystems if the iteration cap is hit first.
         """
         model, index = self.model, self.index
         x0 = np.asarray(x0, dtype=float).ravel()
@@ -539,9 +602,11 @@ class DlmpcEngine:
                 break
         if not converged:
             primal, dual = state.residual_history[-1]
+            lag_p, lag_d = (int(np.argmax(r)) + 1 for r in (state.primal, state.dual))
             raise ConvergenceError(
-                f"no convergence within {self.max_iterations} iterations "
-                f"(last primal {primal:.3e}, dual {dual:.3e})",
+                f"no convergence within {self.max_iterations} iterations at rho {state.rho:g} "
+                f"(subsystem {lag_p} lags the primal test, {lag_d} the dual; "
+                f"last primal {primal:.3e}, dual {dual:.3e})",
                 residual_history=state.residual_history,
             )
         state.converged = True

@@ -203,13 +203,16 @@ def realized_cost(states: np.ndarray, inputs: np.ndarray, q_diag, r_diag) -> flo
 
 @dataclass
 class StepRecord:
-    """Diagnostics for one closed-loop MPC step."""
+    """Diagnostics for one closed-loop MPC step, with its momentum steps and
+    restarts (read as 0 from reports written before they were kept)."""
 
     step: int
     iterations: int
     primal_residual: float
     dual_residual: float
     per_sub_seconds: np.ndarray
+    extrapolated: int = 0
+    restarts: int = 0
 
 
 @dataclass
@@ -285,7 +288,8 @@ def run_closed_loop(
         if cfg.warm_start:
             warm = state
         primal, dual = state.residual_history[-1]
-        steps.append(StepRecord(s, result.iterations, primal, dual, state.per_sub_seconds.copy()))
+        steps.append(StepRecord(s, result.iterations, primal, dual, state.per_sub_seconds.copy(),
+                                state.extrapolated, state.restarts))
         return result.u
 
     states, inputs, cost = _simulate(scenario, policy, sim_steps, x0)
@@ -438,10 +442,11 @@ def emit_report(report: RunReport, directory, stem: str = "run") -> dict:
     json_path.write_text(json.dumps(data, indent=2, allow_nan=False))
     csv_path = _write_csv(
         directory / f"{stem}.csv",
-        ["step", "iterations", "primal_residual", "dual_residual", "mean_sub_seconds"],
+        ["step", "iterations", "primal_residual", "dual_residual", "mean_sub_seconds",
+         "extrapolated", "restarts"],
         (
             [s.step, s.iterations, s.primal_residual, s.dual_residual,
-             float(np.mean(s.per_sub_seconds))]
+             float(np.mean(s.per_sub_seconds)), s.extrapolated, s.restarts]
             for s in report.steps
         ),
     )

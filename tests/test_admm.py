@@ -1,4 +1,5 @@
-"""Engine behavior: determinism, exchanges, masks, convergence, extraction."""
+"""Engine behavior: determinism, exchanges, masks, convergence, momentum, extraction."""
+import dataclasses
 import re
 import time
 
@@ -34,6 +35,11 @@ from oracles import (
     solve_row,
     solve_rows,
 )
+
+
+# a state box on the actuated state binds the 10-node chain's rows (lower-
+# active) and holds rho long enough for the momentum to arm
+ACTIVE_BOX = ScenarioConfig(n_subsystems=10, bound_component=1, state_lower=-0.3)
 
 
 def small_scenario(**overrides):
@@ -152,22 +158,27 @@ class TestDeterminismAndOrder:
         np.testing.assert_array_equal(r1.state.residual_history, r2.state.residual_history)
 
     def test_subsystem_order_is_immaterial(self):
-        sc = small_scenario()
-        x0 = sc.initial_state()
-        base = sc.make_engine().solve_step(x0)
-        shuffled = sc.make_engine(order=[3, 1, 4, 2]).solve_step(x0)
-        np.testing.assert_array_equal(base.u, shuffled.u)
-        assert base.iterations == shuffled.iterations
-        for a, b in zip(base.state.phi_r, shuffled.state.phi_r):
-            np.testing.assert_array_equal(a, b)
+        # the active-box case arms the momentum
+        for sc, order in (
+            (small_scenario(), [3, 1, 4, 2]),
+            (build_scenario(ACTIVE_BOX), [7, 3, 10, 1, 5, 9, 2, 8, 4, 6]),
+        ):
+            x0 = sc.initial_state()
+            base = sc.make_engine().solve_step(x0)
+            shuffled = sc.make_engine(order=order).solve_step(x0)
+            np.testing.assert_array_equal(base.u, shuffled.u)
+            assert base.iterations == shuffled.iterations
+            assert base.state.extrapolated == shuffled.state.extrapolated
+            for a, b in zip(base.state.phi_r, shuffled.state.phi_r):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestExchanges:
     def test_partitions_agree_after_exchange(self, reference_mask):
-        active_box = ScenarioConfig(n_subsystems=10, bound_component=1, state_lower=-0.3)
-        for sc in (small_scenario(), build_scenario(active_box)):
+        for sc, armed in ((small_scenario(), False), (build_scenario(ACTIVE_BOX), True)):
             engine = sc.make_engine()
             state = engine.solve_step(sc.initial_state()).state
+            assert (state.extrapolated > 0) == armed
             # after a converged step the two views describe one global matrix
             phi_rows = engine.assemble_from_rows(state, "phi")
             phi_cols = engine.assemble_from_cols(state, "phi")
@@ -312,7 +323,7 @@ class TestConvergenceControl:
     def test_per_step_row_terms_follow_rho_and_the_measured_state(self):
         # residual balancing moves rho inside a step; the row step must see
         # it, as a solve of the whole closed form per subsystem does
-        sc = build_scenario(ScenarioConfig(n_subsystems=10, bound_component=1, state_lower=-0.3))
+        sc = build_scenario(ACTIVE_BOX)
         cfg = sc.config
 
         class WholeClosedForm(DlmpcEngine):
@@ -387,6 +398,8 @@ class TestConvergenceControl:
         # balancing must not run away while the primal residual stays put
         sc = build_scenario(ScenarioConfig(n_subsystems=4, horizon=3, state_upper=0.6))
         engine = sc.make_engine(max_iterations=2000)
+        seen, check = [], engine.check_convergence
+        engine.check_convergence = lambda state: seen.append(state) or check(state)
         with pytest.raises(ConvergenceError) as err:
             engine.solve_step(np.full(sc.model.n_states, 0.9))
         found = re.search(r"last primal (\S+), dual (\S+)\)$", str(err.value))
@@ -394,6 +407,14 @@ class TestConvergenceControl:
         assert np.isfinite(primal) and np.isfinite(dual) and primal > 1e-2
         assert len(err.value.residual_history) == 2000
         assert np.all(np.isfinite(err.value.residual_history))
+        # the message names the final rho and the straggling subsystems
+        state = seen[-1]
+        lags = re.search(
+            r" at rho (\S+) \(subsystem (\d+) lags the primal test, (\d+) the dual;", str(err.value)
+        )
+        assert float(lags[1]) == pytest.approx(state.rho, rel=1e-5)
+        assert int(lags[2]) == np.argmax(state.primal) + 1
+        assert int(lags[3]) == np.argmax(state.dual) + 1
 
     def test_infeasible_row_names_subsystem(self):
         sc = build_scenario(
@@ -451,6 +472,50 @@ class TestConvergenceControl:
         engine = sc.make_engine(row_solver=RowSolverKind.QP)
         with pytest.raises(ConvergenceError, match=rf"^subsystem 1: global row {row}: row QP ended max-iter"):
             engine.solve_step(x0)
+
+
+class TestMomentum:
+    @pytest.mark.parametrize("case", [Case.EXPLICIT, Case.SOLVER])
+    def test_step_converging_before_rho_settles_is_untouched(self, case, monkeypatch):
+        # the stock chain's step outlasts SETTLE iterations, but rho moves
+        # too late for the momentum to arm: the counting must change nothing
+        sc = build_scenario(ScenarioConfig(n_subsystems=10, case=case))
+        x0 = sc.initial_state()
+        gated = sc.make_engine().solve_step(x0)
+        assert gated.iterations > admm.SETTLE
+        assert gated.state.prev is None and gated.state.extrapolated == 0
+        monkeypatch.setattr(admm, "SETTLE", sc.config.max_iterations + 1)
+        never = sc.make_engine().solve_step(x0)
+        np.testing.assert_array_equal(gated.u, never.u)
+        np.testing.assert_array_equal(gated.state.rows, never.state.rows)
+        np.testing.assert_array_equal(gated.state.cols, never.state.cols)
+        np.testing.assert_array_equal(gated.state.residual_history, never.state.residual_history)
+
+    def test_armed_loop_takes_fewer_iterations_for_the_same_cost(self, monkeypatch):
+        sc = build_scenario(dataclasses.replace(ACTIVE_BOX, sim_steps=3))
+        fast = run_closed_loop(sc)
+        monkeypatch.setattr(admm, "SETTLE", sc.config.max_iterations + 1)
+        plain = run_closed_loop(sc)
+        assert all(s.extrapolated == s.restarts == 0 for s in plain.steps)
+        assert sum(s.extrapolated for s in fast.steps) > 0
+        # about 545 against 940 iterations: a budget that catches a lost gain
+        assert fast.iterations.sum() < 0.7 * plain.iterations.sum()
+        assert abs(fast.cost - plain.cost) <= 1e-4 * plain.cost
+
+    def test_dual_residual_reads_the_true_previous_psi(self):
+        sc = build_scenario(ACTIVE_BOX)
+        engine = sc.make_engine()
+        # psi as the convergence test sees it, before any extrapolation
+        seen, check = [], engine.check_convergence
+        engine.check_convergence = lambda state: seen.append([m.copy() for m in state.psi_r]) or check(state)
+        state = engine.solve_step(sc.initial_state()).state
+        assert state.extrapolated > 0
+        want = [
+            max(np.linalg.norm(now - was) for now, was in zip(new, old))
+            for old, new in zip(seen, seen[1:])
+        ]
+        got = [dual for _, dual in state.residual_history[1:]]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestRowStep:

@@ -211,8 +211,12 @@ class TestBoxViolation:
 
 class TestReports:
     def test_json_round_trip_is_lossless(self, tmp_path):
-        sc = build_scenario(ScenarioConfig(n_subsystems=3, horizon=3, sim_steps=2))
+        # the box on the actuated state binds: the second step takes momentum
+        sc = build_scenario(ScenarioConfig(
+            n_subsystems=3, horizon=3, sim_steps=2, bound_component=1, state_lower=-0.3,
+        ))
         rep = run_closed_loop(sc, with_baseline=True)
+        assert rep.steps[1].extrapolated > 0
         paths = emit_report(rep, tmp_path)
         back = load_report(paths["json"])
         assert isinstance(back, RunReport)
@@ -227,6 +231,7 @@ class TestReports:
             assert got.iterations == want.iterations
             assert got.primal_residual == want.primal_residual
             assert got.dual_residual == want.dual_residual
+            assert (got.extrapolated, got.restarts) == (want.extrapolated, want.restarts)
             np.testing.assert_array_equal(got.per_sub_seconds, want.per_sub_seconds)
 
     def test_json_is_strict_and_keeps_infinite_bounds(self, tmp_path):
@@ -273,6 +278,19 @@ class TestReports:
         assert back.cost == rep.cost
         assert [s.iterations for s in back.steps] == [s.iterations for s in rep.steps]
 
+    def test_loads_report_without_momentum_counts(self, tmp_path):
+        # reports written before the momentum counts were kept lack them
+        sc = build_scenario(ScenarioConfig(n_subsystems=2, horizon=2, sim_steps=2))
+        rep = run_closed_loop(sc)
+        path = emit_report(rep, tmp_path)["json"]
+        data = json.loads(path.read_text())
+        for step in data["steps"]:
+            del step["extrapolated"], step["restarts"]
+        path.write_text(json.dumps(data))
+        back = load_report(path)
+        assert [(s.extrapolated, s.restarts) for s in back.steps] == [(0, 0), (0, 0)]
+        assert [s.iterations for s in back.steps] == [s.iterations for s in rep.steps]
+
     def test_csv_step_rows_parse_exactly(self, tmp_path):
         sc = build_scenario(ScenarioConfig(n_subsystems=3, horizon=3, sim_steps=2))
         rep = run_closed_loop(sc)
@@ -282,6 +300,8 @@ class TestReports:
         assert len(rows) == 2
         assert float(rows[0]["primal_residual"]) == rep.steps[0].primal_residual
         assert int(rows[1]["iterations"]) == rep.steps[1].iterations
+        assert int(rows[1]["extrapolated"]) == rep.steps[1].extrapolated
+        assert int(rows[1]["restarts"]) == rep.steps[1].restarts
 
     def test_empty_report_writes_headers_only(self, tmp_path):
         cfg = ScenarioConfig(n_subsystems=2)
