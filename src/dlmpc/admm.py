@@ -22,8 +22,12 @@ momentum (fast ADMM, Goldstein et al. 2014, Alg. 8): the next row step reads
 psi_hat = psi + beta (psi - psi_prev) and lambda_hat likewise, both buffers
 by one expression.  The momentum restarts (O'Donoghue and Candes 2015) when
 the network-wide max of ||lambda - lambda_hat||^2 + ||psi - psi_hat||^2
-fails to shrink by ``ETA``; it keeps the fresh iterate.  A rho change or a
-new step disarms it, and the stopping test reads the true psi_prev.
+fails to shrink by ``ETA``; it keeps the fresh iterate.  The momentum weight
+a stops growing at ``A_MAX``: uncapped, beta nears 1, the iterate overshoots,
+and whether the restart or a rho change catches the overshoot first hinges
+on a 1e-3 change of x0, so the iteration count of one step jumps between
+about 65 and 115 on the active-box chain.  A rho change or a new step
+disarms it, and the stopping test reads the true psi_prev.
 
 Between the row and column steps the subsystems trade blocks so that every
 working matrix is a consistent view of one global (phi, psi, lambda) triple.
@@ -58,6 +62,7 @@ BALANCE = 10.0  # residual ratio beyond which rho moves
 RHO_FACTOR = 2.0  # a power of two, so rescaling lambda is exact
 SETTLE = 25  # iterations rho must hold before momentum arms
 ETA = 0.999  # momentum restarts unless the restart quantity shrinks by this
+A_MAX = 4.0  # cap on the momentum weight a, so beta stays at most 0.75
 
 
 class ConvergenceError(RuntimeError):
@@ -464,8 +469,9 @@ class DlmpcEngine:
         """Extrapolate psi and lambda once rho has held ``SETTLE`` iterations.
 
         Arming copies the fresh iterate (a = 1, c = inf).  Armed, the step
-        takes Nesterov's beta while the restart quantity shrinks by ``ETA``
-        and restarts (a = 1) keeping the fresh iterate when it does not.
+        takes Nesterov's beta, with a capped at ``A_MAX``, while the restart
+        quantity shrinks by ``ETA`` and restarts (a = 1) keeping the fresh
+        iterate when it does not.
         """
         state.held += 1
         if state.held < SETTLE:
@@ -478,7 +484,7 @@ class DlmpcEngine:
         else:
             beta, a = 0.0, state.nesterov
             if state.new_gap < ETA * state.gap:
-                state.nesterov = (1.0 + (1.0 + 4.0 * a * a) ** 0.5) / 2.0
+                state.nesterov = min(A_MAX, (1.0 + (1.0 + 4.0 * a * a) ** 0.5) / 2.0)
                 beta = (a - 1.0) / state.nesterov
             else:
                 state.nesterov = 1.0
