@@ -42,7 +42,9 @@ column blocks travel to at most (d+1)-hop outgoing neighbors, row blocks to
 at most (d+1)-hop incoming neighbors (input rows couple columns d+1 hops
 away, which sets the footprint).  Execution is sequential but
 order-independent: phases are barriers, so any subsystem ordering produces
-bitwise identical iterates.
+bitwise identical iterates.  ``order`` and per-call timing apply to the
+measurement, row and extraction phases; the column step (one stacked map per
+slice-shape class), the exchanges and the multiplier step charge equal shares.
 """
 from __future__ import annotations
 
@@ -121,7 +123,7 @@ class AdmmState:
     the relaxed phi (``ALPHA * phi + (1 - ALPHA) * psi_prev``, the column
     step's input) of the column partitions; each subsystem's block sits
     contiguously, in C order and subsystem-id order.  ``phi_r`` ...
-    ``lam_c`` and ``hat_c`` are tuples of reshaped views into those buffers,
+    ``lam_c`` are tuples of reshaped views into those buffers,
     so blocks are written in place and cannot be rebound.  ``rho`` is the
     current penalty, by which lambda is scaled.  Row blocks have shape
     (len(rows), len(row_cols)), column blocks (len(col_rows), len(cols)).
@@ -145,7 +147,6 @@ class AdmmState:
     phi_c: tuple
     psi_c: tuple
     lam_c: tuple
-    hat_c: tuple
     rho: float
     iteration: int = 0
     primal: np.ndarray | None = None
@@ -302,6 +303,11 @@ class DlmpcEngine:
             k: np.concatenate(([0], np.cumsum([a * b for a, b in v]))) for k, v in self._shapes.items()
         }
         self._src, self._dst, self._pairs = self._build_exchange_plan()
+        # each shape class's column blocks in member order, one slice if consecutive
+        self._class_at = []
+        for cls, ids in zip(op.classes, op.members):
+            at = (self._offsets["c"][np.array(ids) - 1, None] + np.arange(cls.offset[0].size)).ravel()
+            self._class_at.append(slice(at[0], at[-1] + 1) if at[-1] + 1 - at[0] == at.size else at)
 
     def _build_exchange_plan(self):
         """Flat positions of the entries the row and column buffers share.
@@ -368,7 +374,7 @@ class DlmpcEngine:
             return tuple(flat[a:b].reshape(s) for a, b, s in zip(off, off[1:], shapes[k]))
 
         return AdmmState(
-            rows, cols, *(views(m, "r") for m in rows[:3]), *(views(m, "c") for m in cols),
+            rows, cols, *(views(m, "r") for m in rows[:3]), *(views(m, "c") for m in cols[:3]),
             rho=self.rho, per_sub_seconds=np.zeros(n_sub),
         )
 
@@ -398,9 +404,9 @@ class DlmpcEngine:
         if self.row_solver is RowSolverKind.EXPLICIT:
             state.phi_r[i - 1][...] = solve_terms(terms, a, state.rho)[0]
             return
-        sub, (_, _, zero, _, _, lo, hi) = self.index.subsystems[i - 1], terms
-        live = np.arange(a.shape[0]) if zero is None else np.flatnonzero(~zero)
-        lo, hi, w = lo[live], hi[live], self._row_boxes[i - 1][2][live]
+        sub = self.index.subsystems[i - 1]
+        live = np.arange(a.shape[0]) if terms.zero is None else np.flatnonzero(~terms.zero)
+        lo, hi, w = terms.lo[live], terms.hi[live], self._row_boxes[i - 1][2][live]
         res = solve_qp(row_qp(a[live], x0_block[live], state.rho, lo, hi, w))
         for j, status in enumerate(res.statuses):
             if status is not QpStatus.OPTIMAL:
@@ -411,10 +417,13 @@ class DlmpcEngine:
         a[live] = np.where(sub.row_mask[live], res.x[:, :-1], a[live])  # off the mask a keeps its entries
         state.phi_r[i - 1][...] = a
 
-    def column_step(self, state: AdmmState, i: int):
-        """Project subsystem i's relaxed column slice onto the dynamics constraint."""
-        v = state.hat_c[i - 1] + state.lam_c[i - 1]
-        state.psi_c[i - 1][...] = project_column(self.op, i, v)
+    def column_step(self, state: AdmmState):
+        """Project every relaxed column slice onto the dynamics constraint, by shape class."""
+        t0 = time.perf_counter()
+        v = state.cols[3] + state.cols[2]
+        for cls, at in zip(self.op.classes, self._class_at):
+            state.cols[1][at] = project_column(self.op, cls, v[at].reshape(cls.offset.shape)).ravel()
+        _share(state, t0)
 
     def multiplier_step(self, state: AdmmState):
         """Scaled dual update on both buffers plus per-subsystem residuals."""
@@ -599,7 +608,7 @@ class DlmpcEngine:
         for k in range(1, self.max_iterations + 1):
             self._each(state, self.row_step)
             self.exchange_rows(state, packets)
-            self._each(state, self.column_step)
+            self.column_step(state)
             self.exchange_columns(state, packets)
             self.multiplier_step(state)
             state.iteration = k

@@ -21,7 +21,8 @@ rows touching its coupled row set and ``E_i`` the matching slice of E,
     psi_i = (I - pinv(Z_i) Z_i) v + pinv(Z_i) E_i ,
 
 one affine map per subsystem whose gain and offset are computed once at
-set-up.  Neither Z nor E is kept afterwards.
+set-up.  Neither Z nor E is kept afterwards.  The maps of subsystems whose
+slices share a shape are stacked, so one batched map projects the class.
 """
 from __future__ import annotations
 
@@ -40,7 +41,8 @@ class ColumnProjector:
     ``gain = I - pinv(Z) @ Z`` (square, one row per coupled row) and
     ``offset = pinv(Z) @ rhs`` (one column per own column), where Z is the
     subsystem's slice of the stacked constraint and ``rhs`` the identity on
-    its own columns' time-0 rows; the pseudo-inverse is the SVD one.
+    its own columns' time-0 rows; the pseudo-inverse is the SVD one.  A
+    shape class stacks its members' maps along a leading axis.
     """
 
     gain: np.ndarray
@@ -49,9 +51,16 @@ class ColumnProjector:
 
 @dataclass(frozen=True)
 class FeasibilityOperator:
-    """One column projector per subsystem, in subsystem order."""
+    """The column projectors: ``classes[k]`` stacks, as their only storage, the
+    maps of the subsystems ``members[k]`` (increasing ids), whose slices share a shape."""
 
-    projectors: tuple
+    classes: tuple
+    members: tuple
+
+    def projector(self, i: int) -> ColumnProjector:
+        """Subsystem i's projector, as views into its class's stacks."""
+        ((k, s),) = [(k, ids.index(i)) for k, ids in enumerate(self.members) if i in ids]
+        return ColumnProjector(self.classes[k].gain[s], self.classes[k].offset[s])
 
 
 def stacked_constraint(model: NetworkModel, horizon: int) -> sp.csr_matrix:
@@ -91,11 +100,15 @@ def assemble_feasibility_operator(
     each own column, so at build time every such row must be in the slice.
     A slice whose projection cannot meet its constraint (``Z @ offset`` off
     ``rhs`` beyond rounding: no response map within the locality obeys the
-    dynamics) raises ``ValueError``.  The stacked constraint itself is
-    dropped once the projectors are built.
+    dynamics) raises ``ValueError``.  Each map is written into its class's
+    preallocated stacks, and the stacked constraint is dropped.
     """
     csc = stacked_constraint(model, index.horizon).tocsc()
-    projectors = []
+    shapes = [(sub.col_rows.size, sub.cols.size) for sub in index.subsystems]
+    members = {sh: tuple(i for i, s in enumerate(shapes, 1) if s == sh) for sh in dict.fromkeys(shapes)}
+    stacks = tuple(ColumnProjector(np.empty((len(v), m, m)), np.empty((len(v), m, c)))
+                   for (m, c), v in members.items())
+    slot = {i: (cls, s) for cls, ids in zip(stacks, members.values()) for s, i in enumerate(ids)}
     for sub in index.subsystems:
         block = csc[:, sub.col_rows]
         touched = np.flatnonzero(block.getnnz(axis=1))
@@ -107,29 +120,32 @@ def assemble_feasibility_operator(
                 "fell outside the coupled row set"
             )
         z_plus = np.linalg.pinv(z)
-        offset = z_plus @ rhs
-        resid = float(np.max(np.abs(z @ offset - rhs)))
+        cls, s = slot[sub.sub_id]
+        cls.offset[s] = z_plus @ rhs
+        resid = float(np.max(np.abs(z @ cls.offset[s] - rhs)))
         if resid > 1e-8 * max(1.0, float(np.abs(z).max())):
             raise ValueError(
                 f"subsystem {sub.sub_id}: no response map within locality d={index.d} "
                 f"meets the dynamics over horizon T={index.horizon} "
                 f"(constraint residual {resid:.2e})"
             )
-        projectors.append(ColumnProjector(gain=np.eye(z.shape[1]) - z_plus @ z, offset=offset))
-    return FeasibilityOperator(projectors=tuple(projectors))
+        cls.gain[s] = np.eye(z.shape[1]) - z_plus @ z
+    return FeasibilityOperator(stacks, tuple(members.values()))
 
 
-def project_column(op: FeasibilityOperator, i: int, v: np.ndarray) -> np.ndarray:
+def project_column(op: FeasibilityOperator, i: int | ColumnProjector, v: np.ndarray) -> np.ndarray:
     """Euclidean projection of a column slice onto the feasible affine set.
 
     Returns ``gain @ v + offset`` for subsystem i: the nearest point to v
-    that satisfies the subsystem's constraint rows.  Idempotent.
+    that satisfies the subsystem's constraint rows.  Idempotent.  For ``i`` in
+    ``op.classes``, ``v`` stacks its members' slices, each projected bitwise as alone.
     """
-    proj = op.projectors[i - 1]
+    stacked = isinstance(i, ColumnProjector)
+    proj = i if stacked else op.projector(i)
     v = np.asarray(v, dtype=float)
     if v.shape != proj.offset.shape:
         raise ValueError(
-            f"column slice for subsystem {i} must have shape "
+            f"column slice for {'a shape class' if stacked else f'subsystem {i}'} must have shape "
             f"{proj.offset.shape}, got {v.shape}"
         )
     return proj.gain @ v + proj.offset

@@ -6,7 +6,8 @@ path depends on them:
 * ``RowProblem``, ``solve_rows`` and ``solve_row`` state one row, or a
   block of rows, and solve it with the engine's own kernel
   (``row_terms``, then ``solve_terms``), reading each row's region from the
-  sign of the signed multiplier;
+  sign of how far the unconstrained optimum lies past the box, and the
+  signed multiplier from that distance;
 * ``kkt_residuals`` certifies a closed-form row solution by its KKT
   conditions (stationarity, box violation, complementarity);
 * ``response_from_controller``, ``full_response_from_controller`` and
@@ -56,13 +57,15 @@ def solve_rows(targets, x0, rho: float, lo, hi, weight) -> tuple:
 
     ``x0`` is one slice for every row or one per row; ``lo``, ``hi`` and
     ``weight`` are per-row arrays or scalars.  The int8 region code is 0
-    interior, 1 upper-active (``lam > 0``) and 2 lower-active (``lam < 0``).
+    interior, 1 upper-active (``lam > 0``) and 2 lower-active (``lam < 0``);
+    ``lam`` has the sign of ``solve_terms``' ``past``.
     """
     targets = np.asarray(targets, dtype=float)
     lo, hi, weight = np.asarray(lo, float), np.asarray(hi, float), np.asarray(weight, float)
     terms = row_terms(np.broadcast_to(np.asarray(x0, dtype=float), targets.shape), lo, hi, weight)
-    phi, lam = solve_terms(terms, targets, rho)
-    region = np.int8(UPPER_ACTIVE) * (lam > 0.0) + np.int8(LOWER_ACTIVE) * (lam < 0.0)
+    phi, past = solve_terms(terms, targets, rho)
+    lam = past * (rho + terms.c2_x0_sq) / terms.x0_sq
+    region = np.int8(UPPER_ACTIVE) * (past > 0.0) + np.int8(LOWER_ACTIVE) * (past < 0.0)
     return phi, np.maximum(lam, 0.0), np.maximum(-lam, 0.0), region
 
 

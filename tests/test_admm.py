@@ -173,6 +173,35 @@ class TestDeterminismAndOrder:
                 np.testing.assert_array_equal(a, b)
 
 
+class TestColumnPhase:
+    """One stacked projection per shape class, on a network of three classes."""
+
+    @pytest.fixture
+    def cross_fed(self, cross_fed_chain_model):
+        sc = build_scenario(ScenarioConfig(n_subsystems=6, horizon=3, locality=2, seed=3),
+                            model=cross_fed_chain_model)
+        assert sc.op.members == ((1, 6), (2, 5), (3, 4))
+        return sc
+
+    def test_classes_equal_per_subsystem_projection_bitwise(self, cross_fed):
+        engine = cross_fed.make_engine()
+        state = engine.init_state()
+        state.cols[2:] = np.random.default_rng(4).normal(size=state.cols[2:].shape)
+        hat_plus_lam = state.cols[3] + state.cols[2]
+        engine.column_step(state)
+        state.cols[2] = hat_plus_lam  # so that the lam_c views read each block's input
+        for i in range(1, 7):
+            want = admm.project_column(cross_fed.op, i, state.lam_c[i - 1])
+            np.testing.assert_array_equal(state.psi_c[i - 1], want)
+
+    def test_project_column_runs_once_per_class_per_iteration(self, cross_fed, monkeypatch):
+        calls = []
+        project = admm.project_column
+        monkeypatch.setattr(admm, "project_column", lambda op, i, v: calls.append(i) or project(op, i, v))
+        res = cross_fed.make_engine().solve_step(cross_fed.initial_state())
+        assert calls == list(cross_fed.op.classes) * res.iterations
+
+
 class TestExchanges:
     def test_partitions_agree_after_exchange(self, reference_mask):
         for sc, armed in ((small_scenario(), False), (build_scenario(ACTIVE_BOX), True)):

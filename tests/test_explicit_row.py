@@ -173,6 +173,15 @@ class TestDegenerateRows:
         np.testing.assert_array_equal(phi, p.target)
         assert region == INTERIOR
 
+    def test_costless_unboxed_rows_keep_their_targets_bitwise(self):
+        # with no cost and no box the row is its target; a kernel that scales
+        # the target by rho and back returns (rho * t) / rho, off t in the last bit
+        rng = np.random.default_rng(23)
+        targets = rng.normal(size=(500, 4))
+        phi, _, _, region = solve_rows(targets, rng.normal(size=4), 0.3, -np.inf, np.inf, 0.0)
+        np.testing.assert_array_equal(phi, targets)
+        assert not region.any()
+
     def test_zero_x0_with_excluding_box_raises(self):
         p = RowProblem(
             target=np.array([1.0]), x0=np.zeros(1), rho=1.0,

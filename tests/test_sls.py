@@ -6,6 +6,8 @@ on the response maps and never forms a gain.
 The projection oracle here is built from scratch (block KKT system solved
 densely) so it shares no code with the package's pseudo-inverse route.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,21 @@ def dense_constraint(model, horizon):
         z[r, t * n : (t + 1) * n] = -a
         z[r, rows + t * p : rows + (t + 1) * p] = -b
     return z
+
+
+def array_bytes(obj, seen=None) -> int:
+    """Bytes of the numpy arrays reachable from obj through dataclass fields, tuples and lists."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    if isinstance(obj, (list, tuple)):
+        return sum(array_bytes(v, seen) for v in obj)
+    return 0
 
 
 def build_operator(model, d, horizon):
@@ -209,8 +226,25 @@ class TestColumnProjection:
         index, op = build_operator(cross_fed_chain_model, d, horizon)
         z = dense_constraint(cross_fed_chain_model, horizon)
         identity = np.eye(z.shape[0], cross_fed_chain_model.n_states)
-        for sub, proj in zip(index.subsystems, op.projectors):
-            np.testing.assert_allclose(z[:, sub.col_rows] @ proj.offset, identity[:, sub.cols], atol=1e-10)
+        for sub in index.subsystems:
+            offset = op.projector(sub.sub_id).offset
+            np.testing.assert_allclose(z[:, sub.col_rows] @ offset, identity[:, sub.cols], atol=1e-10)
+
+    def test_operator_stores_each_projector_once(self, cross_fed_chain_model):
+        # the per-subsystem maps are views into the class stacks, and nothing
+        # else holds array memory: no copy beside the stacks, no stored views
+        chains = [(build_chain_model(n), 1, 5) for n in (1, 2, 8)]
+        for model, d, horizon in chains + [(cross_fed_chain_model, 2, 3)]:
+            index, op = build_operator(model, d, horizon)
+            want = 0
+            for sub in index.subsystems:
+                proj = op.projector(sub.sub_id)
+                cls = next(c for c, ids in zip(op.classes, op.members) if sub.sub_id in ids)
+                assert np.shares_memory(proj.gain, cls.gain)
+                assert np.shares_memory(proj.offset, cls.offset)
+                assert proj.offset.shape == (sub.col_rows.size, sub.cols.size)
+                want += proj.gain.nbytes + proj.offset.nbytes
+            assert array_bytes(op) == want
 
     def test_rejects_bad_shape(self):
         model = build_chain_model(3)
