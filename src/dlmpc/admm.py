@@ -42,9 +42,13 @@ column blocks travel to at most (d+1)-hop outgoing neighbors, row blocks to
 at most (d+1)-hop incoming neighbors (input rows couple columns d+1 hops
 away, which sets the footprint).  Execution is sequential but
 order-independent: phases are barriers, so any subsystem ordering produces
-bitwise identical iterates.  ``order`` and per-call timing apply to the
-measurement, row and extraction phases; the column step (one stacked map per
-slice-shape class), the exchanges and the multiplier step charge equal shares.
+bitwise identical iterates.  Every phase is ``phase(state, i)`` or
+``phase(state)``; only :meth:`DlmpcEngine.solve_step` orders, times and
+records them, by two runners that look the phase up on the instance:
+``_each`` runs measurement, rows and extraction for i = 1..N, charging each
+call to subsystem i, and ``_all`` the exchanges, the column step (one stacked
+map per slice-shape class), the multiplier step and the convergence check
+(momentum included), charging equal shares.
 """
 from __future__ import annotations
 
@@ -54,7 +58,7 @@ from enum import Enum
 
 import numpy as np
 
-from .explicit_row import InfeasibleRowError, empty_boxes, row_terms, solve_terms
+from .explicit_row import InfeasibleRowError, RowTerms, empty_boxes, row_terms, solve_terms
 from .qp import QpStatus, check_profile, row_qp, solve_qp
 from .sls import FeasibilityOperator, project_column
 from .topology import LocalityIndex, NetworkModel
@@ -128,11 +132,13 @@ class AdmmState:
     current penalty, by which lambda is scaled.  Row blocks have shape
     (len(rows), len(row_cols)), column blocks (len(col_rows), len(cols)).
     After each exchange phase the two partitions agree on every shared entry.
-    ``step_rows`` holds, per subsystem and built by :meth:`DlmpcEngine.measure`
-    once per MPC step, its x0 block (the measured state's coupled slice per
-    row, zero off ``row_mask``) and that block's :func:`row_terms`, which both
-    row routes read; ``residual_history`` holds one (max primal, max dual) pair
-    per iteration, and ``per_sub_seconds`` each subsystem's time on this state.
+    ``x0`` is the measured state, ``packets`` the step's recorded
+    :class:`ExchangePacket` list (None unless recording), and ``step_rows``,
+    built by :meth:`DlmpcEngine.measure` once per MPC step, each subsystem's
+    :func:`row_terms` of its x0 block (the measured state's coupled slice per
+    row, zero off ``row_mask``), which both row routes read;
+    ``residual_history`` holds one (max primal, max dual) pair per iteration,
+    and ``per_sub_seconds`` each subsystem's time on this state.
     ``held`` counts the iterations since rho last moved.  Once momentum arms,
     ``prev`` holds the last true (psi, lambda) of both buffers, ``nesterov``
     the momentum weight a, ``gap`` and ``new_gap`` the last two restart
@@ -153,7 +159,9 @@ class AdmmState:
     dual: np.ndarray | None = None
     residual_history: list = field(default_factory=list)
     converged: bool = False
+    x0: np.ndarray | None = None
     step_rows: list = field(default_factory=list)
+    packets: list | None = None
     per_sub_seconds: np.ndarray | None = None
     held: int = 0
     prev: tuple | None = None
@@ -181,11 +189,6 @@ class StepResult:
 def _relaxed(phi: np.ndarray, psi_prev: np.ndarray) -> np.ndarray:
     """The over-relaxed row iterate; both buffers evaluate this one expression."""
     return ALPHA * phi + (1.0 - ALPHA) * psi_prev
-
-
-def _share(state: AdmmState, t0: float):
-    """Charge the wall time since ``t0`` to every subsystem in equal parts."""
-    state.per_sub_seconds += (time.perf_counter() - t0) / state.per_sub_seconds.size
 
 
 def row_profiles(
@@ -250,7 +253,6 @@ class DlmpcEngine:
         max_iterations: int = 10000,
         row_solver: RowSolverKind = RowSolverKind.EXPLICIT,
         record_packets: bool = False,
-        order=None,
     ):
         for name, value in (("rho", rho), ("eps_primal", eps_primal), ("eps_dual", eps_dual)):
             if not (np.isfinite(value) and value > 0):
@@ -266,10 +268,6 @@ class DlmpcEngine:
         self.max_iterations = int(max_iterations)
         self.row_solver = row_solver
         self.record_packets = record_packets
-        n_sub = model.n_subsystems
-        self.order = list(range(1, n_sub + 1)) if order is None else [int(i) for i in order]
-        if sorted(self.order) != list(range(1, n_sub + 1)):
-            raise ValueError("order must be a permutation of 1..N")
 
         n, p = model.n_states, model.n_inputs
         q_diag = check_profile("q_diag", q_diag, n, 1.0)
@@ -380,12 +378,16 @@ class DlmpcEngine:
 
     # -- per-subsystem updates ----------------------------------------------
 
-    def measure(self, x0: np.ndarray, i: int) -> tuple:
-        """Subsystem i's ``step_rows`` entry for the measured state ``x0``."""
-        sub = self.index.subsystems[i - 1]
+    def measure(self, state: AdmmState, i: int) -> RowTerms:
+        """Subsystem i's ``step_rows`` entry for ``state.x0``; records the measurements i receives."""
+        sub, x0 = self.index.subsystems[i - 1], state.x0
+        if state.packets is not None:
+            for j in sorted(self.index.in_sets_ext[i - 1]):
+                cols = self.model.state_indices(j)
+                state.packets.append(ExchangePacket(j, i, Phase.MEASUREMENT, None, cols, x0[cols].copy()))
         x0_block = np.where(sub.row_mask, x0[sub.row_cols], 0.0)
         try:
-            return x0_block, row_terms(x0_block, *self._row_boxes[i - 1])
+            return row_terms(x0_block, *self._row_boxes[i - 1])
         except InfeasibleRowError as err:
             raise InfeasibleRowError(f"subsystem {i}: global row {sub.rows[err.row]}: {err.detail}") from err
 
@@ -399,15 +401,15 @@ class DlmpcEngine:
         0.  It writes phi back on the mask only and raises
         :class:`ConvergenceError` naming the first row not solved optimally.
         """
-        x0_block, terms = state.step_rows[i - 1]
+        terms = state.step_rows[i - 1]
         a = state.psi_r[i - 1] - state.lam_r[i - 1]
         if self.row_solver is RowSolverKind.EXPLICIT:
             state.phi_r[i - 1][...] = solve_terms(terms, a, state.rho)[0]
             return
         sub = self.index.subsystems[i - 1]
-        live = np.arange(a.shape[0]) if terms.zero is None else np.flatnonzero(~terms.zero)
+        live = np.flatnonzero(~terms.zero)
         lo, hi, w = terms.lo[live], terms.hi[live], self._row_boxes[i - 1][2][live]
-        res = solve_qp(row_qp(a[live], x0_block[live], state.rho, lo, hi, w))
+        res = solve_qp(row_qp(a[live], terms.x0[live], state.rho, lo, hi, w))
         for j, status in enumerate(res.statuses):
             if status is not QpStatus.OPTIMAL:
                 at = f"subsystem {i}: global row {sub.rows[live[j]]}"
@@ -419,15 +421,12 @@ class DlmpcEngine:
 
     def column_step(self, state: AdmmState):
         """Project every relaxed column slice onto the dynamics constraint, by shape class."""
-        t0 = time.perf_counter()
         v = state.cols[3] + state.cols[2]
         for cls, at in zip(self.op.classes, self._class_at):
-            state.cols[1][at] = project_column(self.op, cls, v[at].reshape(cls.offset.shape)).ravel()
-        _share(state, t0)
+            state.cols[1][at] = project_column(cls, v[at].reshape(cls.offset.shape)).ravel()
 
     def multiplier_step(self, state: AdmmState):
         """Scaled dual update on both buffers plus per-subsystem residuals."""
-        t0 = time.perf_counter()
         rows, cols = state.rows, state.cols
         primal = rows[0] - rows[1]
         step = _relaxed(rows[0], rows[3]) - rows[1]  # lambda - lambda_hat
@@ -444,7 +443,6 @@ class DlmpcEngine:
         else:  # rows[3] is psi_hat; the dual residual reads the true psi_prev
             state.dual = norms(rows[1] - state.prev[0][0])
             state.new_gap = float(np.add.reduceat(step * step + moved * moved, starts).max())
-        _share(state, t0)
 
     def check_convergence(self, state: AdmmState) -> bool:
         """All subsystems within both residual tolerances (boundary passes).
@@ -456,10 +454,7 @@ class DlmpcEngine:
         """
         primal, dual = float(np.max(state.primal)), float(np.max(state.dual))
         state.residual_history.append((primal, dual))
-        converged = bool(
-            np.all(state.primal <= self.eps_primal) and np.all(state.dual <= self.eps_dual)
-        )
-        if converged:
+        if np.all(state.primal <= self.eps_primal) and np.all(state.dual <= self.eps_dual):
             return True
         if primal > BALANCE * state.rho * dual:
             factor = RHO_FACTOR
@@ -485,7 +480,6 @@ class DlmpcEngine:
         state.held += 1
         if state.held < SETTLE:
             return
-        t0 = time.perf_counter()
         fresh = state.rows[1:3], state.cols[1:3]
         if state.prev is None:
             state.prev = tuple(m.copy() for m in fresh)
@@ -505,36 +499,31 @@ class DlmpcEngine:
                 diff = cur - old
                 old[...] = cur
                 cur += beta * diff
-        _share(state, t0)
 
     # -- exchanges ------------------------------------------------------------
 
-    def exchange_rows(self, state: AdmmState, packets=None):
+    def exchange_rows(self, state: AdmmState):
         """Row owners send their freshly solved blocks to column owners."""
-        t0 = time.perf_counter()
         sent = state.rows[0][self._src]
         cols = state.cols
         cols[0][self._dst] = sent
         cols[3] = _relaxed(cols[0], cols[1])  # psi is still the previous one
-        _share(state, t0)
-        if packets is not None:
-            self._record(packets, Phase.ROW_BLOCKS, sent)
+        self._record(state, Phase.ROW_BLOCKS, sent)
 
-    def exchange_columns(self, state: AdmmState, packets=None):
+    def exchange_columns(self, state: AdmmState):
         """Column owners send projected blocks back to row owners."""
-        t0 = time.perf_counter()
         state.rows[3] = state.rows[1]
         sent = state.cols[1][self._dst]
         state.rows[1][self._src] = sent
-        _share(state, t0)
-        if packets is not None:
-            self._record(packets, Phase.COLUMN_BLOCKS, sent)
+        self._record(state, Phase.COLUMN_BLOCKS, sent)
 
-    def _record(self, packets: list, phase: Phase, sent: np.ndarray):
+    def _record(self, state: AdmmState, phase: Phase, sent: np.ndarray):
+        if state.packets is None:
+            return
         for k, i, a, b, rows, cols in self._pairs:
             sender, receiver = (k, i) if phase is Phase.ROW_BLOCKS else (i, k)
             payload = sent[a:b].reshape(rows.size, cols.size)
-            packets.append(ExchangePacket(sender, receiver, phase, rows, cols, payload))
+            state.packets.append(ExchangePacket(sender, receiver, phase, rows, cols, payload))
 
     # -- instrumentation ------------------------------------------------------
 
@@ -563,20 +552,26 @@ class DlmpcEngine:
         # input rows follow the state rows, time-major, so the time-0 ones come
         # first; they span the whole coupled slice, so the last row's x0 block
         # is the bare slice (an input-free subsystem has no rows to multiply)
-        u0 = np.count_nonzero(self.index.subsystems[i - 1].row_is_state)
+        u0 = np.count_nonzero(self.index.subsystem(i).row_is_state)
         rows = state.phi_r[i - 1][u0 : u0 + self.model.input_dims[i - 1]]
-        return rows @ state.step_rows[i - 1][0][-1]
+        return rows @ state.step_rows[i - 1].x0[-1]
 
     # -- full step --------------------------------------------------------------
 
     def _each(self, state: AdmmState, phase) -> list:
-        """Run ``phase(state, i)`` for each subsystem in ``order``, charging each
-        call's wall time to subsystem i; the results come in subsystem-id order."""
-        out = [None] * len(self.order)
-        for i in self.order:
+        """``phase(state, i)`` for i = 1..N in order, each call's time charged to subsystem i."""
+        out = []
+        for i in range(1, len(self.index.subsystems) + 1):
             t0 = time.perf_counter()
-            out[i - 1] = phase(state, i)
+            out.append(phase(state, i))
             state.per_sub_seconds[i - 1] += time.perf_counter() - t0
+        return out
+
+    def _all(self, state: AdmmState, phase):
+        """``phase(state)``, its time charged to every subsystem in equal shares."""
+        t0 = time.perf_counter()
+        out = phase(state)
+        state.per_sub_seconds += (time.perf_counter() - t0) / state.per_sub_seconds.size
         return out
 
     def solve_step(self, x0: np.ndarray, warm_state: AdmmState | None = None) -> StepResult:
@@ -586,36 +581,26 @@ class DlmpcEngine:
         Raises :class:`ConvergenceError` with the residual trace, the final
         rho and the straggling subsystems if the iteration cap is hit first.
         """
-        model, index = self.model, self.index
+        model = self.model
         x0 = np.asarray(x0, dtype=float).ravel()
         if x0.shape != (model.n_states,):
             raise ValueError(f"x0 must have {model.n_states} entries")
         for k in np.flatnonzero(~np.isfinite(x0))[:1]:
             raise ValueError(f"x0[{k}] is {x0[k]}, must be finite")
-        packets = [] if self.record_packets else None
         state = self.init_state(warm_state)
+        state.x0, state.packets = x0, [] if self.record_packets else None
 
-        state.step_rows = self._each(state, lambda state, i: self.measure(x0, i))
-        if packets is not None:
-            for sub in index.subsystems:
-                for j in sorted(index.in_sets_ext[sub.sub_id - 1]):
-                    cols = model.state_indices(j)
-                    packets.append(
-                        ExchangePacket(j, sub.sub_id, Phase.MEASUREMENT, None, cols, x0[cols].copy())
-                    )
-
-        converged = False
+        state.step_rows = self._each(state, self.measure)
         for k in range(1, self.max_iterations + 1):
             self._each(state, self.row_step)
-            self.exchange_rows(state, packets)
-            self.column_step(state)
-            self.exchange_columns(state, packets)
-            self.multiplier_step(state)
+            self._all(state, self.exchange_rows)
+            self._all(state, self.column_step)
+            self._all(state, self.exchange_columns)
+            self._all(state, self.multiplier_step)
             state.iteration = k
-            converged = self.check_convergence(state)
-            if converged:
+            if self._all(state, self.check_convergence):
                 break
-        if not converged:
+        else:
             primal, dual = state.residual_history[-1]
             lag_p, lag_d = (int(np.argmax(r)) + 1 for r in (state.primal, state.dual))
             raise ConvergenceError(
@@ -628,4 +613,4 @@ class DlmpcEngine:
 
         # inputs are numbered contiguously in subsystem-id order
         u = np.concatenate(self._each(state, self.extract_control))
-        return StepResult(u=u, iterations=state.iteration, state=state, x0=x0, packets=packets)
+        return StepResult(u=u, iterations=state.iteration, state=state, x0=x0, packets=state.packets)

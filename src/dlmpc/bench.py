@@ -74,6 +74,9 @@ class ScenarioConfig:
     sim_steps: int = 20
     warm_start: bool = True
 
+    def __post_init__(self):
+        object.__setattr__(self, "case", parse_case(self.case))
+
 
 def build_chain_model(n_subsystems: int) -> NetworkModel:
     """Chain of two-state single-input subsystems with nearest-neighbor coupling.
@@ -471,7 +474,7 @@ def load_report(json_path) -> RunReport:
     data = json.loads(Path(json_path).read_text())
     n_inputs = data.pop("n_inputs", None)  # reports written before it was kept lack it
     config = data.pop("config")
-    case = parse_case(config.pop("case"))
+    case = config.pop("case")  # a name, which decode would read as a float
     # reports written while the QP row tolerance was a setting still carry it
     config.pop("qp_tol", None)
     steps = [StepRecord(**decode(s)) for s in data.pop("steps")]
@@ -533,10 +536,7 @@ def load_config(path) -> ScenarioConfig:
                 kind = _CONFIG_KEYS[name].get(key)
                 if kind is None:
                     raise ValueError(f"unknown config key {name}.{key}")
-                if kind == "case":
-                    kwargs[key] = parse_case(section[key])
-                else:
-                    kwargs[key] = getattr(section, "get" + kind)(key)
+                kwargs[key] = section[key] if kind == "case" else getattr(section, "get" + kind)(key)
     except configparser.Error as err:  # malformed file: duplicate key, no section header ...
         raise ValueError(f"config file {path}: {err}") from err
     if "subsystems" not in kwargs:

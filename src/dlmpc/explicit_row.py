@@ -60,11 +60,11 @@ def _dot(a, b) -> np.ndarray:
 
 class RowTerms(NamedTuple):
     """What the x0 slices, boxes and weights fix: ``x0_sq = x0 . x0`` (1 on the rows
-    ``zero`` marks, None if none, whose x0 is zeroed) and ``c2_x0_sq = 2 weight^2 x0_sq``."""
+    ``zero`` marks, whose x0 is zeroed) and ``c2_x0_sq = 2 weight^2 x0_sq``."""
 
     x0: np.ndarray
     x0_sq: np.ndarray
-    zero: np.ndarray | None
+    zero: np.ndarray
     c2_x0_sq: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -83,7 +83,7 @@ def row_terms(x0, lo, hi, weight) -> RowTerms:
             raise InfeasibleRowError(f"x0 slice is zero but the box [{lo[k]}, {hi[k]}] excludes 0", row=k)
         # the box holds 0, so a zeroed x0 gives y = s = 0 and the row keeps its target
         x0, x0_sq = x0 * ~zero[:, None], np.where(zero, 1.0, x0_sq)
-    return RowTerms(x0, x0_sq, zero if zero.any() else None, 2.0 * weight * weight * x0_sq, lo, hi)
+    return RowTerms(x0, x0_sq, zero, 2.0 * weight * weight * x0_sq, lo, hi)
 
 
 def solve_terms(terms: RowTerms, targets, rho: float) -> tuple:

@@ -22,7 +22,8 @@ rows touching its coupled row set and ``E_i`` the matching slice of E,
 
 one affine map per subsystem whose gain and offset are computed once at
 set-up.  Neither Z nor E is kept afterwards.  The maps of subsystems whose
-slices share a shape are stacked, so one batched map projects the class.
+slices share a shape are stacked, and :func:`project_column` applies any
+:class:`ColumnProjector`, so one batched call projects a whole class.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .topology import LocalityIndex, NetworkModel
+from .topology import LocalityIndex, NetworkModel, check_id
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,7 @@ class FeasibilityOperator:
 
     def projector(self, i: int) -> ColumnProjector:
         """Subsystem i's projector, as views into its class's stacks."""
+        check_id(i, sum(map(len, self.members)))
         ((k, s),) = [(k, ids.index(i)) for k, ids in enumerate(self.members) if i in ids]
         return ColumnProjector(self.classes[k].gain[s], self.classes[k].offset[s])
 
@@ -133,19 +135,15 @@ def assemble_feasibility_operator(
     return FeasibilityOperator(stacks, tuple(members.values()))
 
 
-def project_column(op: FeasibilityOperator, i: int | ColumnProjector, v: np.ndarray) -> np.ndarray:
+def project_column(proj: ColumnProjector, v: np.ndarray) -> np.ndarray:
     """Euclidean projection of a column slice onto the feasible affine set.
 
-    Returns ``gain @ v + offset`` for subsystem i: the nearest point to v
-    that satisfies the subsystem's constraint rows.  Idempotent.  For ``i`` in
-    ``op.classes``, ``v`` stacks its members' slices, each projected bitwise as alone.
+    Returns ``gain @ v + offset``: the nearest point to v that satisfies the
+    constraint rows of ``proj``, a subsystem's projector (``op.projector(i)``)
+    or a class stack of them, in which case ``v`` stacks the members' slices,
+    each projected bitwise as alone.  Idempotent.
     """
-    stacked = isinstance(i, ColumnProjector)
-    proj = i if stacked else op.projector(i)
     v = np.asarray(v, dtype=float)
     if v.shape != proj.offset.shape:
-        raise ValueError(
-            f"column slice for {'a shape class' if stacked else f'subsystem {i}'} must have shape "
-            f"{proj.offset.shape}, got {v.shape}"
-        )
+        raise ValueError(f"column slice must have shape {proj.offset.shape}, got {v.shape}")
     return proj.gain @ v + proj.offset

@@ -31,6 +31,12 @@ class ModelValidationError(ValueError):
     """Inconsistent block dimensions or malformed model data."""
 
 
+def check_id(i: int, n_sub: int):
+    """Raise IndexError unless ``i`` is a subsystem id of a network of ``n_sub``."""
+    if not 1 <= i <= n_sub:
+        raise IndexError(f"subsystem id {i} outside 1..{n_sub}")
+
+
 def _as_block_dict(blocks):
     out = {}
     for key, val in blocks.items():
@@ -46,9 +52,9 @@ class NetworkModel:
     ``a_blocks`` and ``b_blocks`` map 1-based ``(i, j)`` pairs to dense
     blocks; absent blocks are exactly zero.  ``a_blocks[(i, j)]`` must have
     shape ``(state_dims[i-1], state_dims[j-1])`` and ``b_blocks[(i, j)]``
-    shape ``(state_dims[i-1], input_dims[j-1])``.  The totals ``n_states``/
-    ``n_inputs`` and the per-subsystem offsets ``state_offsets``/
-    ``input_offsets`` are fixed at construction.
+    shape ``(state_dims[i-1], input_dims[j-1])``, every entry finite.  The
+    totals ``n_states``/``n_inputs`` and the per-subsystem offsets
+    ``state_offsets``/``input_offsets`` are fixed at construction.
     """
 
     state_dims: tuple
@@ -77,20 +83,16 @@ class NetworkModel:
             raise ModelValidationError("every subsystem needs at least one state")
         if any(m < 0 for m in self.input_dims):
             raise ModelValidationError("input dimensions must be nonnegative")
-        for (i, j), blk in self.a_blocks.items():
-            self._check_ids(i, j)
-            want = (self.state_dims[i - 1], self.state_dims[j - 1])
-            if blk.shape != want:
-                raise ModelValidationError(
-                    f"a_blocks[({i},{j})] has shape {blk.shape}, expected {want}"
-                )
-        for (i, j), blk in self.b_blocks.items():
-            self._check_ids(i, j)
-            want = (self.state_dims[i - 1], self.input_dims[j - 1])
-            if blk.shape != want:
-                raise ModelValidationError(
-                    f"b_blocks[({i},{j})] has shape {blk.shape}, expected {want}"
-                )
+        for kind, blocks, dims in (("a", self.a_blocks, self.state_dims), ("b", self.b_blocks, self.input_dims)):
+            for (i, j), blk in blocks.items():
+                if not (1 <= i <= n_sub and 1 <= j <= n_sub):
+                    raise ModelValidationError(f"block key ({i},{j}) outside 1..{n_sub}")
+                name, want = f"{kind}_blocks[({i},{j})]", (self.state_dims[i - 1], dims[j - 1])
+                if blk.shape != want:
+                    raise ModelValidationError(f"{name} has shape {blk.shape}, expected {want}")
+                if not np.isfinite(blk).all():
+                    r, c = np.argwhere(~np.isfinite(blk))[0]
+                    raise ModelValidationError(f"{name} entry ({r},{c}) is {blk[r, c]}, must be finite")
         x_offs = tuple(accumulate(self.state_dims, initial=0))
         u_offs = tuple(accumulate(self.input_dims, initial=0))
         object.__setattr__(self, "n_states", x_offs[-1])
@@ -98,23 +100,18 @@ class NetworkModel:
         object.__setattr__(self, "state_offsets", x_offs[:-1])
         object.__setattr__(self, "input_offsets", u_offs[:-1])
 
-    def _check_ids(self, i, j):
-        n_sub = len(self.state_dims)
-        if not (1 <= i <= n_sub and 1 <= j <= n_sub):
-            raise ModelValidationError(
-                f"block key ({i},{j}) outside 1..{n_sub}"
-            )
-
     @property
     def n_subsystems(self) -> int:
         return len(self.state_dims)
 
     def state_indices(self, i: int) -> np.ndarray:
         """Global state-component indices owned by subsystem ``i``."""
+        check_id(i, self.n_subsystems)
         off = self.state_offsets[i - 1]
         return np.arange(off, off + self.state_dims[i - 1])
 
     def input_indices(self, i: int) -> np.ndarray:
+        check_id(i, self.n_subsystems)
         off = self.input_offsets[i - 1]
         return np.arange(off, off + self.input_dims[i - 1])
 
@@ -184,8 +181,7 @@ def build_graph(model: NetworkModel) -> Graph:
 
 def _hops(graph: Graph, adj: dict, i: int, d: int) -> dict:
     """Hop count from ``i`` of every subsystem within ``d`` hops along ``adj``."""
-    if not 1 <= i <= graph.n_vertices:
-        raise IndexError(f"subsystem id {i} outside 1..{graph.n_vertices}")
+    check_id(i, graph.n_vertices)
     if d < 0:
         raise ValueError("hop count must be nonnegative")
     hops, frontier = {i: 0}, [i]
@@ -257,6 +253,7 @@ class LocalityIndex:
         return self.n_states * (self.horizon + 1) + self.n_inputs * self.horizon
 
     def subsystem(self, i: int) -> SubsystemIndex:
+        check_id(i, len(self.subsystems))
         return self.subsystems[i - 1]
 
 

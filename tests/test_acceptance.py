@@ -295,7 +295,7 @@ def test_column_projection_matches_kkt_oracle(six_node_model, six_node_index):
         rhs_full[: model.n_states] = np.eye(model.n_states)
         for sub in index.subsystems:
             v = rng.normal(size=(len(sub.col_rows), len(sub.cols)))
-            got = project_column(op, sub.sub_id, v)
+            got = project_column(op.projector(sub.sub_id), v)
             c = z_full[:, sub.col_rows]
             kkt = np.block(
                 [[np.eye(c.shape[1]), c.T], [c, np.zeros((c.shape[0], c.shape[0]))]]
@@ -304,7 +304,7 @@ def test_column_projection_matches_kkt_oracle(six_node_model, six_node_index):
             want = np.linalg.lstsq(kkt, rhs, rcond=None)[0][: c.shape[1]]
             gap = max(gap, float(np.max(np.abs(got - want))))
             drift = max(
-                drift, float(np.max(np.abs(project_column(op, sub.sub_id, got) - got)))
+                drift, float(np.max(np.abs(project_column(op.projector(sub.sub_id), got) - got)))
             )
     ok = gap <= 1e-9 and drift <= 1e-9
     assert _verdict(

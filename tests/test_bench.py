@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from dlmpc import (
     Case,
     ConvergenceError,
+    RowSolverKind,
     RunReport,
     ScenarioConfig,
     box_violation,
@@ -65,6 +66,17 @@ class TestChainBuilder:
         sc = build_scenario(ScenarioConfig(n_subsystems=3, case=Case.UNCONSTRAINED))
         assert np.all(np.isinf(sc.state_ub))
         assert np.all(np.isinf(sc.state_lb))
+
+    def test_case_is_parsed_from_a_name_or_number(self):
+        for raw, case in (("solver", Case.SOLVER), ("UNCONSTRAINED", Case.UNCONSTRAINED), (3, Case.EXPLICIT)):
+            assert ScenarioConfig(n_subsystems=3, case=raw).case is case
+        # the named case decides the row route and the boxes
+        sc = build_scenario(ScenarioConfig(n_subsystems=3, horizon=2, case="solver"))
+        assert sc.make_engine().row_solver is RowSolverKind.QP
+        sc = build_scenario(ScenarioConfig(n_subsystems=3, horizon=2, case="unconstrained"))
+        assert np.all(np.isinf(sc.state_lb)) and np.all(np.isinf(sc.state_ub))
+        with pytest.raises(ValueError, match="unknown case 'bogus'"):
+            ScenarioConfig(n_subsystems=3, case="bogus")
 
     def test_rejects_negative_bound_component(self):
         with pytest.raises(ValueError, match="bound_component -1 out of range"):
@@ -516,6 +528,12 @@ class TestCli:
     def test_run_with_model_file(self, tmp_path, capsys):
         path = save_model_file(build_chain_model(2), tmp_path / "m.txt")
         assert cli_main(["run", "--model", str(path), "--steps", "1", "--horizon", "2"]) == 0
+
+    def test_non_finite_model_block_is_named(self, tmp_path, capsys):
+        path = save_model_file(build_chain_model(2), tmp_path / "m.txt")
+        path.write_text(path.read_text().replace("A 2 1\n0.0 0.0\n", "A 2 1\n0.0 nan\n"))
+        assert cli_main(["run", "--model", str(path), "--steps", "1", "--horizon", "2"]) == 1
+        assert capsys.readouterr().err == "error: a_blocks[(2,1)] entry (0,1) is nan, must be finite\n"
 
     def test_model_without_subsystems_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "m.txt"

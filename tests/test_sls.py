@@ -111,7 +111,7 @@ class TestConstraintMatrix:
         identity = np.eye(z.shape[0], model.n_states)
         for sub in index.subsystems:
             want = np.linalg.lstsq(z[:, sub.col_rows], identity[:, sub.cols], rcond=None)[0]
-            got = project_column(op, sub.sub_id, np.zeros(want.shape))
+            got = project_column(op.projector(sub.sub_id), np.zeros(want.shape))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -190,7 +190,7 @@ class TestColumnProjection:
         for i in range(1, 5):
             sub = index.subsystem(i)
             v = rng.normal(size=(sub.col_rows.size, sub.cols.size))
-            got = project_column(op, i, v)
+            got = project_column(op.projector(i), v)
             want = self.kkt_reference(model, horizon, sub, v)
             np.testing.assert_allclose(got, want, atol=1e-9)
 
@@ -200,8 +200,8 @@ class TestColumnProjection:
         for i in range(1, 7):
             sub = index.subsystem(i)
             v = rng.normal(size=(sub.col_rows.size, sub.cols.size))
-            once = project_column(op, i, v)
-            twice = project_column(op, i, once)
+            once = project_column(op.projector(i), v)
+            twice = project_column(op.projector(i), once)
             np.testing.assert_allclose(twice, once, atol=1e-9)
 
     def test_output_satisfies_constraint_rows(self):
@@ -213,7 +213,7 @@ class TestColumnProjection:
         for i in range(1, 4):
             sub = index.subsystem(i)
             v = rng.normal(size=(sub.col_rows.size, sub.cols.size))
-            psi = project_column(op, i, v)
+            psi = project_column(op.projector(i), v)
             np.testing.assert_allclose(z[:, sub.col_rows] @ psi, identity[:, sub.cols], atol=1e-10)
 
     @pytest.mark.parametrize("d,horizon", [(0, 1), (0, 3), (0, 5), (1, 3), (1, 5)])
@@ -246,11 +246,17 @@ class TestColumnProjection:
                 want += proj.gain.nbytes + proj.offset.nbytes
             assert array_bytes(op) == want
 
+    def test_projector_ids_outside_one_to_n_raise(self):
+        _, op = build_operator(build_chain_model(3), d=1, horizon=3)
+        for i in (0, 4):
+            with pytest.raises(IndexError, match=rf"^subsystem id {i} outside 1\.\.3$"):
+                op.projector(i)
+
     def test_rejects_bad_shape(self):
         model = build_chain_model(3)
         _, op = build_operator(model, d=1, horizon=3)
         with pytest.raises(ValueError):
-            project_column(op, 1, np.zeros((2, 2)))
+            project_column(op.projector(1), np.zeros((2, 2)))
 
     def test_rejects_wrong_column_count(self):
         # right row count, one column for a two-column subsystem: broadcasting
@@ -260,4 +266,4 @@ class TestColumnProjection:
         sub = index.subsystem(2)
         assert sub.cols.size == 2
         with pytest.raises(ValueError, match="shape"):
-            project_column(op, 2, np.zeros((sub.col_rows.size, 1)))
+            project_column(op.projector(2), np.zeros((sub.col_rows.size, 1)))

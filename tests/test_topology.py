@@ -63,6 +63,24 @@ class TestNetworkModel:
                 b_blocks={},
             )
 
+    @pytest.mark.parametrize("kind", ["a", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_block(self, kind, bad):
+        # caught here, not as an SVD failure in the column projectors' set-up
+        blocks = {"a": {(1, 1): np.eye(2), (2, 2): np.eye(2)}, "b": {(1, 1): np.ones((2, 1))}}
+        blocks[kind][(1, 1)][1, 0] = bad
+        with pytest.raises(ModelValidationError, match=rf"^{kind}_blocks\[\(1,1\)\] entry \(1,0\) is {bad}, must be finite$"):
+            NetworkModel(state_dims=(2, 2), input_dims=(1, 1), a_blocks=blocks["a"], b_blocks=blocks["b"])
+
+    def test_ids_outside_one_to_n_raise(self):
+        # id 0 must not wrap around to the last subsystem
+        m = build_chain_model(3)
+        index = build_locality_index(build_graph(m), m, 1, 2)
+        for i in (0, -1, 4):
+            for accessor in (m.state_indices, m.input_indices, index.subsystem):
+                with pytest.raises(IndexError, match=rf"^subsystem id {i} outside 1\.\.3$"):
+                    accessor(i)
+
     def test_rejects_nonpositive_state_dim(self):
         with pytest.raises(ModelValidationError):
             NetworkModel(state_dims=(0,), input_dims=(1,), a_blocks={}, b_blocks={})
