@@ -61,7 +61,7 @@ import numpy as np
 from .explicit_row import InfeasibleRowError, RowTerms, empty_boxes, row_terms, solve_terms
 from .qp import QpStatus, check_profile, row_qp, solve_qp
 from .sls import FeasibilityOperator, project_column
-from .topology import LocalityIndex, NetworkModel
+from .topology import LocalityIndex, NetworkModel, check_int
 
 ALPHA = 1.5  # relaxation weight on the fresh phi
 BALANCE = 10.0  # residual ratio beyond which rho moves
@@ -257,6 +257,7 @@ class DlmpcEngine:
         for name, value in (("rho", rho), ("eps_primal", eps_primal), ("eps_dual", eps_dual)):
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        max_iterations = check_int("max_iterations", max_iterations)
         if max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
         self.model = model
@@ -265,7 +266,7 @@ class DlmpcEngine:
         self.rho = float(rho)
         self.eps_primal = float(eps_primal)
         self.eps_dual = float(eps_dual)
-        self.max_iterations = int(max_iterations)
+        self.max_iterations = max_iterations
         self.row_solver = row_solver
         self.record_packets = record_packets
 

@@ -23,7 +23,7 @@ from .admm import ConvergenceError, DlmpcEngine, RowSolverKind
 from .explicit_row import InfeasibleRowError
 from .qp import QpStatus, centralized_mpc
 from .sls import FeasibilityOperator, assemble_feasibility_operator
-from .topology import Graph, LocalityIndex, NetworkModel, build_graph, build_locality_index
+from .topology import Graph, LocalityIndex, NetworkModel, build_graph, build_locality_index, check_int
 
 
 class Case(Enum):
@@ -52,7 +52,11 @@ def parse_case(raw) -> Case:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete description of one benchmark run (model + cost + solver knobs)."""
+    """Complete description of one benchmark run (model + cost + solver knobs).
+
+    Every ``int`` field must be an integer (numpy's too) and is stored as an
+    int; anything else raises ValueError naming the field.
+    """
 
     n_subsystems: int
     horizon: int = 5
@@ -76,6 +80,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "case", parse_case(self.case))
+        for f in fields(self):
+            if f.type == "int":
+                object.__setattr__(self, f.name, check_int(f.name, getattr(self, f.name)))
 
 
 def build_chain_model(n_subsystems: int) -> NetworkModel:
@@ -242,7 +249,7 @@ def _simulate(scenario: Scenario, policy, sim_steps: int | None, x0: np.ndarray 
     Starts from ``x0`` (default: the scenario's initial state) and returns
     the states, the inputs and the realized cost.
     """
-    sim_steps = scenario.config.sim_steps if sim_steps is None else int(sim_steps)
+    sim_steps = scenario.config.sim_steps if sim_steps is None else check_int("sim_steps", sim_steps)
     if sim_steps < 0:
         raise ValueError(f"sim_steps must be at least 0, got {sim_steps}")
     model = scenario.model

@@ -21,7 +21,15 @@ rows touching its coupled row set and ``E_i`` the matching slice of E,
     psi_i = (I - pinv(Z_i) Z_i) v + pinv(Z_i) E_i ,
 
 one affine map per subsystem whose gain and offset are computed once at
-set-up.  Neither Z nor E is kept afterwards.  The maps of subsystems whose
+set-up.  Each slice is read straight from the CSC storage of Z's columns
+for the coupled row set, so it costs what those columns hold and no scan of
+Z's rows.  When the rows of ``Z_i`` are independent, a QR factorization
+``Z_i^T = q r`` gives ``pinv(Z_i) = q r^-T`` and ``pinv(Z_i) Z_i = q q^T``
+without an SVD; a slice with dependent rows falls back to
+``np.linalg.pinv``.  Both routes use ``numpy.linalg`` only: a
+``scipy.linalg`` factorization here would start scipy's own BLAS thread
+pool, which contends with numpy's for the cores the consensus loop runs
+on.  Neither Z nor E is kept afterwards.  The maps of subsystems whose
 slices share a shape are stacked, and :func:`project_column` applies any
 :class:`ColumnProjector`, so one batched call projects a whole class.
 """
@@ -42,8 +50,10 @@ class ColumnProjector:
     ``gain = I - pinv(Z) @ Z`` (square, one row per coupled row) and
     ``offset = pinv(Z) @ rhs`` (one column per own column), where Z is the
     subsystem's slice of the stacked constraint and ``rhs`` the identity on
-    its own columns' time-0 rows; the pseudo-inverse is the SVD one.  A
-    shape class stacks its members' maps along a leading axis.
+    its own columns' time-0 rows; the pseudo-inverse comes from a QR
+    factorization of ``Z.T`` when Z's rows are independent, else from
+    ``np.linalg.pinv``.  A shape class stacks its members' maps along a
+    leading axis.
     """
 
     gain: np.ndarray
@@ -102,28 +112,43 @@ def assemble_feasibility_operator(
     each own column, so at build time every such row must be in the slice.
     A slice whose projection cannot meet its constraint (``Z @ offset`` off
     ``rhs`` beyond rounding: no response map within the locality obeys the
-    dynamics) raises ``ValueError``.  Each map is written into its class's
-    preallocated stacks, and the stacked constraint is dropped.
+    dynamics) raises ``ValueError``.  A slice's rows count as independent
+    when every ``|diag r|`` of the QR of its transpose exceeds ``1e-8`` of
+    the largest; other slices take ``np.linalg.pinv``.  Each map is written
+    into its class's preallocated stacks, and the stacked constraint is
+    dropped.
     """
     csc = stacked_constraint(model, index.horizon).tocsc()
+    col_nnz = np.diff(csc.indptr)
     shapes = [(sub.col_rows.size, sub.cols.size) for sub in index.subsystems]
     members = {sh: tuple(i for i, s in enumerate(shapes, 1) if s == sh) for sh in dict.fromkeys(shapes)}
     stacks = tuple(ColumnProjector(np.empty((len(v), m, m)), np.empty((len(v), m, c)))
                    for (m, c), v in members.items())
     slot = {i: (cls, s) for cls, ids in zip(stacks, members.values()) for s, i in enumerate(ids)}
     for sub in index.subsystems:
-        block = csc[:, sub.col_rows]
-        touched = np.flatnonzero(block.getnnz(axis=1))
-        z = block[touched].toarray()
+        # the slice, from the CSC storage of its columns alone
+        starts, counts = csc.indptr[sub.col_rows], col_nnz[sub.col_rows]
+        at = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        touched, row_at = np.unique(csc.indices[at], return_inverse=True)
+        z = np.zeros((touched.size, sub.col_rows.size))
+        z[row_at, np.repeat(np.arange(sub.col_rows.size), counts)] = csc.data[at]
         rhs = (touched[:, None] == sub.cols).astype(float)
         if not rhs.any(axis=0).all():
             raise ValueError(
                 f"subsystem {sub.sub_id}: constraint rows with nonzero rhs "
                 "fell outside the coupled row set"
             )
-        z_plus = np.linalg.pinv(z)
         cls, s = slot[sub.sub_id]
-        cls.offset[s] = z_plus @ rhs
+        q, r = np.linalg.qr(z.T)
+        diag = np.abs(np.diagonal(r))
+        if z.shape[0] <= z.shape[1] and diag.min() > 1e-8 * diag.max():
+            # independent rows: pinv(z) = q r^-T and pinv(z) z = q q^T
+            cls.offset[s] = q @ np.linalg.solve(r.T, rhs)
+            cls.gain[s] = np.eye(z.shape[1]) - q @ q.T
+        else:
+            z_plus = np.linalg.pinv(z)
+            cls.offset[s] = z_plus @ rhs
+            cls.gain[s] = np.eye(z.shape[1]) - z_plus @ z
         resid = float(np.max(np.abs(z @ cls.offset[s] - rhs)))
         if resid > 1e-8 * max(1.0, float(np.abs(z).max())):
             raise ValueError(
@@ -131,7 +156,6 @@ def assemble_feasibility_operator(
                 f"meets the dynamics over horizon T={index.horizon} "
                 f"(constraint residual {resid:.2e})"
             )
-        cls.gain[s] = np.eye(z.shape[1]) - z_plus @ z
     return FeasibilityOperator(stacks, tuple(members.values()))
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from numbers import Integral
 
 import numpy as np
 
@@ -35,6 +36,16 @@ def check_id(i: int, n_sub: int):
     """Raise IndexError unless ``i`` is a subsystem id of a network of ``n_sub``."""
     if not 1 <= i <= n_sub:
         raise IndexError(f"subsystem id {i} outside 1..{n_sub}")
+
+
+def check_int(name: str, value) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer.
+
+    numpy integers count; a bool does not.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_block_dict(blocks):

@@ -15,6 +15,9 @@ path depends on them:
   and recover the gain, the gain-response correspondence of System Level
   Synthesis (Anderson, Doyle, Low and Matni, Annual Reviews in Control,
   2019), which the controller never needs since it runs on the responses;
+* ``dense_constraint`` rebuilds the stacked dynamics constraint densely,
+  and ``reference_projectors`` derives every subsystem's column projector
+  from it with ``np.linalg.pinv``, keeping all constraint rows;
 * ``centralized_local_mpc`` solves the sparsity-constrained synthesis
   problem centrally with the interior-point QP solver, the diagnostic
   baseline the distributed engine is compared against at desk scale;
@@ -102,6 +105,42 @@ def kkt_residuals(p: RowProblem, sol: tuple) -> tuple:
     if np.isfinite(p.lo):
         comp = max(comp, abs(lam_lower * (prod - p.lo)))
     return stationarity, max(viol, 0.0), comp
+
+
+def dense_constraint(model: NetworkModel, horizon: int) -> np.ndarray:
+    """Independent dense construction of the dynamics constraint matrix.
+
+    Its right-hand side is the identity in the first n rows:
+    ``np.eye(rows, n)``.
+    """
+    n, p = model.n_states, model.n_inputs
+    a, b = model.full_a(), model.full_b()
+    rows = n * (horizon + 1)
+    cols = rows + p * horizon
+    z = np.zeros((rows, cols))
+    z[:n, :n] = np.eye(n)
+    for t in range(horizon):
+        r = slice((t + 1) * n, (t + 2) * n)
+        z[r, (t + 1) * n : (t + 2) * n] = np.eye(n)
+        z[r, t * n : (t + 1) * n] = -a
+        z[r, rows + t * p : rows + (t + 1) * p] = -b
+    return z
+
+
+def reference_projectors(model: NetworkModel, index: LocalityIndex) -> list:
+    """``(gain, offset)`` of each subsystem's column projector, in id order.
+
+    Built from :func:`dense_constraint` with ``np.linalg.pinv`` on all of the
+    subsystem's columns: rows that miss them are zero and change neither map.
+    """
+    z = dense_constraint(model, index.horizon)
+    identity = np.eye(z.shape[0], model.n_states)
+    maps = []
+    for sub in index.subsystems:
+        z_i = z[:, sub.col_rows]
+        z_plus = np.linalg.pinv(z_i)
+        maps.append((np.eye(sub.col_rows.size) - z_plus @ z_i, z_plus @ identity[:, sub.cols]))
+    return maps
 
 
 def _check_controller_shape(model: NetworkModel, k: np.ndarray, horizon: int):

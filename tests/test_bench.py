@@ -82,6 +82,21 @@ class TestChainBuilder:
         with pytest.raises(ValueError, match="bound_component -1 out of range"):
             build_scenario(ScenarioConfig(n_subsystems=3, bound_component=-1))
 
+    def test_integer_settings_must_be_integers(self):
+        for name, value in (("n_subsystems", 3.0), ("horizon", 2.5), ("locality", 1.5),
+                            ("bound_component", 1.0), ("seed", 1.5), ("sim_steps", True)):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+                ScenarioConfig(**{"n_subsystems": 3, name: value})
+        # numpy integers are integers, and are stored as ints
+        cfg = ScenarioConfig(n_subsystems=np.int64(3), horizon=np.int32(2), sim_steps=2)
+        assert (type(cfg.n_subsystems), type(cfg.horizon)) == (int, int)
+        sc = build_scenario(cfg)
+        with pytest.raises(ValueError, match=r"^max_iterations must be an integer, got 2\.5$"):
+            sc.make_engine(max_iterations=2.5)
+        with pytest.raises(ValueError, match=r"^sim_steps must be an integer, got 1\.7$"):
+            run_closed_loop(sc, sim_steps=1.7)
+        assert len(run_closed_loop(sc, sim_steps=np.int64(1)).steps) == 1
+
     def test_rejects_mismatched_model(self):
         with pytest.raises(ValueError):
             build_scenario(

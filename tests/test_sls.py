@@ -3,8 +3,9 @@
 The responses of causal gains come from ``oracles``: the controller runs
 on the response maps and never forms a gain.
 
-The projection oracle here is built from scratch (block KKT system solved
-densely) so it shares no code with the package's pseudo-inverse route.
+The projection oracles here are built from scratch (block KKT system solved
+densely, and ``oracles.reference_projectors``' pseudo-inverse of the dense
+constraint) so they share no code with the package's QR route.
 """
 import dataclasses
 
@@ -18,11 +19,14 @@ from dlmpc import (
     build_graph,
     build_locality_index,
     project_column,
+    sls,
     stacked_constraint,
 )
 from oracles import (
     controller_from_response,
+    dense_constraint,
     full_response_from_controller,
+    reference_projectors,
     response_from_controller,
 )
 
@@ -34,26 +38,6 @@ def scalar_model(a=0.5, b=2.0):
         a_blocks={(1, 1): np.array([[a]])},
         b_blocks={(1, 1): np.array([[b]])},
     )
-
-
-def dense_constraint(model, horizon):
-    """Independent dense construction of the dynamics constraint matrix.
-
-    Its right-hand side is the identity in the first n rows:
-    ``np.eye(rows, n)``.
-    """
-    n, p = model.n_states, model.n_inputs
-    a, b = model.full_a(), model.full_b()
-    rows = n * (horizon + 1)
-    cols = rows + p * horizon
-    z = np.zeros((rows, cols))
-    z[:n, :n] = np.eye(n)
-    for t in range(horizon):
-        r = slice((t + 1) * n, (t + 2) * n)
-        z[r, (t + 1) * n : (t + 2) * n] = np.eye(n)
-        z[r, t * n : (t + 1) * n] = -a
-        z[r, rows + t * p : rows + (t + 1) * p] = -b
-    return z
 
 
 def array_bytes(obj, seen=None) -> int:
@@ -221,6 +205,19 @@ class TestColumnProjection:
         with pytest.raises(ValueError, match=rf"subsystem \d+: .* d={d} .* T={horizon} \(constraint residual"):
             build_operator(cross_fed_chain_model, d, horizon)
 
+    def test_slice_with_more_rows_than_columns_is_named(self):
+        # an unactuated hub feeding two unactuated leaves: at d=0 the hub's
+        # slice has 4 constraint rows on 2 columns, which no QR route solves
+        eye, half = np.array([[1.0]]), np.array([[0.5]])
+        model = NetworkModel(
+            state_dims=(1, 1, 1),
+            input_dims=(0, 0, 0),
+            a_blocks={(1, 1): eye, (2, 2): eye, (3, 3): eye, (2, 1): half, (3, 1): half},
+            b_blocks={},
+        )
+        with pytest.raises(ValueError, match=r"^subsystem 1: .* d=0 .* T=1 \(constraint residual"):
+            build_operator(model, d=0, horizon=1)
+
     @pytest.mark.parametrize("d,horizon", [(1, 1), (2, 1), (2, 3), (2, 5)])
     def test_builds_where_the_locality_meets_the_dynamics(self, cross_fed_chain_model, d, horizon):
         index, op = build_operator(cross_fed_chain_model, d, horizon)
@@ -229,6 +226,34 @@ class TestColumnProjection:
         for sub in index.subsystems:
             offset = op.projector(sub.sub_id).offset
             np.testing.assert_allclose(z[:, sub.col_rows] @ offset, identity[:, sub.cols], atol=1e-10)
+
+    @pytest.mark.parametrize("model,d,horizon", [
+        ("chain8", 1, 5), ("chain8", 2, 5), ("six_node_model", 1, 3),
+        ("cross_fed_chain_model", 2, 1), ("cross_fed_chain_model", 2, 3), ("cross_fed_chain_model", 2, 5),
+    ])
+    def test_projectors_match_the_pinv_reference(self, request, model, d, horizon):
+        # the chain and six-node slices have independent rows (QR route),
+        # every cross-fed one dependent rows (pinv route)
+        model = build_chain_model(8) if model == "chain8" else request.getfixturevalue(model)
+        index, op = build_operator(model, d, horizon)
+        for sub, (gain, offset) in zip(index.subsystems, reference_projectors(model, index)):
+            proj = op.projector(sub.sub_id)
+            np.testing.assert_allclose(proj.gain, gain, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(proj.offset, offset, rtol=0, atol=1e-12)
+
+    def test_independent_slices_take_no_svd(self, monkeypatch, cross_fed_chain_model):
+        class SvdCalled(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise SvdCalled
+
+        for name in ("svd", "pinv"):
+            monkeypatch.setattr(sls.np.linalg, name, refuse)
+        build_operator(build_chain_model(8), d=1, horizon=5)
+        # a slice with dependent rows takes the pseudo-inverse
+        with pytest.raises(SvdCalled):
+            build_operator(cross_fed_chain_model, d=2, horizon=3)
 
     def test_operator_stores_each_projector_once(self, cross_fed_chain_model):
         # the per-subsystem maps are views into the class stacks, and nothing
