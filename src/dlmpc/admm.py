@@ -11,32 +11,32 @@ response map:
 * multiplier    -- scaled dual ascent on the disagreement between the
                    relaxed row iterate alpha*phi + (1-alpha)*psi_prev and psi.
 
-The column step projects the same relaxed iterate (over-relaxation, Boyd et
-al. 2011, section 3.4.3), and the network-wide residual check rebalances rho
-by powers of two, rescaling lambda with it (section 3.4.1).  Every step
-starts at the engine's rho; the stopping test is ||phi - psi|| <= eps_primal
-and ||psi - psi_prev|| <= eps_dual whatever rho has become.
+The column step projects the same relaxed iterate plus lambda
+(over-relaxation, Boyd et al. 2011, section 3.4.3), and the network-wide
+residual check rebalances rho by powers of two, rescaling lambda with it
+(section 3.4.1).  Every step starts at the engine's rho; the stopping test
+is ||phi - psi|| <= eps_primal and ||psi - psi_prev|| <= eps_dual whatever
+rho has become.
 
 Once rho has held for ``SETTLE`` iterations, psi and lambda take Nesterov
 momentum (fast ADMM, Goldstein et al. 2014, Alg. 8): the next row step reads
-psi_hat = psi + beta (psi - psi_prev) and lambda_hat likewise, both buffers
-by one expression.  The momentum restarts (O'Donoghue and Candes 2015) when
-the network-wide max of ||lambda - lambda_hat||^2 + ||psi - psi_hat||^2
-fails to shrink by ``ETA``; it keeps the fresh iterate.  The momentum weight
-a stops growing at ``A_MAX``: uncapped, beta nears 1, the iterate overshoots,
-and whether the restart or a rho change catches the overshoot first hinges
-on a 1e-3 change of x0, so the iteration count of one step jumps between
-about 65 and 115 on the active-box chain.  A rho change or a new step
-disarms it, and the stopping test reads the true psi_prev.
+psi_hat = psi + beta (psi - psi_prev) and lambda_hat likewise.  The momentum
+restarts (O'Donoghue and Candes 2015) when the network-wide max of
+||lambda - lambda_hat||^2 + ||psi - psi_hat||^2 fails to shrink by ``ETA``;
+it keeps the fresh iterate.  The momentum weight a stops growing at
+``A_MAX``: uncapped, beta nears 1, the iterate overshoots, and whether the
+restart or a rho change catches the overshoot first hinges on a 1e-3 change
+of x0, so the iteration count of one step jumps between about 65 and 115 on
+the active-box chain.  A rho change or a new step disarms it, and the
+stopping test reads the true psi_prev.
 
-Between the row and column steps the subsystems trade blocks so that every
-working matrix is a consistent view of one global (phi, psi, lambda) triple.
-The state lives in two flat buffers, one for the row partitions and one for
-the column partitions, each subsystem's blocks contiguous in subsystem-id
-order; the per-subsystem matrices are views into them, written in place.
-Since the entries two partitions share are fixed by the locality sets, each
-exchange is one gather of precomputed flat positions, and the multiplier
-step is one array update per buffer.
+The row partitions hold the one copy of (phi, psi, lambda); the column
+partitions hold only the column step's target (the relaxed phi plus lambda),
+which row owners send, and its psi, which column owners send back.  Each
+lives in a flat buffer, subsystem blocks contiguous in subsystem-id order,
+the per-subsystem matrices views into it.  Every column-buffer entry has one
+row-buffer source, fixed by the locality sets, so one index array is the
+whole exchange plan, and the multiplier step is one row-buffer update.
 All exchanges stay inside bounded graph neighborhoods: measurements and
 column blocks travel to at most (d+1)-hop outgoing neighbors, row blocks to
 at most (d+1)-hop incoming neighbors (input rows couple columns d+1 hops
@@ -96,7 +96,10 @@ class Phase(Enum):
 
 @dataclass(frozen=True)
 class ExchangePacket:
-    """One directed message: who sent what slice to whom, in which phase."""
+    """One directed message: who sent what slice to whom, in which phase.
+
+    A ``ROW_BLOCKS`` payload is a slice of the column step's target, a ``COLUMN_BLOCKS`` one of psi.
+    """
 
     sender: int
     receiver: int
@@ -120,18 +123,18 @@ def packet_within_locality(packet: ExchangePacket, index: LocalityIndex) -> bool
 
 @dataclass
 class AdmmState:
-    """Per-subsystem row and column partitions of (phi, psi, lambda).
+    """Per-subsystem row partitions of (phi, psi, lambda) and the column step's workspace.
 
     ``rows`` (shape ``(4, R)``) holds phi, psi, lambda and the previous psi
-    of the row partitions, ``cols`` (shape ``(4, C)``) phi, psi, lambda and
-    the relaxed phi (``ALPHA * phi + (1 - ALPHA) * psi_prev``, the column
-    step's input) of the column partitions; each subsystem's block sits
-    contiguously, in C order and subsystem-id order.  ``phi_r`` ...
-    ``lam_c`` are tuples of reshaped views into those buffers,
-    so blocks are written in place and cannot be rebound.  ``rho`` is the
-    current penalty, by which lambda is scaled.  Row blocks have shape
-    (len(rows), len(row_cols)), column blocks (len(col_rows), len(cols)).
-    After each exchange phase the two partitions agree on every shared entry.
+    of the row partitions, the only copy of the iterate; ``cols`` (shape
+    ``(2, C)``) holds the column partitions' target
+    (``ALPHA * phi + (1 - ALPHA) * psi_prev + lambda``, the column step's
+    input) and psi (its output).  Each subsystem's block sits contiguously,
+    in C order and subsystem-id order.  ``phi_r``, ``psi_r``, ``lam_r`` and
+    ``psi_c`` are tuples of reshaped views into those buffers, so blocks are
+    written in place and cannot be rebound.  ``rho`` is the current penalty,
+    by which lambda is scaled.  Row blocks have shape (len(rows),
+    len(row_cols)), column blocks (len(col_rows), len(cols)).
     ``x0`` is the measured state, ``packets`` the step's recorded
     :class:`ExchangePacket` list (None unless recording), and ``step_rows``,
     built by :meth:`DlmpcEngine.measure` once per MPC step, each subsystem's
@@ -140,7 +143,7 @@ class AdmmState:
     ``residual_history`` holds one (max primal, max dual) pair per iteration,
     and ``per_sub_seconds`` each subsystem's time on this state.
     ``held`` counts the iterations since rho last moved.  Once momentum arms,
-    ``prev`` holds the last true (psi, lambda) of both buffers, ``nesterov``
+    ``prev`` holds the last true (psi, lambda) of the row buffer, ``nesterov``
     the momentum weight a, ``gap`` and ``new_gap`` the last two restart
     quantities; ``extrapolated`` and ``restarts`` count its steps.
     """
@@ -150,9 +153,7 @@ class AdmmState:
     phi_r: tuple
     psi_r: tuple
     lam_r: tuple
-    phi_c: tuple
     psi_c: tuple
-    lam_c: tuple
     rho: float
     iteration: int = 0
     primal: np.ndarray | None = None
@@ -164,7 +165,7 @@ class AdmmState:
     packets: list | None = None
     per_sub_seconds: np.ndarray | None = None
     held: int = 0
-    prev: tuple | None = None
+    prev: np.ndarray | None = None
     nesterov: float = 1.0
     gap: float = np.inf
     new_gap: float = np.inf
@@ -176,18 +177,20 @@ class AdmmState:
 class StepResult:
     """Converged MPC step: the applied input and the state it came from.
 
-    The residual history and per-subsystem times live on ``state``.
+    The iteration count, measured state and packets are read-only views of
+    ``state``, which also holds the residual history and per-subsystem times.
     """
 
     u: np.ndarray
-    iterations: int
     state: AdmmState
-    x0: np.ndarray
-    packets: list | None = None
+
+    iterations = property(lambda self: self.state.iteration)
+    x0 = property(lambda self: self.state.x0)
+    packets = property(lambda self: self.state.packets)
 
 
 def _relaxed(phi: np.ndarray, psi_prev: np.ndarray) -> np.ndarray:
-    """The over-relaxed row iterate; both buffers evaluate this one expression."""
+    """The over-relaxed row iterate, which the column step and the multiplier read."""
     return ALPHA * phi + (1.0 - ALPHA) * psi_prev
 
 
@@ -260,6 +263,8 @@ class DlmpcEngine:
         max_iterations = check_int("max_iterations", max_iterations)
         if max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+        if not isinstance(row_solver, RowSolverKind):
+            raise ValueError(f"row_solver must be one of {list(RowSolverKind)}, got {row_solver!r}")
         self.model = model
         self.index = index
         self.op = op
@@ -301,7 +306,7 @@ class DlmpcEngine:
         self._offsets = {
             k: np.concatenate(([0], np.cumsum([a * b for a, b in v]))) for k, v in self._shapes.items()
         }
-        self._src, self._dst, self._pairs = self._build_exchange_plan()
+        self._src, self._pairs = self._build_exchange_plan()
         # each shape class's column blocks in member order, one slice if consecutive
         self._class_at = []
         for cls, ids in zip(op.classes, op.members):
@@ -309,16 +314,17 @@ class DlmpcEngine:
             self._class_at.append(slice(at[0], at[-1] + 1) if at[-1] + 1 - at[0] == at.size else at)
 
     def _build_exchange_plan(self):
-        """Flat positions of the entries the row and column buffers share.
+        """Row-buffer source of every column-buffer entry.
 
         For every column owner i and row owner k in its (d+1)-hop out-set,
         k shares the rows whose ``row_mask`` reaches i's columns.  Returns
-        ``src`` into the row buffer, ``dst`` into the column buffer and one
-        ``(k, i, start, stop, global rows, global cols)`` record per pair,
-        naming its segment of ``src`` and ``dst``.
+        ``src``, the row-buffer position of each column-buffer entry in
+        column-buffer order, and one ``(k, i, column-buffer positions, global
+        rows, global cols)`` record per pair.  Each global row has one owner,
+        so no entry has two sources; one with none raises RuntimeError.
         """
         index, off_r, off_c = self.index, self._offsets["r"], self._offsets["c"]
-        src, dst, pairs, start = [], [], [], 0
+        src, pairs = np.full(off_c[-1], -1), []
         for sub_i in index.subsystems:  # column owner
             i = sub_i.sub_id
             for k in sorted(index.out_sets_ext[i - 1]):
@@ -330,11 +336,12 @@ class DlmpcEngine:
                 global_rows = sub_k.rows[src_rows]
                 dst_rows = np.searchsorted(sub_i.col_rows, global_rows)
                 width_k, width_i = sub_k.row_cols.size, sub_i.cols.size
-                src.append((off_r[k - 1] + src_rows[:, None] * width_k + src_cols).ravel())
-                dst.append((off_c[i - 1] + dst_rows[:, None] * width_i + np.arange(width_i)).ravel())
-                pairs.append((k, i, start, start + src[-1].size, global_rows, sub_i.cols))
-                start += src[-1].size
-        return np.concatenate(src), np.concatenate(dst), pairs
+                dst = (off_c[i - 1] + dst_rows[:, None] * width_i + np.arange(width_i)).ravel()
+                src[dst] = (off_r[k - 1] + src_rows[:, None] * width_k + src_cols).ravel()
+                pairs.append((k, i, dst, global_rows, sub_i.cols))
+        if np.any(src < 0):
+            raise RuntimeError("a column-buffer entry has no row-buffer source")
+        return src, pairs
 
     # -- state management ---------------------------------------------------
 
@@ -348,34 +355,31 @@ class DlmpcEngine:
         """
         shapes, offsets = self._shapes, self._offsets
         n_sub = len(self.index.subsystems)
+        cols = np.zeros((2, offsets["c"][-1]))  # the column step's workspace
         if warm is None:
-            rows, cols = np.zeros((4, offsets["r"][-1])), np.zeros((4, offsets["c"][-1]))
+            rows = np.zeros((4, offsets["r"][-1]))
         else:
-            # the other blocks are views of the same two buffers, in these shapes
-            blocks = {"phi_r": warm.phi_r, "phi_c": warm.phi_c}
-            for i in range(max(n_sub, len(warm.phi_r), len(warm.phi_c))):
-                for name, mats in blocks.items():
-                    want = shapes[name[-1]][i] if i < n_sub else "no block"
-                    got = np.shape(mats[i]) if i < len(mats) else "no block"
-                    if got != want:
-                        raise ValueError(
-                            f"warm_state does not fit this engine: subsystem {i + 1} "
-                            f"{name} has {got}, expected {want}"
-                        )
-            rows, cols = warm.rows.copy(), warm.cols.copy()
+            # psi_r and lam_r are views of the same buffer, in these shapes
+            for i in range(max(n_sub, len(warm.phi_r))):
+                want = shapes["r"][i] if i < n_sub else "no block"
+                got = np.shape(warm.phi_r[i]) if i < len(warm.phi_r) else "no block"
+                if got != want:
+                    raise ValueError(
+                        f"warm_state does not fit this engine: subsystem {i + 1} "
+                        f"phi_r has {got}, expected {want}"
+                    )
+            rows = warm.rows.copy()
             # exact for a state of this engine: rho moves by powers of two
-            scale = warm.rho / self.rho
-            rows[2] *= scale
-            cols[2] *= scale
-
-        def views(flat, k):
-            off = offsets[k]
-            return tuple(flat[a:b].reshape(s) for a, b, s in zip(off, off[1:], shapes[k]))
-
+            rows[2] *= warm.rho / self.rho
         return AdmmState(
-            rows, cols, *(views(m, "r") for m in rows[:3]), *(views(m, "c") for m in cols[:3]),
+            rows, cols, *(self._views(m, "r") for m in rows[:3]), self._views(cols[1], "c"),
             rho=self.rho, per_sub_seconds=np.zeros(n_sub),
         )
+
+    def _views(self, flat: np.ndarray, k: str) -> tuple:
+        """Per-subsystem block views of one flat array of the row (``k="r"``) or column (``"c"``) layout."""
+        off = self._offsets[k]
+        return tuple(flat[a:b].reshape(s) for a, b, s in zip(off, off[1:], self._shapes[k]))
 
     # -- per-subsystem updates ----------------------------------------------
 
@@ -421,18 +425,17 @@ class DlmpcEngine:
         state.phi_r[i - 1][...] = a
 
     def column_step(self, state: AdmmState):
-        """Project every relaxed column slice onto the dynamics constraint, by shape class."""
-        v = state.cols[3] + state.cols[2]
+        """Project every column slice's target onto the dynamics constraint, by shape class."""
+        target, psi = state.cols
         for cls, at in zip(self.op.classes, self._class_at):
-            state.cols[1][at] = project_column(cls, v[at].reshape(cls.offset.shape)).ravel()
+            psi[at] = project_column(cls, target[at].reshape(cls.offset.shape)).ravel()
 
     def multiplier_step(self, state: AdmmState):
-        """Scaled dual update on both buffers plus per-subsystem residuals."""
-        rows, cols = state.rows, state.cols
+        """Scaled dual update on the row buffer plus per-subsystem residuals."""
+        rows = state.rows
         primal = rows[0] - rows[1]
         step = _relaxed(rows[0], rows[3]) - rows[1]  # lambda - lambda_hat
         rows[2] += step
-        cols[2] += cols[3] - cols[1]
         # one segment per subsystem; reduceat misreads empty segments, but no
         # row block is empty (every subsystem has a state and its T+1 rows)
         starts = self._offsets["r"][:-1]
@@ -442,7 +445,7 @@ class DlmpcEngine:
         if state.prev is None:
             state.dual = norms(moved)
         else:  # rows[3] is psi_hat; the dual residual reads the true psi_prev
-            state.dual = norms(rows[1] - state.prev[0][0])
+            state.dual = norms(rows[1] - state.prev[0])
             state.new_gap = float(np.add.reduceat(step * step + moved * moved, starts).max())
 
     def check_convergence(self, state: AdmmState) -> bool:
@@ -466,7 +469,6 @@ class DlmpcEngine:
             return False
         state.rho *= factor
         state.rows[2] /= factor
-        state.cols[2] /= factor
         state.held, state.prev = 0, None
         return False
 
@@ -481,9 +483,9 @@ class DlmpcEngine:
         state.held += 1
         if state.held < SETTLE:
             return
-        fresh = state.rows[1:3], state.cols[1:3]
+        fresh = state.rows[1:3]
         if state.prev is None:
-            state.prev = tuple(m.copy() for m in fresh)
+            state.prev = fresh.copy()
             state.nesterov, state.gap = 1.0, np.inf
         else:
             beta, a = 0.0, state.nesterov
@@ -495,35 +497,32 @@ class DlmpcEngine:
                 state.restarts += 1
             state.gap = state.new_gap
             state.extrapolated += beta > 0.0
-            # one expression in one order on both buffers keeps them bitwise equal
-            for cur, old in zip(fresh, state.prev):
-                diff = cur - old
-                old[...] = cur
-                cur += beta * diff
+            diff = fresh - state.prev
+            state.prev[...] = fresh
+            fresh += beta * diff
 
     # -- exchanges ------------------------------------------------------------
 
     def exchange_rows(self, state: AdmmState):
-        """Row owners send their freshly solved blocks to column owners."""
-        sent = state.rows[0][self._src]
-        cols = state.cols
-        cols[0][self._dst] = sent
-        cols[3] = _relaxed(cols[0], cols[1])  # psi is still the previous one
-        self._record(state, Phase.ROW_BLOCKS, sent)
+        """Row owners send the column step's target to column owners."""
+        rows = state.rows
+        target = _relaxed(rows[0], rows[1]) + rows[2]  # psi is still the previous one
+        state.cols[0] = target[self._src]
+        self._record(state, Phase.ROW_BLOCKS)
 
     def exchange_columns(self, state: AdmmState):
         """Column owners send projected blocks back to row owners."""
         state.rows[3] = state.rows[1]
-        sent = state.cols[1][self._dst]
-        state.rows[1][self._src] = sent
-        self._record(state, Phase.COLUMN_BLOCKS, sent)
+        state.rows[1][self._src] = state.cols[1]
+        self._record(state, Phase.COLUMN_BLOCKS)
 
-    def _record(self, state: AdmmState, phase: Phase, sent: np.ndarray):
+    def _record(self, state: AdmmState, phase: Phase):
         if state.packets is None:
             return
-        for k, i, a, b, rows, cols in self._pairs:
+        sent = state.cols[0] if phase is Phase.ROW_BLOCKS else state.cols[1]
+        for k, i, at, rows, cols in self._pairs:
             sender, receiver = (k, i) if phase is Phase.ROW_BLOCKS else (i, k)
-            payload = sent[a:b].reshape(rows.size, cols.size)
+            payload = sent[at].reshape(rows.size, cols.size)
             state.packets.append(ExchangePacket(sender, receiver, phase, rows, cols, payload))
 
     # -- instrumentation ------------------------------------------------------
@@ -536,9 +535,9 @@ class DlmpcEngine:
             out[np.ix_(sub.rows, sub.row_cols)] = mat
         return out
 
-    def assemble_from_cols(self, state: AdmmState, which: str = "phi") -> np.ndarray:
-        """Global stacked matrix gathered from the column partitions."""
-        mats = {"phi": state.phi_c, "psi": state.psi_c, "lambda": state.lam_c}[which]
+    def assemble_from_cols(self, state: AdmmState, which: str = "psi") -> np.ndarray:
+        """Global stacked matrix gathered from the column partitions' psi or target."""
+        mats = self._views(state.cols[{"target": 0, "psi": 1}[which]], "c")
         out = np.zeros((self.index.n_rows, self.index.n_states))
         for sub, mat in zip(self.index.subsystems, mats):
             out[np.ix_(sub.col_rows, sub.cols)] = mat
@@ -614,4 +613,4 @@ class DlmpcEngine:
 
         # inputs are numbered contiguously in subsystem-id order
         u = np.concatenate(self._each(state, self.extract_control))
-        return StepResult(u=u, iterations=state.iteration, state=state, x0=x0, packets=state.packets)
+        return StepResult(u=u, state=state)

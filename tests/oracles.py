@@ -23,7 +23,9 @@ path depends on them:
   baseline the distributed engine is compared against at desk scale;
 * ``check_masks`` asserts exact zeros off a global locality mask built
   outside the engine, and ``sample_masks`` runs it inside the consensus
-  loop at every k-th iteration.
+  loop at every k-th iteration;
+* ``column_blocks`` cuts a row of the column buffer into per-subsystem
+  blocks, as the ``psi_c`` views cut psi.
 """
 from __future__ import annotations
 
@@ -294,19 +296,28 @@ def centralized_local_mpc(
     return {"phi": phi, "cost": cost, "status": res.status, "iterations": res.iterations}
 
 
+def column_blocks(state, k: int) -> list:
+    """Row ``k`` of ``state.cols`` (0 the target, 1 psi) as per-subsystem blocks."""
+    ends = np.cumsum([m.size for m in state.psi_c])
+    return [flat.reshape(m.shape) for flat, m in zip(np.split(state.cols[k], ends[:-1]), state.psi_c)]
+
+
 def check_masks(engine, state, mask: np.ndarray):
-    """Raise AssertionError if phi, psi or lambda is nonzero off ``mask``.
+    """Raise AssertionError if an entry of the iterate is nonzero off ``mask``.
 
     ``mask`` is the global ``(n_rows, n)`` locality pattern; each block of
-    both partitions is compared with its slice of it.
+    phi, psi and lambda of the row partitions, and of the target and psi of
+    the column partitions, is compared with its slice of it.
     """
+    row_blocks = (("phi", state.phi_r), ("psi", state.psi_r), ("lambda", state.lam_r))
+    col_blocks = (("target", column_blocks(state, 0)), ("psi", column_blocks(state, 1)))
     for sub in engine.index.subsystems:
         for side, rows, cols, blocks in (
-            ("row", sub.rows, sub.row_cols, (state.phi_r, state.psi_r, state.lam_r)),
-            ("column", sub.col_rows, sub.cols, (state.phi_c, state.psi_c, state.lam_c)),
+            ("row", sub.rows, sub.row_cols, row_blocks),
+            ("column", sub.col_rows, sub.cols, col_blocks),
         ):
             off = ~mask[np.ix_(rows, cols)]
-            for which, mats in zip(("phi", "psi", "lambda"), blocks):
+            for which, mats in blocks:
                 bad = np.argwhere((mats[sub.sub_id - 1] != 0.0) & off)
                 if bad.size:
                     r, c = bad[0]

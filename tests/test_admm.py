@@ -31,6 +31,7 @@ from oracles import (
     RowProblem,
     centralized_local_mpc,
     check_masks,
+    column_blocks,
     sample_masks,
     solve_row,
     solve_rows,
@@ -47,11 +48,38 @@ def small_scenario(**overrides):
     return build_scenario(ScenarioConfig(**{**defaults, **overrides}))
 
 
+def input_free_chain() -> NetworkModel:
+    """The 4-node chain with subsystem 2's input taken away."""
+    chain = build_chain_model(4)
+    return NetworkModel(
+        state_dims=chain.state_dims,
+        input_dims=(1, 0, 1, 1),
+        a_blocks=chain.a_blocks,
+        b_blocks={k: b for k, b in chain.b_blocks.items() if k != (2, 2)},
+    )
+
+
 class TestEngineBasics:
     def test_rejects_bad_rho(self):
         sc = small_scenario()
         with pytest.raises(ValueError):
             sc.make_engine(rho=0.0)
+
+    @pytest.mark.parametrize("kind", ["explicit", "bogus", None])
+    def test_rejects_a_row_solver_that_is_not_a_kind(self, kind):
+        # the string "explicit" once ran the QP route, since only the member is EXPLICIT
+        sc = small_scenario()
+        with pytest.raises(ValueError, match=r"row_solver must be one of \[<RowSolverKind\.EXPLICIT"):
+            sc.make_engine(row_solver=kind)
+
+    def test_step_result_reads_its_state(self):
+        sc = small_scenario()
+        res = sc.make_engine(record_packets=True).solve_step(sc.initial_state())
+        assert [f.name for f in dataclasses.fields(res)] == ["u", "state"]
+        assert res.iterations == res.state.iteration > 0
+        assert res.x0 is res.state.x0 and res.packets is res.state.packets
+        with pytest.raises(AttributeError):
+            res.iterations = 0
 
     def test_rejects_wrong_x0_size(self):
         sc = small_scenario()
@@ -191,12 +219,10 @@ class TestColumnPhase:
     def test_classes_equal_per_subsystem_projection_bitwise(self, cross_fed):
         engine = cross_fed.make_engine()
         state = engine.init_state()
-        state.cols[2:] = np.random.default_rng(4).normal(size=state.cols[2:].shape)
-        hat_plus_lam = state.cols[3] + state.cols[2]
+        state.cols[0] = np.random.default_rng(4).normal(size=state.cols[0].shape)
         engine.column_step(state)
-        state.cols[2] = hat_plus_lam  # so that the lam_c views read each block's input
-        for i in range(1, 7):
-            want = admm.project_column(cross_fed.op.projector(i), state.lam_c[i - 1])
+        for i, target in enumerate(column_blocks(state, 0), start=1):
+            want = admm.project_column(cross_fed.op.projector(i), target)
             np.testing.assert_array_equal(state.psi_c[i - 1], want)
 
     def test_project_column_runs_once_per_class_per_iteration(self, cross_fed, monkeypatch):
@@ -213,20 +239,48 @@ class TestExchanges:
             engine = sc.make_engine()
             state = engine.solve_step(sc.initial_state()).state
             assert (state.extrapolated > 0) == armed
-            # after a converged step the two views describe one global matrix
-            phi_rows = engine.assemble_from_rows(state, "phi")
-            phi_cols = engine.assemble_from_cols(state, "phi")
+            # after a converged step the row partitions hold the psi the
+            # column partitions projected, bit for bit on every shared entry
             mask = reference_mask(sc.model, sc.graph, sc.config.locality, sc.config.horizon)
-            np.testing.assert_array_equal(phi_rows[mask], phi_cols[mask])
-            assert not phi_rows[~mask].any()
-            assert not phi_cols[~mask].any()
-            # both buffers update psi and the multipliers by one expression
-            # in one order, so they agree bit for bit on every shared entry
-            for which in ("psi", "lambda"):
-                got_rows = engine.assemble_from_rows(state, which)
-                got_cols = engine.assemble_from_cols(state, which)
-                assert np.any(got_rows[mask])
-                np.testing.assert_array_equal(got_rows[mask], got_cols[mask])
+            psi_rows = engine.assemble_from_rows(state, "psi")
+            psi_cols = engine.assemble_from_cols(state, "psi")
+            assert np.any(psi_rows[mask])
+            np.testing.assert_array_equal(psi_rows[mask], psi_cols[mask])
+            for which in ("phi", "psi", "lambda"):
+                assert not engine.assemble_from_rows(state, which)[~mask].any()
+            for which in ("target", "psi"):
+                assert not engine.assemble_from_cols(state, which)[~mask].any()
+
+    @pytest.mark.parametrize(
+        "model, d, horizon",
+        [("chain", d, 3) for d in range(4)]
+        + [("six", 1, 3), ("six", 2, 3)]
+        + [("cross-fed", 2, t) for t in (1, 3, 5)]
+        + [("input-free", 1, 3), ("input-free", 2, 3)],
+    )
+    def test_every_column_entry_has_one_row_source(
+        self, model, d, horizon, reference_mask, six_node_model, cross_fed_chain_model
+    ):
+        # the exchange plan is one index array into the row buffer; that needs
+        # the column partitions to hold exactly the mask's entries, each held
+        # by exactly one row partition, which the index must name
+        model = {"chain": build_chain_model(6), "six": six_node_model,
+                 "cross-fed": cross_fed_chain_model, "input-free": input_free_chain()}[model]
+        sc = build_scenario(ScenarioConfig(model.n_subsystems, horizon=horizon, locality=d), model=model)
+        engine, n = sc.make_engine(), model.n_states
+        state = engine.init_state()
+
+        def keys(pairs):  # flat global positions, in buffer order
+            return np.concatenate([(rows[:, None] * n + cols).ravel() for rows, cols in pairs])
+
+        subs = sc.index.subsystems
+        row_keys = keys((s.rows, s.row_cols) for s in subs)
+        col_keys = keys((s.col_rows, s.cols) for s in subs)
+        assert (row_keys.size, col_keys.size) == (state.rows.shape[1], state.cols.shape[1])
+        on_mask = reference_mask(model, sc.graph, d, horizon).ravel()
+        np.testing.assert_array_equal(np.sort(col_keys), np.flatnonzero(on_mask))
+        assert np.unique(row_keys).size == row_keys.size  # no entry sits in two row partitions
+        np.testing.assert_array_equal(row_keys[engine._src], col_keys)
 
     def test_packets_respect_locality(self):
         sc = small_scenario()
@@ -241,14 +295,8 @@ class TestExchanges:
     @pytest.mark.parametrize("row_solver", list(RowSolverKind))
     @pytest.mark.parametrize("d", [1, 2])
     def test_input_free_subsystem(self, d, row_solver):
-        chain = build_chain_model(4)
-        model = NetworkModel(
-            state_dims=chain.state_dims,
-            input_dims=(1, 0, 1, 1),
-            a_blocks=chain.a_blocks,
-            b_blocks={k: b for k, b in chain.b_blocks.items() if k != (2, 2)},
-        )
-        sc = build_scenario(ScenarioConfig(n_subsystems=4, horizon=3, locality=d, seed=3), model=model)
+        sc = build_scenario(ScenarioConfig(n_subsystems=4, horizon=3, locality=d, seed=3),
+                            model=input_free_chain())
         res = sc.make_engine(row_solver=row_solver, record_packets=True).solve_step(sc.initial_state())
         assert res.state.converged
         assert res.u.shape == (3,)
@@ -276,11 +324,20 @@ class TestExchanges:
         # a warm start makes the first row step's blocks nonzero
         warm = sc.make_engine().solve_step(x0).state
         engine = sc.make_engine(record_packets=True, eps_primal=1e300, eps_dual=1e300)
+        # the column step's target, assembled from the row partitions it was sent from
+        targets, column_step = [], engine.column_step
+
+        def capture(state):
+            phi, psi, lam = (engine.assemble_from_rows(state, w) for w in ("phi", "psi", "lambda"))
+            targets.append(admm.ALPHA * phi + (1.0 - admm.ALPHA) * psi + lam)
+            column_step(state)
+
+        engine.column_step = capture
         res = engine.solve_step(x0, warm_state=warm)
         assert res.iterations == 1
         mask = reference_mask(sc.model, sc.graph, sc.config.locality, sc.config.horizon)
         for phase, want in (
-            (Phase.ROW_BLOCKS, engine.assemble_from_rows(res.state, "phi")),
+            (Phase.ROW_BLOCKS, targets[0]),
             (Phase.COLUMN_BLOCKS, engine.assemble_from_cols(res.state, "psi")),
         ):
             got = np.full(want.shape, np.nan)  # an entry no packet carries stays nan
@@ -432,9 +489,10 @@ class TestConvergenceControl:
         state = engine.init_state(warm)
         assert state.rho == engine.rho
         # rho moves by powers of two, so the rescale is exact
-        for got, was in ((state.rows, warm.rows), (state.cols, warm.cols)):
-            assert np.any(was[2])
-            np.testing.assert_array_equal(state.rho * got[2], warm.rho * was[2])
+        assert np.any(warm.rows[2])
+        np.testing.assert_array_equal(state.rho * state.rows[2], warm.rho * warm.rows[2])
+        # the column partitions hold no lambda to rescale, only fresh workspace
+        assert state.cols.shape == (2, warm.cols.shape[1]) and not state.cols.any()
 
     def test_infeasible_box_ends_with_finite_residuals(self):
         # time 0's successor fixes state 0 at 0.99, above the box at 0.6; rho
