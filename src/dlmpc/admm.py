@@ -34,9 +34,10 @@ The row partitions hold the one copy of (phi, psi, lambda); the column
 partitions hold only the column step's target (the relaxed phi plus lambda),
 which row owners send, and its psi, which column owners send back.  Each
 lives in a flat buffer, subsystem blocks contiguous in subsystem-id order,
-the per-subsystem matrices views into it.  Every column-buffer entry has one
-row-buffer source, fixed by the locality sets, so one index array is the
-whole exchange plan, and the multiplier step is one row-buffer update.
+the per-subsystem matrices views into it.  The column partitions are the
+transpose of the row masks, so every column-buffer entry has one row-buffer
+source, found by matching the entry's ``(row, col)`` key: one index array is
+the whole exchange plan, and the multiplier step is one row-buffer update.
 All exchanges stay inside bounded graph neighborhoods: measurements and
 column blocks travel to at most (d+1)-hop outgoing neighbors, row blocks to
 at most (d+1)-hop incoming neighbors (input rows couple columns d+1 hops
@@ -112,13 +113,13 @@ class ExchangePacket:
 def packet_within_locality(packet: ExchangePacket, index: LocalityIndex) -> bool:
     """True iff the packet respects the bounded communication footprint.
 
-    Measurements and column blocks go to (d+1)-hop outgoing neighbors of the
-    sender; row blocks go to (d+1)-hop incoming neighbors (they flow back to
-    the owners of the columns the rows touch).
+    Row blocks go to (d+1)-hop incoming neighbors of the sender (the owners of
+    the columns the rows touch); measurements and column blocks go the other
+    way, to (d+1)-hop outgoing neighbors: the sender is in the receiver's in-set.
     """
     if packet.phase is Phase.ROW_BLOCKS:
         return packet.receiver in index.in_sets_ext[packet.sender - 1]
-    return packet.receiver in index.out_sets_ext[packet.sender - 1]
+    return packet.sender in index.in_sets_ext[packet.receiver - 1]
 
 
 @dataclass
@@ -316,31 +317,31 @@ class DlmpcEngine:
     def _build_exchange_plan(self):
         """Row-buffer source of every column-buffer entry.
 
-        For every column owner i and row owner k in its (d+1)-hop out-set,
-        k shares the rows whose ``row_mask`` reaches i's columns.  Returns
-        ``src``, the row-buffer position of each column-buffer entry in
+        An entry's key ``row * n + col`` names it in either buffer, and each
+        global row has one owner, so no key sits twice in the row buffer.
+        Returns ``src``, the row-buffer position of each column-buffer key in
         column-buffer order, and one ``(k, i, column-buffer positions, global
-        rows, global cols)`` record per pair.  Each global row has one owner,
-        so no entry has two sources; one with none raises RuntimeError.
+        rows, global cols)`` record per row owner k sharing rows with column
+        owner i, ordered by i, then k.  A column entry with no source raises
+        RuntimeError.
         """
-        index, off_r, off_c = self.index, self._offsets["r"], self._offsets["c"]
-        src, pairs = np.full(off_c[-1], -1), []
-        for sub_i in index.subsystems:  # column owner
-            i = sub_i.sub_id
-            for k in sorted(index.out_sets_ext[i - 1]):
-                sub_k = index.subsystems[k - 1]
-                src_cols = np.searchsorted(sub_k.row_cols, sub_i.cols)
-                src_rows = np.flatnonzero(sub_k.row_mask[:, src_cols].any(axis=1))
-                if not src_rows.size:
-                    continue
-                global_rows = sub_k.rows[src_rows]
-                dst_rows = np.searchsorted(sub_i.col_rows, global_rows)
-                width_k, width_i = sub_k.row_cols.size, sub_i.cols.size
-                dst = (off_c[i - 1] + dst_rows[:, None] * width_i + np.arange(width_i)).ravel()
-                src[dst] = (off_r[k - 1] + src_rows[:, None] * width_k + src_cols).ravel()
-                pairs.append((k, i, dst, global_rows, sub_i.cols))
-        if np.any(src < 0):
+        index, off_r, off_c, n = self.index, self._offsets["r"], self._offsets["c"], self.index.n_states
+        keys = lambda rows, cols: (rows[:, None] * n + cols).ravel()
+        row_keys = np.concatenate([keys(s.rows, s.row_cols) for s in index.subsystems])
+        col_keys = np.concatenate([keys(s.col_rows, s.cols) for s in index.subsystems])
+        order = np.argsort(row_keys)
+        src = order[np.minimum(np.searchsorted(row_keys, col_keys, sorter=order), row_keys.size - 1)]
+        if np.any(row_keys[src] != col_keys):
             raise RuntimeError("a column-buffer entry has no row-buffer source")
+        holder = np.searchsorted(off_r, src, side="right")  # row owner of each column-buffer entry
+        pairs = []
+        for s, start in zip(index.subsystems, off_c):  # column owner
+            width = s.cols.size
+            by_owner = holder[start : start + s.col_rows.size * width : width]
+            for k in np.unique(by_owner):
+                at = np.flatnonzero(by_owner == k)
+                dst = (start + at[:, None] * width + np.arange(width)).ravel()
+                pairs.append((int(k), s.sub_id, dst, s.col_rows[at], s.cols))
         return src, pairs
 
     # -- state management ---------------------------------------------------

@@ -4,10 +4,10 @@ A networked linear system ``x(t+1) = A x(t) + B u(t)`` is split into N
 subsystems with block-partitioned dynamics.  The directed interconnection
 graph carries an arrow ``j -> i`` whenever block ``(i, j)`` of A or B is
 nonzero, i.e. whenever subsystem j influences subsystem i.  Bounded-hop
-incoming/outgoing sets of that graph decide which entries of the closed-loop
-response maps may be nonzero, and therefore which rows, columns and coupled
-slices of those maps each subsystem owns or needs.  The locality index
-stores those sets per subsystem only: no global mask of the response map is
+incoming sets of that graph decide which entries of the closed-loop response
+maps may be nonzero; each subsystem's row mask states that once, and column
+partitions and outgoing sets are read off as transposes.  The locality index
+stores all of it per subsystem: no global mask of the response map is
 kept, and a model's offsets are computed once, when it is built.
 
 Conventions used throughout the package:
@@ -32,12 +32,6 @@ class ModelValidationError(ValueError):
     """Inconsistent block dimensions or malformed model data."""
 
 
-def check_id(i: int, n_sub: int):
-    """Raise IndexError unless ``i`` is a subsystem id of a network of ``n_sub``."""
-    if not 1 <= i <= n_sub:
-        raise IndexError(f"subsystem id {i} outside 1..{n_sub}")
-
-
 def check_int(name: str, value) -> int:
     """``value`` as an int; ValueError naming ``name`` unless it is an integer.
 
@@ -46,6 +40,14 @@ def check_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_id(i: int, n_sub: int) -> int:
+    """``i`` as an int; ValueError unless it is an integer, IndexError unless it is in 1..``n_sub``."""
+    i = check_int("subsystem id", i)
+    if not 1 <= i <= n_sub:
+        raise IndexError(f"subsystem id {i} outside 1..{n_sub}")
+    return i
 
 
 def _as_block_dict(blocks):
@@ -192,7 +194,7 @@ def build_graph(model: NetworkModel) -> Graph:
 
 def _hops(graph: Graph, adj: dict, i: int, d: int) -> dict:
     """Hop count from ``i`` of every subsystem within ``d`` hops along ``adj``."""
-    check_id(i, graph.n_vertices)
+    i = check_id(i, graph.n_vertices)
     if d < 0:
         raise ValueError("hop count must be nonnegative")
     hops, frontier = {i: 0}, [i]
@@ -222,9 +224,9 @@ class SubsystemIndex:
     cols            global columns owned (its initial-state components)
     row_cols        coupled column set for the row partition (state columns of
                     the (d+1)-hop incoming set, ascending)
-    col_rows        coupled row set for the column partition (state rows of
-                    the d-hop outgoing set plus input rows of the (d+1)-hop
-                    outgoing set, ascending)
+    col_rows        coupled row set for the column partition: the global rows,
+                    of any owner, whose ``row_mask`` reaches one of ``cols``
+                    (ascending)
     row_mask        boolean (len(rows), len(row_cols)); True where the entry
                     may be nonzero.  State rows only reach columns of the
                     d-hop incoming set, so some of their entries are masked.
@@ -243,12 +245,12 @@ class SubsystemIndex:
 class LocalityIndex:
     """Locality sets and ownership partitions for one (d, T).
 
-    ``in_sets_ext``/``out_sets_ext`` hold the (d+1)-hop sets that bound the
-    exchange footprint.  Everything else is per subsystem: there is no
-    global mask, and each :class:`SubsystemIndex` carries the sparsity
-    pattern of its own rows (``row_mask``).  That pattern is the only copy
-    of the locality rule (state rows reach d hops, input rows d+1), and the
-    engine's exchange plan reads it from there.
+    ``in_sets_ext`` holds the (d+1)-hop incoming sets that bound the exchange
+    footprint (the outgoing sets are their transpose).  Everything else is per
+    subsystem: there is no global mask, and each :class:`SubsystemIndex`
+    carries the sparsity pattern of its own rows (``row_mask``).  That pattern
+    is the only copy of the locality rule (state rows reach d hops, input rows
+    d+1); the column partitions (``col_rows``) are its transpose.
     """
 
     d: int
@@ -256,7 +258,6 @@ class LocalityIndex:
     n_states: int
     n_inputs: int
     in_sets_ext: tuple
-    out_sets_ext: tuple
     subsystems: tuple
 
     @property
@@ -274,7 +275,10 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
     State rows are d-localized and input rows (d+1)-localized, so the coupled
     column set of a row partition is the state-column footprint of the
     (d+1)-hop incoming set, with state rows masked down to the d-hop subset.
+    A column partition holds every row whose mask reaches its columns.  A
+    ``d`` or ``horizon`` that is not an integer raises ValueError.
     """
+    d, horizon = check_int("d", d), check_int("horizon", horizon)
     if d < 0:
         raise ValueError("locality parameter must be nonnegative")
     if horizon < 1:
@@ -285,13 +289,14 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
     n_sub = model.n_subsystems
     n, p, t_hor = model.n_states, model.n_inputs, horizon
 
-    # one search per subsystem and direction to d+1 hops; the d-hop sets are
-    # the subsystems it reached within d
+    # one incoming search per subsystem to d+1 hops; the d-hop sets are the
+    # subsystems it reached within d
     in_hops = [_hops(graph, graph._pred, i, d + 1) for i in range(1, n_sub + 1)]
-    out_hops = [_hops(graph, graph._succ, i, d + 1) for i in range(1, n_sub + 1)]
     within_d = lambda hops: sorted(j for j, h in hops.items() if h <= d)
+    col_owner = np.repeat(np.arange(n_sub, dtype=np.int64), model.state_dims)
+    n_rows = n * (t_hor + 1) + p * t_hor
 
-    subsystems = []
+    parts, keys = [], []
     for i in range(1, n_sub + 1):
         xi = model.state_indices(i)
         ui = model.input_indices(i)
@@ -316,33 +321,24 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
         row_mask[~row_is_state, :] = True
         row_mask[np.ix_(row_is_state, state_col_positions)] = True
 
-        cx = [t * n + model.state_indices(j) for t in range(t_hor + 1) for j in within_d(out_hops[i - 1])]
-        cu = [
-            n * (t_hor + 1) + t * p + model.input_indices(j)
-            for t in range(t_hor)
-            for j in sorted(out_hops[i - 1])
-            if model.input_dims[j - 1]
-        ]
-        col_rows = np.sort(np.concatenate(cx + cu)) if (cx or cu) else np.array([], dtype=int)
+        # (column owner, global row) of every masked entry
+        r, c = np.nonzero(row_mask)
+        keys.append(col_owner[row_cols[c]] * n_rows + rows[r])
+        parts.append(dict(sub_id=i, rows=rows, row_is_state=row_is_state, cols=cols, row_cols=row_cols,
+                          row_mask=row_mask))
 
-        subsystems.append(
-            SubsystemIndex(
-                sub_id=i,
-                rows=rows,
-                row_is_state=row_is_state,
-                cols=cols,
-                row_cols=row_cols,
-                col_rows=col_rows,
-                row_mask=row_mask,
-            )
-        )
-
+    # col_rows is the transpose of the masks: the rows reaching each owner's columns
+    keys = np.unique(np.concatenate(keys))
+    bounds = np.searchsorted(keys, np.arange(n_sub + 1, dtype=np.int64) * n_rows)
+    subsystems = tuple(
+        SubsystemIndex(**part, col_rows=keys[a:b] - k * n_rows)
+        for k, (part, a, b) in enumerate(zip(parts, bounds, bounds[1:]))
+    )
     return LocalityIndex(
         d=d,
         horizon=t_hor,
         n_states=n,
         n_inputs=p,
         in_sets_ext=tuple(frozenset(hops) for hops in in_hops),
-        out_sets_ext=tuple(frozenset(hops) for hops in out_hops),
-        subsystems=tuple(subsystems),
+        subsystems=subsystems,
     )

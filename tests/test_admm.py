@@ -282,6 +282,18 @@ class TestExchanges:
         assert np.unique(row_keys).size == row_keys.size  # no entry sits in two row partitions
         np.testing.assert_array_equal(row_keys[engine._src], col_keys)
 
+    def test_a_column_entry_no_row_partition_holds_is_rejected(self):
+        # a hand-built index whose column partition reaches past the row masks:
+        # subsystem 4's state rows do not reach subsystem 1's columns at d=1
+        sc = small_scenario()
+        sub = sc.index.subsystem(1)
+        far_row = sc.index.subsystem(4).rows[:1]
+        subs = (dataclasses.replace(sub, col_rows=np.sort(np.concatenate([sub.col_rows, far_row]))),
+                *sc.index.subsystems[1:])
+        index = dataclasses.replace(sc.index, subsystems=subs)
+        with pytest.raises(RuntimeError, match="^a column-buffer entry has no row-buffer source$"):
+            DlmpcEngine(sc.model, index, sc.op)
+
     def test_packets_respect_locality(self):
         sc = small_scenario()
         engine = sc.make_engine(record_packets=True, max_iterations=50, eps_primal=1e-2, eps_dual=1e-2)

@@ -1,5 +1,16 @@
 """The package's public surface: what the controller and its harness run."""
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import dlmpc
+
+ROOT = Path(__file__).resolve().parents[1]
+README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
 
 # test-side references since the controller stopped exporting them (see ``oracles``)
 MOVED = (
@@ -19,3 +30,15 @@ def test_every_export_resolves_once():
     for name in dlmpc.__all__:
         assert hasattr(dlmpc, name), name
     assert not [name for name in MOVED if name in dlmpc.__all__ or hasattr(dlmpc, name)]
+
+
+def test_readme_has_python_blocks():
+    assert len(README_BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("code", README_BLOCKS, ids=[f"block{k + 1}" for k in range(len(README_BLOCKS))])
+def test_readme_python_block_runs_as_shown(code):
+    # each block runs alone, in a fresh interpreter, as a reader would paste it
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -4,13 +4,16 @@ import pytest
 
 import dlmpc
 from dlmpc import (
+    ExchangePacket,
     ModelValidationError,
     NetworkModel,
+    Phase,
     build_chain_model,
     build_graph,
     build_locality_index,
     d_in_set,
     d_out_set,
+    packet_within_locality,
 )
 
 
@@ -80,6 +83,22 @@ class TestNetworkModel:
             for accessor in (m.state_indices, m.input_indices, index.subsystem):
                 with pytest.raises(IndexError, match=rf"^subsystem id {i} outside 1\.\.3$"):
                     accessor(i)
+
+    def test_ids_that_are_not_integers_raise(self):
+        # 2.0 must neither name subsystem 2 nor raise a bare TypeError
+        m = build_chain_model(3)
+        graph = build_graph(m)
+        index = build_locality_index(graph, m, 1, 2)
+        op = dlmpc.assemble_feasibility_operator(m, index)
+        accessors = (m.state_indices, m.input_indices, index.subsystem, op.projector,
+                     lambda i: d_in_set(graph, i, 1), lambda i: d_out_set(graph, i, 1))
+        for i in (2.0, True, "2"):
+            for accessor in accessors:
+                with pytest.raises(ValueError, match=rf"^subsystem id must be an integer, got {i!r}$"):
+                    accessor(i)
+        # numpy integers count, and the hop sets hold plain ints
+        assert index.subsystem(np.int64(2)) is index.subsystem(2)
+        assert all(type(j) is int for j in d_in_set(graph, np.int64(2), 1))
 
     def test_rejects_nonpositive_state_dim(self):
         with pytest.raises(ModelValidationError):
@@ -253,10 +272,27 @@ class TestLocalityIndex:
                     assert d_in_set(graph, i, d) == set(np.flatnonzero(near[i - 1]) + 1)
                     assert d_out_set(graph, i, d) == set(np.flatnonzero(near[:, i - 1]) + 1)
                     assert idx.in_sets_ext[i - 1] == set(np.flatnonzero(far[i - 1]) + 1)
-                    assert idx.out_sets_ext[i - 1] == set(np.flatnonzero(far[:, i - 1]) + 1)
                     np.testing.assert_array_equal(sub.row_cols, np.flatnonzero(mask[sub.rows].any(axis=0)))
                     np.testing.assert_array_equal(sub.col_rows, np.flatnonzero(mask[:, sub.cols].any(axis=1)))
                     np.testing.assert_array_equal(sub.row_mask, mask[np.ix_(sub.rows, sub.row_cols)])
+                # measurements and column blocks flow downstream (r reads s's
+                # columns), row blocks upstream (to the owners of their columns)
+                for s, r in np.ndindex(far.shape):
+                    for phase in Phase:
+                        packet = ExchangePacket(s + 1, r + 1, phase, None, np.arange(1), np.zeros(1))
+                        local = far[s, r] if phase is Phase.ROW_BLOCKS else far[r, s]
+                        assert packet_within_locality(packet, idx) == local, (d, s + 1, r + 1, phase)
+
+    def test_locality_and_horizon_must_be_integers(self):
+        m = build_chain_model(3)
+        graph = build_graph(m)
+        for name, d, horizon in (("d", True, 2), ("d", 1.5, 2), ("horizon", 1, 5.0), ("horizon", 1, None)):
+            bad = d if name == "d" else horizon
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {bad!r}$"):
+                build_locality_index(graph, m, d, horizon)
+        idx = build_locality_index(graph, m, np.int64(1), np.int64(3))
+        assert (idx.d, idx.horizon) == (1, 3)
+        assert type(idx.d) is int and type(idx.horizon) is int
 
     def test_locality_zero_restricts_to_self(self, six_node_model, six_node_graph, reference_mask):
         idx = build_locality_index(six_node_graph, six_node_model, d=0, horizon=2)
