@@ -44,12 +44,13 @@ at most (d+1)-hop incoming neighbors (input rows couple columns d+1 hops
 away, which sets the footprint).  Execution is sequential but
 order-independent: phases are barriers, so any subsystem ordering produces
 bitwise identical iterates.  Every phase is ``phase(state, i)`` or
-``phase(state)``; only :meth:`DlmpcEngine.solve_step` orders, times and
-records them, by two runners that look the phase up on the instance:
+``phase(state)`` and moves data only; :meth:`DlmpcEngine.solve_step` orders
+and times them by two runners that look the phase up on the instance:
 ``_each`` runs measurement, rows and extraction for i = 1..N, charging each
 call to subsystem i, and ``_all`` the exchanges, the column step (one stacked
 map per slice-shape class), the multiplier step and the convergence check
-(momentum included), charging equal shares.
+(momentum included), charging equal shares; a recording engine reads one
+iteration's packets off the plan after the step.
 """
 from __future__ import annotations
 
@@ -62,7 +63,7 @@ import numpy as np
 from .explicit_row import InfeasibleRowError, RowTerms, empty_boxes, row_terms, solve_terms
 from .qp import QpStatus, check_profile, row_qp, solve_qp
 from .sls import FeasibilityOperator, project_column
-from .topology import LocalityIndex, NetworkModel, check_int
+from .topology import LocalityIndex, NetworkModel, check_id, check_int
 
 ALPHA = 1.5  # relaxation weight on the fresh phi
 BALANCE = 10.0  # residual ratio beyond which rho moves
@@ -99,7 +100,7 @@ class Phase(Enum):
 class ExchangePacket:
     """One directed message: who sent what slice to whom, in which phase.
 
-    A ``ROW_BLOCKS`` payload is a slice of the column step's target, a ``COLUMN_BLOCKS`` one of psi.
+    A ``ROW_BLOCKS`` payload is a slice of the last iteration's column-step target, a ``COLUMN_BLOCKS`` one of psi.
     """
 
     sender: int
@@ -116,10 +117,12 @@ def packet_within_locality(packet: ExchangePacket, index: LocalityIndex) -> bool
     Row blocks go to (d+1)-hop incoming neighbors of the sender (the owners of
     the columns the rows touch); measurements and column blocks go the other
     way, to (d+1)-hop outgoing neighbors: the sender is in the receiver's in-set.
+    An id that is not an integer raises ValueError, one outside 1..N IndexError.
     """
+    sender, receiver = (check_id(i, len(index.subsystems)) for i in (packet.sender, packet.receiver))
     if packet.phase is Phase.ROW_BLOCKS:
-        return packet.receiver in index.in_sets_ext[packet.sender - 1]
-    return packet.sender in index.in_sets_ext[packet.receiver - 1]
+        return receiver in index.in_sets_ext[sender - 1]
+    return sender in index.in_sets_ext[receiver - 1]
 
 
 @dataclass
@@ -131,18 +134,18 @@ class AdmmState:
     ``(2, C)``) holds the column partitions' target
     (``ALPHA * phi + (1 - ALPHA) * psi_prev + lambda``, the column step's
     input) and psi (its output).  Each subsystem's block sits contiguously,
-    in C order and subsystem-id order.  ``phi_r``, ``psi_r``, ``lam_r`` and
-    ``psi_c`` are tuples of reshaped views into those buffers, so blocks are
-    written in place and cannot be rebound.  ``rho`` is the current penalty,
-    by which lambda is scaled.  Row blocks have shape (len(rows),
-    len(row_cols)), column blocks (len(col_rows), len(cols)).
-    ``x0`` is the measured state, ``packets`` the step's recorded
-    :class:`ExchangePacket` list (None unless recording), and ``step_rows``,
-    built by :meth:`DlmpcEngine.measure` once per MPC step, each subsystem's
-    :func:`row_terms` of its x0 block (the measured state's coupled slice per
-    row, zero off ``row_mask``), which both row routes read;
-    ``residual_history`` holds one (max primal, max dual) pair per iteration,
-    and ``per_sub_seconds`` each subsystem's time on this state.
+    in C order and subsystem-id order.  ``phi_r``, ``psi_r`` and ``lam_r``
+    are tuples of reshaped views into the row buffer, so blocks are written
+    in place and cannot be rebound.  ``rho`` is the current penalty, by
+    which lambda is scaled.  Row blocks have shape (len(rows),
+    len(row_cols)), column blocks (len(col_rows), len(cols)).  ``x0`` is the
+    measured state, ``packets`` one iteration's :class:`ExchangePacket` list,
+    read off the exchange plan after the step (None unless recording), and
+    ``step_rows``, built by :meth:`DlmpcEngine.measure` once per MPC step,
+    each subsystem's :func:`row_terms` of its x0 block (the measured state's
+    coupled slice per row, zero off ``row_mask``), which both row routes
+    read; ``residual_history`` holds one (max primal, max dual) pair per
+    iteration, and ``per_sub_seconds`` each subsystem's time on this state.
     ``held`` counts the iterations since rho last moved.  Once momentum arms,
     ``prev`` holds the last true (psi, lambda) of the row buffer, ``nesterov``
     the momentum weight a, ``gap`` and ``new_gap`` the last two restart
@@ -154,7 +157,6 @@ class AdmmState:
     phi_r: tuple
     psi_r: tuple
     lam_r: tuple
-    psi_c: tuple
     rho: float
     iteration: int = 0
     primal: np.ndarray | None = None
@@ -178,8 +180,9 @@ class AdmmState:
 class StepResult:
     """Converged MPC step: the applied input and the state it came from.
 
-    The iteration count, measured state and packets are read-only views of
-    ``state``, which also holds the residual history and per-subsystem times.
+    The iteration count, measured state and packets (the measurements and
+    one iteration's block packets) are read-only views of ``state``, which
+    also holds the residual history and per-subsystem times.
     """
 
     u: np.ndarray
@@ -307,7 +310,7 @@ class DlmpcEngine:
         self._offsets = {
             k: np.concatenate(([0], np.cumsum([a * b for a, b in v]))) for k, v in self._shapes.items()
         }
-        self._src, self._pairs = self._build_exchange_plan()
+        self._src, self._row_keys = self._build_exchange_plan()
         # each shape class's column blocks in member order, one slice if consecutive
         self._class_at = []
         for cls, ids in zip(op.classes, op.members):
@@ -320,12 +323,11 @@ class DlmpcEngine:
         An entry's key ``row * n + col`` names it in either buffer, and each
         global row has one owner, so no key sits twice in the row buffer.
         Returns ``src``, the row-buffer position of each column-buffer key in
-        column-buffer order, and one ``(k, i, column-buffer positions, global
-        rows, global cols)`` record per row owner k sharing rows with column
-        owner i, ordered by i, then k.  A column entry with no source raises
-        RuntimeError.
+        column-buffer order, and the row keys, so ``row_keys[src]`` are the
+        column keys; :meth:`_packets` reads every packet off ``src``.  A column
+        entry with no source raises RuntimeError.
         """
-        index, off_r, off_c, n = self.index, self._offsets["r"], self._offsets["c"], self.index.n_states
+        index, n = self.index, self.index.n_states
         keys = lambda rows, cols: (rows[:, None] * n + cols).ravel()
         row_keys = np.concatenate([keys(s.rows, s.row_cols) for s in index.subsystems])
         col_keys = np.concatenate([keys(s.col_rows, s.cols) for s in index.subsystems])
@@ -333,16 +335,7 @@ class DlmpcEngine:
         src = order[np.minimum(np.searchsorted(row_keys, col_keys, sorter=order), row_keys.size - 1)]
         if np.any(row_keys[src] != col_keys):
             raise RuntimeError("a column-buffer entry has no row-buffer source")
-        holder = np.searchsorted(off_r, src, side="right")  # row owner of each column-buffer entry
-        pairs = []
-        for s, start in zip(index.subsystems, off_c):  # column owner
-            width = s.cols.size
-            by_owner = holder[start : start + s.col_rows.size * width : width]
-            for k in np.unique(by_owner):
-                at = np.flatnonzero(by_owner == k)
-                dst = (start + at[:, None] * width + np.arange(width)).ravel()
-                pairs.append((int(k), s.sub_id, dst, s.col_rows[at], s.cols))
-        return src, pairs
+        return src, row_keys
 
     # -- state management ---------------------------------------------------
 
@@ -373,8 +366,7 @@ class DlmpcEngine:
             # exact for a state of this engine: rho moves by powers of two
             rows[2] *= warm.rho / self.rho
         return AdmmState(
-            rows, cols, *(self._views(m, "r") for m in rows[:3]), self._views(cols[1], "c"),
-            rho=self.rho, per_sub_seconds=np.zeros(n_sub),
+            rows, cols, *(self._views(m, "r") for m in rows[:3]), rho=self.rho, per_sub_seconds=np.zeros(n_sub)
         )
 
     def _views(self, flat: np.ndarray, k: str) -> tuple:
@@ -385,12 +377,8 @@ class DlmpcEngine:
     # -- per-subsystem updates ----------------------------------------------
 
     def measure(self, state: AdmmState, i: int) -> RowTerms:
-        """Subsystem i's ``step_rows`` entry for ``state.x0``; records the measurements i receives."""
+        """Subsystem i's ``step_rows`` entry for ``state.x0``, built from the measurements i receives."""
         sub, x0 = self.index.subsystems[i - 1], state.x0
-        if state.packets is not None:
-            for j in sorted(self.index.in_sets_ext[i - 1]):
-                cols = self.model.state_indices(j)
-                state.packets.append(ExchangePacket(j, i, Phase.MEASUREMENT, None, cols, x0[cols].copy()))
         x0_block = np.where(sub.row_mask, x0[sub.row_cols], 0.0)
         try:
             return row_terms(x0_block, *self._row_boxes[i - 1])
@@ -509,39 +497,48 @@ class DlmpcEngine:
         rows = state.rows
         target = _relaxed(rows[0], rows[1]) + rows[2]  # psi is still the previous one
         state.cols[0] = target[self._src]
-        self._record(state, Phase.ROW_BLOCKS)
 
     def exchange_columns(self, state: AdmmState):
         """Column owners send projected blocks back to row owners."""
         state.rows[3] = state.rows[1]
         state.rows[1][self._src] = state.cols[1]
-        self._record(state, Phase.COLUMN_BLOCKS)
 
-    def _record(self, state: AdmmState, phase: Phase):
-        if state.packets is None:
-            return
-        sent = state.cols[0] if phase is Phase.ROW_BLOCKS else state.cols[1]
-        for k, i, at, rows, cols in self._pairs:
-            sender, receiver = (k, i) if phase is Phase.ROW_BLOCKS else (i, k)
-            payload = sent[at].reshape(rows.size, cols.size)
-            state.packets.append(ExchangePacket(sender, receiver, phase, rows, cols, payload))
+    def _packets(self, state: AdmmState) -> list:
+        """One iteration's traffic, read off the exchange plan; block payloads are the last iteration's.
+
+        Subsystem i receives the measurements of its (d+1)-hop in-set.  From
+        each row owner k, column owner i receives the target of the rows k
+        owns in its partition and sends back their psi, ordered by i, then k.
+        """
+        index, x0, cols = self.index, state.x0, self.model.state_indices
+        packets = [ExchangePacket(j, i, Phase.MEASUREMENT, None, cols(j), x0[cols(j)])
+                   for i, in_set in enumerate(index.in_sets_ext, start=1) for j in sorted(in_set)]
+        owner = np.searchsorted(self._offsets["r"], self._src, side="right")  # of each column entry's row
+        for phase, sent in zip((Phase.ROW_BLOCKS, Phase.COLUMN_BLOCKS), state.cols):
+            for s, start, block in zip(index.subsystems, self._offsets["c"], self._views(sent, "c")):
+                by_owner = owner[start : start + block.size : s.cols.size]  # one per row of the block
+                for k in np.unique(by_owner):
+                    at = by_owner == k
+                    ends = (int(k), s.sub_id) if phase is Phase.ROW_BLOCKS else (s.sub_id, int(k))
+                    packets.append(ExchangePacket(*ends, phase, s.col_rows[at], s.cols, block[at]))
+        return packets
 
     # -- instrumentation ------------------------------------------------------
 
     def assemble_from_rows(self, state: AdmmState, which: str = "phi") -> np.ndarray:
-        """Global stacked matrix gathered from the row partitions."""
-        mats = {"phi": state.phi_r, "psi": state.psi_r, "lambda": state.lam_r}[which]
-        out = np.zeros((self.index.n_rows, self.index.n_states))
-        for sub, mat in zip(self.index.subsystems, mats):
-            out[np.ix_(sub.rows, sub.row_cols)] = mat
-        return out
+        """Global stacked matrix of the row partitions' phi, psi or lambda."""
+        return self._scatter(state.rows, ("phi", "psi", "lambda"), which, self._row_keys)
 
     def assemble_from_cols(self, state: AdmmState, which: str = "psi") -> np.ndarray:
-        """Global stacked matrix gathered from the column partitions' psi or target."""
-        mats = self._views(state.cols[{"target": 0, "psi": 1}[which]], "c")
+        """Global stacked matrix of the column partitions' target or psi."""
+        return self._scatter(state.cols, ("target", "psi"), which, self._row_keys[self._src])
+
+    def _scatter(self, buffer: np.ndarray, layers: tuple, which: str, keys: np.ndarray) -> np.ndarray:
+        """Layer ``which`` of ``buffer`` placed at its entries' keys; ValueError unless it is in ``layers``."""
+        if which not in layers:
+            raise ValueError(f"which must be one of {list(layers)}, got {which!r}")
         out = np.zeros((self.index.n_rows, self.index.n_states))
-        for sub, mat in zip(self.index.subsystems, mats):
-            out[np.ix_(sub.col_rows, sub.cols)] = mat
+        out.flat[keys] = buffer[layers.index(which)]
         return out
 
     def extract_control(self, state: AdmmState, i: int) -> np.ndarray:
@@ -589,7 +586,7 @@ class DlmpcEngine:
         for k in np.flatnonzero(~np.isfinite(x0))[:1]:
             raise ValueError(f"x0[{k}] is {x0[k]}, must be finite")
         state = self.init_state(warm_state)
-        state.x0, state.packets = x0, [] if self.record_packets else None
+        state.x0 = x0
 
         state.step_rows = self._each(state, self.measure)
         for k in range(1, self.max_iterations + 1):
@@ -614,4 +611,6 @@ class DlmpcEngine:
 
         # inputs are numbered contiguously in subsystem-id order
         u = np.concatenate(self._each(state, self.extract_control))
+        if self.record_packets:
+            state.packets = self._packets(state)
         return StepResult(u=u, state=state)

@@ -194,7 +194,7 @@ def build_graph(model: NetworkModel) -> Graph:
 
 def _hops(graph: Graph, adj: dict, i: int, d: int) -> dict:
     """Hop count from ``i`` of every subsystem within ``d`` hops along ``adj``."""
-    i = check_id(i, graph.n_vertices)
+    i, d = check_id(i, graph.n_vertices), check_int("hop count", d)
     if d < 0:
         raise ValueError("hop count must be nonnegative")
     hops, frontier = {i: 0}, [i]

@@ -25,7 +25,10 @@ path depends on them:
   outside the engine, and ``sample_masks`` runs it inside the consensus
   loop at every k-th iteration;
 * ``column_blocks`` cuts a row of the column buffer into per-subsystem
-  blocks, as the ``psi_c`` views cut psi.
+  blocks by the index's column-partition shapes, and ``assemble_blocks``
+  places either buffer's blocks in the global stacked matrix one
+  ``np.ix_`` block at a time, the reference for the engine's one-scatter
+  assembly.
 """
 from __future__ import annotations
 
@@ -296,10 +299,31 @@ def centralized_local_mpc(
     return {"phi": phi, "cost": cost, "status": res.status, "iterations": res.iterations}
 
 
-def column_blocks(state, k: int) -> list:
+def _blocks(flat: np.ndarray, shapes: list) -> list:
+    ends = np.cumsum([a * b for a, b in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+
+
+def column_blocks(index: LocalityIndex, state, k: int) -> list:
     """Row ``k`` of ``state.cols`` (0 the target, 1 psi) as per-subsystem blocks."""
-    ends = np.cumsum([m.size for m in state.psi_c])
-    return [flat.reshape(m.shape) for flat, m in zip(np.split(state.cols[k], ends[:-1]), state.psi_c)]
+    return _blocks(state.cols[k], [(s.col_rows.size, s.cols.size) for s in index.subsystems])
+
+
+def assemble_blocks(index: LocalityIndex, state, side: str, k: int) -> np.ndarray:
+    """Global ``(n_rows, n)`` matrix of row ``k`` of ``state.rows`` (``side="row"``) or ``state.cols``.
+
+    Each subsystem's block goes to its rows and columns by ``np.ix_``.
+    """
+    out = np.zeros((index.n_rows, index.n_states))
+    if side == "row":
+        spans = [(s.rows, s.row_cols) for s in index.subsystems]
+        flat = state.rows[k]
+    else:
+        spans = [(s.col_rows, s.cols) for s in index.subsystems]
+        flat = state.cols[k]
+    for (rows, cols), block in zip(spans, _blocks(flat, [(r.size, c.size) for r, c in spans])):
+        out[np.ix_(rows, cols)] = block
+    return out
 
 
 def check_masks(engine, state, mask: np.ndarray):
@@ -310,7 +334,8 @@ def check_masks(engine, state, mask: np.ndarray):
     the column partitions, is compared with its slice of it.
     """
     row_blocks = (("phi", state.phi_r), ("psi", state.psi_r), ("lambda", state.lam_r))
-    col_blocks = (("target", column_blocks(state, 0)), ("psi", column_blocks(state, 1)))
+    col_blocks = (("target", column_blocks(engine.index, state, 0)),
+                  ("psi", column_blocks(engine.index, state, 1)))
     for sub in engine.index.subsystems:
         for side, rows, cols, blocks in (
             ("row", sub.rows, sub.row_cols, row_blocks),

@@ -29,6 +29,7 @@ from oracles import (
     LOWER_ACTIVE,
     UPPER_ACTIVE,
     RowProblem,
+    assemble_blocks,
     centralized_local_mpc,
     check_masks,
     column_blocks,
@@ -41,6 +42,14 @@ from oracles import (
 # a state box on the actuated state binds the 10-node chain's rows (lower-
 # active) and holds rho long enough for the momentum to arm
 ACTIVE_BOX = ScenarioConfig(n_subsystems=10, bound_component=1, state_lower=-0.3)
+
+# (model, d, horizon) of networks whose exchange plans differ in shape
+PLAN_CASES = (
+    [("chain", d, 3) for d in range(4)]
+    + [("six", 1, 3), ("six", 2, 3)]
+    + [("cross-fed", 2, t) for t in (1, 3, 5)]
+    + [("input-free", 1, 3), ("input-free", 2, 3)]
+)
 
 
 def small_scenario(**overrides):
@@ -221,9 +230,10 @@ class TestColumnPhase:
         state = engine.init_state()
         state.cols[0] = np.random.default_rng(4).normal(size=state.cols[0].shape)
         engine.column_step(state)
-        for i, target in enumerate(column_blocks(state, 0), start=1):
+        psi = column_blocks(cross_fed.index, state, 1)
+        for i, target in enumerate(column_blocks(cross_fed.index, state, 0), start=1):
             want = admm.project_column(cross_fed.op.projector(i), target)
-            np.testing.assert_array_equal(state.psi_c[i - 1], want)
+            np.testing.assert_array_equal(psi[i - 1], want)
 
     def test_project_column_runs_once_per_class_per_iteration(self, cross_fed, monkeypatch):
         calls = []
@@ -251,22 +261,21 @@ class TestExchanges:
             for which in ("target", "psi"):
                 assert not engine.assemble_from_cols(state, which)[~mask].any()
 
-    @pytest.mark.parametrize(
-        "model, d, horizon",
-        [("chain", d, 3) for d in range(4)]
-        + [("six", 1, 3), ("six", 2, 3)]
-        + [("cross-fed", 2, t) for t in (1, 3, 5)]
-        + [("input-free", 1, 3), ("input-free", 2, 3)],
-    )
+    @staticmethod
+    def plan_case(model, d, horizon, six_node_model, cross_fed_chain_model):
+        model = {"chain": build_chain_model(6), "six": six_node_model,
+                 "cross-fed": cross_fed_chain_model, "input-free": input_free_chain()}[model]
+        return build_scenario(ScenarioConfig(model.n_subsystems, horizon=horizon, locality=d), model=model)
+
+    @pytest.mark.parametrize("model, d, horizon", PLAN_CASES)
     def test_every_column_entry_has_one_row_source(
         self, model, d, horizon, reference_mask, six_node_model, cross_fed_chain_model
     ):
         # the exchange plan is one index array into the row buffer; that needs
         # the column partitions to hold exactly the mask's entries, each held
         # by exactly one row partition, which the index must name
-        model = {"chain": build_chain_model(6), "six": six_node_model,
-                 "cross-fed": cross_fed_chain_model, "input-free": input_free_chain()}[model]
-        sc = build_scenario(ScenarioConfig(model.n_subsystems, horizon=horizon, locality=d), model=model)
+        sc = self.plan_case(model, d, horizon, six_node_model, cross_fed_chain_model)
+        model = sc.model
         engine, n = sc.make_engine(), model.n_states
         state = engine.init_state()
 
@@ -281,6 +290,30 @@ class TestExchanges:
         np.testing.assert_array_equal(np.sort(col_keys), np.flatnonzero(on_mask))
         assert np.unique(row_keys).size == row_keys.size  # no entry sits in two row partitions
         np.testing.assert_array_equal(row_keys[engine._src], col_keys)
+
+    @pytest.mark.parametrize("model, d, horizon", PLAN_CASES)
+    def test_assembly_matches_the_block_oracle(self, model, d, horizon, six_node_model, cross_fed_chain_model):
+        # one scatter per buffer places every block where np.ix_ puts it, bit for bit
+        sc = self.plan_case(model, d, horizon, six_node_model, cross_fed_chain_model)
+        engine = sc.make_engine()
+        state = engine.solve_step(sc.initial_state()).state
+        for side, layers, assemble in (
+            ("row", ("phi", "psi", "lambda"), engine.assemble_from_rows),
+            ("column", ("target", "psi"), engine.assemble_from_cols),
+        ):
+            for k, which in enumerate(layers):
+                got, want = assemble(state, which), assemble_blocks(sc.index, state, side, k)
+                assert np.any(want), (side, which)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (side, which)
+
+    def test_assembly_names_its_layers(self):
+        sc = small_scenario()
+        engine = sc.make_engine()
+        state = engine.init_state()
+        with pytest.raises(ValueError, match=r"^which must be one of \['phi', 'psi', 'lambda'\], got 'target'$"):
+            engine.assemble_from_rows(state, "target")
+        with pytest.raises(ValueError, match=r"^which must be one of \['target', 'psi'\], got 'phi'$"):
+            engine.assemble_from_cols(state, "phi")
 
     def test_a_column_entry_no_row_partition_holds_is_rejected(self):
         # a hand-built index whose column partition reaches past the row masks:
@@ -358,6 +391,52 @@ class TestExchanges:
                     got[np.ix_(packet.rows, packet.cols)] = packet.payload
             assert np.any(want[mask])
             np.testing.assert_array_equal(got[mask], want[mask])
+
+    def test_recorded_step_carries_one_iterations_packets(self, monkeypatch):
+        # every iteration sends the same set, so a converged step records the
+        # packets of a one-iteration step once each, with the last payloads
+        sc = small_scenario()
+        x0 = sc.initial_state()
+
+        def recorded(**settings):
+            engine = sc.make_engine(record_packets=True, **settings)
+            calls, packets = [], engine._packets
+            monkeypatch.setattr(engine, "_packets", lambda state: calls.append(state) or packets(state))
+            res = engine.solve_step(x0)
+            assert calls == [res.state]
+            return res
+
+        def ids(res):
+            rows = lambda p: None if p.rows is None else p.rows.tobytes()
+            return [(p.sender, p.receiver, p.phase, rows(p), p.cols.tobytes()) for p in res.packets]
+
+        one = recorded(eps_primal=1e300, eps_dual=1e300)
+        many = recorded()
+        assert one.iterations == 1 and many.iterations > 1
+        assert ids(many) == ids(one)
+        assert len(set(ids(many))) == len(many.packets)
+        sent = {phase: column_blocks(sc.index, many.state, k)
+                for k, phase in enumerate((Phase.ROW_BLOCKS, Phase.COLUMN_BLOCKS))}
+        for p in many.packets:
+            if p.phase is Phase.MEASUREMENT:
+                assert p.payload.tobytes() == x0[p.cols].tobytes()
+                continue
+            owner = p.receiver if p.phase is Phase.ROW_BLOCKS else p.sender  # the column owner
+            sub = sc.index.subsystem(owner)
+            np.testing.assert_array_equal(p.cols, sub.cols)
+            want = sent[p.phase][owner - 1][np.searchsorted(sub.col_rows, p.rows)]
+            assert p.payload.shape == want.shape and p.payload.tobytes() == want.tobytes()
+
+    def test_unrecorded_step_builds_no_packets(self, monkeypatch):
+        sc = small_scenario()
+        engine = sc.make_engine()
+
+        def refuse(state):
+            raise AssertionError("_packets called without record_packets")
+
+        monkeypatch.setattr(engine, "_packets", refuse)
+        res = engine.solve_step(sc.initial_state())
+        assert res.state.converged and res.packets is None
 
     def test_warm_state_is_a_copy(self):
         sc = small_scenario()

@@ -160,6 +160,14 @@ class TestGraph:
         assert d_out_set(g, 3, 1) == frozenset({2, 3, 4})
         assert d_in_set(g, 1, 2) == frozenset({1, 2, 3})
 
+    def test_hop_count_must_be_an_integer(self):
+        g = build_graph(build_chain_model(4))
+        for hop_set in (d_in_set, d_out_set):
+            for bad in (True, 1.5, None):
+                with pytest.raises(ValueError, match=rf"^hop count must be an integer, got {bad!r}$"):
+                    hop_set(g, 1, bad)
+            assert hop_set(g, 1, np.int64(1)) == frozenset({1, 2})
+
     def test_bad_vertex_raises(self, six_node_graph):
         with pytest.raises(IndexError):
             d_in_set(six_node_graph, 7, 1)
@@ -282,6 +290,23 @@ class TestLocalityIndex:
                         packet = ExchangePacket(s + 1, r + 1, phase, None, np.arange(1), np.zeros(1))
                         local = far[s, r] if phase is Phase.ROW_BLOCKS else far[r, s]
                         assert packet_within_locality(packet, idx) == local, (d, s + 1, r + 1, phase)
+
+    def test_packet_ids_are_checked(self):
+        # id 0 or -1 must not wrap around to subsystem N's in-set
+        model = build_chain_model(6)
+        idx = build_locality_index(build_graph(model), model, d=1, horizon=3)
+        for phase, s, r in ((Phase.MEASUREMENT, 6, 0), (Phase.ROW_BLOCKS, 0, 6), (Phase.COLUMN_BLOCKS, 6, -1),
+                            (Phase.ROW_BLOCKS, 7, 6)):
+            packet = ExchangePacket(s, r, phase, None, np.arange(1), np.zeros(1))
+            bad = r if s == 6 else s
+            with pytest.raises(IndexError, match=rf"^subsystem id {bad} outside 1\.\.6$"):
+                packet_within_locality(packet, idx)
+        for bad in (2.0, True):
+            packet = ExchangePacket(1, bad, Phase.MEASUREMENT, None, np.arange(1), np.zeros(1))
+            with pytest.raises(ValueError, match=rf"^subsystem id must be an integer, got {bad!r}$"):
+                packet_within_locality(packet, idx)
+        assert packet_within_locality(ExchangePacket(np.int64(2), 1, Phase.MEASUREMENT, None,
+                                                     np.arange(1), np.zeros(1)), idx)
 
     def test_locality_and_horizon_must_be_integers(self):
         m = build_chain_model(3)
