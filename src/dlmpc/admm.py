@@ -5,7 +5,10 @@ response map:
 
 * row step      -- proximal minimization of its local cost rows subject to
                    per-row boxes, solved in closed form (or by the QP solver
-                   for the solver-based variant);
+                   for the solver-based variant); in closed form, point
+                   location (which region holds each row's optimum) runs
+                   for every row of every subsystem in one stacked call,
+                   and each subsystem then applies its own rows' affine law;
 * column step   -- projection of its column slice onto the dynamics
                    constraint, one precomputed affine map per subsystem;
 * multiplier    -- scaled dual ascent on the disagreement between the
@@ -46,9 +49,11 @@ order-independent: phases are barriers, so any subsystem ordering produces
 bitwise identical iterates.  Every phase is ``phase(state, i)`` or
 ``phase(state)`` and moves data only; :meth:`DlmpcEngine.solve_step` orders
 and times them by two runners that look the phase up on the instance:
-``_each`` runs measurement, rows and extraction for i = 1..N, charging each
-call to subsystem i, and ``_all`` the exchanges, the column step (one stacked
-map per slice-shape class), the multiplier step and the convergence check
+``_each`` runs the row step (on the explicit route only each subsystem's
+law) and extraction for i = 1..N, charging each call to subsystem i, and
+``_all`` the measurement (every row's terms, one stacked call per MPC
+step), the point location, the exchanges, the column step (one stacked map
+per slice-shape class), the multiplier step and the convergence check
 (momentum included), charging equal shares; a recording engine reads one
 iteration's packets off the plan after the step.
 """
@@ -60,7 +65,7 @@ from enum import Enum
 
 import numpy as np
 
-from .explicit_row import InfeasibleRowError, RowTerms, empty_boxes, row_terms, solve_terms
+from .explicit_row import InfeasibleRowError, RowTerms, apply_law, empty_boxes, locate, row_terms
 from .qp import QpStatus, check_profile, row_qp, solve_qp
 from .sls import FeasibilityOperator, project_column
 from .topology import LocalityIndex, NetworkModel, check_id, check_int
@@ -140,13 +145,16 @@ class AdmmState:
     which lambda is scaled.  Row blocks have shape (len(rows),
     len(row_cols)), column blocks (len(col_rows), len(cols)).  ``x0`` is the
     measured state, ``packets`` one iteration's :class:`ExchangePacket` list,
-    read off the exchange plan after the step (None unless recording), and
-    ``step_rows``, built by :meth:`DlmpcEngine.measure` once per MPC step,
-    each subsystem's :func:`row_terms` of its x0 block (the measured state's
-    coupled slice per row, zero off ``row_mask``), which both row routes
-    read; ``residual_history`` holds one (max primal, max dual) pair per
-    iteration, and ``per_sub_seconds`` each subsystem's time on this state.
-    ``held`` counts the iterations since rho last moved.  Once momentum arms,
+    read off the exchange plan after the step (None unless recording).
+    :meth:`DlmpcEngine.measure` builds ``terms`` once per MPC step, the
+    :func:`row_terms` of every row stacked in subsystem-id order (each row's
+    x0 is the measured state's coupled slice, zero off ``row_mask`` and
+    padded to the widest block), and ``step_rows``, each subsystem's terms
+    as views of them, which both row routes read; ``coef`` holds every row's
+    clip-and-correct coefficient from the iteration's point location
+    (explicit route only).  ``residual_history`` holds one (max primal, max
+    dual) pair per iteration, and ``per_sub_seconds`` each subsystem's time
+    on this state.  ``held`` counts the iterations since rho last moved.  Once momentum arms,
     ``prev`` holds the last true (psi, lambda) of the row buffer, ``nesterov``
     the momentum weight a, ``gap`` and ``new_gap`` the last two restart
     quantities; ``extrapolated`` and ``restarts`` count its steps.
@@ -164,7 +172,9 @@ class AdmmState:
     residual_history: list = field(default_factory=list)
     converged: bool = False
     x0: np.ndarray | None = None
+    terms: RowTerms | None = None
     step_rows: list = field(default_factory=list)
+    coef: np.ndarray | None = None
     packets: list | None = None
     per_sub_seconds: np.ndarray | None = None
     held: int = 0
@@ -196,6 +206,19 @@ class StepResult:
 def _relaxed(phi: np.ndarray, psi_prev: np.ndarray) -> np.ndarray:
     """The over-relaxed row iterate, which the column step and the multiplier read."""
     return ALPHA * phi + (1.0 - ALPHA) * psi_prev
+
+
+def _entries(heights, widths, row_ids, col_ids) -> tuple:
+    """``(row, col)`` ids of every entry of blocks laid out one after another, each in C order.
+
+    Block k has shape ``(heights[k], widths[k])``; ``row_ids`` and ``col_ids``
+    are the blocks' row and column ids, concatenated in block order.
+    """
+    per_row = np.repeat(widths, heights)  # the width of each block row
+    ends = np.cumsum(per_row)
+    # where each block row's col ids start, less where its entries start
+    shift = np.repeat(np.cumsum(widths) - widths, heights) + per_row - ends
+    return np.repeat(row_ids, per_row), col_ids[np.repeat(shift, per_row) + np.arange(ends[-1])]
 
 
 def row_profiles(
@@ -299,43 +322,67 @@ class DlmpcEngine:
             *boxes["state"],
             *boxes["input"],
         )
-        # per subsystem: lo, hi and weight of its rows
-        self._row_boxes = [(lo[sub.rows], hi[sub.rows], w[sub.rows]) for sub in index.subsystems]
-
+        subs = index.subsystems
         # block shapes and flat offsets of the row and column buffers
         self._shapes = {
-            "r": [(s.rows.size, s.row_cols.size) for s in index.subsystems],
-            "c": [(s.col_rows.size, s.cols.size) for s in index.subsystems],
+            "r": [(s.rows.size, s.row_cols.size) for s in subs],
+            "c": [(s.col_rows.size, s.cols.size) for s in subs],
         }
         self._offsets = {
             k: np.concatenate(([0], np.cumsum([a * b for a, b in v]))) for k, v in self._shapes.items()
         }
-        self._src, self._row_keys = self._build_exchange_plan()
+        joined = lambda attr: np.concatenate([getattr(s, attr) for s in subs])
+        heights, widths = np.array(self._shapes["r"]).T
+        # every subsystem's rows stacked in subsystem-id order: their global
+        # rows, each subsystem's span of them, and their lo, hi and weight
+        self._stack_rows = joined("rows")
+        self._ends = np.cumsum(heights)
+        self._spans = [slice(end - h, end) for h, end in zip(heights.tolist(), self._ends.tolist())]
+        self._boxes = tuple(v[self._stack_rows] for v in (lo, hi, w))
+        # every row-buffer entry's key row * n + col, which names it in either buffer
+        row_cols = joined("row_cols")
+        rows, cols = _entries(heights, widths, self._stack_rows, row_cols)
+        self._row_keys = rows * n + cols
+        # the stacked rows padded at their ends to the widest block: the
+        # padding, each entry's row-buffer position (0 on the padding) and
+        # its x0 component (n, a zero appended to x0, off the row's mask)
+        on_row = np.arange(widths.max()) < np.repeat(widths, heights)[:, None]
+        self._pad = np.flatnonzero(~on_row)
+        self._gather = np.zeros(on_row.shape, dtype=np.intp)
+        self._gather[on_row] = np.arange(cols.size)
+        self._x0_at = np.full(on_row.shape, n)
+        self._x0_at[on_row] = np.where(np.concatenate([s.row_mask.ravel() for s in subs]), cols, n)
+        col_entries = _entries(*np.array(self._shapes["c"]).T, joined("col_rows"), joined("cols"))
+        self._src = self._build_exchange_plan(heights, widths, row_cols, col_entries)
         # each shape class's column blocks in member order, one slice if consecutive
         self._class_at = []
         for cls, ids in zip(op.classes, op.members):
             at = (self._offsets["c"][np.array(ids) - 1, None] + np.arange(cls.offset[0].size)).ravel()
             self._class_at.append(slice(at[0], at[-1] + 1) if at[-1] + 1 - at[0] == at.size else at)
 
-    def _build_exchange_plan(self):
-        """Row-buffer source of every column-buffer entry.
+    def _build_exchange_plan(self, heights, widths, row_cols, col_entries: tuple) -> np.ndarray:
+        """``src``, the row-buffer position of every column-buffer entry, in column-buffer order.
 
-        An entry's key ``row * n + col`` names it in either buffer, and each
-        global row has one owner, so no key sits twice in the row buffer.
-        Returns ``src``, the row-buffer position of each column-buffer key in
-        column-buffer order, and the row keys, so ``row_keys[src]`` are the
-        column keys; :meth:`_packets` reads every packet off ``src``.  A column
-        entry with no source raises RuntimeError.
+        Takes the row blocks' shapes, every owner's ascending ``row_cols``
+        concatenated, and the ``(rows, cols)`` of the column-buffer entries.
+        Each global row has one owner, so an entry's source is its row's
+        start in the row buffer plus its column's place in the owner's
+        ``row_cols``, found by one search of all of them keyed
+        ``owner * n + col``.  So ``row_keys[src]`` are the column keys;
+        :meth:`_packets` reads every packet off ``src``.  A column entry with
+        no source raises RuntimeError.
         """
-        index, n = self.index, self.index.n_states
-        keys = lambda rows, cols: (rows[:, None] * n + cols).ravel()
-        row_keys = np.concatenate([keys(s.rows, s.row_cols) for s in index.subsystems])
-        col_keys = np.concatenate([keys(s.col_rows, s.cols) for s in index.subsystems])
-        order = np.argsort(row_keys)
-        src = order[np.minimum(np.searchsorted(row_keys, col_keys, sorter=order), row_keys.size - 1)]
-        if np.any(row_keys[src] != col_keys):
+        n, owners = self.index.n_states, np.arange(heights.size)
+        rows, cols = col_entries
+        stacked = np.empty(self.index.n_rows, dtype=np.intp)
+        stacked[self._stack_rows] = np.arange(self._stack_rows.size)
+        at = stacked[rows]  # each entry's row in the stacked layout
+        owner = np.searchsorted(self._ends, at, side="right")
+        place = np.searchsorted(np.repeat(owners, widths) * n + row_cols, owner * n + cols)
+        src = np.minimum(self._gather[at, 0] + place - (np.cumsum(widths) - widths)[owner], self._row_keys.size - 1)
+        if np.any(self._row_keys[src] != rows * n + cols):
             raise RuntimeError("a column-buffer entry has no row-buffer source")
-        return src, row_keys
+        return src
 
     # -- state management ---------------------------------------------------
 
@@ -374,35 +421,66 @@ class DlmpcEngine:
         off = self._offsets[k]
         return tuple(flat[a:b].reshape(s) for a, b, s in zip(off, off[1:], self._shapes[k]))
 
-    # -- per-subsystem updates ----------------------------------------------
+    # -- row and column updates -----------------------------------------------
 
-    def measure(self, state: AdmmState, i: int) -> RowTerms:
-        """Subsystem i's ``step_rows`` entry for ``state.x0``, built from the measurements i receives."""
-        sub, x0 = self.index.subsystems[i - 1], state.x0
-        x0_block = np.where(sub.row_mask, x0[sub.row_cols], 0.0)
+    def measure(self, state: AdmmState):
+        """Every row's :class:`RowTerms` for ``state.x0`` in one stacked call.
+
+        Each row reads the measurements its subsystem receives, on its
+        ``row_mask`` row.  ``state.terms`` holds the stacked terms and
+        ``state.step_rows`` each subsystem's as views of them.  A zero row
+        whose box excludes 0 raises :class:`InfeasibleRowError` naming its
+        subsystem and global row.
+        """
+        x0 = np.append(state.x0, 0.0)[self._x0_at]
         try:
-            return row_terms(x0_block, *self._row_boxes[i - 1])
+            terms = row_terms(x0, *self._boxes)
         except InfeasibleRowError as err:
-            raise InfeasibleRowError(f"subsystem {i}: global row {sub.rows[err.row]}: {err.detail}") from err
+            i = np.searchsorted(self._ends, err.row, side="right") + 1
+            raise InfeasibleRowError(f"subsystem {i}: global row {self._stack_rows[err.row]}: {err.detail}") from err
+        state.terms = terms
+        state.step_rows = [
+            RowTerms(terms.x0[at, :width], *(t[at] for t in terms[1:]))
+            for at, (_, width) in zip(self._spans, self._shapes["r"])
+        ]
+
+    def locate_rows(self, state: AdmmState):
+        """Point location for every row of every subsystem, one stacked call.
+
+        Leaves each row's target ``psi - lambda`` in phi's layer and its
+        clip-and-correct coefficient in ``state.coef``, so the explicit
+        :meth:`row_step` only applies its subsystem's law.  On the padding
+        past a row's block the target is -0 and x0 is +0: their product, -0,
+        is the exact identity of the sequential dot product, so every row's
+        sums are those of its block alone, bit for bit.
+        """
+        rows = state.rows
+        np.subtract(rows[1], rows[2], out=rows[0])
+        targets = rows[0][self._gather]
+        targets.flat[self._pad] = -0.0
+        state.coef = locate(state.terms, targets, state.rho)[0]
 
     def row_step(self, state: AdmmState, i: int):
         """Proximal row update for subsystem i, each row over its ``row_mask`` row.
 
-        Both routes read the subsystem's ``step_rows`` record and solve the
-        block in one call.  The QP route stacks the rows its terms do not mark
-        zero (zero rows stay at their targets) at the block width: off the
-        mask the target and x0 are zero, so the padded variables decouple at
-        0.  It writes phi back on the mask only and raises
-        :class:`ConvergenceError` naming the first row not solved optimally.
+        The explicit route applies the affine law of the regions
+        :meth:`locate_rows` found to subsystem i's targets, in place.  The QP
+        route reads the subsystem's ``step_rows`` record and solves the block
+        in one call, stacking the rows its terms do not mark zero (zero rows
+        stay at their targets) at the block width: off the mask the target
+        and x0 are zero, so the padded variables decouple at 0.  It writes phi
+        back on the mask only and raises :class:`ConvergenceError` naming the
+        first row not solved optimally.
         """
         terms = state.step_rows[i - 1]
-        a = state.psi_r[i - 1] - state.lam_r[i - 1]
         if self.row_solver is RowSolverKind.EXPLICIT:
-            state.phi_r[i - 1][...] = solve_terms(terms, a, state.rho)[0]
+            phi = state.phi_r[i - 1]
+            apply_law(phi, state.coef[self._spans[i - 1]], terms.x0, out=phi)
             return
+        a = state.psi_r[i - 1] - state.lam_r[i - 1]
         sub = self.index.subsystems[i - 1]
         live = np.flatnonzero(~terms.zero)
-        lo, hi, w = terms.lo[live], terms.hi[live], self._row_boxes[i - 1][2][live]
+        lo, hi, w = terms.lo[live], terms.hi[live], self._boxes[2][self._spans[i - 1]][live]
         res = solve_qp(row_qp(a[live], terms.x0[live], state.rho, lo, hi, w))
         for j, status in enumerate(res.statuses):
             if status is not QpStatus.OPTIMAL:
@@ -558,11 +636,12 @@ class DlmpcEngine:
 
     def _each(self, state: AdmmState, phase) -> list:
         """``phase(state, i)`` for i = 1..N in order, each call's time charged to subsystem i."""
-        out = []
+        out, seconds = [], []
         for i in range(1, len(self.index.subsystems) + 1):
             t0 = time.perf_counter()
             out.append(phase(state, i))
-            state.per_sub_seconds[i - 1] += time.perf_counter() - t0
+            seconds.append(time.perf_counter() - t0)
+        state.per_sub_seconds += seconds
         return out
 
     def _all(self, state: AdmmState, phase):
@@ -588,8 +667,11 @@ class DlmpcEngine:
         state = self.init_state(warm_state)
         state.x0 = x0
 
-        state.step_rows = self._each(state, self.measure)
+        self._all(state, self.measure)
+        explicit = self.row_solver is RowSolverKind.EXPLICIT
         for k in range(1, self.max_iterations + 1):
+            if explicit:
+                self._all(state, self.locate_rows)
             self._each(state, self.row_step)
             self._all(state, self.exchange_rows)
             self._all(state, self.column_step)

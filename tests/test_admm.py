@@ -24,6 +24,7 @@ from dlmpc import (
 )
 from dlmpc import admm
 from dlmpc.admm import row_profiles
+from dlmpc.explicit_row import locate, row_terms, solve_terms
 from oracles import (
     INTERIOR,
     LOWER_ACTIVE,
@@ -262,10 +263,11 @@ class TestExchanges:
                 assert not engine.assemble_from_cols(state, which)[~mask].any()
 
     @staticmethod
-    def plan_case(model, d, horizon, six_node_model, cross_fed_chain_model):
+    def plan_case(model, d, horizon, six_node_model, cross_fed_chain_model, **overrides):
         model = {"chain": build_chain_model(6), "six": six_node_model,
                  "cross-fed": cross_fed_chain_model, "input-free": input_free_chain()}[model]
-        return build_scenario(ScenarioConfig(model.n_subsystems, horizon=horizon, locality=d), model=model)
+        config = ScenarioConfig(model.n_subsystems, horizon=horizon, locality=d, **overrides)
+        return build_scenario(config, model=model)
 
     @pytest.mark.parametrize("model, d, horizon", PLAN_CASES)
     def test_every_column_entry_has_one_row_source(
@@ -515,29 +517,23 @@ class TestConvergenceControl:
         # it, as a solve of the whole closed form per subsystem does
         sc = build_scenario(ACTIVE_BOX)
         cfg = sc.config
+        weight, lo, hi = profile_rows(sc)
 
         class WholeClosedForm(DlmpcEngine):
             def row_step(self, state, i):
-                lo, hi, w = self._row_boxes[i - 1]
+                rows = self.index.subsystems[i - 1].rows
                 a = state.psi_r[i - 1] - state.lam_r[i - 1]
-                state.phi_r[i - 1][...] = solve_rows(a, state.step_rows[i - 1].x0, state.rho, lo, hi, w)[0]
+                state.phi_r[i - 1][...] = solve_rows(
+                    a, state.step_rows[i - 1].x0, state.rho, lo[rows], hi[rows], weight[rows]
+                )[0]
 
         reference = WholeClosedForm(
             sc.model, sc.index, sc.op, **sc.profiles(), rho=cfg.rho, eps_primal=cfg.eps_primal,
             eps_dual=cfg.eps_dual, max_iterations=cfg.max_iterations,
         )
-        runs = []
-        for engine in (sc.make_engine(), reference):
-            states, solve = [], engine.solve_step
-
-            def solve_step(x0, warm_state=None, solve=solve, states=states):
-                res = solve(x0, warm_state=warm_state)
-                states.append(res.state)
-                return res
-
-            engine.solve_step = solve_step
-            runs.append((run_closed_loop(sc, sim_steps=3, engine=engine), states))
-        (got, got_states), (want, want_states) = runs
+        (got, got_states), (want, want_states) = (
+            recorded_loop(sc, engine, sim_steps=3) for engine in (sc.make_engine(), reference)
+        )
         # every step starts at cfg.rho, so another end value means balancing moved it
         assert any(state.rho != cfg.rho for state in got_states)
         np.testing.assert_array_equal(got.states, want.states)
@@ -554,8 +550,8 @@ class TestConvergenceControl:
         state_b = engine.solve_step(xb, warm_state=state_a).state
         fresh = engine.init_state()
         fresh.x0 = xb
-        for i, (terms_a, terms_b) in enumerate(zip(state_a.step_rows, state_b.step_rows), start=1):
-            terms = engine.measure(fresh, i)
+        engine.measure(fresh)
+        for terms_a, terms_b, terms in zip(state_a.step_rows, state_b.step_rows, fresh.step_rows, strict=True):
             assert not np.array_equal(terms.x0, terms_a.x0)
             for got_term, want_term in zip(terms_b, terms, strict=True):
                 np.testing.assert_array_equal(got_term, want_term)
@@ -720,6 +716,68 @@ class TestMomentum:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+def recorded_loop(sc, engine, **kwargs) -> tuple:
+    """``run_closed_loop`` on ``engine``, with the state of every MPC step."""
+    states, solve = [], engine.solve_step
+
+    def solve_step(x0, warm_state=None):
+        res = solve(x0, warm_state=warm_state)
+        states.append(res.state)
+        return res
+
+    engine.solve_step = solve_step
+    return run_closed_loop(sc, engine=engine, **kwargs), states
+
+
+def profile_rows(sc) -> tuple:
+    """Per-global-row (weight, lo, hi) of a scenario, from its profiles."""
+    return row_profiles(
+        sc.index, sc.q_diag, sc.r_diag, sc.qt_diag,
+        sc.state_lb, sc.state_ub, sc.input_lb, sc.input_ub,
+    )
+
+
+def per_subsystem_terms(sc, x0) -> list:
+    """Each subsystem's :func:`row_terms`, built from its own block alone."""
+    weight, lo, hi = profile_rows(sc)
+    return [
+        row_terms(np.where(sub.row_mask, x0[sub.row_cols], 0.0), lo[sub.rows], hi[sub.rows], weight[sub.rows])
+        for sub in sc.index.subsystems
+    ]
+
+
+class PerSubsystemRows(DlmpcEngine):
+    """The engine with the row phases of one call per subsystem each.
+
+    Every subsystem measures its own block, and the explicit row step solves
+    its whole closed form, point location included; the stacked phases do
+    nothing.  The QP route keeps the engine's row step.
+    """
+
+    @classmethod
+    def of(cls, sc):
+        cfg = sc.config
+        engine = cls(
+            sc.model, sc.index, sc.op, **sc.profiles(), rho=cfg.rho, eps_primal=cfg.eps_primal,
+            eps_dual=cfg.eps_dual, max_iterations=cfg.max_iterations,
+            row_solver=RowSolverKind.QP if cfg.case is Case.SOLVER else RowSolverKind.EXPLICIT,
+        )
+        engine.scenario = sc
+        return engine
+
+    def measure(self, state):
+        state.step_rows = per_subsystem_terms(self.scenario, state.x0)
+
+    def locate_rows(self, state):
+        pass
+
+    def row_step(self, state, i):
+        if self.row_solver is RowSolverKind.QP:
+            return super().row_step(state, i)
+        a = state.psi_r[i - 1] - state.lam_r[i - 1]
+        state.phi_r[i - 1][...] = solve_terms(state.step_rows[i - 1], a, state.rho)[0]
+
+
 class TestRowStep:
     """One row step against a row-by-row loop of ``solve_row``."""
 
@@ -729,7 +787,7 @@ class TestRowStep:
         rng = np.random.default_rng(7)
         state = engine.init_state()
         state.x0 = x0
-        state.step_rows = [engine.measure(state, i) for i in range(1, sc.model.n_subsystems + 1)]
+        engine.measure(state)
         for sub, psi, lam in zip(sc.index.subsystems, state.psi_r, state.lam_r):
             psi[:] = rng.normal(size=psi.shape) * sub.row_mask
             lam[:] = rng.normal(scale=0.5, size=lam.shape) * sub.row_mask
@@ -767,9 +825,90 @@ class TestRowStep:
         state = self.boxed_state(sc, engine, x0)
         expected, regions = self.reference_rows(sc, state, x0, engine.rho)
         assert set(regions) == {INTERIOR, UPPER_ACTIVE, LOWER_ACTIVE}
+        engine.locate_rows(state)  # point location for every row, before any law
         for i in range(1, sc.model.n_subsystems + 1):
             engine.row_step(state, i)
             np.testing.assert_array_equal(state.phi_r[i - 1], expected[i - 1])
+
+    @pytest.mark.parametrize("model, d, horizon", PLAN_CASES)
+    def test_stacked_point_location_equals_per_subsystem_solve_bitwise(
+        self, model, d, horizon, six_node_model, cross_fed_chain_model
+    ):
+        # one padded point-location call over every row, then each
+        # subsystem's own law, against each subsystem's whole closed form on
+        # terms built from its own block; row widths differ between the
+        # subsystems of all networks but one, the boxed state reaches all
+        # three regions, and a state measured at subsystem N alone gives zero rows
+        sc = TestExchanges.plan_case(
+            model, d, horizon, six_node_model, cross_fed_chain_model,
+            state_lower=-0.1, state_upper=0.1, input_lower=-0.05, input_upper=0.05,
+        )
+        engine = sc.make_engine()
+        full = sc.initial_state()
+        last = sc.model.state_indices(sc.model.n_subsystems)
+        at_last = np.zeros_like(full)
+        at_last[last] = full[last]
+        regions, zero_rows = set(), 0
+        for x0 in (full, at_last):
+            state = self.boxed_state(sc, engine, x0)
+            engine.locate_rows(state)
+            for i, terms in enumerate(per_subsystem_terms(sc, x0), start=1):
+                for got, want in zip(state.step_rows[i - 1], terms, strict=True):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                want, past = solve_terms(terms, state.psi_r[i - 1] - state.lam_r[i - 1], state.rho)
+                engine.row_step(state, i)
+                assert state.phi_r[i - 1].tobytes() == want.tobytes()
+                regions.update(np.sign(past[~terms.zero]))
+                zero_rows += np.count_nonzero(terms.zero)
+        assert regions == {-1.0, 0.0, 1.0} and zero_rows > 0
+
+    def test_padding_keeps_the_sign_of_a_zero_sum(self):
+        # subsystem 6's rows are zero rows, narrower than the widest block,
+        # whose targets are all negative or -0: alone they sum to -0, and the
+        # padding must keep that sign whatever target its gather index reads
+        # (subsystem 1's first, which is positive here)
+        sc = build_scenario(ScenarioConfig(n_subsystems=6, horizon=3))
+        engine = sc.make_engine()
+        x0 = np.zeros(sc.model.n_states)
+        x0[sc.model.state_indices(1)] = 0.5
+        state = engine.init_state()
+        state.x0 = x0
+        engine.measure(state)
+        rng = np.random.default_rng(5)
+        for i, (sub, psi) in enumerate(zip(sc.index.subsystems, state.psi_r), start=1):
+            psi[:] = np.where(sub.row_mask, (1.0 if i == 1 else -1.0) * rng.uniform(0.1, 1.0, psi.shape), -0.0)
+        last = state.step_rows[-1]
+        assert last.zero.all() and last.x0.shape[1] < max(t.x0.shape[1] for t in state.step_rows)
+        engine.locate_rows(state)
+        end = 0
+        for i, terms in enumerate(per_subsystem_terms(sc, x0), start=1):
+            target = state.psi_r[i - 1] - state.lam_r[i - 1]
+            end += terms.zero.size
+            assert state.coef[end - terms.zero.size : end].tobytes() == locate(terms, target, state.rho)[0].tobytes()
+            engine.row_step(state, i)
+            assert state.phi_r[i - 1].tobytes() == solve_terms(terms, target, state.rho)[0].tobytes()
+
+    @pytest.mark.parametrize("name", ["chain-explicit", "chain-active-box", "chain-solver", "cross-fed"])
+    def test_closed_loop_equals_per_subsystem_row_phases_bitwise(self, name, cross_fed_chain_model):
+        # the three perfbench workloads (N=200, the active box, the QP route)
+        # and a network of unequal row widths, three MPC steps each
+        config, model = {
+            "chain-explicit": (ScenarioConfig(n_subsystems=200), None),
+            "chain-active-box": (ACTIVE_BOX, None),
+            "chain-solver": (ScenarioConfig(n_subsystems=6, case=Case.SOLVER), None),
+            "cross-fed": (ScenarioConfig(n_subsystems=6, horizon=3, locality=2, seed=3), cross_fed_chain_model),
+        }[name]
+        sc = build_scenario(dataclasses.replace(config, sim_steps=3), model=model)
+        (got, got_states), (want, want_states) = (
+            recorded_loop(sc, engine) for engine in (sc.make_engine(), PerSubsystemRows.of(sc))
+        )
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.inputs.tobytes() == want.inputs.tobytes()
+        np.testing.assert_array_equal(got.iterations, want.iterations)
+        for g, w in zip(got_states, want_states, strict=True):
+            assert g.rows.tobytes() == w.rows.tobytes() and g.cols.tobytes() == w.cols.tobytes()
+            assert g.residual_history == w.residual_history and g.rho == w.rho
+            assert (g.extrapolated, g.restarts) == (w.extrapolated, w.restarts)
 
     def test_qp_route_solves_each_subsystem_in_one_call(self, monkeypatch):
         # one solve_qp call per subsystem and row step, on a stack of its
