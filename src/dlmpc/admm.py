@@ -5,10 +5,12 @@ response map:
 
 * row step      -- proximal minimization of its local cost rows subject to
                    per-row boxes, solved in closed form (or by the QP solver
-                   for the solver-based variant); in closed form, point
-                   location (which region holds each row's optimum) runs
-                   for every row of every subsystem in one stacked call,
-                   and each subsystem then applies its own rows' affine law;
+                   for the solver-based variant); one stacked phase serves
+                   every row of every subsystem, point location (which
+                   region holds each row's optimum) in closed form or one
+                   interior-point solve per row-width class on the QP
+                   route, and each subsystem then applies its own rows'
+                   affine law or writes back its own rows' solutions;
 * column step   -- projection of its column slice onto the dynamics
                    constraint, one precomputed affine map per subsystem;
 * multiplier    -- scaled dual ascent on the disagreement between the
@@ -49,13 +51,13 @@ order-independent: phases are barriers, so any subsystem ordering produces
 bitwise identical iterates.  Every phase is ``phase(state, i)`` or
 ``phase(state)`` and moves data only; :meth:`DlmpcEngine.solve_step` orders
 and times them by two runners that look the phase up on the instance:
-``_each`` runs the row step (on the explicit route only each subsystem's
-law) and extraction for i = 1..N, charging each call to subsystem i, and
-``_all`` the measurement (every row's terms, one stacked call per MPC
-step), the point location, the exchanges, the column step (one stacked map
-per slice-shape class), the multiplier step and the convergence check
-(momentum included), charging equal shares; a recording engine reads one
-iteration's packets off the plan after the step.
+``_each`` runs the row step (only each subsystem's law or write-back) and
+extraction for i = 1..N, charging each call to subsystem i, and ``_all``
+the measurement (every row's terms, one stacked call per MPC step), the
+point location or the row QPs, the exchanges, the column step (one
+stacked map per slice-shape class), the multiplier step and the
+convergence check (momentum included), charging equal shares; a recording
+engine reads one iteration's packets off the plan after the step.
 """
 from __future__ import annotations
 
@@ -149,12 +151,17 @@ class AdmmState:
     :meth:`DlmpcEngine.measure` builds ``terms`` once per MPC step, the
     :func:`row_terms` of every row stacked in subsystem-id order (each row's
     x0 is the measured state's coupled slice, zero off ``row_mask`` and
-    padded to the widest block), and ``step_rows``, each subsystem's terms
-    as views of them, which both row routes read; ``coef`` holds every row's
-    clip-and-correct coefficient from the iteration's point location
-    (explicit route only).  ``residual_history`` holds one (max primal, max
-    dual) pair per iteration, and ``per_sub_seconds`` each subsystem's time
-    on this state.  ``held`` counts the iterations since rho last moved.  Once momentum arms,
+    padded to the widest block), which both row routes read, and
+    ``x0_blocks``, each subsystem's x0 block of them (its span of rows cut
+    at its block width), which the explicit law and extraction read: one
+    view per subsystem and step costs less than a slice per row step.  On
+    the explicit route ``coef`` holds every row's clip-and-correct
+    coefficient from the iteration's point location; on the QP route
+    ``solved`` holds the row layer of phi with the iteration's QP solutions
+    in place and ``failed`` the status of each stacked row not solved
+    optimally.  ``residual_history`` holds one (max primal, max dual) pair
+    per iteration, and ``per_sub_seconds`` each subsystem's time on this
+    state.  ``held`` counts the iterations since rho last moved.  Once momentum arms,
     ``prev`` holds the last true (psi, lambda) of the row buffer, ``nesterov``
     the momentum weight a, ``gap`` and ``new_gap`` the last two restart
     quantities; ``extrapolated`` and ``restarts`` count its steps.
@@ -173,8 +180,10 @@ class AdmmState:
     converged: bool = False
     x0: np.ndarray | None = None
     terms: RowTerms | None = None
-    step_rows: list = field(default_factory=list)
+    x0_blocks: tuple = ()
     coef: np.ndarray | None = None
+    solved: np.ndarray | None = None
+    failed: dict = field(default_factory=dict)
     packets: list | None = None
     per_sub_seconds: np.ndarray | None = None
     held: int = 0
@@ -339,6 +348,9 @@ class DlmpcEngine:
         self._ends = np.cumsum(heights)
         self._spans = [slice(end - h, end) for h, end in zip(heights.tolist(), self._ends.tolist())]
         self._boxes = tuple(v[self._stack_rows] for v in (lo, hi, w))
+        # the QP route's stacks: the stacked rows of each block width
+        row_width = np.repeat(widths, heights)
+        self._width_classes = [(int(k), np.flatnonzero(row_width == k)) for k in np.unique(widths)]
         # every row-buffer entry's key row * n + col, which names it in either buffer
         row_cols = joined("row_cols")
         rows, cols = _entries(heights, widths, self._stack_rows, row_cols)
@@ -427,8 +439,7 @@ class DlmpcEngine:
         """Every row's :class:`RowTerms` for ``state.x0`` in one stacked call.
 
         Each row reads the measurements its subsystem receives, on its
-        ``row_mask`` row.  ``state.terms`` holds the stacked terms and
-        ``state.step_rows`` each subsystem's as views of them.  A zero row
+        ``row_mask`` row, into ``state.terms`` and ``state.x0_blocks``.  A zero row
         whose box excludes 0 raises :class:`InfeasibleRowError` naming its
         subsystem and global row.
         """
@@ -439,10 +450,7 @@ class DlmpcEngine:
             i = np.searchsorted(self._ends, err.row, side="right") + 1
             raise InfeasibleRowError(f"subsystem {i}: global row {self._stack_rows[err.row]}: {err.detail}") from err
         state.terms = terms
-        state.step_rows = [
-            RowTerms(terms.x0[at, :width], *(t[at] for t in terms[1:]))
-            for at, (_, width) in zip(self._spans, self._shapes["r"])
-        ]
+        state.x0_blocks = tuple(terms.x0[at, :w] for at, (_, w) in zip(self._spans, self._shapes["r"]))
 
     def locate_rows(self, state: AdmmState):
         """Point location for every row of every subsystem, one stacked call.
@@ -460,36 +468,55 @@ class DlmpcEngine:
         targets.flat[self._pad] = -0.0
         state.coef = locate(state.terms, targets, state.rho)[0]
 
+    def solve_row_qps(self, state: AdmmState):
+        """The QP route's row solves: one stacked ``solve_qp`` call per row-width class.
+
+        Leaves each row's target ``psi - lambda`` in phi's layer, a copy of it
+        in ``state.solved`` with every live row's solution in place, and the
+        rows not solved optimally in ``state.failed``, so :meth:`row_step`
+        only checks and writes back its subsystem's rows.  A class stacks
+        its rows that the terms do not mark zero (zero rows stay at their
+        targets) at its width, which is the rows' block width: off the mask
+        the target and x0 are zero, so those variables decouple at 0.  A
+        class without such rows makes no call.
+        """
+        rows, terms = state.rows, state.terms
+        np.subtract(rows[1], rows[2], out=rows[0])
+        state.solved, state.failed = rows[0].copy(), {}
+        for width, members in self._width_classes:
+            live = members[~terms.zero[members]]
+            if not live.size:
+                continue
+            at = self._gather[live, :width]
+            lo, hi, w = (v[live] for v in self._boxes)
+            res = solve_qp(row_qp(rows[0][at], terms.x0[live, :width], state.rho, lo, hi, w))
+            state.solved[at] = res.x[:, :-1]
+            state.failed.update((int(live[j]), s) for j, s in enumerate(res.statuses) if s is not QpStatus.OPTIMAL)
+
     def row_step(self, state: AdmmState, i: int):
         """Proximal row update for subsystem i, each row over its ``row_mask`` row.
 
         The explicit route applies the affine law of the regions
         :meth:`locate_rows` found to subsystem i's targets, in place.  The QP
-        route reads the subsystem's ``step_rows`` record and solves the block
-        in one call, stacking the rows its terms do not mark zero (zero rows
-        stay at their targets) at the block width: off the mask the target
-        and x0 are zero, so the padded variables decouple at 0.  It writes phi
-        back on the mask only and raises :class:`ConvergenceError` naming the
-        first row not solved optimally.
+        route raises for the subsystem's first row that
+        :meth:`solve_row_qps` did not solve optimally (:class:`InfeasibleRowError`
+        if its QP was infeasible, else :class:`ConvergenceError`, naming its
+        global row), then writes the solved rows back on the mask only.
         """
-        terms = state.step_rows[i - 1]
+        at = self._spans[i - 1]
         if self.row_solver is RowSolverKind.EXPLICIT:
             phi = state.phi_r[i - 1]
-            apply_law(phi, state.coef[self._spans[i - 1]], terms.x0, out=phi)
+            apply_law(phi, state.coef[at], state.x0_blocks[i - 1], out=phi)
             return
-        a = state.psi_r[i - 1] - state.lam_r[i - 1]
-        sub = self.index.subsystems[i - 1]
-        live = np.flatnonzero(~terms.zero)
-        lo, hi, w = terms.lo[live], terms.hi[live], self._boxes[2][self._spans[i - 1]][live]
-        res = solve_qp(row_qp(a[live], terms.x0[live], state.rho, lo, hi, w))
-        for j, status in enumerate(res.statuses):
-            if status is not QpStatus.OPTIMAL:
-                at = f"subsystem {i}: global row {sub.rows[live[j]]}"
-                if status is QpStatus.INFEASIBLE:
-                    raise InfeasibleRowError(f"{at}: QP infeasible, box [{lo[j]}, {hi[j]}]")
-                raise ConvergenceError(f"{at}: row QP ended {status.value}")
-        a[live] = np.where(sub.row_mask[live], res.x[:, :-1], a[live])  # off the mask a keeps its entries
-        state.phi_r[i - 1][...] = a
+        for r in sorted(r for r in state.failed if at.start <= r < at.stop)[:1]:
+            status, where = state.failed[r], f"subsystem {i}: global row {self._stack_rows[r]}"
+            if status is QpStatus.INFEASIBLE:
+                lo, hi = (v[r] for v in self._boxes[:2])
+                raise InfeasibleRowError(f"{where}: QP infeasible, box [{lo}, {hi}]")
+            raise ConvergenceError(f"{where}: row QP ended {status.value}")
+        phi, off = state.phi_r[i - 1], self._offsets["r"]
+        solved = state.solved[off[i - 1] : off[i]].reshape(phi.shape)
+        np.copyto(phi, solved, where=self.index.subsystems[i - 1].row_mask)
 
     def column_step(self, state: AdmmState):
         """Project every column slice's target onto the dynamics constraint, by shape class."""
@@ -630,7 +657,7 @@ class DlmpcEngine:
         # is the bare slice (an input-free subsystem has no rows to multiply)
         u0 = np.count_nonzero(self.index.subsystem(i).row_is_state)
         rows = state.phi_r[i - 1][u0 : u0 + self.model.input_dims[i - 1]]
-        return rows @ state.step_rows[i - 1].x0[-1]
+        return rows @ state.x0_blocks[i - 1][-1]
 
     # -- full step --------------------------------------------------------------
 
@@ -670,8 +697,7 @@ class DlmpcEngine:
         self._all(state, self.measure)
         explicit = self.row_solver is RowSolverKind.EXPLICIT
         for k in range(1, self.max_iterations + 1):
-            if explicit:
-                self._all(state, self.locate_rows)
+            self._all(state, self.locate_rows if explicit else self.solve_row_qps)
             self._each(state, self.row_step)
             self._all(state, self.exchange_rows)
             self._all(state, self.column_step)

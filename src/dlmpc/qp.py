@@ -10,8 +10,8 @@ conditions), for problems of the form
 It exists as an independent verification route: nothing here shares a code
 path with the closed-form row solver, so agreement between the two is
 evidence, not tautology.  ``row_qp`` states one row subproblem for it, or a
-stack of them: the solver-based row step solves each subsystem's rows as
-one stack.  ``centralized_mpc`` condenses the full MPC problem into the
+stack of them: the solver-based row phase solves all rows of one block
+width as one stack.  ``centralized_mpc`` condenses the full MPC problem into the
 inputs and solves one QP, giving the global cost baseline.
 """
 from __future__ import annotations
@@ -136,12 +136,14 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9, max_iter: int = 100) -> QpResult:
     multiplier, split back into ``mu_lo`` and ``mu_hi`` at the end.  A
     stack's members share one iteration: its bound slots and pinned rows
     are those of any member, masked off in a member that lacks them, each
-    member's KKT matrix is factored once per iteration for both Newton
-    solves, and a member leaves the iteration when it ends.  A member
-    without a finite bound takes full Newton steps, so it ends at its
-    second check.  A status is OPTIMAL only if all KKT residuals and the
-    complementarity gap meet the tolerance; a numerical breakdown (a
-    singular or non-finite KKT matrix) ends the member with MAX_ITER.
+    Newton solve is one batched ``np.linalg.solve`` over the members
+    (LAPACK's LU per member, in numpy's BLAS), and a member leaves the
+    iteration when it ends.  A member without a finite bound takes full
+    Newton steps, so it ends at its second check.  A status is OPTIMAL
+    only if all KKT residuals and the complementarity gap meet the
+    tolerance; a numerical breakdown (a non-finite KKT matrix, or one that
+    is exactly singular: a zero pivot of the LU) ends the member with
+    MAX_ITER and leaves the others to go on.
     No status says "unbounded": a QP that is unbounded below ends
     INFEASIBLE when its iterates pass the blow-up threshold, or MAX_ITER
     when a direction without curvature or bound makes the KKT matrix
@@ -248,21 +250,17 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9, max_iter: int = 100) -> QpResult:
         blown = ~ok & finite & (blowup > 1e13 * scale)
         done = ok | ~finite | blown
 
-        # the KKT matrix is symmetric, so its transpose is the matrix itself in
-        # the column-major order in which LAPACK factors it in place; a
-        # singular or non-finite factor also leaves the member at MAX_ITER
+        # a singular or non-finite KKT matrix also leaves the member at
+        # MAX_ITER: a zero pivot in LAPACK's LU, which slogdet reports as sign
+        # 0, is where np.linalg.solve would raise for the whole stack
         d = np.divide(z, s, out=np.zeros_like(z), where=~done[:, None])
         kkt = kkt0.copy()
         kkt[:, diag[:nv], diag[:nv]] += d @ sel
         todo = np.flatnonzero(~done)
-        pivots, singular = [], np.zeros(todo.size, dtype=bool)
-        for j, k in enumerate(todo):
-            _, piv, singular[j] = scipy.linalg.lapack.dgetrf(kkt[k].T, overwrite_a=True)
-            pivots.append(piv)
-        failed = singular | ~np.isfinite(kkt[todo]).all(axis=(1, 2))
-        if failed.any():
-            done[todo[failed]] = True
-            pivots = [piv for piv, f in zip(pivots, failed) if not f]
+        pending = kkt[todo]
+        failed = ~np.isfinite(pending).all(axis=(1, 2))
+        failed[~failed] = np.linalg.slogdet(pending[~failed])[0] == 0
+        done[todo[failed]] = True
         if done.any():
             status[live[ok]] = _OPTIMAL
             status[live[blown]] = _INFEASIBLE
@@ -278,7 +276,7 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9, max_iter: int = 100) -> QpResult:
             """Newton step for the complementarity target ``w * s + s * z``."""
             rhs = -r
             rhs[:, :nv] += w @ ssel
-            sol = np.stack([scipy.linalg.lapack.dgetrs(lu.T, piv, b)[0] for lu, piv, b in zip(kkt, pivots, rhs)])
+            sol = np.linalg.solve(kkt, rhs[..., None])[..., 0]
             ds = sgn_on * sol[:, idx]
             return sol, ds, w - d * ds
 

@@ -1,10 +1,15 @@
 """Engine behavior: determinism, exchanges, masks, convergence, momentum, extraction."""
 import dataclasses
+import importlib
+import os
 import re
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dlmpc import (
     Case,
@@ -24,7 +29,8 @@ from dlmpc import (
 )
 from dlmpc import admm
 from dlmpc.admm import row_profiles
-from dlmpc.explicit_row import locate, row_terms, solve_terms
+from dlmpc.explicit_row import RowTerms, locate, row_terms, solve_terms
+from dlmpc.qp import row_qp
 from oracles import (
     INTERIOR,
     LOWER_ACTIVE,
@@ -524,7 +530,7 @@ class TestConvergenceControl:
                 rows = self.index.subsystems[i - 1].rows
                 a = state.psi_r[i - 1] - state.lam_r[i - 1]
                 state.phi_r[i - 1][...] = solve_rows(
-                    a, state.step_rows[i - 1].x0, state.rho, lo[rows], hi[rows], weight[rows]
+                    a, block_terms(sc, state, i).x0, state.rho, lo[rows], hi[rows], weight[rows]
                 )[0]
 
         reference = WholeClosedForm(
@@ -551,7 +557,7 @@ class TestConvergenceControl:
         fresh = engine.init_state()
         fresh.x0 = xb
         engine.measure(fresh)
-        for terms_a, terms_b, terms in zip(state_a.step_rows, state_b.step_rows, fresh.step_rows, strict=True):
+        for terms_a, terms_b, terms in zip(*(each_block_terms(sc, s) for s in (state_a, state_b, fresh)), strict=True):
             assert not np.array_equal(terms.x0, terms_a.x0)
             for got_term, want_term in zip(terms_b, terms, strict=True):
                 np.testing.assert_array_equal(got_term, want_term)
@@ -640,23 +646,49 @@ class TestConvergenceControl:
         with pytest.raises(ConvergenceError, match=r"^subsystem 1: global row 0: row QP ended max-iter"):
             engine.solve_step(sc.initial_state())
 
-    def test_non_optimal_middle_member_names_its_own_row(self, monkeypatch):
-        # the QP route solves a subsystem's live rows as one stack; a member
-        # that is not optimal is named by its own global row
+    def test_infeasible_row_qp_names_its_box(self, monkeypatch):
+        # a member whose QP ends infeasible is named with its own box
         solve_qp = admm.solve_qp
 
-        def capped(qp):
+        def refuted(qp):
             res = solve_qp(qp)
-            res.statuses[len(res.statuses) // 2] = QpStatus.MAX_ITER
+            res.statuses = [QpStatus.INFEASIBLE if np.isfinite(lo) else s for lo, s in zip(qp.lb[:, -1], res.statuses)]
             return res
 
-        monkeypatch.setattr(admm, "solve_qp", capped)
+        monkeypatch.setattr(admm, "solve_qp", refuted)
+        sc = small_scenario()
+        _, lo, hi = profile_rows(sc)
+        sub, x0 = sc.index.subsystems[0], sc.initial_state()
+        live = np.any(np.where(sub.row_mask, x0[sub.row_cols], 0.0) != 0.0, axis=1)
+        row = sub.rows[live & np.isfinite(lo[sub.rows])][0]
+        engine = sc.make_engine(row_solver=RowSolverKind.QP)
+        box = rf"box \[{lo[row]}, {hi[row]}\]"
+        with pytest.raises(InfeasibleRowError, match=rf"^subsystem 1: global row {row}: QP infeasible, {box}$"):
+            engine.solve_step(x0)
+
+    def test_non_optimal_middle_member_names_its_own_row(self, monkeypatch):
+        # the QP route solves the live rows of one row width as one stack,
+        # subsystem 1's first in its class; a member that is not optimal is
+        # named by its own global row
+        solve_qp = admm.solve_qp
         sc = small_scenario()
         x0 = sc.initial_state()
         sub = sc.index.subsystems[0]
-        live = np.flatnonzero(np.any(np.where(sub.row_mask, x0[sub.row_cols], 0.0) != 0.0, axis=1))
+        x0_rows = np.where(sub.row_mask, x0[sub.row_cols], 0.0)
+        live = np.flatnonzero(np.any(x0_rows != 0.0, axis=1))
         assert live.size >= 3
         row = sub.rows[live[live.size // 2]]
+
+        def capped(qp):
+            res = solve_qp(qp)
+            if qp.g.shape[1] == sub.row_cols.size + 1:
+                # subsystem 1's live rows open its class's stack, which holds others too
+                assert qp.g.shape[0] > live.size
+                assert qp.a_eq[:, 0, :-1][: live.size].tobytes() == x0_rows[live].tobytes()
+                res.statuses[live.size // 2] = QpStatus.MAX_ITER
+            return res
+
+        monkeypatch.setattr(admm, "solve_qp", capped)
         engine = sc.make_engine(row_solver=RowSolverKind.QP)
         with pytest.raises(ConvergenceError, match=rf"^subsystem 1: global row {row}: row QP ended max-iter"):
             engine.solve_step(x0)
@@ -746,12 +778,40 @@ def per_subsystem_terms(sc, x0) -> list:
     ]
 
 
+def block_terms(sc, state, i) -> RowTerms:
+    """Subsystem i's rows of the state's stacked terms, cut at its block width."""
+    subs = sc.index.subsystems
+    start = sum(sub.rows.size for sub in subs[: i - 1])
+    at = slice(start, start + subs[i - 1].rows.size)
+    return RowTerms(state.terms.x0[at, : subs[i - 1].row_cols.size], *(t[at] for t in state.terms[1:]))
+
+
+def each_block_terms(sc, state) -> list:
+    return [block_terms(sc, state, i) for i in range(1, sc.model.n_subsystems + 1)]
+
+
+def solve_block_qp(sub, terms, target, rho, weight) -> np.ndarray:
+    """One subsystem's rows as one ``solve_qp`` stack at its block width.
+
+    The stack holds the rows that ``terms`` do not mark zero; their
+    solutions replace the target on the mask, and every other entry keeps
+    it.  A row not solved optimally fails the test.
+    """
+    phi = target.copy()
+    live = np.flatnonzero(~terms.zero)
+    res = admm.solve_qp(row_qp(phi[live], terms.x0[live], rho, terms.lo[live], terms.hi[live], weight[live]))
+    assert res.status is QpStatus.OPTIMAL
+    phi[live] = np.where(sub.row_mask[live], res.x[:, :-1], phi[live])
+    return phi
+
+
 class PerSubsystemRows(DlmpcEngine):
     """The engine with the row phases of one call per subsystem each.
 
-    Every subsystem measures its own block, and the explicit row step solves
-    its whole closed form, point location included; the stacked phases do
-    nothing.  The QP route keeps the engine's row step.
+    Every subsystem measures its own block, and its row step solves its
+    whole closed form, point location included, or on the QP route its
+    rows as one QP stack; the stacked phases do nothing.  Extraction reads
+    the subsystem's own terms.
     """
 
     @classmethod
@@ -762,20 +822,30 @@ class PerSubsystemRows(DlmpcEngine):
             eps_dual=cfg.eps_dual, max_iterations=cfg.max_iterations,
             row_solver=RowSolverKind.QP if cfg.case is Case.SOLVER else RowSolverKind.EXPLICIT,
         )
-        engine.scenario = sc
+        engine.scenario, engine.weight = sc, profile_rows(sc)[0]
         return engine
 
     def measure(self, state):
-        state.step_rows = per_subsystem_terms(self.scenario, state.x0)
+        state.own_terms = per_subsystem_terms(self.scenario, state.x0)
 
     def locate_rows(self, state):
         pass
 
+    def solve_row_qps(self, state):
+        pass
+
     def row_step(self, state, i):
-        if self.row_solver is RowSolverKind.QP:
-            return super().row_step(state, i)
+        sub, terms = self.index.subsystems[i - 1], state.own_terms[i - 1]
         a = state.psi_r[i - 1] - state.lam_r[i - 1]
-        state.phi_r[i - 1][...] = solve_terms(state.step_rows[i - 1], a, state.rho)[0]
+        if self.row_solver is RowSolverKind.QP:
+            state.phi_r[i - 1][...] = solve_block_qp(sub, terms, a, state.rho, self.weight[sub.rows])
+        else:
+            state.phi_r[i - 1][...] = solve_terms(terms, a, state.rho)[0]
+
+    def extract_control(self, state, i):
+        u0 = np.count_nonzero(self.index.subsystem(i).row_is_state)
+        rows = state.phi_r[i - 1][u0 : u0 + self.model.input_dims[i - 1]]
+        return rows @ state.own_terms[i - 1].x0[-1]
 
 
 class TestRowStep:
@@ -853,8 +923,10 @@ class TestRowStep:
             state = self.boxed_state(sc, engine, x0)
             engine.locate_rows(state)
             for i, terms in enumerate(per_subsystem_terms(sc, x0), start=1):
-                for got, want in zip(state.step_rows[i - 1], terms, strict=True):
+                for got, want in zip(block_terms(sc, state, i), terms, strict=True):
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                x0_block = state.x0_blocks[i - 1]
+                assert x0_block.shape == terms.x0.shape and x0_block.tobytes() == terms.x0.tobytes()
                 want, past = solve_terms(terms, state.psi_r[i - 1] - state.lam_r[i - 1], state.rho)
                 engine.row_step(state, i)
                 assert state.phi_r[i - 1].tobytes() == want.tobytes()
@@ -877,8 +949,8 @@ class TestRowStep:
         rng = np.random.default_rng(5)
         for i, (sub, psi) in enumerate(zip(sc.index.subsystems, state.psi_r), start=1):
             psi[:] = np.where(sub.row_mask, (1.0 if i == 1 else -1.0) * rng.uniform(0.1, 1.0, psi.shape), -0.0)
-        last = state.step_rows[-1]
-        assert last.zero.all() and last.x0.shape[1] < max(t.x0.shape[1] for t in state.step_rows)
+        last = block_terms(sc, state, 6)
+        assert last.zero.all() and last.x0.shape[1] < state.terms.x0.shape[1]
         engine.locate_rows(state)
         end = 0
         for i, terms in enumerate(per_subsystem_terms(sc, x0), start=1):
@@ -910,9 +982,40 @@ class TestRowStep:
             assert g.residual_history == w.residual_history and g.rho == w.rho
             assert (g.extrapolated, g.restarts) == (w.extrapolated, w.restarts)
 
-    def test_qp_route_solves_each_subsystem_in_one_call(self, monkeypatch):
-        # one solve_qp call per subsystem and row step, on a stack of its
-        # rows with a nonzero x0, each padded to the block width
+    @pytest.mark.parametrize("model, d, horizon", PLAN_CASES)
+    def test_width_class_qp_phase_equals_per_subsystem_solve_bitwise(
+        self, model, d, horizon, six_node_model, cross_fed_chain_model
+    ):
+        # the QP route's stacks of every row of one block width, then each
+        # subsystem's write-back, against one QP stack per subsystem; the
+        # boxes bind, and a state measured at subsystem N alone gives zero rows
+        sc = TestExchanges.plan_case(
+            model, d, horizon, six_node_model, cross_fed_chain_model,
+            state_lower=-0.1, state_upper=0.1, input_lower=-0.05, input_upper=0.05,
+        )
+        engine, weight = sc.make_engine(row_solver=RowSolverKind.QP), profile_rows(sc)[0]
+        full = sc.initial_state()
+        last = sc.model.state_indices(sc.model.n_subsystems)
+        at_last = np.zeros_like(full)
+        at_last[last] = full[last]
+        zero_rows = 0
+        for x0 in (full, at_last):
+            state = self.boxed_state(sc, engine, x0)
+            engine.solve_row_qps(state)
+            for i, (sub, terms) in enumerate(zip(sc.index.subsystems, per_subsystem_terms(sc, x0)), start=1):
+                target = state.psi_r[i - 1] - state.lam_r[i - 1]
+                want = solve_block_qp(sub, terms, target, state.rho, weight[sub.rows])
+                engine.row_step(state, i)
+                assert state.phi_r[i - 1].tobytes() == want.tobytes()
+                zero_rows += np.count_nonzero(terms.zero)
+        assert zero_rows > 0
+        if model == "cross-fed":
+            assert len({sub.row_cols.size for sub in sc.index.subsystems}) > 1
+
+    def test_qp_route_solves_each_width_class_in_one_call(self, monkeypatch):
+        # one solve_qp call per row-width class and row phase, on a stack of
+        # the class's rows with a nonzero x0 at the class width; the
+        # subsystems' row steps make none
         stacks = []
         solve_qp = admm.solve_qp
 
@@ -925,21 +1028,25 @@ class TestRowStep:
         x0 = sc.initial_state()
         engine = sc.make_engine(row_solver=RowSolverKind.QP)
         state = self.boxed_state(sc, engine, x0)
-        for i, (sub, terms) in enumerate(zip(sc.index.subsystems, state.step_rows), start=1):
-            del stacks[:]
+        live = {}
+        for sub, terms in zip(sc.index.subsystems, each_block_terms(sc, state)):
+            width = sub.row_cols.size
+            live[width] = live.get(width, 0) + np.count_nonzero(np.any(terms.x0 != 0.0, axis=1))
+        engine.solve_row_qps(state)
+        assert len(live) > 1 and stacks == [(live[w], w + 1) for w in sorted(live)]
+        del stacks[:]
+        for i in range(1, sc.model.n_subsystems + 1):
             engine.row_step(state, i)
-            live = np.count_nonzero(np.any(terms.x0 != 0.0, axis=1))
-            assert stacks == [(live, sub.row_cols.size + 1)]
+        assert stacks == []
         # and over a whole step of the stock box
         sc = small_scenario()
-        del stacks[:]
+        classes = len({sub.row_cols.size for sub in sc.index.subsystems})
         res = sc.make_engine(row_solver=RowSolverKind.QP).solve_step(sc.initial_state())
-        assert len(stacks) == res.iterations * sc.model.n_subsystems
-        # a zero measurement leaves every row at its target: empty stacks
+        assert len(stacks) == res.iterations * classes
+        # a zero measurement leaves every row at its target: no stack at all
         del stacks[:]
         res = sc.make_engine(row_solver=RowSolverKind.QP).solve_step(np.zeros(sc.model.n_states))
-        assert len(stacks) == res.iterations * sc.model.n_subsystems
-        assert {shape[0] for shape in stacks} == {0} and np.all(res.u == 0.0)
+        assert res.iterations > 0 and stacks == [] and np.all(res.u == 0.0)
 
     def test_qp_row_step_matches_per_row_loop(self):
         sc = self.scenario()
@@ -947,9 +1054,43 @@ class TestRowStep:
         engine = sc.make_engine(row_solver=RowSolverKind.QP)
         state = self.boxed_state(sc, engine, x0)
         expected, _ = self.reference_rows(sc, state, x0, engine.rho)
+        engine.solve_row_qps(state)  # every row's QP, before any write-back
         for i in range(1, sc.model.n_subsystems + 1):
             engine.row_step(state, i)
             np.testing.assert_allclose(state.phi_r[i - 1], expected[i - 1], rtol=0, atol=1e-7)
+
+    def test_qp_route_step_calls_no_scipy_linalg(self, monkeypatch):
+        # scipy.linalg would start its own BLAS pool beside numpy's, and the
+        # two contend on a small machine: the QP route's step stays in numpy.linalg
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        config = importlib.import_module("workload").WORKLOADS["chain-solver"].config
+        sc = build_scenario(ScenarioConfig(**config))
+        engine = sc.make_engine()
+        assert engine.row_solver is RowSolverKind.QP
+        where = os.path.join("scipy", "linalg", "")
+        calls = []
+
+        def watch(frame, event, arg):
+            if event == "call" and where in frame.f_code.co_filename:
+                calls.append(f"{frame.f_code.co_filename}:{frame.f_code.co_name}")
+            elif event == "c_call" and str(getattr(arg, "__module__", "")).startswith("scipy.linalg"):
+                calls.append(f"{arg.__module__}.{arg.__name__}")
+
+        # the profiler sees no call of a LAPACK or BLAS wrapper (a Fortran
+        # object, neither Python nor builtin): those of scipy.linalg record their own
+        def recording(name, fn):
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        for module in (scipy.linalg.lapack, scipy.linalg.blas):
+            for name, fn in list(vars(module).items()):
+                if type(fn).__name__ == "fortran":
+                    monkeypatch.setattr(module, name, recording(f"{module.__name__}.{name}", fn))
+        sys.setprofile(watch)
+        try:
+            res = engine.solve_step(sc.initial_state())
+        finally:
+            sys.setprofile(None)
+        assert res.iterations > 0 and not calls, calls[:5]
 
 
 class TestSolutionQuality:

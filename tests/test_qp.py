@@ -262,6 +262,27 @@ class TestSolveQp:
         assert res.status is QpStatus.MAX_ITER
         assert np.all(np.isfinite(res.x))
 
+    def test_singular_member_ends_alone_in_a_stack(self):
+        # the unbounded QP above among regular members with the same bound
+        # slots: its singular KKT matrix ends it at MAX_ITER, and every other
+        # member comes out bit for bit as it does alone
+        rng = np.random.default_rng(4)
+        h = np.stack([random_psd(rng, 2) for _ in range(4)])
+        h[1] = 0.0
+        g = rng.normal(size=(4, 2))
+        g[1] = [1.4, 1.0]
+        lb = np.full((4, 2), -np.inf)
+        ub = np.stack([np.full(4, 1.0), np.full(4, np.inf)], axis=1)
+        ub[[0, 2, 3], 0] = [-0.5, 0.2, 3.0]
+        stacked = solve_qp(DenseQP(h, g, lb=lb, ub=ub))
+        assert stacked.statuses[1] is QpStatus.MAX_ITER and np.all(np.isfinite(stacked.x[1]))
+        for k in (0, 2, 3):
+            one = slice(k, k + 1)
+            alone = solve_qp(DenseQP(h[one], g[one], lb=lb[one], ub=ub[one]))
+            assert stacked.statuses[k] is alone.statuses[0] is QpStatus.OPTIMAL
+            for field in ("x", "nu", "mu_lo", "mu_hi"):
+                assert getattr(stacked, field)[k].tobytes() == getattr(alone, field)[0].tobytes(), (k, field)
+
     def test_stack_members_match_their_solves_as_stacks_of_one(self):
         # one stack of equal-size QPs (three variables, one equality row)
         # whose members differ in their bounds; each must come out as it does
