@@ -9,8 +9,9 @@ response map:
                    every row of every subsystem, point location (which
                    region holds each row's optimum) in closed form or one
                    interior-point solve per row-width class on the QP
-                   route, and each subsystem then applies its own rows'
-                   affine law or writes back its own rows' solutions;
+                   route, both reading the iterate where it lies, and each
+                   subsystem then applies its own rows' affine law or
+                   copies in its own rows' solutions;
 * column step   -- projection of its column slice onto the dynamics
                    constraint, one precomputed affine map per subsystem;
 * multiplier    -- scaled dual ascent on the disagreement between the
@@ -35,14 +36,16 @@ of x0, so the iteration count of one step jumps between about 65 and 115 on
 the active-box chain.  A rho change or a new step disarms it, and the
 stopping test reads the true psi_prev.
 
-The row partitions hold the one copy of (phi, psi, lambda); the column
-partitions hold only the column step's target (the relaxed phi plus lambda),
-which row owners send, and its psi, which column owners send back.  Each
-lives in a flat buffer, subsystem blocks contiguous in subsystem-id order,
-the per-subsystem matrices views into it.  The column partitions are the
-transpose of the row masks, so every column-buffer entry has one row-buffer
-source, found by matching the entry's ``(row, col)`` key: one index array is
-the whole exchange plan, and the multiplier step is one row-buffer update.
+The row partitions hold the one copy of (phi, psi, lambda), every row of
+every subsystem stacked and padded at its end to the widest block, the
+layout the row phases' stacked calls read; the column partitions hold only
+the column step's target (the relaxed phi plus lambda), which row owners
+send, and its psi, which column owners send back, subsystem blocks
+contiguous.  Both lie in subsystem-id order, the per-subsystem matrices
+views into them.  The column partitions are the transpose of the row
+masks, so every column-buffer entry has one row-buffer source, found by
+matching the entry's ``(row, col)`` key: one index array is the whole
+exchange plan, and the multiplier step is one row-buffer update.
 All exchanges stay inside bounded graph neighborhoods: measurements and
 column blocks travel to at most (d+1)-hop outgoing neighbors, row blocks to
 at most (d+1)-hop incoming neighbors (input rows couple columns d+1 hops
@@ -136,35 +139,32 @@ def packet_within_locality(packet: ExchangePacket, index: LocalityIndex) -> bool
 class AdmmState:
     """Per-subsystem row partitions of (phi, psi, lambda) and the column step's workspace.
 
-    ``rows`` (shape ``(4, R)``) holds phi, psi, lambda and the previous psi
-    of the row partitions, the only copy of the iterate; ``cols`` (shape
-    ``(2, C)``) holds the column partitions' target
-    (``ALPHA * phi + (1 - ALPHA) * psi_prev + lambda``, the column step's
-    input) and psi (its output).  Each subsystem's block sits contiguously,
-    in C order and subsystem-id order.  ``phi_r``, ``psi_r`` and ``lam_r``
-    are tuples of reshaped views into the row buffer, so blocks are written
-    in place and cannot be rebound.  ``rho`` is the current penalty, by
-    which lambda is scaled.  Row blocks have shape (len(rows),
-    len(row_cols)), column blocks (len(col_rows), len(cols)).  ``x0`` is the
-    measured state, ``packets`` one iteration's :class:`ExchangePacket` list,
-    read off the exchange plan after the step (None unless recording).
+    ``rows`` (shape ``(4, R, W)``) holds phi, psi, lambda and the previous
+    psi of the row partitions, the only copy of the iterate: every
+    subsystem's rows stacked in subsystem-id order, each padded at its end
+    to the widest block (the padding stays +0).  ``cols`` (shape ``(2, C)``)
+    holds the column partitions' target (``ALPHA * phi + (1 - ALPHA) *
+    psi_prev + lambda``, the column step's input) and psi (its output), each
+    subsystem's block contiguous, in C order and subsystem-id order.
+    ``phi_r``, ``psi_r`` and ``lam_r`` are tuples of views into the row
+    buffer, each subsystem's span of rows cut at its block width, so blocks
+    are written in place and cannot be rebound.  ``rho`` is the current
+    penalty, by which lambda is scaled.  ``x0`` is the measured state,
+    ``packets`` one iteration's :class:`ExchangePacket` list, read off the
+    exchange plan after the step (None unless recording).
     :meth:`DlmpcEngine.measure` builds ``terms`` once per MPC step, the
-    :func:`row_terms` of every row stacked in subsystem-id order (each row's
-    x0 is the measured state's coupled slice, zero off ``row_mask`` and
-    padded to the widest block), which both row routes read, and
-    ``x0_blocks``, each subsystem's x0 block of them (its span of rows cut
-    at its block width), which the explicit law and extraction read: one
-    view per subsystem and step costs less than a slice per row step.  On
-    the explicit route ``coef`` holds every row's clip-and-correct
-    coefficient from the iteration's point location; on the QP route
-    ``solved`` holds the row layer of phi with the iteration's QP solutions
-    in place and ``failed`` the status of each stacked row not solved
-    optimally.  ``residual_history`` holds one (max primal, max dual) pair
-    per iteration, and ``per_sub_seconds`` each subsystem's time on this
-    state.  ``held`` counts the iterations since rho last moved.  Once momentum arms,
-    ``prev`` holds the last true (psi, lambda) of the row buffer, ``nesterov``
-    the momentum weight a, ``gap`` and ``new_gap`` the last two restart
-    quantities; ``extrapolated`` and ``restarts`` count its steps.
+    :func:`row_terms` of every row on the row buffer's layout, which both
+    row routes read, and ``x0_blocks``, its views cut like ``phi_r``, which
+    the explicit law and extraction read.  On the explicit route ``coef``
+    holds every row's clip-and-correct coefficient from the iteration's
+    point location; on the QP route ``solved`` holds every row's target
+    with the iteration's QP solutions in place on the row masks.
+    ``residual_history`` holds one (max primal, max dual) pair per
+    iteration, ``per_sub_seconds`` each subsystem's time on this state, and
+    ``held`` the iterations since rho last moved.  Once momentum arms,
+    ``prev`` holds the last true (psi, lambda) of the row buffer,
+    ``nesterov`` the momentum weight a, ``gap`` and ``new_gap`` the last two
+    restart quantities; ``extrapolated`` and ``restarts`` count its steps.
     """
 
     rows: np.ndarray
@@ -183,7 +183,6 @@ class AdmmState:
     x0_blocks: tuple = ()
     coef: np.ndarray | None = None
     solved: np.ndarray | None = None
-    failed: dict = field(default_factory=dict)
     packets: list | None = None
     per_sub_seconds: np.ndarray | None = None
     held: int = 0
@@ -332,14 +331,12 @@ class DlmpcEngine:
             *boxes["input"],
         )
         subs = index.subsystems
-        # block shapes and flat offsets of the row and column buffers
+        # block shapes of the row and column partitions, and the column buffer's flat offsets
         self._shapes = {
             "r": [(s.rows.size, s.row_cols.size) for s in subs],
             "c": [(s.col_rows.size, s.cols.size) for s in subs],
         }
-        self._offsets = {
-            k: np.concatenate(([0], np.cumsum([a * b for a, b in v]))) for k, v in self._shapes.items()
-        }
+        self._col_offsets = np.concatenate(([0], np.cumsum([a * b for a, b in self._shapes["c"]])))
         joined = lambda attr: np.concatenate([getattr(s, attr) for s in subs])
         heights, widths = np.array(self._shapes["r"]).T
         # every subsystem's rows stacked in subsystem-id order: their global
@@ -348,50 +345,48 @@ class DlmpcEngine:
         self._ends = np.cumsum(heights)
         self._spans = [slice(end - h, end) for h, end in zip(heights.tolist(), self._ends.tolist())]
         self._boxes = tuple(v[self._stack_rows] for v in (lo, hi, w))
-        # the QP route's stacks: the stacked rows of each block width
+        # the row buffer's layout, the stacked rows padded at their ends to the
+        # widest block, where each subsystem's span starts, and the QP route's
+        # stacks, the stacked rows of each block width
         row_width = np.repeat(widths, heights)
+        self._widest = int(widths.max())
+        on_row = np.arange(self._widest) < row_width[:, None]
+        self._starts = (self._ends - heights) * self._widest
         self._width_classes = [(int(k), np.flatnonzero(row_width == k)) for k in np.unique(widths)]
-        # every row-buffer entry's key row * n + col, which names it in either buffer
-        row_cols = joined("row_cols")
-        rows, cols = _entries(heights, widths, self._stack_rows, row_cols)
-        self._row_keys = rows * n + cols
-        # the stacked rows padded at their ends to the widest block: the
-        # padding, each entry's row-buffer position (0 on the padding) and
-        # its x0 component (n, a zero appended to x0, off the row's mask)
-        on_row = np.arange(widths.max()) < np.repeat(widths, heights)[:, None]
-        self._pad = np.flatnonzero(~on_row)
-        self._gather = np.zeros(on_row.shape, dtype=np.intp)
-        self._gather[on_row] = np.arange(cols.size)
-        self._x0_at = np.full(on_row.shape, n)
+        # each row-buffer entry's key row * n + col, which names it in either
+        # buffer (-1 on the padding), and its x0 component: n (a +0 appended
+        # to x0) off the row's mask, n + 1 (a -0) on the padding
+        rows, cols = _entries(heights, widths, self._stack_rows, joined("row_cols"))
+        self._row_keys = np.full(on_row.size, -1)
+        self._row_keys[on_row.ravel()] = rows * n + cols
+        self._x0_at = np.full(on_row.shape, n + 1)
         self._x0_at[on_row] = np.where(np.concatenate([s.row_mask.ravel() for s in subs]), cols, n)
+        self._mask = self._x0_at < n  # the row masks on the padded layout
         col_entries = _entries(*np.array(self._shapes["c"]).T, joined("col_rows"), joined("cols"))
-        self._src = self._build_exchange_plan(heights, widths, row_cols, col_entries)
+        self._src = self._build_exchange_plan(on_row, cols, col_entries)
         # each shape class's column blocks in member order, one slice if consecutive
         self._class_at = []
         for cls, ids in zip(op.classes, op.members):
-            at = (self._offsets["c"][np.array(ids) - 1, None] + np.arange(cls.offset[0].size)).ravel()
+            at = (self._col_offsets[np.array(ids) - 1, None] + np.arange(cls.offset[0].size)).ravel()
             self._class_at.append(slice(at[0], at[-1] + 1) if at[-1] + 1 - at[0] == at.size else at)
 
-    def _build_exchange_plan(self, heights, widths, row_cols, col_entries: tuple) -> np.ndarray:
-        """``src``, the row-buffer position of every column-buffer entry, in column-buffer order.
+    def _build_exchange_plan(self, on_row, row_cols, col_entries: tuple) -> np.ndarray:
+        """``src``, the flat row-buffer position of every column-buffer entry, in column-buffer order.
 
-        Takes the row blocks' shapes, every owner's ascending ``row_cols``
-        concatenated, and the ``(rows, cols)`` of the column-buffer entries.
-        Each global row has one owner, so an entry's source is its row's
-        start in the row buffer plus its column's place in the owner's
-        ``row_cols``, found by one search of all of them keyed
-        ``owner * n + col``.  So ``row_keys[src]`` are the column keys;
+        Takes the row buffer's mask of non-padding entries, their columns in
+        buffer order, and the ``(rows, cols)`` of the column-buffer entries.
+        Each global row is one stacked row, whose columns ascend, so the
+        entries keyed ``stacked row * n + col`` ascend in buffer order and one
+        search finds every source.  So ``row_keys[src]`` are the column keys;
         :meth:`_packets` reads every packet off ``src``.  A column entry with
         no source raises RuntimeError.
         """
-        n, owners = self.index.n_states, np.arange(heights.size)
-        rows, cols = col_entries
+        n, (rows, cols) = self.index.n_states, col_entries
         stacked = np.empty(self.index.n_rows, dtype=np.intp)
         stacked[self._stack_rows] = np.arange(self._stack_rows.size)
-        at = stacked[rows]  # each entry's row in the stacked layout
-        owner = np.searchsorted(self._ends, at, side="right")
-        place = np.searchsorted(np.repeat(owners, widths) * n + row_cols, owner * n + cols)
-        src = np.minimum(self._gather[at, 0] + place - (np.cumsum(widths) - widths)[owner], self._row_keys.size - 1)
+        live = np.flatnonzero(on_row)
+        at = np.searchsorted(live // self._widest * n + row_cols, stacked[rows] * n + cols)
+        src = live[np.minimum(at, live.size - 1)]
         if np.any(self._row_keys[src] != rows * n + cols):
             raise RuntimeError("a column-buffer entry has no row-buffer source")
         return src
@@ -406,15 +401,14 @@ class DlmpcEngine:
         state whose partitions do not fit this engine's index raises
         ValueError.
         """
-        shapes, offsets = self._shapes, self._offsets
         n_sub = len(self.index.subsystems)
-        cols = np.zeros((2, offsets["c"][-1]))  # the column step's workspace
+        cols = np.zeros((2, self._col_offsets[-1]))  # the column step's workspace
         if warm is None:
-            rows = np.zeros((4, offsets["r"][-1]))
+            rows = np.zeros((4,) + self._mask.shape)
         else:
             # psi_r and lam_r are views of the same buffer, in these shapes
             for i in range(max(n_sub, len(warm.phi_r))):
-                want = shapes["r"][i] if i < n_sub else "no block"
+                want = self._shapes["r"][i] if i < n_sub else "no block"
                 got = np.shape(warm.phi_r[i]) if i < len(warm.phi_r) else "no block"
                 if got != want:
                     raise ValueError(
@@ -425,13 +419,17 @@ class DlmpcEngine:
             # exact for a state of this engine: rho moves by powers of two
             rows[2] *= warm.rho / self.rho
         return AdmmState(
-            rows, cols, *(self._views(m, "r") for m in rows[:3]), rho=self.rho, per_sub_seconds=np.zeros(n_sub)
+            rows, cols, *(self._blocks(m) for m in rows[:3]), rho=self.rho, per_sub_seconds=np.zeros(n_sub)
         )
 
-    def _views(self, flat: np.ndarray, k: str) -> tuple:
-        """Per-subsystem block views of one flat array of the row (``k="r"``) or column (``"c"``) layout."""
-        off = self._offsets[k]
-        return tuple(flat[a:b].reshape(s) for a, b, s in zip(off, off[1:], self._shapes[k]))
+    def _blocks(self, stacked: np.ndarray) -> tuple:
+        """Per-subsystem block views of an array of the stacked rows: each span cut at its block width."""
+        return tuple(stacked[at, :w] for at, (_, w) in zip(self._spans, self._shapes["r"]))
+
+    def _row_name(self, r: int) -> str:
+        """``subsystem i: global row g`` for stacked row ``r``."""
+        i = np.searchsorted(self._ends, r, side="right") + 1
+        return f"subsystem {i}: global row {self._stack_rows[r]}"
 
     # -- row and column updates -----------------------------------------------
 
@@ -439,84 +437,74 @@ class DlmpcEngine:
         """Every row's :class:`RowTerms` for ``state.x0`` in one stacked call.
 
         Each row reads the measurements its subsystem receives, on its
-        ``row_mask`` row, into ``state.terms`` and ``state.x0_blocks``.  A zero row
-        whose box excludes 0 raises :class:`InfeasibleRowError` naming its
-        subsystem and global row.
+        ``row_mask`` row, +0 off it and -0 on the padding, into ``state.terms``
+        and ``state.x0_blocks``.  The padding's targets are +0, so each padded
+        product is -0, the exact identity of the sequential dot product: every
+        row's sums are those of its block alone, bit for bit.  A zero row whose
+        box excludes 0 raises :class:`InfeasibleRowError` naming its row.
         """
-        x0 = np.append(state.x0, 0.0)[self._x0_at]
+        x0 = np.append(state.x0, (0.0, -0.0))[self._x0_at]
         try:
             terms = row_terms(x0, *self._boxes)
         except InfeasibleRowError as err:
-            i = np.searchsorted(self._ends, err.row, side="right") + 1
-            raise InfeasibleRowError(f"subsystem {i}: global row {self._stack_rows[err.row]}: {err.detail}") from err
+            raise InfeasibleRowError(f"{self._row_name(err.row)}: {err.detail}") from err
         state.terms = terms
-        state.x0_blocks = tuple(terms.x0[at, :w] for at, (_, w) in zip(self._spans, self._shapes["r"]))
+        state.x0_blocks = self._blocks(terms.x0)
 
     def locate_rows(self, state: AdmmState):
         """Point location for every row of every subsystem, one stacked call.
 
-        Leaves each row's target ``psi - lambda`` in phi's layer and its
-        clip-and-correct coefficient in ``state.coef``, so the explicit
-        :meth:`row_step` only applies its subsystem's law.  On the padding
-        past a row's block the target is -0 and x0 is +0: their product, -0,
-        is the exact identity of the sequential dot product, so every row's
-        sums are those of its block alone, bit for bit.
+        Leaves each row's target ``psi - lambda`` in phi's layer, which
+        :func:`locate` reads in place, and its clip-and-correct coefficient
+        in ``state.coef``, so the explicit :meth:`row_step` only applies its
+        subsystem's law.
         """
         rows = state.rows
         np.subtract(rows[1], rows[2], out=rows[0])
-        targets = rows[0][self._gather]
-        targets.flat[self._pad] = -0.0
-        state.coef = locate(state.terms, targets, state.rho)[0]
+        state.coef = locate(state.terms, rows[0], state.rho)[0]
 
     def solve_row_qps(self, state: AdmmState):
         """The QP route's row solves: one stacked ``solve_qp`` call per row-width class.
 
-        Leaves each row's target ``psi - lambda`` in phi's layer, a copy of it
-        in ``state.solved`` with every live row's solution in place, and the
-        rows not solved optimally in ``state.failed``, so :meth:`row_step`
-        only checks and writes back its subsystem's rows.  A class stacks
-        its rows that the terms do not mark zero (zero rows stay at their
-        targets) at its width, which is the rows' block width: off the mask
-        the target and x0 are zero, so those variables decouple at 0.  A
-        class without such rows makes no call.
+        Leaves each row's target ``psi - lambda`` in ``state.solved``, live
+        rows' solutions in place on their masks, for :meth:`row_step` to copy
+        in.  A class stacks its rows that the terms do not mark zero (zero
+        rows stay at their targets) at its width, the rows' block width: off
+        the mask the target and x0 are zero, so those variables decouple at
+        0.  A class without such rows makes no call.  The first stacked row
+        whose QP ends not optimal raises before any row changes
+        (:class:`InfeasibleRowError` if infeasible, else :class:`ConvergenceError`).
         """
-        rows, terms = state.rows, state.terms
-        np.subtract(rows[1], rows[2], out=rows[0])
-        state.solved, state.failed = rows[0].copy(), {}
+        terms = state.terms
+        state.solved = solved = state.rows[1] - state.rows[2]
+        failed = {}
         for width, members in self._width_classes:
             live = members[~terms.zero[members]]
             if not live.size:
                 continue
-            at = self._gather[live, :width]
+            target = solved[live, :width]
             lo, hi, w = (v[live] for v in self._boxes)
-            res = solve_qp(row_qp(rows[0][at], terms.x0[live, :width], state.rho, lo, hi, w))
-            state.solved[at] = res.x[:, :-1]
-            state.failed.update((int(live[j]), s) for j, s in enumerate(res.statuses) if s is not QpStatus.OPTIMAL)
+            res = solve_qp(row_qp(target, terms.x0[live, :width], state.rho, lo, hi, w))
+            solved[live, :width] = np.where(self._mask[live, :width], res.x[:, :-1], target)
+            failed.update((r, s) for r, s in zip(live.tolist(), res.statuses) if s is not QpStatus.OPTIMAL)
+        for r in sorted(failed)[:1]:  # the first stacked row not solved optimally
+            where, status = self._row_name(r), failed[r]
+            if status is QpStatus.INFEASIBLE:
+                raise InfeasibleRowError(f"{where}: QP infeasible, box [{self._boxes[0][r]}, {self._boxes[1][r]}]")
+            raise ConvergenceError(f"{where}: row QP ended {status.value}")
 
     def row_step(self, state: AdmmState, i: int):
         """Proximal row update for subsystem i, each row over its ``row_mask`` row.
 
         The explicit route applies the affine law of the regions
-        :meth:`locate_rows` found to subsystem i's targets, in place.  The QP
-        route raises for the subsystem's first row that
-        :meth:`solve_row_qps` did not solve optimally (:class:`InfeasibleRowError`
-        if its QP was infeasible, else :class:`ConvergenceError`, naming its
-        global row), then writes the solved rows back on the mask only.
+        :meth:`locate_rows` found to subsystem i's targets, in place; the QP
+        route copies in its block of ``state.solved``.
         """
-        at = self._spans[i - 1]
+        at, phi = self._spans[i - 1], state.phi_r[i - 1]
         if self.row_solver is RowSolverKind.EXPLICIT:
-            phi = state.phi_r[i - 1]
             apply_law(phi, state.coef[at], state.x0_blocks[i - 1], out=phi)
-            return
-        for r in sorted(r for r in state.failed if at.start <= r < at.stop)[:1]:
-            status, where = state.failed[r], f"subsystem {i}: global row {self._stack_rows[r]}"
-            if status is QpStatus.INFEASIBLE:
-                lo, hi = (v[r] for v in self._boxes[:2])
-                raise InfeasibleRowError(f"{where}: QP infeasible, box [{lo}, {hi}]")
-            raise ConvergenceError(f"{where}: row QP ended {status.value}")
-        phi, off = state.phi_r[i - 1], self._offsets["r"]
-        solved = state.solved[off[i - 1] : off[i]].reshape(phi.shape)
-        np.copyto(phi, solved, where=self.index.subsystems[i - 1].row_mask)
+        else:
+            phi[...] = state.solved[at, : phi.shape[1]]
 
     def column_step(self, state: AdmmState):
         """Project every column slice's target onto the dynamics constraint, by shape class."""
@@ -530,17 +518,17 @@ class DlmpcEngine:
         primal = rows[0] - rows[1]
         step = _relaxed(rows[0], rows[3]) - rows[1]  # lambda - lambda_hat
         rows[2] += step
-        # one segment per subsystem; reduceat misreads empty segments, but no
-        # row block is empty (every subsystem has a state and its T+1 rows)
-        starts = self._offsets["r"][:-1]
-        norms = lambda diff: np.sqrt(np.add.reduceat(diff * diff, starts))
+        # one segment per subsystem, its span (padding included); reduceat misreads
+        # empty segments, but no row block is empty (every subsystem has a state and its T+1 rows)
+        sums = lambda sq: np.add.reduceat(sq.ravel(), self._starts)
+        norms = lambda diff: np.sqrt(sums(diff * diff))
         moved = rows[1] - rows[3]  # psi - psi_hat
         state.primal = norms(primal)
         if state.prev is None:
             state.dual = norms(moved)
         else:  # rows[3] is psi_hat; the dual residual reads the true psi_prev
             state.dual = norms(rows[1] - state.prev[0])
-            state.new_gap = float(np.add.reduceat(step * step + moved * moved, starts).max())
+            state.new_gap = float(sums(step * step + moved * moved).max())
 
     def check_convergence(self, state: AdmmState) -> bool:
         """All subsystems within both residual tolerances (boundary passes).
@@ -601,12 +589,12 @@ class DlmpcEngine:
         """Row owners send the column step's target to column owners."""
         rows = state.rows
         target = _relaxed(rows[0], rows[1]) + rows[2]  # psi is still the previous one
-        state.cols[0] = target[self._src]
+        state.cols[0] = target.ravel()[self._src]
 
     def exchange_columns(self, state: AdmmState):
         """Column owners send projected blocks back to row owners."""
         state.rows[3] = state.rows[1]
-        state.rows[1][self._src] = state.cols[1]
+        state.rows[1].reshape(-1)[self._src] = state.cols[1]
 
     def _packets(self, state: AdmmState) -> list:
         """One iteration's traffic, read off the exchange plan; block payloads are the last iteration's.
@@ -618,9 +606,11 @@ class DlmpcEngine:
         index, x0, cols = self.index, state.x0, self.model.state_indices
         packets = [ExchangePacket(j, i, Phase.MEASUREMENT, None, cols(j), x0[cols(j)])
                    for i, in_set in enumerate(index.in_sets_ext, start=1) for j in sorted(in_set)]
-        owner = np.searchsorted(self._offsets["r"], self._src, side="right")  # of each column entry's row
+        owner = np.searchsorted(self._ends, self._src // self._widest, side="right") + 1  # of each entry's row
+        off = self._col_offsets
         for phase, sent in zip((Phase.ROW_BLOCKS, Phase.COLUMN_BLOCKS), state.cols):
-            for s, start, block in zip(index.subsystems, self._offsets["c"], self._views(sent, "c")):
+            for s, start, end in zip(index.subsystems, off, off[1:]):
+                block = sent[start:end].reshape(s.col_rows.size, s.cols.size)
                 by_owner = owner[start : start + block.size : s.cols.size]  # one per row of the block
                 for k in np.unique(by_owner):
                     at = by_owner == k
@@ -632,18 +622,19 @@ class DlmpcEngine:
 
     def assemble_from_rows(self, state: AdmmState, which: str = "phi") -> np.ndarray:
         """Global stacked matrix of the row partitions' phi, psi or lambda."""
-        return self._scatter(state.rows, ("phi", "psi", "lambda"), which, self._row_keys)
+        return self._scatter(state.rows.reshape(4, -1), ("phi", "psi", "lambda"), which, self._row_keys)
 
     def assemble_from_cols(self, state: AdmmState, which: str = "psi") -> np.ndarray:
         """Global stacked matrix of the column partitions' target or psi."""
         return self._scatter(state.cols, ("target", "psi"), which, self._row_keys[self._src])
 
     def _scatter(self, buffer: np.ndarray, layers: tuple, which: str, keys: np.ndarray) -> np.ndarray:
-        """Layer ``which`` of ``buffer`` placed at its entries' keys; ValueError unless it is in ``layers``."""
+        """Layer ``which`` of flat ``buffer`` placed at its keys but -1; ValueError unless it is in ``layers``."""
         if which not in layers:
             raise ValueError(f"which must be one of {list(layers)}, got {which!r}")
         out = np.zeros((self.index.n_rows, self.index.n_states))
-        out.flat[keys] = buffer[layers.index(which)]
+        on = keys >= 0
+        out.flat[keys[on]] = buffer[layers.index(which)][on]
         return out
 
     def extract_control(self, state: AdmmState, i: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from .topology import NetworkModel
+from .topology import NetworkModel, check_int
 
 
 class QpStructureError(ValueError):
@@ -404,8 +404,12 @@ def centralized_mpc(
     predicted states (applied for t = 1..T) enter through auxiliary variables
     pinned to the predicted values by equality rows.  Costs follow the shared
     convention: states weighted for t = 1..T-1 by ``q_diag``, terminal state
-    by ``qt_diag``, all inputs by ``r_diag``.
+    by ``qt_diag``, all inputs by ``r_diag``.  A ``horizon`` that is not an
+    integer, or is below 1, raises ValueError.
     """
+    horizon = check_int("horizon", horizon)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     n, p = model.n_states, model.n_inputs
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.shape != (n,):

@@ -26,9 +26,9 @@ path depends on them:
   loop at every k-th iteration;
 * ``column_blocks`` cuts a row of the column buffer into per-subsystem
   blocks by the index's column-partition shapes, and ``assemble_blocks``
-  places either buffer's blocks in the global stacked matrix one
-  ``np.ix_`` block at a time, the reference for the engine's one-scatter
-  assembly.
+  places those blocks, or the row partitions' per-subsystem views, in the
+  global stacked matrix one ``np.ix_`` block at a time, the reference for
+  the engine's one-scatter assembly.
 """
 from __future__ import annotations
 
@@ -299,29 +299,27 @@ def centralized_local_mpc(
     return {"phi": phi, "cost": cost, "status": res.status, "iterations": res.iterations}
 
 
-def _blocks(flat: np.ndarray, shapes: list) -> list:
-    ends = np.cumsum([a * b for a, b in shapes])
-    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
-
-
 def column_blocks(index: LocalityIndex, state, k: int) -> list:
     """Row ``k`` of ``state.cols`` (0 the target, 1 psi) as per-subsystem blocks."""
-    return _blocks(state.cols[k], [(s.col_rows.size, s.cols.size) for s in index.subsystems])
+    shapes = [(s.col_rows.size, s.cols.size) for s in index.subsystems]
+    ends = np.cumsum([a * b for a, b in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(state.cols[k], ends[:-1]), shapes)]
 
 
 def assemble_blocks(index: LocalityIndex, state, side: str, k: int) -> np.ndarray:
-    """Global ``(n_rows, n)`` matrix of row ``k`` of ``state.rows`` (``side="row"``) or ``state.cols``.
+    """Global ``(n_rows, n)`` matrix of layer ``k`` of the row partitions (``side="row"``:
+    0 phi, 1 psi, 2 lambda, read off ``phi_r``/``psi_r``/``lam_r``) or of ``state.cols``.
 
     Each subsystem's block goes to its rows and columns by ``np.ix_``.
     """
     out = np.zeros((index.n_rows, index.n_states))
     if side == "row":
         spans = [(s.rows, s.row_cols) for s in index.subsystems]
-        flat = state.rows[k]
+        blocks = (state.phi_r, state.psi_r, state.lam_r)[k]
     else:
         spans = [(s.col_rows, s.cols) for s in index.subsystems]
-        flat = state.cols[k]
-    for (rows, cols), block in zip(spans, _blocks(flat, [(r.size, c.size) for r, c in spans])):
+        blocks = column_blocks(index, state, k)
+    for (rows, cols), block in zip(spans, blocks, strict=True):
         out[np.ix_(rows, cols)] = block
     return out
 

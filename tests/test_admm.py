@@ -293,11 +293,18 @@ class TestExchanges:
         subs = sc.index.subsystems
         row_keys = keys((s.rows, s.row_cols) for s in subs)
         col_keys = keys((s.col_rows, s.cols) for s in subs)
-        assert (row_keys.size, col_keys.size) == (state.rows.shape[1], state.cols.shape[1])
+        # the row buffer stacks every row, padded at its end (key -1) to the widest block
+        width = max(s.row_cols.size for s in subs)
+        padded = np.concatenate([
+            np.pad(s.rows[:, None] * n + s.row_cols, ((0, 0), (0, width - s.row_cols.size)), constant_values=-1)
+            for s in subs
+        ])
+        assert np.array_equal(padded[padded >= 0], row_keys)
+        assert (state.rows.shape, col_keys.size) == ((4,) + padded.shape, state.cols.shape[1])
         on_mask = reference_mask(model, sc.graph, d, horizon).ravel()
         np.testing.assert_array_equal(np.sort(col_keys), np.flatnonzero(on_mask))
         assert np.unique(row_keys).size == row_keys.size  # no entry sits in two row partitions
-        np.testing.assert_array_equal(row_keys[engine._src], col_keys)
+        np.testing.assert_array_equal(padded.ravel()[engine._src], col_keys)
 
     @pytest.mark.parametrize("model, d, horizon", PLAN_CASES)
     def test_assembly_matches_the_block_oracle(self, model, d, horizon, six_node_model, cross_fed_chain_model):
@@ -694,6 +701,40 @@ class TestConvergenceControl:
             engine.solve_step(x0)
 
 
+    def test_first_non_optimal_row_is_named_in_any_subsystem_order(self, monkeypatch):
+        # every row QP of a warm step ends at its cap: the first stacked row is
+        # named whatever order the subsystems run in, and the raise leaves
+        # every phi block as the warm state holds it
+        sc = small_scenario()
+        x0 = sc.initial_state()
+        warm = sc.make_engine(row_solver=RowSolverKind.QP).solve_step(x0).state
+        solve_qp = admm.solve_qp
+
+        def capped(qp):
+            res = solve_qp(qp)
+            res.statuses = [QpStatus.MAX_ITER] * len(res.statuses)
+            return res
+
+        monkeypatch.setattr(admm, "solve_qp", capped)
+        for order in ([1, 2, 3, 4], [3, 1, 4, 2]):
+            engine = sc.make_engine(row_solver=RowSolverKind.QP)
+            states, init_state = [], engine.init_state
+            engine.init_state = lambda warm_state: states.append(init_state(warm_state)) or states[-1]
+
+            def each_ordered(state, phase, order=order):
+                out = [None] * len(order)
+                for i in order:
+                    out[i - 1] = phase(state, i)
+                return out
+
+            engine._each = each_ordered
+            with pytest.raises(ConvergenceError, match=r"^subsystem 1: global row 0: row QP ended max-iter$"):
+                engine.solve_step(x0, warm_state=warm)
+            assert any(np.any(phi != 0.0) for phi in warm.phi_r)
+            for got, want in zip(states[0].phi_r, warm.phi_r, strict=True):
+                assert got.tobytes() == want.tobytes()
+
+
 class TestMomentum:
     @pytest.mark.parametrize("case", [Case.EXPLICIT, Case.SOLVER])
     def test_step_converging_before_rho_settles_is_untouched(self, case, monkeypatch):
@@ -937,8 +978,7 @@ class TestRowStep:
     def test_padding_keeps_the_sign_of_a_zero_sum(self):
         # subsystem 6's rows are zero rows, narrower than the widest block,
         # whose targets are all negative or -0: alone they sum to -0, and the
-        # padding must keep that sign whatever target its gather index reads
-        # (subsystem 1's first, which is positive here)
+        # padding (target +0, x0 -0) must keep that sign
         sc = build_scenario(ScenarioConfig(n_subsystems=6, horizon=3))
         engine = sc.make_engine()
         x0 = np.zeros(sc.model.n_states)
@@ -959,6 +999,41 @@ class TestRowStep:
             assert state.coef[end - terms.zero.size : end].tobytes() == locate(terms, target, state.rho)[0].tobytes()
             engine.row_step(state, i)
             assert state.phi_r[i - 1].tobytes() == solve_terms(terms, target, state.rho)[0].tobytes()
+
+    @pytest.mark.parametrize("row_solver", list(RowSolverKind))
+    def test_padding_is_inert(self, row_solver, six_node_model, cross_fed_chain_model):
+        # the row buffer stacks every row padded at its end to the widest
+        # block: after a cold and a warm step every padding entry of the four
+        # row layers is +0 and every padding x0 -0, so each padded product is
+        # -0, the identity of the sequential dot products; the QP route runs
+        # at a loose tolerance, which keeps its cross-fed steps short
+        def check(sc, states):
+            subs = sc.index.subsystems
+            width = max(sub.row_cols.size for sub in subs)
+            pad = np.concatenate([np.arange(width) >= np.full((sub.rows.size, 1), sub.row_cols.size) for sub in subs])
+            for state in states:
+                assert state.rows.shape == (4,) + pad.shape
+                rows, x0 = state.rows[:, pad], state.terms.x0[pad]
+                assert np.all(rows == 0.0) and not np.any(np.signbit(rows))
+                assert np.all(x0 == 0.0) and np.all(np.signbit(x0))
+            return np.count_nonzero(pad)
+
+        tol = 1e-4 if row_solver is RowSolverKind.EXPLICIT else 1e-1
+        padded = 0
+        for case in PLAN_CASES:
+            sc = TestExchanges.plan_case(*case, six_node_model, cross_fed_chain_model)
+            engine = sc.make_engine(row_solver=row_solver, eps_primal=tol, eps_dual=tol)
+            x0 = sc.initial_state()
+            cold = engine.solve_step(x0).state
+            padded += check(sc, (cold, engine.solve_step(0.9 * x0, warm_state=cold).state))
+        assert padded > 0
+        if row_solver is RowSolverKind.EXPLICIT:
+            # the active box arms the momentum, and balancing moves rho
+            sc = build_scenario(dataclasses.replace(ACTIVE_BOX, sim_steps=3))
+            _, states = recorded_loop(sc, sc.make_engine())
+            assert all(state.extrapolated > 0 for state in states)
+            assert any(state.rho != sc.config.rho for state in states)
+            assert check(sc, states) > 0
 
     @pytest.mark.parametrize("name", ["chain-explicit", "chain-active-box", "chain-solver", "cross-fed"])
     def test_closed_loop_equals_per_subsystem_row_phases_bitwise(self, name, cross_fed_chain_model):

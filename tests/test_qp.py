@@ -451,6 +451,16 @@ class TestCentralizedMpc:
         with pytest.raises(ValueError, match=f"{name} must have 4 entries, got 1"):
             centralized_mpc(build_chain_model(2), 3, np.array([0.5, 0.9, 0.5, 0.9]), **kwargs)
 
+    @pytest.mark.parametrize(
+        "horizon, message",
+        [(0, "horizon must be at least 1"), (-1, "horizon must be at least 1"),
+         (1.5, "horizon must be an integer, got 1.5"), (True, "horizon must be an integer, got True")],
+    )
+    def test_rejects_a_horizon_that_is_not_a_positive_integer(self, horizon, message):
+        # the locality index's rule and messages, not a numpy error from deep inside
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            centralized_mpc(build_chain_model(2), horizon, np.ones(4), np.ones(4), np.ones(2), np.ones(4))
+
 
 class TestCentralizedLocalMpc:
     def test_wide_locality_matches_unrestricted(self):
