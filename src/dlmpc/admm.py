@@ -5,13 +5,12 @@ response map:
 
 * row step      -- proximal minimization of its local cost rows subject to
                    per-row boxes, solved in closed form (or by the QP solver
-                   for the solver-based variant); one stacked phase serves
-                   every row of every subsystem, point location (which
-                   region holds each row's optimum) in closed form or one
-                   interior-point solve per row-width class on the QP
-                   route, both reading the iterate where it lies, and each
-                   subsystem then applies its own rows' affine law or
-                   copies in its own rows' solutions;
+                   for the solver-based variant); one stacked phase solves
+                   every row of every subsystem, by one point-location call
+                   (which region holds each row's optimum) and one call of
+                   the regions' affine laws, or by one interior-point solve
+                   of every live row, and each subsystem then writes its
+                   own rows back;
 * column step   -- projection of its column slice onto the dynamics
                    constraint, one precomputed affine map per subsystem;
 * multiplier    -- scaled dual ascent on the disagreement between the
@@ -54,10 +53,10 @@ order-independent: phases are barriers, so any subsystem ordering produces
 bitwise identical iterates.  Every phase is ``phase(state, i)`` or
 ``phase(state)`` and moves data only; :meth:`DlmpcEngine.solve_step` orders
 and times them by two runners that look the phase up on the instance:
-``_each`` runs the row step (only each subsystem's law or write-back) and
+``_each`` runs the row step (only each subsystem's write-back) and
 extraction for i = 1..N, charging each call to subsystem i, and ``_all``
 the measurement (every row's terms, one stacked call per MPC step), the
-point location or the row QPs, the exchanges, the column step (one
+stacked row phase of either route, the exchanges, the column step (one
 stacked map per slice-shape class), the multiplier step and the
 convergence check (momentum included), charging equal shares; a recording
 engine reads one iteration's packets off the plan after the step.
@@ -71,7 +70,7 @@ from enum import Enum
 import numpy as np
 
 from .explicit_row import InfeasibleRowError, RowTerms, apply_law, empty_boxes, locate, row_terms
-from .qp import QpStatus, check_profile, row_qp, solve_qp
+from .qp import QpStatus, check_profile, check_x0, row_qp, solve_qp
 from .sls import FeasibilityOperator, project_column
 from .topology import LocalityIndex, NetworkModel, check_id, check_int
 
@@ -154,11 +153,9 @@ class AdmmState:
     exchange plan after the step (None unless recording).
     :meth:`DlmpcEngine.measure` builds ``terms`` once per MPC step, the
     :func:`row_terms` of every row on the row buffer's layout, which both
-    row routes read, and ``x0_blocks``, its views cut like ``phi_r``, which
-    the explicit law and extraction read.  On the explicit route ``coef``
-    holds every row's clip-and-correct coefficient from the iteration's
-    point location; on the QP route ``solved`` holds every row's target
-    with the iteration's QP solutions in place on the row masks.
+    row routes and extraction read.  ``solved``, shaped like one layer of
+    ``rows``, holds every row's new phi from the iteration's stacked row
+    phase, on either route, until the row steps write it back.
     ``residual_history`` holds one (max primal, max dual) pair per
     iteration, ``per_sub_seconds`` each subsystem's time on this state, and
     ``held`` the iterations since rho last moved.  Once momentum arms,
@@ -180,8 +177,6 @@ class AdmmState:
     converged: bool = False
     x0: np.ndarray | None = None
     terms: RowTerms | None = None
-    x0_blocks: tuple = ()
-    coef: np.ndarray | None = None
     solved: np.ndarray | None = None
     packets: list | None = None
     per_sub_seconds: np.ndarray | None = None
@@ -346,13 +341,10 @@ class DlmpcEngine:
         self._spans = [slice(end - h, end) for h, end in zip(heights.tolist(), self._ends.tolist())]
         self._boxes = tuple(v[self._stack_rows] for v in (lo, hi, w))
         # the row buffer's layout, the stacked rows padded at their ends to the
-        # widest block, where each subsystem's span starts, and the QP route's
-        # stacks, the stacked rows of each block width
-        row_width = np.repeat(widths, heights)
+        # widest block, and where each subsystem's span starts
         self._widest = int(widths.max())
-        on_row = np.arange(self._widest) < row_width[:, None]
+        on_row = np.arange(self._widest) < np.repeat(widths, heights)[:, None]
         self._starts = (self._ends - heights) * self._widest
-        self._width_classes = [(int(k), np.flatnonzero(row_width == k)) for k in np.unique(widths)]
         # each row-buffer entry's key row * n + col, which names it in either
         # buffer (-1 on the padding), and its x0 component: n (a +0 appended
         # to x0) off the row's mask, n + 1 (a -0) on the padding
@@ -419,7 +411,8 @@ class DlmpcEngine:
             # exact for a state of this engine: rho moves by powers of two
             rows[2] *= warm.rho / self.rho
         return AdmmState(
-            rows, cols, *(self._blocks(m) for m in rows[:3]), rho=self.rho, per_sub_seconds=np.zeros(n_sub)
+            rows, cols, *(self._blocks(m) for m in rows[:3]), rho=self.rho,
+            solved=np.zeros(self._mask.shape), per_sub_seconds=np.zeros(n_sub),
         )
 
     def _blocks(self, stacked: np.ndarray) -> tuple:
@@ -434,77 +427,64 @@ class DlmpcEngine:
     # -- row and column updates -----------------------------------------------
 
     def measure(self, state: AdmmState):
-        """Every row's :class:`RowTerms` for ``state.x0`` in one stacked call.
+        """Every row's :class:`RowTerms` for ``state.x0`` in one stacked call, into ``state.terms``.
 
         Each row reads the measurements its subsystem receives, on its
-        ``row_mask`` row, +0 off it and -0 on the padding, into ``state.terms``
-        and ``state.x0_blocks``.  The padding's targets are +0, so each padded
-        product is -0, the exact identity of the sequential dot product: every
-        row's sums are those of its block alone, bit for bit.  A zero row whose
-        box excludes 0 raises :class:`InfeasibleRowError` naming its row.
+        ``row_mask`` row, +0 off it and -0 on the padding.  The padding's
+        targets are +0, so each padded product is -0, the exact identity of
+        the sequential dot product: every row's sums are those of its block
+        alone, bit for bit.  A zero row whose box excludes 0 raises
+        :class:`InfeasibleRowError` naming its row.
         """
         x0 = np.append(state.x0, (0.0, -0.0))[self._x0_at]
         try:
-            terms = row_terms(x0, *self._boxes)
+            state.terms = row_terms(x0, *self._boxes)
         except InfeasibleRowError as err:
             raise InfeasibleRowError(f"{self._row_name(err.row)}: {err.detail}") from err
-        state.terms = terms
-        state.x0_blocks = self._blocks(terms.x0)
 
     def locate_rows(self, state: AdmmState):
-        """Point location for every row of every subsystem, one stacked call.
+        """The explicit route's row solves: every row's closed form in one stacked call.
 
-        Leaves each row's target ``psi - lambda`` in phi's layer, which
-        :func:`locate` reads in place, and its clip-and-correct coefficient
-        in ``state.coef``, so the explicit :meth:`row_step` only applies its
-        subsystem's law.
+        Writes each row's target ``psi - lambda`` into ``state.solved``, then
+        one :func:`locate` (point location) and one :func:`apply_law` over the
+        whole layout leave every row's new phi there.  The padding's targets
+        are +0 and its x0 -0, so it stays +0.
         """
-        rows = state.rows
-        np.subtract(rows[1], rows[2], out=rows[0])
-        state.coef = locate(state.terms, rows[0], state.rho)[0]
+        terms, solved = state.terms, state.solved
+        np.subtract(state.rows[1], state.rows[2], out=solved)
+        apply_law(solved, locate(terms, solved, state.rho)[0], terms.x0, out=solved)
 
     def solve_row_qps(self, state: AdmmState):
-        """The QP route's row solves: one stacked ``solve_qp`` call per row-width class.
+        """The QP route's row solves: one stacked ``solve_qp`` call over every live row.
 
-        Leaves each row's target ``psi - lambda`` in ``state.solved``, live
-        rows' solutions in place on their masks, for :meth:`row_step` to copy
-        in.  A class stacks its rows that the terms do not mark zero (zero
-        rows stay at their targets) at its width, the rows' block width: off
-        the mask the target and x0 are zero, so those variables decouple at
-        0.  A class without such rows makes no call.  The first stacked row
-        whose QP ends not optimal raises before any row changes
-        (:class:`InfeasibleRowError` if infeasible, else :class:`ConvergenceError`).
+        Writes each row's target ``psi - lambda`` into ``state.solved`` and
+        stacks the rows that the terms do not mark zero (zero rows stay at
+        their targets) at the widest block width W: off the mask the target
+        and x0 are zero, on the padding +0 and -0, so those variables
+        decouple and keep their targets.  Without live rows it
+        makes no call.  The first live row whose QP ends not optimal raises
+        before ``state.solved`` changes (:class:`InfeasibleRowError` if
+        infeasible, else :class:`ConvergenceError`).
         """
-        terms = state.terms
-        state.solved = solved = state.rows[1] - state.rows[2]
-        failed = {}
-        for width, members in self._width_classes:
-            live = members[~terms.zero[members]]
-            if not live.size:
-                continue
-            target = solved[live, :width]
-            lo, hi, w = (v[live] for v in self._boxes)
-            res = solve_qp(row_qp(target, terms.x0[live, :width], state.rho, lo, hi, w))
-            solved[live, :width] = np.where(self._mask[live, :width], res.x[:, :-1], target)
-            failed.update((r, s) for r, s in zip(live.tolist(), res.statuses) if s is not QpStatus.OPTIMAL)
-        for r in sorted(failed)[:1]:  # the first stacked row not solved optimally
-            where, status = self._row_name(r), failed[r]
+        terms, solved = state.terms, state.solved
+        np.subtract(state.rows[1], state.rows[2], out=solved)
+        live = np.flatnonzero(~terms.zero)
+        if not live.size:
+            return
+        target = solved[live]
+        lo, hi, w = (v[live] for v in self._boxes)
+        res = solve_qp(row_qp(target, terms.x0[live], state.rho, lo, hi, w))
+        for k in np.flatnonzero([s is not QpStatus.OPTIMAL for s in res.statuses])[:1]:
+            where, status = self._row_name(live[k]), res.statuses[k]
             if status is QpStatus.INFEASIBLE:
-                raise InfeasibleRowError(f"{where}: QP infeasible, box [{self._boxes[0][r]}, {self._boxes[1][r]}]")
+                raise InfeasibleRowError(f"{where}: QP infeasible, box [{lo[k]}, {hi[k]}]")
             raise ConvergenceError(f"{where}: row QP ended {status.value}")
+        solved[live] = np.where(self._mask[live], res.x[:, :-1], target)
 
     def row_step(self, state: AdmmState, i: int):
-        """Proximal row update for subsystem i, each row over its ``row_mask`` row.
-
-        The explicit route applies the affine law of the regions
-        :meth:`locate_rows` found to subsystem i's targets, in place; the QP
-        route copies in its block of ``state.solved``.
-        """
-        at, phi = self._spans[i - 1], state.phi_r[i - 1]
-        if self.row_solver is RowSolverKind.EXPLICIT:
-            apply_law(phi, state.coef[at], state.x0_blocks[i - 1], out=phi)
-        else:
-            phi[...] = state.solved[at, : phi.shape[1]]
+        """Subsystem i's rows of ``state.solved``, which the iteration's row phase left, into its phi block."""
+        phi = state.phi_r[i - 1]
+        phi[...] = state.solved[self._spans[i - 1], : phi.shape[1]]
 
     def column_step(self, state: AdmmState):
         """Project every column slice's target onto the dynamics constraint, by shape class."""
@@ -638,7 +618,7 @@ class DlmpcEngine:
         return out
 
     def extract_control(self, state: AdmmState, i: int) -> np.ndarray:
-        """Subsystem i's applied input from its converged time-0 input rows."""
+        """Subsystem i's applied input: its converged time-0 input rows times x0 at its last stacked row."""
         if not state.converged:
             raise StalenessError(
                 "extract_control called before the iteration converged"
@@ -647,8 +627,8 @@ class DlmpcEngine:
         # first; they span the whole coupled slice, so the last row's x0 block
         # is the bare slice (an input-free subsystem has no rows to multiply)
         u0 = np.count_nonzero(self.index.subsystem(i).row_is_state)
-        rows = state.phi_r[i - 1][u0 : u0 + self.model.input_dims[i - 1]]
-        return rows @ state.x0_blocks[i - 1][-1]
+        phi, last = state.phi_r[i - 1], self._spans[i - 1].stop - 1
+        return phi[u0 : u0 + self.model.input_dims[i - 1]] @ state.terms.x0[last, : phi.shape[1]]
 
     # -- full step --------------------------------------------------------------
 
@@ -676,12 +656,7 @@ class DlmpcEngine:
         Raises :class:`ConvergenceError` with the residual trace, the final
         rho and the straggling subsystems if the iteration cap is hit first.
         """
-        model = self.model
-        x0 = np.asarray(x0, dtype=float).ravel()
-        if x0.shape != (model.n_states,):
-            raise ValueError(f"x0 must have {model.n_states} entries")
-        for k in np.flatnonzero(~np.isfinite(x0))[:1]:
-            raise ValueError(f"x0[{k}] is {x0[k]}, must be finite")
+        x0 = check_x0(x0, self.model.n_states)
         state = self.init_state(warm_state)
         state.x0 = x0
 

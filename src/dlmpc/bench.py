@@ -15,6 +15,7 @@ import math
 import time
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +55,10 @@ def parse_case(raw) -> Case:
 class ScenarioConfig:
     """Complete description of one benchmark run (model + cost + solver knobs).
 
-    Every ``int`` field must be an integer (numpy's too) and is stored as an
-    int; anything else raises ValueError naming the field.
+    Every ``int`` field must be an integer and every ``float`` field a real
+    number (numpy's too, a bool not), stored as an int or a float;
+    ``warm_start`` must be a bool.  Anything else raises ValueError naming
+    the field.
     """
 
     n_subsystems: int
@@ -81,8 +84,18 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "case", parse_case(self.case))
         for f in fields(self):
+            value = getattr(self, f.name)
             if f.type == "int":
-                object.__setattr__(self, f.name, check_int(f.name, getattr(self, f.name)))
+                value = check_int(f.name, value)
+            elif f.type == "float":
+                if isinstance(value, (bool, np.bool_)) or not isinstance(value, Real):
+                    raise ValueError(f"{f.name} must be a real number, got {value!r}")
+                value = float(value)
+            elif f.type == "bool":
+                if not isinstance(value, (bool, np.bool_)):
+                    raise ValueError(f"{f.name} must be a bool, got {value!r}")
+                value = bool(value)
+            object.__setattr__(self, f.name, value)
 
 
 def build_chain_model(n_subsystems: int) -> NetworkModel:

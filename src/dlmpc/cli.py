@@ -38,11 +38,6 @@ def _add_scenario_args(sub):
         "--subsystems", dest="n_subsystems", metavar="SUBSYSTEMS", type=int,
         help="chain length (overrides the config)",
     )
-    sub.add_argument(
-        "--case",
-        type=_parse_case,
-        help="unconstrained, solver or explicit (default: explicit)",
-    )
     sub.add_argument("--horizon", type=int)
     sub.add_argument("--locality", type=int)
     sub.add_argument(
@@ -147,6 +142,11 @@ def main(argv=None) -> int:
 
     p_run = commands.add_parser("run", help="simulate a closed loop")
     _add_scenario_args(p_run)
+    p_run.add_argument(
+        "--case",
+        type=_parse_case,
+        help="unconstrained, solver or explicit (default: explicit)",
+    )
     p_run.add_argument("--baseline", action="store_true", help="also run the centralized loop")
     p_run.add_argument("--out", help="directory for JSON/CSV reports")
     p_run.set_defaults(func=_cmd_run)

@@ -24,8 +24,8 @@ explicit MPC's online work (Bemporad et al., Automatica 2002), and is
 written as their composition: point location, :func:`locate`, clips the
 optimum, which fixes the row's region and its coefficient
 ``(s - y) / ||x0||^2``; the region's affine law, :func:`apply_law`,
-corrects the target, ``a - coef x0``.  So one point-location call can
-serve rows whose laws are applied apart.  The rows may share one ``x0`` or
+corrects the target, ``a - coef x0``.  Each half runs over a whole block
+of rows in one call.  The rows may share one ``x0`` or
 each carry their own, zero off the row's support.  The dot products are
 sequential left-to-right sums, not BLAS or pairwise sums: padding after a
 row's support whose products are -0 leaves such a sum unchanged (+0 would

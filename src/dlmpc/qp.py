@@ -10,8 +10,8 @@ conditions), for problems of the form
 It exists as an independent verification route: nothing here shares a code
 path with the closed-form row solver, so agreement between the two is
 evidence, not tautology.  ``row_qp`` states one row subproblem for it, or a
-stack of them: the solver-based row phase solves all rows of one block
-width as one stack.  ``centralized_mpc`` condenses the full MPC problem into the
+stack of them: the solver-based row phase solves every live row as one
+stack.  ``centralized_mpc`` condenses the full MPC problem into the
 inputs and solves one QP, giving the global cost baseline.
 """
 from __future__ import annotations
@@ -45,7 +45,8 @@ class DenseQP:
     Missing bounds default to +-inf; missing equalities (``a_eq`` and
     ``b_eq`` are given together or not at all) are stored as a zero-row
     block, ``a_eq`` of shape ``(0, n)`` and ``b_eq`` of shape ``(0,)`` per
-    member.
+    member.  A non-finite entry of ``h``, ``g``, ``a_eq`` or ``b_eq``, or a
+    NaN bound, raises :class:`QpStructureError` naming the field.
     """
 
     h: np.ndarray
@@ -63,7 +64,6 @@ class DenseQP:
         nv = self.g.shape[-1]
         if self.h.shape != lead + (nv, nv):
             raise QpStructureError(f"H must be {nv}x{nv}, got {self.h.shape}")
-        self.h = 0.5 * (self.h + np.swapaxes(self.h, -1, -2))
         if (self.a_eq is None) != (self.b_eq is None):
             raise QpStructureError("a_eq and b_eq must be given together")
         self.a_eq = np.zeros(lead + (0, nv)) if self.a_eq is None else np.asarray(self.a_eq, dtype=float)
@@ -76,6 +76,12 @@ class DenseQP:
         self.ub = np.full(lead + (nv,), np.inf) if self.ub is None else per_member(self.ub)
         if self.lb.shape != lead + (nv,) or self.ub.shape != lead + (nv,):
             raise QpStructureError("bounds must have one entry per variable")
+        for name in ("h", "g", "a_eq", "b_eq", "lb", "ub"):
+            value, bound = getattr(self, name), name in ("lb", "ub")
+            for at in np.argwhere(np.isnan(value) if bound else ~np.isfinite(value))[:1]:
+                need = "a number" if bound else "finite"
+                raise QpStructureError(f"{name}[{', '.join(map(str, at))}] is {value[tuple(at)]}, must be {need}")
+        self.h = 0.5 * (self.h + np.swapaxes(self.h, -1, -2))
 
 
 @dataclass
@@ -377,6 +383,16 @@ def check_profile(name: str, value, size: int, default: float) -> np.ndarray:
     return value
 
 
+def check_x0(x0, n: int) -> np.ndarray:
+    """``x0`` as a float vector of ``n`` finite entries; ValueError for the wrong size or the first non-finite entry."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    if x0.shape != (n,):
+        raise ValueError(f"x0 must have {n} entries")
+    for k in np.flatnonzero(~np.isfinite(x0))[:1]:
+        raise ValueError(f"x0[{k}] is {x0[k]}, must be finite")
+    return x0
+
+
 def _stage_weight_stack(q_diag, qt_diag, horizon, n) -> np.ndarray:
     w = np.zeros((horizon + 1) * n)
     for t in range(1, horizon):
@@ -405,15 +421,13 @@ def centralized_mpc(
     pinned to the predicted values by equality rows.  Costs follow the shared
     convention: states weighted for t = 1..T-1 by ``q_diag``, terminal state
     by ``qt_diag``, all inputs by ``r_diag``.  A ``horizon`` that is not an
-    integer, or is below 1, raises ValueError.
+    integer, or is below 1, or a non-finite ``x0`` raises ValueError.
     """
     horizon = check_int("horizon", horizon)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     n, p = model.n_states, model.n_inputs
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must have {n} entries")
+    x0 = check_x0(x0, n)
     g_mat, h_mat = _prediction_matrices(model, horizon)
     q, qt = check_profile("q_diag", q_diag, n, 1.0), check_profile("qt_diag", qt_diag, n, 1.0)
     w_stack = _stage_weight_stack(q, qt, horizon, n)

@@ -29,7 +29,7 @@ from dlmpc import (
 )
 from dlmpc import admm
 from dlmpc.admm import row_profiles
-from dlmpc.explicit_row import RowTerms, locate, row_terms, solve_terms
+from dlmpc.explicit_row import RowTerms, row_terms, solve_terms
 from dlmpc.qp import row_qp
 from oracles import (
     INTERIOR,
@@ -674,9 +674,9 @@ class TestConvergenceControl:
             engine.solve_step(x0)
 
     def test_non_optimal_middle_member_names_its_own_row(self, monkeypatch):
-        # the QP route solves the live rows of one row width as one stack,
-        # subsystem 1's first in its class; a member that is not optimal is
-        # named by its own global row
+        # the QP route solves every live row as one stack at the widest block
+        # width, subsystem 1's first; a member that is not optimal is named
+        # by its own global row
         solve_qp = admm.solve_qp
         sc = small_scenario()
         x0 = sc.initial_state()
@@ -685,14 +685,18 @@ class TestConvergenceControl:
         live = np.flatnonzero(np.any(x0_rows != 0.0, axis=1))
         assert live.size >= 3
         row = sub.rows[live[live.size // 2]]
+        width = max(s.row_cols.size for s in sc.index.subsystems)
+        assert width > sub.row_cols.size
 
         def capped(qp):
             res = solve_qp(qp)
-            if qp.g.shape[1] == sub.row_cols.size + 1:
-                # subsystem 1's live rows open its class's stack, which holds others too
-                assert qp.g.shape[0] > live.size
-                assert qp.a_eq[:, 0, :-1][: live.size].tobytes() == x0_rows[live].tobytes()
-                res.statuses[live.size // 2] = QpStatus.MAX_ITER
+            # subsystem 1's live rows open the one stack, which holds others
+            # too, each padded with x0 -0 to the widest block
+            assert qp.g.shape[0] > live.size and qp.g.shape[1] == width + 1
+            x0 = qp.a_eq[: live.size, 0, :-1]
+            assert x0[:, : sub.row_cols.size].tobytes() == x0_rows[live].tobytes()
+            assert np.all(x0[:, sub.row_cols.size :] == 0.0) and np.all(np.signbit(x0[:, sub.row_cols.size :]))
+            res.statuses[live.size // 2] = QpStatus.MAX_ITER
             return res
 
         monkeypatch.setattr(admm, "solve_qp", capped)
@@ -831,18 +835,21 @@ def each_block_terms(sc, state) -> list:
     return [block_terms(sc, state, i) for i in range(1, sc.model.n_subsystems + 1)]
 
 
-def solve_block_qp(sub, terms, target, rho, weight) -> np.ndarray:
-    """One subsystem's rows as one ``solve_qp`` stack at its block width.
+def solve_block_qp(sub, terms, target, rho, weight, width) -> np.ndarray:
+    """One subsystem's rows as one ``solve_qp`` stack, each row padded at its end to ``width``.
 
-    The stack holds the rows that ``terms`` do not mark zero; their
-    solutions replace the target on the mask, and every other entry keeps
-    it.  A row not solved optimally fails the test.
+    The stack holds the rows that ``terms`` do not mark zero, padded as the
+    row buffer pads them (target +0, x0 -0); their solutions replace the
+    target on the mask, and every other entry keeps it.  A row not solved
+    optimally fails the test.
     """
     phi = target.copy()
     live = np.flatnonzero(~terms.zero)
-    res = admm.solve_qp(row_qp(phi[live], terms.x0[live], rho, terms.lo[live], terms.hi[live], weight[live]))
+    pad = ((0, 0), (0, width - phi.shape[1]))
+    x0 = np.pad(terms.x0[live], pad, constant_values=-0.0)
+    res = admm.solve_qp(row_qp(np.pad(phi[live], pad), x0, rho, terms.lo[live], terms.hi[live], weight[live]))
     assert res.status is QpStatus.OPTIMAL
-    phi[live] = np.where(sub.row_mask[live], res.x[:, :-1], phi[live])
+    phi[live] = np.where(sub.row_mask[live], res.x[:, : phi.shape[1]], phi[live])
     return phi
 
 
@@ -851,8 +858,8 @@ class PerSubsystemRows(DlmpcEngine):
 
     Every subsystem measures its own block, and its row step solves its
     whole closed form, point location included, or on the QP route its
-    rows as one QP stack; the stacked phases do nothing.  Extraction reads
-    the subsystem's own terms.
+    rows as one QP stack padded to the widest block; the stacked phases do
+    nothing.  Extraction reads the subsystem's own terms.
     """
 
     @classmethod
@@ -879,7 +886,7 @@ class PerSubsystemRows(DlmpcEngine):
         sub, terms = self.index.subsystems[i - 1], state.own_terms[i - 1]
         a = state.psi_r[i - 1] - state.lam_r[i - 1]
         if self.row_solver is RowSolverKind.QP:
-            state.phi_r[i - 1][...] = solve_block_qp(sub, terms, a, state.rho, self.weight[sub.rows])
+            state.phi_r[i - 1][...] = solve_block_qp(sub, terms, a, state.rho, self.weight[sub.rows], self._widest)
         else:
             state.phi_r[i - 1][...] = solve_terms(terms, a, state.rho)[0]
 
@@ -966,8 +973,6 @@ class TestRowStep:
             for i, terms in enumerate(per_subsystem_terms(sc, x0), start=1):
                 for got, want in zip(block_terms(sc, state, i), terms, strict=True):
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                x0_block = state.x0_blocks[i - 1]
-                assert x0_block.shape == terms.x0.shape and x0_block.tobytes() == terms.x0.tobytes()
                 want, past = solve_terms(terms, state.psi_r[i - 1] - state.lam_r[i - 1], state.rho)
                 engine.row_step(state, i)
                 assert state.phi_r[i - 1].tobytes() == want.tobytes()
@@ -994,11 +999,11 @@ class TestRowStep:
         engine.locate_rows(state)
         end = 0
         for i, terms in enumerate(per_subsystem_terms(sc, x0), start=1):
-            target = state.psi_r[i - 1] - state.lam_r[i - 1]
+            want = solve_terms(terms, state.psi_r[i - 1] - state.lam_r[i - 1], state.rho)[0]
             end += terms.zero.size
-            assert state.coef[end - terms.zero.size : end].tobytes() == locate(terms, target, state.rho)[0].tobytes()
+            assert state.solved[end - terms.zero.size : end, : want.shape[1]].tobytes() == want.tobytes()
             engine.row_step(state, i)
-            assert state.phi_r[i - 1].tobytes() == solve_terms(terms, target, state.rho)[0].tobytes()
+            assert state.phi_r[i - 1].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("row_solver", list(RowSolverKind))
     def test_padding_is_inert(self, row_solver, six_node_model, cross_fed_chain_model):
@@ -1058,17 +1063,20 @@ class TestRowStep:
             assert (g.extrapolated, g.restarts) == (w.extrapolated, w.restarts)
 
     @pytest.mark.parametrize("model, d, horizon", PLAN_CASES)
-    def test_width_class_qp_phase_equals_per_subsystem_solve_bitwise(
+    def test_qp_phase_equals_padded_per_subsystem_solve_bitwise(
         self, model, d, horizon, six_node_model, cross_fed_chain_model
     ):
-        # the QP route's stacks of every row of one block width, then each
-        # subsystem's write-back, against one QP stack per subsystem; the
-        # boxes bind, and a state measured at subsystem N alone gives zero rows
+        # the QP route's one stack of every live row at the widest block
+        # width, then each subsystem's write-back, against one QP stack per
+        # subsystem padded to that width; a member's result depends only on
+        # its own QP, so the two agree bit for bit; the boxes bind, and a
+        # state measured at subsystem N alone gives zero rows
         sc = TestExchanges.plan_case(
             model, d, horizon, six_node_model, cross_fed_chain_model,
             state_lower=-0.1, state_upper=0.1, input_lower=-0.05, input_upper=0.05,
         )
         engine, weight = sc.make_engine(row_solver=RowSolverKind.QP), profile_rows(sc)[0]
+        width = max(sub.row_cols.size for sub in sc.index.subsystems)
         full = sc.initial_state()
         last = sc.model.state_indices(sc.model.n_subsystems)
         at_last = np.zeros_like(full)
@@ -1079,7 +1087,7 @@ class TestRowStep:
             engine.solve_row_qps(state)
             for i, (sub, terms) in enumerate(zip(sc.index.subsystems, per_subsystem_terms(sc, x0)), start=1):
                 target = state.psi_r[i - 1] - state.lam_r[i - 1]
-                want = solve_block_qp(sub, terms, target, state.rho, weight[sub.rows])
+                want = solve_block_qp(sub, terms, target, state.rho, weight[sub.rows], width)
                 engine.row_step(state, i)
                 assert state.phi_r[i - 1].tobytes() == want.tobytes()
                 zero_rows += np.count_nonzero(terms.zero)
@@ -1087,10 +1095,9 @@ class TestRowStep:
         if model == "cross-fed":
             assert len({sub.row_cols.size for sub in sc.index.subsystems}) > 1
 
-    def test_qp_route_solves_each_width_class_in_one_call(self, monkeypatch):
-        # one solve_qp call per row-width class and row phase, on a stack of
-        # the class's rows with a nonzero x0 at the class width; the
-        # subsystems' row steps make none
+    def test_qp_route_solves_every_row_in_one_call(self, monkeypatch):
+        # one solve_qp call per row phase, on a stack of every row with a
+        # nonzero x0 at the widest block width; the subsystems' row steps make none
         stacks = []
         solve_qp = admm.solve_qp
 
@@ -1103,25 +1110,51 @@ class TestRowStep:
         x0 = sc.initial_state()
         engine = sc.make_engine(row_solver=RowSolverKind.QP)
         state = self.boxed_state(sc, engine, x0)
-        live = {}
-        for sub, terms in zip(sc.index.subsystems, each_block_terms(sc, state)):
-            width = sub.row_cols.size
-            live[width] = live.get(width, 0) + np.count_nonzero(np.any(terms.x0 != 0.0, axis=1))
+        widths = {sub.row_cols.size for sub in sc.index.subsystems}
+        live = sum(np.count_nonzero(np.any(t.x0 != 0.0, axis=1)) for t in each_block_terms(sc, state))
         engine.solve_row_qps(state)
-        assert len(live) > 1 and stacks == [(live[w], w + 1) for w in sorted(live)]
+        assert len(widths) > 1 and stacks == [(live, max(widths) + 1)]
         del stacks[:]
         for i in range(1, sc.model.n_subsystems + 1):
             engine.row_step(state, i)
         assert stacks == []
         # and over a whole step of the stock box
         sc = small_scenario()
-        classes = len({sub.row_cols.size for sub in sc.index.subsystems})
         res = sc.make_engine(row_solver=RowSolverKind.QP).solve_step(sc.initial_state())
-        assert len(stacks) == res.iterations * classes
+        assert len(stacks) == res.iterations
         # a zero measurement leaves every row at its target: no stack at all
         del stacks[:]
         res = sc.make_engine(row_solver=RowSolverKind.QP).solve_step(np.zeros(sc.model.n_states))
         assert res.iterations > 0 and stacks == [] and np.all(res.u == 0.0)
+
+    @pytest.mark.parametrize("row_solver", list(RowSolverKind))
+    def test_row_phase_is_one_call_and_row_step_only_writes_back(self, row_solver, monkeypatch):
+        # per iteration the explicit route locates and applies every row's
+        # law in one call each, the QP route solves every row in one call;
+        # the row steps call neither and copy their span of state.solved
+        calls = []
+        for name in ("locate", "apply_law", "solve_qp"):
+            fn = getattr(admm, name)
+            monkeypatch.setattr(admm, name, lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+        sc = small_scenario()
+        subs = sc.index.subsystems
+        ends = np.cumsum([sub.rows.size for sub in subs])
+        engine = sc.make_engine(row_solver=row_solver)
+        row_step, written = engine.row_step, []
+
+        def checked(state, i):
+            before = len(calls)
+            row_step(state, i)
+            assert len(calls) == before
+            span = slice(ends[i - 1] - subs[i - 1].rows.size, ends[i - 1])
+            assert state.phi_r[i - 1].tobytes() == state.solved[span, : subs[i - 1].row_cols.size].tobytes()
+            written.append(i)
+
+        engine.row_step = checked
+        res = engine.solve_step(sc.initial_state())
+        per_iteration = ["locate", "apply_law"] if row_solver is RowSolverKind.EXPLICIT else ["solve_qp"]
+        assert res.iterations > 1 and calls == per_iteration * res.iterations
+        assert written == list(range(1, len(subs) + 1)) * res.iterations
 
     def test_qp_row_step_matches_per_row_loop(self):
         sc = self.scenario()

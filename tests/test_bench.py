@@ -97,6 +97,28 @@ class TestChainBuilder:
             run_closed_loop(sc, sim_steps=1.7)
         assert len(run_closed_loop(sc, sim_steps=np.int64(1)).steps) == 1
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("rho", "1", "must be a real number, got '1'"),
+            ("eps_primal", "1e-4", "must be a real number, got '1e-4'"),
+            ("state_weight", "2", "must be a real number, got '2'"),
+            ("state_lower", None, "must be a real number, got None"),
+            ("input_upper", True, "must be a real number, got True"),
+            ("warm_start", "no", "must be a bool, got 'no'"),
+            ("warm_start", 0, "must be a bool, got 0"),
+        ],
+    )
+    def test_float_and_bool_settings_are_checked(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{name} {message}$"):
+            ScenarioConfig(**{"n_subsystems": 3, name: value})
+
+    def test_float_and_bool_settings_are_stored_as_such(self):
+        # numpy's numbers count, and integers are reals
+        cfg = ScenarioConfig(n_subsystems=3, rho=np.float32(2.0), state_lower=np.int64(-1), warm_start=np.bool_(False))
+        assert (type(cfg.rho), type(cfg.state_lower), type(cfg.warm_start)) == (float, float, bool)
+        assert (cfg.rho, cfg.state_lower, cfg.warm_start) == (2.0, -1.0, False)
+
     def test_rejects_mismatched_model(self):
         with pytest.raises(ValueError):
             build_scenario(
@@ -620,6 +642,13 @@ class TestCli:
         ) == 0
         out = capsys.readouterr().out
         assert "trajectory agreement" in out
+
+    def test_compare_rejects_a_case(self, capsys):
+        # compare runs both boxed cases, so a case flag would be ignored
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["compare", "--subsystems", "2", "--steps", "1", "--case", "unconstrained"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --case unconstrained" in capsys.readouterr().err
 
     def test_compare_zero_steps(self, capsys):
         args = ["compare", "--subsystems", "2", "--steps", "0", "--horizon", "2"]

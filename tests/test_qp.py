@@ -349,6 +349,26 @@ class TestSolveQp:
         with pytest.raises(QpStructureError):
             DenseQP(np.eye(2), np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (dict(g=[np.inf]), r"g\[0\] is inf, must be finite"),
+            (dict(g=[np.nan]), r"g\[0\] is nan, must be finite"),
+            (dict(h=[[np.nan]]), r"h\[0, 0\] is nan, must be finite"),
+            (dict(a_eq=[[-np.inf]], b_eq=[0.0]), r"a_eq\[0, 0\] is -inf, must be finite"),
+            (dict(a_eq=[[1.0]], b_eq=[np.nan]), r"b_eq\[0\] is nan, must be finite"),
+            (dict(lb=[np.nan]), r"lb\[0\] is nan, must be a number"),
+            (dict(ub=[np.nan]), r"ub\[0\] is nan, must be a number"),
+            (dict(h=np.ones((2, 1, 1)), g=[[1.0], [np.nan]]), r"g\[1, 0\] is nan, must be finite"),
+        ],
+        ids=["g-inf", "g-nan", "h-nan", "a_eq-inf", "b_eq-nan", "lb-nan", "ub-nan", "stack-member"],
+    )
+    def test_rejects_non_finite_data(self, data, message):
+        # inf in g once ended OPTIMAL at x = 0 (its tolerance scale was inf), a
+        # NaN bound bounded nothing, and NaN data ended MAX_ITER with a NaN x
+        with pytest.raises(QpStructureError, match=f"^{message}$"):
+            DenseQP(**({"h": np.eye(1), "g": [1.0]} | data))
+
 
 def simulate(model, x0, inputs, horizon):
     a, b = model.full_a(), model.full_b()
@@ -460,6 +480,13 @@ class TestCentralizedMpc:
         # the locality index's rule and messages, not a numpy error from deep inside
         with pytest.raises(ValueError, match=f"^{message}$"):
             centralized_mpc(build_chain_model(2), horizon, np.ones(4), np.ones(4), np.ones(2), np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_state(self, bad):
+        # the engine's message, not MAX_ITER with NaN inputs
+        x0 = np.array([0.5, 0.9, bad, 0.9])
+        with pytest.raises(ValueError, match=rf"^x0\[2\] is {bad}, must be finite$"):
+            centralized_mpc(build_chain_model(2), 2, x0, np.ones(4), np.ones(2), np.ones(4))
 
 
 class TestCentralizedLocalMpc:
