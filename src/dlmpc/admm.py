@@ -69,8 +69,8 @@ from enum import Enum
 
 import numpy as np
 
-from .explicit_row import InfeasibleRowError, RowTerms, apply_law, empty_boxes, locate, row_terms
-from .qp import QpStatus, check_profile, check_x0, row_qp, solve_qp
+from .explicit_row import InfeasibleRowError, RowTerms, apply_law, locate, row_terms
+from .qp import QpStatus, check_x0, row_qp, solve_qp, stacked_profiles
 from .sls import FeasibilityOperator, project_column
 from .topology import LocalityIndex, NetworkModel, check_id, check_int
 
@@ -224,47 +224,16 @@ def _entries(heights, widths, row_ids, col_ids) -> tuple:
     return np.repeat(row_ids, per_row), col_ids[np.repeat(shift, per_row) + np.arange(ends[-1])]
 
 
-def row_profiles(
-    index: LocalityIndex,
-    q_diag: np.ndarray,
-    r_diag: np.ndarray,
-    qt_diag: np.ndarray,
-    state_lb: np.ndarray,
-    state_ub: np.ndarray,
-    input_lb: np.ndarray,
-    input_ub: np.ndarray,
-) -> tuple:
-    """Per-global-row (weight, lo, hi) profiles of the stacked response map.
-
-    Time-0 state rows are costless and unconstrained (they are pinned to the
-    identity by the feasibility constraint); state boxes apply for t = 1..T
-    and input boxes at every input time.  Weights are square roots of the
-    diagonal cost entries, with the terminal weight on the t = T rows.
-    """
-    n, p, t_hor = index.n_states, index.n_inputs, index.horizon
-    weight = np.zeros(index.n_rows)
-    lo = np.full(index.n_rows, -np.inf)
-    hi = np.full(index.n_rows, np.inf)
-    for t in range(1, t_hor + 1):
-        rows = slice(t * n, (t + 1) * n)
-        weight[rows] = np.sqrt(qt_diag if t == t_hor else q_diag)
-        lo[rows] = state_lb
-        hi[rows] = state_ub
-    if p:
-        u0 = n * (t_hor + 1)
-        weight[u0:] = np.tile(np.sqrt(r_diag), t_hor)
-        lo[u0:] = np.tile(input_lb, t_hor)
-        hi[u0:] = np.tile(input_ub, t_hor)
-    return weight, lo, hi
-
-
 class DlmpcEngine:
     """Bulk-synchronous distributed MPC solver for one scenario.
 
     Holds everything that is fixed across MPC steps: index sets, column
-    projectors, per-row cost/bound profiles and the exchange plan.  One call
-    to :meth:`solve_step` runs the consensus iteration for a measured state
-    and returns the applied input with diagnostics.
+    projectors, per-row cost/bound profiles and the exchange plan.  The
+    profiles are those of :func:`dlmpc.qp.stacked_profiles`, which checks
+    them (the centralized baseline reads the same), with the root of each
+    row's cost as its weight.  One call to :meth:`solve_step` runs the
+    consensus iteration for a measured state and returns the applied input
+    with diagnostics.
     """
 
     def __init__(
@@ -305,25 +274,9 @@ class DlmpcEngine:
         self.row_solver = row_solver
         self.record_packets = record_packets
 
-        n, p = model.n_states, model.n_inputs
-        q_diag = check_profile("q_diag", q_diag, n, 1.0)
-        boxes = {
-            kind: (
-                check_profile(f"{kind}_lb", lb, size, -np.inf),
-                check_profile(f"{kind}_ub", ub, size, np.inf),
-            )
-            for kind, lb, ub, size in (("state", state_lb, state_ub, n), ("input", input_lb, input_ub, p))
-        }
-        for kind, (lb, ub) in boxes.items():
-            for k in np.flatnonzero(empty_boxes(lb, ub))[:1]:
-                raise ValueError(f"{kind}_lb/{kind}_ub component {k}: empty box [{lb[k]}, {ub[k]}]")
-        w, lo, hi = row_profiles(
-            index,
-            q_diag,
-            check_profile("r_diag", r_diag, p, 1.0),
-            q_diag if qt_diag is None else check_profile("qt_diag", qt_diag, n, 1.0),
-            *boxes["state"],
-            *boxes["input"],
+        n = model.n_states
+        cost, lo, hi = stacked_profiles(
+            n, model.n_inputs, index.horizon, q_diag, r_diag, qt_diag, state_lb, state_ub, input_lb, input_ub
         )
         subs = index.subsystems
         # block shapes of the row and column partitions, and the column buffer's flat offsets
@@ -339,7 +292,7 @@ class DlmpcEngine:
         self._stack_rows = joined("rows")
         self._ends = np.cumsum(heights)
         self._spans = [slice(end - h, end) for h, end in zip(heights.tolist(), self._ends.tolist())]
-        self._boxes = tuple(v[self._stack_rows] for v in (lo, hi, w))
+        self._boxes = tuple(v[self._stack_rows] for v in (lo, hi, np.sqrt(cost)))
         # the row buffer's layout, the stacked rows padded at their ends to the
         # widest block, and where each subsystem's span starts
         self._widest = int(widths.max())

@@ -332,13 +332,7 @@ def centralized_closed_loop(
     """Receding-horizon loop driven by the monolithic constrained solver."""
 
     def policy(s, x):
-        sol = centralized_mpc(
-            scenario.model,
-            scenario.config.horizon,
-            x,
-            tol=1e-10,
-            **scenario.profiles(),
-        )
+        sol = centralized_mpc(scenario.model, scenario.config.horizon, x, **scenario.profiles())
         if sol.status is not QpStatus.OPTIMAL:
             raise RuntimeError(f"baseline solver returned {sol.status.value}")
         return sol.u_sequence[0]
@@ -522,14 +516,13 @@ def emit_sweep(rows, directory, stem: str = "sweep") -> Path:
 
 
 _CONFIG_KEYS = {
-    "scenario": {"subsystems": "int", "horizon": "int", "locality": "int", "case": "case",
-                 "seed": "int", "sim_steps": "int", "warm_start": "boolean"},
-    "cost": {"state_weight": "float", "input_weight": "float", "terminal_weight": "float"},
-    "bounds": {"state_lower": "float", "state_upper": "float", "bound_component": "int",
-               "input_lower": "float", "input_upper": "float"},
-    "solver": {"rho": "float", "eps_primal": "float", "eps_dual": "float",
-               "max_iterations": "int"},
+    "scenario": ("subsystems", "horizon", "locality", "case", "seed", "sim_steps", "warm_start"),
+    "cost": ("state_weight", "input_weight", "terminal_weight"),
+    "bounds": ("state_lower", "state_upper", "bound_component", "input_lower", "input_upper"),
+    "solver": ("rho", "eps_primal", "eps_dual", "max_iterations"),
 }
+# the configparser getter of each ScenarioConfig field type; any other (the case) is read as text
+_GETTERS = {"int": "getint", "float": "getfloat", "bool": "getboolean"}
 
 
 def load_config(path) -> ScenarioConfig:
@@ -539,10 +532,14 @@ def load_config(path) -> ScenarioConfig:
     sim_steps, warm_start), ``[cost]`` (state_weight, input_weight,
     terminal_weight), ``[bounds]`` (state_lower/upper, bound_component,
     input_lower/upper) and ``[solver]`` (rho, eps_primal, eps_dual,
-    max_iterations).  Every key is optional except
-    ``scenario.subsystems``; an unknown section or key, or a file
-    ``configparser`` cannot parse, raises ValueError.
+    max_iterations).  Each key is read as the type of its
+    :class:`ScenarioConfig` field (``subsystems`` is ``n_subsystems``).
+    Every key is optional except ``scenario.subsystems``; an unknown
+    section or key raises ValueError, and so does a file ``configparser``
+    cannot parse or a value it cannot read as its field's type, naming the
+    file (and the key).
     """
+    types = {f.name: f.type for f in fields(ScenarioConfig)}
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     kwargs = {}
     try:
@@ -553,15 +550,17 @@ def load_config(path) -> ScenarioConfig:
                 raise ValueError(f"unknown config section [{name}]")
             section = parser[name]
             for key in section:
-                kind = _CONFIG_KEYS[name].get(key)
-                if kind is None:
+                if key not in _CONFIG_KEYS[name]:
                     raise ValueError(f"unknown config key {name}.{key}")
-                kwargs[key] = section[key] if kind == "case" else getattr(section, "get" + kind)(key)
+                field = "n_subsystems" if key == "subsystems" else key
+                try:
+                    kwargs[field] = getattr(section, _GETTERS.get(types[field], "get"))(key)
+                except ValueError as err:
+                    raise ValueError(f"config file {path}: {name}.{key}: {err}") from err
     except configparser.Error as err:  # malformed file: duplicate key, no section header ...
         raise ValueError(f"config file {path}: {err}") from err
-    if "subsystems" not in kwargs:
+    if "n_subsystems" not in kwargs:
         raise ValueError("config needs [scenario] subsystems")
-    kwargs["n_subsystems"] = kwargs.pop("subsystems")
     return ScenarioConfig(**kwargs)
 
 
@@ -582,57 +581,64 @@ def load_model_file(path) -> NetworkModel:
         ...
 
     Block headers name the owning pair (1-based); each is followed by its
-    row lines.  Unlisted blocks are zero.
+    row lines.  Unlisted blocks are zero.  A line that cannot be read (a
+    count or a block index that is not an integer, an entry that is not a
+    number, a malformed header or row) raises ValueError naming the file
+    and the line, and so does a file that ends inside a block.
     """
     lines = []
-    for raw in Path(path).read_text().splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
-    pos = 0
+    for k, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        words = raw.split("#", 1)[0].split()
+        if words:
+            lines.append((k, words))
+    pos, at = 0, None
 
     def take():
-        nonlocal pos
+        nonlocal pos, at
         if pos >= len(lines):
-            raise ValueError("unexpected end of model file")
-        line = lines[pos]
+            at = None
+            raise ValueError("unexpected end of file")
+        at, words = lines[pos]
         pos += 1
-        return line
+        return words
 
-    header = take().split()
-    if header[0].lower() != "subsystems" or len(header) != 2:
-        raise ValueError("model file must start with 'subsystems <count>'")
-    n_sub = int(header[1])
-    sd = take().split()
-    if sd[0].lower() != "state_dims" or len(sd) != n_sub + 1:
-        raise ValueError("expected 'state_dims' with one entry per subsystem")
-    state_dims = tuple(int(v) for v in sd[1:])
-    idim = take().split()
-    if idim[0].lower() != "input_dims" or len(idim) != n_sub + 1:
-        raise ValueError("expected 'input_dims' with one entry per subsystem")
-    input_dims = tuple(int(v) for v in idim[1:])
+    try:
+        header = take()
+        if header[0].lower() != "subsystems" or len(header) != 2:
+            raise ValueError("expected 'subsystems <count>'")
+        n_sub = int(header[1])
+        sd = take()
+        if sd[0].lower() != "state_dims" or len(sd) != n_sub + 1:
+            raise ValueError("expected 'state_dims' with one entry per subsystem")
+        state_dims = tuple(int(v) for v in sd[1:])
+        idim = take()
+        if idim[0].lower() != "input_dims" or len(idim) != n_sub + 1:
+            raise ValueError("expected 'input_dims' with one entry per subsystem")
+        input_dims = tuple(int(v) for v in idim[1:])
 
-    a_blocks, b_blocks = {}, {}
-    while pos < len(lines):
-        head = take().split()
-        if len(head) != 3 or head[0].upper() not in ("A", "B"):
-            raise ValueError(f"bad block header: {' '.join(head)}")
-        kind, i, j = head[0].upper(), int(head[1]), int(head[2])
-        if not (1 <= i <= n_sub and 1 <= j <= n_sub):
-            raise ValueError(f"block {kind} {i} {j} out of range")
-        n_rows = state_dims[i - 1]
-        n_cols = state_dims[j - 1] if kind == "A" else input_dims[j - 1]
-        rows = []
-        for _ in range(n_rows):
-            vals = [float(v) for v in take().split()]
-            if len(vals) != n_cols:
-                raise ValueError(f"block {kind} {i} {j}: expected {n_cols} columns")
-            rows.append(vals)
-        block = np.asarray(rows)
-        target = a_blocks if kind == "A" else b_blocks
-        if (i, j) in target:
-            raise ValueError(f"duplicate block {kind} {i} {j}")
-        target[(i, j)] = block
+        a_blocks, b_blocks = {}, {}
+        while pos < len(lines):
+            head = take()
+            if len(head) != 3 or head[0].upper() not in ("A", "B"):
+                raise ValueError(f"bad block header: {' '.join(head)}")
+            kind, i, j = head[0].upper(), int(head[1]), int(head[2])
+            if not (1 <= i <= n_sub and 1 <= j <= n_sub):
+                raise ValueError(f"block {kind} {i} {j} out of range")
+            target = a_blocks if kind == "A" else b_blocks
+            if (i, j) in target:
+                raise ValueError(f"duplicate block {kind} {i} {j}")
+            n_rows = state_dims[i - 1]
+            n_cols = state_dims[j - 1] if kind == "A" else input_dims[j - 1]
+            rows = []
+            for _ in range(n_rows):
+                vals = [float(v) for v in take()]
+                if len(vals) != n_cols:
+                    raise ValueError(f"block {kind} {i} {j}: expected {n_cols} columns")
+                rows.append(vals)
+            target[(i, j)] = np.asarray(rows)
+    except ValueError as err:
+        where = "" if at is None else f" line {at}"
+        raise ValueError(f"model file {path}{where}: {err}") from err
     return NetworkModel(
         state_dims=state_dims,
         input_dims=input_dims,

@@ -33,9 +33,10 @@ turn a -0 sum into +0), so a padded row in a block is the row solved
 alone, bit for bit.  A zero row (x0 zeroed, square 1) keeps its target
 with no special case: ``s = y = 0``.
 
-The kernel assumes that no bound is NaN and no box is empty (see
-:func:`empty_boxes`), and does not check it: ``DlmpcEngine`` checks the
-boxes once, when it is built.
+The kernel assumes that no bound is NaN and no box is empty, and does
+not check it: ``DlmpcEngine`` reads its boxes from
+:func:`dlmpc.qp.stacked_profiles`, which checks them once, when the engine
+is built.
 """
 from __future__ import annotations
 
@@ -53,11 +54,6 @@ class InfeasibleRowError(ValueError):
     def __init__(self, detail: str, row: int | None = None):
         super().__init__(detail if row is None else f"row {row}: {detail}")
         self.row, self.detail = row, detail
-
-
-def empty_boxes(lo, hi) -> np.ndarray:
-    """Mask of boxes no finite value satisfies: ``lo > hi``, ``lo = +inf`` or ``hi = -inf``."""
-    return (lo > hi) | (lo == np.inf) | (hi == -np.inf)
 
 
 def _dot(a, b) -> np.ndarray:

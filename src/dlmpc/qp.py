@@ -1,4 +1,9 @@
-"""Dense convex QP solver and the centralized MPC baseline.
+"""The MPC problem's per-row profiles, a dense convex QP solver and the centralized baseline.
+
+:func:`stacked_profiles` states the problem that both routes solve: it
+checks the cost and box profiles and returns one cost and one box per row
+of the stacked trajectory, which ``DlmpcEngine`` and ``centralized_mpc``
+both read.
 
 The solver is a standard infeasible-start primal-dual interior-point method
 with Mehrotra predictor-corrector steps (path-following on the perturbed KKT
@@ -7,12 +12,13 @@ conditions), for problems of the form
     minimize    0.5 x'Hx + g'x
     subject to  A x = b,   lb <= x <= ub   (bounds may be +-inf)
 
-It exists as an independent verification route: nothing here shares a code
+It exists as an independent verification route: the solver shares no code
 path with the closed-form row solver, so agreement between the two is
-evidence, not tautology.  ``row_qp`` states one row subproblem for it, or a
-stack of them: the solver-based row phase solves every live row as one
-stack.  ``centralized_mpc`` condenses the full MPC problem into the
-inputs and solves one QP, giving the global cost baseline.
+evidence, not tautology; only the problem statement is shared.
+``row_qp`` states one row subproblem for it, or a stack of them: the
+solver-based row phase solves every live row as one stack.
+``centralized_mpc`` condenses the full MPC problem into the inputs and
+solves one QP, giving the global cost baseline.
 """
 from __future__ import annotations
 
@@ -343,6 +349,8 @@ def row_qp(target, x0, rho: float, lo, hi, weight) -> DenseQP:
 # ---------------------------------------------------------------------------
 # centralized MPC baseline
 
+BASELINE_TOL = 1e-10  # the baseline's KKT tolerance, tighter than the row QPs'
+
 
 @dataclass
 class CentralizedSolution:
@@ -383,6 +391,35 @@ def check_profile(name: str, value, size: int, default: float) -> np.ndarray:
     return value
 
 
+def stacked_profiles(n: int, p: int, horizon: int, q_diag=None, r_diag=None, qt_diag=None,
+                     state_lb=None, state_ub=None, input_lb=None, input_ub=None) -> tuple:
+    """Checked per-row ``(cost, lo, hi)`` of the stacked trajectory ``x_0..x_T, u_0..u_{T-1}``.
+
+    Every profile goes through :func:`check_profile` (weights default to 1,
+    bounds to +-inf, ``qt_diag`` to ``q_diag``), and a box that no finite
+    value satisfies (``lb > ub``, ``lb = +inf`` or ``ub = -inf``) raises
+    ValueError naming its component.  ``cost`` is the diagonal cost entry
+    of each row: 0 on the time-0 state rows, ``q_diag`` for t = 1..T-1,
+    ``qt_diag`` for t = T and ``r_diag`` on every input row.  The time-0
+    state rows are unbounded, state boxes apply for t = 1..T and input
+    boxes at every input time.
+    """
+    q = check_profile("q_diag", q_diag, n, 1.0)
+    qt = q if qt_diag is None else check_profile("qt_diag", qt_diag, n, 1.0)
+    r = check_profile("r_diag", r_diag, p, 1.0)
+    boxes = []
+    for kind, lb, ub, size in (("state", state_lb, state_ub, n), ("input", input_lb, input_ub, p)):
+        lb, ub = check_profile(f"{kind}_lb", lb, size, -np.inf), check_profile(f"{kind}_ub", ub, size, np.inf)
+        for k in np.flatnonzero((lb > ub) | (lb == np.inf) | (ub == -np.inf))[:1]:
+            raise ValueError(f"{kind}_lb/{kind}_ub component {k}: empty box [{lb[k]}, {ub[k]}]")
+        boxes.append((lb, ub))
+    (s_lb, s_ub), (u_lb, u_ub) = boxes
+    cost = np.concatenate([np.zeros(n)] + [q] * (horizon - 1) + [qt] + [r] * horizon)
+    lo = np.concatenate([np.full(n, -np.inf)] + [s_lb] * horizon + [u_lb] * horizon)
+    hi = np.concatenate([np.full(n, np.inf)] + [s_ub] * horizon + [u_ub] * horizon)
+    return cost, lo, hi
+
+
 def check_x0(x0, n: int) -> np.ndarray:
     """``x0`` as a float vector of ``n`` finite entries; ValueError for the wrong size or the first non-finite entry."""
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -391,14 +428,6 @@ def check_x0(x0, n: int) -> np.ndarray:
     for k in np.flatnonzero(~np.isfinite(x0))[:1]:
         raise ValueError(f"x0[{k}] is {x0[k]}, must be finite")
     return x0
-
-
-def _stage_weight_stack(q_diag, qt_diag, horizon, n) -> np.ndarray:
-    w = np.zeros((horizon + 1) * n)
-    for t in range(1, horizon):
-        w[t * n : (t + 1) * n] = q_diag
-    w[horizon * n :] = qt_diag
-    return w
 
 
 def centralized_mpc(
@@ -412,16 +441,15 @@ def centralized_mpc(
     state_ub: np.ndarray | None = None,
     input_lb: np.ndarray | None = None,
     input_ub: np.ndarray | None = None,
-    tol: float = 1e-9,
 ) -> CentralizedSolution:
-    """Full-information MPC step via one condensed QP over the inputs.
+    """Full-information MPC step via one condensed QP over the inputs, solved to ``BASELINE_TOL``.
 
     States are eliminated through the prediction matrices; box constraints on
     predicted states (applied for t = 1..T) enter through auxiliary variables
-    pinned to the predicted values by equality rows.  Costs follow the shared
-    convention: states weighted for t = 1..T-1 by ``q_diag``, terminal state
-    by ``qt_diag``, all inputs by ``r_diag``.  A ``horizon`` that is not an
-    integer, or is below 1, or a non-finite ``x0`` raises ValueError.
+    pinned to the predicted values by equality rows.  The costs and boxes
+    are the engine's, read from :func:`stacked_profiles` with its checks
+    and defaults (``qt_diag`` is ``q_diag`` if None).  A ``horizon`` that is
+    not an integer, or is below 1, or a non-finite ``x0`` raises ValueError.
     """
     horizon = check_int("horizon", horizon)
     if horizon < 1:
@@ -429,24 +457,16 @@ def centralized_mpc(
     n, p = model.n_states, model.n_inputs
     x0 = check_x0(x0, n)
     g_mat, h_mat = _prediction_matrices(model, horizon)
-    q, qt = check_profile("q_diag", q_diag, n, 1.0), check_profile("qt_diag", qt_diag, n, 1.0)
-    w_stack = _stage_weight_stack(q, qt, horizon, n)
-    r_stack = np.tile(check_profile("r_diag", r_diag, p, 1.0), horizon)
+    cost, lo, hi = stacked_profiles(n, p, horizon, q_diag, r_diag, qt_diag, state_lb, state_ub, input_lb, input_ub)
+    nx = n * (horizon + 1)
+    w_stack, r_stack = cost[:nx], cost[nx:]
 
     free_response = g_mat @ x0
     h_u = 2.0 * (h_mat.T * w_stack) @ h_mat
     h_u[np.arange(horizon * p), np.arange(horizon * p)] += 2.0 * r_stack
     g_u = 2.0 * h_mat.T @ (w_stack * free_response)
-
-    s_lb = check_profile("state_lb", state_lb, n, -np.inf)
-    s_ub = check_profile("state_ub", state_ub, n, np.inf)
-    stacked_lb = np.concatenate([np.full(n, -np.inf)] + [s_lb] * horizon)
-    stacked_ub = np.concatenate([np.full(n, np.inf)] + [s_ub] * horizon)
-    sel = np.where(np.isfinite(stacked_lb) | np.isfinite(stacked_ub))[0]
-
+    sel = np.where(np.isfinite(lo[:nx]) | np.isfinite(hi[:nx]))[0]
     nu_vars = horizon * p
-    lb_u = np.tile(check_profile("input_lb", input_lb, p, -np.inf), horizon)
-    ub_u = np.tile(check_profile("input_ub", input_ub, p, np.inf), horizon)
 
     # without a state box there are no auxiliary variables and no equality rows
     nz = nu_vars + sel.size
@@ -457,18 +477,18 @@ def centralized_mpc(
     a_eq[np.arange(sel.size), nu_vars + np.arange(sel.size)] = 1.0
     qp = DenseQP(
         h_full, np.concatenate([g_u, np.zeros(sel.size)]), a_eq, free_response[sel],
-        np.concatenate([lb_u, stacked_lb[sel]]), np.concatenate([ub_u, stacked_ub[sel]]),
+        np.concatenate([lo[nx:], lo[sel]]), np.concatenate([hi[nx:], hi[sel]]),
     )
-    res = solve_qp(qp, tol=tol)
+    res = solve_qp(qp, tol=BASELINE_TOL)
     u = res.x[:nu_vars]
     states = (free_response + h_mat @ u).reshape(horizon + 1, n)
-    cost = float(
+    planned = float(
         np.sum(w_stack * (free_response + h_mat @ u) ** 2) + np.sum(r_stack * u**2)
     )
     return CentralizedSolution(
         u_sequence=u.reshape(horizon, p),
         planned_states=states,
-        planned_cost=cost,
+        planned_cost=planned,
         status=res.status,
         iterations=res.iterations,
     )

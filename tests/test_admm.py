@@ -28,9 +28,8 @@ from dlmpc import (
     run_closed_loop,
 )
 from dlmpc import admm
-from dlmpc.admm import row_profiles
 from dlmpc.explicit_row import RowTerms, row_terms, solve_terms
-from dlmpc.qp import row_qp
+from dlmpc.qp import row_qp, stacked_profiles
 from oracles import (
     INTERIOR,
     LOWER_ACTIVE,
@@ -168,12 +167,11 @@ class TestEngineBasics:
             DlmpcEngine(sc.model, sc.index, sc.op, **boxes)
 
     def test_row_profiles_layout(self):
-        sc = small_scenario()
-        weight, lo, hi = row_profiles(
-            sc.index, sc.q_diag, sc.r_diag, sc.qt_diag,
-            sc.state_lb, sc.state_ub, sc.input_lb, sc.input_ub,
-        )
+        # distinct weights, so that each row block's weight names its source
+        sc = small_scenario(state_weight=3.0, input_weight=0.5, terminal_weight=2.0)
+        weight, lo, hi = profile_rows(sc)
         n, t_hor = sc.model.n_states, sc.config.horizon
+        assert weight.shape == lo.shape == hi.shape == (sc.index.n_rows,)
         # time-0 state rows carry no weight and no bounds
         assert not weight[:n].any()
         assert np.all(np.isinf(lo[:n])) and np.all(np.isinf(hi[:n]))
@@ -184,6 +182,9 @@ class TestEngineBasics:
         np.testing.assert_array_equal(
             weight[t_hor * n : (t_hor + 1) * n], np.sqrt(sc.qt_diag)
         )
+        # the t = 1..T-1 state rows use the stage weight, every input row the input weight
+        np.testing.assert_array_equal(weight[n : t_hor * n], np.sqrt(np.tile(sc.q_diag, t_hor - 1)))
+        np.testing.assert_array_equal(weight[(t_hor + 1) * n :], np.sqrt(np.tile(sc.r_diag, t_hor)))
 
 
 class TestDeterminismAndOrder:
@@ -807,11 +808,9 @@ def recorded_loop(sc, engine, **kwargs) -> tuple:
 
 
 def profile_rows(sc) -> tuple:
-    """Per-global-row (weight, lo, hi) of a scenario, from its profiles."""
-    return row_profiles(
-        sc.index, sc.q_diag, sc.r_diag, sc.qt_diag,
-        sc.state_lb, sc.state_ub, sc.input_lb, sc.input_ub,
-    )
+    """Per-global-row (weight, lo, hi) of a scenario, from its profiles; the weight is the cost's root."""
+    cost, lo, hi = stacked_profiles(sc.model.n_states, sc.model.n_inputs, sc.config.horizon, **sc.profiles())
+    return np.sqrt(cost), lo, hi
 
 
 def per_subsystem_terms(sc, x0) -> list:
@@ -913,10 +912,7 @@ class TestRowStep:
 
     @staticmethod
     def reference_rows(sc, state, x0, rho):
-        weight, lo, hi = row_profiles(
-            sc.index, sc.q_diag, sc.r_diag, sc.qt_diag,
-            sc.state_lb, sc.state_ub, sc.input_lb, sc.input_ub,
-        )
+        weight, lo, hi = profile_rows(sc)
         out, regions = [], []
         for sub, psi, lam in zip(sc.index.subsystems, state.psi_r, state.lam_r):
             phi = np.zeros_like(psi)
@@ -1211,10 +1207,7 @@ class TestSolutionQuality:
         x0 = sc.initial_state()
         engine = sc.make_engine(eps_primal=1e-9, eps_dual=1e-9)
         res = engine.solve_step(x0)
-        weight, lo, hi = row_profiles(
-            sc.index, sc.q_diag, sc.r_diag, sc.qt_diag,
-            sc.state_lb, sc.state_ub, sc.input_lb, sc.input_ub,
-        )
+        weight, lo, hi = profile_rows(sc)
         ref = centralized_local_mpc(sc.model, sc.index, x0, weight, lo, hi)
         assert ref["status"] is QpStatus.OPTIMAL
         phi = engine.assemble_from_rows(res.state, "phi")

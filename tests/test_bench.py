@@ -562,6 +562,36 @@ class TestCli:
         assert cli_main(["run", "--config", str(ini)]) == 1
         assert capsys.readouterr().err.startswith(f"error: config file {ini}: ")
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[scenario]\nsubsystems = 2\nhorizon = 2.5\n", "scenario.horizon"),
+            ("[scenario]\nsubsystems = 2\nwarm_start = maybe\n", "scenario.warm_start"),
+            ("[scenario]\nsubsystems = 2\n[solver]\nrho = abc\n", "solver.rho"),
+        ],
+        ids=["int", "bool", "float"],
+    )
+    def test_unreadable_config_value_names_its_key(self, tmp_path, capsys, text, named):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        assert cli_main(["run", "--config", str(ini)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config file {ini}: {named}: ")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("subsystems 1\nstate_dims 1\ninput_dims 1\nA 1 z\n0.5\n", 4),
+            ("subsystems 1\nstate_dims 1\ninput_dims 1\nA 1 1\nabc\n", 5),
+            ("# one node\nsubsystems 1\n\nstate_dims 2.5\ninput_dims 1\n", 4),
+        ],
+        ids=["block-index", "entry", "state-dims-after-comment"],
+    )
+    def test_unreadable_model_line_is_named(self, tmp_path, capsys, text, line):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        assert cli_main(["run", "--model", str(path), "--steps", "1"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: model file {path} line {line}: ")
+
     def test_run_with_model_file(self, tmp_path, capsys):
         path = save_model_file(build_chain_model(2), tmp_path / "m.txt")
         assert cli_main(["run", "--model", str(path), "--steps", "1", "--horizon", "2"]) == 0

@@ -17,8 +17,8 @@ from dlmpc import (
     build_locality_index,
     centralized_mpc,
     solve_qp,
+    stacked_profiles,
 )
-from dlmpc.admm import row_profiles
 from oracles import centralized_local_mpc
 
 
@@ -471,6 +471,31 @@ class TestCentralizedMpc:
         with pytest.raises(ValueError, match=f"{name} must have 4 entries, got 1"):
             centralized_mpc(build_chain_model(2), 3, np.array([0.5, 0.9, 0.5, 0.9]), **kwargs)
 
+    def test_terminal_weight_defaults_to_stage_weight(self):
+        # the engine's default: qt_diag=None weights the terminal state by q_diag, not by ones
+        model, x0 = build_chain_model(2), np.array([0.5, 0.9, 0.5, 0.9])
+        q, r = np.full(4, 3.0), np.ones(2)
+        default = centralized_mpc(model, 3, x0, q, r, None)
+        stated = centralized_mpc(model, 3, x0, q, r, q)
+        np.testing.assert_array_equal(default.u_sequence, stated.u_sequence)
+        assert default.planned_cost == stated.planned_cost
+
+    @pytest.mark.parametrize(
+        "boxes, named",
+        [
+            (dict(state_lb=[-np.inf, 0.5, -np.inf, -np.inf], state_ub=[np.inf, 0.0, np.inf, np.inf]),
+             "state_lb/state_ub component 1"),
+            (dict(input_lb=[np.inf, -1.0]), "input_lb/input_ub component 0"),
+        ],
+        ids=["state", "input-lower-plus-inf"],
+    )
+    def test_rejects_an_empty_box(self, boxes, named):
+        # the engine's check and message, not an INFEASIBLE status
+        with pytest.raises(ValueError, match=f"^{named}: empty box"):
+            centralized_mpc(
+                build_chain_model(2), 3, np.array([0.5, 0.9, 0.5, 0.9]), np.ones(4), np.ones(2), np.ones(4), **boxes
+            )
+
     @pytest.mark.parametrize(
         "horizon, message",
         [(0, "horizon must be at least 1"), (-1, "horizon must be at least 1"),
@@ -497,13 +522,13 @@ class TestCentralizedLocalMpc:
         index = build_locality_index(graph, model, d=3, horizon=horizon)
         rng = np.random.default_rng(8)
         x0 = rng.uniform(0, 1, model.n_states)
-        weight, lo, hi = row_profiles(
-            index,
+        cost, lo, hi = stacked_profiles(
+            model.n_states, model.n_inputs, horizon,
             np.ones(model.n_states), np.ones(model.n_inputs), np.ones(model.n_states),
             np.full(model.n_states, -np.inf), np.full(model.n_states, np.inf),
             np.full(model.n_inputs, -np.inf), np.full(model.n_inputs, np.inf),
         )
-        local = centralized_local_mpc(model, index, x0, weight, lo, hi)
+        local = centralized_local_mpc(model, index, x0, np.sqrt(cost), lo, hi)
         assert local["status"] is QpStatus.OPTIMAL
         plain = centralized_mpc(
             model, horizon, x0, np.ones(model.n_states),
