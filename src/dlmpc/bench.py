@@ -266,14 +266,13 @@ def _simulate(scenario: Scenario, policy, sim_steps: int | None, x0: np.ndarray 
     if sim_steps < 0:
         raise ValueError(f"sim_steps must be at least 0, got {sim_steps}")
     model = scenario.model
-    a_full, b_full = model.full_a(), model.full_b()
     x = scenario.initial_state() if x0 is None else np.asarray(x0, float).copy()
     states = [x.copy()]
     inputs = []
     for s in range(sim_steps):
         u = policy(s, x)
         inputs.append(u.copy())
-        x = a_full @ x + b_full @ u
+        x = model.a @ x + model.b @ u
         states.append(x.copy())
     states = np.asarray(states)
     inputs = np.asarray(inputs).reshape(sim_steps, model.n_inputs)

@@ -51,8 +51,9 @@ class DenseQP:
     Missing bounds default to +-inf; missing equalities (``a_eq`` and
     ``b_eq`` are given together or not at all) are stored as a zero-row
     block, ``a_eq`` of shape ``(0, n)`` and ``b_eq`` of shape ``(0,)`` per
-    member.  A non-finite entry of ``h``, ``g``, ``a_eq`` or ``b_eq``, or a
-    NaN bound, raises :class:`QpStructureError` naming the field.
+    member.  A non-finite entry of ``h``, ``g``, ``a_eq`` or ``b_eq``, a
+    NaN bound, or a bound that no x meets (``lb`` of +inf, ``ub`` of -inf)
+    raises :class:`QpStructureError` naming the field and the entry.
     """
 
     h: np.ndarray
@@ -83,10 +84,12 @@ class DenseQP:
         if self.lb.shape != lead + (nv,) or self.ub.shape != lead + (nv,):
             raise QpStructureError("bounds must have one entry per variable")
         for name in ("h", "g", "a_eq", "b_eq", "lb", "ub"):
-            value, bound = getattr(self, name), name in ("lb", "ub")
-            for at in np.argwhere(np.isnan(value) if bound else ~np.isfinite(value))[:1]:
-                need = "a number" if bound else "finite"
-                raise QpStructureError(f"{name}[{', '.join(map(str, at))}] is {value[tuple(at)]}, must be {need}")
+            value, empty = getattr(self, name), {"lb": np.inf, "ub": -np.inf}.get(name)  # the bound no x meets
+            bad = ~np.isfinite(value) if empty is None else np.isnan(value) | (value == empty)
+            for at in np.argwhere(bad)[:1]:
+                v = value[tuple(at)]
+                need = "must be finite" if empty is None else "which no x meets" if v == empty else "must be a number"
+                raise QpStructureError(f"{name}[{', '.join(map(str, at))}] is {v}, {need}")
         self.h = 0.5 * (self.h + np.swapaxes(self.h, -1, -2))
 
 
@@ -362,7 +365,7 @@ class CentralizedSolution:
 
 
 def _prediction_matrices(model: NetworkModel, horizon: int) -> tuple:
-    a, b = model.full_a(), model.full_b()
+    a, b = model.a, model.b
     n, p = model.n_states, model.n_inputs
     g = np.zeros(((horizon + 1) * n, n))
     h = np.zeros(((horizon + 1) * n, horizon * p))
@@ -370,7 +373,7 @@ def _prediction_matrices(model: NetworkModel, horizon: int) -> tuple:
     for t in range(1, horizon + 1):
         g[t * n : (t + 1) * n] = a @ g[(t - 1) * n : t * n]
         h[t * n : (t + 1) * n] = a @ h[(t - 1) * n : t * n]
-        h[t * n : (t + 1) * n, (t - 1) * p : t * p] += b
+        h[t * n + b.row, (t - 1) * p + b.col] += b.data
     return g, h
 
 

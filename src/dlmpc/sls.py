@@ -13,7 +13,8 @@ and every later block obeys the dynamics,
     phi_x[t+1] - A phi_x[t] - B phi_u[t] = 0 .
 
 Stacked, that reads ``Z @ [phi_x; phi_u] = E`` with ``E`` the identity
-embedded in the first n rows (``stacked_constraint`` builds Z on demand).
+embedded in the first n rows (``stacked_constraint`` builds Z on demand
+from the entries that the model's sparse A and B store).
 The constraint decomposes column-block by column-block, so the column step
 of each subsystem i has an explicit solution: with ``Z_i`` the constraint
 rows touching its coupled row set and ``E_i`` the matching slice of E,
@@ -78,27 +79,19 @@ class FeasibilityOperator:
 def stacked_constraint(model: NetworkModel, horizon: int) -> sp.csr_matrix:
     """Stacked dynamics constraint Z over the horizon, as a CSR matrix.
 
-    Its right-hand side is ``np.eye(Z.shape[0], n)``.
+    Its entries are the identity and, at every step, ``-model.a`` and
+    ``-model.b``; its right-hand side is ``np.eye(Z.shape[0], n)``.
     """
     n, p, t_hor = model.n_states, model.n_inputs, horizon
     n_rows = n * (t_hor + 1)
     eye = np.arange(n_rows)
-    rows, cols, vals = [eye], [eye], [np.ones(n_rows)]
     t = np.arange(t_hor)[:, None]
-    # -A and -B blocks of every time step, as COO triplets of their nonzeros
-    for blocks, col_offsets, col0, width in (
-        (model.a_blocks, model.state_offsets, 0, n),
-        (model.b_blocks, model.input_offsets, n_rows, p),
-    ):
-        for (i, j), blk in blocks.items():
-            r, c = np.nonzero(blk)
-            rows.append(((t + 1) * n + model.state_offsets[i - 1] + r).ravel())
-            cols.append((col0 + t * width + col_offsets[j - 1] + c).ravel())
-            vals.append(np.tile(-blk[r, c], t_hor))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_rows, n_rows + p * t_hor),
-    )
+    a, b = model.a, model.b
+    # the identity, then the stored entries of -A and -B at every time step
+    rows = np.concatenate([eye, ((t + 1) * n + a.row).ravel(), ((t + 1) * n + b.row).ravel()])
+    cols = np.concatenate([eye, (t * n + a.col).ravel(), (n_rows + t * p + b.col).ravel()])
+    vals = np.concatenate([np.ones(n_rows), np.tile(-a.data, t_hor), np.tile(-b.data, t_hor)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_rows + p * t_hor))
 
 
 def assemble_feasibility_operator(

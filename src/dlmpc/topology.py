@@ -1,14 +1,16 @@
 """Interconnection topology and locality index sets.
 
 A networked linear system ``x(t+1) = A x(t) + B u(t)`` is split into N
-subsystems with block-partitioned dynamics.  The directed interconnection
-graph carries an arrow ``j -> i`` whenever block ``(i, j)`` of A or B is
-nonzero, i.e. whenever subsystem j influences subsystem i.  Bounded-hop
-incoming sets of that graph decide which entries of the closed-loop response
-maps may be nonzero; each subsystem's row mask states that once, and column
-partitions and outgoing sets are read off as transposes.  The locality index
-stores all of it per subsystem: no global mask of the response map is
-kept, and a model's offsets are computed once, when it is built.
+subsystems with block-partitioned dynamics, which the model assembles once
+into the sparse A and B that every reader uses.  The directed
+interconnection graph carries an arrow ``j -> i`` whenever A or B stores an
+entry in block ``(i, j)``, i.e. whenever subsystem j influences subsystem i.
+Bounded-hop incoming sets of that graph decide which entries of the
+closed-loop response maps may be nonzero; each subsystem's row mask states
+that once, and column partitions and outgoing sets are read off as
+transposes.  The locality index stores all of it per subsystem: no global
+mask of the response map is kept, and a model's offsets are computed once,
+when it is built.
 
 Conventions used throughout the package:
 
@@ -26,6 +28,7 @@ from itertools import accumulate
 from numbers import Integral
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class ModelValidationError(ValueError):
@@ -37,7 +40,8 @@ def check_int(name: str, value) -> int:
 
     numpy integers count; a bool does not.
     """
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    # int first: the Integral check alone costs a microsecond, once per block key
+    if isinstance(value, bool) or not isinstance(value, (int, Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -50,12 +54,37 @@ def check_id(i: int, n_sub: int) -> int:
     return i
 
 
-def _as_block_dict(blocks):
+def _as_block_dict(kind: str, blocks) -> dict:
     out = {}
     for key, val in blocks.items():
         i, j = key
-        out[(int(i), int(j))] = np.asarray(val, dtype=float)
+        try:
+            i, j = check_int("id", i), check_int("id", j)
+        except ValueError as err:
+            raise ValueError(f"{kind}_blocks key {key!r}: {err}") from None
+        out[(i, j)] = np.asarray(val, dtype=float)
     return out
+
+
+def _assemble(kind: str, blocks: dict, row_offsets: tuple, col_offsets: tuple) -> sp.coo_matrix:
+    """Blocks of checked shapes as one matrix of their nonzero entries, in one pass.
+
+    The offsets end with the total; a non-finite entry raises, naming its
+    block and its place in it.
+    """
+    row_offsets, col_offsets = np.asarray(row_offsets), np.asarray(col_offsets)
+    keys = np.array(list(blocks), dtype=np.int64).reshape(-1, 2) - 1
+    widths = np.diff(col_offsets)[keys[:, 1]]
+    sizes = np.diff(row_offsets)[keys[:, 0]] * widths
+    vals = np.concatenate([np.zeros(0), *(blk.ravel() for blk in blocks.values())])
+    owner = np.repeat(np.arange(len(keys)), sizes)
+    r, c = np.divmod(np.arange(vals.size) - np.repeat(np.cumsum(sizes) - sizes, sizes), widths[owner])
+    for e in np.flatnonzero(~np.isfinite(vals))[:1]:
+        i, j = keys[owner[e]] + 1
+        raise ModelValidationError(f"{kind}_blocks[({i},{j})] entry ({r[e]},{c[e]}) is {vals[e]}, must be finite")
+    keep = vals != 0.0
+    rows, cols = row_offsets[keys[owner[keep], 0]] + r[keep], col_offsets[keys[owner[keep], 1]] + c[keep]
+    return sp.coo_matrix((vals[keep], (rows, cols)), shape=(row_offsets[-1], col_offsets[-1]))
 
 
 @dataclass(frozen=True)
@@ -65,9 +94,12 @@ class NetworkModel:
     ``a_blocks`` and ``b_blocks`` map 1-based ``(i, j)`` pairs to dense
     blocks; absent blocks are exactly zero.  ``a_blocks[(i, j)]`` must have
     shape ``(state_dims[i-1], state_dims[j-1])`` and ``b_blocks[(i, j)]``
-    shape ``(state_dims[i-1], input_dims[j-1])``, every entry finite.  The
-    totals ``n_states``/``n_inputs`` and the per-subsystem offsets
-    ``state_offsets``/``input_offsets`` are fixed at construction.
+    shape ``(state_dims[i-1], input_dims[j-1])``, every entry finite, and
+    every dimension and block id is an integer.  Fixed at construction: the
+    totals ``n_states``/``n_inputs``, the offsets ``state_offsets``/
+    ``input_offsets``, and the one assembly of A and B that the package
+    reads: sparse COO matrices ``a`` (n x n) and ``b`` (n x p) that store
+    no zero entry.
     """
 
     state_dims: tuple
@@ -78,12 +110,15 @@ class NetworkModel:
     n_inputs: int = field(init=False, repr=False, compare=False)
     state_offsets: tuple = field(init=False, repr=False, compare=False)
     input_offsets: tuple = field(init=False, repr=False, compare=False)
+    a: sp.coo_matrix = field(init=False, repr=False, compare=False)
+    b: sp.coo_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "state_dims", tuple(int(m) for m in self.state_dims))
-        object.__setattr__(self, "input_dims", tuple(int(m) for m in self.input_dims))
-        object.__setattr__(self, "a_blocks", _as_block_dict(self.a_blocks))
-        object.__setattr__(self, "b_blocks", _as_block_dict(self.b_blocks))
+        for name in ("state_dims", "input_dims"):
+            dims = tuple(check_int(f"{name}[{k}]", m) for k, m in enumerate(getattr(self, name)))
+            object.__setattr__(self, name, dims)
+        object.__setattr__(self, "a_blocks", _as_block_dict("a", self.a_blocks))
+        object.__setattr__(self, "b_blocks", _as_block_dict("b", self.b_blocks))
         n_sub = len(self.state_dims)
         if n_sub == 0:
             raise ModelValidationError("need at least one subsystem")
@@ -103,11 +138,10 @@ class NetworkModel:
                 name, want = f"{kind}_blocks[({i},{j})]", (self.state_dims[i - 1], dims[j - 1])
                 if blk.shape != want:
                     raise ModelValidationError(f"{name} has shape {blk.shape}, expected {want}")
-                if not np.isfinite(blk).all():
-                    r, c = np.argwhere(~np.isfinite(blk))[0]
-                    raise ModelValidationError(f"{name} entry ({r},{c}) is {blk[r, c]}, must be finite")
         x_offs = tuple(accumulate(self.state_dims, initial=0))
         u_offs = tuple(accumulate(self.input_dims, initial=0))
+        object.__setattr__(self, "a", _assemble("a", self.a_blocks, x_offs, x_offs))
+        object.__setattr__(self, "b", _assemble("b", self.b_blocks, x_offs, u_offs))
         object.__setattr__(self, "n_states", x_offs[-1])
         object.__setattr__(self, "n_inputs", u_offs[-1])
         object.__setattr__(self, "state_offsets", x_offs[:-1])
@@ -127,20 +161,6 @@ class NetworkModel:
         check_id(i, self.n_subsystems)
         off = self.input_offsets[i - 1]
         return np.arange(off, off + self.input_dims[i - 1])
-
-    def full_a(self) -> np.ndarray:
-        """Assemble the dense n x n state matrix."""
-        a = np.zeros((self.n_states, self.n_states))
-        for (i, j), blk in self.a_blocks.items():
-            a[np.ix_(self.state_indices(i), self.state_indices(j))] = blk
-        return a
-
-    def full_b(self) -> np.ndarray:
-        """Assemble the dense n x p input matrix."""
-        b = np.zeros((self.n_states, self.n_inputs))
-        for (i, j), blk in self.b_blocks.items():
-            b[np.ix_(self.state_indices(i), self.input_indices(j))] = blk
-        return b
 
 
 @dataclass(frozen=True)
@@ -177,19 +197,16 @@ class Graph:
 
 
 def build_graph(model: NetworkModel) -> Graph:
-    """Interconnection graph from the nonzero block support of (A, B).
+    """Interconnection graph from the entries stored in ``model.a`` and ``model.b``.
 
-    A block that is present but identically zero contributes no edge: the
-    edge set matches the exact nonzero support.
+    Neither stores a zero, so a block that is present but identically zero
+    contributes no edge: the edge set matches the exact nonzero support.
     """
-    edges = set()
-    for (i, j), blk in model.a_blocks.items():
-        if np.any(blk != 0.0):
-            edges.add((i, j))
-    for (i, j), blk in model.b_blocks.items():
-        if np.any(blk != 0.0):
-            edges.add((i, j))
-    return Graph(n_vertices=model.n_subsystems, edges=frozenset(edges))
+    ids = np.arange(1, model.n_subsystems + 1)
+    x_owner, u_owner = np.repeat(ids, model.state_dims), np.repeat(ids, model.input_dims)
+    rows = x_owner[np.concatenate([model.a.row, model.b.row])]
+    cols = np.concatenate([x_owner[model.a.col], u_owner[model.b.col]])
+    return Graph(n_vertices=model.n_subsystems, edges=frozenset(zip(rows.tolist(), cols.tolist())))
 
 
 def _hops(graph: Graph, adj: dict, i: int, d: int) -> dict:
@@ -315,11 +332,9 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
         cols = xi.copy()
         row_cols = np.sort(np.concatenate([model.state_indices(j) for j in sorted(in_hops[i - 1])]))
         state_cols = np.sort(np.concatenate([model.state_indices(j) for j in within_d(in_hops[i - 1])]))
-        state_col_positions = np.searchsorted(row_cols, state_cols)
-
-        row_mask = np.zeros((len(rows), len(row_cols)), dtype=bool)
-        row_mask[~row_is_state, :] = True
-        row_mask[np.ix_(row_is_state, state_col_positions)] = True
+        in_d = np.zeros(len(row_cols), dtype=bool)
+        in_d[np.searchsorted(row_cols, state_cols)] = True
+        row_mask = ~row_is_state[:, None] | in_d
 
         # (column owner, global row) of every masked entry
         r, c = np.nonzero(row_mask)

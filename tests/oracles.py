@@ -15,6 +15,11 @@ path depends on them:
   and recover the gain, the gain-response correspondence of System Level
   Synthesis (Anderson, Doyle, Low and Matni, Annual Reviews in Control,
   2019), which the controller never needs since it runs on the responses;
+* ``input_free_chain`` is the 4-node chain with subsystem 2's input
+  taken away, a model that more than one test file reads;
+* ``dense_dynamics`` rebuilds dense A and B from the model's blocks with
+  plain numpy and offsets of its own, apart from the model's sparse
+  assembly that the package reads;
 * ``dense_constraint`` rebuilds the stacked dynamics constraint densely,
   and ``reference_projectors`` derives every subsystem's column projector
   from it with ``np.linalg.pinv``, keeping all constraint rows;
@@ -36,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dlmpc import DenseQP, LocalityIndex, NetworkModel, solve_qp, stacked_constraint
+from dlmpc import DenseQP, LocalityIndex, NetworkModel, build_chain_model, solve_qp, stacked_constraint
 from dlmpc.explicit_row import row_terms, solve_terms
 
 INTERIOR, UPPER_ACTIVE, LOWER_ACTIVE = 0, 1, 2  # the region codes of solve_rows
@@ -112,6 +117,29 @@ def kkt_residuals(p: RowProblem, sol: tuple) -> tuple:
     return stationarity, max(viol, 0.0), comp
 
 
+def input_free_chain() -> NetworkModel:
+    """The 4-node chain with subsystem 2's input taken away."""
+    chain = build_chain_model(4)
+    return NetworkModel(
+        state_dims=chain.state_dims,
+        input_dims=(1, 0, 1, 1),
+        a_blocks=chain.a_blocks,
+        b_blocks={k: b for k, b in chain.b_blocks.items() if k != (2, 2)},
+    )
+
+
+def dense_dynamics(model: NetworkModel) -> tuple:
+    """Dense ``(A, B)`` written block by block from ``a_blocks`` and ``b_blocks``."""
+    x_off = np.concatenate([[0], np.cumsum(model.state_dims)])
+    u_off = np.concatenate([[0], np.cumsum(model.input_dims)])
+    a = np.zeros((x_off[-1], x_off[-1]))
+    b = np.zeros((x_off[-1], u_off[-1]))
+    for out, blocks, col_off in ((a, model.a_blocks, x_off), (b, model.b_blocks, u_off)):
+        for (i, j), blk in blocks.items():
+            out[x_off[i - 1] : x_off[i], col_off[j - 1] : col_off[j]] = blk
+    return a, b
+
+
 def dense_constraint(model: NetworkModel, horizon: int) -> np.ndarray:
     """Independent dense construction of the dynamics constraint matrix.
 
@@ -119,7 +147,7 @@ def dense_constraint(model: NetworkModel, horizon: int) -> np.ndarray:
     ``np.eye(rows, n)``.
     """
     n, p = model.n_states, model.n_inputs
-    a, b = model.full_a(), model.full_b()
+    a, b = dense_dynamics(model)
     rows = n * (horizon + 1)
     cols = rows + p * horizon
     z = np.zeros((rows, cols))
@@ -192,7 +220,7 @@ def full_response_from_controller(
     k = np.asarray(k, dtype=float)
     _check_controller_shape(model, k, horizon)
     n, p = model.n_states, model.n_inputs
-    a, b = model.full_a(), model.full_b()
+    a, b = dense_dynamics(model)
     phi_x = np.zeros((n * (horizon + 1), n * (horizon + 1)))
     phi_u = np.zeros((p * horizon, n * (horizon + 1)))
     for s in range(horizon + 1):

@@ -38,6 +38,7 @@ from oracles import (
     RowProblem,
     check_masks,
     controller_from_response,
+    dense_dynamics,
     full_response_from_controller,
     kkt_residuals,
     sample_masks,
@@ -100,7 +101,7 @@ def _region_oracle(p: RowProblem) -> int:
 def _dense_constraint(model, horizon):
     """Stacked achievability operator rebuilt with plain numpy."""
     n, p = model.n_states, model.n_inputs
-    a, b = model.full_a(), model.full_b()
+    a, b = dense_dynamics(model)
     nx = n * (horizon + 1)
     z = np.zeros((nx, nx + p * horizon))
     z[:nx, :nx] = np.eye(nx)

@@ -39,6 +39,8 @@ from oracles import (
     centralized_local_mpc,
     check_masks,
     column_blocks,
+    dense_dynamics,
+    input_free_chain,
     sample_masks,
     solve_row,
     solve_rows,
@@ -61,17 +63,6 @@ PLAN_CASES = (
 def small_scenario(**overrides):
     defaults = dict(n_subsystems=4, horizon=3, locality=1, case=Case.EXPLICIT, seed=3)
     return build_scenario(ScenarioConfig(**{**defaults, **overrides}))
-
-
-def input_free_chain() -> NetworkModel:
-    """The 4-node chain with subsystem 2's input taken away."""
-    chain = build_chain_model(4)
-    return NetworkModel(
-        state_dims=chain.state_dims,
-        input_dims=(1, 0, 1, 1),
-        a_blocks=chain.a_blocks,
-        b_blocks={k: b for k, b in chain.b_blocks.items() if k != (2, 2)},
-    )
 
 
 class TestEngineBasics:
@@ -575,7 +566,7 @@ class TestConvergenceControl:
         engine = sc.make_engine()
         x0 = sc.initial_state()
         cold = engine.solve_step(x0)
-        a, b = sc.model.full_a(), sc.model.full_b()
+        a, b = dense_dynamics(sc.model)
         x1 = a @ x0 + b @ cold.u
         warm = engine.solve_step(x1, warm_state=cold.state)
         fresh = engine.solve_step(x1)
@@ -1236,7 +1227,8 @@ class TestSolutionQuality:
         np.testing.assert_allclose(res.u, u_global, atol=1e-12)
         # realized next state agrees with the planned one-step response
         x1_planned = phi[n : 2 * n, :] @ x0
-        x1_real = sc.model.full_a() @ x0 + sc.model.full_b() @ res.u
+        a, b = dense_dynamics(sc.model)
+        x1_real = a @ x0 + b @ res.u
         np.testing.assert_allclose(x1_real, x1_planned, atol=1e-7)
 
     def test_two_input_subsystem_applies_its_time0_rows(self):

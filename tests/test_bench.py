@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from dlmpc import (
     run_scaling_sweep,
     save_model_file,
 )
-from dlmpc.bench import SweepRow
+from dlmpc.bench import SweepRow, _simulate
 from dlmpc.cli import main as cli_main
 
 
@@ -151,6 +152,20 @@ class TestSetupMemory:
             ratio = array_bytes(getattr(large, part)) / array_bytes(getattr(small, part))
             # twice the subsystems, twice the bytes (plus boundary effects)
             assert ratio <= 2.1, f"{part}: {ratio:.3f}x the bytes for 2x the subsystems"
+
+    def test_plant_steps_the_sparse_dynamics(self):
+        # a dense A and B of the 200-node chain hold 1.9 MB; the plant loop
+        # allocates only its states and inputs
+        sc = build_scenario(ScenarioConfig(n_subsystems=200, sim_steps=3))
+        n, p = sc.model.n_states, sc.model.n_inputs
+        zero = np.zeros(p)
+        tracemalloc.start()
+        try:
+            _simulate(sc, lambda s, x: zero, None, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * n * (n + p), f"plant loop peaked at {peak} bytes"
 
 
 class TestClosedLoop:

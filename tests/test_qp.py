@@ -19,7 +19,7 @@ from dlmpc import (
     solve_qp,
     stacked_profiles,
 )
-from oracles import centralized_local_mpc
+from oracles import centralized_local_mpc, dense_dynamics
 
 
 def brute_force_box_qp(qp, grid=None):
@@ -359,19 +359,23 @@ class TestSolveQp:
             (dict(a_eq=[[1.0]], b_eq=[np.nan]), r"b_eq\[0\] is nan, must be finite"),
             (dict(lb=[np.nan]), r"lb\[0\] is nan, must be a number"),
             (dict(ub=[np.nan]), r"ub\[0\] is nan, must be a number"),
+            (dict(lb=[np.inf]), r"lb\[0\] is inf, which no x meets"),
+            (dict(ub=[-np.inf]), r"ub\[0\] is -inf, which no x meets"),
             (dict(h=np.ones((2, 1, 1)), g=[[1.0], [np.nan]]), r"g\[1, 0\] is nan, must be finite"),
         ],
-        ids=["g-inf", "g-nan", "h-nan", "a_eq-inf", "b_eq-nan", "lb-nan", "ub-nan", "stack-member"],
+        ids=["g-inf", "g-nan", "h-nan", "a_eq-inf", "b_eq-nan", "lb-nan", "ub-nan", "lb-inf", "ub-minus-inf",
+             "stack-member"],
     )
     def test_rejects_non_finite_data(self, data, message):
         # inf in g once ended OPTIMAL at x = 0 (its tolerance scale was inf), a
-        # NaN bound bounded nothing, and NaN data ended MAX_ITER with a NaN x
+        # NaN bound bounded nothing, NaN data ended MAX_ITER with a NaN x, and
+        # an lb of +inf or a ub of -inf was dropped: the QP ended OPTIMAL at x = 0
         with pytest.raises(QpStructureError, match=f"^{message}$"):
             DenseQP(**({"h": np.eye(1), "g": [1.0]} | data))
 
 
 def simulate(model, x0, inputs, horizon):
-    a, b = model.full_a(), model.full_b()
+    a, b = dense_dynamics(model)
     x = np.asarray(x0, float)
     states = [x]
     for t in range(horizon):
@@ -394,7 +398,7 @@ class TestCentralizedMpc:
         assert sol.status is QpStatus.OPTIMAL
 
         # reference: stack the prediction map and solve the normal equations
-        a, b = model.full_a(), model.full_b()
+        a, b = dense_dynamics(model)
         blocks = np.zeros((n * (horizon + 1), p * horizon))
         free = np.zeros((n * (horizon + 1), ))
         powers = [np.linalg.matrix_power(a, t) for t in range(horizon + 1)]

@@ -31,6 +31,7 @@ from dlmpc import (
 from oracles import (
     controller_from_response,
     dense_constraint,
+    dense_dynamics,
     full_response_from_controller,
     reference_projectors,
     response_from_controller,
@@ -108,7 +109,7 @@ class TestConstraintMatrix:
 class TestResponseFromController:
     def test_zero_gain_gives_open_loop_powers(self):
         model = build_chain_model(2)
-        a = model.full_a()
+        a, _ = dense_dynamics(model)
         horizon = 3
         phi_x, phi_u = response_from_controller(model, np.zeros((3 * 2, 4 * 4)), horizon)
         expect = np.vstack([np.linalg.matrix_power(a, t) for t in range(horizon + 1)])

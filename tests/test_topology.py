@@ -1,6 +1,7 @@
 """Model validation, graph reachability sets and index-set construction."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import dlmpc
 from dlmpc import (
@@ -15,6 +16,33 @@ from dlmpc import (
     d_out_set,
     packet_within_locality,
 )
+from oracles import dense_dynamics, input_free_chain
+
+
+def unactuated_hub():
+    """An unactuated hub feeding two unactuated leaves: a model without inputs."""
+    eye, half = np.array([[1.0]]), np.array([[0.5]])
+    return NetworkModel(
+        state_dims=(1, 1, 1),
+        input_dims=(0, 0, 0),
+        a_blocks={(1, 1): eye, (2, 2): eye, (3, 3): eye, (2, 1): half, (3, 1): half},
+        b_blocks={},
+    )
+
+
+def zero_entries_model():
+    """A present but all-zero block (A and B at (2, 1)) and -0.0 entries."""
+    return NetworkModel(
+        state_dims=(2, 1),
+        input_dims=(1, 1),
+        a_blocks={
+            (1, 1): np.array([[1.0, -0.0], [0.0, 0.9]]),
+            (2, 2): np.array([[0.8]]),
+            (2, 1): np.zeros((1, 2)),
+            (1, 2): np.array([[-0.0], [0.3]]),
+        },
+        b_blocks={(1, 1): np.array([[0.0], [1.0]]), (2, 2): np.array([[1.0]]), (2, 1): np.array([[-0.0]])},
+    )
 
 
 def two_node_model():
@@ -45,8 +73,43 @@ class TestNetworkModel:
         m = two_node_model()
         a = np.array([[1.0, 0.1, 0.0], [0.0, 0.9, 0.0], [0.2, 0.0, 0.8]])
         b = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(m.full_a(), a)
-        np.testing.assert_array_equal(m.full_b(), b)
+        np.testing.assert_array_equal(m.a.toarray(), a)
+        np.testing.assert_array_equal(m.b.toarray(), b)
+
+    @pytest.mark.parametrize(
+        "model",
+        ["chain", "six_node_model", "cross_fed_chain_model", "input_free", "no_input", "zero_entries"],
+    )
+    def test_assembly_matches_the_dense_rebuild(self, model, request):
+        model = {
+            "chain": lambda: build_chain_model(5),
+            "input_free": input_free_chain,
+            "no_input": unactuated_hub,
+            "zero_entries": zero_entries_model,
+        }.get(model, lambda: request.getfixturevalue(model))()
+        for got, want in zip((model.a, model.b), dense_dynamics(model)):
+            assert isinstance(got, sp.coo_matrix)
+            np.testing.assert_array_equal(got.toarray(), want)
+            # only nonzero entries are stored: not a zero block's, not a -0.0
+            assert got.nnz == np.count_nonzero(want)
+        blocks = [*model.a_blocks.items(), *model.b_blocks.items()]
+        assert build_graph(model).edges == {key for key, blk in blocks if np.any(blk != 0.0)}
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("state_dims", (2.7,), r"state_dims\[0\] must be an integer, got 2\.7"),
+            ("input_dims", (True,), r"input_dims\[0\] must be an integer, got True"),
+            ("a_blocks", {(1.9, 1): np.eye(2)}, r"a_blocks key \(1\.9, 1\): id must be an integer, got 1\.9"),
+            ("b_blocks", {(1, "1"): np.ones((2, 1))}, r"b_blocks key \(1, '1'\): id must be an integer, got '1'"),
+        ],
+        ids=["state-dim", "input-dim", "a-key", "b-key"],
+    )
+    def test_sizes_and_keys_must_be_integers(self, field, value, message):
+        # a non-integer once built truncated: dims (2,), (1,) and key (1, 1)
+        good = dict(state_dims=(2,), input_dims=(1,), a_blocks={(1, 1): np.eye(2)}, b_blocks={})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NetworkModel(**(good | {field: value}))
 
     def test_rejects_wrong_block_shape(self):
         with pytest.raises(ModelValidationError):
