@@ -72,7 +72,7 @@ import numpy as np
 from .explicit_row import InfeasibleRowError, RowTerms, apply_law, locate, row_terms
 from .qp import QpStatus, check_x0, row_qp, solve_qp, stacked_profiles
 from .sls import FeasibilityOperator, project_column
-from .topology import LocalityIndex, NetworkModel, check_id, check_int
+from .topology import LocalityIndex, NetworkModel, check_id, check_int, check_real
 
 ALPHA = 1.5  # relaxation weight on the fresh phi
 BALANCE = 10.0  # residual ratio beyond which rho moves
@@ -145,9 +145,9 @@ class AdmmState:
     holds the column partitions' target (``ALPHA * phi + (1 - ALPHA) *
     psi_prev + lambda``, the column step's input) and psi (its output), each
     subsystem's block contiguous, in C order and subsystem-id order.
-    ``phi_r``, ``psi_r`` and ``lam_r`` are tuples of views into the row
-    buffer, each subsystem's span of rows cut at its block width, so blocks
-    are written in place and cannot be rebound.  ``rho`` is the current
+    ``phi_r`` is a tuple of views into phi's layer of the row buffer, each
+    subsystem's span of rows cut at its block width, so blocks are written
+    in place and cannot be rebound.  ``rho`` is the current
     penalty, by which lambda is scaled.  ``x0`` is the measured state,
     ``packets`` one iteration's :class:`ExchangePacket` list, read off the
     exchange plan after the step (None unless recording).
@@ -167,8 +167,6 @@ class AdmmState:
     rows: np.ndarray
     cols: np.ndarray
     phi_r: tuple
-    psi_r: tuple
-    lam_r: tuple
     rho: float
     iteration: int = 0
     primal: np.ndarray | None = None
@@ -257,6 +255,7 @@ class DlmpcEngine:
         record_packets: bool = False,
     ):
         for name, value in (("rho", rho), ("eps_primal", eps_primal), ("eps_dual", eps_dual)):
+            value = check_real(name, value)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         max_iterations = check_int("max_iterations", max_iterations)
@@ -351,7 +350,7 @@ class DlmpcEngine:
         if warm is None:
             rows = np.zeros((4,) + self._mask.shape)
         else:
-            # psi_r and lam_r are views of the same buffer, in these shapes
+            # every layer of the row buffer has phi's block shapes
             for i in range(max(n_sub, len(warm.phi_r))):
                 want = self._shapes["r"][i] if i < n_sub else "no block"
                 got = np.shape(warm.phi_r[i]) if i < len(warm.phi_r) else "no block"
@@ -363,14 +362,10 @@ class DlmpcEngine:
             rows = warm.rows.copy()
             # exact for a state of this engine: rho moves by powers of two
             rows[2] *= warm.rho / self.rho
+        phi_r = tuple(rows[0, at, :w] for at, (_, w) in zip(self._spans, self._shapes["r"]))
         return AdmmState(
-            rows, cols, *(self._blocks(m) for m in rows[:3]), rho=self.rho,
-            solved=np.zeros(self._mask.shape), per_sub_seconds=np.zeros(n_sub),
+            rows, cols, phi_r, rho=self.rho, solved=np.zeros(self._mask.shape), per_sub_seconds=np.zeros(n_sub),
         )
-
-    def _blocks(self, stacked: np.ndarray) -> tuple:
-        """Per-subsystem block views of an array of the stacked rows: each span cut at its block width."""
-        return tuple(stacked[at, :w] for at, (_, w) in zip(self._spans, self._shapes["r"]))
 
     def _row_name(self, r: int) -> str:
         """``subsystem i: global row g`` for stacked row ``r``."""

@@ -15,7 +15,6 @@ import math
 import time
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from .admm import ConvergenceError, DlmpcEngine, RowSolverKind
 from .explicit_row import InfeasibleRowError
 from .qp import QpStatus, centralized_mpc
 from .sls import FeasibilityOperator, assemble_feasibility_operator
-from .topology import Graph, LocalityIndex, NetworkModel, build_graph, build_locality_index, check_int
+from .topology import LocalityIndex, NetworkModel, build_graph, build_locality_index, check_int, check_real
 
 
 class Case(Enum):
@@ -88,9 +87,7 @@ class ScenarioConfig:
             if f.type == "int":
                 value = check_int(f.name, value)
             elif f.type == "float":
-                if isinstance(value, (bool, np.bool_)) or not isinstance(value, Real):
-                    raise ValueError(f"{f.name} must be a real number, got {value!r}")
-                value = float(value)
+                value = check_real(f.name, value)
             elif f.type == "bool":
                 if not isinstance(value, (bool, np.bool_)):
                     raise ValueError(f"{f.name} must be a bool, got {value!r}")
@@ -130,7 +127,6 @@ class Scenario:
 
     config: ScenarioConfig
     model: NetworkModel
-    graph: Graph
     index: LocalityIndex
     op: FeasibilityOperator
     q_diag: np.ndarray
@@ -172,8 +168,7 @@ def build_scenario(config: ScenarioConfig, model: NetworkModel | None = None) ->
             f"the model has {model.n_subsystems} subsystems, "
             f"the configuration {config.n_subsystems}"
         )
-    graph = build_graph(model)
-    index = build_locality_index(graph, model, config.locality, config.horizon)
+    index = build_locality_index(build_graph(model), model, config.locality, config.horizon)
     op = assemble_feasibility_operator(model, index)
     n, p = model.n_states, model.n_inputs
     state_lb = np.full(n, -np.inf)
@@ -195,7 +190,6 @@ def build_scenario(config: ScenarioConfig, model: NetworkModel | None = None) ->
     return Scenario(
         config=config,
         model=model,
-        graph=graph,
         index=index,
         op=op,
         q_diag=np.full(n, config.state_weight),
@@ -226,16 +220,15 @@ def realized_cost(states: np.ndarray, inputs: np.ndarray, q_diag, r_diag) -> flo
 
 @dataclass
 class StepRecord:
-    """Diagnostics for one closed-loop MPC step, with its momentum steps and
-    restarts (read as 0 from reports written before they were kept)."""
+    """Diagnostics for one closed-loop MPC step, with its momentum steps and restarts."""
 
     step: int
     iterations: int
     primal_residual: float
     dual_residual: float
     per_sub_seconds: np.ndarray
-    extrapolated: int = 0
-    restarts: int = 0
+    extrapolated: int
+    restarts: int
 
 
 @dataclass
@@ -472,9 +465,17 @@ def emit_report(report: RunReport, directory, stem: str = "run") -> dict:
 def load_report(json_path) -> RunReport:
     """Read back the RunReport that :func:`emit_report` wrote.
 
-    Arrays come back as numpy and non-finite floats from their strings; the
-    bare ``Infinity``/``NaN`` of reports written before that still load.
+    Arrays come back as numpy and non-finite floats from their strings.  A
+    report that lacks a key :func:`emit_report` writes, or has one it does
+    not write, raises ValueError naming the file and the key.
     """
+
+    def checked(raw: dict, cls, where: str, extra=()) -> dict:
+        """``raw`` if its keys are the fields of ``cls`` and ``extra``; else ValueError naming the first key off."""
+        want = [f.name for f in fields(cls)] + list(extra)
+        for key in [k for k in want if k not in raw] + [k for k in raw if k not in want]:
+            raise ValueError(f"report {json_path}: {where} has {'no' if key in want else 'an unknown'} key {key!r}")
+        return raw
 
     def decode(raw: dict) -> dict:
         # a list is an array, a string a non-finite float ("inf", "-inf", "nan")
@@ -484,19 +485,17 @@ def load_report(json_path) -> RunReport:
             for k, v in raw.items()
         }
 
-    data = json.loads(Path(json_path).read_text())
-    n_inputs = data.pop("n_inputs", None)  # reports written before it was kept lack it
-    config = data.pop("config")
+    data = checked(json.loads(Path(json_path).read_text()), RunReport, "the report", extra=("n_inputs",))
+    n_inputs = data.pop("n_inputs")
+    config = checked(data.pop("config"), ScenarioConfig, "its config")
     case = config.pop("case")  # a name, which decode would read as a float
-    # reports written while the QP row tolerance was a setting still carry it
-    config.pop("qp_tol", None)
-    steps = [StepRecord(**decode(s)) for s in data.pop("steps")]
+    steps = [StepRecord(**decode(checked(s, StepRecord, f"step {k}"))) for k, s in enumerate(data.pop("steps"))]
     report = RunReport(
         config=ScenarioConfig(case=case, **decode(config)), steps=steps, **decode(data)
     )
     for name in ("inputs", "baseline_inputs"):
         inputs = getattr(report, name)
-        if n_inputs is not None and inputs is not None and inputs.ndim == 1:  # a zero-step run
+        if inputs is not None and inputs.ndim == 1:  # a zero-step run
             setattr(report, name, inputs.reshape(0, n_inputs))
     return report
 
@@ -583,7 +582,8 @@ def load_model_file(path) -> NetworkModel:
     row lines.  Unlisted blocks are zero.  A line that cannot be read (a
     count or a block index that is not an integer, an entry that is not a
     number, a malformed header or row) raises ValueError naming the file
-    and the line, and so does a file that ends inside a block.
+    and the line, and so does a file that ends inside a block; a model that
+    :class:`NetworkModel` rejects raises ValueError naming the file.
     """
     lines = []
     for k, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -635,15 +635,16 @@ def load_model_file(path) -> NetworkModel:
                     raise ValueError(f"block {kind} {i} {j}: expected {n_cols} columns")
                 rows.append(vals)
             target[(i, j)] = np.asarray(rows)
+        at = None  # the file is read; what the model rejects names no line
+        return NetworkModel(
+            state_dims=state_dims,
+            input_dims=input_dims,
+            a_blocks=a_blocks,
+            b_blocks=b_blocks,
+        )
     except ValueError as err:
         where = "" if at is None else f" line {at}"
         raise ValueError(f"model file {path}{where}: {err}") from err
-    return NetworkModel(
-        state_dims=state_dims,
-        input_dims=input_dims,
-        a_blocks=a_blocks,
-        b_blocks=b_blocks,
-    )
 
 
 def save_model_file(model: NetworkModel, path) -> Path:

@@ -18,14 +18,13 @@ returns its target bit for bit.
 A row depends on its own target, box, weight and ``x0``, and on a ``rho``
 shared by every row, so a block of rows is solved in one array expression,
 in two halves: :func:`row_terms` computes what ``x0``, the boxes and the
-weights fix, once per MPC step, and :func:`solve_terms` the clip and the
-correction per target and ``rho``.  That second half is the two parts of
-explicit MPC's online work (Bemporad et al., Automatica 2002), and is
-written as their composition: point location, :func:`locate`, clips the
-optimum, which fixes the row's region and its coefficient
-``(s - y) / ||x0||^2``; the region's affine law, :func:`apply_law`,
-corrects the target, ``a - coef x0``.  Each half runs over a whole block
-of rows in one call.  The rows may share one ``x0`` or
+weights fix, once per MPC step, and the clip and the correction follow per
+target and ``rho``.  That second half is the two parts of explicit MPC's
+online work (Bemporad et al., Automatica 2002): point location,
+:func:`locate`, clips the optimum, which fixes the row's region and its
+coefficient ``(s - y) / ||x0||^2``; the region's affine law,
+:func:`apply_law`, corrects the target, ``a - coef x0``.  Each runs over a
+whole block of rows in one call.  The rows may share one ``x0`` or
 each carry their own, zero off the row's support.  The dot products are
 sequential left-to-right sums, not BLAS or pairwise sums: padding after a
 row's support whose products are -0 leaves such a sum unchanged (+0 would
@@ -118,8 +117,3 @@ def apply_law(targets, coef, x0, out=None) -> np.ndarray:
     """The located region's affine law, ``targets - coef x0`` row by row, into ``out`` if given."""
     return np.subtract(targets, coef[:, None] * x0, out=out)
 
-
-def solve_terms(terms: RowTerms, targets, rho: float) -> tuple:
-    """``(phi, past)`` for :func:`row_terms`' terms: :func:`locate`, then :func:`apply_law`."""
-    coef, past = locate(terms, targets, rho)
-    return apply_law(targets, coef, terms.x0), past

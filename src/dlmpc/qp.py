@@ -117,6 +117,7 @@ class QpResult:
 # status codes inside solve_qp index this tuple
 _STATUSES = (QpStatus.OPTIMAL, QpStatus.INFEASIBLE, QpStatus.MAX_ITER)
 _OPTIMAL, _INFEASIBLE, _MAX_ITER = range(3)
+MAX_ITERATIONS = 100  # interior-point iterations before a member ends MAX_ITER
 
 
 def _check_psd(h: np.ndarray):
@@ -139,7 +140,7 @@ def _max_step(v, dv):
     return ratio.min(axis=1, initial=1.0)
 
 
-def solve_qp(qp: DenseQP, tol: float = 1e-9, max_iter: int = 100) -> QpResult:
+def solve_qp(qp: DenseQP, tol: float = 1e-9) -> QpResult:
     """Solve a dense convex QP, or each member of a stack, to the requested KKT tolerance.
 
     Pinned variables (lb == ub) are folded into the equality block, which
@@ -156,9 +157,10 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9, max_iter: int = 100) -> QpResult:
     iteration when it ends.  A member without a finite bound takes full
     Newton steps, so it ends at its second check.  A status is OPTIMAL
     only if all KKT residuals and the complementarity gap meet the
-    tolerance; a numerical breakdown (a non-finite KKT matrix, or one that
-    is exactly singular: a zero pivot of the LU) ends the member with
-    MAX_ITER and leaves the others to go on.
+    tolerance; a member still running after ``MAX_ITERATIONS`` iterations
+    ends MAX_ITER, and so does one that breaks down numerically (a
+    non-finite KKT matrix, or one that is exactly singular: a zero pivot of
+    the LU), which leaves the others to go on.
     No status says "unbounded": a QP that is unbounded below ends
     INFEASIBLE when its iterates pass the blow-up threshold, or MAX_ITER
     when a direction without curvature or bound makes the KKT matrix
@@ -245,7 +247,7 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9, max_iter: int = 100) -> QpResult:
     kkt0, c, bnd, sgn_on, n_on, tau, scale, xn, z = (
         v[live] for v in (kkt0, c, bnd, sgn_on, n_on, tau, scale, xn, z)
     )
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         if not live.size:
             break
         s = np.maximum(sgn_on * xn[:, idx] - bnd, 1e-300)
@@ -306,7 +308,7 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9, max_iter: int = 100) -> QpResult:
         xn[:, :nv] += alpha_p[:, None] * dxn[:, :nv]
         xn[:, nv:] += alpha_d[:, None] * dxn[:, nv:]
         z += alpha_d[:, None] * dz
-    iters[live], out_xn[live], out_z[live] = max_iter, xn, z
+    iters[live], out_xn[live], out_z[live] = MAX_ITERATIONS, xn, z
 
     # a stalled equality residual with interior-held bounds means the
     # equalities and the box cannot both be met

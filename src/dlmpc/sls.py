@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .topology import LocalityIndex, NetworkModel, check_id
+from .topology import LocalityIndex, NetworkModel
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,11 @@ class ColumnProjector:
 @dataclass(frozen=True)
 class FeasibilityOperator:
     """The column projectors: ``classes[k]`` stacks, as their only storage, the
-    maps of the subsystems ``members[k]`` (increasing ids), whose slices share a shape."""
+    maps of the subsystems ``members[k]`` (increasing ids), whose slices share a
+    shape; subsystem ``members[k][s]``'s map is layer ``s`` of the stacks."""
 
     classes: tuple
     members: tuple
-
-    def projector(self, i: int) -> ColumnProjector:
-        """Subsystem i's projector, as views into its class's stacks."""
-        check_id(i, sum(map(len, self.members)))
-        ((k, s),) = [(k, ids.index(i)) for k, ids in enumerate(self.members) if i in ids]
-        return ColumnProjector(self.classes[k].gain[s], self.classes[k].offset[s])
 
 
 def stacked_constraint(model: NetworkModel, horizon: int) -> sp.csr_matrix:
@@ -156,9 +151,9 @@ def project_column(proj: ColumnProjector, v: np.ndarray) -> np.ndarray:
     """Euclidean projection of a column slice onto the feasible affine set.
 
     Returns ``gain @ v + offset``: the nearest point to v that satisfies the
-    constraint rows of ``proj``, a subsystem's projector (``op.projector(i)``)
-    or a class stack of them, in which case ``v`` stacks the members' slices,
-    each projected bitwise as alone.  Idempotent.
+    constraint rows of ``proj``, one subsystem's projector or a class stack
+    of them, in which case ``v`` stacks the members' slices, each projected
+    bitwise as alone.  Idempotent.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != proj.offset.shape:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +44,16 @@ def check_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is a real number.
+
+    numpy's reals count; a bool does not.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def check_id(i: int, n_sub: int) -> int:
@@ -168,32 +178,26 @@ class Graph:
     """Directed interconnection graph over 1-based subsystem ids.
 
     An edge ``(i, j)`` records that j influences i, i.e. the arrow runs
-    ``j -> i``.  ``successors[j]`` therefore lists who j influences and
-    ``predecessors[i]`` lists who influences i.  Every vertex implicitly
-    belongs to its own in/out sets regardless of self-loop edges.
+    ``j -> i``.  Every vertex implicitly belongs to its own in/out sets
+    regardless of self-loop edges.  ``n_vertices`` must be an integer and
+    every edge end a subsystem id (:func:`check_id`).
     """
 
     n_vertices: int
     edges: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset((int(i), int(j)) for i, j in self.edges))
-        for i, j in self.edges:
-            if not (1 <= i <= self.n_vertices and 1 <= j <= self.n_vertices):
-                raise ModelValidationError(f"edge ({i},{j}) outside 1..{self.n_vertices}")
-        succ = {v: set() for v in range(1, self.n_vertices + 1)}
-        pred = {v: set() for v in range(1, self.n_vertices + 1)}
+        n = check_int("n_vertices", self.n_vertices)
+        object.__setattr__(self, "n_vertices", n)
+        object.__setattr__(self, "edges", frozenset((check_id(i, n), check_id(j, n)) for i, j in self.edges))
+        # who each vertex influences, and who influences it
+        succ = {v: set() for v in range(1, n + 1)}
+        pred = {v: set() for v in range(1, n + 1)}
         for i, j in self.edges:
             succ[j].add(i)
             pred[i].add(j)
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_pred", pred)
-
-    def successors(self, v: int) -> frozenset:
-        return frozenset(self._succ[v])
-
-    def predecessors(self, v: int) -> frozenset:
-        return frozenset(self._pred[v])
 
 
 def build_graph(model: NetworkModel) -> Graph:

@@ -2,7 +2,11 @@
 import numpy as np
 import pytest
 
-from dlmpc import NetworkModel, build_chain_model, build_graph, build_locality_index, d_out_set
+from dlmpc import Graph, NetworkModel, build_chain_model, build_locality_index
+from oracles import reach
+
+# the six-node network's couplings (i, j): subsystem i depends on subsystem j
+SIX_NODE_COUPLINGS = ((1, 2), (2, 1), (3, 2), (4, 3), (4, 5), (5, 3), (5, 4), (6, 5))
 
 
 @pytest.fixture(scope="session")
@@ -15,7 +19,7 @@ def six_node_model():
     eye = np.array([[1.0]])
     half = np.array([[0.5]])
     a_blocks = {(i, i): eye for i in range(1, 7)}
-    for pair in [(1, 2), (2, 1), (3, 2), (4, 3), (4, 5), (5, 3), (5, 4), (6, 5)]:
+    for pair in SIX_NODE_COUPLINGS:
         a_blocks[pair] = half
     b_blocks = {(i, i): eye for i in range(1, 7)}
     return NetworkModel(
@@ -46,8 +50,9 @@ def cross_fed_chain_model():
 
 
 @pytest.fixture(scope="session")
-def six_node_graph(six_node_model):
-    return build_graph(six_node_model)
+def six_node_graph():
+    """The six-node network's graph, written from its couplings and self blocks."""
+    return Graph(n_vertices=6, edges=frozenset(SIX_NODE_COUPLINGS) | {(i, i) for i in range(1, 7)})
 
 
 @pytest.fixture(scope="session")
@@ -55,22 +60,17 @@ def six_node_index(six_node_model, six_node_graph):
     return build_locality_index(six_node_graph, six_node_model, d=1, horizon=3)
 
 
-def _reference_mask(model, graph, d, horizon):
-    """Stacked response-map mask rebuilt from the outgoing reach sets.
+def _reference_mask(model, d, horizon):
+    """Stacked response-map mask rebuilt from Boolean reachability over the model's blocks.
 
-    Column block j may be nonzero in i's state rows iff i is within d hops
-    downstream of j, and in i's input rows iff within d+1 hops.  The same
-    mask repeats at every time block.
+    Column block j may be nonzero in i's state rows iff j reaches i within
+    d steps of ``oracles.reach``, and in i's input rows iff within d+1.  The
+    same mask repeats at every time block.
     """
-    n, p = model.n_states, model.n_inputs
-    state_part = np.zeros((n, n), dtype=bool)
-    input_part = np.zeros((p, n), dtype=bool)
-    for j in range(1, model.n_subsystems + 1):
-        xj = model.state_indices(j)
-        for i in d_out_set(graph, j, d):
-            state_part[np.ix_(model.state_indices(i), xj)] = True
-        for i in d_out_set(graph, j, d + 1):
-            input_part[np.ix_(model.input_indices(i), xj)] = True
+    x_owner = np.repeat(np.arange(model.n_subsystems), model.state_dims)
+    u_owner = np.repeat(np.arange(model.n_subsystems), model.input_dims)
+    state_part = reach(model, d)[np.ix_(x_owner, x_owner)]
+    input_part = reach(model, d + 1)[np.ix_(u_owner, x_owner)]
     return np.vstack([np.tile(state_part, (horizon + 1, 1)), np.tile(input_part, (horizon, 1))])
 
 

@@ -4,8 +4,8 @@ They live beside the tests, not in the package, so that no controller code
 path depends on them:
 
 * ``RowProblem``, ``solve_rows`` and ``solve_row`` state one row, or a
-  block of rows, and solve it with the engine's own kernel
-  (``row_terms``, then ``solve_terms``), reading each row's region from the
+  block of rows, and solve it with the engine's own kernel (``row_terms``,
+  then ``closed_form``: ``locate`` and ``apply_law``), reading each row's region from the
   sign of how far the unconstrained optimum lies past the box, and the
   signed multiplier from that distance;
 * ``kkt_residuals`` certifies a closed-form row solution by its KKT
@@ -17,23 +17,28 @@ path depends on them:
   2019), which the controller never needs since it runs on the responses;
 * ``input_free_chain`` is the 4-node chain with subsystem 2's input
   taken away, a model that more than one test file reads;
+* ``reach`` is the Boolean reachability ``(I + M)^d`` over the model's
+  nonzero blocks, from which ``conftest.reference_mask`` builds the
+  locality mask without the package's graph or hop search;
 * ``dense_dynamics`` rebuilds dense A and B from the model's blocks with
   plain numpy and offsets of its own, apart from the model's sparse
   assembly that the package reads;
 * ``dense_constraint`` rebuilds the stacked dynamics constraint densely,
   and ``reference_projectors`` derives every subsystem's column projector
   from it with ``np.linalg.pinv``, keeping all constraint rows;
+  ``projector`` cuts one subsystem's map out of the engine's class stacks;
 * ``centralized_local_mpc`` solves the sparsity-constrained synthesis
   problem centrally with the interior-point QP solver, the diagnostic
   baseline the distributed engine is compared against at desk scale;
 * ``check_masks`` asserts exact zeros off a global locality mask built
   outside the engine, and ``sample_masks`` runs it inside the consensus
   loop at every k-th iteration;
-* ``column_blocks`` cuts a row of the column buffer into per-subsystem
-  blocks by the index's column-partition shapes, and ``assemble_blocks``
-  places those blocks, or the row partitions' per-subsystem views, in the
-  global stacked matrix one ``np.ix_`` block at a time, the reference for
-  the engine's one-scatter assembly.
+* ``column_blocks`` and ``row_blocks`` cut a layer of the column or row
+  buffer into per-subsystem blocks (views) by the index's partition
+  shapes, ``row_target`` cuts one subsystem's psi - lambda, and
+  ``assemble_blocks`` places those blocks in the global stacked
+  matrix one ``np.ix_`` block at a time, the reference for the engine's
+  one-scatter assembly.
 """
 from __future__ import annotations
 
@@ -41,8 +46,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dlmpc import DenseQP, LocalityIndex, NetworkModel, build_chain_model, solve_qp, stacked_constraint
-from dlmpc.explicit_row import row_terms, solve_terms
+from dlmpc import DenseQP, LocalityIndex, NetworkModel, build_chain_model, solve_qp
+from dlmpc.explicit_row import apply_law, locate, row_terms
+from dlmpc.sls import ColumnProjector
 
 INTERIOR, UPPER_ACTIVE, LOWER_ACTIVE = 0, 1, 2  # the region codes of solve_rows
 
@@ -71,15 +77,21 @@ def solve_rows(targets, x0, rho: float, lo, hi, weight) -> tuple:
     ``x0`` is one slice for every row or one per row; ``lo``, ``hi`` and
     ``weight`` are per-row arrays or scalars.  The int8 region code is 0
     interior, 1 upper-active (``lam > 0``) and 2 lower-active (``lam < 0``);
-    ``lam`` has the sign of ``solve_terms``' ``past``.
+    ``lam`` has the sign of :func:`closed_form`'s ``past``.
     """
     targets = np.asarray(targets, dtype=float)
     lo, hi, weight = np.asarray(lo, float), np.asarray(hi, float), np.asarray(weight, float)
     terms = row_terms(np.broadcast_to(np.asarray(x0, dtype=float), targets.shape), lo, hi, weight)
-    phi, past = solve_terms(terms, targets, rho)
+    phi, past = closed_form(terms, targets, rho)
     lam = past * (rho + terms.c2_x0_sq) / terms.x0_sq
     region = np.int8(UPPER_ACTIVE) * (past > 0.0) + np.int8(LOWER_ACTIVE) * (past < 0.0)
     return phi, np.maximum(lam, 0.0), np.maximum(-lam, 0.0), region
+
+
+def closed_form(terms, targets, rho: float) -> tuple:
+    """``(phi, past)`` of a block of rows from its ``row_terms``: ``locate``, then ``apply_law``."""
+    coef, past = locate(terms, targets, rho)
+    return apply_law(targets, coef, terms.x0), past
 
 
 def solve_row(p: RowProblem) -> tuple:
@@ -128,6 +140,17 @@ def input_free_chain() -> NetworkModel:
     )
 
 
+def reach(model: NetworkModel, d: int) -> np.ndarray:
+    """Boolean (I + M)^d, with M[i-1, j-1] set where block (i, j) of A or B is nonzero."""
+    step = np.eye(model.n_subsystems, dtype=int)
+    for (i, j), blk in [*model.a_blocks.items(), *model.b_blocks.items()]:
+        step[i - 1, j - 1] |= int(np.any(blk != 0.0))
+    out = np.eye(model.n_subsystems, dtype=int)
+    for _ in range(d):
+        out = np.minimum(out @ step, 1)
+    return out.astype(bool)
+
+
 def dense_dynamics(model: NetworkModel) -> tuple:
     """Dense ``(A, B)`` written block by block from ``a_blocks`` and ``b_blocks``."""
     x_off = np.concatenate([[0], np.cumsum(model.state_dims)])
@@ -174,6 +197,12 @@ def reference_projectors(model: NetworkModel, index: LocalityIndex) -> list:
         z_plus = np.linalg.pinv(z_i)
         maps.append((np.eye(sub.col_rows.size) - z_plus @ z_i, z_plus @ identity[:, sub.cols]))
     return maps
+
+
+def projector(op, i: int) -> ColumnProjector:
+    """Subsystem i's column projector, as views into its class's stacks in ``op``."""
+    ((k, s),) = [(k, ids.index(i)) for k, ids in enumerate(op.members) if i in ids]
+    return ColumnProjector(op.classes[k].gain[s], op.classes[k].offset[s])
 
 
 def _check_controller_shape(model: NetworkModel, k: np.ndarray, horizon: int):
@@ -296,11 +325,11 @@ def centralized_local_mpc(
     # entries, with the identity as the right-hand side
     eq_rows = []
     eq_rhs = []
-    csc = stacked_constraint(model, index.horizon).tocsc()
+    z = dense_constraint(model, index.horizon)
     for c in range(n):
         rows_c = np.flatnonzero(mask[:, c])
-        touched = np.unique(csc[:, rows_c].nonzero()[0])
-        coeffs = csc[np.ix_(touched, rows_c)].toarray()
+        touched = np.flatnonzero(np.any(z[:, rows_c] != 0.0, axis=1))
+        coeffs = z[np.ix_(touched, rows_c)]
         for r, coeff in zip(touched, coeffs):
             row = np.zeros(nz)
             row[var_of[rows_c, c]] = coeff
@@ -334,16 +363,34 @@ def column_blocks(index: LocalityIndex, state, k: int) -> list:
     return [part.reshape(shape) for part, shape in zip(np.split(state.cols[k], ends[:-1]), shapes)]
 
 
+def row_blocks(index: LocalityIndex, state, k: int) -> list:
+    """Layer ``k`` of ``state.rows`` (0 phi, 1 psi, 2 lambda, 3 the previous psi) as
+    per-subsystem blocks: each subsystem's span of stacked rows, cut at its block width."""
+    shapes = [(s.rows.size, s.row_cols.size) for s in index.subsystems]
+    ends = np.cumsum([h for h, _ in shapes])
+    return [part[:, :w] for part, (_, w) in zip(np.split(state.rows[k], ends[:-1]), shapes)]
+
+
+def row_target(engine, state, i: int) -> np.ndarray:
+    """Subsystem i's row-step target, psi - lambda: its span of the row buffer cut at its block width.
+
+    Reads the engine's span alone, not every block as :func:`row_blocks`
+    does, so that a row step can call it once per subsystem and iteration.
+    """
+    span, width = engine._spans[i - 1], engine.index.subsystems[i - 1].row_cols.size
+    return state.rows[1, span, :width] - state.rows[2, span, :width]
+
+
 def assemble_blocks(index: LocalityIndex, state, side: str, k: int) -> np.ndarray:
-    """Global ``(n_rows, n)`` matrix of layer ``k`` of the row partitions (``side="row"``:
-    0 phi, 1 psi, 2 lambda, read off ``phi_r``/``psi_r``/``lam_r``) or of ``state.cols``.
+    """Global ``(n_rows, n)`` matrix of layer ``k`` of the row partitions (``side="row"``,
+    :func:`row_blocks`) or of ``state.cols`` (:func:`column_blocks`).
 
     Each subsystem's block goes to its rows and columns by ``np.ix_``.
     """
     out = np.zeros((index.n_rows, index.n_states))
     if side == "row":
         spans = [(s.rows, s.row_cols) for s in index.subsystems]
-        blocks = (state.phi_r, state.psi_r, state.lam_r)[k]
+        blocks = row_blocks(index, state, k)
     else:
         spans = [(s.col_rows, s.cols) for s in index.subsystems]
         blocks = column_blocks(index, state, k)
@@ -359,13 +406,12 @@ def check_masks(engine, state, mask: np.ndarray):
     phi, psi and lambda of the row partitions, and of the target and psi of
     the column partitions, is compared with its slice of it.
     """
-    row_blocks = (("phi", state.phi_r), ("psi", state.psi_r), ("lambda", state.lam_r))
-    col_blocks = (("target", column_blocks(engine.index, state, 0)),
-                  ("psi", column_blocks(engine.index, state, 1)))
+    rows_of = [(which, row_blocks(engine.index, state, k)) for k, which in enumerate(("phi", "psi", "lambda"))]
+    cols_of = [(which, column_blocks(engine.index, state, k)) for k, which in enumerate(("target", "psi"))]
     for sub in engine.index.subsystems:
         for side, rows, cols, blocks in (
-            ("row", sub.rows, sub.row_cols, row_blocks),
-            ("column", sub.col_rows, sub.cols, col_blocks),
+            ("row", sub.rows, sub.row_cols, rows_of),
+            ("column", sub.col_rows, sub.cols, cols_of),
         ):
             off = ~mask[np.ix_(rows, cols)]
             for which, mats in blocks:

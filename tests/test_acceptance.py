@@ -38,9 +38,10 @@ from oracles import (
     RowProblem,
     check_masks,
     controller_from_response,
-    dense_dynamics,
+    dense_constraint,
     full_response_from_controller,
     kkt_residuals,
+    projector,
     sample_masks,
     solve_row,
 )
@@ -98,22 +99,9 @@ def _region_oracle(p: RowProblem) -> int:
     return best[0]
 
 
-def _dense_constraint(model, horizon):
-    """Stacked achievability operator rebuilt with plain numpy."""
-    n, p = model.n_states, model.n_inputs
-    a, b = dense_dynamics(model)
-    nx = n * (horizon + 1)
-    z = np.zeros((nx, nx + p * horizon))
-    z[:nx, :nx] = np.eye(nx)
-    for t in range(horizon):
-        z[(t + 1) * n : (t + 2) * n, t * n : (t + 1) * n] -= a
-        z[(t + 1) * n : (t + 2) * n, nx + t * p : nx + (t + 1) * p] -= b
-    return z
-
-
 def _sampled(engine, sc, reference_mask, every, samples):
     """``engine``, made to check ``sc``'s locality mask every ``every``-th iteration."""
-    mask = reference_mask(sc.model, sc.graph, sc.config.locality, sc.config.horizon)
+    mask = reference_mask(sc.model, sc.config.locality, sc.config.horizon)
     samples.append(sample_masks(engine, mask, every))
     return engine
 
@@ -263,7 +251,7 @@ def test_causal_gains_satisfy_constraint_and_round_trip():
         phi_x, phi_u = full_response_from_controller(model, k, horizon)
         phi = np.vstack([phi_x, phi_u])
         # the test-side dense rebuild and the package's own sparse Z
-        for z in (_dense_constraint(model, horizon), stacked_constraint(model, horizon)):
+        for z in (dense_constraint(model, horizon), stacked_constraint(model, horizon)):
             residual = max(residual, float(np.max(np.abs(z @ phi - np.eye(z.shape[0])))))
         recovery = max(
             recovery,
@@ -291,12 +279,12 @@ def test_column_projection_matches_kkt_oracle(six_node_model, six_node_index):
     drift = 0.0
     for model, index in cases:
         op = assemble_feasibility_operator(model, index)
-        z_full = _dense_constraint(model, index.horizon)
+        z_full = dense_constraint(model, index.horizon)
         rhs_full = np.zeros((z_full.shape[0], model.n_states))
         rhs_full[: model.n_states] = np.eye(model.n_states)
         for sub in index.subsystems:
             v = rng.normal(size=(len(sub.col_rows), len(sub.cols)))
-            got = project_column(op.projector(sub.sub_id), v)
+            got = project_column(projector(op, sub.sub_id), v)
             c = z_full[:, sub.col_rows]
             kkt = np.block(
                 [[np.eye(c.shape[1]), c.T], [c, np.zeros((c.shape[0], c.shape[0]))]]
@@ -305,7 +293,7 @@ def test_column_projection_matches_kkt_oracle(six_node_model, six_node_index):
             want = np.linalg.lstsq(kkt, rhs, rcond=None)[0][: c.shape[1]]
             gap = max(gap, float(np.max(np.abs(got - want))))
             drift = max(
-                drift, float(np.max(np.abs(project_column(op.projector(sub.sub_id), got) - got)))
+                drift, float(np.max(np.abs(project_column(projector(op, sub.sub_id), got) - got)))
             )
     ok = gap <= 1e-9 and drift <= 1e-9
     assert _verdict(
@@ -409,7 +397,7 @@ def test_masks_hold_exactly_during_iterations(
     dense = []
     engine = _sampled(sc.make_engine(), sc, reference_mask, 1, dense)
     result = engine.solve_step(sc.initial_state())
-    check_masks(engine, result.state, reference_mask(sc.model, sc.graph, cfg.locality, cfg.horizon))
+    check_masks(engine, result.state, reference_mask(sc.model, cfg.locality, cfg.horizon))
     fixtures = {name: mask_samples[name] for name in ("tracking_runs", "gap_runs", "explicit_sweep")}
     sampled = {name: sum(map(len, runs)) for name, runs in fixtures.items()}
     ok = dense == [list(range(1, result.iterations + 1))] and all(sampled.values())

@@ -28,7 +28,7 @@ from dlmpc import (
     run_closed_loop,
 )
 from dlmpc import admm
-from dlmpc.explicit_row import RowTerms, row_terms, solve_terms
+from dlmpc.explicit_row import RowTerms, row_terms
 from dlmpc.qp import row_qp, stacked_profiles
 from oracles import (
     INTERIOR,
@@ -38,9 +38,13 @@ from oracles import (
     assemble_blocks,
     centralized_local_mpc,
     check_masks,
+    closed_form,
     column_blocks,
     dense_dynamics,
     input_free_chain,
+    projector,
+    row_blocks,
+    row_target,
     sample_masks,
     solve_row,
     solve_rows,
@@ -130,6 +134,14 @@ class TestEngineBasics:
         sc = small_scenario()
         with pytest.raises(ValueError, match=named):
             sc.make_engine(**{"max_iterations": 5, **overrides}).solve_step(sc.initial_state())
+
+    @pytest.mark.parametrize("name, value", [("eps_primal", True), ("rho", True), ("rho", "1"), ("eps_dual", None)])
+    def test_rho_and_tolerances_must_be_real_numbers(self, name, value):
+        # a bool once set 1.0, and a string or None raised a bare TypeError
+        sc = small_scenario()
+        with pytest.raises(ValueError, match=rf"^{name} must be a real number, got {value!r}$"):
+            sc.make_engine(**{name: value})
+        assert getattr(sc.make_engine(**{name: np.float32(0.5)}), name) == 0.5
 
     @pytest.mark.parametrize(
         "bad, named",
@@ -231,7 +243,7 @@ class TestColumnPhase:
         engine.column_step(state)
         psi = column_blocks(cross_fed.index, state, 1)
         for i, target in enumerate(column_blocks(cross_fed.index, state, 0), start=1):
-            want = admm.project_column(cross_fed.op.projector(i), target)
+            want = admm.project_column(projector(cross_fed.op, i), target)
             np.testing.assert_array_equal(psi[i - 1], want)
 
     def test_project_column_runs_once_per_class_per_iteration(self, cross_fed, monkeypatch):
@@ -250,7 +262,7 @@ class TestExchanges:
             assert (state.extrapolated > 0) == armed
             # after a converged step the row partitions hold the psi the
             # column partitions projected, bit for bit on every shared entry
-            mask = reference_mask(sc.model, sc.graph, sc.config.locality, sc.config.horizon)
+            mask = reference_mask(sc.model, sc.config.locality, sc.config.horizon)
             psi_rows = engine.assemble_from_rows(state, "psi")
             psi_cols = engine.assemble_from_cols(state, "psi")
             assert np.any(psi_rows[mask])
@@ -293,7 +305,7 @@ class TestExchanges:
         ])
         assert np.array_equal(padded[padded >= 0], row_keys)
         assert (state.rows.shape, col_keys.size) == ((4,) + padded.shape, state.cols.shape[1])
-        on_mask = reference_mask(model, sc.graph, d, horizon).ravel()
+        on_mask = reference_mask(model, d, horizon).ravel()
         np.testing.assert_array_equal(np.sort(col_keys), np.flatnonzero(on_mask))
         assert np.unique(row_keys).size == row_keys.size  # no entry sits in two row partitions
         np.testing.assert_array_equal(padded.ravel()[engine._src], col_keys)
@@ -387,7 +399,7 @@ class TestExchanges:
         engine.column_step = capture
         res = engine.solve_step(x0, warm_state=warm)
         assert res.iterations == 1
-        mask = reference_mask(sc.model, sc.graph, sc.config.locality, sc.config.horizon)
+        mask = reference_mask(sc.model, sc.config.locality, sc.config.horizon)
         for phase, want in (
             (Phase.ROW_BLOCKS, targets[0]),
             (Phase.COLUMN_BLOCKS, engine.assemble_from_cols(res.state, "psi")),
@@ -459,7 +471,7 @@ class TestExchanges:
     def test_masks_hold_at_every_iteration(self, reference_mask):
         sc = small_scenario()
         engine = sc.make_engine()
-        mask = reference_mask(sc.model, sc.graph, sc.config.locality, sc.config.horizon)
+        mask = reference_mask(sc.model, sc.config.locality, sc.config.horizon)
         checked = sample_masks(engine, mask)
         res = engine.solve_step(sc.initial_state())  # raises on any violation
         assert checked == list(range(1, res.iterations + 1))
@@ -469,7 +481,7 @@ class TestExchanges:
         engine = sc.make_engine()
         res = engine.solve_step(sc.initial_state())
         state = res.state
-        mask = reference_mask(sc.model, sc.graph, sc.config.locality, sc.config.horizon)
+        mask = reference_mask(sc.model, sc.config.locality, sc.config.horizon)
         check_masks(engine, state, mask)
         sub = sc.index.subsystem(1)
         banned = np.argwhere(~sub.row_mask)
@@ -527,7 +539,7 @@ class TestConvergenceControl:
         class WholeClosedForm(DlmpcEngine):
             def row_step(self, state, i):
                 rows = self.index.subsystems[i - 1].rows
-                a = state.psi_r[i - 1] - state.lam_r[i - 1]
+                a = row_target(self, state, i)
                 state.phi_r[i - 1][...] = solve_rows(
                     a, block_terms(sc, state, i).x0, state.rho, lo[rows], hi[rows], weight[rows]
                 )[0]
@@ -774,7 +786,7 @@ class TestMomentum:
         engine = sc.make_engine()
         # psi as the convergence test sees it, before any extrapolation
         seen, check = [], engine.check_convergence
-        engine.check_convergence = lambda state: seen.append([m.copy() for m in state.psi_r]) or check(state)
+        engine.check_convergence = lambda state: seen.append([m.copy() for m in row_blocks(engine.index, state, 1)]) or check(state)
         state = engine.solve_step(sc.initial_state()).state
         assert state.extrapolated > 0
         want = [
@@ -874,11 +886,11 @@ class PerSubsystemRows(DlmpcEngine):
 
     def row_step(self, state, i):
         sub, terms = self.index.subsystems[i - 1], state.own_terms[i - 1]
-        a = state.psi_r[i - 1] - state.lam_r[i - 1]
+        a = row_target(self, state, i)
         if self.row_solver is RowSolverKind.QP:
             state.phi_r[i - 1][...] = solve_block_qp(sub, terms, a, state.rho, self.weight[sub.rows], self._widest)
         else:
-            state.phi_r[i - 1][...] = solve_terms(terms, a, state.rho)[0]
+            state.phi_r[i - 1][...] = closed_form(terms, a, state.rho)[0]
 
     def extract_control(self, state, i):
         u0 = np.count_nonzero(self.index.subsystem(i).row_is_state)
@@ -896,7 +908,7 @@ class TestRowStep:
         state = engine.init_state()
         state.x0 = x0
         engine.measure(state)
-        for sub, psi, lam in zip(sc.index.subsystems, state.psi_r, state.lam_r):
+        for sub, psi, lam in zip(sc.index.subsystems, row_blocks(sc.index, state, 1), row_blocks(sc.index, state, 2)):
             psi[:] = rng.normal(size=psi.shape) * sub.row_mask
             lam[:] = rng.normal(scale=0.5, size=lam.shape) * sub.row_mask
         return state
@@ -905,7 +917,7 @@ class TestRowStep:
     def reference_rows(sc, state, x0, rho):
         weight, lo, hi = profile_rows(sc)
         out, regions = [], []
-        for sub, psi, lam in zip(sc.index.subsystems, state.psi_r, state.lam_r):
+        for sub, psi, lam in zip(sc.index.subsystems, row_blocks(sc.index, state, 1), row_blocks(sc.index, state, 2)):
             phi = np.zeros_like(psi)
             for r, g in enumerate(sub.rows):
                 cols = np.flatnonzero(sub.row_mask[r])
@@ -960,7 +972,7 @@ class TestRowStep:
             for i, terms in enumerate(per_subsystem_terms(sc, x0), start=1):
                 for got, want in zip(block_terms(sc, state, i), terms, strict=True):
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                want, past = solve_terms(terms, state.psi_r[i - 1] - state.lam_r[i - 1], state.rho)
+                want, past = closed_form(terms, row_target(engine, state, i), state.rho)
                 engine.row_step(state, i)
                 assert state.phi_r[i - 1].tobytes() == want.tobytes()
                 regions.update(np.sign(past[~terms.zero]))
@@ -979,14 +991,14 @@ class TestRowStep:
         state.x0 = x0
         engine.measure(state)
         rng = np.random.default_rng(5)
-        for i, (sub, psi) in enumerate(zip(sc.index.subsystems, state.psi_r), start=1):
+        for i, (sub, psi) in enumerate(zip(sc.index.subsystems, row_blocks(sc.index, state, 1)), start=1):
             psi[:] = np.where(sub.row_mask, (1.0 if i == 1 else -1.0) * rng.uniform(0.1, 1.0, psi.shape), -0.0)
         last = block_terms(sc, state, 6)
         assert last.zero.all() and last.x0.shape[1] < state.terms.x0.shape[1]
         engine.locate_rows(state)
         end = 0
         for i, terms in enumerate(per_subsystem_terms(sc, x0), start=1):
-            want = solve_terms(terms, state.psi_r[i - 1] - state.lam_r[i - 1], state.rho)[0]
+            want = closed_form(terms, row_target(engine, state, i), state.rho)[0]
             end += terms.zero.size
             assert state.solved[end - terms.zero.size : end, : want.shape[1]].tobytes() == want.tobytes()
             engine.row_step(state, i)
@@ -1073,7 +1085,7 @@ class TestRowStep:
             state = self.boxed_state(sc, engine, x0)
             engine.solve_row_qps(state)
             for i, (sub, terms) in enumerate(zip(sc.index.subsystems, per_subsystem_terms(sc, x0)), start=1):
-                target = state.psi_r[i - 1] - state.lam_r[i - 1]
+                target = row_target(engine, state, i)
                 want = solve_block_qp(sub, terms, target, state.rho, weight[sub.rows], width)
                 engine.row_step(state, i)
                 assert state.phi_r[i - 1].tobytes() == want.tobytes()

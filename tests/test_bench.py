@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -326,34 +327,27 @@ class TestReports:
         assert back.config == rep.config
         np.testing.assert_array_equal(back.states, rep.states)
 
-    def test_loads_report_with_qp_tol(self, tmp_path):
-        # reports written while the QP row tolerance was a setting carry "qp_tol"
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda data: data["config"].update(qp_tol=1e-9), "its config has an unknown key 'qp_tol'"),
+            (lambda data: data["steps"][1].pop("restarts"), "step 1 has no key 'restarts'"),
+            (lambda data: data.pop("n_inputs"), "the report has no key 'n_inputs'"),
+            (lambda data: data["config"].pop("horizon"), "its config has no key 'horizon'"),
+            (lambda data: [data.clear(), data.update(config={"n_subsystems": 2})], "the report has no key 'states'"),
+        ],
+        ids=["qp-tol", "no-restarts", "no-n-inputs", "no-horizon", "config-only"],
+    )
+    def test_report_with_a_key_off_is_named(self, tmp_path, edit, message):
+        # older reports (a qp_tol setting, no momentum counts, no input count)
+        # no longer load; a missing setting must not take its default
         sc = build_scenario(ScenarioConfig(n_subsystems=2, horizon=2, sim_steps=2))
-        rep = run_closed_loop(sc)
-        path = emit_report(rep, tmp_path)["json"]
+        path = emit_report(run_closed_loop(sc), tmp_path)["json"]
         data = json.loads(path.read_text())
-        data["config"]["qp_tol"] = 1e-9
+        edit(data)
         path.write_text(json.dumps(data))
-        back = load_report(path)
-        assert isinstance(back, RunReport)
-        assert back.config == rep.config
-        np.testing.assert_array_equal(back.states, rep.states)
-        np.testing.assert_array_equal(back.inputs, rep.inputs)
-        assert back.cost == rep.cost
-        assert [s.iterations for s in back.steps] == [s.iterations for s in rep.steps]
-
-    def test_loads_report_without_momentum_counts(self, tmp_path):
-        # reports written before the momentum counts were kept lack them
-        sc = build_scenario(ScenarioConfig(n_subsystems=2, horizon=2, sim_steps=2))
-        rep = run_closed_loop(sc)
-        path = emit_report(rep, tmp_path)["json"]
-        data = json.loads(path.read_text())
-        for step in data["steps"]:
-            del step["extrapolated"], step["restarts"]
-        path.write_text(json.dumps(data))
-        back = load_report(path)
-        assert [(s.extrapolated, s.restarts) for s in back.steps] == [(0, 0), (0, 0)]
-        assert [s.iterations for s in back.steps] == [s.iterations for s in rep.steps]
+        with pytest.raises(ValueError, match=f"^report {re.escape(str(path))}: {message}$"):
+            load_report(path)
 
     def test_csv_step_rows_parse_exactly(self, tmp_path):
         sc = build_scenario(ScenarioConfig(n_subsystems=3, horizon=3, sim_steps=2))
@@ -385,11 +379,6 @@ class TestReports:
         path = emit_report(rep, tmp_path)["json"]
         back = load_report(path)
         assert back.inputs.shape == back.baseline_inputs.shape == rep.inputs.shape == (0, 2)
-        # reports written before the input count was kept still load
-        data = json.loads(path.read_text())
-        del data["n_inputs"]
-        path.write_text(json.dumps(data))
-        assert load_report(path).inputs.size == 0
 
     def test_sweep_csv_round_trip(self, tmp_path):
         rows = [
@@ -518,12 +507,15 @@ max_iterations = 500
             "subsystems 1\nstate_dims 1\ninput_dims 1\nA 1 1\n0.5 0.5\n",  # cols
             "subsystems 1\nstate_dims 1\ninput_dims 1\nA 1 1\n1.0\nA 1 1\n2.0\n",
             "subsystems 1\nstate_dims 1\ninput_dims 1\nA 1 1\n",  # truncated
+            "subsystems 2\nstate_dims 0 2\ninput_dims 1 1\n",  # a model without a state
+            "subsystems 1\nstate_dims 1\ninput_dims 1\nA 1 1\nnan\n",  # a non-finite entry
         ],
     )
     def test_model_file_rejects_malformed(self, tmp_path, body):
+        # every error names the file, what the model rejects too
         path = tmp_path / "bad.txt"
         path.write_text(body)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^model file {re.escape(str(path))}[ :]"):
             load_model_file(path)
 
 
@@ -615,13 +607,13 @@ class TestCli:
         path = save_model_file(build_chain_model(2), tmp_path / "m.txt")
         path.write_text(path.read_text().replace("A 2 1\n0.0 0.0\n", "A 2 1\n0.0 nan\n"))
         assert cli_main(["run", "--model", str(path), "--steps", "1", "--horizon", "2"]) == 1
-        assert capsys.readouterr().err == "error: a_blocks[(2,1)] entry (0,1) is nan, must be finite\n"
+        assert capsys.readouterr().err == f"error: model file {path}: a_blocks[(2,1)] entry (0,1) is nan, must be finite\n"
 
     def test_model_without_subsystems_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
         path.write_text("subsystems 0\nstate_dims\ninput_dims\n")
         assert cli_main(["run", "--model", str(path)]) == 1
-        assert capsys.readouterr().err == "error: need at least one subsystem\n"
+        assert capsys.readouterr().err == f"error: model file {path}: need at least one subsystem\n"
 
     def test_run_rejects_a_locality_the_model_cannot_meet(self, tmp_path, capsys, cross_fed_chain_model):
         path = save_model_file(cross_fed_chain_model, tmp_path / "m.txt")

@@ -1,8 +1,9 @@
 """Closed-form row solver: frozen values, QP cross-checks, region oracle.
 
 Two independent routes are compared throughout: the closed-form solution,
-run through the engine's own kernel (``row_terms`` and ``solve_terms``, by
-the thin ``solve_rows``/``solve_row`` adapters of ``oracles``), and the
+run through the engine's own kernel (``row_terms``, ``locate`` and
+``apply_law``, by the thin ``solve_rows``/``solve_row`` adapters of
+``oracles``), and the
 interior-point QP solver.  Neither shares code with the other.
 """
 import numpy as np

@@ -1,4 +1,6 @@
 """The package's public surface: what the controller and its harness run."""
+import dataclasses
+import inspect
 import os
 import re
 import subprocess
@@ -25,11 +27,30 @@ MOVED = (
 )
 
 
+# what only the tests read, gone from the package (``oracles`` has test-side forms)
+REMOVED = (
+    (dlmpc.explicit_row, "solve_terms"),
+    (dlmpc.FeasibilityOperator, "projector"),
+    (dlmpc.Graph, "successors"),
+    (dlmpc.Graph, "predecessors"),
+)
+REMOVED_FIELDS = ((dlmpc.AdmmState, "psi_r"), (dlmpc.AdmmState, "lam_r"), (dlmpc.Scenario, "graph"))
+
+
 def test_every_export_resolves_once():
     assert len(set(dlmpc.__all__)) == len(dlmpc.__all__)
     for name in dlmpc.__all__:
         assert hasattr(dlmpc, name), name
     assert not [name for name in MOVED if name in dlmpc.__all__ or hasattr(dlmpc, name)]
+
+
+def test_test_only_names_are_gone():
+    assert not [(owner, name) for owner, name in REMOVED if hasattr(owner, name)]
+    assert not [(cls, name) for cls, name in REMOVED_FIELDS if name in {f.name for f in dataclasses.fields(cls)}]
+    # the interior-point iteration cap is a module constant, not a setting
+    assert list(inspect.signature(dlmpc.solve_qp).parameters) == ["qp", "tol"]
+    # a report must carry every key: no momentum-count defaults to fall back on
+    assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(dlmpc.StepRecord))
 
 
 def test_readme_has_python_blocks():

@@ -283,7 +283,7 @@ class TestSolveQp:
             for field in ("x", "nu", "mu_lo", "mu_hi"):
                 assert getattr(stacked, field)[k].tobytes() == getattr(alone, field)[0].tobytes(), (k, field)
 
-    def test_stack_members_match_their_solves_as_stacks_of_one(self):
+    def test_stack_members_match_their_solves_as_stacks_of_one(self, monkeypatch):
         # one stack of equal-size QPs (three variables, one equality row)
         # whose members differ in their bounds; each must come out as it does
         # alone, so a failing member (crossed bounds, or out of iterations)
@@ -307,13 +307,14 @@ class TestSolveQp:
         lb = np.array([m[1] for m in members])
         ub = np.array([m[2] for m in members])
         max_iter = 12
-        stacked = solve_qp(DenseQP(h, g, a, b, lb, ub), tol=1e-10, max_iter=max_iter)
+        monkeypatch.setattr("dlmpc.qp.MAX_ITERATIONS", max_iter)
+        stacked = solve_qp(DenseQP(h, g, a, b, lb, ub), tol=1e-10)
         assert stacked.x.shape == (len(members), 3) and stacked.nu.shape == (len(members), 1)
         assert stacked.status is QpStatus.INFEASIBLE  # the first member that is not optimal
         assert stacked.iterations == max_iter
         for k, (name, *_, status) in enumerate(members):
             one = slice(k, k + 1)
-            alone = solve_qp(DenseQP(h[one], g[one], a[one], b[one], lb[one], ub[one]), tol=1e-10, max_iter=max_iter)
+            alone = solve_qp(DenseQP(h[one], g[one], a[one], b[one], lb[one], ub[one]), tol=1e-10)
             assert alone.statuses == [status], name
             assert stacked.statuses[k] is status, name
             for field in ("x", "nu", "mu_lo", "mu_hi"):

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import dlmpc
 from dlmpc import (
     ExchangePacket,
+    Graph,
     ModelValidationError,
     NetworkModel,
     Phase,
@@ -16,7 +17,7 @@ from dlmpc import (
     d_out_set,
     packet_within_locality,
 )
-from oracles import dense_dynamics, input_free_chain
+from oracles import dense_dynamics, input_free_chain, reach
 
 
 def unactuated_hub():
@@ -152,8 +153,7 @@ class TestNetworkModel:
         m = build_chain_model(3)
         graph = build_graph(m)
         index = build_locality_index(graph, m, 1, 2)
-        op = dlmpc.assemble_feasibility_operator(m, index)
-        accessors = (m.state_indices, m.input_indices, index.subsystem, op.projector,
+        accessors = (m.state_indices, m.input_indices, index.subsystem,
                      lambda i: d_in_set(graph, i, 1), lambda i: d_out_set(graph, i, 1))
         for i in (2.0, True, "2"):
             for accessor in accessors:
@@ -179,13 +179,29 @@ class TestNetworkModel:
 
 
 class TestGraph:
-    def test_edges_from_nonzero_blocks(self):
+    def test_edges_from_nonzero_blocks(self, six_node_model, six_node_graph):
         g = build_graph(two_node_model())
         assert g.n_vertices == 2
-        # subsystem 2 depends on 1 through its coupling block
-        assert 1 in g.predecessors(2)
-        assert 2 in g.successors(1)
-        assert 2 not in g.predecessors(1)
+        # subsystem 2 depends on 1 through its coupling block, not 1 on 2
+        assert g.edges == {(1, 1), (2, 2), (2, 1)}
+        # the fixture's graph is written from the couplings, apart from build_graph
+        assert build_graph(six_node_model) == six_node_graph
+
+    @pytest.mark.parametrize("n_vertices, edges, error, message", [
+        (3, {(1.7, 2)}, ValueError, "subsystem id must be an integer, got 1.7"),
+        (3, {(True, 3)}, ValueError, "subsystem id must be an integer, got True"),
+        (3, {(1, 4)}, IndexError, r"subsystem id 4 outside 1\.\.3"),
+        (3, {(0, 1)}, IndexError, r"subsystem id 0 outside 1\.\.3"),
+        (2.5, set(), ValueError, "n_vertices must be an integer, got 2.5"),
+        (True, set(), ValueError, "n_vertices must be an integer, got True"),
+    ], ids=["float-id", "bool-id", "id-above-n", "id-zero", "float-count", "bool-count"])
+    def test_ids_are_checked(self, n_vertices, edges, error, message):
+        # a float or bool id must not be truncated to another subsystem's
+        with pytest.raises(error, match=rf"^{message}$"):
+            Graph(n_vertices=n_vertices, edges=edges)
+        graph = Graph(n_vertices=np.int64(3), edges={(np.int64(2), 1)})
+        assert graph.n_vertices == 3 and graph.edges == {(2, 1)}
+        assert all(type(v) is int for edge in graph.edges for v in edge)
 
     def test_zero_block_makes_no_edge(self):
         m = NetworkModel(
@@ -198,8 +214,7 @@ class TestGraph:
             },
             b_blocks={(1, 1): np.ones((1, 1)), (2, 2): np.ones((1, 1))},
         )
-        g = build_graph(m)
-        assert 1 not in g.predecessors(2)
+        assert build_graph(m).edges == {(1, 1), (2, 2)}
 
     def test_six_node_reach_sets(self, six_node_graph):
         g = six_node_graph
@@ -253,7 +268,7 @@ class TestLocalityIndex:
     def test_masks_follow_reach_sets(self, six_node_model, six_node_graph, reference_mask):
         idx = build_locality_index(six_node_graph, six_node_model, d=1, horizon=2)
         sub = idx.subsystem(5)
-        ref = reference_mask(six_node_model, six_node_graph, d=1, horizon=2)
+        ref = reference_mask(six_node_model, d=1, horizon=2)
         assert ref.shape == (idx.n_rows, 6)
         for r, row in enumerate(sub.rows):
             allowed = set(sub.row_cols[sub.row_mask[r]].tolist())
@@ -270,41 +285,26 @@ class TestLocalityIndex:
         seen = np.concatenate([s.rows for s in idx.subsystems])
         assert sorted(seen.tolist()) == list(range(idx.n_rows))
 
-    def test_row_mask_matches_global_mask(
-        self, six_node_model, six_node_graph, six_node_index, reference_mask
-    ):
+    def test_row_mask_matches_global_mask(self, six_node_model, six_node_index, reference_mask):
         idx = six_node_index
         rebuilt = np.zeros((idx.n_rows, idx.n_states), dtype=bool)
         for sub in idx.subsystems:
             rebuilt[np.ix_(sub.rows, sub.row_cols)] = sub.row_mask
-        ref = reference_mask(six_node_model, six_node_graph, idx.d, idx.horizon)
+        ref = reference_mask(six_node_model, idx.d, idx.horizon)
         np.testing.assert_array_equal(rebuilt, ref)
 
-    def test_column_partition_covers_allowed_entries(
-        self, six_node_model, six_node_graph, six_node_index, reference_mask
-    ):
+    def test_column_partition_covers_allowed_entries(self, six_node_model, six_node_index, reference_mask):
         idx = six_node_index
         covered = np.zeros((idx.n_rows, idx.n_states), dtype=int)
         for sub in idx.subsystems:
             covered[np.ix_(sub.col_rows, sub.cols)] += 1
-        mask = reference_mask(six_node_model, six_node_graph, idx.d, idx.horizon)
+        mask = reference_mask(six_node_model, idx.d, idx.horizon)
         # each allowed entry is owned by exactly one column partition
         assert np.all(covered[mask] == 1)
         # column partitions never extend beyond the allowed pattern
         assert np.all(covered[~mask] == 0)
 
-    @staticmethod
-    def reach(model, d):
-        """Boolean (I + M)^d, with M[i-1, j-1] set where block (i, j) of A or B is nonzero."""
-        step = np.eye(model.n_subsystems, dtype=int)
-        for (i, j), blk in [*model.a_blocks.items(), *model.b_blocks.items()]:
-            step[i - 1, j - 1] |= int(np.any(blk != 0.0))
-        out = np.eye(model.n_subsystems, dtype=int)
-        for _ in range(d):
-            out = np.minimum(out @ step, 1)
-        return out.astype(bool)
-
-    def test_chain_index_consistency(self, six_node_model):
+    def test_chain_index_consistency(self, six_node_model, reference_mask):
         model = build_chain_model(5)
         graph = build_graph(model)
         idx = build_locality_index(graph, model, d=1, horizon=4)
@@ -327,16 +327,8 @@ class TestLocalityIndex:
         for model in (model, six_node_model):
             graph = build_graph(model)
             for d in range(4):
-                near, far = self.reach(model, d), self.reach(model, d + 1)
-                # state rows of i reach the columns of j iff j is within d hops
-                # upstream of i, input rows iff within d+1 hops
-                state_part = np.zeros((model.n_states, model.n_states), dtype=bool)
-                input_part = np.zeros((model.n_inputs, model.n_states), dtype=bool)
-                for i in range(1, model.n_subsystems + 1):
-                    for j in range(1, model.n_subsystems + 1):
-                        state_part[np.ix_(model.state_indices(i), model.state_indices(j))] = near[i - 1, j - 1]
-                        input_part[np.ix_(model.input_indices(i), model.state_indices(j))] = far[i - 1, j - 1]
-                mask = np.vstack([np.tile(state_part, (horizon + 1, 1)), np.tile(input_part, (horizon, 1))])
+                near, far = reach(model, d), reach(model, d + 1)
+                mask = reference_mask(model, d, horizon)
                 idx = build_locality_index(graph, model, d, horizon)
                 for sub in idx.subsystems:
                     i = sub.sub_id
@@ -387,7 +379,7 @@ class TestLocalityIndex:
         sub = idx.subsystem(1)
         state_rows = sub.row_mask[sub.row_is_state]
         assert all(set(sub.row_cols[m].tolist()) == {0} for m in state_rows)
-        ref = reference_mask(six_node_model, six_node_graph, d=0, horizon=2)
+        ref = reference_mask(six_node_model, d=0, horizon=2)
         assert set(np.flatnonzero(ref[0]).tolist()) == {0}
 
     def test_package_version(self):
