@@ -366,17 +366,18 @@ class CentralizedSolution:
     iterations: int
 
 
-def _prediction_matrices(model: NetworkModel, horizon: int) -> tuple:
+def _prediction_matrices(model: NetworkModel, horizon: int, x0: np.ndarray) -> tuple:
+    """The stacked states ``x_0..x_T`` as ``free + h @ u``: the free response to x0 and the input map."""
     a, b = model.a, model.b
     n, p = model.n_states, model.n_inputs
-    g = np.zeros(((horizon + 1) * n, n))
+    free = np.zeros((horizon + 1, n))
     h = np.zeros(((horizon + 1) * n, horizon * p))
-    g[:n] = np.eye(n)
+    free[0] = x0
     for t in range(1, horizon + 1):
-        g[t * n : (t + 1) * n] = a @ g[(t - 1) * n : t * n]
+        free[t] = a @ free[t - 1]
         h[t * n : (t + 1) * n] = a @ h[(t - 1) * n : t * n]
         h[t * n + b.row, (t - 1) * p + b.col] += b.data
-    return g, h
+    return free.ravel(), h
 
 
 def check_profile(name: str, value, size: int, default: float) -> np.ndarray:
@@ -461,12 +462,11 @@ def centralized_mpc(
         raise ValueError("horizon must be at least 1")
     n, p = model.n_states, model.n_inputs
     x0 = check_x0(x0, n)
-    g_mat, h_mat = _prediction_matrices(model, horizon)
+    free_response, h_mat = _prediction_matrices(model, horizon, x0)
     cost, lo, hi = stacked_profiles(n, p, horizon, q_diag, r_diag, qt_diag, state_lb, state_ub, input_lb, input_ub)
     nx = n * (horizon + 1)
     w_stack, r_stack = cost[:nx], cost[nx:]
 
-    free_response = g_mat @ x0
     h_u = 2.0 * (h_mat.T * w_stack) @ h_mat
     h_u[np.arange(horizon * p), np.arange(horizon * p)] += 2.0 * r_stack
     g_u = 2.0 * h_mat.T @ (w_stack * free_response)

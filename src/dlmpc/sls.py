@@ -17,22 +17,25 @@ embedded in the first n rows (``stacked_constraint`` builds Z on demand
 from the entries that the model's sparse A and B store).
 The constraint decomposes column-block by column-block, so the column step
 of each subsystem i has an explicit solution: with ``Z_i`` the constraint
-rows touching its coupled row set and ``E_i`` the matching slice of E,
+rows touching its coupled row set and ``E_i`` the matching slice of E, the
+projection onto ``{psi : Z_i psi = E_i}`` is the null-space form
 
-    psi_i = (I - pinv(Z_i) Z_i) v + pinv(Z_i) E_i ,
+    psi_i = pinv(Z_i) E_i + N_i (N_i^T v) ,  N_i an orthonormal basis of null(Z_i),
 
-one affine map per subsystem whose gain and offset are computed once at
-set-up.  Each slice is read straight from the CSC storage of Z's columns
-for the coupled row set, so it costs what those columns hold and no scan of
-Z's rows.  When the rows of ``Z_i`` are independent, a QR factorization
-``Z_i^T = q r`` gives ``pinv(Z_i) = q r^-T`` and ``pinv(Z_i) Z_i = q q^T``
-without an SVD; a slice with dependent rows falls back to
-``np.linalg.pinv``.  Both routes use ``numpy.linalg`` only: a
-``scipy.linalg`` factorization here would start scipy's own BLAS thread
-pool, which contends with numpy's for the cores the consensus loop runs
-on.  Neither Z nor E is kept afterwards.  The maps of subsystems whose
-slices share a shape are stacked, and :func:`project_column` applies any
-:class:`ColumnProjector`, so one batched call projects a whole class.
+computed once at set-up.  Each slice is read straight from the CSC storage
+of Z's columns for the coupled row set, so it costs what those columns hold
+and no scan of Z's rows.  When the k rows of ``Z_i`` are independent, a
+complete QR factorization ``Z_i^T = q r`` gives ``N_i`` (the trailing
+columns of q) and ``pinv(Z_i) = q[:, :k] r[:k]^-T`` without an SVD; a slice
+with dependent rows takes an SVD, cut where ``np.linalg.pinv`` cuts
+(singular values up to ``1e-15`` of the largest are zero): ``N_i`` is the
+right singular vectors past the rank, the leading ones give the offset.
+Both use ``numpy.linalg`` only: a ``scipy.linalg`` factorization here would
+start scipy's own BLAS thread pool, which contends with numpy's for the
+cores the consensus loop runs on.  Neither Z nor E is kept afterwards.  The
+maps of subsystems whose shapes match are stacked, and
+:func:`project_column` applies any :class:`ColumnProjector`, so one batched
+call projects a whole class.
 """
 from __future__ import annotations
 
@@ -46,26 +49,25 @@ from .topology import LocalityIndex, NetworkModel
 
 @dataclass(frozen=True)
 class ColumnProjector:
-    """Explicit column step of one subsystem: ``psi = gain @ v + offset``.
+    """Explicit column step of one subsystem: ``psi = offset + basis @ (basis.T @ v)``.
 
-    ``gain = I - pinv(Z) @ Z`` (square, one row per coupled row) and
-    ``offset = pinv(Z) @ rhs`` (one column per own column), where Z is the
-    subsystem's slice of the stacked constraint and ``rhs`` the identity on
-    its own columns' time-0 rows; the pseudo-inverse comes from a QR
-    factorization of ``Z.T`` when Z's rows are independent, else from
-    ``np.linalg.pinv``.  A shape class stacks its members' maps along a
-    leading axis.
+    For its slice Z of the stacked constraint (m columns, one per coupled
+    row) and ``rhs``, the identity on its c own columns' time-0 rows,
+    ``basis`` (m x f) is an orthonormal basis of null(Z) and ``offset =
+    pinv(Z) @ rhs`` (m x c): m * f + m * c floats rather than m * m.
+    A shape class stacks its members' maps along a leading axis.
     """
 
-    gain: np.ndarray
+    basis: np.ndarray
     offset: np.ndarray
 
 
 @dataclass(frozen=True)
 class FeasibilityOperator:
     """The column projectors: ``classes[k]`` stacks, as their only storage, the
-    maps of the subsystems ``members[k]`` (increasing ids), whose slices share a
-    shape; subsystem ``members[k][s]``'s map is layer ``s`` of the stacks."""
+    maps of the subsystems ``members[k]`` (increasing ids), whose bases and
+    offsets share their shapes (the null width f is part of the key);
+    subsystem ``members[k][s]``'s map is layer ``s`` of the stacks."""
 
     classes: tuple
     members: tuple
@@ -102,17 +104,13 @@ def assemble_feasibility_operator(
     ``rhs`` beyond rounding: no response map within the locality obeys the
     dynamics) raises ``ValueError``.  A slice's rows count as independent
     when every ``|diag r|`` of the QR of its transpose exceeds ``1e-8`` of
-    the largest; other slices take ``np.linalg.pinv``.  Each map is written
-    into its class's preallocated stacks, and the stacked constraint is
-    dropped.
+    the largest; other slices take the SVD.  The null width is known only
+    once a slice is factorized, so the maps are grouped into classes after
+    they are built, and the stacked constraint is dropped.
     """
     csc = stacked_constraint(model, index.horizon).tocsc()
     col_nnz = np.diff(csc.indptr)
-    shapes = [(sub.col_rows.size, sub.cols.size) for sub in index.subsystems]
-    members = {sh: tuple(i for i, s in enumerate(shapes, 1) if s == sh) for sh in dict.fromkeys(shapes)}
-    stacks = tuple(ColumnProjector(np.empty((len(v), m, m)), np.empty((len(v), m, c)))
-                   for (m, c), v in members.items())
-    slot = {i: (cls, s) for cls, ids in zip(stacks, members.values()) for s, i in enumerate(ids)}
+    groups = {}
     for sub in index.subsystems:
         # the slice, from the CSC storage of its columns alone
         starts, counts = csc.indptr[sub.col_rows], col_nnz[sub.col_rows]
@@ -126,36 +124,37 @@ def assemble_feasibility_operator(
                 f"subsystem {sub.sub_id}: constraint rows with nonzero rhs "
                 "fell outside the coupled row set"
             )
-        cls, s = slot[sub.sub_id]
-        q, r = np.linalg.qr(z.T)
-        diag = np.abs(np.diagonal(r))
-        if z.shape[0] <= z.shape[1] and diag.min() > 1e-8 * diag.max():
-            # independent rows: pinv(z) = q r^-T and pinv(z) z = q q^T
-            cls.offset[s] = q @ np.linalg.solve(r.T, rhs)
-            cls.gain[s] = np.eye(z.shape[1]) - q @ q.T
+        q, r = np.linalg.qr(z.T, mode="complete")
+        k, diag = r.shape[1], np.abs(np.diagonal(r))
+        if k <= z.shape[1] and diag.min() > 1e-8 * diag.max():
+            # independent rows: z.T = q[:, :k] r[:k], so pinv(z) = q[:, :k] r[:k]^-T
+            basis, offset = q[:, k:], q[:, :k] @ np.linalg.solve(r[:k].T, rhs)
         else:
-            z_plus = np.linalg.pinv(z)
-            cls.offset[s] = z_plus @ rhs
-            cls.gain[s] = np.eye(z.shape[1]) - z_plus @ z
-        resid = float(np.max(np.abs(z @ cls.offset[s] - rhs)))
+            u, s, vt = np.linalg.svd(z)
+            rank = int(np.sum(s > 1e-15 * s.max()))  # np.linalg.pinv's cut
+            basis, offset = vt[rank:].T, vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank, None])
+        resid = float(np.max(np.abs(z @ offset - rhs)))
         if resid > 1e-8 * max(1.0, float(np.abs(z).max())):
             raise ValueError(
                 f"subsystem {sub.sub_id}: no response map within locality d={index.d} "
                 f"meets the dynamics over horizon T={index.horizon} "
                 f"(constraint residual {resid:.2e})"
             )
-    return FeasibilityOperator(stacks, tuple(members.values()))
+        # a copy of the basis, so that the factors need not outlive the loop
+        groups.setdefault((basis.shape, offset.shape), []).append((sub.sub_id, basis.copy(), offset))
+    members, bases, offsets = zip(*(zip(*group) for group in groups.values()))  # per class
+    return FeasibilityOperator(tuple(map(ColumnProjector, map(np.stack, bases), map(np.stack, offsets))), members)
 
 
 def project_column(proj: ColumnProjector, v: np.ndarray) -> np.ndarray:
     """Euclidean projection of a column slice onto the feasible affine set.
 
-    Returns ``gain @ v + offset``: the nearest point to v that satisfies the
-    constraint rows of ``proj``, one subsystem's projector or a class stack
-    of them, in which case ``v`` stacks the members' slices, each projected
-    bitwise as alone.  Idempotent.
+    Returns ``offset + basis @ (basis.T @ v)``: the nearest point to v that
+    satisfies the constraint rows of ``proj``, one subsystem's projector or
+    a class stack of them, in which case ``v`` stacks the members' slices,
+    each projected bitwise as alone.  Idempotent.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != proj.offset.shape:
         raise ValueError(f"column slice must have shape {proj.offset.shape}, got {v.shape}")
-    return proj.gain @ v + proj.offset
+    return proj.offset + proj.basis @ (np.swapaxes(proj.basis, -1, -2) @ v)

@@ -23,6 +23,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate
 from numbers import Integral, Real
@@ -190,13 +191,10 @@ class Graph:
         n = check_int("n_vertices", self.n_vertices)
         object.__setattr__(self, "n_vertices", n)
         object.__setattr__(self, "edges", frozenset((check_id(i, n), check_id(j, n)) for i, j in self.edges))
-        # who each vertex influences, and who influences it
-        succ = {v: set() for v in range(1, n + 1)}
+        # who influences each vertex
         pred = {v: set() for v in range(1, n + 1)}
         for i, j in self.edges:
-            succ[j].add(i)
             pred[i].add(j)
-        object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_pred", pred)
 
 
@@ -231,8 +229,11 @@ def d_in_set(graph: Graph, i: int, d: int) -> frozenset:
 
 
 def d_out_set(graph: Graph, i: int, d: int) -> frozenset:
-    """Subsystems that ``i``'s influence reaches within ``d`` hops (incl. i)."""
-    return frozenset(_hops(graph, graph._succ, i, d))
+    """Subsystems that ``i``'s influence reaches within ``d`` hops (incl. i), read off ``graph.edges``."""
+    succ = defaultdict(list)
+    for k, j in graph.edges:
+        succ[j].append(k)
+    return frozenset(_hops(graph, succ, i, d))
 
 
 @dataclass(frozen=True)

@@ -202,7 +202,12 @@ def reference_projectors(model: NetworkModel, index: LocalityIndex) -> list:
 def projector(op, i: int) -> ColumnProjector:
     """Subsystem i's column projector, as views into its class's stacks in ``op``."""
     ((k, s),) = [(k, ids.index(i)) for k, ids in enumerate(op.members) if i in ids]
-    return ColumnProjector(op.classes[k].gain[s], op.classes[k].offset[s])
+    return ColumnProjector(op.classes[k].basis[s], op.classes[k].offset[s])
+
+
+def dense_gain(proj: ColumnProjector) -> np.ndarray:
+    """The m x m gain ``I - pinv(Z) Z`` of one subsystem's projector, from its null-space basis."""
+    return proj.basis @ proj.basis.T
 
 
 def _check_controller_shape(model: NetworkModel, k: np.ndarray, horizon: int):

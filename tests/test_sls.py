@@ -32,6 +32,7 @@ from oracles import (
     controller_from_response,
     dense_constraint,
     dense_dynamics,
+    dense_gain,
     full_response_from_controller,
     projector,
     reference_projectors,
@@ -241,12 +242,12 @@ class TestColumnProjection:
     ])
     def test_projectors_match_the_pinv_reference(self, request, model, d, horizon):
         # the chain and six-node slices have independent rows (QR route),
-        # every cross-fed one dependent rows (pinv route)
+        # every cross-fed one dependent rows (SVD route)
         model = build_chain_model(8) if model == "chain8" else request.getfixturevalue(model)
         index, op = build_operator(model, d, horizon)
         for sub, (gain, offset) in zip(index.subsystems, reference_projectors(model, index)):
             proj = projector(op, sub.sub_id)
-            np.testing.assert_allclose(proj.gain, gain, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dense_gain(proj), gain, rtol=0, atol=1e-12)
             np.testing.assert_allclose(proj.offset, offset, rtol=0, atol=1e-12)
 
     def test_independent_slices_take_no_svd(self, monkeypatch, cross_fed_chain_model):
@@ -295,11 +296,42 @@ class TestColumnProjection:
             for sub in index.subsystems:
                 proj = projector(op, sub.sub_id)
                 cls = next(c for c, ids in zip(op.classes, op.members) if sub.sub_id in ids)
-                assert np.shares_memory(proj.gain, cls.gain)
+                assert np.shares_memory(proj.basis, cls.basis)
                 assert np.shares_memory(proj.offset, cls.offset)
                 assert proj.offset.shape == (sub.col_rows.size, sub.cols.size)
-                want += proj.gain.nbytes + proj.offset.nbytes
+                want += proj.basis.nbytes + proj.offset.nbytes
             assert array_bytes(op) == want
+
+    @pytest.mark.parametrize("model,d,horizon", [
+        ("chain8", 1, 5), ("chain8", 2, 3), ("cross_fed_chain_model", 2, 3),
+    ])
+    def test_bases_are_orthonormal_and_span_the_null_space(self, request, model, d, horizon):
+        # the chain's slices take the QR route, the cross-fed ones the SVD route;
+        # the basis width is the null width of the slice of the dense constraint
+        model = build_chain_model(8) if model == "chain8" else request.getfixturevalue(model)
+        index, op = build_operator(model, d, horizon)
+        z = dense_constraint(model, horizon)
+        for sub in index.subsystems:
+            basis = projector(op, sub.sub_id).basis
+            z_i = z[:, sub.col_rows]
+            assert basis.shape == (sub.col_rows.size, sub.col_rows.size - np.linalg.matrix_rank(z_i))
+            np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(z_i @ basis, 0.0, rtol=0, atol=1e-12)
+
+    def test_operator_holds_the_null_width_not_a_square_gain(self):
+        # N=200 chain, d=1, T=5: per subsystem m * f + m * c floats, f the null
+        # width of its slice, against the m * m a dense gain would take
+        model = build_chain_model(200)
+        index, op = build_operator(model, d=1, horizon=5)
+        csc = stacked_constraint(model, 5).tocsc()
+        want = square = 0
+        for sub in index.subsystems:
+            m, c = sub.col_rows.size, sub.cols.size
+            f = m - np.linalg.matrix_rank(csc[:, sub.col_rows].toarray())
+            want += 8 * (m * f + m * c)
+            square += 8 * m * m
+        assert array_bytes(op) == want
+        assert want < square / 3
 
     def test_rejects_bad_shape(self):
         model = build_chain_model(3)
