@@ -27,7 +27,7 @@ of Z's columns for the coupled row set, so it costs what those columns hold
 and no scan of Z's rows.  When the k rows of ``Z_i`` are independent, a
 complete QR factorization ``Z_i^T = q r`` gives ``N_i`` (the trailing
 columns of q) and ``pinv(Z_i) = q[:, :k] r[:k]^-T`` without an SVD; a slice
-with dependent rows takes an SVD, cut where ``np.linalg.pinv`` cuts
+with dependent rows takes an SVD, cut where numpy's ``pinv`` cuts
 (singular values up to ``1e-15`` of the largest are zero): ``N_i`` is the
 right singular vectors past the rank, the leading ones give the offset.
 Both use ``numpy.linalg`` only: a ``scipy.linalg`` factorization here would
@@ -131,7 +131,7 @@ def assemble_feasibility_operator(
             basis, offset = q[:, k:], q[:, :k] @ np.linalg.solve(r[:k].T, rhs)
         else:
             u, s, vt = np.linalg.svd(z)
-            rank = int(np.sum(s > 1e-15 * s.max()))  # np.linalg.pinv's cut
+            rank = int(np.sum(s > 1e-15 * s.max()))  # numpy pinv's cut
             basis, offset = vt[rank:].T, vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank, None])
         resid = float(np.max(np.abs(z @ offset - rhs)))
         if resid > 1e-8 * max(1.0, float(np.abs(z).max())):
