@@ -36,7 +36,6 @@ from .bench import (
     realized_cost,
     run_closed_loop,
     run_scaling_sweep,
-    save_model_file,
 )
 from .explicit_row import InfeasibleRowError
 from .qp import (
@@ -117,7 +116,6 @@ __all__ = [
     "row_qp",
     "run_closed_loop",
     "run_scaling_sweep",
-    "save_model_file",
     "solve_qp",
     "stacked_constraint",
     "stacked_profiles",

@@ -42,9 +42,11 @@ the column step's target (the relaxed phi plus lambda), which row owners
 send, and its psi, which column owners send back, subsystem blocks
 contiguous.  Both lie in subsystem-id order, the per-subsystem matrices
 views into them.  The column partitions are the transpose of the row
-masks, so every column-buffer entry has one row-buffer source, found by
-matching the entry's ``(row, col)`` key: one index array is the whole
-exchange plan, and the multiplier step is one row-buffer update.
+masks, so every column-buffer entry has one row-buffer source: the masked
+row-buffer entries, sorted by their column's owner and then by their
+``(row, col)`` key, fall in column-buffer order.  That one index array is
+the whole exchange plan, checked at set-up against each column block's
+``col_rows x cols``, and the multiplier step is one row-buffer update.
 All exchanges stay inside bounded graph neighborhoods: measurements and
 column blocks travel to at most (d+1)-hop outgoing neighbors, row blocks to
 at most (d+1)-hop incoming neighbors (input rows couple columns d+1 hops
@@ -66,6 +68,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import zip_longest
 
 import numpy as np
 
@@ -209,29 +212,20 @@ def _relaxed(phi: np.ndarray, psi_prev: np.ndarray) -> np.ndarray:
     return ALPHA * phi + (1.0 - ALPHA) * psi_prev
 
 
-def _entries(heights, widths, row_ids, col_ids) -> tuple:
-    """``(row, col)`` ids of every entry of blocks laid out one after another, each in C order.
-
-    Block k has shape ``(heights[k], widths[k])``; ``row_ids`` and ``col_ids``
-    are the blocks' row and column ids, concatenated in block order.
-    """
-    per_row = np.repeat(widths, heights)  # the width of each block row
-    ends = np.cumsum(per_row)
-    # where each block row's col ids start, less where its entries start
-    shift = np.repeat(np.cumsum(widths) - widths, heights) + per_row - ends
-    return np.repeat(row_ids, per_row), col_ids[np.repeat(shift, per_row) + np.arange(ends[-1])]
-
-
 class DlmpcEngine:
     """Bulk-synchronous distributed MPC solver for one scenario.
 
     Holds everything that is fixed across MPC steps: index sets, column
-    projectors, per-row cost/bound profiles and the exchange plan.  The
-    profiles are those of :func:`dlmpc.qp.stacked_profiles`, which checks
-    them (the centralized baseline reads the same), with the root of each
-    row's cost as its weight.  One call to :meth:`solve_step` runs the
-    consensus iteration for a measured state and returns the applied input
-    with diagnostics.
+    projectors, per-row cost/bound profiles and the exchange plan.  The row
+    layout is one padded table of each entry's global column, and the row
+    masks, the entries' keys and x0 components and the exchange plan (the
+    masked entries sorted by column owner, then key) are read off it; an
+    index whose column blocks are not exactly those entries raises
+    RuntimeError.  The profiles are those of
+    :func:`dlmpc.qp.stacked_profiles`, which checks them (the centralized
+    baseline reads the same), with the root of each row's cost as its
+    weight.  One call to :meth:`solve_step` runs the consensus iteration for
+    a measured state and returns the applied input with diagnostics.
     """
 
     def __init__(
@@ -278,62 +272,46 @@ class DlmpcEngine:
             n, model.n_inputs, index.horizon, q_diag, r_diag, qt_diag, state_lb, state_ub, input_lb, input_ub
         )
         subs = index.subsystems
-        # block shapes of the row and column partitions, and the column buffer's flat offsets
-        self._shapes = {
-            "r": [(s.rows.size, s.row_cols.size) for s in subs],
-            "c": [(s.col_rows.size, s.cols.size) for s in subs],
-        }
-        self._col_offsets = np.concatenate(([0], np.cumsum([a * b for a, b in self._shapes["c"]])))
-        joined = lambda attr: np.concatenate([getattr(s, attr) for s in subs])
-        heights, widths = np.array(self._shapes["r"]).T
+        heights, widths = np.array([(s.rows.size, s.row_cols.size) for s in subs]).T
         # every subsystem's rows stacked in subsystem-id order: their global
-        # rows, each subsystem's span of them, and their lo, hi and weight
-        self._stack_rows = joined("rows")
-        self._ends = np.cumsum(heights)
-        self._spans = [slice(end - h, end) for h, end in zip(heights.tolist(), self._ends.tolist())]
+        # rows and owners' ids, each subsystem's span of them, and their lo,
+        # hi and weight
+        self._stack_rows = np.concatenate([s.rows for s in subs])
+        self._owner = np.repeat(np.arange(1, len(subs) + 1), heights)
+        ends = np.cumsum(heights)
+        self._spans = [slice(end - h, end) for h, end in zip(heights.tolist(), ends.tolist())]
         self._boxes = tuple(v[self._stack_rows] for v in (lo, hi, np.sqrt(cost)))
         # the row buffer's layout, the stacked rows padded at their ends to the
-        # widest block, and where each subsystem's span starts
+        # widest block: each entry's global column (n on the padding), the row
+        # masks, and where each subsystem's span starts
         self._widest = int(widths.max())
-        on_row = np.arange(self._widest) < np.repeat(widths, heights)[:, None]
-        self._starts = (self._ends - heights) * self._widest
-        # each row-buffer entry's key row * n + col, which names it in either
-        # buffer (-1 on the padding), and its x0 component: n (a +0 appended
-        # to x0) off the row's mask, n + 1 (a -0) on the padding
-        rows, cols = _entries(heights, widths, self._stack_rows, joined("row_cols"))
-        self._row_keys = np.full(on_row.size, -1)
-        self._row_keys[on_row.ravel()] = rows * n + cols
-        self._x0_at = np.full(on_row.shape, n + 1)
-        self._x0_at[on_row] = np.where(np.concatenate([s.row_mask.ravel() for s in subs]), cols, n)
-        self._mask = self._x0_at < n  # the row masks on the padded layout
-        col_entries = _entries(*np.array(self._shapes["c"]).T, joined("col_rows"), joined("cols"))
-        self._src = self._build_exchange_plan(on_row, cols, col_entries)
+        table = np.full((len(subs), self._widest), n)
+        table[np.arange(self._widest) < widths[:, None]] = np.concatenate([s.row_cols for s in subs])
+        col = table[self._owner - 1]
+        on_row = col < n
+        self._mask = np.zeros(col.shape, dtype=bool)
+        self._mask[on_row] = np.concatenate([s.row_mask.ravel() for s in subs])
+        self._starts = (ends - heights) * self._widest
+        # each entry's key row * n + col, which names it in either buffer (-1
+        # on the padding), and its x0 component: n (a +0 appended to x0) off
+        # the row's mask, n + 1 (a -0) on the padding
+        self._row_keys = np.where(on_row, self._stack_rows[:, None] * n + col, -1).ravel()
+        self._x0_at = np.where(self._mask, col, np.where(on_row, n, n + 1))
+        # the exchange plan: the masked entries sorted by their column's owner,
+        # then key, which is column-buffer order (owners in id order, each
+        # block in C order over ascending col_rows x cols)
+        masked = np.flatnonzero(self._mask)
+        col_owner = np.repeat(np.arange(len(subs), dtype=np.int64), model.state_dims)[col.ravel()[masked]]
+        self._src = masked[np.argsort(col_owner * (index.n_rows * n) + self._row_keys[masked])]
+        self._col_offsets = np.concatenate(([0], np.cumsum(np.bincount(col_owner, minlength=len(subs)))))
+        col_keys = np.concatenate([(s.col_rows[:, None] * n + s.cols).ravel() for s in subs])
+        if not np.array_equal(self._row_keys[self._src], col_keys):
+            raise RuntimeError("a column-buffer entry has no row-buffer source")
         # each shape class's column blocks in member order, one slice if consecutive
         self._class_at = []
         for cls, ids in zip(op.classes, op.members):
             at = (self._col_offsets[np.array(ids) - 1, None] + np.arange(cls.offset[0].size)).ravel()
             self._class_at.append(slice(at[0], at[-1] + 1) if at[-1] + 1 - at[0] == at.size else at)
-
-    def _build_exchange_plan(self, on_row, row_cols, col_entries: tuple) -> np.ndarray:
-        """``src``, the flat row-buffer position of every column-buffer entry, in column-buffer order.
-
-        Takes the row buffer's mask of non-padding entries, their columns in
-        buffer order, and the ``(rows, cols)`` of the column-buffer entries.
-        Each global row is one stacked row, whose columns ascend, so the
-        entries keyed ``stacked row * n + col`` ascend in buffer order and one
-        search finds every source.  So ``row_keys[src]`` are the column keys;
-        :meth:`_packets` reads every packet off ``src``.  A column entry with
-        no source raises RuntimeError.
-        """
-        n, (rows, cols) = self.index.n_states, col_entries
-        stacked = np.empty(self.index.n_rows, dtype=np.intp)
-        stacked[self._stack_rows] = np.arange(self._stack_rows.size)
-        live = np.flatnonzero(on_row)
-        at = np.searchsorted(live // self._widest * n + row_cols, stacked[rows] * n + cols)
-        src = live[np.minimum(at, live.size - 1)]
-        if np.any(self._row_keys[src] != rows * n + cols):
-            raise RuntimeError("a column-buffer entry has no row-buffer source")
-        return src
 
     # -- state management ---------------------------------------------------
 
@@ -351,9 +329,8 @@ class DlmpcEngine:
             rows = np.zeros((4,) + self._mask.shape)
         else:
             # every layer of the row buffer has phi's block shapes
-            for i in range(max(n_sub, len(warm.phi_r))):
-                want = self._shapes["r"][i] if i < n_sub else "no block"
-                got = np.shape(warm.phi_r[i]) if i < len(warm.phi_r) else "no block"
+            shapes = [(s.rows.size, s.row_cols.size) for s in self.index.subsystems]
+            for i, (want, got) in enumerate(zip_longest(shapes, map(np.shape, warm.phi_r), fillvalue="no block")):
                 if got != want:
                     raise ValueError(
                         f"warm_state does not fit this engine: subsystem {i + 1} "
@@ -362,15 +339,14 @@ class DlmpcEngine:
             rows = warm.rows.copy()
             # exact for a state of this engine: rho moves by powers of two
             rows[2] *= warm.rho / self.rho
-        phi_r = tuple(rows[0, at, :w] for at, (_, w) in zip(self._spans, self._shapes["r"]))
+        phi_r = tuple(rows[0, at, : s.row_cols.size] for at, s in zip(self._spans, self.index.subsystems))
         return AdmmState(
             rows, cols, phi_r, rho=self.rho, solved=np.zeros(self._mask.shape), per_sub_seconds=np.zeros(n_sub),
         )
 
     def _row_name(self, r: int) -> str:
         """``subsystem i: global row g`` for stacked row ``r``."""
-        i = np.searchsorted(self._ends, r, side="right") + 1
-        return f"subsystem {i}: global row {self._stack_rows[r]}"
+        return f"subsystem {self._owner[r]}: global row {self._stack_rows[r]}"
 
     # -- row and column updates -----------------------------------------------
 
@@ -534,7 +510,7 @@ class DlmpcEngine:
         index, x0, cols = self.index, state.x0, self.model.state_indices
         packets = [ExchangePacket(j, i, Phase.MEASUREMENT, None, cols(j), x0[cols(j)])
                    for i, in_set in enumerate(index.in_sets_ext, start=1) for j in sorted(in_set)]
-        owner = np.searchsorted(self._ends, self._src // self._widest, side="right") + 1  # of each entry's row
+        owner = self._owner[self._src // self._widest]  # of each entry's row
         off = self._col_offsets
         for phase, sent in zip((Phase.ROW_BLOCKS, Phase.COLUMN_BLOCKS), state.cols):
             for s, start, end in zip(index.subsystems, off, off[1:]):

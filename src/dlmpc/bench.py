@@ -336,14 +336,8 @@ def box_violation(report: RunReport, scenario: Scenario) -> float:
     """Largest realized violation of the state box after the initial step."""
     lb, ub = scenario.state_lb, scenario.state_ub
     states = report.states[1:]
-    over = np.maximum(states - ub, 0.0)
-    under = np.maximum(lb - states, 0.0)
-    finite = np.isfinite(np.broadcast_to(ub, states.shape)) | np.isfinite(
-        np.broadcast_to(lb, states.shape)
-    )
-    if not np.any(finite):
-        return 0.0
-    return float(max(over[finite].max(initial=0.0), under[finite].max(initial=0.0)))
+    # an unbounded component's excess is -inf, below the floor of 0
+    return float(np.max(np.maximum(states - ub, lb - states), initial=0.0))
 
 
 # -- scaling sweep -----------------------------------------------------------
@@ -645,18 +639,3 @@ def load_model_file(path) -> NetworkModel:
     except ValueError as err:
         where = "" if at is None else f" line {at}"
         raise ValueError(f"model file {path}{where}: {err}") from err
-
-
-def save_model_file(model: NetworkModel, path) -> Path:
-    """Write a model in the block format read by :func:`load_model_file`."""
-    out = [f"subsystems {model.n_subsystems}"]
-    out.append("state_dims " + " ".join(str(d) for d in model.state_dims))
-    out.append("input_dims " + " ".join(str(d) for d in model.input_dims))
-    for kind, blocks in (("A", model.a_blocks), ("B", model.b_blocks)):
-        for (i, j), block in sorted(blocks.items()):
-            out.append(f"{kind} {i} {j}")
-            for row in np.atleast_2d(block):
-                out.append(" ".join(repr(float(v)) for v in row))
-    path = Path(path)
-    path.write_text("\n".join(out) + "\n")
-    return path

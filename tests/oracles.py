@@ -17,6 +17,9 @@ path depends on them:
   2019), which the controller never needs since it runs on the responses;
 * ``input_free_chain`` is the 4-node chain with subsystem 2's input
   taken away, a model that more than one test file reads;
+* ``save_model_file`` writes a model in the text format that
+  ``dlmpc.load_model_file`` reads, so the loader's round trips start from
+  a file the package did not write;
 * ``reach`` is the Boolean reachability ``(I + M)^d`` over the model's
   nonzero blocks, from which ``conftest.reference_mask`` builds the
   locality mask without the package's graph or hop search;
@@ -42,6 +45,7 @@ path depends on them:
 """
 from __future__ import annotations
 
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -138,6 +142,20 @@ def input_free_chain() -> NetworkModel:
         a_blocks=chain.a_blocks,
         b_blocks={k: b for k, b in chain.b_blocks.items() if k != (2, 2)},
     )
+
+
+def save_model_file(model: NetworkModel, path) -> Path:
+    """Write ``model`` as a model file: the three header lines, then every block, its rows one per line."""
+    lines = [f"subsystems {model.n_subsystems}",
+             "state_dims " + " ".join(map(str, model.state_dims)),
+             "input_dims " + " ".join(map(str, model.input_dims))]
+    for kind, blocks in (("A", model.a_blocks), ("B", model.b_blocks)):
+        for (i, j) in sorted(blocks):
+            lines.append(f"{kind} {i} {j}")
+            lines += [" ".join(repr(v) for v in row) for row in np.asarray(blocks[(i, j)], dtype=float).tolist()]
+    path = Path(path)
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def reach(model: NetworkModel, d: int) -> np.ndarray:

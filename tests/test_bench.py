@@ -27,10 +27,10 @@ from dlmpc import (
     realized_cost,
     run_closed_loop,
     run_scaling_sweep,
-    save_model_file,
 )
 from dlmpc.bench import SweepRow, _simulate
 from dlmpc.cli import main as cli_main
+from oracles import save_model_file
 
 
 class TestChainBuilder:

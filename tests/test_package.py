@@ -24,6 +24,7 @@ MOVED = (
     "response_from_controller",
     "full_response_from_controller",
     "controller_from_response",
+    "save_model_file",
 )
 
 
