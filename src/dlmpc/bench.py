@@ -176,15 +176,12 @@ def build_scenario(config: ScenarioConfig, model: NetworkModel | None = None) ->
     input_lb = np.full(p, -np.inf)
     input_ub = np.full(p, np.inf)
     if config.case is not Case.UNCONSTRAINED:
-        for i in range(1, config.n_subsystems + 1):
-            idx = model.state_indices(i)
-            comp = config.bound_component
-            if not 0 <= comp < idx.size:
-                raise ValueError(
-                    f"bound_component {comp} out of range for subsystem {i}"
-                )
-            state_lb[idx[comp]] = config.state_lower
-            state_ub[idx[comp]] = config.state_upper
+        comp = config.bound_component
+        for i, dim in enumerate(model.state_dims, start=1):
+            if not 0 <= comp < dim:
+                raise ValueError(f"bound_component {comp} out of range for subsystem {i}")
+        at = np.asarray(model.state_offsets) + comp
+        state_lb[at], state_ub[at] = config.state_lower, config.state_upper
         input_lb[:] = config.input_lower
         input_ub[:] = config.input_upper
     return Scenario(
@@ -354,6 +351,7 @@ class SweepRow:
     cold_iterations: int
     warm_iterations: float
     total_seconds: float
+    setup_seconds: float  # build_scenario plus make_engine, per subsystem
 
 
 def run_scaling_sweep(
@@ -365,15 +363,18 @@ def run_scaling_sweep(
 
     The first MPC step starts from zeros (cold); later steps reuse the
     previous solution (warm).  Reported times are means over subsystems, and
-    over steps for the warm figure.  A sweep needs its cold step, so
-    ``sim_steps`` must be at least 1.
+    over steps for the warm figure; set-up (scenario and engine) is wall
+    time per subsystem too.  A sweep needs its cold step, so ``sim_steps``
+    must be at least 1.
     """
     if sim_steps < 1:
         raise ValueError(f"sim_steps must be at least 1, got {sim_steps}")
     rows = []
     for n_sub in sizes:
+        t0 = time.perf_counter()
         scenario = build_scenario(ScenarioConfig(n_subsystems=n_sub, case=case, sim_steps=sim_steps))
         engine = scenario.make_engine()
+        setup = (time.perf_counter() - t0) / n_sub
         t0 = time.perf_counter()
         report = run_closed_loop(scenario, engine=engine)
         total = time.perf_counter() - t0
@@ -394,6 +395,7 @@ def run_scaling_sweep(
                 cold_iterations=report.steps[0].iterations,
                 warm_iterations=warm_iters,
                 total_seconds=total,
+                setup_seconds=setup,
             )
         )
     return rows

@@ -96,10 +96,10 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     rows = run_scaling_sweep(sizes=sizes, case=args.case, sim_steps=args.steps)
-    print(f"{'N':>6} {'cold s/sub':>12} {'warm s/sub':>12} {'cold it':>8} {'warm it':>8}")
+    print(f"{'N':>6} {'setup s/sub':>12} {'cold s/sub':>12} {'warm s/sub':>12} {'cold it':>8} {'warm it':>8}")
     for r in rows:
         print(
-            f"{r.n_subsystems:>6} {r.cold_seconds:>12.6f} {r.warm_seconds:>12.6f} "
+            f"{r.n_subsystems:>6} {r.setup_seconds:>12.6f} {r.cold_seconds:>12.6f} {r.warm_seconds:>12.6f} "
             f"{r.cold_iterations:>8} {r.warm_iterations:>8.1f}"
         )
     if args.out:

@@ -267,28 +267,6 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9) -> QpResult:
         blown = ~ok & finite & (blowup > 1e13 * scale)
         done = ok | ~finite | blown
 
-        # a singular or non-finite KKT matrix also leaves the member at
-        # MAX_ITER: a zero pivot in LAPACK's LU, which slogdet reports as sign
-        # 0, is where np.linalg.solve would raise for the whole stack
-        d = np.divide(z, s, out=np.zeros_like(z), where=~done[:, None])
-        kkt = kkt0.copy()
-        kkt[:, diag[:nv], diag[:nv]] += d @ sel
-        todo = np.flatnonzero(~done)
-        pending = kkt[todo]
-        failed = ~np.isfinite(pending).all(axis=(1, 2))
-        failed[~failed] = np.linalg.slogdet(pending[~failed])[0] == 0
-        done[todo[failed]] = True
-        if done.any():
-            status[live[ok]] = _OPTIMAL
-            status[live[blown]] = _INFEASIBLE
-            iters[live[done]], out_xn[live[done]], out_z[live[done]] = it, xn[done], z[done]
-            keep = ~done
-            live, kkt0, kkt, c, bnd, sgn_on, n_on, tau, scale, xn, z, s, r, mu, d = (
-                v[keep] for v in (live, kkt0, kkt, c, bnd, sgn_on, n_on, tau, scale, xn, z, s, r, mu, d)
-            )
-            if not live.size:
-                break
-
         def newton(w):
             """Newton step for the complementarity target ``w * s + s * z``."""
             rhs = -r
@@ -297,7 +275,31 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9) -> QpResult:
             ds = sgn_on * sol[:, idx]
             return sol, ds, w - d * ds
 
-        _, ds_a, dz_a = newton(-z)
+        # a non-finite or singular KKT matrix also leaves the member at
+        # MAX_ITER: np.linalg.solve raises on a zero pivot in LAPACK's LU, and
+        # slogdet names the members with one (sign 0) so the rest solve again
+        d = np.divide(z, s, out=np.zeros_like(z), where=~done[:, None])
+        kkt = kkt0.copy()
+        kkt[:, diag[:nv], diag[:nv]] += d @ sel
+        done |= ~np.isfinite(kkt).all(axis=(1, 2))
+        while True:
+            if done.any():
+                status[live[ok]] = _OPTIMAL
+                status[live[blown]] = _INFEASIBLE
+                iters[live[done]], out_xn[live[done]], out_z[live[done]] = it, xn[done], z[done]
+                keep = ~done
+                live, kkt0, kkt, c, bnd, sgn_on, n_on, tau, scale, xn, z, s, r, mu, d, ok, blown = (
+                    v[keep] for v in (live, kkt0, kkt, c, bnd, sgn_on, n_on, tau, scale, xn, z, s, r, mu, d, ok, blown)
+                )
+                if not live.size:
+                    break
+            try:
+                _, ds_a, dz_a = newton(-z)
+                break
+            except np.linalg.LinAlgError:
+                done = np.linalg.slogdet(kkt)[0] == 0
+        if not live.size:
+            break
         alpha_p, alpha_d = _max_step(s, ds_a), _max_step(z, dz_a)
         mu_aff = np.einsum("ij,ij->i", s + alpha_p[:, None] * ds_a, z + alpha_d[:, None] * dz_a) / n_on
         ratio = np.divide(mu_aff, mu, out=np.zeros_like(mu), where=mu > 0)

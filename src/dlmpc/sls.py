@@ -22,9 +22,9 @@ projection onto ``{psi : Z_i psi = E_i}`` is the null-space form
 
     psi_i = pinv(Z_i) E_i + N_i (N_i^T v) ,  N_i an orthonormal basis of null(Z_i),
 
-computed once at set-up.  Each slice is read straight from the CSC storage
-of Z's columns for the coupled row set, so it costs what those columns hold
-and no scan of Z's rows.  When the k rows of ``Z_i`` are independent, a
+computed once at set-up.  All slices are read in one pass over the CSC
+storage of Z's columns for the coupled row sets, so they cost what those
+columns hold and no scan of Z's rows.  When the k rows of ``Z_i`` are independent, a
 complete QR factorization ``Z_i^T = q r`` gives ``N_i`` (the trailing
 columns of q) and ``pinv(Z_i) = q[:, :k] r[:k]^-T`` without an SVD; a slice
 with dependent rows takes an SVD, cut where numpy's ``pinv`` cuts
@@ -40,11 +40,12 @@ call projects a whole class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 import scipy.sparse as sp
 
-from .topology import LocalityIndex, NetworkModel
+from .topology import LocalityIndex, NetworkModel, ranges
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,32 @@ def stacked_constraint(model: NetworkModel, horizon: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_rows + p * t_hor))
 
 
+def _slices(model: NetworkModel, index: LocalityIndex):
+    """Yield each subsystem, its dense slice of Z and the rows of Z that the slice touches.
+
+    One ``np.unique`` of the keys ``slice * rows(Z) + row`` over the entries
+    that the coupled columns store gives every slice's rows and each entry's
+    place among them; the flat arrays go once the last slice is taken.
+    """
+    csc = stacked_constraint(model, index.horizon).tocsc()
+    n_z, subs = csc.shape[0], index.subsystems
+    coupled = np.concatenate([sub.col_rows for sub in subs])
+    counts = np.diff(csc.indptr)[coupled]
+    at = ranges(csc.indptr[coupled], counts)
+    col_bounds = np.cumsum([0] + [sub.col_rows.size for sub in subs])
+    ent_bounds = np.concatenate([[0], np.cumsum(counts)])[col_bounds]
+    slice_key = np.repeat(np.arange(len(subs), dtype=np.int64) * n_z, np.diff(ent_bounds))
+    touched, row_at = np.unique(slice_key + csc.indices[at], return_inverse=True)
+    row_bounds = np.searchsorted(touched, np.arange(len(subs) + 1) * n_z)
+    touched %= n_z
+    vals = csc.data[at]
+    bounds = zip(*(pairwise(b.tolist()) for b in (col_bounds, ent_bounds, row_bounds)))
+    for sub, ((c0, c1), (e0, e1), (r0, r1)) in zip(subs, bounds):
+        z = np.zeros((r1 - r0, c1 - c0))
+        z[row_at[e0:e1] - r0, np.repeat(np.arange(c1 - c0), counts[c0:c1])] = vals[e0:e1]
+        yield sub, z, touched[r0:r1]
+
+
 def assemble_feasibility_operator(
     model: NetworkModel, index: LocalityIndex
 ) -> FeasibilityOperator:
@@ -106,18 +133,11 @@ def assemble_feasibility_operator(
     when every ``|diag r|`` of the QR of its transpose exceeds ``1e-8`` of
     the largest; other slices take the SVD.  The null width is known only
     once a slice is factorized, so the maps are grouped into classes after
-    they are built, and the stacked constraint is dropped.
+    they are built; the stacked constraint and the flat arrays of the one
+    slicing pass are dropped before the classes are stacked.
     """
-    csc = stacked_constraint(model, index.horizon).tocsc()
-    col_nnz = np.diff(csc.indptr)
     groups = {}
-    for sub in index.subsystems:
-        # the slice, from the CSC storage of its columns alone
-        starts, counts = csc.indptr[sub.col_rows], col_nnz[sub.col_rows]
-        at = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        touched, row_at = np.unique(csc.indices[at], return_inverse=True)
-        z = np.zeros((touched.size, sub.col_rows.size))
-        z[row_at, np.repeat(np.arange(sub.col_rows.size), counts)] = csc.data[at]
+    for sub, z, touched in _slices(model, index):
         rhs = (touched[:, None] == sub.cols).astype(float)
         if not rhs.any(axis=0).all():
             raise ValueError(

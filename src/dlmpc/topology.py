@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from numbers import Integral, Real
 
 import numpy as np
@@ -65,6 +65,12 @@ def check_id(i: int, n_sub: int) -> int:
     return i
 
 
+def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[k] .. starts[k] + lengths[k] - 1``, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
+
+
 def _as_block_dict(kind: str, blocks) -> dict:
     out = {}
     for key, val in blocks.items():
@@ -89,7 +95,7 @@ def _assemble(kind: str, blocks: dict, row_offsets: tuple, col_offsets: tuple) -
     sizes = np.diff(row_offsets)[keys[:, 0]] * widths
     vals = np.concatenate([np.zeros(0), *(blk.ravel() for blk in blocks.values())])
     owner = np.repeat(np.arange(len(keys)), sizes)
-    r, c = np.divmod(np.arange(vals.size) - np.repeat(np.cumsum(sizes) - sizes, sizes), widths[owner])
+    r, c = np.divmod(ranges(0, sizes), widths[owner])
     for e in np.flatnonzero(~np.isfinite(vals))[:1]:
         i, j = keys[owner[e]] + 1
         raise ModelValidationError(f"{kind}_blocks[({i},{j})] entry ({r[e]},{c[e]}) is {vals[e]}, must be finite")
@@ -298,7 +304,9 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
     column set of a row partition is the state-column footprint of the
     (d+1)-hop incoming set, with state rows masked down to the d-hop subset.
     A column partition holds every row whose mask reaches its columns.  A
-    ``d`` or ``horizon`` that is not an integer raises ValueError.
+    ``d`` or ``horizon`` that is not an integer raises ValueError.  The
+    arrays are built for all subsystems at once, from the model's offsets
+    and the hop counts of one incoming search each, then sliced.
     """
     d, horizon = check_int("d", d), check_int("horizon", horizon)
     if d < 0:
@@ -310,49 +318,51 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
 
     n_sub = model.n_subsystems
     n, p, t_hor = model.n_states, model.n_inputs, horizon
-
-    # one incoming search per subsystem to d+1 hops; the d-hop sets are the
-    # subsystems it reached within d
-    in_hops = [_hops(graph, graph._pred, i, d + 1) for i in range(1, n_sub + 1)]
-    within_d = lambda hops: sorted(j for j, h in hops.items() if h <= d)
-    col_owner = np.repeat(np.arange(n_sub, dtype=np.int64), model.state_dims)
     n_rows = n * (t_hor + 1) + p * t_hor
+    x_dim, u_dim = np.asarray(model.state_dims), np.asarray(model.input_dims)
+    x_off, u_off = np.asarray(model.state_offsets), np.asarray(model.input_offsets)
 
-    parts, keys = [], []
-    for i in range(1, n_sub + 1):
-        xi = model.state_indices(i)
-        ui = model.input_indices(i)
+    # every subsystem's rows, concatenated: its state components at each
+    # time, then its inputs at each time
+    starts = np.concatenate([x_off[:, None] + np.arange(t_hor + 1) * n,
+                             n * (t_hor + 1) + u_off[:, None] + np.arange(t_hor) * p], axis=1)
+    lengths = np.repeat([x_dim, u_dim], [t_hor + 1, t_hor], axis=0).T.ravel()
+    rows = ranges(starts.ravel(), lengths)
+    is_state = rows < n * (t_hor + 1)
+    n_x = (t_hor + 1) * x_dim
+    n_own = n_x + t_hor * u_dim  # rows per subsystem
+    row_end = np.cumsum(n_own)
 
-        x_rows = np.concatenate([t * n + xi for t in range(t_hor + 1)])
-        u_rows = (
-            np.concatenate([n * (t_hor + 1) + t * p + ui for t in range(t_hor)])
-            if len(ui)
-            else np.array([], dtype=int)
-        )
-        rows = np.concatenate([x_rows, u_rows])
-        row_is_state = np.concatenate(
-            [np.ones(len(x_rows), dtype=bool), np.zeros(len(u_rows), dtype=bool)]
-        )
+    # one incoming search per subsystem to d+1 hops; its hop counts, in owner
+    # order, give the coupled columns and their d-hop subset
+    in_hops = [_hops(graph, graph._pred, i, d + 1) for i in range(1, n_sub + 1)]
+    pairs = np.array([(i, j - 1, h) for i, hops in enumerate(in_hops) for j, h in sorted(hops.items())])
+    i, j, near = pairs[:, 0], pairs[:, 1], pairs[:, 2] <= d
+    row_cols = ranges(x_off[j], x_dim[j])
+    in_d = np.repeat(near, x_dim[j])
+    col_end = np.cumsum(x_dim[j])[np.cumsum([len(hops) for hops in in_hops]) - 1]
 
-        cols = xi.copy()
-        row_cols = np.sort(np.concatenate([model.state_indices(j) for j in sorted(in_hops[i - 1])]))
-        state_cols = np.sort(np.concatenate([model.state_indices(j) for j in within_d(in_hops[i - 1])]))
-        in_d = np.zeros(len(row_cols), dtype=bool)
-        in_d[np.searchsorted(row_cols, state_cols)] = True
-        row_mask = ~row_is_state[:, None] | in_d
+    # col_rows is the transpose of the masks.  A row of subsystem i reaches
+    # every column of each j that i's mask reaches in that row: all of i's
+    # rows if j is within d hops, its input rows if j is d+1 away.  Each row
+    # has one owner, so each key (column owner, global row) comes up once.
+    span = n_own[i] - np.where(near, 0, n_x[i])
+    keys = np.repeat(j * n_rows, span) + rows[ranges(row_end[i] - span, span)]
+    keys.sort()
+    key_end = np.searchsorted(keys, np.arange(1, n_sub + 1, dtype=np.int64) * n_rows)
 
-        # (column owner, global row) of every masked entry
-        r, c = np.nonzero(row_mask)
-        keys.append(col_owner[row_cols[c]] * n_rows + rows[r])
-        parts.append(dict(sub_id=i, rows=rows, row_is_state=row_is_state, cols=cols, row_cols=row_cols,
-                          row_mask=row_mask))
-
-    # col_rows is the transpose of the masks: the rows reaching each owner's columns
-    keys = np.unique(np.concatenate(keys))
-    bounds = np.searchsorted(keys, np.arange(n_sub + 1, dtype=np.int64) * n_rows)
+    bounds = zip(*(pairwise([0, *end.tolist()]) for end in (row_end, col_end, key_end)))
     subsystems = tuple(
-        SubsystemIndex(**part, col_rows=keys[a:b] - k * n_rows)
-        for k, (part, a, b) in enumerate(zip(parts, bounds, bounds[1:]))
+        SubsystemIndex(
+            sub_id=k + 1,
+            rows=rows[r0:r1],
+            row_is_state=is_state[r0:r1],
+            cols=rows[r0 : r0 + model.state_dims[k]],  # its time-0 state rows
+            row_cols=row_cols[c0:c1],
+            col_rows=keys[a:b] - k * n_rows,
+            row_mask=~is_state[r0:r1, None] | in_d[c0:c1],
+        )
+        for k, ((r0, r1), (c0, c1), (a, b)) in enumerate(bounds)
     )
     return LocalityIndex(
         d=d,

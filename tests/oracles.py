@@ -16,7 +16,9 @@ path depends on them:
   Synthesis (Anderson, Doyle, Low and Matni, Annual Reviews in Control,
   2019), which the controller never needs since it runs on the responses;
 * ``input_free_chain`` is the 4-node chain with subsystem 2's input
-  taken away, a model that more than one test file reads;
+  taken away, and ``mixed_dims_chain`` a 5-node chain whose subsystems
+  differ in state and input dimension, models that more than one test
+  file reads;
 * ``save_model_file`` writes a model in the text format that
   ``dlmpc.load_model_file`` reads, so the loader's round trips start from
   a file the package did not write;
@@ -142,6 +144,28 @@ def input_free_chain() -> NetworkModel:
         a_blocks=chain.a_blocks,
         b_blocks={k: b for k, b in chain.b_blocks.items() if k != (2, 2)},
     )
+
+
+def mixed_dims_chain() -> NetworkModel:
+    """Five-node chain whose subsystems differ in state and input dimension.
+
+    Self blocks are near 0.9 I; each neighbor feeds, weakly and at random,
+    only the actuated components of a node (its first ``input_dims``), so
+    subsystem 2, which has no input, receives no coupling.
+    """
+    state_dims, input_dims = (1, 3, 2, 1, 2), (1, 0, 2, 1, 1)
+    rng = np.random.default_rng(7)
+    a_blocks, b_blocks = {}, {}
+    for i, (n, m) in enumerate(zip(state_dims, input_dims), start=1):
+        a_blocks[(i, i)] = 0.9 * np.eye(n) + 0.1 * rng.standard_normal((n, n))
+        if not m:
+            continue
+        b_blocks[(i, i)] = np.eye(n, m) + 0.1 * rng.standard_normal((n, m))
+        for j in (i - 1, i + 1):
+            if 1 <= j <= len(state_dims):
+                a_blocks[(i, j)] = np.zeros((n, state_dims[j - 1]))
+                a_blocks[(i, j)][:m] = 0.1 * rng.standard_normal((m, state_dims[j - 1]))
+    return NetworkModel(state_dims=state_dims, input_dims=input_dims, a_blocks=a_blocks, b_blocks=b_blocks)
 
 
 def save_model_file(model: NetworkModel, path) -> Path:

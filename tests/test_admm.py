@@ -42,6 +42,7 @@ from oracles import (
     column_blocks,
     dense_dynamics,
     input_free_chain,
+    mixed_dims_chain,
     projector,
     row_blocks,
     row_target,
@@ -63,28 +64,6 @@ PLAN_CASES = (
     + [("input-free", 1, 3), ("input-free", 2, 3)]
     + [("mixed", d, t) for d in (1, 2) for t in (2, 3)]
 )
-
-
-def mixed_dims_chain() -> NetworkModel:
-    """Five-node chain whose subsystems differ in state and input dimension.
-
-    Self blocks are near 0.9 I; each neighbor feeds, weakly and at random,
-    only the actuated components of a node (its first ``input_dims``), so
-    subsystem 2, which has no input, receives no coupling.
-    """
-    state_dims, input_dims = (1, 3, 2, 1, 2), (1, 0, 2, 1, 1)
-    rng = np.random.default_rng(7)
-    a_blocks, b_blocks = {}, {}
-    for i, (n, m) in enumerate(zip(state_dims, input_dims), start=1):
-        a_blocks[(i, i)] = 0.9 * np.eye(n) + 0.1 * rng.standard_normal((n, n))
-        if not m:
-            continue
-        b_blocks[(i, i)] = np.eye(n, m) + 0.1 * rng.standard_normal((n, m))
-        for j in (i - 1, i + 1):
-            if 1 <= j <= len(state_dims):
-                a_blocks[(i, j)] = np.zeros((n, state_dims[j - 1]))
-                a_blocks[(i, j)][:m] = 0.1 * rng.standard_normal((m, state_dims[j - 1]))
-    return NetworkModel(state_dims=state_dims, input_dims=input_dims, a_blocks=a_blocks, b_blocks=b_blocks)
 
 
 def small_scenario(**overrides):

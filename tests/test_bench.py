@@ -154,6 +154,23 @@ class TestSetupMemory:
             # twice the subsystems, twice the bytes (plus boundary effects)
             assert ratio <= 2.1, f"{part}: {ratio:.3f}x the bytes for 2x the subsystems"
 
+    def test_setup_peak_grows_linearly(self):
+        # the traced peak of build_scenario plus make_engine: twice the
+        # subsystems, at most 2.1x the peak, so no set-up intermediate grows
+        # faster than the network
+        def peak(n_sub):
+            config = ScenarioConfig(n_subsystems=n_sub)
+            tracemalloc.start()
+            try:
+                build_scenario(config).make_engine()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # first-call caches stay out of the measured peaks
+        small, large = peak(100), peak(200)
+        assert large <= 2.1 * small, f"set-up peaked at {large / small:.3f}x for 2x the subsystems"
+
     def test_plant_steps_the_sparse_dynamics(self):
         # a dense A and B of the 200-node chain hold 1.9 MB; the plant loop
         # allocates only its states and inputs
@@ -382,8 +399,8 @@ class TestReports:
 
     def test_sweep_csv_round_trip(self, tmp_path):
         rows = [
-            SweepRow(10, "explicit", 0.001234, 0.000987, 71, 49.5, 0.5),
-            SweepRow(50, "explicit", 0.002, float("nan"), 80, float("nan"), 1.0),
+            SweepRow(10, "explicit", 0.001234, 0.000987, 71, 49.5, 0.5, 2.5e-4),
+            SweepRow(50, "explicit", 0.002, float("nan"), 80, float("nan"), 1.0, 2.25e-4),
         ]
         path = emit_sweep(rows, tmp_path)
         with open(path) as fh:
@@ -391,6 +408,7 @@ class TestReports:
         assert int(got[0]["n_subsystems"]) == 10
         assert float(got[0]["cold_seconds"]) == 0.001234
         assert np.isnan(float(got[1]["warm_seconds"]))
+        assert float(got[1]["setup_seconds"]) == 2.25e-4
 
 
 class TestLoaders:
@@ -527,6 +545,7 @@ class TestSweep:
             assert r.cold_iterations > 0
             assert r.cold_seconds > 0
             assert r.warm_seconds > 0
+            assert r.setup_seconds > 0
             assert r.case == "explicit"
 
     def test_single_step_has_no_warm_figures(self):
@@ -695,6 +714,8 @@ class TestCli:
 
     def test_sweep_verb(self, capsys):
         assert cli_main(["sweep", "--sizes", "2,3", "--steps", "1"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split()[:3] == ["N", "setup", "s/sub"] and len(rows) == 2
 
     def test_sweep_zero_steps(self, capsys):
         assert cli_main(["sweep", "--sizes", "2", "--steps", "0"]) == 1

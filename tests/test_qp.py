@@ -283,6 +283,21 @@ class TestSolveQp:
             for field in ("x", "nu", "mu_lo", "mu_hi"):
                 assert getattr(stacked, field)[k].tobytes() == getattr(alone, field)[0].tobytes(), (k, field)
 
+    def test_singularity_is_tested_only_when_a_solve_fails(self, monkeypatch):
+        # the Newton solve's own LU finds a zero pivot; slogdet factors the
+        # KKT matrices again only to name the singular members
+        calls = []
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(a.shape) or slogdet(a))
+        rng = np.random.default_rng(4)
+        h = np.stack([random_psd(rng, 2) for _ in range(3)])
+        regular = solve_qp(DenseQP(h, rng.normal(size=(3, 2)), ub=np.ones((3, 2))))
+        assert all(st is QpStatus.OPTIMAL for st in regular.statuses) and calls == []
+        h[1] = 0.0
+        singular = solve_qp(DenseQP(h, np.array([[0.3, 0.1], [1.4, 1.0], [-0.2, 0.5]]),
+                                    ub=np.array([[1.0, 1.0], [1.0, np.inf], [1.0, 1.0]])))
+        assert singular.statuses[1] is QpStatus.MAX_ITER and calls == [(3, 2, 2)]
+
     def test_stack_members_match_their_solves_as_stacks_of_one(self, monkeypatch):
         # one stack of equal-size QPs (three variables, one equality row)
         # whose members differ in their bounds; each must come out as it does

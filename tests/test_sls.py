@@ -34,6 +34,8 @@ from oracles import (
     dense_dynamics,
     dense_gain,
     full_response_from_controller,
+    input_free_chain,
+    mixed_dims_chain,
     projector,
     reference_projectors,
     response_from_controller,
@@ -237,13 +239,19 @@ class TestColumnProjection:
             np.testing.assert_allclose(z[:, sub.col_rows] @ offset, identity[:, sub.cols], atol=1e-10)
 
     @pytest.mark.parametrize("model,d,horizon", [
-        ("chain8", 1, 5), ("chain8", 2, 5), ("six_node_model", 1, 3),
+        ("chain8", 0, 3), ("chain8", 1, 5), ("chain8", 2, 5), ("six_node_model", 1, 3),
         ("cross_fed_chain_model", 2, 1), ("cross_fed_chain_model", 2, 3), ("cross_fed_chain_model", 2, 5),
+        ("mixed", 1, 3), ("mixed", 2, 3), ("input-free", 1, 3), ("input-free", 2, 3),
     ])
     def test_projectors_match_the_pinv_reference(self, request, model, d, horizon):
         # the chain and six-node slices have independent rows (QR route),
-        # every cross-fed one dependent rows (SVD route)
-        model = build_chain_model(8) if model == "chain8" else request.getfixturevalue(model)
+        # every cross-fed one dependent rows (SVD route).  The mixed chain's
+        # subsystems differ in state and input dimension and the input-free
+        # chain's subsystem 2 has no input; one slice of each takes the SVD
+        # route at d=1.  Neither meets the dynamics at d=0, which the chain
+        # covers.
+        builders = {"chain8": lambda: build_chain_model(8), "mixed": mixed_dims_chain, "input-free": input_free_chain}
+        model = builders[model]() if model in builders else request.getfixturevalue(model)
         index, op = build_operator(model, d, horizon)
         for sub, (gain, offset) in zip(index.subsystems, reference_projectors(model, index)):
             proj = projector(op, sub.sub_id)

@@ -17,7 +17,7 @@ from dlmpc import (
     d_out_set,
     packet_within_locality,
 )
-from oracles import dense_dynamics, input_free_chain, reach
+from oracles import dense_dynamics, input_free_chain, mixed_dims_chain, reach
 
 
 def unactuated_hub():
@@ -264,6 +264,34 @@ class TestLocalityIndex:
         expected_input_rows = [n * (t_hor + 1) + t * 6 + 4 for t in range(t_hor)]
         assert sub.rows[sub.row_is_state].tolist() == expected_state_rows
         assert sub.rows[~sub.row_is_state].tolist() == expected_input_rows
+
+    @pytest.mark.parametrize("name", ["mixed", "input-free"])
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    @pytest.mark.parametrize("horizon", [1, 3])
+    def test_uneven_models_match_the_reference_mask(self, name, d, horizon, reference_mask):
+        # unequal state and input dimensions (mixed) and a subsystem with no
+        # input (subsystem 2 of both): rows, columns, masks and column
+        # partitions against the mask built from Boolean reachability
+        model = {"mixed": mixed_dims_chain, "input-free": input_free_chain}[name]()
+        n, p = model.n_states, model.n_inputs
+        idx = build_locality_index(build_graph(model), model, d, horizon)
+        mask, far = reference_mask(model, d, horizon), reach(model, d + 1)
+        rebuilt, covered = np.zeros(mask.shape, dtype=bool), np.zeros(mask.shape, dtype=int)
+        for sub in idx.subsystems:
+            i = sub.sub_id
+            xi, ui = model.state_indices(i), model.input_indices(i)
+            assert sub.rows[sub.row_is_state].tolist() == [t * n + x for t in range(horizon + 1) for x in xi]
+            assert sub.rows[~sub.row_is_state].tolist() == [
+                n * (horizon + 1) + t * p + u for t in range(horizon) for u in ui
+            ]
+            np.testing.assert_array_equal(sub.cols, xi)
+            np.testing.assert_array_equal(sub.row_cols, np.flatnonzero(np.repeat(far[i - 1], model.state_dims)))
+            np.testing.assert_array_equal(sub.row_mask, mask[np.ix_(sub.rows, sub.row_cols)])
+            np.testing.assert_array_equal(sub.col_rows, np.flatnonzero(mask[:, sub.cols].any(axis=1)))
+            rebuilt[np.ix_(sub.rows, sub.row_cols)] = sub.row_mask
+            covered[np.ix_(sub.col_rows, sub.cols)] += 1
+        np.testing.assert_array_equal(rebuilt, mask)
+        assert np.all(covered[mask] == 1) and np.all(covered[~mask] == 0)
 
     def test_masks_follow_reach_sets(self, six_node_model, six_node_graph, reference_mask):
         idx = build_locality_index(six_node_graph, six_node_model, d=1, horizon=2)
