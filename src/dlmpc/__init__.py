@@ -63,8 +63,6 @@ from .topology import (
     SubsystemIndex,
     build_graph,
     build_locality_index,
-    d_in_set,
-    d_out_set,
 )
 
 __version__ = "0.1.0"
@@ -103,8 +101,6 @@ __all__ = [
     "build_scenario",
     "centralized_closed_loop",
     "centralized_mpc",
-    "d_in_set",
-    "d_out_set",
     "emit_report",
     "emit_sweep",
     "load_config",

@@ -507,8 +507,8 @@ class DlmpcEngine:
         each row owner k, column owner i receives the target of the rows k
         owns in its partition and sends back their psi, ordered by i, then k.
         """
-        index, x0, cols = self.index, state.x0, self.model.state_indices
-        packets = [ExchangePacket(j, i, Phase.MEASUREMENT, None, cols(j), x0[cols(j)])
+        index, x0, cols = self.index, state.x0, [s.cols for s in self.index.subsystems]
+        packets = [ExchangePacket(j, i, Phase.MEASUREMENT, None, cols[j - 1], x0[cols[j - 1]])
                    for i, in_set in enumerate(index.in_sets_ext, start=1) for j in sorted(in_set)]
         owner = self._owner[self._src // self._widest]  # of each entry's row
         off = self._col_offsets
@@ -550,7 +550,8 @@ class DlmpcEngine:
         # input rows follow the state rows, time-major, so the time-0 ones come
         # first; they span the whole coupled slice, so the last row's x0 block
         # is the bare slice (an input-free subsystem has no rows to multiply)
-        u0 = np.count_nonzero(self.index.subsystem(i).row_is_state)
+        i = check_id(i, len(self.index.subsystems))
+        u0 = (self.index.horizon + 1) * self.model.state_dims[i - 1]
         phi, last = state.phi_r[i - 1], self._spans[i - 1].stop - 1
         return phi[u0 : u0 + self.model.input_dims[i - 1]] @ state.terms.x0[last, : phi.shape[1]]
 

@@ -5,9 +5,10 @@ subsystems with block-partitioned dynamics, which the model assembles once
 into the sparse A and B that every reader uses.  The directed
 interconnection graph carries an arrow ``j -> i`` whenever A or B stores an
 entry in block ``(i, j)``, i.e. whenever subsystem j influences subsystem i.
-Bounded-hop incoming sets of that graph decide which entries of the
-closed-loop response maps may be nonzero; each subsystem's row mask states
-that once, and column partitions and outgoing sets are read off as
+Bounded-hop incoming sets of that graph, which must carry every coupling
+the model stores, decide which entries of the closed-loop response maps may
+be nonzero; each subsystem's row mask states that once (its state rows reach
+the d-hop set), and column partitions and outgoing sets are read off as
 transposes.  The locality index stores all of it per subsystem: no global
 mask of the response map is kept, and a model's offsets are computed once,
 when it is built.
@@ -23,7 +24,6 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate, pairwise
 from numbers import Integral, Real
@@ -168,17 +168,6 @@ class NetworkModel:
     def n_subsystems(self) -> int:
         return len(self.state_dims)
 
-    def state_indices(self, i: int) -> np.ndarray:
-        """Global state-component indices owned by subsystem ``i``."""
-        check_id(i, self.n_subsystems)
-        off = self.state_offsets[i - 1]
-        return np.arange(off, off + self.state_dims[i - 1])
-
-    def input_indices(self, i: int) -> np.ndarray:
-        check_id(i, self.n_subsystems)
-        off = self.input_offsets[i - 1]
-        return np.arange(off, off + self.input_dims[i - 1])
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -197,11 +186,6 @@ class Graph:
         n = check_int("n_vertices", self.n_vertices)
         object.__setattr__(self, "n_vertices", n)
         object.__setattr__(self, "edges", frozenset((check_id(i, n), check_id(j, n)) for i, j in self.edges))
-        # who influences each vertex
-        pred = {v: set() for v in range(1, n + 1)}
-        for i, j in self.edges:
-            pred[i].add(j)
-        object.__setattr__(self, "_pred", pred)
 
 
 def build_graph(model: NetworkModel) -> Graph:
@@ -217,38 +201,22 @@ def build_graph(model: NetworkModel) -> Graph:
     return Graph(n_vertices=model.n_subsystems, edges=frozenset(zip(rows.tolist(), cols.tolist())))
 
 
-def _hops(graph: Graph, adj: dict, i: int, d: int) -> dict:
-    """Hop count from ``i`` of every subsystem within ``d`` hops along ``adj``."""
-    i, d = check_id(i, graph.n_vertices), check_int("hop count", d)
-    if d < 0:
-        raise ValueError("hop count must be nonnegative")
+def _hops(pred: list, i: int, d: int) -> dict:
+    """Hop count to ``i`` of every subsystem whose influence reaches it within ``d`` hops along ``pred``."""
     hops, frontier = {i: 0}, [i]
     for h in range(1, d + 1):
-        frontier = dict.fromkeys(w for v in frontier for w in adj[v] if w not in hops)
+        frontier = dict.fromkeys(w for v in frontier for w in pred[v] if w not in hops)
         hops.update(dict.fromkeys(frontier, h))
     return hops
-
-
-def d_in_set(graph: Graph, i: int, d: int) -> frozenset:
-    """Subsystems whose influence reaches ``i`` within ``d`` hops (incl. i)."""
-    return frozenset(_hops(graph, graph._pred, i, d))
-
-
-def d_out_set(graph: Graph, i: int, d: int) -> frozenset:
-    """Subsystems that ``i``'s influence reaches within ``d`` hops (incl. i), read off ``graph.edges``."""
-    succ = defaultdict(list)
-    for k, j in graph.edges:
-        succ[j].append(k)
-    return frozenset(_hops(graph, succ, i, d))
 
 
 @dataclass(frozen=True)
 class SubsystemIndex:
     """Index bookkeeping for one subsystem's share of the response map.
 
-    rows            global response-map rows owned by the subsystem (its state
-                    rows for t = 0..T, then its input rows for t = 0..T-1)
-    row_is_state    per-row flag (True for state rows)
+    rows            global response-map rows owned by the subsystem (its
+                    ``(T+1) * state_dims[i-1]`` state rows for t = 0..T, then
+                    its input rows for t = 0..T-1)
     cols            global columns owned (its initial-state components)
     row_cols        coupled column set for the row partition (state columns of
                     the (d+1)-hop incoming set, ascending)
@@ -262,7 +230,6 @@ class SubsystemIndex:
 
     sub_id: int
     rows: np.ndarray
-    row_is_state: np.ndarray
     cols: np.ndarray
     row_cols: np.ndarray
     col_rows: np.ndarray
@@ -277,8 +244,8 @@ class LocalityIndex:
     footprint (the outgoing sets are their transpose).  Everything else is per
     subsystem: there is no global mask, and each :class:`SubsystemIndex`
     carries the sparsity pattern of its own rows (``row_mask``).  That pattern
-    is the only copy of the locality rule (state rows reach d hops, input rows
-    d+1); the column partitions (``col_rows``) are its transpose.
+    is the only copy of the locality rule (state rows reach the d-hop incoming
+    set, input rows d+1); the column partitions (``col_rows``) are its transpose.
     """
 
     d: int
@@ -304,9 +271,11 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
     column set of a row partition is the state-column footprint of the
     (d+1)-hop incoming set, with state rows masked down to the d-hop subset.
     A column partition holds every row whose mask reaches its columns.  A
-    ``d`` or ``horizon`` that is not an integer raises ValueError.  The
-    arrays are built for all subsystems at once, from the model's offsets
-    and the hop counts of one incoming search each, then sliced.
+    ``d`` or ``horizon`` that is not an integer raises ValueError, and a graph
+    without an edge for each block where the model stores an entry raises
+    ModelValidationError (extra edges only widen the footprint).  The arrays
+    are built for all subsystems at once, from the model's offsets and the
+    hop counts of one incoming search each, then sliced.
     """
     d, horizon = check_int("d", d), check_int("horizon", horizon)
     if d < 0:
@@ -315,6 +284,8 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
         raise ValueError("horizon must be at least 1")
     if graph.n_vertices != model.n_subsystems:
         raise ModelValidationError("graph and model disagree on subsystem count")
+    for i, j in sorted(build_graph(model).edges - graph.edges)[:1]:
+        raise ModelValidationError(f"graph has no edge ({i}, {j}), but the model stores an entry in block ({i}, {j})")
 
     n_sub = model.n_subsystems
     n, p, t_hor = model.n_states, model.n_inputs, horizon
@@ -328,14 +299,16 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
                              n * (t_hor + 1) + u_off[:, None] + np.arange(t_hor) * p], axis=1)
     lengths = np.repeat([x_dim, u_dim], [t_hor + 1, t_hor], axis=0).T.ravel()
     rows = ranges(starts.ravel(), lengths)
-    is_state = rows < n * (t_hor + 1)
     n_x = (t_hor + 1) * x_dim
     n_own = n_x + t_hor * u_dim  # rows per subsystem
     row_end = np.cumsum(n_own)
 
     # one incoming search per subsystem to d+1 hops; its hop counts, in owner
     # order, give the coupled columns and their d-hop subset
-    in_hops = [_hops(graph, graph._pred, i, d + 1) for i in range(1, n_sub + 1)]
+    pred = [[] for _ in range(n_sub + 1)]
+    for i, j in graph.edges:
+        pred[i].append(j)
+    in_hops = [_hops(pred, i, d + 1) for i in range(1, n_sub + 1)]
     pairs = np.array([(i, j - 1, h) for i, hops in enumerate(in_hops) for j, h in sorted(hops.items())])
     i, j, near = pairs[:, 0], pairs[:, 1], pairs[:, 2] <= d
     row_cols = ranges(x_off[j], x_dim[j])
@@ -356,11 +329,10 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
         SubsystemIndex(
             sub_id=k + 1,
             rows=rows[r0:r1],
-            row_is_state=is_state[r0:r1],
             cols=rows[r0 : r0 + model.state_dims[k]],  # its time-0 state rows
             row_cols=row_cols[c0:c1],
             col_rows=keys[a:b] - k * n_rows,
-            row_mask=~is_state[r0:r1, None] | in_d[c0:c1],
+            row_mask=(rows[r0:r1, None] >= n * (t_hor + 1)) | in_d[c0:c1],  # input rows reach all
         )
         for k, ((r0, r1), (c0, c1), (a, b)) in enumerate(bounds)
     )

@@ -22,9 +22,8 @@ from dlmpc import (
     Scenario,
     ScenarioConfig,
     build_chain_model,
+    build_locality_index,
     build_scenario,
-    d_in_set,
-    d_out_set,
     project_column,
     run_closed_loop,
     run_scaling_sweep,
@@ -372,13 +371,12 @@ def test_row_routes_produce_same_trajectories(tracking_runs):
     )
 
 
-def test_information_sets_on_reference_network(six_node_graph):
-    in5 = d_in_set(six_node_graph, 5, 1)
-    out5 = d_out_set(six_node_graph, 5, 1)
-    membership = all(
-        r in d_in_set(six_node_graph, r, 1) and r in d_out_set(six_node_graph, r, 1)
-        for r in range(1, 7)
-    )
+def test_information_sets_on_reference_network(six_node_graph, six_node_model):
+    # at d = 0 the index's footprint sets are the 1-hop in-sets; the out-sets are their transpose
+    in_sets = build_locality_index(six_node_graph, six_node_model, d=0, horizon=1).in_sets_ext
+    out_sets = [{i for i, s in enumerate(in_sets, start=1) if r in s} for r in range(1, 7)]
+    in5, out5 = in_sets[4], out_sets[4]
+    membership = all(r in in_sets[r - 1] and r in out_sets[r - 1] for r in range(1, 7))
     ok = {3, 4} <= in5 and {4, 6} <= out5 and membership
     assert _verdict(
         10, ok,

@@ -521,7 +521,8 @@ class TestConvergenceControl:
         engine.solve_step(xb)
         u = np.zeros(sc.model.n_inputs)
         for i in range(1, sc.model.n_subsystems + 1):
-            u[sc.model.input_indices(i)] = engine.extract_control(ra.state, i)
+            off = sc.model.input_offsets[i - 1]
+            u[off : off + sc.model.input_dims[i - 1]] = engine.extract_control(ra.state, i)
         np.testing.assert_array_equal(u, ra.u)
 
     def test_extraction_rejects_ids_outside_one_to_n(self):
@@ -896,7 +897,7 @@ class PerSubsystemRows(DlmpcEngine):
             state.phi_r[i - 1][...] = closed_form(terms, a, state.rho)[0]
 
     def extract_control(self, state, i):
-        u0 = np.count_nonzero(self.index.subsystem(i).row_is_state)
+        u0 = (self.index.horizon + 1) * self.model.state_dims[i - 1]
         rows = state.phi_r[i - 1][u0 : u0 + self.model.input_dims[i - 1]]
         return rows @ state.own_terms[i - 1].x0[-1]
 
@@ -965,7 +966,7 @@ class TestRowStep:
         )
         engine = sc.make_engine()
         full = sc.initial_state()
-        last = sc.model.state_indices(sc.model.n_subsystems)
+        last = sc.index.subsystems[-1].cols
         at_last = np.zeros_like(full)
         at_last[last] = full[last]
         regions, zero_rows = set(), 0
@@ -989,7 +990,7 @@ class TestRowStep:
         sc = build_scenario(ScenarioConfig(n_subsystems=6, horizon=3))
         engine = sc.make_engine()
         x0 = np.zeros(sc.model.n_states)
-        x0[sc.model.state_indices(1)] = 0.5
+        x0[sc.index.subsystem(1).cols] = 0.5
         state = engine.init_state()
         state.x0 = x0
         engine.measure(state)
@@ -1080,7 +1081,7 @@ class TestRowStep:
         engine, weight = sc.make_engine(row_solver=RowSolverKind.QP), profile_rows(sc)[0]
         width = max(sub.row_cols.size for sub in sc.index.subsystems)
         full = sc.initial_state()
-        last = sc.model.state_indices(sc.model.n_subsystems)
+        last = sc.index.subsystems[-1].cols
         at_last = np.zeros_like(full)
         at_last[last] = full[last]
         zero_rows = 0

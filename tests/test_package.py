@@ -34,8 +34,19 @@ REMOVED = (
     (dlmpc.FeasibilityOperator, "projector"),
     (dlmpc.Graph, "successors"),
     (dlmpc.Graph, "predecessors"),
+    (dlmpc, "d_in_set"),
+    (dlmpc, "d_out_set"),
+    (dlmpc.topology, "d_in_set"),
+    (dlmpc.topology, "d_out_set"),
+    (dlmpc.NetworkModel, "state_indices"),
+    (dlmpc.NetworkModel, "input_indices"),
 )
-REMOVED_FIELDS = ((dlmpc.AdmmState, "psi_r"), (dlmpc.AdmmState, "lam_r"), (dlmpc.Scenario, "graph"))
+REMOVED_FIELDS = (
+    (dlmpc.AdmmState, "psi_r"),
+    (dlmpc.AdmmState, "lam_r"),
+    (dlmpc.Scenario, "graph"),
+    (dlmpc.SubsystemIndex, "row_is_state"),
+)
 
 
 def test_every_export_resolves_once():
@@ -48,6 +59,9 @@ def test_every_export_resolves_once():
 def test_test_only_names_are_gone():
     assert not [(owner, name) for owner, name in REMOVED if hasattr(owner, name)]
     assert not [(cls, name) for cls, name in REMOVED_FIELDS if name in {f.name for f in dataclasses.fields(cls)}]
+    assert not {"d_in_set", "d_out_set"} & set(dlmpc.__all__)
+    # a graph is its vertex count and edges, with no predecessor table beside them
+    assert vars(dlmpc.Graph(2, {(2, 1)})).keys() == {"n_vertices", "edges"}
     # the interior-point iteration cap is a module constant, not a setting
     assert list(inspect.signature(dlmpc.solve_qp).parameters) == ["qp", "tol"]
     # a report must carry every key: no momentum-count defaults to fall back on

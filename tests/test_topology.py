@@ -13,8 +13,6 @@ from dlmpc import (
     build_chain_model,
     build_graph,
     build_locality_index,
-    d_in_set,
-    d_out_set,
     packet_within_locality,
 )
 from oracles import dense_dynamics, input_free_chain, mixed_dims_chain, reach
@@ -46,6 +44,27 @@ def zero_entries_model():
     )
 
 
+def hop_sets(graph, model, d):
+    """Each subsystem's d-hop in-set, read twice off the index.
+
+    Once as the owners of the columns that its state rows reach at locality
+    d, once (for d >= 1) as ``in_sets_ext`` at locality d - 1; the two must
+    agree.
+    """
+    idx = build_locality_index(graph, model, d, 1)
+    owner = np.repeat(np.arange(1, model.n_subsystems + 1), model.state_dims)
+    state_rows = [s.row_mask[s.rows < model.n_states * (idx.horizon + 1)] for s in idx.subsystems]
+    sets = [frozenset(owner[s.row_cols[m.any(axis=0)]].tolist()) for s, m in zip(idx.subsystems, state_rows)]
+    if d >= 1:
+        assert list(build_locality_index(graph, model, d - 1, 1).in_sets_ext) == sets
+    return sets
+
+
+def out_sets(in_sets):
+    """The transpose of the in-sets: who each subsystem reaches."""
+    return [frozenset(i for i, s in enumerate(in_sets, start=1) if j in s) for j in range(1, len(in_sets) + 1)]
+
+
 def two_node_model():
     return NetworkModel(
         state_dims=(2, 1),
@@ -67,8 +86,6 @@ class TestNetworkModel:
         assert m.n_inputs == 2
         assert m.state_offsets == (0, 2)
         assert m.input_offsets == (0, 1)
-        assert m.state_indices(2).tolist() == [2]
-        assert m.input_indices(1).tolist() == [0]
 
     def test_full_matrices(self):
         m = two_node_model()
@@ -144,24 +161,20 @@ class TestNetworkModel:
         m = build_chain_model(3)
         index = build_locality_index(build_graph(m), m, 1, 2)
         for i in (0, -1, 4):
-            for accessor in (m.state_indices, m.input_indices, index.subsystem):
-                with pytest.raises(IndexError, match=rf"^subsystem id {i} outside 1\.\.3$"):
-                    accessor(i)
+            with pytest.raises(IndexError, match=rf"^subsystem id {i} outside 1\.\.3$"):
+                index.subsystem(i)
 
     def test_ids_that_are_not_integers_raise(self):
         # 2.0 must neither name subsystem 2 nor raise a bare TypeError
         m = build_chain_model(3)
         graph = build_graph(m)
         index = build_locality_index(graph, m, 1, 2)
-        accessors = (m.state_indices, m.input_indices, index.subsystem,
-                     lambda i: d_in_set(graph, i, 1), lambda i: d_out_set(graph, i, 1))
         for i in (2.0, True, "2"):
-            for accessor in accessors:
-                with pytest.raises(ValueError, match=rf"^subsystem id must be an integer, got {i!r}$"):
-                    accessor(i)
+            with pytest.raises(ValueError, match=rf"^subsystem id must be an integer, got {i!r}$"):
+                index.subsystem(i)
         # numpy integers count, and the hop sets hold plain ints
         assert index.subsystem(np.int64(2)) is index.subsystem(2)
-        assert all(type(j) is int for j in d_in_set(graph, np.int64(2), 1))
+        assert all(type(j) is int for in_set in index.in_sets_ext for j in in_set)
 
     def test_rejects_nonpositive_state_dim(self):
         with pytest.raises(ModelValidationError):
@@ -175,7 +188,9 @@ class TestNetworkModel:
             b_blocks={(1, 1): np.ones((1, 1))},
         )
         assert m.n_inputs == 1
-        assert m.input_indices(2).size == 0
+        # subsystem 2 owns state rows only
+        sub = build_locality_index(build_graph(m), m, 0, 2).subsystem(2)
+        assert sub.rows.tolist() == [1, 3, 5]
 
 
 class TestGraph:
@@ -216,41 +231,32 @@ class TestGraph:
         )
         assert build_graph(m).edges == {(1, 1), (2, 2)}
 
-    def test_six_node_reach_sets(self, six_node_graph):
-        g = six_node_graph
-        assert d_in_set(g, 5, 1) == frozenset({3, 4, 5})
-        assert d_out_set(g, 5, 1) == frozenset({4, 5, 6})
-        assert d_in_set(g, 5, 2) == frozenset({2, 3, 4, 5})
-        assert d_out_set(g, 5, 2) == frozenset({4, 5, 6})
+    def test_six_node_reach_sets(self, six_node_model, six_node_graph):
+        in1, in2 = (hop_sets(six_node_graph, six_node_model, d) for d in (1, 2))
+        assert in1[4] == frozenset({3, 4, 5})
+        assert out_sets(in1)[4] == frozenset({4, 5, 6})
+        assert in2[4] == frozenset({2, 3, 4, 5})
+        assert out_sets(in2)[4] == frozenset({4, 5, 6})
 
-    def test_self_membership_always(self, six_node_graph):
-        for i in range(1, 7):
-            for d in range(4):
-                assert i in d_in_set(six_node_graph, i, d)
-                assert i in d_out_set(six_node_graph, i, d)
+    def test_self_membership_always(self, six_node_model, six_node_graph):
+        for d in range(4):
+            in_sets = hop_sets(six_node_graph, six_node_model, d)
+            near = reach(six_node_model, d)
+            for i in range(1, 7):
+                assert i in in_sets[i - 1] and i in out_sets(in_sets)[i - 1]
+                assert in_sets[i - 1] == set(np.flatnonzero(near[i - 1]) + 1)
 
-    def test_zero_radius(self, six_node_graph):
-        assert d_in_set(six_node_graph, 2, 0) == frozenset({2})
+    def test_zero_radius(self, six_node_model, six_node_graph):
+        in_sets = hop_sets(six_node_graph, six_node_model, 0)
+        assert in_sets[1] == frozenset({2})
+        assert in_sets == out_sets(in_sets) == [frozenset({i}) for i in range(1, 7)]
 
     def test_chain_sets(self):
-        g = build_graph(build_chain_model(5))
-        assert d_in_set(g, 3, 1) == frozenset({2, 3, 4})
-        assert d_out_set(g, 3, 1) == frozenset({2, 3, 4})
-        assert d_in_set(g, 1, 2) == frozenset({1, 2, 3})
-
-    def test_hop_count_must_be_an_integer(self):
-        g = build_graph(build_chain_model(4))
-        for hop_set in (d_in_set, d_out_set):
-            for bad in (True, 1.5, None):
-                with pytest.raises(ValueError, match=rf"^hop count must be an integer, got {bad!r}$"):
-                    hop_set(g, 1, bad)
-            assert hop_set(g, 1, np.int64(1)) == frozenset({1, 2})
-
-    def test_bad_vertex_raises(self, six_node_graph):
-        with pytest.raises(IndexError):
-            d_in_set(six_node_graph, 7, 1)
-        with pytest.raises(ValueError):
-            d_out_set(six_node_graph, 1, -1)
+        m = build_chain_model(5)
+        g = build_graph(m)
+        assert hop_sets(g, m, 1)[2] == frozenset({2, 3, 4})
+        assert out_sets(hop_sets(g, m, 1))[2] == frozenset({2, 3, 4})
+        assert hop_sets(g, m, 2)[0] == frozenset({1, 2, 3})
 
 
 class TestLocalityIndex:
@@ -262,8 +268,9 @@ class TestLocalityIndex:
         t_hor, n = idx.horizon, idx.n_states
         expected_state_rows = [t * n + 4 for t in range(t_hor + 1)]
         expected_input_rows = [n * (t_hor + 1) + t * 6 + 4 for t in range(t_hor)]
-        assert sub.rows[sub.row_is_state].tolist() == expected_state_rows
-        assert sub.rows[~sub.row_is_state].tolist() == expected_input_rows
+        is_state = sub.rows < n * (t_hor + 1)
+        assert sub.rows[is_state].tolist() == expected_state_rows
+        assert sub.rows[~is_state].tolist() == expected_input_rows
 
     @pytest.mark.parametrize("name", ["mixed", "input-free"])
     @pytest.mark.parametrize("d", [0, 1, 2])
@@ -279,9 +286,11 @@ class TestLocalityIndex:
         rebuilt, covered = np.zeros(mask.shape, dtype=bool), np.zeros(mask.shape, dtype=int)
         for sub in idx.subsystems:
             i = sub.sub_id
-            xi, ui = model.state_indices(i), model.input_indices(i)
-            assert sub.rows[sub.row_is_state].tolist() == [t * n + x for t in range(horizon + 1) for x in xi]
-            assert sub.rows[~sub.row_is_state].tolist() == [
+            xi = model.state_offsets[i - 1] + np.arange(model.state_dims[i - 1])
+            ui = model.input_offsets[i - 1] + np.arange(model.input_dims[i - 1])
+            is_state = sub.rows < n * (horizon + 1)
+            assert sub.rows[is_state].tolist() == [t * n + x for t in range(horizon + 1) for x in xi]
+            assert sub.rows[~is_state].tolist() == [
                 n * (horizon + 1) + t * p + u for t in range(horizon) for u in ui
             ]
             np.testing.assert_array_equal(sub.cols, xi)
@@ -301,7 +310,7 @@ class TestLocalityIndex:
         for r, row in enumerate(sub.rows):
             allowed = set(sub.row_cols[sub.row_mask[r]].tolist())
             assert allowed == set(np.flatnonzero(ref[row]).tolist())
-            if sub.row_is_state[r]:
+            if row < idx.n_states * (idx.horizon + 1):
                 # state row of node 5 may touch columns of its 1-hop incoming set
                 assert allowed == {2, 3, 4}
             else:
@@ -338,16 +347,12 @@ class TestLocalityIndex:
         idx = build_locality_index(graph, model, d=1, horizon=4)
         for sub in idx.subsystems:
             # state rows allow exactly the incoming-set columns
-            srows = sub.row_mask[sub.row_is_state]
-            allowed = set(sub.row_cols[np.where(srows[0])[0]].tolist())
-            expected = set(
-                np.concatenate(
-                    [model.state_indices(j) for j in d_in_set(graph, sub.sub_id, idx.d)]
-                ).tolist()
-            )
+            is_state = sub.rows < idx.n_states * (idx.horizon + 1)
+            allowed = set(sub.row_cols[np.where(sub.row_mask[is_state][0])[0]].tolist())
+            expected = set(np.flatnonzero(np.repeat(reach(model, idx.d)[sub.sub_id - 1], model.state_dims)).tolist())
             assert allowed == expected
             # input rows use the full extended footprint
-            assert np.all(sub.row_mask[~sub.row_is_state])
+            assert np.all(sub.row_mask[~is_state])
 
         # hop sets and coupled slices against adjacency powers, also on the
         # directed six-node graph, where in-sets and out-sets differ
@@ -358,11 +363,13 @@ class TestLocalityIndex:
                 near, far = reach(model, d), reach(model, d + 1)
                 mask = reference_mask(model, d, horizon)
                 idx = build_locality_index(graph, model, d, horizon)
+                in_sets = hop_sets(graph, model, d)
                 for sub in idx.subsystems:
                     i = sub.sub_id
-                    assert d_in_set(graph, i, d) == set(np.flatnonzero(near[i - 1]) + 1)
-                    assert d_out_set(graph, i, d) == set(np.flatnonzero(near[:, i - 1]) + 1)
+                    assert in_sets[i - 1] == set(np.flatnonzero(near[i - 1]) + 1)
+                    assert out_sets(in_sets)[i - 1] == set(np.flatnonzero(near[:, i - 1]) + 1)
                     assert idx.in_sets_ext[i - 1] == set(np.flatnonzero(far[i - 1]) + 1)
+                    assert out_sets(idx.in_sets_ext)[i - 1] == set(np.flatnonzero(far[:, i - 1]) + 1)
                     np.testing.assert_array_equal(sub.row_cols, np.flatnonzero(mask[sub.rows].any(axis=0)))
                     np.testing.assert_array_equal(sub.col_rows, np.flatnonzero(mask[:, sub.cols].any(axis=1)))
                     np.testing.assert_array_equal(sub.row_mask, mask[np.ix_(sub.rows, sub.row_cols)])
@@ -402,10 +409,26 @@ class TestLocalityIndex:
         assert (idx.d, idx.horizon) == (1, 3)
         assert type(idx.d) is int and type(idx.horizon) is int
 
+    @pytest.mark.parametrize("graph", ["edge-dropped", "chain"])
+    def test_graph_must_carry_every_coupling(self, graph, six_node_model, six_node_graph):
+        # both once built an index without the coupling 3 -> 5 that the model stores
+        graph = {"edge-dropped": Graph(6, six_node_graph.edges - {(5, 3)}),
+                 "chain": build_graph(build_chain_model(6))}[graph]
+        with pytest.raises(ModelValidationError, match=r"^graph has no edge \(5, 3\), but the model stores an entry "
+                                                       r"in block \(5, 3\)$"):
+            build_locality_index(graph, six_node_model, d=1, horizon=3)
+
+    def test_a_wider_graph_is_accepted(self, six_node_model, six_node_graph):
+        # an edge the model does not need only widens the footprint
+        wider = build_locality_index(Graph(6, six_node_graph.edges | {(1, 6), (6, 1)}), six_node_model, 1, 3)
+        index = build_locality_index(six_node_graph, six_node_model, 1, 3)
+        assert all(a <= b for a, b in zip(index.in_sets_ext, wider.in_sets_ext))
+        assert index.in_sets_ext[0] == {1, 2} and wider.in_sets_ext[0] == {1, 2, 5, 6}
+
     def test_locality_zero_restricts_to_self(self, six_node_model, six_node_graph, reference_mask):
         idx = build_locality_index(six_node_graph, six_node_model, d=0, horizon=2)
         sub = idx.subsystem(1)
-        state_rows = sub.row_mask[sub.row_is_state]
+        state_rows = sub.row_mask[sub.rows < idx.n_states * (idx.horizon + 1)]
         assert all(set(sub.row_cols[m].tolist()) == {0} for m in state_rows)
         ref = reference_mask(six_node_model, d=0, horizon=2)
         assert set(np.flatnonzero(ref[0]).tolist()) == {0}
