@@ -75,7 +75,7 @@ import numpy as np
 from .explicit_row import InfeasibleRowError, RowTerms, apply_law, locate, row_terms
 from .qp import QpStatus, check_x0, row_qp, solve_qp, stacked_profiles
 from .sls import FeasibilityOperator, project_column
-from .topology import LocalityIndex, NetworkModel, check_id, check_int, check_real
+from .topology import LocalityIndex, check_id, check_int, check_real
 
 ALPHA = 1.5  # relaxation weight on the fresh phi
 BALANCE = 10.0  # residual ratio beyond which rho moves
@@ -216,21 +216,21 @@ class DlmpcEngine:
     """Bulk-synchronous distributed MPC solver for one scenario.
 
     Holds everything that is fixed across MPC steps: index sets, column
-    projectors, per-row cost/bound profiles and the exchange plan.  The row
-    layout is one padded table of each entry's global column, and the row
-    masks, the entries' keys and x0 components and the exchange plan (the
-    masked entries sorted by column owner, then key) are read off it; an
-    index whose column blocks are not exactly those entries raises
-    RuntimeError.  The profiles are those of
-    :func:`dlmpc.qp.stacked_profiles`, which checks them (the centralized
-    baseline reads the same), with the root of each row's cost as its
-    weight.  One call to :meth:`solve_step` runs the consensus iteration for
-    a measured state and returns the applied input with diagnostics.
+    projectors, per-row cost/bound profiles and the exchange plan, all read
+    off the index and the operator (it takes no model).  The row layout is
+    one padded table of each entry's global column, and the row masks, the
+    entries' keys and x0 components and the exchange plan (the masked
+    entries sorted by column owner, then key) are read off it; an index
+    whose column blocks are not exactly those entries raises RuntimeError.
+    The profiles are those of :func:`dlmpc.qp.stacked_profiles`, which
+    checks them (the centralized baseline reads the same), with the root of
+    each row's cost as its weight.  One call to :meth:`solve_step` runs the
+    consensus iteration for a measured state and returns the applied input
+    with diagnostics.
     """
 
     def __init__(
         self,
-        model: NetworkModel,
         index: LocalityIndex,
         op: FeasibilityOperator,
         *,
@@ -257,7 +257,6 @@ class DlmpcEngine:
             raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
         if not isinstance(row_solver, RowSolverKind):
             raise ValueError(f"row_solver must be one of {list(RowSolverKind)}, got {row_solver!r}")
-        self.model = model
         self.index = index
         self.op = op
         self.rho = float(rho)
@@ -267,9 +266,9 @@ class DlmpcEngine:
         self.row_solver = row_solver
         self.record_packets = record_packets
 
-        n = model.n_states
+        n = index.n_states
         cost, lo, hi = stacked_profiles(
-            n, model.n_inputs, index.horizon, q_diag, r_diag, qt_diag, state_lb, state_ub, input_lb, input_ub
+            n, index.n_inputs, index.horizon, q_diag, r_diag, qt_diag, state_lb, state_ub, input_lb, input_ub
         )
         subs = index.subsystems
         heights, widths = np.array([(s.rows.size, s.row_cols.size) for s in subs]).T
@@ -301,7 +300,7 @@ class DlmpcEngine:
         # then key, which is column-buffer order (owners in id order, each
         # block in C order over ascending col_rows x cols)
         masked = np.flatnonzero(self._mask)
-        col_owner = np.repeat(np.arange(len(subs), dtype=np.int64), model.state_dims)[col.ravel()[masked]]
+        col_owner = np.repeat(np.arange(len(subs), dtype=np.int64), [s.cols.size for s in subs])[col.ravel()[masked]]
         self._src = masked[np.argsort(col_owner * (index.n_rows * n) + self._row_keys[masked])]
         self._col_offsets = np.concatenate(([0], np.cumsum(np.bincount(col_owner, minlength=len(subs)))))
         col_keys = np.concatenate([(s.col_rows[:, None] * n + s.cols).ravel() for s in subs])
@@ -444,7 +443,7 @@ class DlmpcEngine:
         """
         primal, dual = float(np.max(state.primal)), float(np.max(state.dual))
         state.residual_history.append((primal, dual))
-        if np.all(state.primal <= self.eps_primal) and np.all(state.dual <= self.eps_dual):
+        if primal <= self.eps_primal and dual <= self.eps_dual:
             return True
         if primal > BALANCE * state.rho * dual:
             factor = RHO_FACTOR
@@ -551,9 +550,10 @@ class DlmpcEngine:
         # first; they span the whole coupled slice, so the last row's x0 block
         # is the bare slice (an input-free subsystem has no rows to multiply)
         i = check_id(i, len(self.index.subsystems))
-        u0 = (self.index.horizon + 1) * self.model.state_dims[i - 1]
+        sub, t_hor = self.index.subsystems[i - 1], self.index.horizon
+        u0 = (t_hor + 1) * sub.cols.size  # its state rows; the rest are T per input
         phi, last = state.phi_r[i - 1], self._spans[i - 1].stop - 1
-        return phi[u0 : u0 + self.model.input_dims[i - 1]] @ state.terms.x0[last, : phi.shape[1]]
+        return phi[u0 : u0 + (sub.rows.size - u0) // t_hor] @ state.terms.x0[last, : phi.shape[1]]
 
     # -- full step --------------------------------------------------------------
 
@@ -581,7 +581,7 @@ class DlmpcEngine:
         Raises :class:`ConvergenceError` with the residual trace, the final
         rho and the straggling subsystems if the iteration cap is hit first.
         """
-        x0 = check_x0(x0, self.model.n_states)
+        x0 = check_x0(x0, self.index.n_states)
         state = self.init_state(warm_state)
         state.x0 = x0
 

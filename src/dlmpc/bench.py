@@ -123,28 +123,42 @@ def build_chain_model(n_subsystems: int) -> NetworkModel:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A config bound to its model, locality index and feasibility operator."""
+    """A config bound to its model, locality index and feasibility operator; :meth:`profiles` derives the rest."""
 
     config: ScenarioConfig
     model: NetworkModel
     index: LocalityIndex
     op: FeasibilityOperator
-    q_diag: np.ndarray
-    r_diag: np.ndarray
-    qt_diag: np.ndarray
-    state_lb: np.ndarray
-    state_ub: np.ndarray
-    input_lb: np.ndarray
-    input_ub: np.ndarray
 
     def initial_state(self) -> np.ndarray:
         rng = np.random.default_rng(self.config.seed)
         return rng.uniform(0.0, 1.0, self.model.n_states)
 
     def profiles(self) -> dict:
-        """The cost and box profiles, keyed by their engine argument names."""
-        names = ("q_diag", "r_diag", "qt_diag", "state_lb", "state_ub", "input_lb", "input_ub")
-        return {name: getattr(self, name) for name in names}
+        """The config's cost and box profiles, keyed by their engine argument names.
+
+        A box on a state component some subsystem lacks raises ValueError.
+        """
+        cfg, model = self.config, self.model
+        n, p = model.n_states, model.n_inputs
+        boxed = cfg.case is not Case.UNCONSTRAINED
+        state_lb, state_ub = np.full(n, -np.inf), np.full(n, np.inf)
+        if boxed:
+            comp = cfg.bound_component
+            for i, dim in enumerate(model.state_dims, start=1):
+                if not 0 <= comp < dim:
+                    raise ValueError(f"bound_component {comp} out of range for subsystem {i}")
+            at = np.asarray(model.state_offsets) + comp
+            state_lb[at], state_ub[at] = cfg.state_lower, cfg.state_upper
+        return dict(
+            q_diag=np.full(n, cfg.state_weight),
+            r_diag=np.full(p, cfg.input_weight),
+            qt_diag=np.full(n, cfg.terminal_weight),
+            state_lb=state_lb,
+            state_ub=state_ub,
+            input_lb=np.full(p, cfg.input_lower if boxed else -np.inf),
+            input_ub=np.full(p, cfg.input_upper if boxed else np.inf),
+        )
 
     def make_engine(self, **overrides) -> DlmpcEngine:
         cfg = self.config
@@ -157,11 +171,11 @@ class Scenario:
             row_solver=RowSolverKind.QP if cfg.case is Case.SOLVER else RowSolverKind.EXPLICIT,
         )
         kwargs.update(overrides)
-        return DlmpcEngine(self.model, self.index, self.op, **kwargs)
+        return DlmpcEngine(self.index, self.op, **kwargs)
 
 
 def build_scenario(config: ScenarioConfig, model: NetworkModel | None = None) -> Scenario:
-    """Assemble index sets, constraint operator and cost/bound vectors."""
+    """Assemble the index sets and constraint operator, and check the config's box against the model."""
     model = build_chain_model(config.n_subsystems) if model is None else model
     if model.n_subsystems != config.n_subsystems:
         raise ValueError(
@@ -169,34 +183,9 @@ def build_scenario(config: ScenarioConfig, model: NetworkModel | None = None) ->
             f"the configuration {config.n_subsystems}"
         )
     index = build_locality_index(build_graph(model), model, config.locality, config.horizon)
-    op = assemble_feasibility_operator(model, index)
-    n, p = model.n_states, model.n_inputs
-    state_lb = np.full(n, -np.inf)
-    state_ub = np.full(n, np.inf)
-    input_lb = np.full(p, -np.inf)
-    input_ub = np.full(p, np.inf)
-    if config.case is not Case.UNCONSTRAINED:
-        comp = config.bound_component
-        for i, dim in enumerate(model.state_dims, start=1):
-            if not 0 <= comp < dim:
-                raise ValueError(f"bound_component {comp} out of range for subsystem {i}")
-        at = np.asarray(model.state_offsets) + comp
-        state_lb[at], state_ub[at] = config.state_lower, config.state_upper
-        input_lb[:] = config.input_lower
-        input_ub[:] = config.input_upper
-    return Scenario(
-        config=config,
-        model=model,
-        index=index,
-        op=op,
-        q_diag=np.full(n, config.state_weight),
-        r_diag=np.full(p, config.input_weight),
-        qt_diag=np.full(n, config.terminal_weight),
-        state_lb=state_lb,
-        state_ub=state_ub,
-        input_lb=input_lb,
-        input_ub=input_ub,
-    )
+    scenario = Scenario(config, model, index, assemble_feasibility_operator(model, index))
+    scenario.profiles()  # a bound_component out of range raises here
+    return scenario
 
 
 def realized_cost(states: np.ndarray, inputs: np.ndarray, q_diag, r_diag) -> float:
@@ -266,7 +255,8 @@ def _simulate(scenario: Scenario, policy, sim_steps: int | None, x0: np.ndarray 
         states.append(x.copy())
     states = np.asarray(states)
     inputs = np.asarray(inputs).reshape(sim_steps, model.n_inputs)
-    return states, inputs, realized_cost(states, inputs, scenario.q_diag, scenario.r_diag)
+    prof = scenario.profiles()
+    return states, inputs, realized_cost(states, inputs, prof["q_diag"], prof["r_diag"])
 
 
 def run_closed_loop(
@@ -331,7 +321,8 @@ def centralized_closed_loop(
 
 def box_violation(report: RunReport, scenario: Scenario) -> float:
     """Largest realized violation of the state box after the initial step."""
-    lb, ub = scenario.state_lb, scenario.state_ub
+    prof = scenario.profiles()
+    lb, ub = prof["state_lb"], prof["state_ub"]
     states = report.states[1:]
     # an unbounded component's excess is -inf, below the floor of 0
     return float(np.max(np.maximum(states - ub, lb - states), initial=0.0))

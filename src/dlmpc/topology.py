@@ -3,8 +3,8 @@
 A networked linear system ``x(t+1) = A x(t) + B u(t)`` is split into N
 subsystems with block-partitioned dynamics, which the model assembles once
 into the sparse A and B that every reader uses.  The directed
-interconnection graph carries an arrow ``j -> i`` whenever A or B stores an
-entry in block ``(i, j)``, i.e. whenever subsystem j influences subsystem i.
+interconnection graph carries an arrow ``j -> i`` for each of the model's
+couplings: the blocks ``(i, j)`` where A or B stores an entry.
 Bounded-hop incoming sets of that graph, which must carry every coupling
 the model stores, decide which entries of the closed-loop response maps may
 be nonzero; each subsystem's row mask states that once (its state rows reach
@@ -83,11 +83,11 @@ def _as_block_dict(kind: str, blocks) -> dict:
     return out
 
 
-def _assemble(kind: str, blocks: dict, row_offsets: tuple, col_offsets: tuple) -> sp.coo_matrix:
-    """Blocks of checked shapes as one matrix of their nonzero entries, in one pass.
+def _assemble(kind: str, blocks: dict, row_offsets: tuple, col_offsets: tuple) -> tuple:
+    """Blocks of checked shapes as one matrix of their nonzero entries, and the keys of the blocks that have one.
 
-    The offsets end with the total; a non-finite entry raises, naming its
-    block and its place in it.
+    One pass; the offsets end with the total; a non-finite entry raises,
+    naming its block and its place in it.
     """
     row_offsets, col_offsets = np.asarray(row_offsets), np.asarray(col_offsets)
     keys = np.array(list(blocks), dtype=np.int64).reshape(-1, 2) - 1
@@ -101,7 +101,8 @@ def _assemble(kind: str, blocks: dict, row_offsets: tuple, col_offsets: tuple) -
         raise ModelValidationError(f"{kind}_blocks[({i},{j})] entry ({r[e]},{c[e]}) is {vals[e]}, must be finite")
     keep = vals != 0.0
     rows, cols = row_offsets[keys[owner[keep], 0]] + r[keep], col_offsets[keys[owner[keep], 1]] + c[keep]
-    return sp.coo_matrix((vals[keep], (rows, cols)), shape=(row_offsets[-1], col_offsets[-1]))
+    stored = np.bincount(owner[keep], minlength=len(keys)) > 0
+    return sp.coo_matrix((vals[keep], (rows, cols)), shape=(row_offsets[-1], col_offsets[-1])), keys[stored] + 1
 
 
 @dataclass(frozen=True)
@@ -114,9 +115,9 @@ class NetworkModel:
     shape ``(state_dims[i-1], input_dims[j-1])``, every entry finite, and
     every dimension and block id is an integer.  Fixed at construction: the
     totals ``n_states``/``n_inputs``, the offsets ``state_offsets``/
-    ``input_offsets``, and the one assembly of A and B that the package
-    reads: sparse COO matrices ``a`` (n x n) and ``b`` (n x p) that store
-    no zero entry.
+    ``input_offsets``, the one assembly of A and B that the package reads:
+    sparse COO matrices ``a`` (n x n) and ``b`` (n x p) that store no zero
+    entry, and the ``couplings``, the keys of the blocks where either does.
     """
 
     state_dims: tuple
@@ -129,6 +130,7 @@ class NetworkModel:
     input_offsets: tuple = field(init=False, repr=False, compare=False)
     a: sp.coo_matrix = field(init=False, repr=False, compare=False)
     b: sp.coo_matrix = field(init=False, repr=False, compare=False)
+    couplings: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("state_dims", "input_dims"):
@@ -157,8 +159,11 @@ class NetworkModel:
                     raise ModelValidationError(f"{name} has shape {blk.shape}, expected {want}")
         x_offs = tuple(accumulate(self.state_dims, initial=0))
         u_offs = tuple(accumulate(self.input_dims, initial=0))
-        object.__setattr__(self, "a", _assemble("a", self.a_blocks, x_offs, x_offs))
-        object.__setattr__(self, "b", _assemble("b", self.b_blocks, x_offs, u_offs))
+        a, a_keys = _assemble("a", self.a_blocks, x_offs, x_offs)
+        b, b_keys = _assemble("b", self.b_blocks, x_offs, u_offs)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "couplings", frozenset(zip(*np.concatenate([a_keys, b_keys]).T.tolist())))
         object.__setattr__(self, "n_states", x_offs[-1])
         object.__setattr__(self, "n_inputs", u_offs[-1])
         object.__setattr__(self, "state_offsets", x_offs[:-1])
@@ -189,16 +194,12 @@ class Graph:
 
 
 def build_graph(model: NetworkModel) -> Graph:
-    """Interconnection graph from the entries stored in ``model.a`` and ``model.b``.
+    """Interconnection graph whose edges are ``model.couplings``.
 
-    Neither stores a zero, so a block that is present but identically zero
+    A block that is present but identically zero stores no entry and so
     contributes no edge: the edge set matches the exact nonzero support.
     """
-    ids = np.arange(1, model.n_subsystems + 1)
-    x_owner, u_owner = np.repeat(ids, model.state_dims), np.repeat(ids, model.input_dims)
-    rows = x_owner[np.concatenate([model.a.row, model.b.row])]
-    cols = np.concatenate([x_owner[model.a.col], u_owner[model.b.col]])
-    return Graph(n_vertices=model.n_subsystems, edges=frozenset(zip(rows.tolist(), cols.tolist())))
+    return Graph(n_vertices=model.n_subsystems, edges=model.couplings)
 
 
 def _hops(pred: list, i: int, d: int) -> dict:
@@ -259,10 +260,6 @@ class LocalityIndex:
     def n_rows(self) -> int:
         return self.n_states * (self.horizon + 1) + self.n_inputs * self.horizon
 
-    def subsystem(self, i: int) -> SubsystemIndex:
-        check_id(i, len(self.subsystems))
-        return self.subsystems[i - 1]
-
 
 def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int) -> LocalityIndex:
     """Derive ownership partitions, coupled slices and row masks for locality d.
@@ -272,8 +269,8 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
     (d+1)-hop incoming set, with state rows masked down to the d-hop subset.
     A column partition holds every row whose mask reaches its columns.  A
     ``d`` or ``horizon`` that is not an integer raises ValueError, and a graph
-    without an edge for each block where the model stores an entry raises
-    ModelValidationError (extra edges only widen the footprint).  The arrays
+    that lacks one of ``model.couplings`` raises ModelValidationError naming
+    the first (extra edges only widen the footprint).  The arrays
     are built for all subsystems at once, from the model's offsets and the
     hop counts of one incoming search each, then sliced.
     """
@@ -284,7 +281,7 @@ def build_locality_index(graph: Graph, model: NetworkModel, d: int, horizon: int
         raise ValueError("horizon must be at least 1")
     if graph.n_vertices != model.n_subsystems:
         raise ModelValidationError("graph and model disagree on subsystem count")
-    for i, j in sorted(build_graph(model).edges - graph.edges)[:1]:
+    for i, j in sorted(model.couplings - graph.edges)[:1]:
         raise ModelValidationError(f"graph has no edge ({i}, {j}), but the model stores an entry in block ({i}, {j})")
 
     n_sub = model.n_subsystems

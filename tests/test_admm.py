@@ -116,7 +116,7 @@ class TestEngineBasics:
     def test_rejects_profiles_of_wrong_length(self, profiles, name):
         sc = small_scenario()
         with pytest.raises(ValueError, match=f"{name} must have 8 entries, got [13]"):
-            DlmpcEngine(sc.model, sc.index, sc.op, **profiles)
+            DlmpcEngine(sc.index, sc.op, **profiles)
 
     @pytest.mark.parametrize(
         "overrides, named",
@@ -169,13 +169,13 @@ class TestEngineBasics:
     def test_rejects_empty_box_at_construction(self, boxes, named):
         sc = small_scenario()
         with pytest.raises(ValueError, match=f"{named}: empty box"):
-            DlmpcEngine(sc.model, sc.index, sc.op, **boxes)
+            DlmpcEngine(sc.index, sc.op, **boxes)
 
     def test_row_profiles_layout(self):
         # distinct weights, so that each row block's weight names its source
         sc = small_scenario(state_weight=3.0, input_weight=0.5, terminal_weight=2.0)
         weight, lo, hi = profile_rows(sc)
-        n, t_hor = sc.model.n_states, sc.config.horizon
+        prof, n, t_hor = sc.profiles(), sc.model.n_states, sc.config.horizon
         assert weight.shape == lo.shape == hi.shape == (sc.index.n_rows,)
         # time-0 state rows carry no weight and no bounds
         assert not weight[:n].any()
@@ -185,11 +185,11 @@ class TestEngineBasics:
         assert np.isinf(hi[n + 1])
         # terminal state rows use the terminal weight
         np.testing.assert_array_equal(
-            weight[t_hor * n : (t_hor + 1) * n], np.sqrt(sc.qt_diag)
+            weight[t_hor * n : (t_hor + 1) * n], np.sqrt(prof["qt_diag"])
         )
         # the t = 1..T-1 state rows use the stage weight, every input row the input weight
-        np.testing.assert_array_equal(weight[n : t_hor * n], np.sqrt(np.tile(sc.q_diag, t_hor - 1)))
-        np.testing.assert_array_equal(weight[(t_hor + 1) * n :], np.sqrt(np.tile(sc.r_diag, t_hor)))
+        np.testing.assert_array_equal(weight[n : t_hor * n], np.sqrt(np.tile(prof["q_diag"], t_hor - 1)))
+        np.testing.assert_array_equal(weight[(t_hor + 1) * n :], np.sqrt(np.tile(prof["r_diag"], t_hor)))
 
 
 class TestDeterminismAndOrder:
@@ -341,13 +341,13 @@ class TestExchanges:
         # a hand-built index whose column partition reaches past the row masks:
         # subsystem 4's state rows do not reach subsystem 1's columns at d=1
         sc = small_scenario()
-        sub = sc.index.subsystem(1)
-        far_row = sc.index.subsystem(4).rows[:1]
+        sub = sc.index.subsystems[0]
+        far_row = sc.index.subsystems[3].rows[:1]
         subs = (dataclasses.replace(sub, col_rows=np.sort(np.concatenate([sub.col_rows, far_row]))),
                 *sc.index.subsystems[1:])
         index = dataclasses.replace(sc.index, subsystems=subs)
         with pytest.raises(RuntimeError, match="^a column-buffer entry has no row-buffer source$"):
-            DlmpcEngine(sc.model, index, sc.op)
+            DlmpcEngine(index, sc.op)
 
     def test_packets_respect_locality(self):
         sc = small_scenario()
@@ -444,7 +444,7 @@ class TestExchanges:
                 assert p.payload.tobytes() == x0[p.cols].tobytes()
                 continue
             owner = p.receiver if p.phase is Phase.ROW_BLOCKS else p.sender  # the column owner
-            sub = sc.index.subsystem(owner)
+            sub = sc.index.subsystems[owner - 1]
             np.testing.assert_array_equal(p.cols, sub.cols)
             want = sent[p.phase][owner - 1][np.searchsorted(sub.col_rows, p.rows)]
             assert p.payload.shape == want.shape and p.payload.tobytes() == want.tobytes()
@@ -486,7 +486,7 @@ class TestExchanges:
         state = res.state
         mask = reference_mask(sc.model, sc.config.locality, sc.config.horizon)
         check_masks(engine, state, mask)
-        sub = sc.index.subsystem(1)
+        sub = sc.index.subsystems[0]
         banned = np.argwhere(~sub.row_mask)
         state.phi_r[0][banned[0][0], banned[0][1]] = 1e-9
         with pytest.raises(AssertionError, match=r"phi row partition: .* subsystem 1 is 1e-09 outside"):
@@ -526,12 +526,23 @@ class TestConvergenceControl:
         np.testing.assert_array_equal(u, ra.u)
 
     def test_extraction_rejects_ids_outside_one_to_n(self):
-        # id 0 must not wrap around to subsystem N's input
+        # id 0 or -1 must not wrap around to subsystem N's input
         sc = small_scenario()
         state = sc.make_engine().solve_step(sc.initial_state()).state
-        for i in (0, 5):
+        for i in (0, -1, 5):
             with pytest.raises(IndexError, match=rf"^subsystem id {i} outside 1\.\.4$"):
                 sc.make_engine().extract_control(state, i)
+
+    def test_extraction_rejects_ids_that_are_not_integers(self):
+        # 2.0 must neither name subsystem 2 nor raise a bare TypeError
+        sc = small_scenario()
+        engine = sc.make_engine()
+        state = engine.solve_step(sc.initial_state()).state
+        for i in (2.0, True, "2"):
+            with pytest.raises(ValueError, match=rf"^subsystem id must be an integer, got {i!r}$"):
+                engine.extract_control(state, i)
+        # numpy integers count
+        np.testing.assert_array_equal(engine.extract_control(state, np.int64(2)), engine.extract_control(state, 2))
 
     def test_per_step_row_terms_follow_rho_and_the_measured_state(self):
         # residual balancing moves rho inside a step; the row step must see
@@ -549,7 +560,7 @@ class TestConvergenceControl:
                 )[0]
 
         reference = WholeClosedForm(
-            sc.model, sc.index, sc.op, **sc.profiles(), rho=cfg.rho, eps_primal=cfg.eps_primal,
+            sc.index, sc.op, **sc.profiles(), rho=cfg.rho, eps_primal=cfg.eps_primal,
             eps_dual=cfg.eps_dual, max_iterations=cfg.max_iterations,
         )
         (got, got_states), (want, want_states) = (
@@ -872,7 +883,7 @@ class PerSubsystemRows(DlmpcEngine):
     def of(cls, sc):
         cfg = sc.config
         engine = cls(
-            sc.model, sc.index, sc.op, **sc.profiles(), rho=cfg.rho, eps_primal=cfg.eps_primal,
+            sc.index, sc.op, **sc.profiles(), rho=cfg.rho, eps_primal=cfg.eps_primal,
             eps_dual=cfg.eps_dual, max_iterations=cfg.max_iterations,
             row_solver=RowSolverKind.QP if cfg.case is Case.SOLVER else RowSolverKind.EXPLICIT,
         )
@@ -897,8 +908,9 @@ class PerSubsystemRows(DlmpcEngine):
             state.phi_r[i - 1][...] = closed_form(terms, a, state.rho)[0]
 
     def extract_control(self, state, i):
-        u0 = (self.index.horizon + 1) * self.model.state_dims[i - 1]
-        rows = state.phi_r[i - 1][u0 : u0 + self.model.input_dims[i - 1]]
+        model = self.scenario.model
+        u0 = (self.index.horizon + 1) * model.state_dims[i - 1]
+        rows = state.phi_r[i - 1][u0 : u0 + model.input_dims[i - 1]]
         return rows @ state.own_terms[i - 1].x0[-1]
 
 
@@ -990,7 +1002,7 @@ class TestRowStep:
         sc = build_scenario(ScenarioConfig(n_subsystems=6, horizon=3))
         engine = sc.make_engine()
         x0 = np.zeros(sc.model.n_states)
-        x0[sc.index.subsystem(1).cols] = 0.5
+        x0[sc.index.subsystems[0].cols] = 0.5
         state = engine.init_state()
         state.x0 = x0
         engine.measure(state)

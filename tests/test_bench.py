@@ -59,15 +59,26 @@ class TestChainBuilder:
         assert sorted(off_diag) == [(1, 2), (2, 1)]
 
     def test_bounds_touch_first_component_only(self):
-        sc = build_scenario(ScenarioConfig(n_subsystems=3, case=Case.EXPLICIT))
-        np.testing.assert_array_equal(sc.state_ub[::2], [1.2, 1.2, 1.2])
-        assert np.all(np.isinf(sc.state_ub[1::2]))
-        np.testing.assert_array_equal(sc.state_lb[::2], [-0.2, -0.2, -0.2])
+        prof = build_scenario(ScenarioConfig(n_subsystems=3, case=Case.EXPLICIT)).profiles()
+        np.testing.assert_array_equal(prof["state_ub"][::2], [1.2, 1.2, 1.2])
+        assert np.all(np.isinf(prof["state_ub"][1::2]))
+        np.testing.assert_array_equal(prof["state_lb"][::2], [-0.2, -0.2, -0.2])
 
     def test_unconstrained_case_has_no_bounds(self):
-        sc = build_scenario(ScenarioConfig(n_subsystems=3, case=Case.UNCONSTRAINED))
-        assert np.all(np.isinf(sc.state_ub))
-        assert np.all(np.isinf(sc.state_lb))
+        prof = build_scenario(ScenarioConfig(n_subsystems=3, case=Case.UNCONSTRAINED)).profiles()
+        assert np.all(np.isinf(prof["state_ub"]))
+        assert np.all(np.isinf(prof["state_lb"]))
+
+    def test_profiles_follow_a_replaced_config(self):
+        # the profiles are derived from the config, not stored beside it, so a
+        # scenario given a new config must not keep the old box
+        sc = build_scenario(ScenarioConfig(n_subsystems=3, horizon=2))
+        new = dataclasses.replace(sc, config=dataclasses.replace(sc.config, state_upper=0.9))
+        np.testing.assert_array_equal(new.profiles()["state_ub"][::2], [0.9, 0.9, 0.9])
+        np.testing.assert_array_equal(sc.profiles()["state_ub"][::2], [1.2, 1.2, 1.2])
+        bad = dataclasses.replace(sc, config=dataclasses.replace(sc.config, bound_component=2))
+        with pytest.raises(ValueError, match="^bound_component 2 out of range for subsystem 1$"):
+            bad.make_engine()
 
     def test_case_is_parsed_from_a_name_or_number(self):
         for raw, case in (("solver", Case.SOLVER), ("UNCONSTRAINED", Case.UNCONSTRAINED), (3, Case.EXPLICIT)):
@@ -75,8 +86,8 @@ class TestChainBuilder:
         # the named case decides the row route and the boxes
         sc = build_scenario(ScenarioConfig(n_subsystems=3, horizon=2, case="solver"))
         assert sc.make_engine().row_solver is RowSolverKind.QP
-        sc = build_scenario(ScenarioConfig(n_subsystems=3, horizon=2, case="unconstrained"))
-        assert np.all(np.isinf(sc.state_lb)) and np.all(np.isinf(sc.state_ub))
+        prof = build_scenario(ScenarioConfig(n_subsystems=3, horizon=2, case="unconstrained")).profiles()
+        assert np.all(np.isinf(prof["state_lb"])) and np.all(np.isinf(prof["state_ub"]))
         with pytest.raises(ValueError, match="unknown case 'bogus'"):
             ScenarioConfig(n_subsystems=3, case="bogus")
 

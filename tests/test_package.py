@@ -40,12 +40,16 @@ REMOVED = (
     (dlmpc.topology, "d_out_set"),
     (dlmpc.NetworkModel, "state_indices"),
     (dlmpc.NetworkModel, "input_indices"),
+    (dlmpc.LocalityIndex, "subsystem"),
 )
 REMOVED_FIELDS = (
     (dlmpc.AdmmState, "psi_r"),
     (dlmpc.AdmmState, "lam_r"),
     (dlmpc.Scenario, "graph"),
     (dlmpc.SubsystemIndex, "row_is_state"),
+    # the profiles are derived from the config on each Scenario.profiles() call
+    *((dlmpc.Scenario, name)
+      for name in ("q_diag", "r_diag", "qt_diag", "state_lb", "state_ub", "input_lb", "input_ub")),
 )
 
 
@@ -62,6 +66,8 @@ def test_test_only_names_are_gone():
     assert not {"d_in_set", "d_out_set"} & set(dlmpc.__all__)
     # a graph is its vertex count and edges, with no predecessor table beside them
     assert vars(dlmpc.Graph(2, {(2, 1)})).keys() == {"n_vertices", "edges"}
+    # the engine reads every size off the index; it takes no model
+    assert "model" not in inspect.signature(dlmpc.DlmpcEngine).parameters
     # the interior-point iteration cap is a module constant, not a setting
     assert list(inspect.signature(dlmpc.solve_qp).parameters) == ["qp", "tol"]
     # a report must carry every key: no momentum-count defaults to fall back on

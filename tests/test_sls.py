@@ -183,7 +183,7 @@ class TestColumnProjection:
         model = build_chain_model(4)
         index, op = build_operator(model, d, horizon)
         for i in range(1, 5):
-            sub = index.subsystem(i)
+            sub = index.subsystems[i - 1]
             v = rng.normal(size=(sub.col_rows.size, sub.cols.size))
             got = project_column(projector(op, i), v)
             want = self.kkt_reference(model, horizon, sub, v)
@@ -193,7 +193,7 @@ class TestColumnProjection:
         rng = np.random.default_rng(5)
         index, op = build_operator(six_node_model, d=1, horizon=3)
         for i in range(1, 7):
-            sub = index.subsystem(i)
+            sub = index.subsystems[i - 1]
             v = rng.normal(size=(sub.col_rows.size, sub.cols.size))
             once = project_column(projector(op, i), v)
             twice = project_column(projector(op, i), once)
@@ -206,7 +206,7 @@ class TestColumnProjection:
         z = dense_constraint(model, 3)
         identity = np.eye(z.shape[0], model.n_states)
         for i in range(1, 4):
-            sub = index.subsystem(i)
+            sub = index.subsystems[i - 1]
             v = rng.normal(size=(sub.col_rows.size, sub.cols.size))
             psi = project_column(projector(op, i), v)
             np.testing.assert_allclose(z[:, sub.col_rows] @ psi, identity[:, sub.cols], atol=1e-10)
@@ -352,7 +352,7 @@ class TestColumnProjection:
         # must not stretch it to two columns
         model = build_chain_model(4)
         index, op = build_operator(model, d=1, horizon=3)
-        sub = index.subsystem(2)
+        sub = index.subsystems[1]
         assert sub.cols.size == 2
         with pytest.raises(ValueError, match="shape"):
             project_column(projector(op, 2), np.zeros((sub.col_rows.size, 1)))

@@ -156,26 +156,6 @@ class TestNetworkModel:
         with pytest.raises(ModelValidationError, match=rf"^{kind}_blocks\[\(1,1\)\] entry \(1,0\) is {bad}, must be finite$"):
             NetworkModel(state_dims=(2, 2), input_dims=(1, 1), a_blocks=blocks["a"], b_blocks=blocks["b"])
 
-    def test_ids_outside_one_to_n_raise(self):
-        # id 0 must not wrap around to the last subsystem
-        m = build_chain_model(3)
-        index = build_locality_index(build_graph(m), m, 1, 2)
-        for i in (0, -1, 4):
-            with pytest.raises(IndexError, match=rf"^subsystem id {i} outside 1\.\.3$"):
-                index.subsystem(i)
-
-    def test_ids_that_are_not_integers_raise(self):
-        # 2.0 must neither name subsystem 2 nor raise a bare TypeError
-        m = build_chain_model(3)
-        graph = build_graph(m)
-        index = build_locality_index(graph, m, 1, 2)
-        for i in (2.0, True, "2"):
-            with pytest.raises(ValueError, match=rf"^subsystem id must be an integer, got {i!r}$"):
-                index.subsystem(i)
-        # numpy integers count, and the hop sets hold plain ints
-        assert index.subsystem(np.int64(2)) is index.subsystem(2)
-        assert all(type(j) is int for in_set in index.in_sets_ext for j in in_set)
-
     def test_rejects_nonpositive_state_dim(self):
         with pytest.raises(ModelValidationError):
             NetworkModel(state_dims=(0,), input_dims=(1,), a_blocks={}, b_blocks={})
@@ -189,7 +169,7 @@ class TestNetworkModel:
         )
         assert m.n_inputs == 1
         # subsystem 2 owns state rows only
-        sub = build_locality_index(build_graph(m), m, 0, 2).subsystem(2)
+        sub = build_locality_index(build_graph(m), m, 0, 2).subsystems[1]
         assert sub.rows.tolist() == [1, 3, 5]
 
 
@@ -217,6 +197,14 @@ class TestGraph:
         graph = Graph(n_vertices=np.int64(3), edges={(np.int64(2), 1)})
         assert graph.n_vertices == 3 and graph.edges == {(2, 1)}
         assert all(type(v) is int for edge in graph.edges for v in edge)
+
+    def test_couplings_are_the_stored_blocks(self, six_node_model, cross_fed_chain_model):
+        # the assembly pass notes each block that stores an entry; the graph's edges are those
+        for m in (build_chain_model(6), six_node_model, cross_fed_chain_model, input_free_chain(), mixed_dims_chain()):
+            stored = {key for blocks in (m.a_blocks, m.b_blocks) for key, blk in blocks.items() if np.any(blk)}
+            assert m.couplings == build_graph(m).edges == stored
+        assert six_node_model.couplings == {(1, 2), (2, 1), (3, 2), (4, 3), (4, 5), (5, 3), (5, 4), (6, 5),
+                                            *((i, i) for i in range(1, 7))}
 
     def test_zero_block_makes_no_edge(self):
         m = NetworkModel(
@@ -264,7 +252,7 @@ class TestLocalityIndex:
         idx = six_node_index
         # time-major state rows, then time-major input rows
         assert idx.n_rows == 6 * 4 + 6 * 3
-        sub = idx.subsystem(5)
+        sub = idx.subsystems[4]
         t_hor, n = idx.horizon, idx.n_states
         expected_state_rows = [t * n + 4 for t in range(t_hor + 1)]
         expected_input_rows = [n * (t_hor + 1) + t * 6 + 4 for t in range(t_hor)]
@@ -304,7 +292,7 @@ class TestLocalityIndex:
 
     def test_masks_follow_reach_sets(self, six_node_model, six_node_graph, reference_mask):
         idx = build_locality_index(six_node_graph, six_node_model, d=1, horizon=2)
-        sub = idx.subsystem(5)
+        sub = idx.subsystems[4]
         ref = reference_mask(six_node_model, d=1, horizon=2)
         assert ref.shape == (idx.n_rows, 6)
         for r, row in enumerate(sub.rows):
@@ -391,12 +379,14 @@ class TestLocalityIndex:
             bad = r if s == 6 else s
             with pytest.raises(IndexError, match=rf"^subsystem id {bad} outside 1\.\.6$"):
                 packet_within_locality(packet, idx)
-        for bad in (2.0, True):
+        for bad in (2.0, True, "2"):
             packet = ExchangePacket(1, bad, Phase.MEASUREMENT, None, np.arange(1), np.zeros(1))
             with pytest.raises(ValueError, match=rf"^subsystem id must be an integer, got {bad!r}$"):
                 packet_within_locality(packet, idx)
         assert packet_within_locality(ExchangePacket(np.int64(2), 1, Phase.MEASUREMENT, None,
                                                      np.arange(1), np.zeros(1)), idx)
+        # the hop sets it reads hold plain ints
+        assert all(type(j) is int for in_set in idx.in_sets_ext for j in in_set)
 
     def test_locality_and_horizon_must_be_integers(self):
         m = build_chain_model(3)
@@ -427,7 +417,7 @@ class TestLocalityIndex:
 
     def test_locality_zero_restricts_to_self(self, six_node_model, six_node_graph, reference_mask):
         idx = build_locality_index(six_node_graph, six_node_model, d=0, horizon=2)
-        sub = idx.subsystem(1)
+        sub = idx.subsystems[0]
         state_rows = sub.row_mask[sub.rows < idx.n_states * (idx.horizon + 1)]
         assert all(set(sub.row_cols[m].tolist()) == {0} for m in state_rows)
         ref = reference_mask(six_node_model, d=0, horizon=2)
