@@ -55,11 +55,11 @@ order-independent: phases are barriers, so any subsystem ordering produces
 bitwise identical iterates.  Every phase is ``phase(state, i)`` or
 ``phase(state)`` and moves data only; :meth:`DlmpcEngine.solve_step` orders
 and times them by two runners that look the phase up on the instance:
-``_each`` runs the row step (only each subsystem's write-back) and
-extraction for i = 1..N, charging each call to subsystem i, and ``_all``
-the measurement (every row's terms, one stacked call per MPC step), the
-stacked row phase of either route, the exchanges, the column step (one
-stacked map per slice-shape class), the multiplier step and the
+``_each`` runs the row step (only each subsystem's write-back) for i = 1..N,
+charging each call to subsystem i, and ``_all`` the measurement (every
+row's terms) and extraction (every input), one stacked call per MPC step
+each, the stacked row phase of either route, the exchanges, the column step
+(one stacked map per slice-shape class), the multiplier step and the
 convergence check (momentum included), charging equal shares; a recording
 engine reads one iteration's packets off the plan after the step.
 """
@@ -280,6 +280,9 @@ class DlmpcEngine:
         ends = np.cumsum(heights)
         self._spans = [slice(end - h, end) for h, end in zip(heights.tolist(), ends.tolist())]
         self._boxes = tuple(v[self._stack_rows] for v in (lo, hi, np.sqrt(cost)))
+        # the time-0 input rows' stacked positions in global input order (the argsort inverts the stacking)
+        t0_inputs = n * (index.horizon + 1)
+        self._inputs_at = np.argsort(self._stack_rows)[t0_inputs : t0_inputs + index.n_inputs]
         # the row buffer's layout, the stacked rows padded at their ends to the
         # widest block: each entry's global column (n on the padding), the row
         # masks, and where each subsystem's span starts
@@ -540,32 +543,28 @@ class DlmpcEngine:
         out.flat[keys[on]] = buffer[layers.index(which)][on]
         return out
 
-    def extract_control(self, state: AdmmState, i: int) -> np.ndarray:
-        """Subsystem i's applied input: its converged time-0 input rows times x0 at its last stacked row."""
+    def extract_control(self, state: AdmmState) -> np.ndarray:
+        """Every applied input in global order: each converged time-0 input row times its own x0 row.
+
+        That x0 row is the bare coupled slice, and the padding (+0 times -0) adds nothing.
+        """
         if not state.converged:
             raise StalenessError(
                 "extract_control called before the iteration converged"
             )
-        # input rows follow the state rows, time-major, so the time-0 ones come
-        # first; they span the whole coupled slice, so the last row's x0 block
-        # is the bare slice (an input-free subsystem has no rows to multiply)
-        i = check_id(i, len(self.index.subsystems))
-        sub, t_hor = self.index.subsystems[i - 1], self.index.horizon
-        u0 = (t_hor + 1) * sub.cols.size  # its state rows; the rest are T per input
-        phi, last = state.phi_r[i - 1], self._spans[i - 1].stop - 1
-        return phi[u0 : u0 + (sub.rows.size - u0) // t_hor] @ state.terms.x0[last, : phi.shape[1]]
+        at = self._inputs_at
+        return np.matmul(state.rows[0, at, None, :], state.terms.x0[at, :, None])[:, 0, 0]
 
     # -- full step --------------------------------------------------------------
 
-    def _each(self, state: AdmmState, phase) -> list:
+    def _each(self, state: AdmmState, phase):
         """``phase(state, i)`` for i = 1..N in order, each call's time charged to subsystem i."""
-        out, seconds = [], []
+        seconds = []
         for i in range(1, len(self.index.subsystems) + 1):
             t0 = time.perf_counter()
-            out.append(phase(state, i))
+            phase(state, i)
             seconds.append(time.perf_counter() - t0)
         state.per_sub_seconds += seconds
-        return out
 
     def _all(self, state: AdmmState, phase):
         """``phase(state)``, its time charged to every subsystem in equal shares."""
@@ -608,8 +607,7 @@ class DlmpcEngine:
             )
         state.converged = True
 
-        # inputs are numbered contiguously in subsystem-id order
-        u = np.concatenate(self._each(state, self.extract_control))
+        u = self._all(state, self.extract_control)
         if self.record_packets:
             state.packets = self._packets(state)
         return StepResult(u=u, state=state)

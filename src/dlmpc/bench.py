@@ -56,8 +56,8 @@ class ScenarioConfig:
 
     Every ``int`` field must be an integer and every ``float`` field a real
     number (numpy's too, a bool not), stored as an int or a float;
-    ``warm_start`` must be a bool.  Anything else raises ValueError naming
-    the field.
+    ``warm_start`` must be a bool and ``seed`` nonnegative.  Anything else
+    raises ValueError naming the field.
     """
 
     n_subsystems: int
@@ -93,6 +93,8 @@ class ScenarioConfig:
                     raise ValueError(f"{f.name} must be a bool, got {value!r}")
                 value = bool(value)
             object.__setattr__(self, f.name, value)
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def build_chain_model(n_subsystems: int) -> NetworkModel:
@@ -308,12 +310,16 @@ def centralized_closed_loop(
     sim_steps: int | None = None,
     x0: np.ndarray | None = None,
 ) -> tuple:
-    """Receding-horizon loop driven by the monolithic constrained solver."""
+    """Receding-horizon loop driven by the monolithic constrained solver.
+
+    A step it ends infeasible raises ValueError, one at its iteration cap ConvergenceError.
+    """
 
     def policy(s, x):
         sol = centralized_mpc(scenario.model, scenario.config.horizon, x, **scenario.profiles())
         if sol.status is not QpStatus.OPTIMAL:
-            raise RuntimeError(f"baseline solver returned {sol.status.value}")
+            error = ValueError if sol.status is QpStatus.INFEASIBLE else ConvergenceError
+            raise error(f"baseline MPC step {s}: solver returned {sol.status.value}")
         return sol.u_sequence[0]
 
     return _simulate(scenario, policy, sim_steps, x0)
@@ -424,20 +430,20 @@ def _write_csv(path: Path, header, rows) -> Path:
     return path
 
 
-def emit_report(report: RunReport, directory, stem: str = "run") -> dict:
-    """Write a run as a lossless JSON artifact plus a per-step CSV summary.
+def emit_report(report: RunReport, directory) -> dict:
+    """Write a run as a lossless JSON artifact plus a per-step CSV summary, ``run.json`` and ``run.csv``.
 
     Returns the paths written.  Floats survive the JSON round trip exactly
     (they are serialized with full repr precision).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    json_path = directory / f"{stem}.json"
+    json_path = directory / "run.json"
     data = _plain(report)
     data["n_inputs"] = report.inputs.shape[1]  # an empty list of inputs does not give it
     json_path.write_text(json.dumps(data, indent=2, allow_nan=False))
     csv_path = _write_csv(
-        directory / f"{stem}.csv",
+        directory / "run.csv",
         ["step", "iterations", "primal_residual", "dual_residual", "mean_sub_seconds",
          "extrapolated", "restarts"],
         (
@@ -487,13 +493,13 @@ def load_report(json_path) -> RunReport:
     return report
 
 
-def emit_sweep(rows, directory, stem: str = "sweep") -> Path:
-    """Write scaling-sweep rows as CSV; floats keep full precision."""
+def emit_sweep(rows, directory) -> Path:
+    """Write scaling-sweep rows as ``sweep.csv``; floats keep full precision."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     names = [f.name for f in fields(SweepRow)]
     return _write_csv(
-        directory / f"{stem}.csv", names, ([getattr(r, n) for n in names] for r in rows)
+        directory / "sweep.csv", names, ([getattr(r, n) for n in names] for r in rows)
     )
 
 

@@ -361,11 +361,8 @@ BASELINE_TOL = 1e-10  # the baseline's KKT tolerance, tighter than the row QPs'
 
 @dataclass
 class CentralizedSolution:
-    u_sequence: np.ndarray      # (T, p)
-    planned_states: np.ndarray  # (T+1, n)
-    planned_cost: float
+    u_sequence: np.ndarray  # (T, p)
     status: QpStatus
-    iterations: int
 
 
 def _prediction_matrices(model: NetworkModel, horizon: int, x0: np.ndarray) -> tuple:
@@ -487,15 +484,4 @@ def centralized_mpc(
         np.concatenate([lo[nx:], lo[sel]]), np.concatenate([hi[nx:], hi[sel]]),
     )
     res = solve_qp(qp, tol=BASELINE_TOL)
-    u = res.x[:nu_vars]
-    states = (free_response + h_mat @ u).reshape(horizon + 1, n)
-    planned = float(
-        np.sum(w_stack * (free_response + h_mat @ u) ** 2) + np.sum(r_stack * u**2)
-    )
-    return CentralizedSolution(
-        u_sequence=u.reshape(horizon, p),
-        planned_states=states,
-        planned_cost=planned,
-        status=res.status,
-        iterations=res.iterations,
-    )
+    return CentralizedSolution(u_sequence=res.x[:nu_vars].reshape(horizon, p), status=res.status)

@@ -4,9 +4,11 @@ Each test prints a single ``[PASS]``/``[FAIL]`` line with the measured
 quantity and its tolerance, then asserts.  Heavy runs are shared through
 module-scoped fixtures.  Every closed-loop fixture checks exact zeros off
 the independently built locality mask at sampled iterations (the
-``sample_masks`` hook on ``check_convergence``, outside the per-subsystem
-timers), so the sparsity criterion is exercised by the same runs that
-produce the performance numbers.
+``sample_masks`` hook on ``check_convergence``, which the engine's ``_all``
+runner looks up on the instance and times, so each sampled check is inside
+the per-subsystem timers, charged in equal shares), so the sparsity
+criterion is exercised by the same runs that produce the performance
+numbers.
 """
 import time
 from contextlib import contextmanager

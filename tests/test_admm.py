@@ -213,11 +213,9 @@ class TestDeterminismAndOrder:
             engine = sc.make_engine()
 
             def each_shuffled(state, phase, order=order):
-                # the per-subsystem phases in another order, results by id
-                out = [None] * len(order)
+                # the per-subsystem phase in another order
                 for i in order:
-                    out[i - 1] = phase(state, i)
-                return out
+                    phase(state, i)
 
             engine._each = each_shuffled
             shuffled = engine.solve_step(x0)
@@ -508,7 +506,7 @@ class TestConvergenceControl:
         state.primal = np.full(4, np.inf)
         state.dual = np.full(4, np.inf)
         with pytest.raises(StalenessError):
-            engine.extract_control(state, 1)
+            engine.extract_control(state)
 
     def test_extraction_uses_the_states_own_x0(self):
         # a later step at another measured state must not leak into an
@@ -519,30 +517,17 @@ class TestConvergenceControl:
         xb = np.random.default_rng(1).uniform(0.0, 1.0, xa.size)
         ra = engine.solve_step(xa)
         engine.solve_step(xb)
-        u = np.zeros(sc.model.n_inputs)
-        for i in range(1, sc.model.n_subsystems + 1):
-            off = sc.model.input_offsets[i - 1]
-            u[off : off + sc.model.input_dims[i - 1]] = engine.extract_control(ra.state, i)
-        np.testing.assert_array_equal(u, ra.u)
+        np.testing.assert_array_equal(engine.extract_control(ra.state), ra.u)
 
-    def test_extraction_rejects_ids_outside_one_to_n(self):
-        # id 0 or -1 must not wrap around to subsystem N's input
-        sc = small_scenario()
-        state = sc.make_engine().solve_step(sc.initial_state()).state
-        for i in (0, -1, 5):
-            with pytest.raises(IndexError, match=rf"^subsystem id {i} outside 1\.\.4$"):
-                sc.make_engine().extract_control(state, i)
-
-    def test_extraction_rejects_ids_that_are_not_integers(self):
-        # 2.0 must neither name subsystem 2 nor raise a bare TypeError
+    def test_extraction_runs_once_per_step(self):
         sc = small_scenario()
         engine = sc.make_engine()
-        state = engine.solve_step(sc.initial_state()).state
-        for i in (2.0, True, "2"):
-            with pytest.raises(ValueError, match=rf"^subsystem id must be an integer, got {i!r}$"):
-                engine.extract_control(state, i)
-        # numpy integers count
-        np.testing.assert_array_equal(engine.extract_control(state, np.int64(2)), engine.extract_control(state, 2))
+        extract, calls = engine.extract_control, []
+        engine.extract_control = lambda *args: calls.append(args) or extract(*args)
+        warm = None
+        for _ in range(3):
+            warm = engine.solve_step(sc.initial_state(), warm_state=warm).state
+        assert [len(args) for args in calls] == [1, 1, 1]
 
     def test_per_step_row_terms_follow_rho_and_the_measured_state(self):
         # residual balancing moves rho inside a step; the row step must see
@@ -745,10 +730,8 @@ class TestConvergenceControl:
             engine.init_state = lambda warm_state: states.append(init_state(warm_state)) or states[-1]
 
             def each_ordered(state, phase, order=order):
-                out = [None] * len(order)
                 for i in order:
-                    out[i - 1] = phase(state, i)
-                return out
+                    phase(state, i)
 
             engine._each = each_ordered
             with pytest.raises(ConvergenceError, match=r"^subsystem 1: global row 0: row QP ended max-iter$"):
@@ -876,7 +859,7 @@ class PerSubsystemRows(DlmpcEngine):
     Every subsystem measures its own block, and its row step solves its
     whole closed form, point location included, or on the QP route its
     rows as one QP stack padded to the widest block; the stacked phases do
-    nothing.  Extraction reads the subsystem's own terms.
+    nothing.  Extraction is one product per subsystem on its own terms.
     """
 
     @classmethod
@@ -907,11 +890,13 @@ class PerSubsystemRows(DlmpcEngine):
         else:
             state.phi_r[i - 1][...] = closed_form(terms, a, state.rho)[0]
 
-    def extract_control(self, state, i):
-        model = self.scenario.model
-        u0 = (self.index.horizon + 1) * model.state_dims[i - 1]
-        rows = state.phi_r[i - 1][u0 : u0 + model.input_dims[i - 1]]
-        return rows @ state.own_terms[i - 1].x0[-1]
+    def extract_control(self, state):
+        model, u = self.scenario.model, []
+        for i in range(1, model.n_subsystems + 1):
+            u0 = (self.index.horizon + 1) * model.state_dims[i - 1]
+            rows = state.phi_r[i - 1][u0 : u0 + model.input_dims[i - 1]]
+            u.append(rows @ state.own_terms[i - 1].x0[-1])
+        return np.concatenate(u)
 
 
 class TestRowStep:
@@ -1258,6 +1243,22 @@ class TestSolutionQuality:
         a, b = dense_dynamics(sc.model)
         x1_real = a @ x0 + b @ res.u
         np.testing.assert_allclose(x1_real, x1_planned, atol=1e-7)
+
+    @pytest.mark.parametrize("model, d, horizon", PLAN_CASES)
+    def test_inputs_are_the_time0_input_rows_of_phi_times_x0(
+        self, model, d, horizon, six_node_model, cross_fed_chain_model
+    ):
+        # one stacked product over every row layout: u is the time-0 input
+        # block of the assembled phi times x0, in global input order
+        sc = TestExchanges.plan_case(model, d, horizon, six_node_model, cross_fed_chain_model)
+        x0 = sc.initial_state()
+        engine = sc.make_engine()
+        res = engine.solve_step(x0)
+        n, p = sc.model.n_states, sc.model.n_inputs
+        t0 = n * (horizon + 1)
+        want = engine.assemble_from_rows(res.state, "phi")[t0 : t0 + p] @ x0
+        assert res.u.shape == (p,) and np.any(want)
+        np.testing.assert_allclose(res.u, want, rtol=0, atol=1e-15)
 
     def test_two_input_subsystem_applies_its_time0_rows(self):
         # subsystem 2 has two inputs: its first two input rows are its time-0 ones

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from dlmpc import (
     Case,
     ConvergenceError,
+    QpStatus,
     RowSolverKind,
     RunReport,
     ScenarioConfig,
@@ -28,6 +29,7 @@ from dlmpc import (
     run_closed_loop,
     run_scaling_sweep,
 )
+from dlmpc import bench
 from dlmpc.bench import SweepRow, _simulate
 from dlmpc.cli import main as cli_main
 from oracles import save_model_file
@@ -125,6 +127,12 @@ class TestChainBuilder:
     def test_float_and_bool_settings_are_checked(self, name, value, message):
         with pytest.raises(ValueError, match=f"^{name} {message}$"):
             ScenarioConfig(**{"n_subsystems": 3, name: value})
+
+    def test_rejects_a_negative_seed(self):
+        # named here, not by the random generator at the first initial state
+        with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+            ScenarioConfig(n_subsystems=3, seed=-1)
+        assert ScenarioConfig(n_subsystems=3, seed=0).seed == 0
 
     def test_float_and_bool_settings_are_stored_as_such(self):
         # numpy's numbers count, and integers are reals
@@ -287,6 +295,19 @@ class TestClosedLoop:
         assert cost == rep.baseline_cost
         np.testing.assert_array_equal(states, rep.baseline_states)
 
+    def test_baseline_at_its_iteration_cap_names_the_step(self, monkeypatch):
+        # the status the solver ended with, prefixed by the step, as the distributed loop's errors
+        solve, calls = bench.centralized_mpc, []
+
+        def capped_at_step_1(*args, **kwargs):
+            calls.append(solve(*args, **kwargs))
+            return dataclasses.replace(calls[-1], status=QpStatus.MAX_ITER) if len(calls) == 2 else calls[-1]
+
+        monkeypatch.setattr(bench, "centralized_mpc", capped_at_step_1)
+        sc = build_scenario(ScenarioConfig(n_subsystems=2, horizon=2, sim_steps=3))
+        with pytest.raises(ConvergenceError, match=r"^baseline MPC step 1: solver returned max-iter$"):
+            centralized_closed_loop(sc)
+
 
 class TestBoxViolation:
     def test_positive_on_crafted_excursion(self):
@@ -395,7 +416,8 @@ class TestReports:
             config=cfg, states=np.zeros((1, 4)), inputs=np.zeros((0, 2)),
             steps=[], cost=0.0,
         )
-        paths = emit_report(rep, tmp_path, stem="empty")
+        paths = emit_report(rep, tmp_path)
+        assert (paths["json"], paths["csv"]) == (tmp_path / "run.json", tmp_path / "run.csv")
         lines = paths["csv"].read_text().strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("step,")
         back = load_report(paths["json"])
@@ -414,6 +436,7 @@ class TestReports:
             SweepRow(50, "explicit", 0.002, float("nan"), 80, float("nan"), 1.0, 2.25e-4),
         ]
         path = emit_sweep(rows, tmp_path)
+        assert path == tmp_path / "sweep.csv"
         with open(path) as fh:
             got = list(csv.DictReader(fh))
         assert int(got[0]["n_subsystems"]) == 10
@@ -587,6 +610,21 @@ class TestCli:
         ini = tmp_path / "s.ini"
         ini.write_text("[scenario]\nsubsystems = 2\nhorizon = 2\nsim_steps = 1\n")
         assert cli_main(["run", "--config", str(ini)]) == 0
+
+    def test_negative_seed_is_named(self, capsys):
+        assert cli_main(["run", "--subsystems", "2", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+
+    def test_failed_baseline_is_an_error(self, tmp_path, capsys):
+        # the loose tolerances let the distributed loop pass; the centralized
+        # baseline finds no input that keeps the first states under 0.05
+        ini = tmp_path / "tight.ini"
+        ini.write_text(
+            "[scenario]\nsubsystems = 4\nhorizon = 3\nsim_steps = 2\n[bounds]\nstate_upper = 0.05\n"
+            "[solver]\neps_primal = 1e300\neps_dual = 1e300\n"
+        )
+        assert cli_main(["run", "--config", str(ini), "--baseline"]) == 1
+        assert capsys.readouterr().err == "error: baseline MPC step 0: solver returned infeasible\n"
 
     @pytest.mark.parametrize(
         "text",

@@ -50,6 +50,8 @@ REMOVED_FIELDS = (
     # the profiles are derived from the config on each Scenario.profiles() call
     *((dlmpc.Scenario, name)
       for name in ("q_diag", "r_diag", "qt_diag", "state_lb", "state_ub", "input_lb", "input_ub")),
+    # the baseline's caller reads its input sequence and status alone
+    *((dlmpc.CentralizedSolution, name) for name in ("planned_states", "planned_cost", "iterations")),
 )
 
 
@@ -68,6 +70,8 @@ def test_test_only_names_are_gone():
     assert vars(dlmpc.Graph(2, {(2, 1)})).keys() == {"n_vertices", "edges"}
     # the engine reads every size off the index; it takes no model
     assert "model" not in inspect.signature(dlmpc.DlmpcEngine).parameters
+    # extraction reads every input in one stacked product; it takes no subsystem id
+    assert list(inspect.signature(dlmpc.DlmpcEngine.extract_control).parameters) == ["self", "state"]
     # the interior-point iteration cap is a module constant, not a setting
     assert list(inspect.signature(dlmpc.solve_qp).parameters) == ["qp", "tol"]
     # a report must carry every key: no momentum-count defaults to fall back on

@@ -458,17 +458,6 @@ class TestCentralizedMpc:
             if np.all(st[1:] <= state_ub + 1e-12):
                 assert cost_of(cand) >= base - 1e-9
 
-    def test_planned_cost_consistency(self):
-        model = build_chain_model(2)
-        x0 = np.full(4, 0.5)
-        sol = centralized_mpc(
-            model, 3, x0, np.ones(4), np.ones(2), np.ones(4)
-        )
-        states = simulate(model, x0, sol.u_sequence, 3)
-        manual = float(np.sum(states[1:] ** 2) + np.sum(sol.u_sequence**2))
-        assert abs(sol.planned_cost - manual) < 1e-8
-        np.testing.assert_allclose(sol.planned_states, states, atol=1e-10)
-
     def test_infeasible_box_raises_or_flags(self):
         model = build_chain_model(2)
         x0 = np.array([1.0, 1.0, 1.0, 1.0])
@@ -498,7 +487,6 @@ class TestCentralizedMpc:
         default = centralized_mpc(model, 3, x0, q, r, None)
         stated = centralized_mpc(model, 3, x0, q, r, q)
         np.testing.assert_array_equal(default.u_sequence, stated.u_sequence)
-        assert default.planned_cost == stated.planned_cost
 
     @pytest.mark.parametrize(
         "boxes, named",
@@ -554,4 +542,6 @@ class TestCentralizedLocalMpc:
             model, horizon, x0, np.ones(model.n_states),
             np.ones(model.n_inputs), np.ones(model.n_states),
         )
-        assert abs(local["cost"] - plain.planned_cost) < 1e-6
+        # unit weights on x_1..x_T and every input; x_0 carries no cost
+        states = simulate(model, x0, plain.u_sequence, horizon)
+        assert abs(local["cost"] - float(np.sum(states[1:] ** 2) + np.sum(plain.u_sequence**2))) < 1e-6
