@@ -54,14 +54,13 @@ away, which sets the footprint).  Execution is sequential but
 order-independent: phases are barriers, so any subsystem ordering produces
 bitwise identical iterates.  Every phase is ``phase(state, i)`` or
 ``phase(state)`` and moves data only; :meth:`DlmpcEngine.solve_step` orders
-and times them by two runners that look the phase up on the instance:
-``_each`` runs the row step (only each subsystem's write-back) for i = 1..N,
-charging each call to subsystem i, and ``_all`` the measurement (every
-row's terms) and extraction (every input), one stacked call per MPC step
-each, the stacked row phase of either route, the exchanges, the column step
+them, each looked up on the instance, under one clock: the measurement
+(every row's terms) and extraction (every input), once per MPC step, the
+stacked row phase of either route, the row step (each subsystem's
+write-back, for i = 1..N through ``_each``), the exchanges, the column step
 (one stacked map per slice-shape class), the multiplier step and the
-convergence check (momentum included), charging equal shares; a recording
-engine reads one iteration's packets off the plan after the step.
+convergence check (momentum included).  A step's time over N is its
+per-subsystem time; a recording engine reads packets after it.
 """
 from __future__ import annotations
 
@@ -160,7 +159,7 @@ class AdmmState:
     ``rows``, holds every row's new phi from the iteration's stacked row
     phase, on either route, until the row steps write it back.
     ``residual_history`` holds one (max primal, max dual) pair per
-    iteration, ``per_sub_seconds`` each subsystem's time on this state, and
+    iteration, ``per_sub_seconds`` the step's time over N (0.0 before), and
     ``held`` the iterations since rho last moved.  Once momentum arms,
     ``prev`` holds the last true (psi, lambda) of the row buffer,
     ``nesterov`` the momentum weight a, ``gap`` and ``new_gap`` the last two
@@ -180,7 +179,7 @@ class AdmmState:
     terms: RowTerms | None = None
     solved: np.ndarray | None = None
     packets: list | None = None
-    per_sub_seconds: np.ndarray | None = None
+    per_sub_seconds: float = 0.0
     held: int = 0
     prev: np.ndarray | None = None
     nesterov: float = 1.0
@@ -196,7 +195,7 @@ class StepResult:
 
     The iteration count, measured state and packets (the measurements and
     one iteration's block packets) are read-only views of ``state``, which
-    also holds the residual history and per-subsystem times.
+    also holds the residual history and per-subsystem time.
     """
 
     u: np.ndarray
@@ -320,12 +319,11 @@ class DlmpcEngine:
     def init_state(self, warm: AdmmState | None = None) -> AdmmState:
         """Fresh all-zeros state, or a copy seeded from a converged one.
 
-        Either way the per-subsystem timers start at zero and rho at the
+        Either way the per-subsystem time starts at zero and rho at the
         engine's; a warm state's lambda is rescaled to that rho.  A warm
         state whose partitions do not fit this engine's index raises
         ValueError.
         """
-        n_sub = len(self.index.subsystems)
         cols = np.zeros((2, self._col_offsets[-1]))  # the column step's workspace
         if warm is None:
             rows = np.zeros((4,) + self._mask.shape)
@@ -342,9 +340,7 @@ class DlmpcEngine:
             # exact for a state of this engine: rho moves by powers of two
             rows[2] *= warm.rho / self.rho
         phi_r = tuple(rows[0, at, : s.row_cols.size] for at, s in zip(self._spans, self.index.subsystems))
-        return AdmmState(
-            rows, cols, phi_r, rho=self.rho, solved=np.zeros(self._mask.shape), per_sub_seconds=np.zeros(n_sub),
-        )
+        return AdmmState(rows, cols, phi_r, rho=self.rho, solved=np.zeros(self._mask.shape))
 
     def _row_name(self, r: int) -> str:
         """``subsystem i: global row g`` for stacked row ``r``."""
@@ -558,20 +554,9 @@ class DlmpcEngine:
     # -- full step --------------------------------------------------------------
 
     def _each(self, state: AdmmState, phase):
-        """``phase(state, i)`` for i = 1..N in order, each call's time charged to subsystem i."""
-        seconds = []
+        """``phase(state, i)`` for i = 1..N in order."""
         for i in range(1, len(self.index.subsystems) + 1):
-            t0 = time.perf_counter()
             phase(state, i)
-            seconds.append(time.perf_counter() - t0)
-        state.per_sub_seconds += seconds
-
-    def _all(self, state: AdmmState, phase):
-        """``phase(state)``, its time charged to every subsystem in equal shares."""
-        t0 = time.perf_counter()
-        out = phase(state)
-        state.per_sub_seconds += (time.perf_counter() - t0) / state.per_sub_seconds.size
-        return out
 
     def solve_step(self, x0: np.ndarray, warm_state: AdmmState | None = None) -> StepResult:
         """Run the consensus iteration for measured state ``x0`` to tolerance.
@@ -584,17 +569,18 @@ class DlmpcEngine:
         state = self.init_state(warm_state)
         state.x0 = x0
 
-        self._all(state, self.measure)
+        t0 = time.perf_counter()
+        self.measure(state)
         explicit = self.row_solver is RowSolverKind.EXPLICIT
         for k in range(1, self.max_iterations + 1):
-            self._all(state, self.locate_rows if explicit else self.solve_row_qps)
+            (self.locate_rows if explicit else self.solve_row_qps)(state)
             self._each(state, self.row_step)
-            self._all(state, self.exchange_rows)
-            self._all(state, self.column_step)
-            self._all(state, self.exchange_columns)
-            self._all(state, self.multiplier_step)
+            self.exchange_rows(state)
+            self.column_step(state)
+            self.exchange_columns(state)
+            self.multiplier_step(state)
             state.iteration = k
-            if self._all(state, self.check_convergence):
+            if self.check_convergence(state):
                 break
         else:
             primal, dual = state.residual_history[-1]
@@ -607,7 +593,8 @@ class DlmpcEngine:
             )
         state.converged = True
 
-        u = self._all(state, self.extract_control)
+        u = self.extract_control(state)
+        state.per_sub_seconds = (time.perf_counter() - t0) / len(self.index.subsystems)
         if self.record_packets:
             state.packets = self._packets(state)
         return StepResult(u=u, state=state)

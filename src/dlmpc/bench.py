@@ -214,7 +214,7 @@ class StepRecord:
     iterations: int
     primal_residual: float
     dual_residual: float
-    per_sub_seconds: np.ndarray
+    per_sub_seconds: float
     extrapolated: int
     restarts: int
 
@@ -292,7 +292,7 @@ def run_closed_loop(
         if cfg.warm_start:
             warm = state
         primal, dual = state.residual_history[-1]
-        steps.append(StepRecord(s, result.iterations, primal, dual, state.per_sub_seconds.copy(),
+        steps.append(StepRecord(s, result.iterations, primal, dual, state.per_sub_seconds,
                                 state.extrapolated, state.restarts))
         return result.u
 
@@ -359,10 +359,10 @@ def run_scaling_sweep(
     """Per-subsystem runtime versus network size, cold and warm starts apart.
 
     The first MPC step starts from zeros (cold); later steps reuse the
-    previous solution (warm).  Reported times are means over subsystems, and
-    over steps for the warm figure; set-up (scenario and engine) is wall
-    time per subsystem too.  A sweep needs its cold step, so ``sim_steps``
-    must be at least 1.
+    previous solution (warm).  Reported times are a step's time divided by
+    N, the warm figure their mean over steps; set-up (scenario and engine)
+    is wall time per subsystem too.  A sweep needs its cold step, so
+    ``sim_steps`` must be at least 1.
     """
     if sim_steps < 1:
         raise ValueError(f"sim_steps must be at least 1, got {sim_steps}")
@@ -375,11 +375,9 @@ def run_scaling_sweep(
         t0 = time.perf_counter()
         report = run_closed_loop(scenario, engine=engine)
         total = time.perf_counter() - t0
-        cold = float(np.mean(report.steps[0].per_sub_seconds))
+        cold = report.steps[0].per_sub_seconds
         if len(report.steps) > 1:
-            warm = float(
-                np.mean([np.mean(s.per_sub_seconds) for s in report.steps[1:]])
-            )
+            warm = float(np.mean([s.per_sub_seconds for s in report.steps[1:]]))
             warm_iters = float(np.mean([s.iterations for s in report.steps[1:]]))
         else:
             warm, warm_iters = float("nan"), float("nan")
@@ -448,7 +446,7 @@ def emit_report(report: RunReport, directory) -> dict:
          "extrapolated", "restarts"],
         (
             [s.step, s.iterations, s.primal_residual, s.dual_residual,
-             float(np.mean(s.per_sub_seconds)), s.extrapolated, s.restarts]
+             s.per_sub_seconds, s.extrapolated, s.restarts]
             for s in report.steps
         ),
     )
@@ -460,7 +458,8 @@ def load_report(json_path) -> RunReport:
 
     Arrays come back as numpy and non-finite floats from their strings.  A
     report that lacks a key :func:`emit_report` writes, or has one it does
-    not write, raises ValueError naming the file and the key.
+    not write, raises ValueError naming the file and the key; so does a
+    step that holds a list, since every field of a step is a scalar.
     """
 
     def checked(raw: dict, cls, where: str, extra=()) -> dict:
@@ -482,7 +481,11 @@ def load_report(json_path) -> RunReport:
     n_inputs = data.pop("n_inputs")
     config = checked(data.pop("config"), ScenarioConfig, "its config")
     case = config.pop("case")  # a name, which decode would read as a float
-    steps = [StepRecord(**decode(checked(s, StepRecord, f"step {k}"))) for k, s in enumerate(data.pop("steps"))]
+    steps = []
+    for k, raw in enumerate(data.pop("steps")):
+        for key in [name for name, v in checked(raw, StepRecord, f"step {k}").items() if isinstance(v, list)]:
+            raise ValueError(f"report {json_path}: step {k} has a list for its scalar key {key!r}")
+        steps.append(StepRecord(**decode(raw)))
     report = RunReport(
         config=ScenarioConfig(case=case, **decode(config)), steps=steps, **decode(data)
     )

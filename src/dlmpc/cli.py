@@ -119,7 +119,7 @@ def _cmd_compare(args) -> int:
     for case in (Case.SOLVER, Case.EXPLICIT):
         scenario = build_scenario(replace(base.config, case=case), model=base.model)
         report = run_closed_loop(scenario)
-        per_sub = float(np.mean([np.mean(s.per_sub_seconds) for s in report.steps]))
+        per_sub = float(np.mean([s.per_sub_seconds for s in report.steps]))
         results[case] = (report, per_sub)
         print(
             f"case {case.name.lower():13s} per-subsystem {per_sub*1e3:9.3f} ms/step  "

@@ -4,11 +4,11 @@ Each test prints a single ``[PASS]``/``[FAIL]`` line with the measured
 quantity and its tolerance, then asserts.  Heavy runs are shared through
 module-scoped fixtures.  Every closed-loop fixture checks exact zeros off
 the independently built locality mask at sampled iterations (the
-``sample_masks`` hook on ``check_convergence``, which the engine's ``_all``
-runner looks up on the instance and times, so each sampled check is inside
-the per-subsystem timers, charged in equal shares), so the sparsity
-criterion is exercised by the same runs that produce the performance
-numbers.
+``sample_masks`` hook on ``check_convergence``, which ``solve_step`` looks
+up on the instance inside its one clock, so each sampled check is part of
+the step time that, divided by N, is the per-subsystem time), so the
+sparsity criterion is exercised by the same runs that produce the
+performance numbers.
 """
 import time
 from contextlib import contextmanager

@@ -1291,42 +1291,27 @@ class TestSolutionQuality:
     def test_timing_is_recorded_per_subsystem(self):
         sc = small_scenario()
         res = sc.make_engine().solve_step(sc.initial_state())
-        assert res.state.per_sub_seconds.shape == (4,)
-        assert np.all(res.state.per_sub_seconds > 0)
+        seconds = res.state.per_sub_seconds
+        assert isinstance(seconds, float) and seconds > 0
 
-    def test_each_subsystem_is_charged_its_own_time(self):
+    @pytest.mark.parametrize("phase", ["row_step", "column_step"])
+    def test_a_phase_replaced_on_the_instance_is_inside_the_clock(self, phase):
+        # the row step runs per subsystem through _each (only subsystem 2's
+        # call sleeps), the column step once for the whole network; either
+        # way the sleep adds its N-th share to the step's per-subsystem time
         sc = small_scenario()
         engine = sc.make_engine(eps_primal=1e300, eps_dual=1e300)
-        row_step = engine.row_step
+        method = getattr(engine, phase)
 
-        def slow_second(state, i):
-            if i == 2:
-                time.sleep(0.06)
-            row_step(state, i)
+        def slowed(state, *i):
+            if i in ((), (2,)):
+                time.sleep(0.04)
+            method(state, *i)
 
-        engine.row_step = slow_second
+        setattr(engine, phase, slowed)
         res = engine.solve_step(sc.initial_state())
         assert res.iterations == 1
-        seconds = res.state.per_sub_seconds
-        assert np.all(seconds[1] >= np.delete(seconds, 1) + 0.05)
-
-    def test_network_phase_is_charged_in_equal_shares(self):
-        # a network phase replaced on the instance runs, and is timed, in
-        # place of the method
-        sc = small_scenario()
-        engine = sc.make_engine(eps_primal=1e300, eps_dual=1e300)
-        column_step = engine.column_step
-
-        def slow_columns(state):
-            time.sleep(0.08)
-            column_step(state)
-
-        engine.column_step = slow_columns
-        res = engine.solve_step(sc.initial_state())
-        assert res.iterations == 1
-        seconds = res.state.per_sub_seconds
-        assert np.all(seconds >= 0.02)  # a quarter of the sleep each
-        assert np.ptp(seconds) < 0.04  # not all on one subsystem
+        assert res.state.per_sub_seconds >= 0.04 / 4
 
     def test_timers_live_on_the_state(self):
         sc = small_scenario()
@@ -1338,5 +1323,5 @@ class TestSolutionQuality:
         res = engine.solve_step(sc.initial_state())
         # a warm start copies the blocks but not the timers
         warm = engine.init_state(res.state)
-        np.testing.assert_array_equal(warm.per_sub_seconds, np.zeros(4))
-        assert np.all(res.state.per_sub_seconds > 0)
+        assert warm.per_sub_seconds == 0.0 and isinstance(warm.per_sub_seconds, float)
+        assert res.state.per_sub_seconds > 0

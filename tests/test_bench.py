@@ -346,7 +346,7 @@ class TestReports:
             assert got.primal_residual == want.primal_residual
             assert got.dual_residual == want.dual_residual
             assert (got.extrapolated, got.restarts) == (want.extrapolated, want.restarts)
-            np.testing.assert_array_equal(got.per_sub_seconds, want.per_sub_seconds)
+            assert got.per_sub_seconds == want.per_sub_seconds
 
     def test_json_is_strict_and_keeps_infinite_bounds(self, tmp_path):
         # the stock input box is unbounded: input_lower = -inf, input_upper = inf
@@ -384,12 +384,17 @@ class TestReports:
             (lambda data: data.pop("n_inputs"), "the report has no key 'n_inputs'"),
             (lambda data: data["config"].pop("horizon"), "its config has no key 'horizon'"),
             (lambda data: [data.clear(), data.update(config={"n_subsystems": 2})], "the report has no key 'states'"),
+            (
+                lambda data: data["steps"][1].update(per_sub_seconds=[1e-3, 2e-3]),
+                "step 1 has a list for its scalar key 'per_sub_seconds'",
+            ),
         ],
-        ids=["qp-tol", "no-restarts", "no-n-inputs", "no-horizon", "config-only"],
+        ids=["qp-tol", "no-restarts", "no-n-inputs", "no-horizon", "config-only", "per-sub-vector"],
     )
     def test_report_with_a_key_off_is_named(self, tmp_path, edit, message):
-        # older reports (a qp_tol setting, no momentum counts, no input count)
-        # no longer load; a missing setting must not take its default
+        # older reports (a qp_tol setting, no momentum counts, no input count,
+        # a vector of per-subsystem times) no longer load; a missing setting
+        # must not take its default
         sc = build_scenario(ScenarioConfig(n_subsystems=2, horizon=2, sim_steps=2))
         path = emit_report(run_closed_loop(sc), tmp_path)["json"]
         data = json.loads(path.read_text())
@@ -409,6 +414,7 @@ class TestReports:
         assert int(rows[1]["iterations"]) == rep.steps[1].iterations
         assert int(rows[1]["extrapolated"]) == rep.steps[1].extrapolated
         assert int(rows[1]["restarts"]) == rep.steps[1].restarts
+        assert float(rows[1]["mean_sub_seconds"]) == rep.steps[1].per_sub_seconds
 
     def test_empty_report_writes_headers_only(self, tmp_path):
         cfg = ScenarioConfig(n_subsystems=2)
