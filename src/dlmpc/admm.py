@@ -164,6 +164,8 @@ class AdmmState:
     ``prev`` holds the last true (psi, lambda) of the row buffer,
     ``nesterov`` the momentum weight a, ``gap`` and ``new_gap`` the last two
     restart quantities; ``extrapolated`` and ``restarts`` count its steps.
+    ``solved`` and ``prev`` are workspace: :meth:`DlmpcEngine.solve_step`
+    sets both to None after extraction, so a returned state holds neither.
     """
 
     rows: np.ndarray
@@ -595,6 +597,7 @@ class DlmpcEngine:
 
         u = self.extract_control(state)
         state.per_sub_seconds = (time.perf_counter() - t0) / len(self.index.subsystems)
+        state.solved = state.prev = None  # workspace: a warm start reads neither
         if self.record_packets:
             state.packets = self._packets(state)
         return StepResult(u=u, state=state)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .topology import NetworkModel, check_int
 
@@ -197,6 +196,10 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9) -> QpResult:
     # consistent rows that the others span are idled too, so that the KKT
     # matrix stays nonsingular; their multipliers stay 0
     for k in np.flatnonzero(~infeasible & (kept.sum(axis=1) < (idle == 0).sum(axis=1))):
+        # loaded here, its only use: importing scipy.linalg loads scipy's own
+        # OpenBLAS (about 8 MB) beside numpy's, which no other route needs
+        import scipy.linalg
+
         order = scipy.linalg.qr(a_eq[k].T, mode="r", pivoting=True)[1]
         drop = order[np.count_nonzero(kept[k]) :]
         a_eq[k, drop], b_eq[k, drop], idle[k, drop] = 0.0, 0.0, 1.0

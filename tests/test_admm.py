@@ -1,15 +1,10 @@
 """Engine behavior: determinism, exchanges, masks, convergence, momentum, extraction."""
 import dataclasses
-import importlib
-import os
 import re
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from dlmpc import (
     Case,
@@ -92,6 +87,23 @@ class TestEngineBasics:
         assert res.x0 is res.state.x0 and res.packets is res.state.packets
         with pytest.raises(AttributeError):
             res.iterations = 0
+
+    @pytest.mark.parametrize("row_solver", list(RowSolverKind))
+    def test_returned_state_holds_no_workspace(self, row_solver):
+        # the row phase's output is released after extraction, cold and warm:
+        # a warm start reads only the row buffer and rho
+        sc = small_scenario()
+        engine = sc.make_engine(row_solver=row_solver)
+        x0 = sc.initial_state()
+        cold = engine.solve_step(x0).state
+        warm = engine.solve_step(0.9 * x0, warm_state=cold).state
+        assert all(state.solved is None and state.prev is None for state in (cold, warm))
+
+    def test_armed_step_returns_no_momentum_workspace(self):
+        sc = build_scenario(ACTIVE_BOX)
+        state = sc.make_engine().solve_step(sc.initial_state()).state
+        assert state.extrapolated > 0
+        assert state.solved is None and state.prev is None
 
     def test_rejects_wrong_x0_size(self):
         sc = small_scenario()
@@ -1166,39 +1178,6 @@ class TestRowStep:
         for i in range(1, sc.model.n_subsystems + 1):
             engine.row_step(state, i)
             np.testing.assert_allclose(state.phi_r[i - 1], expected[i - 1], rtol=0, atol=1e-7)
-
-    def test_qp_route_step_calls_no_scipy_linalg(self, monkeypatch):
-        # scipy.linalg would start its own BLAS pool beside numpy's, and the
-        # two contend on a small machine: the QP route's step stays in numpy.linalg
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-        config = importlib.import_module("workload").WORKLOADS["chain-solver"].config
-        sc = build_scenario(ScenarioConfig(**config))
-        engine = sc.make_engine()
-        assert engine.row_solver is RowSolverKind.QP
-        where = os.path.join("scipy", "linalg", "")
-        calls = []
-
-        def watch(frame, event, arg):
-            if event == "call" and where in frame.f_code.co_filename:
-                calls.append(f"{frame.f_code.co_filename}:{frame.f_code.co_name}")
-            elif event == "c_call" and str(getattr(arg, "__module__", "")).startswith("scipy.linalg"):
-                calls.append(f"{arg.__module__}.{arg.__name__}")
-
-        # the profiler sees no call of a LAPACK or BLAS wrapper (a Fortran
-        # object, neither Python nor builtin): those of scipy.linalg record their own
-        def recording(name, fn):
-            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
-
-        for module in (scipy.linalg.lapack, scipy.linalg.blas):
-            for name, fn in list(vars(module).items()):
-                if type(fn).__name__ == "fortran":
-                    monkeypatch.setattr(module, name, recording(f"{module.__name__}.{name}", fn))
-        sys.setprofile(watch)
-        try:
-            res = engine.solve_step(sc.initial_state())
-        finally:
-            sys.setprofile(None)
-        assert res.iterations > 0 and not calls, calls[:5]
 
 
 class TestSolutionQuality:

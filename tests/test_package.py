@@ -78,6 +78,29 @@ def test_test_only_names_are_gone():
     assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(dlmpc.StepRecord))
 
 
+def test_no_workload_or_command_loads_scipy_linalg():
+    # scipy.linalg brings scipy's own OpenBLAS and its threads beside numpy's
+    # (about 8 MB); only a QP with consistent, dependent equality rows loads it.
+    # A module never loaded is never called, so set-up and both row routes
+    # stay in numpy.linalg too.  A fresh interpreter, since this one may have
+    # loaded it for another test.
+    code = """
+import sys
+from dlmpc import ScenarioConfig, build_scenario, run_closed_loop
+from dlmpc.cli import main
+from workload import WORKLOADS
+for wl in WORKLOADS.values():
+    run_closed_loop(build_scenario(ScenarioConfig(**wl.config)), sim_steps=3)
+assert main(["run", "--subsystems", "3", "--steps", "2", "--horizon", "3", "--baseline"]) == 0
+assert main(["compare", "--subsystems", "3", "--steps", "2", "--horizon", "3"]) == 0
+print(sorted(name for name in sys.modules if name.startswith("scipy.linalg")))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench"))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_readme_has_python_blocks():
     assert len(README_BLOCKS) >= 2
 

@@ -8,22 +8,16 @@ densely, and ``oracles.reference_projectors``' pseudo-inverse of the dense
 constraint) so they share no code with the package's QR route.
 """
 import dataclasses
-import importlib
-import os
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dlmpc import (
     NetworkModel,
-    ScenarioConfig,
     assemble_feasibility_operator,
     build_chain_model,
     build_graph,
     build_locality_index,
-    build_scenario,
     project_column,
     sls,
     stacked_constraint,
@@ -271,28 +265,6 @@ class TestColumnProjection:
         # a slice with dependent rows takes the pseudo-inverse
         with pytest.raises(SvdCalled):
             build_operator(cross_fed_chain_model, d=2, horizon=3)
-
-    def test_setup_calls_no_scipy_linalg(self, monkeypatch):
-        # scipy.linalg would start its own BLAS pool beside numpy's; set-up
-        # (scenario and engine) of every perfbench workload stays in numpy.linalg
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-        workloads = importlib.import_module("workload").WORKLOADS
-        where = os.path.join("scipy", "linalg", "")
-        calls = []
-
-        def watch(frame, event, arg):
-            if event == "call" and where in frame.f_code.co_filename:
-                calls.append(f"{frame.f_code.co_filename}:{frame.f_code.co_name}")
-            elif event == "c_call" and str(getattr(arg, "__module__", "")).startswith("scipy.linalg"):
-                calls.append(f"{arg.__module__}.{arg.__name__}")
-
-        for name, wl in workloads.items():
-            sys.setprofile(watch)
-            try:
-                build_scenario(ScenarioConfig(**wl.config)).make_engine()
-            finally:
-                sys.setprofile(None)
-            assert not calls, (name, calls[:5])
 
     def test_operator_stores_each_projector_once(self, cross_fed_chain_model):
         # the per-subsystem maps are views into the class stacks, and nothing
