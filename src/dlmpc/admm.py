@@ -72,7 +72,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .explicit_row import InfeasibleRowError, RowTerms, apply_law, locate, row_terms
-from .qp import QpStatus, check_x0, row_qp, solve_qp, stacked_profiles
+from .qp import DenseQP, QpStatus, check_x0, row_qp, solve_qp, stacked_profiles
 from .sls import FeasibilityOperator, project_column
 from .topology import LocalityIndex, check_id, check_int, check_real
 
@@ -136,6 +136,22 @@ def packet_within_locality(packet: ExchangePacket, index: LocalityIndex) -> bool
     return sender in index.in_sets_ext[receiver - 1]
 
 
+@dataclass(frozen=True)
+class RowStack:
+    """The QP route's live rows at one rho: their stacked positions, masks and ``row_qp`` stack.
+
+    The live rows are those the terms do not mark zero.  The stack's ``h``,
+    equalities and boxes read their x0 slices, boxes, weights and rho,
+    which hold for the step until rho moves; only its ``g`` (the targets)
+    changes between iterations.
+    """
+
+    rho: float
+    live: np.ndarray
+    mask: np.ndarray
+    qp: DenseQP
+
+
 @dataclass
 class AdmmState:
     """Per-subsystem row partitions of (phi, psi, lambda) and the column step's workspace.
@@ -157,15 +173,18 @@ class AdmmState:
     :func:`row_terms` of every row on the row buffer's layout, which both
     row routes and extraction read.  ``solved``, shaped like one layer of
     ``rows``, holds every row's new phi from the iteration's stacked row
-    phase, on either route, until the row steps write it back.
-    ``residual_history`` holds one (max primal, max dual) pair per
+    phase, on either route, until the row steps write it back.  On the
+    QP route ``row_stack`` holds the live rows' :class:`RowStack` at the
+    current rho, built at the step's first row phase and again after rho
+    moves.  ``residual_history`` holds one (max primal, max dual) pair per
     iteration, ``per_sub_seconds`` the step's time over N (0.0 before), and
     ``held`` the iterations since rho last moved.  Once momentum arms,
     ``prev`` holds the last true (psi, lambda) of the row buffer,
     ``nesterov`` the momentum weight a, ``gap`` and ``new_gap`` the last two
     restart quantities; ``extrapolated`` and ``restarts`` count its steps.
-    ``solved`` and ``prev`` are workspace: :meth:`DlmpcEngine.solve_step`
-    sets both to None after extraction, so a returned state holds neither.
+    ``solved``, ``row_stack`` and ``prev`` are workspace:
+    :meth:`DlmpcEngine.solve_step` sets them to None after extraction, so
+    a returned state holds none of them.
     """
 
     rows: np.ndarray
@@ -180,6 +199,7 @@ class AdmmState:
     x0: np.ndarray | None = None
     terms: RowTerms | None = None
     solved: np.ndarray | None = None
+    row_stack: RowStack | None = None
     packets: list | None = None
     per_sub_seconds: float = 0.0
     held: int = 0
@@ -382,28 +402,38 @@ class DlmpcEngine:
         """The QP route's row solves: one stacked ``solve_qp`` call over every live row.
 
         Writes each row's target ``psi - lambda`` into ``state.solved`` and
-        stacks the rows that the terms do not mark zero (zero rows stay at
-        their targets) at the widest block width W: off the mask the target
-        and x0 are zero, on the padding +0 and -0, so those variables
-        decouple and keep their targets.  Without live rows it
-        makes no call.  The first live row whose QP ends not optimal raises
-        before ``state.solved`` changes (:class:`InfeasibleRowError` if
-        infeasible, else :class:`ConvergenceError`).
+        solves the rows that the terms do not mark zero (zero rows stay at
+        their targets) as one ``row_qp`` stack at the widest block width W:
+        off the mask the target and x0 are zero, on the padding +0 and -0,
+        so those variables decouple and keep their targets.  The stack is
+        built once per rho (``state.row_stack``) and each call writes only
+        the new targets into its ``g``, so ``solve_qp`` reuses its analysis.
+        Without live rows it makes no call.  The first live row whose QP
+        ends not optimal raises before ``state.solved`` changes
+        (:class:`InfeasibleRowError` if infeasible, else
+        :class:`ConvergenceError`).
         """
         terms, solved = state.terms, state.solved
         np.subtract(state.rows[1], state.rows[2], out=solved)
-        live = np.flatnonzero(~terms.zero)
-        if not live.size:
-            return
+        stack = state.row_stack
+        if stack is None or stack.rho != state.rho:
+            live = np.flatnonzero(~terms.zero)
+            if not live.size:
+                return
+            lo, hi, w = (v[live] for v in self._boxes)
+            qp = row_qp(solved[live], terms.x0[live], state.rho, lo, hi, w)
+            stack = state.row_stack = RowStack(state.rho, live, self._mask[live], qp)
+        live = stack.live
         target = solved[live]
-        lo, hi, w = (v[live] for v in self._boxes)
-        res = solve_qp(row_qp(target, terms.x0[live], state.rho, lo, hi, w))
+        np.multiply(target, -state.rho, out=stack.qp.g[:, :-1])  # row_qp's g for these targets
+        res = solve_qp(stack.qp)
         for k in np.flatnonzero([s is not QpStatus.OPTIMAL for s in res.statuses])[:1]:
             where, status = self._row_name(live[k]), res.statuses[k]
             if status is QpStatus.INFEASIBLE:
-                raise InfeasibleRowError(f"{where}: QP infeasible, box [{lo[k]}, {hi[k]}]")
+                lo, hi = (v[live[k]] for v in self._boxes[:2])
+                raise InfeasibleRowError(f"{where}: QP infeasible, box [{lo}, {hi}]")
             raise ConvergenceError(f"{where}: row QP ended {status.value}")
-        solved[live] = np.where(self._mask[live], res.x[:, :-1], target)
+        solved[live] = np.where(stack.mask, res.x[:, :-1], target)
 
     def row_step(self, state: AdmmState, i: int):
         """Subsystem i's rows of ``state.solved``, which the iteration's row phase left, into its phi block."""
@@ -597,7 +627,7 @@ class DlmpcEngine:
 
         u = self.extract_control(state)
         state.per_sub_seconds = (time.perf_counter() - t0) / len(self.index.subsystems)
-        state.solved = state.prev = None  # workspace: a warm start reads neither
+        state.solved = state.row_stack = state.prev = None  # workspace: a warm start reads none of them
         if self.record_packets:
             state.packets = self._packets(state)
         return StepResult(u=u, state=state)

@@ -362,10 +362,13 @@ def run_scaling_sweep(
     previous solution (warm).  Reported times are a step's time divided by
     N, the warm figure their mean over steps; set-up (scenario and engine)
     is wall time per subsystem too.  A sweep needs its cold step, so
-    ``sim_steps`` must be at least 1.
+    ``sim_steps`` must be at least 1, and at least one size.
     """
     if sim_steps < 1:
         raise ValueError(f"sim_steps must be at least 1, got {sim_steps}")
+    sizes = list(sizes)
+    if not sizes:
+        raise ValueError("sizes must name at least one network size")
     rows = []
     for n_sub in sizes:
         t0 = time.perf_counter()

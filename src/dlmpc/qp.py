@@ -16,18 +16,24 @@ It exists as an independent verification route: the solver shares no code
 path with the closed-form row solver, so agreement between the two is
 evidence, not tautology; only the problem statement is shared.
 ``row_qp`` states one row subproblem for it, or a stack of them: the
-solver-based row phase solves every live row as one stack.
+solver-based row phase solves every live row as one stack.  The solver
+splits into the analysis of a problem's fixed data (every field but the
+linear term ``g``), which it keeps with the problem, and the iteration,
+the only part that reads ``g``: the row phase rewrites its stack's ``g``
+each iteration and pays the analysis once per stack, while a lone QP
+pays it once per call.
 ``centralized_mpc`` condenses the full MPC problem into the inputs and
 solves one QP, giving the global cost baseline.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
 
-from .topology import NetworkModel, check_int
+from .topology import NetworkModel, check_int, check_real
 
 
 class QpStructureError(ValueError):
@@ -53,6 +59,10 @@ class DenseQP:
     member.  A non-finite entry of ``h``, ``g``, ``a_eq`` or ``b_eq``, a
     NaN bound, or a bound that no x meets (``lb`` of +inf, ``ub`` of -inf)
     raises :class:`QpStructureError` naming the field and the entry.
+    The arrays are the problem's own copies.  :func:`solve_qp` keeps its
+    analysis of every field but ``g`` with the problem, so those fields
+    are read-only and a new value of one voids the analysis; ``g`` alone
+    may be rewritten in place between solves.
     """
 
     h: np.ndarray
@@ -65,14 +75,14 @@ class DenseQP:
     def __post_init__(self):
         self.h = np.asarray(self.h, dtype=float)
         lead = self.h.shape[:1] if self.h.ndim == 3 else ()
-        per_member = lambda v: np.asarray(v, dtype=float) if lead else np.asarray(v, dtype=float).ravel()
+        per_member = lambda v: np.array(v, dtype=float) if lead else np.array(v, dtype=float).ravel()
         self.g = per_member(self.g)
         nv = self.g.shape[-1]
         if self.h.shape != lead + (nv, nv):
             raise QpStructureError(f"H must be {nv}x{nv}, got {self.h.shape}")
         if (self.a_eq is None) != (self.b_eq is None):
             raise QpStructureError("a_eq and b_eq must be given together")
-        self.a_eq = np.zeros(lead + (0, nv)) if self.a_eq is None else np.asarray(self.a_eq, dtype=float)
+        self.a_eq = np.zeros(lead + (0, nv)) if self.a_eq is None else np.array(self.a_eq, dtype=float)
         self.b_eq = np.zeros(lead + (0,)) if self.b_eq is None else per_member(self.b_eq)
         if self.a_eq.shape[:-2] != lead or self.a_eq.ndim != len(lead) + 2 or self.a_eq.shape[-1] != nv:
             raise QpStructureError("a_eq must have one column per variable")
@@ -90,6 +100,17 @@ class DenseQP:
                 need = "must be finite" if empty is None else "which no x meets" if v == empty else "must be a number"
                 raise QpStructureError(f"{name}[{', '.join(map(str, at))}] is {v}, {need}")
         self.h = 0.5 * (self.h + np.swapaxes(self.h, -1, -2))
+        for name in ("h", "a_eq", "b_eq", "lb", "ub"):
+            getattr(self, name).flags.writeable = False
+
+    def __setattr__(self, name, value):
+        if name != "g":
+            self.__dict__.pop("_analysis", None)
+        super().__setattr__(name, value)
+
+    @cached_property
+    def _analysis(self) -> _Analysis:
+        return _analyze(self)
 
 
 @dataclass
@@ -139,38 +160,37 @@ def _max_step(v, dv):
     return ratio.min(axis=1, initial=1.0)
 
 
-def solve_qp(qp: DenseQP, tol: float = 1e-9) -> QpResult:
-    """Solve a dense convex QP, or each member of a stack, to the requested KKT tolerance.
+@dataclass
+class _Analysis:
+    """What :func:`solve_qp` derives from a problem's fixed data: every field but ``g``.
 
-    Pinned variables (lb == ub) are folded into the equality block, which
-    may have zero rows; a consistent row that the other rows span is set
-    aside with a zero multiplier, so that the KKT matrix stays nonsingular.
-    Every other finite bound becomes one inequality
-    ``sgn * x[idx] >= bnd`` (lower bounds with ``sgn = +1``, then upper
-    bounds with ``sgn = -1`` and ``bnd = -ub``) with one slack and one
-    multiplier, split back into ``mu_lo`` and ``mu_hi`` at the end.  A
-    stack's members share one iteration: its bound slots and pinned rows
-    are those of any member, masked off in a member that lacks them, each
-    Newton solve is one batched ``np.linalg.solve`` over the members
-    (LAPACK's LU per member, in numpy's BLAS), and a member leaves the
-    iteration when it ends.  A member without a finite bound takes full
-    Newton steps, so it ends at its second check.  A status is OPTIMAL
-    only if all KKT residuals and the complementarity gap meet the
-    tolerance; a member still running after ``MAX_ITERATIONS`` iterations
-    ends MAX_ITER, and so does one that breaks down numerically (a
-    non-finite KKT matrix, or one that is exactly singular: a zero pivot of
-    the LU), which leaves the others to go on.
-    No status says "unbounded": a QP that is unbounded below ends
-    INFEASIBLE when its iterates pass the blow-up threshold, or MAX_ITER
-    when a direction without curvature or bound makes the KKT matrix
-    singular.
+    Each array has a leading member axis (one member for a lone QP).
     """
-    stack = qp.h.ndim == 3
-    h, g, a_eq, b_eq, lb, ub = (
-        v if stack else v[None] for v in (qp.h, qp.g, qp.a_eq, qp.b_eq, qp.lb, qp.ub)
-    )
+
+    infeasible: np.ndarray  # members whose equalities or box no x meets
+    eq_scale: np.ndarray  # max(1, |b_eq|), the equality part of each member's tolerance scale
+    b_eq: np.ndarray  # the equality right-hand sides, pin rows appended
+    kkt0: np.ndarray  # the KKT matrix without its barrier diagonal
+    xn: np.ndarray  # the strictly interior start, primal and equality duals
+    z: np.ndarray  # the start's slot multipliers
+    idx: np.ndarray  # each slot's variable
+    sel: np.ndarray  # ``w @ sel`` sums the slot values ``w`` of each variable
+    ssel: np.ndarray  # ``w @ ssel`` with their signs
+    sgn_on: np.ndarray  # each member's slot signs, 0 on the slots it lacks
+    bnd: np.ndarray  # each slot's bound, -1 where idle
+    n_on: np.ndarray  # each member's slot count, at least 1
+    tau: np.ndarray  # fraction of the boundary a step may reach
+    low: np.ndarray  # the variables with a lower slot
+    upp: np.ndarray  # the variables with an upper slot
+    pinned: np.ndarray  # the variables with a pin row
+    n_user_eq: int  # equality rows before the pin rows
+
+
+def _analyze(qp: DenseQP) -> _Analysis:
+    """The analysis of ``qp``'s fixed data that :func:`solve_qp` iterates on (see there)."""
+    h, a_eq, b_eq, lb, ub = (v if qp.h.ndim == 3 else v[None] for v in (qp.h, qp.a_eq, qp.b_eq, qp.lb, qp.ub))
     _check_psd(h)
-    n_qp, nv = g.shape
+    n_qp, nv = lb.shape
     n_user_eq = a_eq.shape[1]
     crossed = (lb > ub).any(axis=1)
 
@@ -213,11 +233,7 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9) -> QpResult:
     sgn = np.concatenate([np.ones(low.size), -np.ones(upp.size)])
     bnd = np.concatenate([lb[:, low], -ub[:, upp]], axis=1)
     on = np.isfinite(bnd)
-    sgn_on = sgn * on
-    bnd = np.where(on, bnd, -1.0)
-    # ``w @ sel`` sums the slot values ``w`` of each variable, ``w @ ssel`` with their signs
     sel = (idx[:, None] == np.arange(nv)).astype(float)
-    ssel = sgn[:, None] * sel
 
     # strictly interior start; primal and equality duals live in one vector
     both = np.isfinite(lb) & np.isfinite(ub)
@@ -226,29 +242,74 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9) -> QpResult:
     x = np.where(np.isfinite(lb), np.maximum(x_ls, lb + margin), x_ls)
     x = np.where(np.isfinite(ub), np.minimum(x, ub - margin), x)
     ne = a_eq.shape[1]
-    xn = np.concatenate([x, np.zeros((n_qp, ne))], axis=1)
-    z = on.astype(float)
-    n_on = np.maximum(on.sum(axis=1), 1)
-    tau = np.where(on.any(axis=1), 0.995, 1.0)
-    scale = np.maximum(eq_scale, np.abs(g).max(axis=1, initial=0.0))
 
-    # the KKT matrix without its barrier diagonal, and the residual offset:
-    # ``kkt0 @ xn + c`` is the dual residual over the primal residual
+    # the KKT matrix without its barrier diagonal: ``kkt0 @ xn + c`` is the
+    # dual residual over the primal residual, ``c`` the targets over -b_eq
     diag = np.arange(nv + ne)
     kkt0 = np.zeros((n_qp, nv + ne, nv + ne))
     kkt0[:, :nv, :nv] = h
     kkt0[:, :nv, nv:] = np.swapaxes(a_eq, 1, 2)
     kkt0[:, nv:, :nv] = a_eq
     kkt0[:, diag[nv:], diag[nv:]] = -idle
-    c = np.concatenate([g, -b_eq], axis=1)
-    kkt_all, c_all, scale_all = kkt0, c, scale
+    return _Analysis(
+        infeasible=infeasible, eq_scale=eq_scale, b_eq=b_eq, kkt0=kkt0,
+        xn=np.concatenate([x, np.zeros((n_qp, ne))], axis=1), z=on.astype(float),
+        idx=idx, sel=sel, ssel=sgn[:, None] * sel, sgn_on=sgn * on, bnd=np.where(on, bnd, -1.0),
+        n_on=np.maximum(on.sum(axis=1), 1), tau=np.where(on.any(axis=1), 0.995, 1.0),
+        low=low, upp=upp, pinned=pinned, n_user_eq=n_user_eq,
+    )
 
-    status = np.where(infeasible, _INFEASIBLE, _MAX_ITER)
+
+def solve_qp(qp: DenseQP, tol: float = 1e-9) -> QpResult:
+    """Solve a dense convex QP, or each member of a stack, to the requested KKT tolerance.
+
+    Pinned variables (lb == ub) are folded into the equality block, which
+    may have zero rows; a consistent row that the other rows span is set
+    aside with a zero multiplier, so that the KKT matrix stays nonsingular.
+    Every other finite bound becomes one inequality
+    ``sgn * x[idx] >= bnd`` (lower bounds with ``sgn = +1``, then upper
+    bounds with ``sgn = -1`` and ``bnd = -ub``) with one slack and one
+    multiplier, split back into ``mu_lo`` and ``mu_hi`` at the end.  A
+    stack's members share one iteration: its bound slots and pinned rows
+    are those of any member, masked off in a member that lacks them, each
+    Newton solve is one batched ``np.linalg.solve`` over the members
+    (LAPACK's LU per member, in numpy's BLAS), and a member leaves the
+    iteration when it ends.  A member without a finite bound takes full
+    Newton steps, so it ends at its second check.  A status is OPTIMAL
+    only if all KKT residuals and the complementarity gap meet the
+    tolerance; a member still running after ``MAX_ITERATIONS`` iterations
+    ends MAX_ITER, and so does one that breaks down numerically (a
+    non-finite KKT matrix, or one that is exactly singular: a zero pivot of
+    the LU), which leaves the others to go on.
+    No status says "unbounded": a QP that is unbounded below ends
+    INFEASIBLE when its iterates pass the blow-up threshold, or MAX_ITER
+    when a direction without curvature or bound makes the KKT matrix
+    singular.
+
+    Everything above but the tolerance scale and the residual offset reads
+    only the fixed data (every field but ``g``): that analysis (the PSD
+    check, pin rows, rank cut, bound slots, start point and KKT template)
+    is built on a problem's first solve and kept with it, so a problem
+    whose ``g`` is rewritten in place pays it once.  A ``tol`` that is
+    not positive and finite raises ValueError.
+    """
+    tol = check_real("tol", tol)
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    fx = qp._analysis
+    g = qp.g if qp.h.ndim == 3 else qp.g[None]
+    n_qp, nv = g.shape
+    idx, sel, ssel, diag = fx.idx, fx.sel, fx.ssel, np.arange(nv)
+    scale = np.maximum(fx.eq_scale, np.abs(g).max(axis=1, initial=0.0))
+    c = np.concatenate([g, -fx.b_eq], axis=1)
+    c_all, scale_all = c, scale
+
+    status = np.where(fx.infeasible, _INFEASIBLE, _MAX_ITER)
     iters = np.zeros(n_qp, dtype=int)
-    out_xn, out_z = np.zeros_like(xn), np.zeros_like(z)
-    live = np.flatnonzero(~infeasible)
+    out_xn, out_z = np.zeros_like(fx.xn), np.zeros_like(fx.z)
+    live = np.flatnonzero(~fx.infeasible)
     kkt0, c, bnd, sgn_on, n_on, tau, scale, xn, z = (
-        v[live] for v in (kkt0, c, bnd, sgn_on, n_on, tau, scale, xn, z)
+        v[live] for v in (fx.kkt0, c, fx.bnd, fx.sgn_on, fx.n_on, fx.tau, scale, fx.xn, fx.z)
     )
     for it in range(1, MAX_ITERATIONS + 1):
         if not live.size:
@@ -283,7 +344,7 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9) -> QpResult:
         # slogdet names the members with one (sign 0) so the rest solve again
         d = np.divide(z, s, out=np.zeros_like(z), where=~done[:, None])
         kkt = kkt0.copy()
-        kkt[:, diag[:nv], diag[:nv]] += d @ sel
+        kkt[:, diag, diag] += d @ sel
         done |= ~np.isfinite(kkt).all(axis=(1, 2))
         while True:
             if done.any():
@@ -317,19 +378,19 @@ def solve_qp(qp: DenseQP, tol: float = 1e-9) -> QpResult:
 
     # a stalled equality residual with interior-held bounds means the
     # equalities and the box cannot both be met
-    r_p = (_mv(kkt_all, out_xn) + c_all)[:, nv:]
+    r_p = (_mv(fx.kkt0, out_xn) + c_all)[:, nv:]
     stalled = np.abs(r_p).max(axis=1, initial=0.0) > 1e-6 * scale_all
     status[(status == _MAX_ITER) & stalled] = _INFEASIBLE
 
     # bound multipliers from the slots, and from the signs of the pin rows' duals
     mu_lo, mu_hi = np.zeros((n_qp, nv)), np.zeros((n_qp, nv))
-    mu_lo[:, low], mu_hi[:, upp] = out_z[:, : low.size], out_z[:, low.size :]
-    pin_nu = out_xn[:, nv + n_user_eq :]
-    mu_lo[:, pinned] += np.maximum(-pin_nu, 0.0)
-    mu_hi[:, pinned] += np.maximum(pin_nu, 0.0)
-    x, nu = out_xn[:, :nv], out_xn[:, nv : nv + n_user_eq]
+    mu_lo[:, fx.low], mu_hi[:, fx.upp] = out_z[:, : fx.low.size], out_z[:, fx.low.size :]
+    pin_nu = out_xn[:, nv + fx.n_user_eq :]
+    mu_lo[:, fx.pinned] += np.maximum(-pin_nu, 0.0)
+    mu_hi[:, fx.pinned] += np.maximum(pin_nu, 0.0)
+    x, nu = out_xn[:, :nv], out_xn[:, nv : nv + fx.n_user_eq]
     statuses = [_STATUSES[k] for k in status.tolist()]
-    if stack:
+    if qp.h.ndim == 3:
         return QpResult(x, statuses, nu, mu_lo, mu_hi, int(iters.max(initial=0)))
     return QpResult(x[0], statuses, nu[0], mu_lo[0], mu_hi[0], int(iters[0]))
 

@@ -22,6 +22,7 @@ from dlmpc import (
     packet_within_locality,
     run_closed_loop,
 )
+import dlmpc.qp
 from dlmpc import admm
 from dlmpc.explicit_row import RowTerms, row_terms
 from dlmpc.qp import row_qp, stacked_profiles
@@ -1178,6 +1179,81 @@ class TestRowStep:
         for i in range(1, sc.model.n_subsystems + 1):
             engine.row_step(state, i)
             np.testing.assert_allclose(state.phi_r[i - 1], expected[i - 1], rtol=0, atol=1e-7)
+
+
+def fresh_row_qps(sc):
+    """The QP row phase as one fresh ``row_qp`` stack and ``solve_qp`` call every iteration.
+
+    Boxes and weights come from the scenario's profiles and the masks from
+    the index, each row's padded to the widest block; only the measured
+    terms are the engine's.
+    """
+    subs = sc.index.subsystems
+    width = max(sub.row_cols.size for sub in subs)
+    weight, lo, hi = (v[np.concatenate([sub.rows for sub in subs])] for v in profile_rows(sc))
+    mask = np.concatenate([np.pad(sub.row_mask, ((0, 0), (0, width - sub.row_cols.size))) for sub in subs])
+
+    def solve_row_qps(state):
+        solved = state.solved
+        np.subtract(state.rows[1], state.rows[2], out=solved)
+        live = np.flatnonzero(~state.terms.zero)
+        target = solved[live]
+        res = admm.solve_qp(row_qp(target, state.terms.x0[live], state.rho, lo[live], hi[live], weight[live]))
+        assert res.status is QpStatus.OPTIMAL
+        solved[live] = np.where(mask[live], res.x[:, :-1], target)
+
+    return solve_row_qps
+
+
+class TestQpRowStack:
+    """The QP route keeps its row stack from a step's first row phase until rho moves."""
+
+    @staticmethod
+    def scenario(name, six_node_model):
+        if name == "chain-solver":
+            return build_scenario(ScenarioConfig(n_subsystems=6, case=Case.SOLVER, sim_steps=3))
+        config = ScenarioConfig(6, horizon=3, locality=1, case=Case.SOLVER, sim_steps=3)
+        return build_scenario(config, model=six_node_model)
+
+    def test_stack_is_built_once_per_step_and_rho(self, monkeypatch):
+        # the chain-solver config's cold step moves rho up to 4, and its warm
+        # step starts again at the engine's rho: each step builds and analyzes
+        # its stack at its first row phase and again after each move of rho,
+        # and every iteration makes one solve_qp call, on the stack of its rho
+        analyzed, solved = [], []
+        analyze = dlmpc.qp._analyze
+        monkeypatch.setattr(dlmpc.qp, "_analyze", lambda qp: analyzed.append(qp) or analyze(qp))
+        solve_qp = admm.solve_qp
+        monkeypatch.setattr(admm, "solve_qp", lambda qp: solved.append(qp) or solve_qp(qp))
+        sc = self.scenario("chain-solver", None)
+        engine = sc.make_engine()
+        phases, solve_row_qps = [], engine.solve_row_qps
+        engine.solve_row_qps = lambda state: solve_row_qps(state) or phases.append((state.rho, state.row_stack))
+        cold = engine.solve_step(sc.initial_state())
+        steps = [cold, engine.solve_step(0.9 * sc.initial_state(), warm_state=cold.state)]
+        assert cold.state.rho == 4.0
+        builds, at = 0, 0
+        for res in steps:
+            rhos = [rho for rho, _ in phases[at : at + res.iterations]]
+            builds += 1 + sum(a != b for a, b in zip(rhos, rhos[1:]))
+            at += res.iterations
+            assert res.state.row_stack is None
+        assert at == len(phases) == len(solved)
+        assert all(stack.rho == rho for rho, stack in phases)
+        assert [id(qp) for qp in solved] == [id(stack.qp) for _, stack in phases]
+        assert len(analyzed) == len({id(qp) for qp in analyzed}) == len({id(qp) for qp in solved}) == builds > 3
+
+    @pytest.mark.parametrize("name", ["chain-solver", "six-node"])
+    def test_closed_loop_equals_fresh_stacks_bitwise(self, name, six_node_model):
+        sc = self.scenario(name, six_node_model)
+        fresh = sc.make_engine()
+        fresh.solve_row_qps = fresh_row_qps(sc)
+        (got, got_states), (want, want_states) = (recorded_loop(sc, engine) for engine in (sc.make_engine(), fresh))
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.inputs.tobytes() == want.inputs.tobytes()
+        np.testing.assert_array_equal(got.iterations, want.iterations)
+        assert [g.residual_history for g in got_states] == [w.residual_history for w in want_states]
+        assert any(state.rho != sc.config.rho for state in got_states)
 
 
 class TestSolutionQuality:

@@ -596,6 +596,11 @@ class TestSweep:
         with pytest.raises(ValueError, match="sim_steps must be at least 1, got 0"):
             run_scaling_sweep(sizes=(2,), sim_steps=0)
 
+    def test_no_sizes_rejected(self):
+        # an empty sweep once returned no rows, and the CLI printed only its header
+        with pytest.raises(ValueError, match="^sizes must name at least one network size$"):
+            run_scaling_sweep(sizes=())
+
 
 class TestCli:
     def test_run_verb(self, capsys):
@@ -775,6 +780,11 @@ class TestCli:
     def test_sweep_zero_steps(self, capsys):
         assert cli_main(["sweep", "--sizes", "2", "--steps", "0"]) == 1
         assert "error: sim_steps must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_sweep_no_sizes(self, capsys):
+        assert cli_main(["sweep", "--sizes", ","]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "error: sizes must name at least one network size" in out.err
 
     def test_nonconvergence_exit_code(self, capsys):
         code = cli_main(

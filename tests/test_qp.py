@@ -8,6 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
+import dlmpc.qp
 from dlmpc import (
     DenseQP,
     QpStatus,
@@ -297,6 +298,50 @@ class TestSolveQp:
         singular = solve_qp(DenseQP(h, np.array([[0.3, 0.1], [1.4, 1.0], [-0.2, 0.5]]),
                                     ub=np.array([[1.0, 1.0], [1.0, np.inf], [1.0, 1.0]])))
         assert singular.statuses[1] is QpStatus.MAX_ITER and calls == [(3, 2, 2)]
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_a_tol_that_is_not_positive_and_finite(self, tol):
+        # tol=inf once ended OPTIMAL at the start point [0, 0] (the optimum is
+        # [-1, 1]), and tol=-1 or nan ran every iteration and ended MAX_ITER
+        with pytest.raises(ValueError, match=r"^tol must be positive and finite, got "):
+            solve_qp(DenseQP(np.eye(2), [1.0, -1.0]), tol=tol)
+
+    def test_rewriting_g_in_place_reuses_the_analysis(self, monkeypatch):
+        # a stack with pinned, one- and two-sided bounds and a crossed member:
+        # after g is rewritten in place, the re-solve equals a fresh problem's
+        # solve bit for bit, and the fixed data was analyzed once
+        calls = []
+        analyze = dlmpc.qp._analyze
+        monkeypatch.setattr(dlmpc.qp, "_analyze", lambda qp: calls.append(qp) or analyze(qp))
+        inf = np.inf
+        rng = np.random.default_rng(21)
+        h = np.stack([random_psd(rng, 3) for _ in range(4)])
+        a = rng.normal(size=(4, 1, 3))
+        b = a @ np.array([0.25, 0.0, 0.15])
+        lb = np.array([[0.25, -inf, -1.0], [0.0, -inf, 0.1], [-inf, -0.3, -inf], [1.0, -inf, -inf]])
+        ub = np.array([[0.25, inf, 1.0], [inf, inf, inf], [0.5, 0.3, 0.2], [0.0, inf, inf]])
+        qp = DenseQP(h, rng.normal(size=(4, 3)), a, b, lb, ub)
+        solve_qp(qp)
+        for g in rng.normal(size=(2, 4, 3)):
+            qp.g[...] = g
+            again, fresh = solve_qp(qp), solve_qp(DenseQP(h, g, a, b, lb, ub))
+            assert again.statuses == fresh.statuses and again.iterations == fresh.iterations
+            for field in ("x", "nu", "mu_lo", "mu_hi"):
+                assert getattr(again, field).tobytes() == getattr(fresh, field).tobytes(), field
+        assert [id(c) for c in calls].count(id(qp)) == 1 and len(calls) == 3
+
+    def test_fixed_data_cannot_leave_the_analysis_stale(self):
+        # the problem copies its data and keeps every field but g read-only,
+        # and a new bound voids the kept analysis: the re-solve sees it
+        g, lb = np.array([1.0, -1.0]), np.array([-0.5, -0.5])
+        qp = DenseQP(np.eye(2), g, lb=lb, ub=[0.5, 0.5])
+        np.testing.assert_allclose(solve_qp(qp).x, [-0.5, 0.5], atol=1e-8)
+        with pytest.raises(ValueError, match="read-only"):
+            qp.lb[0] = 0.0
+        lb[0] = g[0] = 0.0  # the caller's arrays stay its own
+        assert qp.lb[0] == -0.5 and qp.g[0] == 1.0
+        qp.lb = np.zeros(2)
+        np.testing.assert_allclose(solve_qp(qp).x, [0.0, 0.5], atol=1e-8)
 
     def test_stack_members_match_their_solves_as_stacks_of_one(self, monkeypatch):
         # one stack of equal-size QPs (three variables, one equality row)
