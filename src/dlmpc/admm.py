@@ -58,7 +58,7 @@ them, each looked up on the instance, under one clock: the measurement
 (every row's terms) and extraction (every input), once per MPC step, the
 stacked row phase of either route, the row step (each subsystem's
 write-back, for i = 1..N through ``_each``), the exchanges, the column step
-(one stacked map per slice-shape class), the multiplier step and the
+(one map, shared or stacked, per operator class), the multiplier step and the
 convergence check (momentum included).  A step's time over N is its
 per-subsystem time; a recording engine reads packets after it.
 """
@@ -182,9 +182,12 @@ class AdmmState:
     ``prev`` holds the last true (psi, lambda) of the row buffer,
     ``nesterov`` the momentum weight a, ``gap`` and ``new_gap`` the last two
     restart quantities; ``extrapolated`` and ``restarts`` count its steps.
-    ``solved``, ``row_stack`` and ``prev`` are workspace:
-    :meth:`DlmpcEngine.solve_step` sets them to None after extraction, so
-    a returned state holds none of them.
+    ``work`` (shape ``(2, R, W)``) takes every row-buffer-sized
+    intermediate of the explicit row phase, the row exchange, the
+    multiplier step and the momentum, so an iteration on the explicit route
+    allocates no array of that size.  ``solved``, ``row_stack``, ``prev``
+    and ``work`` are workspace: :meth:`DlmpcEngine.solve_step` sets them
+    to None after extraction, so a returned state holds none of them.
     """
 
     rows: np.ndarray
@@ -199,6 +202,7 @@ class AdmmState:
     x0: np.ndarray | None = None
     terms: RowTerms | None = None
     solved: np.ndarray | None = None
+    work: np.ndarray | None = None
     row_stack: RowStack | None = None
     packets: list | None = None
     per_sub_seconds: float = 0.0
@@ -228,9 +232,13 @@ class StepResult:
     packets = property(lambda self: self.state.packets)
 
 
-def _relaxed(phi: np.ndarray, psi_prev: np.ndarray) -> np.ndarray:
-    """The over-relaxed row iterate, which the column step and the multiplier read."""
-    return ALPHA * phi + (1.0 - ALPHA) * psi_prev
+def _relaxed(phi: np.ndarray, psi_prev: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The over-relaxed row iterate, which the column step and the multiplier read, into ``out``.
+
+    ``tmp``, shaped like ``out``, is overwritten.
+    """
+    np.multiply(ALPHA, phi, out=out)
+    return np.add(out, np.multiply(1.0 - ALPHA, psi_prev, out=tmp), out=out)
 
 
 class DlmpcEngine:
@@ -330,11 +338,12 @@ class DlmpcEngine:
         col_keys = np.concatenate([(s.col_rows[:, None] * n + s.cols).ravel() for s in subs])
         if not np.array_equal(self._row_keys[self._src], col_keys):
             raise RuntimeError("a column-buffer entry has no row-buffer source")
-        # each shape class's column blocks in member order, one slice if consecutive
+        # each class's column blocks in member order, one slice if consecutive, and their stacked shape
         self._class_at = []
         for cls, ids in zip(op.classes, op.members):
-            at = (self._col_offsets[np.array(ids) - 1, None] + np.arange(cls.offset[0].size)).ravel()
-            self._class_at.append(slice(at[0], at[-1] + 1) if at[-1] + 1 - at[0] == at.size else at)
+            shape = (len(ids),) + cls.offset.shape[-2:]
+            at = (self._col_offsets[np.array(ids) - 1, None] + np.arange(shape[1] * shape[2])).ravel()
+            self._class_at.append((slice(at[0], at[-1] + 1) if at[-1] + 1 - at[0] == at.size else at, shape))
 
     # -- state management ---------------------------------------------------
 
@@ -362,7 +371,8 @@ class DlmpcEngine:
             # exact for a state of this engine: rho moves by powers of two
             rows[2] *= warm.rho / self.rho
         phi_r = tuple(rows[0, at, : s.row_cols.size] for at, s in zip(self._spans, self.index.subsystems))
-        return AdmmState(rows, cols, phi_r, rho=self.rho, solved=np.zeros(self._mask.shape))
+        work = np.empty((2,) + self._mask.shape)  # every use writes it in full before reading it
+        return AdmmState(rows, cols, phi_r, rho=self.rho, solved=np.zeros(self._mask.shape), work=work)
 
     def _row_name(self, r: int) -> str:
         """``subsystem i: global row g`` for stacked row ``r``."""
@@ -391,12 +401,13 @@ class DlmpcEngine:
 
         Writes each row's target ``psi - lambda`` into ``state.solved``, then
         one :func:`locate` (point location) and one :func:`apply_law` over the
-        whole layout leave every row's new phi there.  The padding's targets
-        are +0 and its x0 -0, so it stays +0.
+        whole layout leave every row's new phi there, their products in
+        ``state.work``.  The padding's targets are +0 and its x0 -0, so it
+        stays +0.
         """
-        terms, solved = state.terms, state.solved
+        terms, solved, work = state.terms, state.solved, state.work[0]
         np.subtract(state.rows[1], state.rows[2], out=solved)
-        apply_law(solved, locate(terms, solved, state.rho)[0], terms.x0, out=solved)
+        apply_law(solved, locate(terms, solved, state.rho, work)[0], terms.x0, out=solved, work=work)
 
     def solve_row_qps(self, state: AdmmState):
         """The QP route's row solves: one stacked ``solve_qp`` call over every live row.
@@ -441,28 +452,29 @@ class DlmpcEngine:
         phi[...] = state.solved[self._spans[i - 1], : phi.shape[1]]
 
     def column_step(self, state: AdmmState):
-        """Project every column slice's target onto the dynamics constraint, by shape class."""
+        """Project every column slice's target onto the dynamics constraint, one call per operator class."""
         target, psi = state.cols
-        for cls, at in zip(self.op.classes, self._class_at):
-            psi[at] = project_column(cls, target[at].reshape(cls.offset.shape)).ravel()
+        for cls, (at, shape) in zip(self.op.classes, self._class_at):
+            psi[at] = project_column(cls, target[at].reshape(shape)).ravel()
 
     def multiplier_step(self, state: AdmmState):
-        """Scaled dual update on the row buffer plus per-subsystem residuals."""
-        rows = state.rows
-        primal = rows[0] - rows[1]
-        step = _relaxed(rows[0], rows[3]) - rows[1]  # lambda - lambda_hat
-        rows[2] += step
+        """Scaled dual update on the row buffer plus per-subsystem residuals, in ``state.work``."""
+        rows, (a, b) = state.rows, state.work
         # one segment per subsystem, its span (padding included); reduceat misreads
         # empty segments, but no row block is empty (every subsystem has a state and its T+1 rows)
         sums = lambda sq: np.add.reduceat(sq.ravel(), self._starts)
-        norms = lambda diff: np.sqrt(sums(diff * diff))
-        moved = rows[1] - rows[3]  # psi - psi_hat
-        state.primal = norms(primal)
+        norms = lambda diff: np.sqrt(sums(np.multiply(diff, diff, out=diff)))  # squares diff in place
+        state.primal = norms(np.subtract(rows[0], rows[1], out=a))
+        step = _relaxed(rows[0], rows[3], a, b)
+        step -= rows[1]  # lambda - lambda_hat
+        rows[2] += step
+        moved = np.subtract(rows[1], rows[3], out=b)  # psi - psi_hat
         if state.prev is None:
             state.dual = norms(moved)
         else:  # rows[3] is psi_hat; the dual residual reads the true psi_prev
-            state.dual = norms(rows[1] - state.prev[0])
-            state.new_gap = float(sums(step * step + moved * moved).max())
+            np.add(np.multiply(step, step, out=step), np.multiply(moved, moved, out=moved), out=step)
+            state.new_gap = float(sums(step).max())
+            state.dual = norms(np.subtract(rows[1], state.prev[0], out=b))
 
     def check_convergence(self, state: AdmmState) -> bool:
         """All subsystems within both residual tolerances (boundary passes).
@@ -513,17 +525,19 @@ class DlmpcEngine:
                 state.restarts += 1
             state.gap = state.new_gap
             state.extrapolated += beta > 0.0
-            diff = fresh - state.prev
+            diff = np.subtract(fresh, state.prev, out=state.work)
             state.prev[...] = fresh
-            fresh += beta * diff
+            fresh += np.multiply(beta, diff, out=diff)
 
     # -- exchanges ------------------------------------------------------------
 
     def exchange_rows(self, state: AdmmState):
-        """Row owners send the column step's target to column owners."""
+        """Row owners send the column step's target to column owners, built in ``state.work``."""
         rows = state.rows
-        target = _relaxed(rows[0], rows[1]) + rows[2]  # psi is still the previous one
-        state.cols[0] = target.ravel()[self._src]
+        target = _relaxed(rows[0], rows[1], *state.work)  # psi is still the previous one
+        target += rows[2]
+        # mode "clip" takes straight into cols (the default buffers a copy); the plan's indices are in range
+        np.take(target.ravel(), self._src, out=state.cols[0], mode="clip")
 
     def exchange_columns(self, state: AdmmState):
         """Column owners send projected blocks back to row owners."""
@@ -627,7 +641,7 @@ class DlmpcEngine:
 
         u = self.extract_control(state)
         state.per_sub_seconds = (time.perf_counter() - t0) / len(self.index.subsystems)
-        state.solved = state.row_stack = state.prev = None  # workspace: a warm start reads none of them
+        state.solved = state.work = state.row_stack = state.prev = None  # workspace: a warm start reads none of them
         if self.record_packets:
             state.packets = self._packets(state)
         return StepResult(u=u, state=state)

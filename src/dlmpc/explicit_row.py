@@ -55,13 +55,14 @@ class InfeasibleRowError(ValueError):
         self.row, self.detail = row, detail
 
 
-def _dot(a, b) -> np.ndarray:
+def _dot(a, b, work=None) -> np.ndarray:
     """Row-wise dot products as sequential left-to-right sums (zeros for zero width).
 
     One vector add per column: a block has many more rows than columns, and
     ``np.add.accumulate`` along a short row is about three times slower.
+    The products go into ``work`` if given, an array of their shape.
     """
-    terms = a * b
+    terms = np.multiply(a, b, out=work)
     if not terms.shape[1]:
         return np.zeros(terms.shape[0])
     out = terms[:, 0].copy()
@@ -98,22 +99,26 @@ def row_terms(x0, lo, hi, weight) -> RowTerms:
     return RowTerms(x0, x0_sq, zero, 2.0 * weight * weight * x0_sq, lo, hi)
 
 
-def locate(terms: RowTerms, targets, rho: float) -> tuple:
+def locate(terms: RowTerms, targets, rho: float, work=None) -> tuple:
     """Point location: ``(coef, past)`` for :func:`row_terms`' terms.
 
     ``coef`` is the clip-and-correct coefficient ``(s - y) / x0_sq`` of
     :func:`apply_law`.  ``past`` is how far the unconstrained ``phi . x0`` lies
     past the box, positive above ``hi``, negative below ``lo`` and zero inside
     it: its sign is the row's region, and ``past * (rho + c2_x0_sq) / x0_sq``
-    is ``lam_upper - lam_lower``.
+    is ``lam_upper - lam_lower``.  ``work``, if given, an array shaped like
+    the targets, takes the products of the dot products.
     """
-    s = _dot(targets, terms.x0)
+    s = _dot(targets, terms.x0, work)
     unconstrained = s - s * terms.c2_x0_sq / (rho + terms.c2_x0_sq)
     y = np.minimum(np.maximum(unconstrained, terms.lo), terms.hi)
     return (s - y) / terms.x0_sq, unconstrained - y
 
 
-def apply_law(targets, coef, x0, out=None) -> np.ndarray:
-    """The located region's affine law, ``targets - coef x0`` row by row, into ``out`` if given."""
-    return np.subtract(targets, coef[:, None] * x0, out=out)
+def apply_law(targets, coef, x0, out=None, work=None) -> np.ndarray:
+    """The located region's affine law, ``targets - coef x0`` row by row, into ``out`` if given.
+
+    ``work``, if given, an array shaped like the targets, takes ``coef x0``.
+    """
+    return np.subtract(targets, np.multiply(coef[:, None], x0, out=work), out=out)
 

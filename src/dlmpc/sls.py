@@ -32,8 +32,10 @@ with dependent rows takes an SVD, cut where numpy's ``pinv`` cuts
 right singular vectors past the rank, the leading ones give the offset.
 Both use ``numpy.linalg`` only: a ``scipy.linalg`` factorization here would
 start scipy's own BLAS thread pool, which contends with numpy's for the
-cores the consensus loop runs on.  Neither Z nor E is kept afterwards.  The
-maps of subsystems whose shapes match are stacked, and
+cores the consensus loop runs on.  Neither Z nor E is kept afterwards.  A
+map depends only on its slice and ``E_i``, so slices with equal entries
+(every interior subsystem of a uniform chain) are factorized once and
+share one stored map; the other maps are stacked by shape, and
 :func:`project_column` applies any :class:`ColumnProjector`, so one batched
 call projects a whole class.
 """
@@ -56,7 +58,8 @@ class ColumnProjector:
     row) and ``rhs``, the identity on its c own columns' time-0 rows,
     ``basis`` (m x f) is an orthonormal basis of null(Z) and ``offset =
     pinv(Z) @ rhs`` (m x c): m * f + m * c floats rather than m * m.
-    A shape class stacks its members' maps along a leading axis.
+    A class of subsystems holds either one such map, which all its members
+    read, or its members' maps stacked along a leading axis.
     """
 
     basis: np.ndarray
@@ -65,10 +68,16 @@ class ColumnProjector:
 
 @dataclass(frozen=True)
 class FeasibilityOperator:
-    """The column projectors: ``classes[k]`` stacks, as their only storage, the
-    maps of the subsystems ``members[k]`` (increasing ids), whose bases and
-    offsets share their shapes (the null width f is part of the key);
-    subsystem ``members[k][s]``'s map is layer ``s`` of the stacks."""
+    """The column projectors, as their only storage, by class.
+
+    ``classes[k]`` serves the subsystems ``members[k]`` (increasing ids).
+    Subsystems whose slices and right-hand sides are equal entry for entry
+    have equal maps: such a group of two or more is one class whose
+    ``ColumnProjector`` is that map, with no member axis.  Every other map
+    is in a stacked class, keyed by the shapes of its basis and offset (the
+    null width f is part of the key), whose member ``members[k][s]`` has
+    layer ``s`` of the stacks.
+    """
 
     classes: tuple
     members: tuple
@@ -129,14 +138,18 @@ def assemble_feasibility_operator(
     each own column, so at build time every such row must be in the slice.
     A slice whose projection cannot meet its constraint (``Z @ offset`` off
     ``rhs`` beyond rounding: no response map within the locality obeys the
-    dynamics) raises ``ValueError``.  A slice's rows count as independent
-    when every ``|diag r|`` of the QR of its transpose exceeds ``1e-8`` of
-    the largest; other slices take the SVD.  The null width is known only
-    once a slice is factorized, so the maps are grouped into classes after
-    they are built; the stacked constraint and the flat arrays of the one
+    dynamics) raises ``ValueError`` naming the lowest such subsystem.  A
+    slice's rows count as independent when every ``|diag r|`` of the QR of
+    its transpose exceeds ``1e-8`` of the largest; other slices take the
+    SVD.  Each distinct slice, keyed by the shapes and bytes of Z and
+    ``rhs``, is factorized and checked once, at its lowest subsystem, and
+    the subsystems after it with an equal key read that map; equal bytes
+    give equal maps, so nothing is approximated.  The null width is known
+    only once a slice is factorized, so the classes are formed after every
+    map is built; the stacked constraint and the flat arrays of the one
     slicing pass are dropped before the classes are stacked.
     """
-    groups = {}
+    maps = {}  # slice key -> [member ids, basis, offset]
     for sub, z, touched in _slices(model, index):
         rhs = (touched[:, None] == sub.cols).astype(float)
         if not rhs.any(axis=0).all():
@@ -144,6 +157,10 @@ def assemble_feasibility_operator(
                 f"subsystem {sub.sub_id}: constraint rows with nonzero rhs "
                 "fell outside the coupled row set"
             )
+        key = (z.shape, rhs.shape, z.tobytes(), rhs.tobytes())
+        if key in maps:
+            maps[key][0].append(sub.sub_id)
+            continue
         q, r = np.linalg.qr(z.T, mode="complete")
         k, diag = r.shape[1], np.abs(np.diagonal(r))
         if k <= z.shape[1] and diag.min() > 1e-8 * diag.max():
@@ -161,9 +178,21 @@ def assemble_feasibility_operator(
                 f"(constraint residual {resid:.2e})"
             )
         # a copy of the basis, so that the factors need not outlive the loop
-        groups.setdefault((basis.shape, offset.shape), []).append((sub.sub_id, basis.copy(), offset))
-    members, bases, offsets = zip(*(zip(*group) for group in groups.values()))  # per class
-    return FeasibilityOperator(tuple(map(ColumnProjector, map(np.stack, bases), map(np.stack, offsets))), members)
+        maps[key] = [[sub.sub_id], basis.copy(), offset]
+    # a map shared by two or more subsystems is a class of its own; the others stack by shape
+    groups = {}
+    for ids, basis, offset in maps.values():
+        key = ids[0] if len(ids) > 1 else (basis.shape, offset.shape)
+        groups.setdefault(key, []).append((ids, basis, offset))
+    classes, members = [], []
+    for group in groups.values():
+        ids, bases, offsets = zip(*group)
+        members.append(tuple(i for each in ids for i in each))
+        if len(ids[0]) > 1:  # one shared map, with no member axis
+            classes.append(ColumnProjector(bases[0], offsets[0]))
+        else:
+            classes.append(ColumnProjector(np.stack(bases), np.stack(offsets)))
+    return FeasibilityOperator(tuple(classes), tuple(members))
 
 
 def project_column(proj: ColumnProjector, v: np.ndarray) -> np.ndarray:
@@ -171,10 +200,17 @@ def project_column(proj: ColumnProjector, v: np.ndarray) -> np.ndarray:
 
     Returns ``offset + basis @ (basis.T @ v)``: the nearest point to v that
     satisfies the constraint rows of ``proj``, one subsystem's projector or
-    a class stack of them, in which case ``v`` stacks the members' slices,
-    each projected bitwise as alone.  Idempotent.
+    a class of them.  For a stacked class ``v`` stacks the members' slices
+    in the class's shape; a map without a member axis takes one slice, or
+    any number stacked along a leading axis, and broadcasts over them.
+    Either way each slice runs the BLAS calls it runs alone, so it is
+    projected bitwise as alone.  Idempotent.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != proj.offset.shape:
-        raise ValueError(f"column slice must have shape {proj.offset.shape}, got {v.shape}")
-    return proj.offset + proj.basis @ (np.swapaxes(proj.basis, -1, -2) @ v)
+    shape = proj.offset.shape
+    if v.shape != shape and not (len(shape) == 2 and v.ndim == 3 and v.shape[1:] == shape):
+        stacks = " or (k, m, c)" if len(shape) == 2 else ""
+        raise ValueError(f"column slice must have shape {shape}{stacks}, got {v.shape}")
+    out = proj.basis @ (np.swapaxes(proj.basis, -1, -2) @ v)
+    out += proj.offset  # addition commutes, so bitwise offset + ..., with no second temporary
+    return out

@@ -242,9 +242,10 @@ def reference_projectors(model: NetworkModel, index: LocalityIndex) -> list:
 
 
 def projector(op, i: int) -> ColumnProjector:
-    """Subsystem i's column projector, as views into its class's stacks in ``op``."""
+    """Subsystem i's column projector in ``op``: its class's shared map, or views into its class's stacks."""
     ((k, s),) = [(k, ids.index(i)) for k, ids in enumerate(op.members) if i in ids]
-    return ColumnProjector(op.classes[k].basis[s], op.classes[k].offset[s])
+    cls = op.classes[k]
+    return cls if cls.offset.ndim == 2 else ColumnProjector(cls.basis[s], cls.offset[s])
 
 
 def dense_gain(proj: ColumnProjector) -> np.ndarray:

@@ -2,6 +2,7 @@
 import dataclasses
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,59 @@ class TestColumnPhase:
         monkeypatch.setattr(admm, "project_column", lambda proj, v: calls.append(proj) or project(proj, v))
         res = cross_fed.make_engine().solve_step(cross_fed.initial_state())
         assert calls == list(cross_fed.op.classes) * res.iterations
+
+    def test_cross_fed_maps_stay_stacked(self, cross_fed):
+        # no two cross-fed slices are equal, so every class stacks its members' maps
+        assert all(cls.offset.ndim == 3 for cls in cross_fed.op.classes)
+
+    def test_shared_map_equals_each_member_alone_bitwise(self):
+        # chain-explicit's config: the 196 interior subsystems read one map,
+        # broadcast over their stacked slices
+        sc = build_scenario(ScenarioConfig(n_subsystems=200))
+        ((ids, cls),) = [(ids, c) for c, ids in zip(sc.op.classes, sc.op.members) if c.offset.ndim == 2]
+        assert ids == tuple(range(3, 199))
+        engine = sc.make_engine()
+        state = engine.init_state()
+        state.cols[0] = np.random.default_rng(5).normal(size=state.cols[0].shape)
+        engine.column_step(state)
+        psi, targets = column_blocks(sc.index, state, 1), column_blocks(sc.index, state, 0)
+        for i in ids:
+            assert psi[i - 1].tobytes() == admm.project_column(cls, targets[i - 1]).tobytes()
+
+
+class TestWorkspace:
+    def test_an_iteration_allocates_less_than_one_row_layer(self):
+        # N=200 explicit chain: after the step's first iteration, one whole
+        # iteration (row phase, write-backs, exchanges, column step,
+        # multiplier and convergence check) peaks below one (R, W) layer
+        sc = build_scenario(ScenarioConfig(n_subsystems=200))
+        engine = sc.make_engine()
+        check, peaks = engine.check_convergence, []
+
+        def traced(state):
+            done = check(state)
+            if state.iteration == 1:
+                tracemalloc.start()
+            elif state.iteration == 2:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            return done
+
+        engine.check_convergence = traced
+        try:
+            res = engine.solve_step(sc.initial_state())
+        finally:
+            tracemalloc.stop()
+        assert res.iterations > 2 and len(peaks) == 1
+        assert peaks[0] < res.state.rows[0].nbytes
+
+    def test_row_layer_workspace_is_released_after_extraction(self):
+        sc = build_scenario(ACTIVE_BOX)
+        engine = sc.make_engine()
+        cold = engine.solve_step(sc.initial_state()).state
+        warm = engine.solve_step(sc.initial_state(), warm_state=cold).state
+        assert cold.extrapolated > 0
+        assert cold.work is None and warm.work is None
 
 
 class TestExchanges:

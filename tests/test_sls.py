@@ -267,20 +267,22 @@ class TestColumnProjection:
             build_operator(cross_fed_chain_model, d=2, horizon=3)
 
     def test_operator_stores_each_projector_once(self, cross_fed_chain_model):
-        # the per-subsystem maps are views into the class stacks, and nothing
-        # else holds array memory: no copy beside the stacks, no stored views
+        # every member's map is its class's shared map or a view into its
+        # class's stacks, and nothing else holds array memory: each distinct
+        # map is stored once, with no copy beside the classes and no stored views
         chains = [(build_chain_model(n), 1, 5) for n in (1, 2, 8)]
         for model, d, horizon in chains + [(cross_fed_chain_model, 2, 3)]:
             index, op = build_operator(model, d, horizon)
-            want = 0
+            distinct = {}
             for sub in index.subsystems:
                 proj = projector(op, sub.sub_id)
                 cls = next(c for c, ids in zip(op.classes, op.members) if sub.sub_id in ids)
                 assert np.shares_memory(proj.basis, cls.basis)
                 assert np.shares_memory(proj.offset, cls.offset)
                 assert proj.offset.shape == (sub.col_rows.size, sub.cols.size)
-                want += proj.basis.nbytes + proj.offset.nbytes
-            assert array_bytes(op) == want
+                key = (proj.basis.shape, proj.basis.tobytes(), proj.offset.shape, proj.offset.tobytes())
+                distinct[key] = proj.basis.nbytes + proj.offset.nbytes
+            assert array_bytes(op) == sum(distinct.values())
 
     @pytest.mark.parametrize("model,d,horizon", [
         ("chain8", 1, 5), ("chain8", 2, 3), ("cross_fed_chain_model", 2, 3),
@@ -299,19 +301,52 @@ class TestColumnProjection:
             np.testing.assert_allclose(z_i @ basis, 0.0, rtol=0, atol=1e-12)
 
     def test_operator_holds_the_null_width_not_a_square_gain(self):
-        # N=200 chain, d=1, T=5: per subsystem m * f + m * c floats, f the null
-        # width of its slice, against the m * m a dense gain would take
+        # N=200 chain, d=1, T=5: each distinct map holds m * f + m * c floats,
+        # f the null width of its slice, against the m * m a dense gain would
+        # take, and the 196 interior subsystems share one map, so the operator
+        # holds under 5% of one map per subsystem
         model = build_chain_model(200)
         index, op = build_operator(model, d=1, horizon=5)
         csc = stacked_constraint(model, 5).tocsc()
-        want = square = 0
+        distinct, per_sub, square = {}, 0, 0
         for sub in index.subsystems:
             m, c = sub.col_rows.size, sub.cols.size
             f = m - np.linalg.matrix_rank(csc[:, sub.col_rows].toarray())
-            want += 8 * (m * f + m * c)
+            proj = projector(op, sub.sub_id)
+            distinct[proj.basis.tobytes(), proj.offset.tobytes()] = 8 * (m * f + m * c)
+            per_sub += 8 * (m * f + m * c)
             square += 8 * m * m
-        assert array_bytes(op) == want
-        assert want < square / 3
+        assert array_bytes(op) == sum(distinct.values())
+        assert per_sub < square / 3
+        assert array_bytes(op) < 0.05 * per_sub
+
+    def test_slices_share_a_map_only_when_equal_bit_for_bit(self):
+        # one ulp on one entry of an interior A block: the slices that store
+        # it get maps of their own, the other interior slices still share the
+        # stock chain's map, and every map matches the pinv reference
+        chain, horizon = build_chain_model(12), 5
+        a_blocks = dict(chain.a_blocks)
+        a_blocks[6, 6] = a_blocks[6, 6].copy()
+        a_blocks[6, 6][0, 0] = np.nextafter(a_blocks[6, 6][0, 0], np.inf)
+        model = dataclasses.replace(chain, a_blocks=a_blocks)
+        _, stock = build_operator(chain, 1, horizon)
+        index, op = build_operator(model, 1, horizon)
+        # the entry sits in Z's column of node 6's first state at every step
+        n, col = model.n_states, index.subsystems[5].cols[0]
+        touching = {sub.sub_id for sub in index.subsystems
+                    if np.isin(np.arange(horizon) * n + col, sub.col_rows).any()}
+        assert touching == {5, 6, 7}
+        ((shared_ids, shared),) = [(ids, c) for c, ids in zip(stock.classes, stock.members) if c.offset.ndim == 2]
+        assert shared_ids == tuple(range(3, 11))
+        ((ids, cls),) = [(ids, c) for c, ids in zip(op.classes, op.members) if c.offset.ndim == 2]
+        assert ids == (3, 4, 8, 9, 10)
+        assert cls.basis.tobytes() == shared.basis.tobytes() and cls.offset.tobytes() == shared.offset.tobytes()
+        for i in touching:
+            assert next(c for c, ids in zip(op.classes, op.members) if i in ids).offset.ndim == 3
+        for sub, (gain, offset) in zip(index.subsystems, reference_projectors(model, index)):
+            proj = projector(op, sub.sub_id)
+            np.testing.assert_allclose(dense_gain(proj), gain, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(proj.offset, offset, rtol=0, atol=1e-12)
 
     def test_rejects_bad_shape(self):
         model = build_chain_model(3)
